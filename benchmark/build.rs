@@ -1,0 +1,15 @@
+//! Records the compiler version so every run can print it next to its numbers.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .unwrap_or_else(|| "unknown".into());
+    println!("cargo:rustc-env=BENCH_RUSTC_VERSION={}", version.trim());
+    println!("cargo:rerun-if-changed=build.rs");
+}
