@@ -1,6 +1,8 @@
-//! Benchmark harness reproducing every table and figure of the STZ paper.
+//! Harness binaries reproducing every table and figure of the STZ paper.
 //!
-//! The library provides what every harness binary needs:
+//! Paper artefacts only: performance is measured by the `benchmark/`
+//! package at the repository root, and deterministic facts are asserted by
+//! the tests. The library provides what every harness binary needs:
 //!
 //! * [`Codec`] — a uniform handle over the five evaluated compressors
 //!   (STZ, SZ3, SPERR, ZFP, MGARD-X analogue), with serial and
@@ -9,6 +11,7 @@
 //!   (mirroring how the reference SZ3/SPERR parallelize with OpenMP —
 //!   including the compression-ratio drop the paper flags for SZ3's OMP
 //!   mode in Table 3);
+//! * [`calibrate`] — error-bound search for a target compression ratio;
 //! * [`cli`] — a tiny flag parser shared by the `fig*`/`table*` binaries;
 //! * [`timing`] — wall-clock measurement helpers.
 //!
@@ -29,7 +32,6 @@
 
 pub mod calibrate;
 pub mod cli;
-pub mod json;
 pub mod slab;
 pub mod timing;
 

@@ -42,8 +42,7 @@ archive (field.stz), or a hosted container on an stz-serve server
 bare server URI (stz://host:port) and shows what it holds. Every read verb
 has ONE code path dispatching through the unified Store API, so local and
 remote results are byte-identical. -i is accepted as an alias for --from on
-the read verbs, and the pre-URI `stz remote <verb> --addr ... -c <name>`
-spellings remain as hidden aliases for one release.
+the read verbs.
 
 --backend selects the compression engine (default stz, the native streaming
 compressor); decompress sniffs the engine from the archive magic when the
@@ -95,7 +94,6 @@ const VALUED: &[&str] = &[
     "-e",
     "-l",
     "-r",
-    "-c",
     "--levels",
     "--from",
     "--to",
@@ -109,18 +107,10 @@ const VALUED: &[&str] = &[
 ];
 
 pub fn parse(argv: &[String]) -> Result<Parsed, String> {
-    let mut command = argv.get(1).ok_or("missing subcommand")?.clone();
-    // `remote` takes a positional sub-subcommand: fold the pair into one
-    // command word ("remote list" parses as "remote-list").
-    let mut rest_from = 2;
-    if command == "remote" {
-        let sub = argv.get(2).ok_or("remote needs a subcommand (list/inspect/extract/preview)")?;
-        command = format!("remote-{sub}");
-        rest_from = 3;
-    }
+    let command = argv.get(1).ok_or("missing subcommand")?.clone();
     let mut flags = HashMap::new();
     let mut switches = Vec::new();
-    let mut it = argv[rest_from..].iter();
+    let mut it = argv[2..].iter();
     while let Some(a) = it.next() {
         if VALUED.contains(&a.as_str()) {
             let v = it.next().ok_or_else(|| format!("flag {a} requires a value"))?;
@@ -224,25 +214,6 @@ mod tests {
     fn missing_value_is_error() {
         assert!(parse(&argv(&["compress", "-i"])).is_err());
         assert!(parse(&argv(&[])).is_err());
-    }
-
-    #[test]
-    fn remote_subcommand_folds() {
-        let p = parse(&argv(&[
-            "remote",
-            "extract",
-            "--addr",
-            "127.0.0.1:4815",
-            "-c",
-            "steps",
-            "-o",
-            "out.f32",
-        ]))
-        .unwrap();
-        assert_eq!(p.command, "remote-extract");
-        assert_eq!(p.required("--addr").unwrap(), "127.0.0.1:4815");
-        assert_eq!(p.required("-c").unwrap(), "steps");
-        assert!(parse(&argv(&["remote"])).is_err());
     }
 
     #[test]

@@ -4,10 +4,7 @@
 //! location-transparent: they resolve one `--from <location>` (a container
 //! path, a bare archive, or an `stz://host:port/container` URI) into a
 //! `Box<dyn Store>` and serve the request through the unified access API,
-//! so each verb has exactly one code path for every transport. The pre-URI
-//! `remote <verb> --addr … -c <name>` spellings are kept as hidden alias
-//! shims that rewrite their flags into the same URI and call the same
-//! functions.
+//! so each verb has exactly one code path for every transport.
 
 use crate::args::{self, Parsed};
 use crate::fmt;
@@ -81,35 +78,16 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         "serve" => serve(&p),
         "stats" => stats(&p),
         "trace" => trace(&p),
-        // Hidden aliases (one release): the pre-URI remote twins
-        // (remote_list / remote_inspect / remote_extract / remote_preview
-        // as dedicated functions) are gone — each alias rewrites its
-        // --addr/-c flags into an stz:// location inside `resolve_from`
-        // and runs the exact same unified implementation.
-        "remote-list" => list(&p),
-        "remote-inspect" => inspect(&p),
-        "remote-extract" => extract(&p),
-        "remote-preview" => preview(&p),
         other => Err(format!("unknown subcommand {other:?}")),
     }
 }
 
-/// The location a read verb operates on: `--from`, or the `remote` alias
-/// flags (`--addr`/`-c`), or plain `-i`.
+/// The location a read verb operates on: `--from`, or plain `-i`.
 fn resolve_from(p: &Parsed) -> Result<String, String> {
-    if let Some(from) = p.optional("--from") {
-        return Ok(from.to_string());
-    }
-    if let Some(addr) = p.optional("--addr") {
-        return Ok(match p.optional("-c") {
-            Some(container) => format!("stz://{addr}/{container}"),
-            None => format!("stz://{addr}"),
-        });
-    }
-    if let Some(input) = p.optional("-i") {
-        return Ok(input.to_string());
-    }
-    Err("missing required flag --from (a path or stz://host:port/container)".into())
+    p.optional("--from")
+        .or_else(|| p.optional("-i"))
+        .map(str::to_string)
+        .ok_or_else(|| "missing required flag --from (a path or stz://host:port/container)".into())
 }
 
 /// The entry selector of a fetch (`--entry` name, default entry 0).
@@ -754,8 +732,7 @@ fn inspect(p: &Parsed) -> Result<(), String> {
     let store = store_at(&from)?;
     let entries = store.list().map_err(|e| e.to_string())?;
     // The table's source label: remote tables are headed by the container
-    // name (what the pre-URI `remote inspect -c <name>` printed, and what
-    // --json consumers key on), local tables by the path as typed.
+    // name (what --json consumers key on), local tables by the path as typed.
     let source = match Location::parse(&from) {
         Ok(Location::Remote { container: Some(container), .. }) => container,
         _ => from.clone(),
@@ -888,8 +865,10 @@ mod tests {
     use super::*;
     use stz_field::Dims;
 
-    fn dir() -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("stz_cli_test_{}", std::process::id()));
+    /// A scratch directory owned by one test: tests run concurrently, and
+    /// each removes its directory when done, so no two may share one.
+    fn dir(tag: &str) -> std::path::PathBuf {
+        let d = std::env::temp_dir().join(format!("stz_cli_test_{}_{tag}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
         d
     }
@@ -900,7 +879,7 @@ mod tests {
 
     #[test]
     fn compress_decompress_cycle() {
-        let d = dir();
+        let d = dir("compress");
         let raw = d.join("in.f32");
         let stz = d.join("in.stz");
         let out = d.join("out.f32");
@@ -939,7 +918,7 @@ mod tests {
 
     #[test]
     fn preview_and_roi_commands() {
-        let d = dir();
+        let d = dir("preview_roi");
         let raw = d.join("a.f32");
         let stz = d.join("a.stz");
         let dims = Dims::d3(16, 16, 16);
@@ -996,7 +975,7 @@ mod tests {
 
     #[test]
     fn pack_inspect_extract_preview_cycle() {
-        let d = dir();
+        let d = dir("pack");
         let dims = Dims::d3(16, 16, 16);
         let (raw_a, raw_b) = (d.join("step0.f32"), d.join("step1.f32"));
         let fa = stz_data::synth::miranda_like(dims, 7);
@@ -1063,8 +1042,7 @@ mod tests {
 
     #[test]
     fn append_delete_compact_cycle() {
-        let d = dir().join("mutate_test");
-        std::fs::create_dir_all(&d).unwrap();
+        let d = dir("mutate");
         let dims = Dims::d3(16, 16, 16);
         let fields: Vec<_> = (0..3).map(|i| stz_data::synth::miranda_like(dims, 40 + i)).collect();
         for (i, f) in fields.iter().enumerate() {
@@ -1189,7 +1167,7 @@ mod tests {
 
     #[test]
     fn threads_flag_produces_identical_outputs() {
-        let d = dir();
+        let d = dir("threads");
         let dims = Dims::d3(16, 16, 16);
         let (raw_a, raw_b) = (d.join("s0.f32"), d.join("s1.f32"));
         write_raw(&raw_a, &stz_data::synth::miranda_like(dims, 21)).unwrap();
@@ -1245,7 +1223,7 @@ mod tests {
 
     #[test]
     fn backend_flag_roundtrips_every_engine() {
-        let d = dir();
+        let d = dir("backend");
         let raw = d.join("b.f32");
         let dims = Dims::d3(16, 16, 16);
         let field = stz_data::synth::miranda_like(dims, 9);
@@ -1288,7 +1266,7 @@ mod tests {
 
     #[test]
     fn backend_pack_inspect_extract_cycle() {
-        let d = dir();
+        let d = dir("backend_pack");
         let dims = Dims::d3(16, 16, 16);
         let raw = d.join("s0.f32");
         let field = stz_data::synth::miranda_like(dims, 13);
@@ -1386,10 +1364,7 @@ mod tests {
 
     #[test]
     fn uri_and_alias_commands_roundtrip_against_inprocess_server() {
-        // Own subdirectory: the server scans every .stzc under its root,
-        // and sibling tests create and delete containers concurrently.
-        let d = dir().join("remote_test");
-        std::fs::create_dir_all(&d).unwrap();
+        let d = dir("remote");
         let dims = Dims::d3(16, 16, 16);
         let raw = d.join("t0.f32");
         let field = stz_data::synth::miranda_like(dims, 31);
@@ -1454,43 +1429,13 @@ mod tests {
             "remote extract must be byte-identical to local extract"
         );
 
-        // Pre-URI alias spellings keep working for one release.
-        run(&argv(&["remote".into(), "list".into(), "--addr".into(), addr.clone()])).unwrap();
+        // -i stays an alias for --from, for remote locations too.
         run(&argv(&[
-            "remote".into(),
-            "inspect".into(),
-            "--addr".into(),
-            addr.clone(),
-            "-c".into(),
-            "steps".into(),
-            "--json".into(),
-        ]))
-        .unwrap();
-        let alias_out = d.join("alias.f32");
-        run(&argv(&[
-            "remote".into(),
-            "extract".into(),
-            "--addr".into(),
-            addr.clone(),
-            "-c".into(),
-            "steps".into(),
-            "-o".into(),
-            alias_out.display().to_string(),
-            "-r".into(),
-            "2:6,0:16,4:8".into(),
-        ]))
-        .unwrap();
-        assert_eq!(std::fs::read(&alias_out).unwrap(), std::fs::read(&local_out).unwrap());
-        let prev_out = d.join("prev.f32");
-        run(&argv(&[
-            "remote".into(),
             "preview".into(),
-            "--addr".into(),
-            addr.clone(),
-            "-c".into(),
-            "steps".into(),
+            "-i".into(),
+            uri.clone(),
             "-o".into(),
-            prev_out.display().to_string(),
+            d.join("prev.f32").display().to_string(),
             "-l".into(),
             "1".into(),
         ]))

@@ -16,16 +16,16 @@
 //! stz preview    -i steps.stzc -o coarse.f32 -l 1 [--entry t0]
 //!
 //! stz serve      -i archives/ --addr 127.0.0.1:4815
-//! stz remote list    --addr HOST:PORT
-//! stz remote inspect --addr HOST:PORT -c steps [--json]
-//! stz remote extract --addr HOST:PORT -c steps -o roi.f32 -r z0:z1,y0:y1,x0:x1
-//! stz remote preview --addr HOST:PORT -c steps -o coarse.f32 -l 1
+//! stz list       --from stz://HOST:PORT
+//! stz inspect    --from stz://HOST:PORT/steps [--json]
+//! stz extract    --from stz://HOST:PORT/steps -o roi.f32 -r z0:z1,y0:y1,x0:x1
+//! stz preview    --from stz://HOST:PORT/steps -o coarse.f32 -l 1
 //! ```
 //!
 //! `pack` writes the stz-stream on-disk container; `extract` and `preview`
 //! on a container read only the byte ranges the query needs. `serve` hosts
 //! a directory of containers over the STZP binary protocol (stz-serve);
-//! the `remote` commands are the network twins of the local queries.
+//! the read verbs take an `stz://` location in place of a path.
 
 mod args;
 mod commands;

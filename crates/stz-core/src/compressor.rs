@@ -80,6 +80,7 @@ impl StzCompressor {
         // Per-stage wall-clock histograms (resolved once; the per-block
         // closures record through the lock-free handles).
         let reg = stz_telemetry::global();
+        let level1_ns = reg.latency("stz_core_stage_ns", &[("stage", "level1")]);
         let quantize_ns = reg.latency("stz_core_stage_ns", &[("stage", "quantize")]);
         let encode_ns = reg.latency("stz_core_stage_ns", &[("stage", "encode")]);
 
@@ -88,7 +89,7 @@ impl StzCompressor {
         let sz3_cfg =
             Sz3Config { eb: ErrorBound::Absolute(ebs[0]), radius: cfg.radius, interp: cfg.interp };
         let (l1_bytes, _stats, a_recon) = {
-            let _stage = stz_telemetry::span!("stz_core_stage_ns", "stage" => "level1");
+            let _stage = level1_ns.span();
             stz_sz3::compress_full(&a_field, &sz3_cfg)
         };
         let mut grid = Field::from_vec(plan.levels[0].grid_dims, a_recon);
@@ -771,19 +772,19 @@ pub(crate) fn decode_level_grid<T: Scalar, S: SectionSource + ?Sized>(
 
     let decode_one = |(i, block): (usize, &BlockSpec)| -> Result<Field<f64>> {
         let bytes = source.block_bytes(level_index, i)?;
-        // Stage timestamps are taken only when a trace is active, so the
-        // untraced hot path pays one thread-local read per block.
-        let traced = stz_telemetry::trace::current_context().is_some();
-        let t0 = traced.then(std::time::Instant::now);
-        let (symbols, outliers) = decode_block_payload::<T>(&bytes, block.lattice.len(), parallel)?;
-        let t1 = traced.then(std::time::Instant::now);
-        let recon = reconstruct_block(&symbols, &outliers, &next, block, &quant, interp, parallel);
-        if let (Some(t0), Some(t1)) = (t0, t1) {
-            let attrs = [("block", i.to_string())];
-            stz_telemetry::trace::record_span("entropy", t0, t1, &attrs);
-            stz_telemetry::trace::record_span("reconstruct", t1, std::time::Instant::now(), &attrs);
-        }
-        Ok(recon)
+        // Off-trace a stage span is one thread-local read: no clock, no
+        // allocation.
+        let stage = |name| {
+            let mut span = stz_telemetry::trace::span(name);
+            span.attr("block", i);
+            span
+        };
+        let (symbols, outliers) = {
+            let _stage = stage("entropy");
+            decode_block_payload::<T>(&bytes, block.lattice.len(), parallel)?
+        };
+        let _stage = stage("reconstruct");
+        Ok(reconstruct_block(&symbols, &outliers, &next, block, &quant, interp, parallel))
     };
     let results: Vec<Result<Field<f64>>> = if parallel {
         level.blocks.par_iter().enumerate().map(decode_one).collect()

@@ -21,7 +21,7 @@
 //!   bad magic, oversized length prefixes, CRC mismatches and mid-stream
 //!   disconnects surface as [`ServeError`]s, never panics or hangs.
 //!
-//! The CLI front ends live in `stz-cli` (`stz serve`, `stz remote …`);
+//! The CLI front ends live in `stz-cli` (`stz serve`, and `--from stz://…` on the read verbs);
 //! `docs/SERVER.md` is the normative frame spec.
 //!
 //! ## Quick start

@@ -3,9 +3,8 @@
 //! The grammar is the mirror of [`Registry::render`](crate::Registry::render):
 //! `#`-prefixed comment lines, then one `key value` pair per line where
 //! `key` is `name` or `name{label="v",…}` and `value` parses as a number.
-//! The parser is shared by the CLI's `stz stats` table, the
-//! `serve_throughput --metrics` harness, and the wire-protocol tests, so
-//! renderer and consumers cannot drift.
+//! The parser is shared by the CLI's `stz stats` table and the
+//! wire-protocol tests, so renderer and consumers cannot drift.
 
 /// One parsed metric sample.
 #[derive(Debug, Clone, PartialEq)]

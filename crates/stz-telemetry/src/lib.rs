@@ -4,12 +4,12 @@
 //! the rayon shim up to the archive server:
 //!
 //! * **Metrics** — lock-free [`Counter`]s, [`Gauge`]s, and fixed-log-bucket
-//!   [`Histogram`]s (the same geometric bucket scheme the
-//!   `serve_throughput` harness uses: factor-2 bounds from a configurable
-//!   first bound), with exact p50/p99 extraction from snapshots.
+//!   [`Histogram`]s (geometric buckets: factor-2 bounds from a
+//!   configurable first bound), with exact p50/p99 extraction from
+//!   snapshots.
 //! * **Spans** — [`Span`] RAII guards that time a scope and feed the
-//!   elapsed nanoseconds into a histogram on drop; the [`span!`] macro
-//!   resolves the histogram from the [`global`] registry by name + labels.
+//!   elapsed nanoseconds into a histogram on drop; resolve the histogram
+//!   once from a [`Registry`] and open spans with [`Histogram::span`].
 //! * **Structured logging** — a leveled logger configured by the `STZ_LOG`
 //!   environment variable, emitting logfmt-style text or JSON lines to
 //!   stderr (see [`Level`] and the `log_warn!`-family macros), with a

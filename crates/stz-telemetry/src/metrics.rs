@@ -91,11 +91,10 @@ impl Gauge {
 /// snapshots mergeable and the exposition stable.
 pub const HISTOGRAM_BUCKETS: usize = 40;
 
-/// First latency-bucket bound in nanoseconds: 50 µs = 0.05 ms, the first
-/// bound of `serve_throughput`'s client-side latency histogram, so
-/// server-side and client-side latency distributions use identical bucket
-/// boundaries (factor 2 apart) and quantiles are comparable within one
-/// bucket of resolution.
+/// First latency-bucket bound in nanoseconds: 50 µs = 0.05 ms. Every
+/// latency histogram shares it, so distributions recorded on different
+/// sides of a connection use identical bucket boundaries (factor 2 apart)
+/// and their quantiles are comparable within one bucket of resolution.
 pub const LATENCY_FIRST_BOUND_NS: u64 = 50_000;
 
 /// A fixed-log-bucket histogram of `u64` samples (nanoseconds, bytes, …).
@@ -200,9 +199,8 @@ impl HistogramSnapshot {
     }
 
     /// Nearest-rank quantile (`0.0 ..= 1.0`), resolved to the upper bound
-    /// of the bucket holding that rank — the same convention
-    /// `serve_throughput` uses, so both sides agree within one bucket of
-    /// resolution. Samples in the overflow bucket resolve to `u64::MAX`.
+    /// of the bucket holding that rank. Samples in the overflow bucket
+    /// resolve to `u64::MAX`.
     /// `None` when the histogram is empty.
     pub fn quantile(&self, q: f64) -> Option<u64> {
         let total = self.count();
@@ -236,8 +234,7 @@ impl HistogramSnapshot {
 }
 
 /// RAII span: times a scope and records the elapsed nanoseconds into its
-/// histogram on drop. Create with [`Span::enter`], [`Histogram::span`],
-/// or the [`span!`](crate::span!) macro.
+/// histogram on drop. Create with [`Span::enter`] or [`Histogram::span`].
 #[derive(Debug)]
 pub struct Span {
     hist: Arc<Histogram>,
@@ -255,31 +252,6 @@ impl Drop for Span {
     fn drop(&mut self) {
         self.hist.record_duration(self.start.elapsed());
     }
-}
-
-/// Time the enclosing scope into a latency histogram from the [`global`]
-/// registry, resolved by name (and optional `"label" => value` pairs):
-///
-/// ```
-/// {
-///     let _span = stz_telemetry::span!("stz_core_stage_ns", "stage" => "encode");
-///     // ... timed work ...
-/// }
-/// ```
-///
-/// Resolution takes the registry lock; on hot paths resolve the
-/// [`Histogram`](crate::Histogram) handle once and use
-/// [`Histogram::span`](crate::Histogram::span) instead.
-///
-/// [`global`]: crate::global
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::Span::enter($crate::global().latency($name, &[]))
-    };
-    ($name:expr, $($k:expr => $v:expr),+ $(,)?) => {
-        $crate::Span::enter($crate::global().latency($name, &[$(($k, $v)),+]))
-    };
 }
 
 #[cfg(test)]

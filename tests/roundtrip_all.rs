@@ -6,12 +6,31 @@
 //! registered codec is covered automatically — and no codec can be
 //! silently skipped the way the pre-registry version of this file skipped
 //! the baselines' f64 coverage.
+//!
+//! Compression is deterministic, so the same matrix also pins each cell's
+//! compressed length ([`PINNED_LEN`]): a change that costs any backend more
+//! than 10% of its ratio on any dataset fails here.
 
 use stz::backend::{registry, BackendScalar, Codec, ErrorBound};
 use stz::data::{metrics, Dataset, DatasetField};
 use stz::prelude::*;
 
 const REL_EB: f64 = 1e-3;
+
+/// Compressed length of every `(backend, dataset)` cell of
+/// [`all_fields`], in `Dataset::all()` order, as measured at the parent of
+/// the commit that introduced this table. Smaller output always passes;
+/// after an intentional trade-off, re-measure and update the row.
+const PINNED_LEN: [(&str, [usize; 4]); 5] = [
+    ("stz", [15062, 5841, 28849, 134237]),
+    ("sz3", [13162, 4923, 23174, 112644]),
+    ("zfp", [31011, 14438, 39689, 225193]),
+    ("sperr", [25718, 5747, 35704, 147402]),
+    ("mgard", [13034, 6366, 24255, 121330]),
+];
+
+/// Largest tolerated growth of a pinned length (a 10% ratio drop).
+const LEN_TOLERANCE: f64 = 1.10;
 
 fn all_fields() -> Vec<(Dataset, DatasetField)> {
     Dataset::all()
@@ -26,7 +45,8 @@ fn all_fields() -> Vec<(Dataset, DatasetField)> {
 /// Compress + decompress `field` with `codec` at a value-range-relative
 /// bound and assert the three invariants of the backend contract: dims
 /// survive, the point-wise bound holds, and the archive actually shrank.
-fn assert_roundtrip<T: BackendScalar>(codec: &dyn Codec, label: &str, field: &Field<T>) {
+/// Returns the compressed length.
+fn assert_roundtrip<T: BackendScalar>(codec: &dyn Codec, label: &str, field: &Field<T>) -> usize {
     let (lo, hi) = field.value_range();
     let eb = REL_EB * (hi - lo);
     let bytes = stz::backend::compress(codec, field, &ErrorBound::Absolute(eb))
@@ -37,17 +57,29 @@ fn assert_roundtrip<T: BackendScalar>(codec: &dyn Codec, label: &str, field: &Fi
     let err = metrics::max_abs_error(field, &recon);
     assert!(err <= eb * (1.0 + 1e-6), "{label}: err {err} > eb {eb}");
     assert!(bytes.len() < field.nbytes(), "{label}: no compression ({} bytes)", bytes.len());
+    bytes.len()
 }
 
 #[test]
 fn every_backend_bounds_on_all_datasets() {
+    let fields = all_fields();
     for codec in registry().all() {
-        for (d, field) in all_fields() {
+        let pinned = PINNED_LEN
+            .iter()
+            .find(|(name, _)| *name == codec.name())
+            .unwrap_or_else(|| panic!("{}: add a PINNED_LEN row", codec.name()))
+            .1;
+        assert_eq!(pinned.len(), fields.len(), "one pinned length per dataset");
+        for ((d, field), pinned) in fields.iter().zip(pinned) {
             let label = format!("{}/{}", d.name(), codec.name());
-            match &field {
+            let len = match field {
                 DatasetField::F32(f) => assert_roundtrip(codec, &label, f),
                 DatasetField::F64(f) => assert_roundtrip(codec, &label, f),
-            }
+            };
+            assert!(
+                len as f64 <= pinned as f64 * LEN_TOLERANCE,
+                "{label}: {len} bytes is over 10% above the pinned {pinned}"
+            );
         }
     }
 }
