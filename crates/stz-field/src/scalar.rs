@@ -19,6 +19,10 @@ pub trait Scalar: Copy + PartialOrd + Debug + Display + Default + Send + Sync + 
     fn from_f64(v: f64) -> Self;
     /// Serialize the exact bit pattern (little-endian).
     fn write_exact(self, out: &mut Vec<u8>);
+    /// Serialize the exact bit patterns of `values` (little-endian) in one
+    /// bulk pass: the bytes [`Scalar::write_exact`] would append one value
+    /// at a time, produced as block copies.
+    fn write_slice_exact(values: &[Self], out: &mut Vec<u8>);
     /// Deserialize the exact bit pattern; `bytes.len()` must be `>= BYTES`.
     fn read_exact(bytes: &[u8]) -> Self;
 
@@ -39,6 +43,24 @@ pub trait Scalar: Copy + PartialOrd + Debug + Display + Default + Send + Sync + 
     fn simd_from_f64(lane: Lane, src: &[f64], out: &mut [Self]);
 }
 
+/// Append `le(v)` for every value, staged through a block that stays in L1
+/// so the per-value stores vectorise (a plain copy on little-endian
+/// targets) and the `Vec` grows by whole blocks, not by single values.
+fn write_blocks<T: Copy, const N: usize>(
+    values: &[T],
+    out: &mut Vec<u8>,
+    le: impl Fn(T) -> [u8; N],
+) {
+    let mut block = [0u8; 4096];
+    out.reserve(values.len() * N);
+    for chunk in values.chunks(block.len() / N) {
+        for (dst, &v) in block.chunks_exact_mut(N).zip(chunk) {
+            dst.copy_from_slice(&le(v));
+        }
+        out.extend_from_slice(&block[..chunk.len() * N]);
+    }
+}
+
 impl Scalar for f32 {
     const BYTES: usize = 4;
     const TYPE_TAG: u8 = 0;
@@ -56,6 +78,10 @@ impl Scalar for f32 {
     #[inline]
     fn write_exact(self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
+    }
+
+    fn write_slice_exact(values: &[Self], out: &mut Vec<u8>) {
+        write_blocks(values, out, f32::to_le_bytes);
     }
 
     #[inline]
@@ -101,6 +127,10 @@ impl Scalar for f64 {
     #[inline]
     fn write_exact(self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
+    }
+
+    fn write_slice_exact(values: &[Self], out: &mut Vec<u8>) {
+        write_blocks(values, out, f64::to_le_bytes);
     }
 
     #[inline]
@@ -154,6 +184,21 @@ mod tests {
             assert_eq!(buf.len(), 8);
             let back = f64::read_exact(&buf);
             assert_eq!(v.to_bits(), back.to_bits());
+        }
+    }
+
+    #[test]
+    fn slice_write_equals_per_value_write() {
+        // Lengths on both sides of the staging block, and none at all.
+        for n in [0usize, 1, 511, 512, 513, 1024, 1500] {
+            let v32: Vec<f32> = (0..n).map(|i| (i as f32 - 7.5) * 1.25e-3).collect();
+            let v64: Vec<f64> = v32.iter().map(|&v| v as f64 * 1e200).collect();
+            let (mut bulk, mut each) = (vec![0xEE], vec![0xEE]);
+            f32::write_slice_exact(&v32, &mut bulk);
+            f64::write_slice_exact(&v64, &mut bulk);
+            v32.iter().for_each(|v| v.write_exact(&mut each));
+            v64.iter().for_each(|v| v.write_exact(&mut each));
+            assert_eq!(bulk, each, "n = {n}");
         }
     }
 

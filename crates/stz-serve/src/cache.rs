@@ -1,11 +1,11 @@
-//! Byte-budgeted sharded LRU cache of decoded blocks.
+//! Byte-budgeted sharded LRU cache of framed responses.
 //!
 //! The server's hot path is "same entry, same request, many clients":
 //! dashboards polling a preview level, analysts re-reading a popular ROI.
 //! Decoding is orders of magnitude more expensive than a memcpy, so the
-//! server caches the *encoded `FETCH_OK` payload* of each decode — a hit
-//! skips decompression **and** response re-encoding; the handler just
-//! frames cached bytes onto the socket.
+//! server caches the *whole response frame* of each decode (16-byte header
+//! with length and CRC, then the payload) — a hit skips decompression,
+//! re-encoding **and** the checksum: one write, zero passes over the bytes.
 //!
 //! Design:
 //!
@@ -14,7 +14,7 @@
 //!   lock. The byte budget is split evenly across shards.
 //! * **Exact LRU, O(n) eviction.** Each shard stamps entries with a
 //!   monotonic tick on every touch and evicts the smallest stamp until it
-//!   is back under budget. Values are whole decoded blocks (KBs–MBs), so
+//!   is back under budget. Values are whole responses (KBs–MBs), so
 //!   shard populations stay small and the linear eviction scan is noise
 //!   next to one saved decompression.
 //! * **Oversized values bypass.** A value larger than a whole shard's

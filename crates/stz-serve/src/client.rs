@@ -2,10 +2,12 @@
 //!
 //! One [`Client`] wraps one connection: a version handshake up front,
 //! then synchronous request/response pairs. Every response frame is
-//! CRC-verified by the framing layer and validated against the request
-//! before it is returned, so a corrupted or lying server yields a clean
-//! [`ServeError`] — never a panic, and (with the default timeout) never
-//! a hang.
+//! CRC-verified by the framing layer *while it is read* (one pass over the
+//! bytes, no second sweep) and validated against the request before it is
+//! returned, so a corrupted or lying server yields a clean [`ServeError`]
+//! — never a panic, and (with the default timeout) never a hang. A fetched
+//! field keeps the buffer its frame was read into: the `FETCH_OK` head is
+//! stripped in place, the scalars are not copied again.
 //!
 //! The transport is generic: [`Client::connect`] produces the everyday
 //! `Client<TcpStream>`, while [`Client::handshake`] accepts any
@@ -124,7 +126,7 @@ impl<S: Read + Write> Client<S> {
             return Err(ServeError::protocol("use fetch_raw for raw-section fetches"));
         }
         let reply = self.roundtrip_reusing(req)?;
-        let fetched = FetchedField::decode(&expect(reply, FrameType::FetchOk)?)?;
+        let fetched = FetchedField::decode_owned(expect(reply, FrameType::FetchOk)?)?;
         if fetched.kind_tag != req.kind.tag() {
             return Err(ServeError::protocol(format!(
                 "response kind tag {} does not match request kind {}",

@@ -13,10 +13,11 @@
 //! * decode work runs under the workspace thread pool
 //!   (`crates/shims/rayon`), so one busy request parallelizes across
 //!   cores while other connections keep being accepted;
-//! * decoded blocks pass through a byte-budgeted sharded LRU cache
-//!   ([`DecodedCache`]) keyed by container/entry/request-kind — a repeat
-//!   request skips decompression *and* response encoding, and the hit /
-//!   miss / eviction counters are queryable over the wire (`STATS`);
+//! * responses pass through a byte-budgeted sharded LRU cache
+//!   ([`DecodedCache`]) keyed by container/entry/request-kind and stored
+//!   framed — a repeat request skips decompression, response encoding
+//!   *and* the CRC (one write of the cached frame), and the hit / miss /
+//!   eviction counters are queryable over the wire (`STATS`);
 //! * both endpoints are total over arbitrary bytes: truncated frames,
 //!   bad magic, oversized length prefixes, CRC mismatches and mid-stream
 //!   disconnects surface as [`ServeError`]s, never panics or hangs.

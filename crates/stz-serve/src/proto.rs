@@ -19,7 +19,10 @@
 //! The fixed header makes framing self-synchronizing and cheap to
 //! validate before any allocation: a receiver rejects a bad magic, an
 //! unknown version, or an oversized length prefix from the first 16 bytes
-//! alone, and verifies the payload CRC before decoding a single field.
+//! alone, and verifies the payload CRC — folded in chunk by chunk as the
+//! payload is read, not in a second sweep — before decoding a single field.
+//! A sender emits each frame in one write ([`write_frame`]), or builds it in
+//! place with [`Enc::framed`] so the bytes can be cached and resent as is.
 //! Integers are little-endian throughout; strings are u32-length-prefixed
 //! UTF-8. Unknown *frame types* are surfaced to the dispatcher (not an
 //! I/O error), so future frame kinds degrade to a clean `ERR` response
@@ -54,9 +57,9 @@
 //! is what the integration tests and the CI round-trip gate assert.
 
 use crate::error::{Result, ServeError};
-use std::io::{Read, Write};
-use stz_field::{Dims, Region};
-use stz_stream::crc::crc32;
+use std::io::{ErrorKind, IoSlice, Read, Write};
+use stz_field::{Dims, Region, Scalar};
+use stz_stream::crc::{crc32, Crc32};
 
 /// Frame magic, first on the wire in both directions.
 pub const PROTO_MAGIC: [u8; 4] = *b"STZP";
@@ -164,22 +167,47 @@ impl Frame {
     }
 }
 
-/// Serialize and send one frame.
-pub fn write_frame(w: &mut impl Write, kind: FrameType, payload: &[u8]) -> Result<()> {
-    if payload.len() > MAX_FRAME_PAYLOAD as usize {
+/// The 16-byte header of a frame carrying `payload_len` bytes whose CRC-32
+/// is `crc`; refuses a payload above [`MAX_FRAME_PAYLOAD`].
+fn frame_header(kind: FrameType, payload_len: usize, crc: u32) -> Result<[u8; FRAME_HEADER_LEN]> {
+    if payload_len > MAX_FRAME_PAYLOAD as usize {
         return Err(ServeError::protocol(format!(
-            "refusing to send a {} byte payload (max {MAX_FRAME_PAYLOAD})",
-            payload.len()
+            "refusing to send a {payload_len} byte payload (max {MAX_FRAME_PAYLOAD})"
         )));
     }
     let mut header = [0u8; FRAME_HEADER_LEN];
     header[0..4].copy_from_slice(&PROTO_MAGIC);
     header[4] = PROTO_VERSION;
     header[5] = kind as u8;
-    header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[12..16].copy_from_slice(&crc32(payload).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    header[8..12].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    header[12..16].copy_from_slice(&crc.to_le_bytes());
+    Ok(header)
+}
+
+/// Serialize and send one frame in a single write: both ends set
+/// `TCP_NODELAY`, so a header written on its own would leave as its own
+/// segment. Requests and small replies are assembled contiguously; a larger
+/// payload is not copied but leaves with its header in one vectored write.
+pub fn write_frame(w: &mut impl Write, kind: FrameType, payload: &[u8]) -> Result<()> {
+    const SMALL_FRAME: usize = 4096;
+    let header = frame_header(kind, payload.len(), crc32(payload))?;
+    let len = FRAME_HEADER_LEN + payload.len();
+    if len <= SMALL_FRAME {
+        let mut frame = [0u8; SMALL_FRAME];
+        frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
+        frame[FRAME_HEADER_LEN..len].copy_from_slice(payload);
+        w.write_all(&frame[..len])?;
+    } else {
+        let sent = match w.write_vectored(&[IoSlice::new(&header), IoSlice::new(payload)]) {
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => 0,
+            Err(e) => return Err(e.into()),
+        };
+        // Whatever the one call did not take (a full socket buffer, or a
+        // writer that only takes the first slice).
+        w.write_all(&header[sent.min(FRAME_HEADER_LEN)..])?;
+        w.write_all(&payload[sent.saturating_sub(FRAME_HEADER_LEN)..])?;
+    }
     w.flush()?;
     Ok(())
 }
@@ -215,19 +243,36 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>> {
     }
     let want_crc = u32::from_le_bytes(header[12..16].try_into().expect("fixed slice"));
     // Fill the payload in bounded chunks rather than reserving `len` up
-    // front: a 16-byte header alone must not commit 256 MiB — memory grows
-    // only as declared bytes actually arrive on the wire.
+    // front: a 16-byte header alone must not commit 256 MiB. Memory grows
+    // only as declared bytes actually arrive on the wire — each step
+    // reserves at most twice what has arrived (1 MiB to begin with), and the
+    // last one lands on exactly `len`. Each chunk is read into spare
+    // capacity (no zero-fill) and folded into the CRC while it is still in
+    // cache, so the payload is passed over once.
     const READ_CHUNK: usize = 1 << 20;
     let len = len as usize;
-    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+    let mut payload = Vec::new();
+    let mut crc = Crc32::new();
     while payload.len() < len {
-        let take = (len - payload.len()).min(READ_CHUNK);
         let start = payload.len();
-        payload.resize(start + take, 0);
-        r.read_exact(&mut payload[start..])
+        let take = (len - start).min(READ_CHUNK);
+        if payload.capacity() - start < take {
+            payload.reserve_exact((len - start).min((2 * start).max(READ_CHUNK)));
+        }
+        let got = r
+            .by_ref()
+            .take(take as u64)
+            .read_to_end(&mut payload)
             .map_err(|e| ServeError::protocol(format!("truncated frame payload: {e}")))?;
+        if got < take {
+            return Err(ServeError::protocol(format!(
+                "truncated frame payload: stream ended {} bytes into a {len} byte payload",
+                start + got
+            )));
+        }
+        crc.update(&payload[start..]);
     }
-    if crc32(&payload) != want_crc {
+    if crc.finish() != want_crc {
         return Err(ServeError::protocol("frame payload CRC mismatch"));
     }
     Ok(Some(Frame { kind, payload }))
@@ -241,6 +286,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>> {
 #[derive(Debug, Default)]
 pub struct Enc {
     buf: Vec<u8>,
+    /// The frame type whose header occupies the first
+    /// [`FRAME_HEADER_LEN`] bytes of `buf` (see [`Enc::framed`]).
+    framed: Option<FrameType>,
 }
 
 impl Enc {
@@ -254,12 +302,44 @@ impl Enc {
     /// call.
     pub fn reuse(mut buf: Vec<u8>) -> Self {
         buf.clear();
-        Enc { buf }
+        Enc { buf, framed: None }
+    }
+
+    /// Start the payload of a `kind` response [`FRAME_HEADER_LEN`] bytes
+    /// into a buffer sized for `payload_hint` more, leaving room for the
+    /// header [`Enc::finish_frame`] back-patches: the response is produced
+    /// once, in the buffer it is cached in and leaves the socket from.
+    pub fn framed(kind: FrameType, payload_hint: usize) -> Self {
+        let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + payload_hint);
+        buf.resize(FRAME_HEADER_LEN, 0);
+        Enc { buf, framed: Some(kind) }
+    }
+
+    /// Payload bytes appended so far.
+    pub fn payload_len(&self) -> usize {
+        self.buf.len() - if self.framed.is_some() { FRAME_HEADER_LEN } else { 0 }
     }
 
     /// Finish, yielding the payload bytes.
+    ///
+    /// # Panics
+    /// On an encoder started with [`Enc::framed`].
     pub fn finish(self) -> Vec<u8> {
+        assert!(self.framed.is_none(), "a framed encoder finishes with finish_frame");
         self.buf
+    }
+
+    /// Finish an encoder started with [`Enc::framed`], yielding the whole
+    /// frame — byte for byte what [`write_frame`] sends for this payload.
+    /// This is the one pass the CRC makes over a response.
+    ///
+    /// # Panics
+    /// On an encoder not started with [`Enc::framed`].
+    pub fn finish_frame(mut self) -> Result<Vec<u8>> {
+        let kind = self.framed.expect("finish_frame needs an encoder started with Enc::framed");
+        let (header, payload) = self.buf.split_at_mut(FRAME_HEADER_LEN);
+        header.copy_from_slice(&frame_header(kind, payload.len(), crc32(payload))?);
+        Ok(self.buf)
     }
 
     /// Append a `u8`.
@@ -296,6 +376,13 @@ impl Enc {
     /// Append raw bytes with no length prefix (trailing blob).
     pub fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Append `values` as raw little-endian scalars in one bulk pass
+    /// (trailing blob; what [`Enc::raw`] of their `write_exact` bytes
+    /// appends).
+    pub fn scalars<T: Scalar>(&mut self, values: &[T]) {
+        T::write_slice_exact(values, &mut self.buf);
     }
 }
 
@@ -593,24 +680,35 @@ pub struct FetchedField {
     pub data: Vec<u8>,
 }
 
+/// Bytes of a `FETCH_OK` payload before the scalars: kind tag, type tag,
+/// `ndim`, a reserved byte and three `u64` extents.
+pub const FETCH_HEAD_LEN: usize = 28;
+
 impl FetchedField {
+    /// Append the head of a `FETCH_OK` payload ([`FETCH_HEAD_LEN`] bytes);
+    /// the little-endian scalars follow it.
+    pub fn encode_head(e: &mut Enc, kind_tag: u8, type_tag: u8, dims: Dims) {
+        e.u8(kind_tag);
+        e.u8(type_tag);
+        e.u8(dims.ndim());
+        e.u8(0); // reserved
+        for extent in dims.as_array() {
+            e.u64(extent as u64);
+        }
+    }
+
     /// Encode the `FETCH_OK` payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
-        e.u8(self.kind_tag);
-        e.u8(self.type_tag);
-        e.u8(self.dims.ndim());
-        e.u8(0); // reserved
-        let [z, y, x] = self.dims.as_array();
-        e.u64(z as u64);
-        e.u64(y as u64);
-        e.u64(x as u64);
+        FetchedField::encode_head(&mut e, self.kind_tag, self.type_tag, self.dims);
         e.raw(&self.data);
         e.finish()
     }
 
-    /// Decode and validate a `FETCH_OK` payload.
-    pub fn decode(payload: &[u8]) -> Result<FetchedField> {
+    /// Validate a `FETCH_OK` payload — dims, element type, and that the
+    /// scalars after the head are exactly `dims × width` bytes — yielding
+    /// the head fields. The one parser behind both decode forms.
+    fn parse_head(payload: &[u8]) -> Result<(u8, u8, Dims)> {
         let mut d = Dec::new(payload);
         let kind_tag = d.u8()?;
         let type_tag = d.u8()?;
@@ -627,18 +725,32 @@ impl FetchedField {
             1 => 8,
             t => return Err(ServeError::protocol(format!("unknown element type tag {t}"))),
         };
-        let data = d.rest().to_vec();
         let want = dims
             .len()
             .checked_mul(bytes_per)
             .ok_or_else(|| ServeError::protocol("dims overflow"))?;
-        if data.len() != want {
+        if d.remaining() != want {
             return Err(ServeError::protocol(format!(
                 "FETCH_OK carries {} data bytes, dims {dims} require {want}",
-                data.len()
+                d.remaining()
             )));
         }
-        Ok(FetchedField { kind_tag, type_tag, dims, data })
+        Ok((kind_tag, type_tag, dims))
+    }
+
+    /// Decode and validate a `FETCH_OK` payload.
+    pub fn decode(payload: &[u8]) -> Result<FetchedField> {
+        let (kind_tag, type_tag, dims) = FetchedField::parse_head(payload)?;
+        Ok(FetchedField { kind_tag, type_tag, dims, data: payload[FETCH_HEAD_LEN..].to_vec() })
+    }
+
+    /// [`FetchedField::decode`] of a payload the caller owns: the same
+    /// validation, then the head is stripped in place and the buffer the
+    /// frame was read into becomes `data` — no second copy of the scalars.
+    pub fn decode_owned(mut payload: Vec<u8>) -> Result<FetchedField> {
+        let (kind_tag, type_tag, dims) = FetchedField::parse_head(&payload)?;
+        payload.drain(..FETCH_HEAD_LEN);
+        Ok(FetchedField { kind_tag, type_tag, dims, data: payload })
     }
 
     /// Reinterpret the payload as a typed field; fails on a type mismatch.
@@ -1125,6 +1237,121 @@ mod tests {
     }
 
     #[test]
+    fn known_answer_frame_reads_and_writes_byte_for_byte() {
+        // STZP v1 is pinned: header fields in wire order, then the payload
+        // whose CRC-32 is the standard check value.
+        let mut pinned = Vec::new();
+        pinned.extend_from_slice(b"STZP");
+        pinned.extend_from_slice(&[1, FrameType::FetchOk as u8, 0, 0]);
+        pinned.extend_from_slice(&9u32.to_le_bytes());
+        pinned.extend_from_slice(&0xCBF4_3926u32.to_le_bytes());
+        pinned.extend_from_slice(b"123456789");
+
+        let mut wire = Vec::new();
+        write_frame(&mut wire, FrameType::FetchOk, b"123456789").unwrap();
+        assert_eq!(wire, pinned);
+        let mut framed = Enc::framed(FrameType::FetchOk, 9);
+        framed.raw(b"123456789");
+        assert_eq!(framed.payload_len(), 9);
+        assert_eq!(framed.finish_frame().unwrap(), pinned);
+
+        let frame = read_frame(&mut &pinned[..]).unwrap().unwrap();
+        assert_eq!(frame.frame_type(), Some(FrameType::FetchOk));
+        assert_eq!(frame.payload, b"123456789");
+    }
+
+    /// A peer that delivers one byte per `read` call.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.len().min(buf.len()).min(1);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn multi_chunk_frame_survives_a_trickling_reader() {
+        // 2 MiB + 3 bytes: three read chunks, the last one short.
+        let payload: Vec<u8> = (0..(2usize << 20) + 3).map(|i| ((i * 131) >> 5) as u8).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, FrameType::RawOk, &payload).unwrap();
+        assert_eq!(wire.len(), FRAME_HEADER_LEN + payload.len());
+        assert_eq!(&wire[FRAME_HEADER_LEN..], &payload[..]);
+
+        let frame = read_frame(&mut Trickle(&wire)).unwrap().unwrap();
+        assert_eq!(frame.frame_type(), Some(FrameType::RawOk));
+        assert!(frame.payload == payload, "payload differs");
+        assert_eq!(frame.payload.capacity(), payload.len(), "ends at exactly the declared length");
+
+        // One payload byte flipped, in a chunk that is not the last.
+        let mut bad = wire.clone();
+        bad[FRAME_HEADER_LEN + (1 << 20) + 7] ^= 0x10;
+        match read_frame(&mut Trickle(&bad)) {
+            Err(ServeError::Protocol(msg)) => assert!(msg.contains("CRC mismatch"), "{msg}"),
+            other => panic!("expected a CRC mismatch, got {other:?}"),
+        }
+
+        // The last byte never arrives.
+        match read_frame(&mut Trickle(&wire[..wire.len() - 1])) {
+            Err(ServeError::Protocol(msg)) => {
+                assert!(msg.contains("truncated frame payload"), "{msg}")
+            }
+            other => panic!("expected a truncated payload, got {other:?}"),
+        }
+    }
+
+    /// Counts the calls a frame leaves in; `vectored` says whether the
+    /// writer takes every slice of a vectored write or only the first.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        calls: usize,
+        vectored: bool,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            if self.vectored {
+                self.calls += 1;
+                bufs.iter().for_each(|b| self.bytes.extend_from_slice(b));
+                Ok(bufs.iter().map(|b| b.len()).sum())
+            } else {
+                self.write(bufs.iter().find(|b| !b.is_empty()).map_or(&[][..], |b| b))
+            }
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_leaves_in_one_write() {
+        let big = vec![0xC3u8; 70_000];
+        for vectored in [false, true] {
+            for payload in [&b""[..], b"small reply", &big] {
+                let mut w = CountingWriter { bytes: Vec::new(), calls: 0, vectored };
+                write_frame(&mut w, FrameType::ListOk, payload).unwrap();
+                let mut want = Vec::new();
+                write_frame(&mut want, FrameType::ListOk, payload).unwrap();
+                assert_eq!(w.bytes, want);
+                // Only a large payload on a writer without vectored
+                // writes needs a second call (it is never copied).
+                let calls = if payload.len() > 4096 && !vectored { 2 } else { 1 };
+                assert_eq!(w.calls, calls, "{} bytes, vectored {vectored}", payload.len());
+            }
+        }
+    }
+
+    #[test]
     fn unknown_frame_type_is_not_a_stream_error() {
         let mut wire = Vec::new();
         write_frame(&mut wire, FrameType::List, b"").unwrap();
@@ -1308,6 +1535,7 @@ mod tests {
         };
         let back = FetchedField::decode(&f.encode()).unwrap();
         assert_eq!(back, f);
+        assert_eq!(FetchedField::decode_owned(f.encode()).unwrap(), f);
         let field: stz_field::Field<f32> = back.into_field().unwrap();
         assert_eq!(field.dims(), Dims::d3(2, 3, 4));
 
@@ -1315,6 +1543,7 @@ mod tests {
         let mut bad = f.encode();
         bad.pop();
         assert!(FetchedField::decode(&bad).is_err());
+        assert!(FetchedField::decode_owned(bad).is_err());
 
         // Wrong requested type.
         let again = FetchedField::decode(&f.encode()).unwrap();

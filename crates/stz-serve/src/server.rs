@@ -6,17 +6,25 @@
 //! positioned (`pread`-style) [`ByteSource`] access with no seek
 //! state. Each accepted connection runs on its own
 //! thread; decode work inside a connection runs under the shared
-//! rayon-shim pool, and every decoded block passes through the
+//! rayon-shim pool, and every fetch response passes through the
 //! [`DecodedCache`] so repeated requests skip decompression entirely.
+//!
+//! A fetch response is produced exactly once: the miss path writes the
+//! `FETCH_OK` head and the little-endian scalars straight into one buffer
+//! that already has room for the frame header, the CRC makes its single
+//! pass when that header is patched in, and the finished frame is what the
+//! cache stores. A hit therefore computes nothing and copies nothing — the
+//! cached frame goes to the socket in one write.
 
 use crate::cache::{CacheKey, DecodedCache};
 use crate::error::{Result, ServeError};
 use crate::proto::{
     encode_err, encode_inspect, encode_list, encode_metrics_ok, encode_trace_ok, err_code,
-    read_frame, write_frame, ContainerInfo, EntryInfo, EntrySel, FetchReq, FetchedField, Frame,
-    FrameType, RequestKind, ServerStats, PROTO_VERSION,
+    read_frame, write_frame, ContainerInfo, Enc, EntryInfo, EntrySel, FetchReq, FetchedField,
+    Frame, FrameType, RequestKind, ServerStats, FETCH_HEAD_LEN, FRAME_HEADER_LEN, PROTO_VERSION,
 };
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -466,7 +474,7 @@ fn serve_loop(state: &ServerState, stream: &mut TcpStream) -> Result<()> {
         write_frame(stream, FrameType::Err, &payload)?;
         return Ok(());
     }
-    let mut hello_ok = crate::proto::Enc::new();
+    let mut hello_ok = Enc::new();
     hello_ok.u8(PROTO_VERSION);
     hello_ok.string(concat!("stz-serve/", env!("CARGO_PKG_VERSION")));
     write_frame(stream, FrameType::HelloOk, &hello_ok.finish())?;
@@ -479,17 +487,18 @@ fn serve_loop(state: &ServerState, stream: &mut TcpStream) -> Result<()> {
     Ok(())
 }
 
-/// A response body: freshly encoded bytes, or a shared cached block.
+/// A response body: a freshly encoded payload still to be framed, or a
+/// whole frame (header included) shared with the cache.
 enum Body {
     Owned(Vec<u8>),
     Cached(Arc<Vec<u8>>),
 }
 
 impl Body {
-    fn as_slice(&self) -> &[u8] {
+    fn payload_len(&self) -> usize {
         match self {
-            Body::Owned(v) => v,
-            Body::Cached(v) => v,
+            Body::Owned(payload) => payload.len(),
+            Body::Cached(frame) => frame.len() - FRAME_HEADER_LEN,
         }
     }
 }
@@ -559,20 +568,23 @@ fn dispatch(state: &ServerState, stream: &mut TcpStream, frame: Frame, peer: &st
     let (reply, body) = respond(state, &frame, fetch_req.as_ref())?;
 
     let write_started = Instant::now();
-    let result = write_frame(stream, reply, body.as_slice());
+    let result = match &body {
+        Body::Owned(payload) => write_frame(stream, reply, payload),
+        Body::Cached(frame) => stream.write_all(frame).map_err(ServeError::Io),
+    };
     if let Some(g) = guard.as_mut().filter(|g| g.is_active()) {
         trace::record_span(
             "write",
             write_started,
             Instant::now(),
-            &[("bytes", body.as_slice().len().to_string())],
+            &[("bytes", body.payload_len().to_string())],
         );
         if reply == FrameType::Err || result.is_err() {
             g.set_error();
         }
     }
     m.latency.record_duration(started.elapsed());
-    m.bytes.record(body.as_slice().len() as u64);
+    m.bytes.record(body.payload_len() as u64);
     result
 }
 
@@ -646,14 +658,7 @@ fn respond(
         ) => {
             let req = fetch_req.expect("dispatch decodes every fetch frame");
             match handle_fetch(state, req) {
-                Ok(payload) => {
-                    let reply = if req.kind == RequestKind::Raw {
-                        FrameType::RawOk
-                    } else {
-                        FrameType::FetchOk
-                    };
-                    Ok((reply, Body::Cached(payload)))
-                }
+                Ok(frame) => Ok((fetch_reply(&req.kind), Body::Cached(frame))),
                 Err((code, msg)) => err(code, &msg),
             }
         }
@@ -666,7 +671,16 @@ fn respond(
     }
 }
 
-/// Serve one fetch: resolve, consult the cache, decode on a miss.
+/// The frame type that answers a fetch of `kind`.
+fn fetch_reply(kind: &RequestKind) -> FrameType {
+    match kind {
+        RequestKind::Raw => FrameType::RawOk,
+        _ => FrameType::FetchOk,
+    }
+}
+
+/// Serve one fetch: resolve, consult the cache, decode on a miss. The
+/// answer is the whole response frame, header included.
 fn handle_fetch(
     state: &ServerState,
     req: &FetchReq,
@@ -765,7 +779,7 @@ fn handle_fetch(
         return Ok(cached);
     }
 
-    let decoded = {
+    let response = {
         let _decode = state.metrics.decode_ns.span();
         let _decode_span = trace::span("decode");
         state.pool.install(|| match meta.type_tag() {
@@ -775,27 +789,30 @@ fn handle_fetch(
     }
     .map_err(|e| stream_err(&e))?;
     // Backstop for the one kind whose size is only known post-decode
-    // (level previews): never hand `write_frame` a payload it will
-    // refuse — that would read as a framing error and tear the
-    // connection instead of answering `ERR`.
-    if decoded.len() > crate::proto::MAX_FRAME_PAYLOAD as usize {
-        return Err(too_big(decoded.len() as u64));
-    }
-    let decoded = Arc::new(decoded);
-    state.cache.insert(key, Arc::clone(&decoded));
-    Ok(decoded)
+    // (level previews): a payload the frame cap cannot carry is answered
+    // with `ERR`, never handed to the socket.
+    let payload_len = response.payload_len() as u64;
+    let frame = Arc::new(response.finish_frame().map_err(|_| too_big(payload_len))?);
+    state.cache.insert(key, Arc::clone(&frame));
+    Ok(frame)
 }
 
-/// Decode one block to its response payload (`FETCH_OK` body, or the raw
-/// compressed payload for [`RequestKind::Raw`]).
+/// Decode one block into its response, encoded straight into the frame
+/// buffer: the `FETCH_OK` head and little-endian scalars, or the raw
+/// compressed payload for [`RequestKind::Raw`].
 fn decode_block<T: BackendScalar>(
     reader: &ContainerReader<FileSource>,
     index: usize,
     kind: &RequestKind,
-) -> std::result::Result<Vec<u8>, StreamError> {
+) -> std::result::Result<Enc, StreamError> {
     let entry = reader.entry::<T>(index)?;
     let field = match kind {
-        RequestKind::Raw => return entry.read_payload(),
+        RequestKind::Raw => {
+            let payload = entry.read_payload()?;
+            let mut response = Enc::framed(fetch_reply(kind), payload.len());
+            response.raw(&payload);
+            return Ok(response);
+        }
         RequestKind::Full => entry.decompress_parallel()?,
         RequestKind::Level(k) => entry.decompress_level(*k)?,
         RequestKind::Roi(_) => {
@@ -804,13 +821,11 @@ fn decode_block<T: BackendScalar>(
         }
     };
     let mut encode_span = trace::span("encode");
-    let mut data = Vec::with_capacity(field.nbytes());
-    for &v in field.as_slice() {
-        v.write_exact(&mut data);
-    }
-    encode_span.attr("bytes", data.len());
-    Ok(FetchedField { kind_tag: kind.tag(), type_tag: T::TYPE_TAG, dims: field.dims(), data }
-        .encode())
+    let mut response = Enc::framed(fetch_reply(kind), FETCH_HEAD_LEN + field.nbytes());
+    FetchedField::encode_head(&mut response, kind.tag(), T::TYPE_TAG, field.dims());
+    response.scalars(field.as_slice());
+    encode_span.attr("bytes", field.nbytes());
+    Ok(response)
 }
 
 /// Map a container failure to an `ERR` code + message.

@@ -386,6 +386,28 @@ pub fn widen_run(lane: Lane, src: &[f32], out: &mut [f64]) {
     }
 }
 
+/// Fold `bytes` into a CRC-32/IEEE register; see [`scalar::crc32_update`]
+/// for the register convention.
+///
+/// `Avx2` folds with PCLMULQDQ where the CPU has it (inputs of at least one
+/// 64-byte step); every other lane, and `STZ_SIMD=scalar` in particular,
+/// runs the portable slicing-by-16 kernel.
+pub fn crc32_update(lane: Lane, state: u32, bytes: &[u8]) -> u32 {
+    match lane {
+        #[cfg(target_arch = "x86_64")]
+        Lane::Avx2
+            if bytes.len() >= 64
+                && std::arch::is_x86_feature_detected!("avx")
+                && std::arch::is_x86_feature_detected!("pclmulqdq") =>
+        {
+            // SAFETY: `avx` and `pclmulqdq`, the two features the function
+            // enables, were both detected on this CPU by the guard above.
+            unsafe { crate::x86::crc32_update_pclmul(state, bytes) }
+        }
+        _ => scalar::crc32_update(state, bytes),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,6 +603,87 @@ mod tests {
             crate::scalar::widen_run(&want, &mut back_w);
             widen_run(lane, &want, &mut back_g);
             assert_bits_eq(&back_g, &back_w, &format!("widen {lane}"));
+        }
+    }
+
+    /// Byte-at-a-time CRC-32/IEEE, one table lookup per byte: the oracle
+    /// every lane of [`crc32_update`] is held to.
+    fn crc32_oracle(state: u32, bytes: &[u8]) -> u32 {
+        bytes.iter().fold(state, |c, &b| {
+            let mut t = (c ^ b as u32) & 0xFF;
+            for _ in 0..8 {
+                t = if t & 1 != 0 { scalar::CRC_POLY ^ (t >> 1) } else { t >> 1 };
+            }
+            t ^ (c >> 8)
+        })
+    }
+
+    fn lcg_next(state: &mut u64) -> u64 {
+        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        *state
+    }
+
+    fn crc_test_bytes(n: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed | 1;
+        (0..n).map(|_| (lcg_next(&mut state) >> 56) as u8).collect()
+    }
+
+    #[test]
+    fn crc32_matches_oracle_on_every_lane() {
+        // Every length around the 16-byte slice, the 64-byte fold step and
+        // a page, at every start alignment a 16-byte load can see.
+        let data = crc_test_bytes(4097 + 16, 17);
+        let lens = (0..=300usize).chain([4095, 4096, 4097]);
+        for len in lens {
+            for align in 0..16 {
+                let bytes = &data[align..align + len];
+                for state in [0xFFFF_FFFF, 0x1234_5678] {
+                    let want = crc32_oracle(state, bytes);
+                    for lane in available_lanes() {
+                        let got = crc32_update(lane, state, bytes);
+                        assert_eq!(got, want, "len={len} align={align} state={state:#x} {lane}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_streaming_equals_oneshot_on_every_lane() {
+        let data = crc_test_bytes(3 << 20, 29);
+        let want = crc32_oracle(0xFFFF_FFFF, &data);
+        let mut state = 41u64;
+        let splits: Vec<usize> = [0, 1, 63, 64, 65, data.len() - 1, data.len()]
+            .into_iter()
+            .chain(std::iter::repeat_with(|| (lcg_next(&mut state) >> 33) as usize % data.len()))
+            .take(64)
+            .collect();
+        for lane in available_lanes() {
+            assert_eq!(crc32_update(lane, 0xFFFF_FFFF, &data), want, "one-shot {lane}");
+            for &at in &splits {
+                let head = crc32_update(lane, 0xFFFF_FFFF, &data[..at]);
+                assert_eq!(crc32_update(lane, head, &data[at..]), want, "split at {at} {lane}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_known_answers_on_every_lane() {
+        // zlib's `crc32` of the same 8 MiB (the payload pattern of the
+        // benchmark's framing micro-measurement).
+        const PATTERN_8MIB_CRC: u32 = 0x1AAE_21DF;
+        let pattern: Vec<u8> = (0..8usize << 20).map(|i| ((i * 31) >> 3) as u8).collect();
+        let vectors: [(&[u8], u32); 4] = [
+            (b"", 0x0000_0000),
+            (b"123456789", 0xCBF4_3926),
+            (b"The quick brown fox jumps over the lazy dog", 0x414F_A339),
+            (&pattern, PATTERN_8MIB_CRC),
+        ];
+        for lane in available_lanes() {
+            for (bytes, want) in vectors {
+                let got = crc32_update(lane, 0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF;
+                assert_eq!(got, want, "{} bytes on {lane}", bytes.len());
+            }
         }
     }
 

@@ -50,9 +50,9 @@ pub mod scalar;
 mod x86;
 
 pub use kernels::{
-    gather2_f32, gather2_f64, narrow_run, predict_recon_run_f32, predict_recon_run_f64,
-    predict_run, quantize_run_f32, quantize_run_f64, recon_run_f32, recon_run_f64, scatter2_f32,
-    scatter2_f64, widen_run, Stencil,
+    crc32_update, gather2_f32, gather2_f64, narrow_run, predict_recon_run_f32,
+    predict_recon_run_f64, predict_run, quantize_run_f32, quantize_run_f64, recon_run_f32,
+    recon_run_f64, scatter2_f32, scatter2_f64, widen_run, Stencil,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};

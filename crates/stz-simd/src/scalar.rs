@@ -220,3 +220,65 @@ pub fn widen_run(src: &[f32], out: &mut [f64]) {
         out[i] = src[i] as f64;
     }
 }
+
+/// Reflected CRC-32/IEEE polynomial.
+pub(crate) const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing tables: `CRC_TABLES[0]` is the classic byte-at-a-time table and
+/// `CRC_TABLES[k][b]` is the register after byte `b` followed by `k` zero
+/// bytes, so sixteen input bytes fold into the register with sixteen
+/// independent lookups instead of a sixteen-deep dependency chain.
+const fn build_crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { CRC_POLY ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut t = 1;
+    while t < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
+}
+
+static CRC_TABLES: [[u32; 256]; 16] = build_crc_tables();
+
+/// Fold `bytes` into a CRC-32/IEEE register (slicing-by-16).
+///
+/// `state` is the raw shift register, not a finished checksum: a fresh
+/// stream starts from `0xFFFF_FFFF` and the checksum of everything folded so
+/// far is `state ^ 0xFFFF_FFFF`. Integer-only, so every lane that falls back
+/// here agrees bit for bit by construction.
+pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = state;
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let w = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
+        let (w0, w1, w2, w3) = (w(0) ^ c, w(4), w(8), w(12));
+        let fold = |w: u32, hi: usize| {
+            t[hi][(w & 0xFF) as usize]
+                ^ t[hi - 1][((w >> 8) & 0xFF) as usize]
+                ^ t[hi - 2][((w >> 16) & 0xFF) as usize]
+                ^ t[hi - 3][(w >> 24) as usize]
+        };
+        c = fold(w0, 15) ^ fold(w1, 11) ^ fold(w2, 7) ^ fold(w3, 3);
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}

@@ -592,3 +592,81 @@ pub(crate) unsafe fn widen_run_sse2(src: &[f32], out: &mut [f64]) {
     }
     scalar::widen_run(&src[i..], &mut out[i..]);
 }
+
+/// `x^n mod P` for the CRC-32/IEEE polynomial, in the bit-reflected form
+/// PCLMULQDQ folding multiplies by: shifted up one bit, because the
+/// carry-less product of two reflected operands comes out one bit low.
+const fn crc_fold_constant(n: u32) -> i64 {
+    let mut v: u32 = 0x8000_0000; // x^0
+    let mut i = 0;
+    while i < n {
+        v = if v & 1 != 0 { (v >> 1) ^ scalar::CRC_POLY } else { v >> 1 };
+        i += 1;
+    }
+    ((v as u64) << 1) as i64
+}
+
+/// Multipliers that carry a 128-bit accumulator `bits` further down the
+/// message: its low qword (the earlier bytes) by `x^(bits+32)`, its high
+/// qword by `x^(bits-32)`.
+const fn crc_fold_pair(bits: u32) -> [i64; 2] {
+    [crc_fold_constant(bits + 32), crc_fold_constant(bits - 32)]
+}
+
+const CRC_FOLD_512: [i64; 2] = crc_fold_pair(512);
+const CRC_FOLD_128: [i64; 2] = crc_fold_pair(128);
+
+/// `acc * x^distance + next` modulo the CRC polynomial, `k` holding the
+/// [`crc_fold_pair`] of that distance.
+#[inline]
+#[target_feature(enable = "avx,pclmulqdq")]
+unsafe fn crc_fold(acc: __m128i, k: __m128i, next: __m128i) -> __m128i {
+    let lo = _mm_clmulepi64_si128::<0x00>(acc, k);
+    let hi = _mm_clmulepi64_si128::<0x11>(acc, k);
+    _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+}
+
+/// CRC-32/IEEE by carry-less folding (Gopal et al., "Fast CRC Computation
+/// for Generic Polynomials Using PCLMULQDQ"): four 128-bit accumulators
+/// each absorb every fourth 16-byte block, so the multiplies of one 64-byte
+/// step are independent. The folded 128 bits are congruent to the whole
+/// prefix, so the portable kernel reduces them (from a zero register) and
+/// finishes the sub-16-byte tail. Integer-only: bit-identical to
+/// [`scalar::crc32_update`].
+///
+/// VEX-encoded (`avx`), so it does not pay the dirty-upper-state penalty
+/// legacy SSE code pays after a 256-bit kernel ran on the thread.
+///
+/// # Panics
+/// If `bytes` is shorter than one 64-byte step.
+///
+/// # Safety
+/// The CPU must support `avx` and `pclmulqdq`.
+#[target_feature(enable = "avx,pclmulqdq")]
+pub(crate) unsafe fn crc32_update_pclmul(state: u32, bytes: &[u8]) -> u32 {
+    let load = |block: &[u8]| _mm_loadu_si128(block.as_ptr() as *const __m128i);
+    let k512 = _mm_set_epi64x(CRC_FOLD_512[1], CRC_FOLD_512[0]);
+    let k128 = _mm_set_epi64x(CRC_FOLD_128[1], CRC_FOLD_128[0]);
+    // The register enters as the coefficient of the message's first 32 bits.
+    let mut x0 = _mm_xor_si128(load(&bytes[..16]), _mm_cvtsi32_si128(state as i32));
+    let mut x1 = load(&bytes[16..32]);
+    let mut x2 = load(&bytes[32..48]);
+    let mut x3 = load(&bytes[48..64]);
+    let mut steps = bytes[64..].chunks_exact(64);
+    for step in &mut steps {
+        x0 = crc_fold(x0, k512, load(&step[..16]));
+        x1 = crc_fold(x1, k512, load(&step[16..32]));
+        x2 = crc_fold(x2, k512, load(&step[32..48]));
+        x3 = crc_fold(x3, k512, load(&step[48..]));
+    }
+    let mut acc = crc_fold(x0, k128, x1);
+    acc = crc_fold(acc, k128, x2);
+    acc = crc_fold(acc, k128, x3);
+    let mut blocks = steps.remainder().chunks_exact(16);
+    for block in &mut blocks {
+        acc = crc_fold(acc, k128, load(block));
+    }
+    let mut folded = [0u8; 16];
+    _mm_storeu_si128(folded.as_mut_ptr() as *mut __m128i, acc);
+    scalar::crc32_update(scalar::crc32_update(0, &folded), blocks.remainder())
+}

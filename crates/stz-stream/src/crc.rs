@@ -1,27 +1,11 @@
-//! CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), table-driven.
+//! CRC-32 (IEEE 802.3, polynomial `0xEDB88320`): a state holder over the
+//! lane-dispatched kernel of `stz-simd` (PCLMULQDQ folding or portable
+//! slicing-by-16; the same value on every lane).
 //!
 //! Every independently fetchable section of a container — the footer index
 //! and each payload block — carries a CRC so a reader that touches only a
 //! few thousand bytes of a multi-gigabyte file still detects corruption in
 //! exactly the bytes it used.
-
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static TABLE: [u32; 256] = build_table();
 
 /// Streaming CRC-32 state, for checksumming data written in chunks.
 #[derive(Debug, Clone)]
@@ -43,11 +27,7 @@ impl Crc32 {
 
     /// Fold `bytes` into the running checksum.
     pub fn update(&mut self, bytes: &[u8]) {
-        let mut c = self.state;
-        for &b in bytes {
-            c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.state = c;
+        self.state = stz_simd::crc32_update(stz_simd::active_lane(), self.state, bytes);
     }
 
     /// The CRC-32 of everything folded in so far (does not consume the

@@ -4,6 +4,9 @@
 //! * 8 concurrent clients issuing mixed FULL/ROI/PROGRESSIVE fetches all
 //!   receive bytes identical to local `ContainerReader` decodes, and a
 //!   repeated-request workload reports a nonzero cache hit rate;
+//! * off a raw socket, for one key of each fetch kind, the miss frame, the
+//!   hit frame and `write_frame` of the locally encoded answer are the same
+//!   bytes (the cache stores whole frames);
 //! * wire-protocol robustness: truncated frames, bad magic, oversized
 //!   length prefixes, mid-stream disconnects and CRC-corrupted responses
 //!   error cleanly — no panics, no hangs (every socket carries a timeout);
@@ -214,6 +217,68 @@ fn list_inspect_and_raw_match_local_metadata() {
     let raw = client.fetch_raw("steps", EntrySel::Name("t0".into())).unwrap();
     let local_payload = reader.entry::<f32>(0).unwrap().read_payload().unwrap();
     assert_eq!(raw, local_payload);
+    handle.stop();
+}
+
+/// The bytes of one whole response frame, exactly as they left the server.
+fn read_raw_frame(s: &mut TcpStream) -> Vec<u8> {
+    let mut frame = vec![0u8; proto::FRAME_HEADER_LEN];
+    s.read_exact(&mut frame).unwrap();
+    let len = u32::from_le_bytes(frame[8..12].try_into().unwrap()) as usize;
+    frame.resize(proto::FRAME_HEADER_LEN + len, 0);
+    s.read_exact(&mut frame[proto::FRAME_HEADER_LEN..]).unwrap();
+    frame
+}
+
+#[test]
+fn cached_frames_equal_fresh_frames_on_the_wire() {
+    // The cache stores whole response frames. Off a raw socket, for one key
+    // of each fetch kind: the miss, the hit, and `write_frame` of the
+    // locally encoded answer are the same bytes.
+    let rig = Rig::new("wire");
+    let (handle, addr) = rig.serve();
+    let reader = rig.reader();
+    let entry = reader.entry::<f32>(1).unwrap();
+    let roi = Region::d3(4..12, 2..14, 6..18);
+    let fetch_ok = |kind: RequestKind, field: Field<f32>| {
+        let fetched = proto::FetchedField {
+            kind_tag: kind.tag(),
+            type_tag: 0,
+            dims: field.dims(),
+            data: le_bytes(&field),
+        };
+        (kind, proto::FrameType::FetchOk, fetched.encode())
+    };
+    let answers = [
+        fetch_ok(RequestKind::Full, entry.decompress().unwrap()),
+        fetch_ok(RequestKind::Level(1), entry.decompress_level(1).unwrap()),
+        fetch_ok(RequestKind::roi(&roi), entry.decompress_region(&roi).unwrap()),
+        (RequestKind::Raw, proto::FrameType::RawOk, entry.read_payload().unwrap()),
+    ];
+
+    let mut s = raw_conn(addr);
+    proto::write_frame(&mut s, proto::FrameType::Hello, &[proto::PROTO_VERSION]).unwrap();
+    let hello_ok = read_raw_frame(&mut s);
+    assert_eq!(hello_ok[5], proto::FrameType::HelloOk as u8);
+    for (kind, reply, payload) in answers {
+        let req = FetchReq {
+            container: "steps".into(),
+            entry: EntrySel::Name("t1".into()),
+            kind,
+            trace: None,
+        };
+        let mut fresh = Vec::new();
+        proto::write_frame(&mut fresh, reply, &payload).unwrap();
+        for pass in ["miss", "hit"] {
+            proto::write_frame(&mut s, req.frame_type(), &req.encode()).unwrap();
+            assert!(
+                read_raw_frame(&mut s) == fresh,
+                "{kind:?} {pass} frame differs from a fresh one"
+            );
+        }
+    }
+    let stats = Client::connect(addr).unwrap().stats().unwrap();
+    assert_eq!((stats.cache_misses, stats.cache_hits), (4, 4), "{stats:?}");
     handle.stop();
 }
 
