@@ -170,9 +170,7 @@ impl FetchedField {
         provenance: Provenance,
     ) -> FetchedField {
         let mut data = Vec::with_capacity(field.nbytes());
-        for &v in field.as_slice() {
-            v.write_exact(&mut data);
-        }
+        T::write_slice_exact(field.as_slice(), &mut data);
         FetchedField {
             fetch,
             dims: field.dims(),

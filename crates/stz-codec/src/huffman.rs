@@ -251,13 +251,22 @@ impl HuffmanDecoder {
 
     /// Decode exactly `n` symbols.
     pub fn decode_n(&self, r: &mut BitReader<'_>, n: usize) -> Result<Vec<u32>> {
+        let mut out = Vec::new();
+        self.decode_n_into(r, n, &mut out)?;
+        Ok(out)
+    }
+
+    /// Decode exactly `n` symbols onto the end of `out`, so a caller that
+    /// decodes block after block can keep one buffer. On an error `out`
+    /// keeps whatever was decoded before it.
+    pub fn decode_n_into(&self, r: &mut BitReader<'_>, n: usize, out: &mut Vec<u32>) -> Result<()> {
         // `n` is caller-declared, but each decoded symbol consumes at least
         // one input bit, so clamping the reservation to the real input size
         // bounds the allocation even when the declared count lies — while an
         // honest `n` gets its exact capacity up front (no growth copies in
         // the decode hot loop).
-        let cap = n.min(r.bits_remaining() as usize);
-        let mut out = Vec::with_capacity(cap);
+        out.reserve(n.min(r.bits_remaining() as usize));
+        let n = out.len() + n;
         let table = &self.table[..];
         let tb = self.table_bits;
         if tb > 0 && table.len() == 1usize << tb {
@@ -302,7 +311,7 @@ impl HuffmanDecoder {
         for _ in out.len()..n {
             out.push(self.decode_symbol(r)?);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Number of symbols in the table.
@@ -462,6 +471,14 @@ pub fn encode_block(symbols: &[u32]) -> Vec<u8> {
 
 /// Inverse of [`encode_block`].
 pub fn decode_block(data: &[u8]) -> Result<Vec<u32>> {
+    let mut out = Vec::new();
+    decode_block_into(data, &mut out)?;
+    Ok(out)
+}
+
+/// [`decode_block`] onto the end of a caller's buffer, so one buffer can take
+/// block after block. On an error `out` keeps whatever was decoded before it.
+pub fn decode_block_into(data: &[u8], out: &mut Vec<u32>) -> Result<()> {
     let mut r = ByteReader::new(data);
     let dec = HuffmanDecoder::deserialize(&mut r)?;
     let n = r.get_uvarint()? as usize;
@@ -483,7 +500,7 @@ pub fn decode_block(data: &[u8]) -> Result<Vec<u32>> {
         block
     };
     let mut br = BitReader::new(payload_ref);
-    dec.decode_n(&mut br, n)
+    dec.decode_n_into(&mut br, n, out)
 }
 
 #[cfg(test)]
@@ -599,6 +616,17 @@ mod tests {
         let bytes = w.finish();
         let mut r = ByteReader::new(&bytes);
         assert!(HuffmanDecoder::deserialize(&mut r).is_err());
+    }
+
+    #[test]
+    fn decode_into_appends_to_the_buffer() {
+        let (a, b): (Vec<u32>, Vec<u32>) = ((0..300).map(|i| i % 5).collect(), vec![9; 70]);
+        let mut out = vec![42u32];
+        decode_block_into(&encode_block(&a), &mut out).unwrap();
+        decode_block_into(&encode_block(&b), &mut out).unwrap();
+        assert_eq!(out, [&[42][..], &a, &b].concat());
+        let block = encode_block(&a);
+        assert!(decode_block_into(&block[..block.len() - 1], &mut out).is_err());
     }
 
     #[test]

@@ -103,14 +103,18 @@ impl LinearQuantizer {
 
     /// Branchless batch [`code_of`](Self::code_of):
     /// `codes[i] = code_of(symbols[i]) as f64` for every coded symbol.
-    /// Escape slots (`symbols[i] == 0`) receive `i64::MIN as f64` — a
+    /// Escape slots (`symbols[i] == 0`) receive `i32::MIN as f64` — a
     /// finite placeholder the caller must overwrite, chosen so the decode
     /// batch path can convert a whole row without a per-symbol branch.
+    ///
+    /// The code of a `u32` symbol always fits an `i32`, and staying in 32
+    /// bits lets the loop compile to packed `i32 -> f64` conversions (there
+    /// is no packed `i64 -> f64` below AVX-512).
     pub fn codes_of_run(symbols: &[u32], codes: &mut [f64]) {
         assert!(symbols.len() == codes.len());
         for (c, &s) in codes.iter_mut().zip(symbols) {
-            let u = (s as u64).wrapping_sub(1);
-            *c = crate::varint::unzigzag(u) as f64;
+            let u = s.wrapping_sub(1);
+            *c = (((u >> 1) as i32) ^ -((u & 1) as i32)) as f64;
         }
     }
 
@@ -189,35 +193,21 @@ impl LinearQuantizer {
         stz_simd::recon_run_f64(lane, preds, codes, 2.0 * self.eb, out);
     }
 
-    /// Fused interior predict + [`reconstruct_run_f64`](Self::reconstruct_run_f64):
-    /// `out[i]` reconstructs the grid point at `base + 2*i` without
-    /// materializing the predictions.
-    #[allow(clippy::too_many_arguments)]
-    pub fn predict_reconstruct_run_f64(
+    /// Fused interior predict + reconstruct over a working grid in its own
+    /// precision: `out[i]` reconstructs the grid point at `base + 2*i` from
+    /// its stencil prediction and the signed code `codes[i]`, rounded
+    /// through the grid's element type, without materializing the
+    /// predictions.
+    pub fn predict_reconstruct_run<S: stz_simd::GridElem>(
         &self,
         lane: stz_simd::Lane,
-        gbuf: &[f64],
+        gbuf: &[S],
         base: usize,
         st: &stz_simd::Stencil,
         codes: &[f64],
         out: &mut [f64],
     ) {
-        stz_simd::predict_recon_run_f64(lane, gbuf, base, st, codes, 2.0 * self.eb, out);
-    }
-
-    /// [`predict_reconstruct_run_f64`](Self::predict_reconstruct_run_f64)
-    /// rounded through `f32`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn predict_reconstruct_run_f32(
-        &self,
-        lane: stz_simd::Lane,
-        gbuf: &[f64],
-        base: usize,
-        st: &stz_simd::Stencil,
-        codes: &[f64],
-        out: &mut [f64],
-    ) {
-        stz_simd::predict_recon_run_f32(lane, gbuf, base, st, codes, 2.0 * self.eb, out);
+        stz_simd::predict_recon_run_typed(lane, gbuf, base, st, codes, 2.0 * self.eb, out);
     }
 
     /// [`reconstruct_run_f64`](Self::reconstruct_run_f64) rounded through
@@ -289,6 +279,17 @@ mod tests {
             assert_ne!(s, ESCAPE_SYMBOL);
             assert_eq!(LinearQuantizer::code_of(s), code);
         }
+    }
+
+    #[test]
+    fn codes_of_run_matches_code_of() {
+        let symbols = [1u32, 2, 3, 4, 65_535, 65_536, u32::MAX - 1, u32::MAX, ESCAPE_SYMBOL];
+        let mut codes = [0.0; 9];
+        LinearQuantizer::codes_of_run(&symbols, &mut codes);
+        for (&s, &c) in symbols.iter().zip(&codes).take(8) {
+            assert_eq!(c, LinearQuantizer::code_of(s) as f64, "symbol {s}");
+        }
+        assert_eq!(codes[8], i32::MIN as f64);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::config::StzConfig;
 use crate::kernels::{predict_direct, predict_point};
 use crate::level::LevelPlan;
 use stz_codec::{ByteReader, ByteWriter, CodecError, Result};
-use stz_field::{Dims, Field, Scalar};
+use stz_field::{Dims, Field, Region, Scalar};
 use stz_sz3::{InterpKind, Sz3Config};
 
 /// One point on the Figure-5 ablation ladder.
@@ -153,10 +153,8 @@ pub fn compress_variant<T: Scalar>(
 
             let level = &plan.levels[1];
             let mut grid = Field::<f64>::zeros(level.grid_dims);
-            crate::compressor::upscatter(
-                &Field::from_vec(plan.levels[0].grid_dims, a_recon),
-                &mut grid,
-            );
+            let coarse = Field::from_vec(plan.levels[0].grid_dims, a_recon);
+            crate::compressor::upscatter(&coarse, &mut grid, &Region::full(coarse.dims()));
             w.put_uvarint(level.blocks.len() as u64);
             for block in &level.blocks {
                 let orig: Field<T> = block.lattice.gather(field);
@@ -257,13 +255,11 @@ pub fn decompress_variant<T: Scalar>(bytes: &[u8]) -> Result<Field<T>> {
             }
             let level = &plan.levels[1];
             let mut grid = Field::<f64>::zeros(level.grid_dims);
-            crate::compressor::upscatter(
-                &Field::from_vec(
-                    plan.levels[0].grid_dims,
-                    a.as_slice().iter().map(|&v| v.to_f64()).collect(),
-                ),
-                &mut grid,
+            let coarse = Field::from_vec(
+                plan.levels[0].grid_dims,
+                a.as_slice().iter().map(|&v| v.to_f64()).collect(),
             );
+            crate::compressor::upscatter(&coarse, &mut grid, &Region::full(coarse.dims()));
             let n = r.get_uvarint()? as usize;
             if n != level.blocks.len() {
                 return Err(CodecError::corrupt("block count mismatch"));

@@ -1,16 +1,24 @@
 //! STZ compression and full/progressive decompression drivers.
 //!
 //! Compression proceeds level by level on *working grids* — successively
-//! finer coarsenings of the original grid (see [`crate::level`]). At each
-//! level transition, the known coarse grid is scattered into the even
-//! positions of the next working grid, every sub-block's points are
-//! predicted from it with the multi-dimensional kernels, and the residuals
-//! are quantized and Huffman-coded per sub-block.
+//! finer coarsenings of the original grid (see [`crate::level`]), held in
+//! the field's own element type `T`. At each level transition the known
+//! coarse grid is scattered into the even positions of the next working
+//! grid, and every sub-block's points are predicted from it with the
+//! multi-dimensional kernels one row at a time: the row's residuals are
+//! quantized (or its symbols reconstructed) in row-sized `f64` scratch and
+//! the reconstructed row is stored once, straight into its stride-2 place in
+//! the grid. Every value that enters a grid is already `T`-representable —
+//! level 1 comes from SZ3 as `T`, every reconstruction is rounded through
+//! `T`, every escape is the stored `T` — so widening the taps at load gives
+//! the kernels the operands an `f64` grid would, and the finest level's grid
+//! *is* the decoded field.
 //!
 //! Because finer-level points never depend on one another, both the blocks
 //! of a level and the points within a block are embarrassingly parallel; the
-//! `parallel` entry points distribute them over the rayon thread pool and
-//! produce **bit-identical archives** to the serial path.
+//! `parallel` entry points run the same row routine over z-slabs on the
+//! rayon thread pool, into per-slab buffers that are placed afterwards, and
+//! produce **bit-identical archives and fields** to the serial path.
 
 use crate::archive::{build_bytes, ArchiveHeader, StzArchive};
 use crate::config::StzConfig;
@@ -18,12 +26,14 @@ use crate::kernels::predict_point;
 use crate::level::{BlockSpec, LevelPlan};
 use crate::source::SectionSource;
 use rayon::prelude::*;
+use std::ops::Range;
 use stz_codec::{
     huffman, ByteReader, ByteWriter, CodecError, LinearQuantizer, Result, ESCAPE_SYMBOL,
 };
-use stz_field::{Field, Scalar, SubLattice};
+use stz_field::{Dims, Field, Region, Scalar};
+use stz_simd::Lane;
 use stz_sz3::quant::{quantize_scalar, reconstruct_scalar, ScalarQuant};
-use stz_sz3::{ErrorBound, Sz3Config};
+use stz_sz3::{ErrorBound, InterpKind, Sz3Config};
 
 /// The STZ streaming compressor.
 #[derive(Debug, Clone)]
@@ -31,12 +41,10 @@ pub struct StzCompressor {
     config: StzConfig,
 }
 
-/// Quantization output of one sub-block.
+/// Quantization output of one sub-block (or of one z-slab of it).
 pub(crate) struct BlockPayload<T> {
     pub symbols: Vec<u32>,
     pub outliers: Vec<T>,
-    /// Reconstructed values (C order over the block), rounded through `T`.
-    pub recon: Vec<f64>,
 }
 
 impl StzCompressor {
@@ -84,7 +92,8 @@ impl StzCompressor {
         let quantize_ns = reg.latency("stz_core_stage_ns", &[("stage", "quantize")]);
         let encode_ns = reg.latency("stz_core_stage_ns", &[("stage", "encode")]);
 
-        // Level 1: SZ3 on sub-block A.
+        // Level 1: SZ3 on sub-block A. Its reconstruction is already rounded
+        // through `T`, so narrowing it into the first working grid is exact.
         let a_field: Field<T> = plan.level1().gather(field);
         let sz3_cfg =
             Sz3Config { eb: ErrorBound::Absolute(ebs[0]), radius: cfg.radius, interp: cfg.interp };
@@ -92,39 +101,52 @@ impl StzCompressor {
             let _stage = level1_ns.span();
             stz_sz3::compress_full(&a_field, &sz3_cfg)
         };
-        let mut grid = Field::from_vec(plan.levels[0].grid_dims, a_recon);
+        let mut grid = Field::from_vec(
+            plan.levels[0].grid_dims,
+            a_recon.into_iter().map(T::from_f64).collect(),
+        );
 
         // Finer levels.
         let mut level_blocks: Vec<Vec<Vec<u8>>> = Vec::with_capacity(cfg.levels as usize - 1);
         for level in &plan.levels[1..] {
             let quant = LinearQuantizer::new(ebs[level.index as usize - 1], cfg.radius);
-            let mut next = Field::<f64>::zeros(level.grid_dims);
-            upscatter(&grid, &mut next);
+            let mut next = Field::<T>::zeros(level.grid_dims);
+            upscatter(&grid, &mut next, &Region::full(grid.dims()));
 
-            let process = |block: &BlockSpec| -> (Vec<u8>, Field<f64>) {
-                let orig: Field<T> = block.lattice.gather(field);
-                let payload = {
-                    let _stage = quantize_ns.span();
-                    quantize_block(&orig, &next, block, &quant, cfg.interp, parallel)
-                };
-                let bytes = {
-                    let _stage = encode_ns.span();
-                    encode_block_payload(&payload, parallel)
-                };
-                let recon_field = Field::from_vec(block.lattice.dims(), payload.recon);
-                (bytes, recon_field)
-            };
-            let results: Vec<(Vec<u8>, Field<f64>)> = if parallel {
-                level.blocks.par_iter().map(process).collect()
+            let encoded = if parallel {
+                let results: Vec<(Vec<u8>, Vec<Vec<T>>)> = level
+                    .blocks
+                    .par_iter()
+                    .map(|block| {
+                        let rows = BlockRows::new(next.dims(), block, &quant, cfg.interp);
+                        let (payload, slabs) = {
+                            let _stage = quantize_ns.span();
+                            quantize_slabs(&rows, field, &next)
+                        };
+                        let _stage = encode_ns.span();
+                        (encode_block_payload(&payload, true), slabs)
+                    })
+                    .collect();
+                let mut encoded = Vec::with_capacity(results.len());
+                for (block, (bytes, slabs)) in level.blocks.iter().zip(results) {
+                    place_slabs(&mut next, block, &slabs);
+                    encoded.push(bytes);
+                }
+                encoded
             } else {
-                level.blocks.iter().map(process).collect()
+                let mut payload = BlockPayload { symbols: Vec::new(), outliers: Vec::new() };
+                let mut encoded = Vec::with_capacity(level.blocks.len());
+                for block in &level.blocks {
+                    let rows = BlockRows::new(next.dims(), block, &quant, cfg.interp);
+                    {
+                        let _stage = quantize_ns.span();
+                        quantize_in_place(&rows, field, &mut next, &mut payload);
+                    }
+                    let _stage = encode_ns.span();
+                    encoded.push(encode_block_payload(&payload, false));
+                }
+                encoded
             };
-
-            let mut encoded = Vec::with_capacity(results.len());
-            for (block, (bytes, recon_field)) in level.blocks.iter().zip(results) {
-                block.grid_lattice.scatter(&recon_field, &mut next);
-                encoded.push(bytes);
-            }
             level_blocks.push(encoded);
             grid = next;
         }
@@ -143,137 +165,113 @@ impl StzCompressor {
     }
 }
 
-/// Scatter the coarse working grid into the even positions of the next
-/// (2× finer) working grid.
-pub(crate) fn upscatter(coarse: &Field<f64>, next: &mut Field<f64>) {
-    let even =
-        SubLattice::new(next.dims(), [0, 0, 0], 2).expect("origin sub-lattice is never empty");
-    debug_assert_eq!(even.dims().as_array(), coarse.dims().as_array());
-    even.scatter(coarse, next);
-}
-
-/// Quantize one sub-block against the (partially filled) working grid.
-pub(crate) fn quantize_block<T: Scalar>(
-    orig: &Field<T>,
-    grid: &Field<f64>,
-    block: &BlockSpec,
-    quant: &LinearQuantizer,
-    interp: stz_sz3::InterpKind,
-    parallel: bool,
-) -> BlockPayload<T> {
-    let bdims = orig.dims();
-    let nz = bdims.nz();
-    if !parallel || nz < 2 {
-        return quantize_chunk(orig, grid, block, quant, interp, 0..nz);
-    }
-    let chunk = slab_size(nz);
-    let ranges: Vec<std::ops::Range<usize>> =
-        (0..nz).step_by(chunk).map(|z0| z0..(z0 + chunk).min(nz)).collect();
-    let parts: Vec<BlockPayload<T>> = ranges
-        .into_par_iter()
-        .map(|r| quantize_chunk(orig, grid, block, quant, interp, r))
-        .collect();
-    merge_payloads(parts)
-}
-
-fn slab_size(nz: usize) -> usize {
-    let threads = rayon::current_num_threads().max(1);
-    (nz / (threads * 4)).max(1)
-}
-
-fn merge_payloads<T: Scalar>(parts: Vec<BlockPayload<T>>) -> BlockPayload<T> {
-    let mut symbols = Vec::with_capacity(parts.iter().map(|p| p.symbols.len()).sum());
-    let mut outliers = Vec::with_capacity(parts.iter().map(|p| p.outliers.len()).sum());
-    let mut recon = Vec::with_capacity(parts.iter().map(|p| p.recon.len()).sum());
-    for p in parts {
-        symbols.extend(p.symbols);
-        outliers.extend(p.outliers);
-        recon.extend(p.recon);
-    }
-    BlockPayload { symbols, outliers, recon }
-}
-
-fn quantize_chunk<T: Scalar>(
-    orig: &Field<T>,
-    grid: &Field<f64>,
-    block: &BlockSpec,
-    quant: &LinearQuantizer,
-    interp: stz_sz3::InterpKind,
-    z_range: std::ops::Range<usize>,
-) -> BlockPayload<T> {
-    let bdims = orig.dims();
-    let (by, bx) = (bdims.ny(), bdims.nx());
-    let n = (z_range.end - z_range.start) * by * bx;
-    let mut symbols = Vec::with_capacity(n);
-    let mut outliers = Vec::new();
-    let mut recon = Vec::with_capacity(n);
-    let gbuf = grid.as_slice();
-    let gdims = grid.dims();
-    let active = &block.active_axes[..];
-    let src = orig.as_slice();
-    let stencil = RowWalker::new(gdims, block, interp);
+/// Scatter the `window` box of the coarse working grid into the even
+/// positions of the next (2× finer) working grid. A full decode or encode
+/// moves the whole grid up; a region decode only the box its stencils reach.
+pub(crate) fn upscatter<T: Scalar>(coarse: &Field<T>, next: &mut Field<T>, window: &Region) {
+    let (cd, nd) = (coarse.dims(), next.dims());
+    debug_assert_eq!(nd.coarsened(2).as_array(), cd.as_array());
     let lane = stz_simd::active_lane();
-    // Row-batch scratch for the SIMD path (unused under Lane::Scalar, which
-    // keeps the original per-point walk as the byte-identity anchor).
-    let mut scratch = RowScratch::new(if lane == stz_simd::Lane::Scalar { 0 } else { bx });
-    for z in z_range {
-        for y in 0..by {
-            let row = (z * by + y) * bx;
-            let walk = stencil.row(z, y, bx);
-            let (xa, xb) = walk.batch_range(&scratch);
-            let mut x = 0;
-            while x < bx {
-                if x == xa && x < xb {
-                    // Interior span: predict + quantize a whole row segment
-                    // at SIMD width, then emit symbols/outliers in the same
-                    // ascending order as the per-point loop.
-                    let m = xb - xa;
-                    let (actuals, preds, qs, rs, es) = scratch.split(m);
-                    T::simd_widen(lane, &src[row + xa..row + xb], actuals);
-                    stz_simd::predict_run(
-                        lane,
-                        gbuf,
-                        walk.row_base + walk.gx0 + 2 * xa,
-                        walk.simd_stencil(),
-                        preds,
-                    );
-                    stz_sz3::quant::quantize_run::<T>(quant, lane, actuals, preds, qs, rs, es);
-                    for j in 0..m {
-                        if es[j] == 0 {
-                            symbols.push(LinearQuantizer::symbol_of(qs[j] as i64));
-                            recon.push(rs[j]);
-                        } else {
-                            symbols.push(ESCAPE_SYMBOL);
-                            outliers.push(src[row + xa + j]);
-                            recon.push(actuals[j]);
-                        }
-                    }
-                    x = xb;
-                    continue;
-                }
-                let pred = walk.predict(gbuf, gdims, active, interp, x);
-                let actual = src[row + x].to_f64();
-                match quantize_scalar::<T>(quant, actual, pred) {
-                    ScalarQuant::Code { symbol, recon: r } => {
-                        symbols.push(symbol);
-                        recon.push(r);
-                    }
-                    ScalarQuant::Escape => {
-                        symbols.push(ESCAPE_SYMBOL);
-                        outliers.push(src[row + x]);
-                        recon.push(actual);
-                    }
-                }
-                x += 1;
-            }
+    let width = window.x1 - window.x0;
+    for z in window.z0..window.z1 {
+        for y in window.y0..window.y1 {
+            let start = cd.index(z, y, window.x0);
+            let row = &coarse.as_slice()[start..start + width];
+            T::simd_scatter2(lane, row, next.as_mut_slice(), nd.index(2 * z, 2 * y, 2 * window.x0));
         }
     }
-    BlockPayload { symbols, outliers, recon }
 }
 
-/// Reusable per-row scratch buffers for the SIMD batch paths. `cap == 0`
-/// disables batching (the scalar lane walks point by point instead).
-struct RowScratch {
+/// Quantize one sub-block against the (partially filled) working grid,
+/// storing each reconstructed row into the grid as it is produced. `payload`
+/// is cleared first, so one can serve every block of a level.
+fn quantize_in_place<T: Scalar>(
+    rows: &BlockRows<'_>,
+    field: &Field<T>,
+    grid: &mut Field<T>,
+    payload: &mut BlockPayload<T>,
+) {
+    payload.symbols.clear();
+    payload.outliers.clear();
+    payload.symbols.reserve(rows.nz * rows.by * rows.bx);
+    let mut scratch = RowScratch::new(rows.bx);
+    for z in 0..rows.nz {
+        for y in 0..rows.by {
+            let at =
+                rows.quantize_row(field.as_slice(), grid.as_slice(), z, y, payload, &mut scratch);
+            T::simd_scatter2(rows.lane, &scratch.row, grid.as_mut_slice(), at);
+        }
+    }
+}
+
+/// [`quantize_in_place`] for the pool: z-slabs of the block run in parallel,
+/// each into its own payload and its own buffer of reconstructed rows (in
+/// slab order, for [`place_slabs`]). The same rows in the same order, so the
+/// merged payload is the serial one.
+fn quantize_slabs<T: Scalar>(
+    rows: &BlockRows<'_>,
+    field: &Field<T>,
+    grid: &Field<T>,
+) -> (BlockPayload<T>, Vec<Vec<T>>) {
+    let parts: Vec<(BlockPayload<T>, Vec<T>)> = slab_ranges(rows.nz)
+        .into_par_iter()
+        .map(|slab| {
+            let n = slab.len() * rows.by * rows.bx;
+            let mut payload = BlockPayload { symbols: Vec::with_capacity(n), outliers: Vec::new() };
+            let mut recon = Vec::with_capacity(n);
+            let mut scratch = RowScratch::new(rows.bx);
+            let (src, gbuf) = (field.as_slice(), grid.as_slice());
+            for z in slab {
+                for y in 0..rows.by {
+                    rows.quantize_row(src, gbuf, z, y, &mut payload, &mut scratch);
+                    recon.extend_from_slice(&scratch.row);
+                }
+            }
+            (payload, recon)
+        })
+        .collect();
+    let mut merged = BlockPayload {
+        symbols: Vec::with_capacity(parts.iter().map(|(p, _)| p.symbols.len()).sum()),
+        outliers: Vec::with_capacity(parts.iter().map(|(p, _)| p.outliers.len()).sum()),
+    };
+    let mut slabs = Vec::with_capacity(parts.len());
+    for (part, recon) in parts {
+        merged.symbols.extend(part.symbols);
+        merged.outliers.extend(part.outliers);
+        slabs.push(recon);
+    }
+    (merged, slabs)
+}
+
+/// The z-slabs a block of `nz` planes is cut into for the pool: a few per
+/// thread, whole planes each, so every slab starts on a row boundary.
+fn slab_ranges(nz: usize) -> Vec<Range<usize>> {
+    let threads = rayon::current_num_threads().max(1);
+    let slab = (nz / (threads * 4)).max(1);
+    (0..nz).step_by(slab).map(|z0| z0..(z0 + slab).min(nz)).collect()
+}
+
+/// Store the rows the pool reconstructed for `block` (slab after slab, row
+/// after row) into their stride-2 places in the working grid.
+fn place_slabs<T: Scalar>(grid: &mut Field<T>, block: &BlockSpec, slabs: &[Vec<T>]) {
+    let (by, bx) = (block.lattice.dims().ny(), block.lattice.dims().nx());
+    let (gny, gnx) = (grid.dims().ny(), grid.dims().nx());
+    let [oz, oy, ox] = block.grid_lattice.offset();
+    let lane = stz_simd::active_lane();
+    let dst = grid.as_mut_slice();
+    for (i, row) in slabs.iter().flat_map(|slab| slab.chunks_exact(bx)).enumerate() {
+        let (z, y) = (i / by, i % by);
+        T::simd_scatter2(lane, row, dst, ((oz + 2 * z) * gny + oy + 2 * y) * gnx + ox);
+    }
+}
+
+/// Row-sized scratch of one block walk: the reconstructed row in `T` — what
+/// a row routine hands back — and the `f64` operands of the batch kernels.
+struct RowScratch<T> {
+    /// The row as it belongs in the working grid.
+    row: Vec<T>,
+    /// The row's original values (compression only).
+    orig: Vec<T>,
     actuals: Vec<f64>,
     preds: Vec<f64>,
     codes: Vec<f64>,
@@ -281,54 +279,47 @@ struct RowScratch {
     escapes: Vec<u8>,
 }
 
-impl RowScratch {
-    fn new(cap: usize) -> RowScratch {
+impl<T: Scalar> RowScratch<T> {
+    fn new(bx: usize) -> RowScratch<T> {
         RowScratch {
-            actuals: vec![0.0; cap],
-            preds: vec![0.0; cap],
-            codes: vec![0.0; cap],
-            recon: vec![0.0; cap],
-            escapes: vec![0; cap],
+            row: vec![T::default(); bx],
+            orig: vec![T::default(); bx],
+            actuals: vec![0.0; bx],
+            preds: vec![0.0; bx],
+            codes: vec![0.0; bx],
+            recon: vec![0.0; bx],
+            escapes: vec![0; bx],
         }
-    }
-
-    fn enabled(&self) -> bool {
-        !self.preds.is_empty()
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn split(&mut self, m: usize) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64], &mut [u8]) {
-        (
-            &mut self.actuals[..m],
-            &mut self.preds[..m],
-            &mut self.codes[..m],
-            &mut self.recon[..m],
-            &mut self.escapes[..m],
-        )
-    }
-
-    /// Just the code buffer (the decode path writes reconstructions
-    /// directly into its output instead of through the scratch).
-    fn codes(&mut self, m: usize) -> &mut [f64] {
-        &mut self.codes[..m]
     }
 }
 
-/// Per-block prediction walker: precomputes the interior fast-path stencil
-/// and per-row bounds, falling back to the general (boundary-safe) kernel
-/// only where the stencil leaves the grid.
-struct RowWalker<'a> {
+/// Everything the rows of one sub-block share: its geometry, the interior
+/// fast-path stencil with its per-row bounds, the quantizer and the lane.
+/// The two row routines — [`BlockRows::quantize_row`] and
+/// [`BlockRows::reconstruct_row`] — read the working grid and leave one row
+/// of `T` in the scratch; where it is stored is the driver's business, which
+/// is what lets a serial driver refine the grid in place and a pool driver
+/// share it immutably.
+struct BlockRows<'a> {
     stencil: crate::kernels::StencilOffsets,
     simd_stencil: stz_simd::Stencil,
     block: &'a BlockSpec,
-    gny: usize,
-    gnx: usize,
+    quant: &'a LinearQuantizer,
+    interp: InterpKind,
+    /// `Lane::Scalar` keeps the per-point walk as the byte-identity anchor;
+    /// every other lane batches the interior span of each row.
+    lane: Lane,
+    gdims: Dims,
     x_active: bool,
+    /// Block extents.
+    nz: usize,
+    by: usize,
+    bx: usize,
 }
 
 /// One row's resolved walk state.
 struct RowWalk<'a> {
-    walker: &'a RowWalker<'a>,
+    rows: &'a BlockRows<'a>,
     /// Grid coordinates of the row's first point.
     gz: usize,
     gy: usize,
@@ -340,83 +331,216 @@ struct RowWalk<'a> {
     xb: usize,
 }
 
-impl<'a> RowWalker<'a> {
+impl<'a> BlockRows<'a> {
     fn new(
-        gdims: stz_field::Dims,
+        gdims: Dims,
         block: &'a BlockSpec,
-        interp: stz_sz3::InterpKind,
-    ) -> RowWalker<'a> {
+        quant: &'a LinearQuantizer,
+        interp: InterpKind,
+    ) -> BlockRows<'a> {
         let stencil = crate::kernels::StencilOffsets::new(gdims, &block.active_axes, interp);
-        RowWalker {
+        let bdims = block.lattice.dims();
+        BlockRows {
             simd_stencil: stencil.as_simd(),
             stencil,
             block,
-            gny: gdims.ny(),
-            gnx: gdims.nx(),
+            quant,
+            interp,
+            lane: stz_simd::active_lane(),
+            gdims,
             x_active: block.active_axes.contains(&2),
+            nz: bdims.nz(),
+            by: bdims.ny(),
+            bx: bdims.nx(),
         }
     }
 
-    fn row(&self, z: usize, y: usize, bx: usize) -> RowWalk<'_> {
+    fn row(&self, z: usize, y: usize) -> RowWalk<'_> {
         let (gz, gy, gx0) = self.block.grid_lattice.to_parent(z, y, 0);
         let mut zy_interior = true;
         for &d in &self.block.active_axes {
             match d {
-                0 => zy_interior &= self.stencil.interior_coord(gz, self.row_nz()),
-                1 => zy_interior &= self.stencil.interior_coord(gy, self.gny),
+                0 => zy_interior &= self.stencil.interior_coord(gz, self.gdims.nz()),
+                1 => zy_interior &= self.stencil.interior_coord(gy, self.gdims.ny()),
                 _ => {}
             }
         }
-        let (xa, xb) = self.stencil.interior_x_range(self.x_active, gx0, self.gnx, bx);
+        let (xa, xb) = self.stencil.interior_x_range(self.x_active, gx0, self.gdims.nx(), self.bx);
         RowWalk {
-            walker: self,
+            rows: self,
             gz,
             gy,
             gx0,
-            row_base: (gz * self.gny + gy) * self.gnx,
+            row_base: (gz * self.gdims.ny() + gy) * self.gdims.nx(),
             zy_interior,
             xa,
             xb,
         }
     }
 
-    fn row_nz(&self) -> usize {
-        self.block.grid_lattice.parent_dims().nz()
+    /// Quantize row `(z, y)` of the block: gather its originals from `src`
+    /// (the field being compressed) at the block's stride, predict from the
+    /// working grid `gbuf`, append the row's symbols and outliers to
+    /// `payload` and leave the reconstructed row in `s.row`. Returns the
+    /// flattened grid index the row starts at.
+    fn quantize_row<T: Scalar>(
+        &self,
+        src: &[T],
+        gbuf: &[T],
+        z: usize,
+        y: usize,
+        payload: &mut BlockPayload<T>,
+        s: &mut RowScratch<T>,
+    ) -> usize {
+        let lattice = &self.block.lattice;
+        let (pz, py, px) = lattice.to_parent(z, y, 0);
+        let parent = lattice.parent_dims();
+        let start = (pz * parent.ny() + py) * parent.nx() + px;
+        match lattice.stride() {
+            2 => T::simd_gather2(self.lane, src, start, &mut s.orig),
+            stride => {
+                for (o, &v) in s.orig.iter_mut().zip(src[start..].iter().step_by(stride)) {
+                    *o = v;
+                }
+            }
+        }
+        let walk = self.row(z, y);
+        let (xa, xb) = walk.batch_range();
+        let mut x = 0;
+        while x < self.bx {
+            if x == xa && x < xb {
+                // Interior span: predict + quantize a whole row segment at
+                // SIMD width, then emit symbols/outliers in the same
+                // ascending order as the per-point loop.
+                let m = xb - xa;
+                let (actuals, preds) = (&mut s.actuals[..m], &mut s.preds[..m]);
+                let (qs, rs, es) = (&mut s.codes[..m], &mut s.recon[..m], &mut s.escapes[..m]);
+                T::simd_widen(self.lane, &s.orig[xa..xb], actuals);
+                stz_simd::predict_run_typed(
+                    self.lane,
+                    gbuf,
+                    walk.row_base + walk.gx0 + 2 * xa,
+                    &self.simd_stencil,
+                    preds,
+                );
+                stz_sz3::quant::quantize_run::<T>(
+                    self.quant, self.lane, actuals, preds, qs, rs, es,
+                );
+                T::simd_from_f64(self.lane, rs, &mut s.row[xa..xb]);
+                for j in 0..m {
+                    if es[j] == 0 {
+                        payload.symbols.push(LinearQuantizer::symbol_of(qs[j] as i64));
+                    } else {
+                        payload.symbols.push(ESCAPE_SYMBOL);
+                        payload.outliers.push(s.orig[xa + j]);
+                        s.row[xa + j] = s.orig[xa + j];
+                    }
+                }
+                x = xb;
+                continue;
+            }
+            let pred = walk.predict(gbuf, x);
+            match quantize_scalar::<T>(self.quant, s.orig[x].to_f64(), pred) {
+                ScalarQuant::Code { symbol, recon } => {
+                    payload.symbols.push(symbol);
+                    s.row[x] = T::from_f64(recon);
+                }
+                ScalarQuant::Escape => {
+                    payload.symbols.push(ESCAPE_SYMBOL);
+                    payload.outliers.push(s.orig[x]);
+                    s.row[x] = s.orig[x];
+                }
+            }
+            x += 1;
+        }
+        walk.row_base + walk.gx0
+    }
+
+    /// Reconstruct row `(z, y)` of the block from its `symbols`, predicting
+    /// from the working grid `gbuf`, into `s.row`. `cursor` is the rank of
+    /// the row's first escape among the block's `outliers` and is advanced
+    /// past the row's escapes. Returns the flattened grid index the row
+    /// starts at.
+    #[allow(clippy::too_many_arguments)]
+    fn reconstruct_row<T: Scalar>(
+        &self,
+        gbuf: &[T],
+        z: usize,
+        y: usize,
+        symbols: &[u32],
+        outliers: &[T],
+        cursor: &mut usize,
+        s: &mut RowScratch<T>,
+    ) -> usize {
+        let walk = self.row(z, y);
+        let (xa, xb) = walk.batch_range();
+        let mut x = 0;
+        while x < self.bx {
+            if x == xa && x < xb {
+                // Interior span: branchless symbol→code conversion, one
+                // fused predict+reconstruct pass, one narrowing. Escape slots
+                // get a placeholder code — their lane result is overwritten
+                // with the stored outlier below, so it cannot influence any
+                // output byte.
+                let m = xb - xa;
+                let span = &symbols[xa..xb];
+                let (codes, wide) = (&mut s.codes[..m], &mut s.recon[..m]);
+                LinearQuantizer::codes_of_run(span, codes);
+                self.quant.predict_reconstruct_run(
+                    self.lane,
+                    gbuf,
+                    walk.row_base + walk.gx0 + 2 * xa,
+                    &self.simd_stencil,
+                    codes,
+                    wide,
+                );
+                T::simd_from_f64(self.lane, wide, &mut s.row[xa..xb]);
+                if !outliers.is_empty() {
+                    for (j, &symbol) in span.iter().enumerate() {
+                        if symbol == ESCAPE_SYMBOL {
+                            s.row[xa + j] = outliers[*cursor];
+                            *cursor += 1;
+                        }
+                    }
+                }
+                x = xb;
+                continue;
+            }
+            let symbol = symbols[x];
+            s.row[x] = if symbol == ESCAPE_SYMBOL {
+                *cursor += 1;
+                outliers[*cursor - 1]
+            } else {
+                T::from_f64(reconstruct_scalar::<T>(self.quant, symbol, walk.predict(gbuf, x)))
+            };
+            x += 1;
+        }
+        walk.row_base + walk.gx0
     }
 }
 
 impl RowWalk<'_> {
     /// The block-local x span `[xa, xb)` this row can process with the SIMD
-    /// batch kernels — its interior fast-path span, or empty when batching
-    /// is disabled or the row's z/y stencil legs leave the grid.
+    /// batch kernels — its interior fast-path span, or empty on the scalar
+    /// lane or when the row's z/y stencil legs leave the grid.
     #[inline]
-    fn batch_range(&self, scratch: &RowScratch) -> (usize, usize) {
-        if scratch.enabled() && self.zy_interior {
+    fn batch_range(&self) -> (usize, usize) {
+        if self.rows.lane != Lane::Scalar && self.zy_interior {
             (self.xa, self.xb)
         } else {
             (0, 0)
         }
     }
 
-    #[inline]
-    fn simd_stencil(&self) -> &stz_simd::Stencil {
-        &self.walker.simd_stencil
-    }
-
     #[inline(always)]
-    fn predict(
-        &self,
-        gbuf: &[f64],
-        gdims: stz_field::Dims,
-        active: &[usize],
-        interp: stz_sz3::InterpKind,
-        x: usize,
-    ) -> f64 {
+    fn predict<T: Scalar>(&self, gbuf: &[T], x: usize) -> f64 {
+        let rows = self.rows;
         let gx = self.gx0 + 2 * x;
         if self.zy_interior && x >= self.xa && x < self.xb {
-            self.walker.stencil.predict_interior(gbuf, self.row_base + gx)
+            rows.stencil.predict_interior(gbuf, self.row_base + gx)
         } else {
-            predict_point(gbuf, gdims, [self.gz, self.gy, gx], active, 1, interp)
+            let active = &rows.block.active_axes;
+            predict_point(gbuf, rows.gdims, [self.gz, self.gy, gx], active, 1, rows.interp)
         }
     }
 }
@@ -483,6 +607,19 @@ impl PayloadMeta<'_> {
         let start = c * self.chunk_size;
         self.chunk_size.min(self.total - start)
     }
+
+    /// Hold the decoded symbols of chunk `c` to what the stream declared for
+    /// it: their number and how many of them are escapes.
+    pub fn check_chunk(&self, c: usize, decoded: &[u32]) -> Result<()> {
+        if decoded.len() != self.len_of(c) {
+            return Err(CodecError::corrupt("chunk symbol count mismatch"));
+        }
+        let escapes = decoded.iter().filter(|&&s| s == ESCAPE_SYMBOL).count();
+        if escapes != self.chunk_escapes[c] {
+            return Err(CodecError::corrupt("chunk escape count mismatch"));
+        }
+        Ok(())
+    }
 }
 
 /// Parse a sub-block stream into chunk metadata + outliers, without
@@ -522,30 +659,33 @@ pub(crate) fn parse_block_payload<'a, T: Scalar>(
     Ok((PayloadMeta { chunks, chunk_escapes, chunk_size, total: expected_points }, outliers))
 }
 
-/// Deserialize a whole sub-block stream, validating symbol and outlier
-/// counts.
+/// Entropy-decode a whole sub-block stream into `symbols` (cleared first, so
+/// one buffer can serve block after block), validating symbol and outlier
+/// counts; returns the outliers. Serially each chunk decodes straight onto
+/// the end of `symbols`; on the pool the chunks decode side by side and are
+/// appended in order.
 pub(crate) fn decode_block_payload<T: Scalar>(
     bytes: &[u8],
     expected_points: usize,
     parallel: bool,
-) -> Result<(Vec<u32>, Vec<T>)> {
+    symbols: &mut Vec<u32>,
+) -> Result<Vec<T>> {
     let (meta, outliers) = parse_block_payload::<T>(bytes, expected_points)?;
-    let decoded: Vec<Result<Vec<u32>>> = if parallel && meta.chunks.len() > 1 {
-        meta.chunks.par_iter().map(|b| huffman::decode_block(b)).collect()
+    symbols.clear();
+    if parallel && meta.chunks.len() > 1 {
+        let decoded: Vec<Result<Vec<u32>>> =
+            meta.chunks.par_iter().map(|b| huffman::decode_block(b)).collect();
+        for (c, d) in decoded.into_iter().enumerate() {
+            let d = d?;
+            meta.check_chunk(c, &d)?;
+            symbols.extend(d);
+        }
     } else {
-        meta.chunks.iter().map(|b| huffman::decode_block(b)).collect()
-    };
-    let mut symbols = Vec::with_capacity(expected_points);
-    for (c, d) in decoded.into_iter().enumerate() {
-        let d = d?;
-        if d.len() != meta.len_of(c) {
-            return Err(CodecError::corrupt("chunk symbol count mismatch"));
+        for (c, chunk) in meta.chunks.iter().enumerate() {
+            let start = symbols.len();
+            huffman::decode_block_into(chunk, symbols)?;
+            meta.check_chunk(c, &symbols[start..])?;
         }
-        let escapes = d.iter().filter(|&&s| s == ESCAPE_SYMBOL).count();
-        if escapes != meta.chunk_escapes[c] {
-            return Err(CodecError::corrupt("chunk escape count mismatch"));
-        }
-        symbols.extend(d);
     }
     if symbols.len() != expected_points {
         return Err(CodecError::corrupt(format!(
@@ -553,128 +693,71 @@ pub(crate) fn decode_block_payload<T: Scalar>(
             symbols.len()
         )));
     }
-    Ok((symbols, outliers))
+    Ok(outliers)
 }
 
-/// Reconstruct one sub-block from its decoded symbols.
-pub(crate) fn reconstruct_block<T: Scalar>(
+/// Reconstruct one sub-block from its decoded symbols, storing each row
+/// into the working grid as it is produced.
+fn reconstruct_in_place<T: Scalar>(
+    rows: &BlockRows<'_>,
     symbols: &[u32],
     outliers: &[T],
-    grid: &Field<f64>,
-    block: &BlockSpec,
-    quant: &LinearQuantizer,
-    interp: stz_sz3::InterpKind,
-    parallel: bool,
-) -> Field<f64> {
-    let bdims = block.lattice.dims();
-    let (nz, by, bx) = (bdims.nz(), bdims.ny(), bdims.nx());
-    if !parallel || nz < 2 {
-        let recon = reconstruct_chunk(symbols, outliers, grid, block, quant, interp, 0..nz, 0);
-        return Field::from_vec(bdims, recon);
+    grid: &mut Field<T>,
+) {
+    let mut scratch = RowScratch::new(rows.bx);
+    let mut cursor = 0;
+    for (i, span) in symbols.chunks_exact(rows.bx).enumerate() {
+        let (z, y) = (i / rows.by, i % rows.by);
+        let at =
+            rows.reconstruct_row(grid.as_slice(), z, y, span, outliers, &mut cursor, &mut scratch);
+        T::simd_scatter2(rows.lane, &scratch.row, grid.as_mut_slice(), at);
     }
-    let chunk = slab_size(nz);
-    // Outlier cursor offset at each chunk boundary.
-    let plane = by * bx;
-    let mut ranges = Vec::new();
-    let mut escape_offsets = Vec::new();
-    let mut escapes_so_far = 0usize;
-    let mut z0 = 0usize;
-    while z0 < nz {
-        let z1 = (z0 + chunk).min(nz);
-        ranges.push(z0..z1);
-        escape_offsets.push(escapes_so_far);
-        escapes_so_far +=
-            symbols[z0 * plane..z1 * plane].iter().filter(|&&s| s == ESCAPE_SYMBOL).count();
-        z0 = z1;
-    }
-    let parts: Vec<Vec<f64>> = ranges
-        .into_par_iter()
-        .zip(escape_offsets.into_par_iter())
-        .map(|(r, off)| reconstruct_chunk(symbols, outliers, grid, block, quant, interp, r, off))
-        .collect();
-    let mut recon = Vec::with_capacity(nz * plane);
-    for p in parts {
-        recon.extend(p);
-    }
-    Field::from_vec(bdims, recon)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn reconstruct_chunk<T: Scalar>(
+/// [`reconstruct_in_place`] for the pool: z-slabs of the block run in
+/// parallel against the shared grid, each into its own buffer of rows (in
+/// slab order, for [`place_slabs`]).
+fn reconstruct_slabs<T: Scalar>(
+    rows: &BlockRows<'_>,
     symbols: &[u32],
     outliers: &[T],
-    grid: &Field<f64>,
-    block: &BlockSpec,
-    quant: &LinearQuantizer,
-    interp: stz_sz3::InterpKind,
-    z_range: std::ops::Range<usize>,
-    mut outlier_cursor: usize,
-) -> Vec<f64> {
-    let bdims = block.lattice.dims();
-    let (by, bx) = (bdims.ny(), bdims.nx());
+    grid: &Field<T>,
+) -> Vec<Vec<T>> {
+    // Outlier cursor at each slab boundary.
+    let plane = rows.by * rows.bx;
     let gbuf = grid.as_slice();
-    let gdims = grid.dims();
-    let active = &block.active_axes[..];
-    let mut recon = Vec::with_capacity((z_range.end - z_range.start) * by * bx);
-    let stencil = RowWalker::new(gdims, block, interp);
-    let lane = stz_simd::active_lane();
-    let mut scratch = RowScratch::new(if lane == stz_simd::Lane::Scalar { 0 } else { bx });
-    for z in z_range {
-        for y in 0..by {
-            let row = (z * by + y) * bx;
-            let walk = stencil.row(z, y, bx);
-            let (xa, xb) = walk.batch_range(&scratch);
-            let mut x = 0;
-            while x < bx {
-                if x == xa && x < xb {
-                    // Interior span: branchless symbol→code conversion, then
-                    // one fused predict+reconstruct pass writing straight
-                    // into the output. Escape slots get a placeholder code —
-                    // their lane result is overwritten with the stored
-                    // outlier below, so it cannot influence any output byte.
-                    let m = xb - xa;
-                    let span = &symbols[row + xa..row + xb];
-                    let codes = scratch.codes(m);
-                    LinearQuantizer::codes_of_run(span, codes);
-                    let start = recon.len();
-                    recon.resize(start + m, 0.0);
-                    stz_sz3::quant::predict_reconstruct_run::<T>(
-                        quant,
-                        lane,
-                        gbuf,
-                        walk.row_base + walk.gx0 + 2 * xa,
-                        walk.simd_stencil(),
-                        codes,
-                        &mut recon[start..start + m],
-                    );
-                    if !outliers.is_empty() {
-                        for (j, &s) in span.iter().enumerate() {
-                            if s == ESCAPE_SYMBOL {
-                                recon[start + j] = outliers[outlier_cursor].to_f64();
-                                outlier_cursor += 1;
-                            }
-                        }
-                    }
-                    x = xb;
-                    continue;
+    let slabs = slab_ranges(rows.nz);
+    let mut escapes_so_far = 0usize;
+    let cursors: Vec<usize> = slabs
+        .iter()
+        .map(|slab| {
+            let before = escapes_so_far;
+            let span = &symbols[slab.start * plane..slab.end * plane];
+            escapes_so_far += span.iter().filter(|&&s| s == ESCAPE_SYMBOL).count();
+            before
+        })
+        .collect();
+    slabs
+        .into_par_iter()
+        .zip(cursors.into_par_iter())
+        .map(|(slab, mut cursor)| {
+            let mut out = Vec::with_capacity(slab.len() * plane);
+            let mut scratch = RowScratch::new(rows.bx);
+            for z in slab {
+                for y in 0..rows.by {
+                    let span = &symbols[(z * rows.by + y) * rows.bx..][..rows.bx];
+                    rows.reconstruct_row(gbuf, z, y, span, outliers, &mut cursor, &mut scratch);
+                    out.extend_from_slice(&scratch.row);
                 }
-                let symbol = symbols[row + x];
-                if symbol == ESCAPE_SYMBOL {
-                    recon.push(outliers[outlier_cursor].to_f64());
-                    outlier_cursor += 1;
-                } else {
-                    let pred = walk.predict(gbuf, gdims, active, interp, x);
-                    recon.push(reconstruct_scalar::<T>(quant, symbol, pred));
-                }
-                x += 1;
             }
-        }
-    }
-    recon
+            out
+        })
+        .collect()
 }
 
 /// Decompress levels `1..=upto` of an archive, returning the corresponding
-/// preview field (`upto == levels` gives the full-resolution field).
+/// preview field (`upto == levels` gives the full-resolution field): the
+/// working grid of level `upto`, as it is.
 ///
 /// Generic over [`SectionSource`], so the same driver serves resident
 /// archives and out-of-core containers; only levels `1..=upto` are fetched.
@@ -694,38 +777,17 @@ pub(crate) fn decompress_impl<T: Scalar, S: SectionSource + ?Sized>(
         let _stage = stz_telemetry::trace::span("level1");
         decode_level1::<T, S>(source, &plan)?
     };
+    let mut symbols = Vec::new();
     for level in &plan.levels[1..upto as usize] {
         let mut stage = stz_telemetry::trace::span("level_decode");
         stage.attr("level", level.index);
-        grid = decode_level_grid::<T, S>(source, &plan, level.index, &grid, parallel)?;
+        grid =
+            decode_level_grid::<T, S>(source, &plan, level.index, &grid, &mut symbols, parallel)?;
     }
-    // Chunk by index range rather than par_iter over elements: the cast is
-    // trivial per element, so materializing per-element work items would
-    // cost more memory than the parallelism saves on large grids.
-    let buf = grid.as_slice();
-    let lane = stz_simd::active_lane();
-    let cast = |r: std::ops::Range<usize>| -> Vec<T> {
-        let mut part = vec![T::default(); r.len()];
-        T::simd_from_f64(lane, &buf[r], &mut part);
-        part
-    };
-    let data: Vec<T> = if parallel && buf.len() > 1 {
-        let chunk = buf.len().div_ceil(64);
-        let ranges: Vec<std::ops::Range<usize>> =
-            (0..buf.len()).step_by(chunk).map(|s| s..(s + chunk).min(buf.len())).collect();
-        let parts: Vec<Vec<T>> = ranges.into_par_iter().map(cast).collect();
-        let mut data = Vec::with_capacity(buf.len());
-        for p in parts {
-            data.extend(p);
-        }
-        data
-    } else {
-        cast(0..buf.len())
-    };
-    Ok(Field::from_vec(grid.dims(), data))
+    Ok(grid)
 }
 
-/// Decode level 1 (the SZ3 stream) into its working grid.
+/// Decode level 1 (the SZ3 stream): it is its own working grid.
 ///
 /// Also the element-type gate for every decode path: a source whose header
 /// advertises a different scalar type than `T` is rejected here, before any
@@ -733,7 +795,7 @@ pub(crate) fn decompress_impl<T: Scalar, S: SectionSource + ?Sized>(
 pub(crate) fn decode_level1<T: Scalar, S: SectionSource + ?Sized>(
     source: &S,
     plan: &LevelPlan,
-) -> Result<Field<f64>> {
+) -> Result<Field<T>> {
     if source.header().type_tag != T::TYPE_TAG {
         return Err(CodecError::corrupt(format!(
             "archive element type tag {} does not match requested type",
@@ -749,50 +811,70 @@ pub(crate) fn decode_level1<T: Scalar, S: SectionSource + ?Sized>(
             a.dims()
         )));
     }
-    let mut wide = vec![0.0f64; a.as_slice().len()];
-    T::simd_widen(stz_simd::active_lane(), a.as_slice(), &mut wide);
-    Ok(Field::from_vec(expect, wide))
+    Ok(Field::from_vec(expect, a.into_vec()))
 }
 
 /// Decode one finer level, given the previous level's working grid.
+///
+/// `symbols` is entropy-decode scratch the serial path reuses for every
+/// block (and the caller for every level); on the pool each block decodes
+/// into a buffer of its own.
 pub(crate) fn decode_level_grid<T: Scalar, S: SectionSource + ?Sized>(
     source: &S,
     plan: &LevelPlan,
     level_index: u8,
-    prev_grid: &Field<f64>,
+    prev_grid: &Field<T>,
+    symbols: &mut Vec<u32>,
     parallel: bool,
-) -> Result<Field<f64>> {
+) -> Result<Field<T>> {
     let level = &plan.levels[level_index as usize - 1];
     let ebs = source.header().level_ebs();
     let quant = LinearQuantizer::new(ebs[level_index as usize - 1], source.header().radius);
     let interp = source.header().interp;
 
-    let mut next = Field::<f64>::zeros(level.grid_dims);
-    upscatter(prev_grid, &mut next);
+    // A zeroed allocation costs nothing until its pages are touched, and
+    // every page is touched exactly once per point stored.
+    let mut next = Field::<T>::zeros(level.grid_dims);
+    upscatter(prev_grid, &mut next, &Region::full(prev_grid.dims()));
 
-    let decode_one = |(i, block): (usize, &BlockSpec)| -> Result<Field<f64>> {
-        let bytes = source.block_bytes(level_index, i)?;
-        // Off-trace a stage span is one thread-local read: no clock, no
-        // allocation.
-        let stage = |name| {
-            let mut span = stz_telemetry::trace::span(name);
-            span.attr("block", i);
-            span
-        };
-        let (symbols, outliers) = {
-            let _stage = stage("entropy");
-            decode_block_payload::<T>(&bytes, block.lattice.len(), parallel)?
-        };
-        let _stage = stage("reconstruct");
-        Ok(reconstruct_block(&symbols, &outliers, &next, block, &quant, interp, parallel))
+    // Off-trace a stage span is one thread-local read: no clock, no
+    // allocation.
+    let stage = |name, block: usize| {
+        let mut span = stz_telemetry::trace::span(name);
+        span.attr("block", block);
+        span
     };
-    let results: Vec<Result<Field<f64>>> = if parallel {
-        level.blocks.par_iter().enumerate().map(decode_one).collect()
+    if parallel {
+        let decode_one = |(i, block): (usize, &BlockSpec)| -> Result<Vec<Vec<T>>> {
+            let bytes = source.block_bytes(level_index, i)?;
+            let mut symbols = Vec::new();
+            let outliers = {
+                let _stage = stage("entropy", i);
+                decode_block_payload::<T>(&bytes, block.lattice.len(), true, &mut symbols)?
+            };
+            let _stage = stage("reconstruct", i);
+            let rows = BlockRows::new(next.dims(), block, &quant, interp);
+            Ok(reconstruct_slabs(&rows, &symbols, &outliers, &next))
+        };
+        let results: Vec<Result<Vec<Vec<T>>>> =
+            level.blocks.par_iter().enumerate().map(decode_one).collect();
+        for (block, slabs) in level.blocks.iter().zip(results) {
+            place_slabs(&mut next, block, &slabs?);
+        }
     } else {
-        level.blocks.iter().enumerate().map(decode_one).collect()
-    };
-    for (block, recon) in level.blocks.iter().zip(results) {
-        block.grid_lattice.scatter(&recon?, &mut next);
+        // One buffer for the level's largest block, so no block regrows it.
+        symbols.clear();
+        symbols.reserve_exact(level.blocks.iter().map(|b| b.lattice.len()).max().unwrap_or(0));
+        for (i, block) in level.blocks.iter().enumerate() {
+            let bytes = source.block_bytes(level_index, i)?;
+            let outliers = {
+                let _stage = stage("entropy", i);
+                decode_block_payload::<T>(&bytes, block.lattice.len(), false, symbols)?
+            };
+            let _stage = stage("reconstruct", i);
+            let rows = BlockRows::new(next.dims(), block, &quant, interp);
+            reconstruct_in_place(&rows, symbols, &outliers, &mut next);
+        }
     }
     Ok(next)
 }
@@ -801,163 +883,6 @@ pub(crate) fn decode_level_grid<T: Scalar, S: SectionSource + ?Sized>(
 mod tests {
     use super::*;
     use stz_field::Dims;
-
-    #[test]
-    #[ignore]
-    fn profile_recon_batch() {
-        let dims = Dims::d3(128, 128, 128);
-        let f = Field::from_fn(dims, |z, y, x| {
-            let (zf, yf, xf) = (z as f32 * 0.21, y as f32 * 0.13, x as f32 * 0.17);
-            zf.sin() * yf.cos() + (xf + yf).sin() + 0.3 * zf
-        });
-        let archive = StzCompressor::new(StzConfig::three_level(1e-3)).compress(&f).unwrap();
-        let plan = archive.plan();
-        let src = &archive;
-        use crate::source::SectionSource;
-        let mut grid = decode_level1::<f32, _>(src, &plan).unwrap();
-        for level in &plan.levels[1..2] {
-            grid = decode_level_grid::<f32, _>(src, &plan, level.index, &grid, false).unwrap();
-        }
-        let level = &plan.levels[2];
-        let ebs = src.header().level_ebs();
-        let quant = LinearQuantizer::new(ebs[2], src.header().radius);
-        let interp = src.header().interp;
-        let mut next = Field::<f64>::zeros(level.grid_dims);
-        upscatter(&grid, &mut next);
-        let lane = stz_simd::active_lane();
-        for (i, block) in level.blocks.iter().enumerate() {
-            let bytes = SectionSource::block_bytes(src, level.index, i).unwrap();
-            let (symbols, outliers) =
-                decode_block_payload::<f32>(&bytes, block.lattice.len(), false).unwrap();
-            let bdims = block.lattice.dims();
-            let (bz, by, bx) = (bdims.nz(), bdims.ny(), bdims.nx());
-            let gbuf = next.as_slice();
-            let walker = RowWalker::new(next.dims(), block, interp);
-            let (mut pts_batch, mut pts_scalar) = (0usize, 0usize);
-            let mut scratch = RowScratch::new(bx);
-            let mut recon: Vec<f64> = Vec::with_capacity(bz * by * bx);
-            let (mut t_codes, mut t_kernel, mut t_scan, mut t_row) = (0.0, 0.0, 0.0, 0.0);
-            let t_all = std::time::Instant::now();
-            for z in 0..bz {
-                for y in 0..by {
-                    let tr = std::time::Instant::now();
-                    let row = (z * by + y) * bx;
-                    let walk = walker.row(z, y, bx);
-                    let (xa, xb) = walk.batch_range(&scratch);
-                    t_row += tr.elapsed().as_secs_f64();
-                    if xb > xa {
-                        pts_batch += xb - xa;
-                        pts_scalar += bx - (xb - xa);
-                        let m = xb - xa;
-                        let span = &symbols[row + xa..row + xb];
-                        let t = std::time::Instant::now();
-                        let codes = scratch.codes(m);
-                        LinearQuantizer::codes_of_run(span, codes);
-                        t_codes += t.elapsed().as_secs_f64();
-                        let t = std::time::Instant::now();
-                        let start = recon.len();
-                        recon.resize(start + m, 0.0);
-                        stz_sz3::quant::predict_reconstruct_run::<f32>(
-                            &quant,
-                            lane,
-                            gbuf,
-                            walk.row_base + walk.gx0 + 2 * xa,
-                            walk.simd_stencil(),
-                            codes,
-                            &mut recon[start..start + m],
-                        );
-                        t_kernel += t.elapsed().as_secs_f64();
-                        let t = std::time::Instant::now();
-                        if !outliers.is_empty() {
-                            let mut c = 0usize;
-                            for &s in span.iter() {
-                                if s == ESCAPE_SYMBOL {
-                                    c += 1;
-                                }
-                            }
-                            std::hint::black_box(c);
-                        }
-                        t_scan += t.elapsed().as_secs_f64();
-                    } else {
-                        pts_scalar += bx;
-                    }
-                }
-            }
-            let total = t_all.elapsed().as_secs_f64();
-            println!(
-                "block {i} axes {:?}: batch {pts_batch} scalar {pts_scalar} | row {t_row:.4} codes {t_codes:.4} kernel {t_kernel:.4} scan {t_scan:.4} total {total:.4}",
-                block.active_axes
-            );
-            std::hint::black_box(&recon);
-        }
-    }
-
-    #[test]
-    #[ignore]
-    fn profile_decode_stages() {
-        let dims = Dims::d3(128, 128, 128);
-        let f = Field::from_fn(dims, |z, y, x| {
-            let (zf, yf, xf) = (z as f32 * 0.21, y as f32 * 0.13, x as f32 * 0.17);
-            zf.sin() * yf.cos() + (xf + yf).sin() + 0.3 * zf
-        });
-        let archive = StzCompressor::new(StzConfig::three_level(1e-3)).compress(&f).unwrap();
-        let mb = f.nbytes() as f64 / 1e6;
-        // Whole decompress.
-        let t = std::time::Instant::now();
-        let out: Field<f32> = archive.decompress().unwrap();
-        let full = t.elapsed().as_secs_f64();
-        std::hint::black_box(&out);
-        println!("full decompress: {:.1} MB/s ({:.3}s)", mb / full, full);
-        // Stage split on the finest level (the bulk of the work).
-        let plan = archive.plan();
-        let src = &archive;
-        use crate::source::SectionSource;
-        let t = std::time::Instant::now();
-        let mut grid = decode_level1::<f32, _>(src, &plan).unwrap();
-        println!("  level1: {:.4}s", t.elapsed().as_secs_f64());
-        for level in &plan.levels[1..2] {
-            let t = std::time::Instant::now();
-            grid = decode_level_grid::<f32, _>(src, &plan, level.index, &grid, false).unwrap();
-            println!("  level{}: {:.4}s", level.index, t.elapsed().as_secs_f64());
-        }
-        let t = std::time::Instant::now();
-        let fin =
-            decode_level_grid::<f32, _>(src, &plan, plan.levels[2].index, &grid, false).unwrap();
-        println!("  level{} (whole): {:.4}s", plan.levels[2].index, t.elapsed().as_secs_f64());
-        std::hint::black_box(&fin);
-        let level = &plan.levels[2];
-        let ebs = src.header().level_ebs();
-        let quant = LinearQuantizer::new(ebs[2], src.header().radius);
-        let interp = src.header().interp;
-        let mut next = Field::<f64>::zeros(level.grid_dims);
-        let t = std::time::Instant::now();
-        upscatter(&grid, &mut next);
-        println!("  upscatter: {:.4}s", t.elapsed().as_secs_f64());
-        let mut t_entropy = 0.0;
-        let mut t_recon = 0.0;
-        let mut t_scatter = 0.0;
-        for (i, block) in level.blocks.iter().enumerate() {
-            let bytes = SectionSource::block_bytes(src, level.index, i).unwrap();
-            let t = std::time::Instant::now();
-            let (symbols, outliers) =
-                decode_block_payload::<f32>(&bytes, block.lattice.len(), false).unwrap();
-            t_entropy += t.elapsed().as_secs_f64();
-            let t = std::time::Instant::now();
-            let recon = reconstruct_block(&symbols, &outliers, &next, block, &quant, interp, false);
-            t_recon += t.elapsed().as_secs_f64();
-            let t = std::time::Instant::now();
-            block.grid_lattice.scatter(&recon, &mut next);
-            t_scatter += t.elapsed().as_secs_f64();
-        }
-        println!(
-            "  finest level: entropy {t_entropy:.4}s recon {t_recon:.4}s scatter {t_scatter:.4}s"
-        );
-        // Final cast.
-        let t = std::time::Instant::now();
-        let data: Vec<f32> = next.as_slice().iter().map(|&v| v as f32).collect();
-        std::hint::black_box(&data);
-        println!("  cast: {:.4}s", t.elapsed().as_secs_f64());
-    }
 
     fn wavy(dims: Dims) -> Field<f32> {
         Field::from_fn(dims, |z, y, x| {

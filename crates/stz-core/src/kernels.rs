@@ -15,7 +15,7 @@
 //! multilinear → clamped), mirroring the paper's "boundary points are
 //! predicted directly from available data".
 
-use stz_field::Dims;
+use stz_field::{Dims, Scalar};
 use stz_sz3::InterpKind;
 
 /// Inner/outer diagonal-cubic weights for a `k`-axis kernel.
@@ -27,7 +27,9 @@ pub fn diag_weights(k: usize) -> (f64, f64) {
 }
 
 /// Predict the value at parent coordinate `p` from the reconstructed coarse
-/// lattice stored (at parent positions) in `buf`.
+/// lattice stored (at parent positions) in `buf`, a grid of either element
+/// type: every tap is widened to `f64` as it is loaded (exact), so an `f32`
+/// grid predicts exactly what its widened copy would.
 ///
 /// `active` lists the axes along which `p` is `u` away from coarse points;
 /// along inactive axes `p` already lies on the coarse lattice. All coarse
@@ -35,8 +37,8 @@ pub fn diag_weights(k: usize) -> (f64, f64) {
 /// points because active coordinates are odd multiples of `u` (offset `u`
 /// plus a multiple of `2u`).
 #[inline]
-pub fn predict_point(
-    buf: &[f64],
+pub fn predict_point<S: Scalar>(
+    buf: &[S],
     dims: Dims,
     p: [usize; 3],
     active: &[usize],
@@ -76,8 +78,8 @@ pub fn predict_point(
                     co[d] = p[d] - 3 * u;
                 }
             }
-            inner += buf[dims.index(ci[0], ci[1], ci[2])];
-            outer += buf[dims.index(co[0], co[1], co[2])];
+            inner += buf[dims.index(ci[0], ci[1], ci[2])].to_f64();
+            outer += buf[dims.index(co[0], co[1], co[2])].to_f64();
         }
         return wi * inner + wo * outer;
     }
@@ -90,7 +92,7 @@ pub fn predict_point(
         for (j, &d) in active.iter().enumerate() {
             c[d] = if bits >> j & 1 == 1 && p[d] + u < n[d] { p[d] + u } else { p[d] - u };
         }
-        sum += buf[dims.index(c[0], c[1], c[2])];
+        sum += buf[dims.index(c[0], c[1], c[2])].to_f64();
     }
     sum / (1usize << k) as f64
 }
@@ -146,27 +148,27 @@ impl StencilOffsets {
     /// Predict at flattened grid index `gidx`; the caller guarantees the
     /// whole stencil is in bounds (see [`StencilOffsets::interior_coord`]).
     #[inline(always)]
-    pub fn predict_interior(&self, buf: &[f64], gidx: usize) -> f64 {
+    pub fn predict_interior<S: Scalar>(&self, buf: &[S], gidx: usize) -> f64 {
         let base = gidx as isize;
         if self.cubic {
             let mut si = 0.0;
             let mut so = 0.0;
             for bits in 0..self.corners() {
-                si += buf[(base + self.inner[bits]) as usize];
-                so += buf[(base + self.outer[bits]) as usize];
+                si += buf[(base + self.inner[bits]) as usize].to_f64();
+                so += buf[(base + self.outer[bits]) as usize].to_f64();
             }
             self.wi * si + self.wo * so
         } else {
             let mut s = 0.0;
             for bits in 0..self.corners() {
-                s += buf[(base + self.inner[bits]) as usize];
+                s += buf[(base + self.inner[bits]) as usize].to_f64();
             }
             s / self.corners() as f64
         }
     }
 
     /// This stencil in `stz-simd` batch-kernel form (the fields mirror each
-    /// other one-to-one; `stz_simd::predict_run` reproduces
+    /// other one-to-one; `stz_simd::predict_run_typed` reproduces
     /// [`predict_interior`](Self::predict_interior) bit-for-bit).
     #[inline]
     pub fn as_simd(&self) -> stz_simd::Stencil {
@@ -212,12 +214,18 @@ impl StencilOffsets {
 /// Direct prediction (paper §3.1, optimization 1 / Eq. 1): copy the coarse
 /// point at the low corner. Used only by the `DirectPred` ablation variant.
 #[inline]
-pub fn predict_direct(buf: &[f64], dims: Dims, p: [usize; 3], active: &[usize], u: usize) -> f64 {
+pub fn predict_direct<S: Scalar>(
+    buf: &[S],
+    dims: Dims,
+    p: [usize; 3],
+    active: &[usize],
+    u: usize,
+) -> f64 {
     let mut c = p;
     for &d in active {
         c[d] = p[d] - u;
     }
-    buf[dims.index(c[0], c[1], c[2])]
+    buf[dims.index(c[0], c[1], c[2])].to_f64()
 }
 
 #[cfg(test)]

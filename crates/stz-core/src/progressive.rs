@@ -3,12 +3,13 @@
 //! [`ProgressiveDecoder`] walks the hierarchy coarse-to-fine, holding the
 //! current working grid between steps so refining to the next resolution
 //! costs only that level's decode — the total cost of walking all levels
-//! equals one full decompression.
+//! equals one full decompression. A level's working grid *is* its preview,
+//! so an intermediate step hands out a copy of the grid it keeps and the
+//! last step hands out the grid itself.
 
 use crate::archive::StzArchive;
 use crate::compressor::{decode_level1, decode_level_grid};
 use crate::source::SectionSource;
-use std::marker::PhantomData;
 use stz_codec::Result;
 use stz_field::{Dims, Field, Scalar};
 
@@ -18,11 +19,12 @@ use stz_field::{Dims, Field, Scalar};
 pub struct ProgressiveDecoder<'a, T: Scalar, S: SectionSource + ?Sized = StzArchive<T>> {
     source: &'a S,
     plan: crate::level::LevelPlan,
-    grid: Option<Field<f64>>,
+    grid: Option<Field<T>>,
+    /// Entropy-decode scratch, kept from level to level.
+    symbols: Vec<u32>,
     /// Levels decoded so far (0 = none yet).
     decoded: u8,
     parallel: bool,
-    _marker: PhantomData<fn() -> T>,
 }
 
 impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
@@ -32,9 +34,9 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
             source,
             plan: source.plan(),
             grid: None,
+            symbols: Vec::new(),
             decoded: 0,
             parallel: false,
-            _marker: PhantomData,
         }
     }
 
@@ -80,23 +82,24 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
         if self.is_complete() {
             return Ok(None);
         }
-        let next_grid = match self.grid.take() {
+        let grid = match self.grid.take() {
             None => decode_level1::<T, S>(self.source, &self.plan)?,
             Some(prev) => decode_level_grid::<T, S>(
                 self.source,
                 &self.plan,
                 self.decoded + 1,
                 &prev,
+                &mut self.symbols,
                 self.parallel,
             )?,
         };
         self.decoded += 1;
-        let preview = Field::from_vec(
-            next_grid.dims(),
-            next_grid.as_slice().iter().map(|&v| T::from_f64(v)).collect(),
-        );
-        self.grid = Some(next_grid);
-        Ok(Some(preview))
+        if self.is_complete() {
+            self.symbols = Vec::new();
+            return Ok(Some(grid));
+        }
+        self.grid = Some(grid.clone());
+        Ok(Some(grid))
     }
 
     /// Decode through level `k` (consuming intermediate levels) and return

@@ -133,9 +133,13 @@ pub(crate) fn decompress_region<T: Scalar, S: SectionSource + ?Sized>(
         let mut times = LevelTimes { level: level.index, ..Default::default() };
 
         // Reconstruct: assemble the next working grid from the coarser one.
+        // Only `needed[li - 1]` of the coarser grid was ever reconstructed,
+        // and it is exactly what this level's stencils reach, so only that
+        // box moves up: the pages of the zeroed grid outside the window are
+        // never touched.
         let t = Instant::now();
-        let mut next = Field::<f64>::zeros(level.grid_dims);
-        upscatter(&grid, &mut next);
+        let mut next = Field::<T>::zeros(level.grid_dims);
+        upscatter(&grid, &mut next, &needed[li - 1]);
         times.reconstruct += t.elapsed().as_secs_f64();
 
         for (i, block) in level.blocks.iter().enumerate() {
@@ -172,11 +176,7 @@ pub(crate) fn decompress_region<T: Scalar, S: SectionSource + ?Sized>(
 
     // Final extraction of the ROI from the full-resolution working grid.
     let t = Instant::now();
-    let roi_grid = grid.extract_region(region);
-    let out = Field::from_vec(
-        roi_grid.dims(),
-        roi_grid.as_slice().iter().map(|&v| T::from_f64(v)).collect(),
-    );
+    let out = grid.extract_region(region);
     if let Some(last) = breakdown.levels.last_mut() {
         last.reconstruct += t.elapsed().as_secs_f64();
     }
@@ -235,9 +235,7 @@ impl SparseSymbols {
                 continue;
             }
             let symbols = huffman::decode_block(meta.chunks[c])?;
-            if symbols.len() != meta.len_of(c) {
-                return Err(CodecError::corrupt("chunk symbol count mismatch"));
-            }
+            meta.check_chunk(c, &symbols)?;
             let base = c * meta.chunk_size;
             let positions: Vec<u32> = symbols
                 .iter()
@@ -245,9 +243,6 @@ impl SparseSymbols {
                 .filter(|(_, &s)| s == ESCAPE_SYMBOL)
                 .map(|(j, _)| (base + j) as u32)
                 .collect();
-            if positions.len() != meta.chunk_escapes[c] {
-                return Err(CodecError::corrupt("chunk escape count mismatch"));
-            }
             decoded.push(Some(symbols));
             escape_positions.push(positions);
             decoded_chunks += 1;
@@ -287,7 +282,7 @@ fn predict_region<T: Scalar>(
     target: &Region,
     quant: &LinearQuantizer,
     interp: stz_sz3::InterpKind,
-    next: &mut Field<f64>,
+    next: &mut Field<T>,
 ) {
     let bdims = block.lattice.dims();
     let (by, bx) = (bdims.ny(), bdims.nx());
@@ -301,15 +296,13 @@ fn predict_region<T: Scalar>(
                 let (gz, gy, gx) = block.grid_lattice.to_parent(z, y, x);
                 let symbol = sparse.symbol(idx);
                 let value = if symbol == ESCAPE_SYMBOL {
-                    outliers[sparse.outlier_rank(idx)].to_f64()
+                    outliers[sparse.outlier_rank(idx)]
                 } else {
                     // Prediction sources are even-coordinate grid points,
                     // already present in `next`.
-                    let pred = {
-                        let gbuf = next.as_slice();
-                        predict_point(gbuf, gdims, [gz, gy, gx], active, 1, interp)
-                    };
-                    reconstruct_scalar::<T>(quant, symbol, pred)
+                    let pred =
+                        predict_point(next.as_slice(), gdims, [gz, gy, gx], active, 1, interp);
+                    T::from_f64(reconstruct_scalar::<T>(quant, symbol, pred))
                 };
                 let gidx = gdims.index(gz, gy, gx);
                 next.as_mut_slice()[gidx] = value;

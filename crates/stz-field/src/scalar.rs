@@ -9,7 +9,12 @@ use stz_simd::Lane;
 /// what error-bounded compression needs: lossless widening to `f64` for
 /// prediction arithmetic, and bit-exact byte (de)serialization for the
 /// unpredictable-value escape path.
-pub trait Scalar: Copy + PartialOrd + Debug + Display + Default + Send + Sync + 'static {
+///
+/// A `Scalar` is also a [`stz_simd::GridElem`], so a slice of either type can
+/// be the grid the dispatched prediction kernels read.
+pub trait Scalar:
+    Copy + PartialOrd + Debug + Display + Default + Send + Sync + 'static + stz_simd::GridElem
+{
     /// Number of bytes in the exact binary representation.
     const BYTES: usize;
     /// Tag distinguishing element types in archive headers (0 = f32, 1 = f64).

@@ -65,9 +65,80 @@ impl Stencil {
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+use crate::x86::Loads as LaneLoads;
+
+/// Nothing to add where no lane loads a grid element itself.
+#[cfg(not(target_arch = "x86_64"))]
+mod portable {
+    pub trait LaneLoads {}
+    impl LaneLoads for f32 {}
+    impl LaneLoads for f64 {}
+}
+#[cfg(not(target_arch = "x86_64"))]
+use portable::LaneLoads;
+
+/// Element type of a working grid the predict kernels read: `f32` or `f64`
+/// (sealed by its private supertrait).
+///
+/// Every tap is widened to `f64` as it is loaded, which is exact, so a
+/// kernel over an `f32` grid performs the `f64` operations of the same
+/// kernel over that grid's widened copy, in the same order: same bits out.
+pub trait GridElem: Copy + LaneLoads {
+    /// Whether a value reconstructed into a grid of this type is rounded
+    /// through `f32` first.
+    const ROUND32: bool;
+
+    /// Exact widening to `f64`.
+    fn widen(self) -> f64;
+
+    /// The grid as `f64`s if that is what it holds: NEON has no `f32`-grid
+    /// kernel, so that lane runs the portable one for `f32` grids.
+    #[cfg(target_arch = "aarch64")]
+    #[doc(hidden)]
+    fn as_f64s(buf: &[Self]) -> Option<&[f64]>;
+}
+
+impl GridElem for f32 {
+    const ROUND32: bool = true;
+
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self as f64
+    }
+
+    #[cfg(target_arch = "aarch64")]
+    fn as_f64s(_: &[f32]) -> Option<&[f64]> {
+        None
+    }
+}
+
+impl GridElem for f64 {
+    const ROUND32: bool = false;
+
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self
+    }
+
+    #[cfg(target_arch = "aarch64")]
+    fn as_f64s(buf: &[f64]) -> Option<&[f64]> {
+        Some(buf)
+    }
+}
+
 /// Largest multiple of `w` (≤ `n`) such that processing that many stride-2
-/// points with `2w`-wide vector loads/stores starting at `base` (tap reach
-/// `max_off`) stays inside a buffer of length `len`.
+/// points `w` at a time, starting at `base` with tap reach `max_off`, stays
+/// inside a buffer of `len` elements.
+///
+/// The chunk of points `i..i + w` loads, per tap offset `off`, the `2w`
+/// consecutive elements from `base + 2i + off`: its `w` even elements and
+/// the odd one after each. That holds for either element type — an `f64`
+/// grid reads them as two `w`-wide vectors, an `f32` grid as two loads of
+/// half the bytes covering the same `2w` elements, widened afterwards — and
+/// for the `2w`-wide gather loads and scatter stores. The last chunk
+/// therefore touches index `base + 2(v - 1) + max_off + 1`, one past the
+/// last even element.
 #[cfg_attr(not(any(target_arch = "x86_64", target_arch = "aarch64")), allow(dead_code))]
 pub(crate) fn vec_points(base: usize, max_off: isize, len: usize, n: usize, w: usize) -> usize {
     let mut v = n - n % w;
@@ -89,25 +160,48 @@ pub(crate) fn vec_points(base: usize, max_off: isize, len: usize, n: usize, w: u
 /// # Panics
 /// If any stencil tap of any point falls outside `buf`.
 pub fn predict_run(lane: Lane, buf: &[f64], base: usize, st: &Stencil, out: &mut [f64]) {
+    predict_run_typed(lane, buf, base, st, out)
+}
+
+/// [`predict_run`] over a grid of either element type.
+pub fn predict_run_typed<S: GridElem>(
+    lane: Lane,
+    buf: &[S],
+    base: usize,
+    st: &Stencil,
+    out: &mut [f64],
+) {
     if out.is_empty() {
         return;
     }
-    let (lo, hi) = st.offset_range();
-    let last = base + 2 * (out.len() - 1);
-    assert!(base as isize + lo >= 0, "stencil underruns the grid");
-    assert!(
-        (last as isize + hi) >= 0 && ((last as isize + hi) as usize) < buf.len(),
-        "stencil overruns the grid"
-    );
+    assert_taps_in_bounds(buf.len(), base, st, out.len());
     match lane {
+        // SAFETY (every lane arm): the assertion above put every tap of every
+        // point inside `buf`; SSE2 is the x86_64 baseline, and `Lane::Avx2` /
+        // `Lane::Neon` are only ever selected on a CPU that has them.
         #[cfg(target_arch = "x86_64")]
         Lane::Sse2 => unsafe { crate::x86::predict_run_sse2(buf, base, st, out) },
         #[cfg(target_arch = "x86_64")]
         Lane::Avx2 => unsafe { crate::x86::predict_run_avx2(buf, base, st, out) },
         #[cfg(target_arch = "aarch64")]
-        Lane::Neon => unsafe { crate::neon::predict_run(buf, base, st, out) },
+        Lane::Neon => match S::as_f64s(buf) {
+            Some(buf) => unsafe { crate::neon::predict_run(buf, base, st, out) },
+            None => scalar::predict_run(buf, base, st, out),
+        },
         _ => scalar::predict_run(buf, base, st, out),
     }
+}
+
+/// The scalar access pattern of a predict kernel, checked once per run: the
+/// lowest tap of the first point and the highest tap of the last.
+fn assert_taps_in_bounds(len: usize, base: usize, st: &Stencil, points: usize) {
+    let (lo, hi) = st.offset_range();
+    let last = base + 2 * (points - 1);
+    assert!(base as isize + lo >= 0, "stencil underruns the grid");
+    assert!(
+        (last as isize + hi) >= 0 && ((last as isize + hi) as usize) < len,
+        "stencil overruns the grid"
+    );
 }
 
 /// Fused predict + f64 reconstruct:
@@ -143,10 +237,25 @@ pub fn predict_recon_run_f32(
     predict_recon_run(lane, buf, base, st, codes, two_eb, out, true)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn predict_recon_run(
+/// Fused predict + reconstruct over a grid in its own precision: the taps
+/// come from `buf` and the result is rounded through `S`, so narrowing
+/// `out` to `S` is exact and yields the values that belong in `buf`.
+pub fn predict_recon_run_typed<S: GridElem>(
     lane: Lane,
-    buf: &[f64],
+    buf: &[S],
+    base: usize,
+    st: &Stencil,
+    codes: &[f64],
+    two_eb: f64,
+    out: &mut [f64],
+) {
+    predict_recon_run(lane, buf, base, st, codes, two_eb, out, S::ROUND32)
+}
+
+#[allow(clippy::too_many_arguments)]
+fn predict_recon_run<S: GridElem>(
+    lane: Lane,
+    buf: &[S],
     base: usize,
     st: &Stencil,
     codes: &[f64],
@@ -158,14 +267,19 @@ fn predict_recon_run(
         return;
     }
     assert!(codes.len() == out.len());
-    let (lo, hi) = st.offset_range();
-    let last = base + 2 * (out.len() - 1);
-    assert!(base as isize + lo >= 0, "stencil underruns the grid");
-    assert!(
-        (last as isize + hi) >= 0 && ((last as isize + hi) as usize) < buf.len(),
-        "stencil overruns the grid"
-    );
+    assert_taps_in_bounds(buf.len(), base, st, out.len());
+    let portable = |out: &mut [f64]| {
+        if round32 {
+            scalar::predict_recon_run_f32(buf, base, st, codes, two_eb, out)
+        } else {
+            scalar::predict_recon_run_f64(buf, base, st, codes, two_eb, out)
+        }
+    };
     match lane {
+        // SAFETY (every lane arm): the assertions above put every tap of
+        // every point inside `buf` and matched `codes` to `out`; SSE2 is the
+        // x86_64 baseline, and `Lane::Avx2` / `Lane::Neon` are only ever
+        // selected on a CPU that has them.
         #[cfg(target_arch = "x86_64")]
         Lane::Sse2 => unsafe {
             crate::x86::predict_recon_run_sse2(buf, base, st, codes, two_eb, out, round32)
@@ -175,16 +289,13 @@ fn predict_recon_run(
             crate::x86::predict_recon_run_avx2(buf, base, st, codes, two_eb, out, round32)
         },
         #[cfg(target_arch = "aarch64")]
-        Lane::Neon => unsafe {
-            crate::neon::predict_recon_run(buf, base, st, codes, two_eb, out, round32)
+        Lane::Neon => match S::as_f64s(buf) {
+            Some(buf) => unsafe {
+                crate::neon::predict_recon_run(buf, base, st, codes, two_eb, out, round32)
+            },
+            None => portable(out),
         },
-        _ => {
-            if round32 {
-                scalar::predict_recon_run_f32(buf, base, st, codes, two_eb, out)
-            } else {
-                scalar::predict_recon_run_f64(buf, base, st, codes, two_eb, out)
-            }
-        }
+        _ => portable(out),
     }
 }
 
@@ -327,8 +438,9 @@ pub fn gather2_f32(lane: Lane, src: &[f32], start: usize, out: &mut [f32]) {
 }
 
 /// Stride-2 scatter: `dst[start + 2*i] = src[i]`. Intermediate odd
-/// elements are left untouched (vector lanes may rewrite them with their
-/// current value, which requires the exclusive `&mut` borrow).
+/// elements are left untouched, and on x86_64 not even read (masked
+/// stores): storing into a freshly zeroed grid write-faults each page once
+/// instead of read-faulting it first.
 pub fn scatter2_f64(lane: Lane, src: &[f64], dst: &mut [f64], start: usize) {
     if src.is_empty() {
         return;
@@ -445,41 +557,159 @@ mod tests {
         }
     }
 
-    #[test]
-    fn predict_matches_scalar_on_every_lane() {
-        // Largest synthetic stencil reach below is 3*(1+7+64) = 216 either
-        // side, so leave generous margin.
-        let buf = test_values(2048, 7);
-        for k in 1..=3usize {
-            for cubic in [false, true] {
-                let corners = 1usize << k;
-                let mut inner = [0isize; 8];
-                let mut outer = [0isize; 8];
-                // Synthetic diagonal stencil along x plus row strides.
-                for bits in 0..corners {
-                    let (mut di, mut do_) = (0isize, 0isize);
-                    for j in 0..k {
-                        let s = [1isize, 7, 64][j];
-                        let sign = if bits >> j & 1 == 1 { 1 } else { -1 };
-                        di += sign * s;
-                        do_ += sign * 3 * s;
-                    }
-                    inner[bits] = di;
-                    outer[bits] = do_;
-                }
-                let st = Stencil::new(cubic, corners, inner, outer, 9.0 / 16.0, -1.0 / 16.0);
-                let (lo, hi) = st.offset_range();
-                let base = (-lo) as usize + 1;
-                let n = (buf.len() - base - hi as usize - 2) / 2;
-                let mut want = vec![0.0; n];
-                crate::scalar::predict_run(&buf, base, &st, &mut want);
+    /// Synthetic diagonal stencil over `k` axes of strides 1, 7 and 64.
+    fn synthetic_stencil(k: usize, cubic: bool) -> Stencil {
+        let corners = 1usize << k;
+        let mut inner = [0isize; 8];
+        let mut outer = [0isize; 8];
+        for bits in 0..corners {
+            let (mut di, mut do_) = (0isize, 0isize);
+            for j in 0..k {
+                let s = [1isize, 7, 64][j];
+                let sign = if bits >> j & 1 == 1 { 1 } else { -1 };
+                di += sign * s;
+                do_ += sign * 3 * s;
+            }
+            inner[bits] = di;
+            outer[bits] = do_;
+        }
+        Stencil::new(cubic, corners, inner, outer, 9.0 / 16.0, -1.0 / 16.0)
+    }
+
+    /// Every lane against the portable kernel for runs of 0..=40 points (a
+    /// few vector widths and every remainder) whose last tap is the grid's
+    /// last element — the tightest bound `vec_points` must respect — with
+    /// the plain and both fused kernels.
+    fn assert_predict_lanes_match<S: GridElem>(grid: &[S], what: &str) {
+        for (k, cubic) in [(1, false), (1, true), (2, false), (2, true), (3, false), (3, true)] {
+            let st = synthetic_stencil(k, cubic);
+            let (lo, hi) = st.offset_range();
+            let base = (-lo) as usize + 1;
+            for n in 0..=40usize {
+                let len = if n == 0 { 0 } else { base + 2 * (n - 1) + hi as usize + 1 };
+                let buf = &grid[..len];
+                let codes: Vec<f64> = (0..n).map(|i| (i as i64 % 9 - 4) as f64).collect();
+                let mut want = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+                crate::scalar::predict_run(buf, base, &st, &mut want[0]);
+                crate::scalar::predict_recon_run_f64(buf, base, &st, &codes, 2e-3, &mut want[1]);
+                crate::scalar::predict_recon_run_f32(buf, base, &st, &codes, 2e-3, &mut want[2]);
                 for lane in available_lanes() {
-                    let mut got = vec![1.0; n];
-                    predict_run(lane, &buf, base, &st, &mut got);
-                    assert_bits_eq(&got, &want, &format!("predict k={k} cubic={cubic} {lane}"));
+                    let mut got = [vec![1.0; n], vec![1.0; n], vec![1.0; n]];
+                    predict_run_typed(lane, buf, base, &st, &mut got[0]);
+                    predict_recon_run(lane, buf, base, &st, &codes, 2e-3, &mut got[1], false);
+                    predict_recon_run(lane, buf, base, &st, &codes, 2e-3, &mut got[2], true);
+                    for (kernel, (g, w)) in got.iter().zip(&want).enumerate() {
+                        let what =
+                            format!("{what} kernel {kernel} k={k} cubic={cubic} n={n} {lane}");
+                        assert_bits_eq(g, w, &what);
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn predict_matches_scalar_on_every_lane() {
+        // Largest synthetic stencil reach is 3*(1+7+64) = 216 either side.
+        let wide = test_values(600, 7);
+        assert_predict_lanes_match(&wide, "f64 grid");
+        let narrow: Vec<f32> = wide.iter().map(|&v| v as f32).collect();
+        assert_predict_lanes_match(&narrow, "f32 grid");
+    }
+
+    #[test]
+    fn f32_grid_predicts_what_its_widened_copy_does() {
+        // The premise of the typed working grid: loading an f32 tap and
+        // widening it is the same operand as loading the widened tap.
+        let narrow: Vec<f32> = test_values(600, 13).iter().map(|&v| v as f32).collect();
+        let widened: Vec<f64> = narrow.iter().map(|&v| v as f64).collect();
+        let st = synthetic_stencil(3, true);
+        let (lo, hi) = st.offset_range();
+        let base = (-lo) as usize + 1;
+        let n = (narrow.len() - base - hi as usize - 1) / 2 + 1;
+        let codes: Vec<f64> = (0..n).map(|i| (i as i64 % 9 - 4) as f64).collect();
+        for lane in available_lanes() {
+            let (mut a, mut b) = (vec![0.0; n], vec![1.0; n]);
+            predict_recon_run_typed(lane, &narrow, base, &st, &codes, 2e-3, &mut a);
+            predict_recon_run_f32(lane, &widened, base, &st, &codes, 2e-3, &mut b);
+            assert_bits_eq(&a, &b, &format!("typed f32 vs widened on {lane}"));
+        }
+    }
+
+    /// XINUSE[AVX] — whether the upper halves of the YMM registers are in
+    /// use — or `None` where `XGETBV` with `ECX = 1` does not exist.
+    #[cfg(target_arch = "x86_64")]
+    fn avx_upper_state_in_use() -> Option<bool> {
+        use std::arch::x86_64::{__cpuid_count, _xgetbv};
+        // CPUID.(EAX=0Dh, ECX=1):EAX bit 2 is XGETBV-with-ECX=1 support.
+        // SAFETY: `cpuid` exists on every x86_64 CPU (which is why newer
+        // toolchains declare the intrinsic safe; the MSRV does not).
+        #[allow(unused_unsafe)]
+        let xgetbv1 = unsafe { __cpuid_count(0xD, 1) }.eax & 0b100 != 0;
+        if !(std::arch::is_x86_feature_detected!("xsave") && xgetbv1) {
+            return None;
+        }
+        // SAFETY: `xsave` and the ECX = 1 form were both detected above.
+        Some(unsafe { _xgetbv(1) } & 0b100 != 0)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_kernels_leave_the_upper_ymm_state_clean() {
+        // A kernel that returns with the upper YMM halves dirty makes every
+        // later legacy-SSE instruction on the thread (libm, the scalar lane)
+        // pay a state-transition penalty: a 27x slowdown when it was found.
+        if !available_lanes().contains(&Lane::Avx2) || avx_upper_state_in_use().is_none() {
+            return;
+        }
+        let n = 64;
+        let wide = test_values(2048, 5);
+        let narrow: Vec<f32> = wide.iter().map(|&v| v as f32).collect();
+        let st = synthetic_stencil(3, true);
+        let base = 300;
+        let codes = vec![1.0; n];
+        let (mut o64, mut q, mut esc) = (vec![0.0f64; n], vec![0.0f64; n], vec![0u8; n]);
+        let mut o32 = vec![0.0f32; n];
+        let (mut d64, mut d32) = (vec![0.0f64; 2 * n], vec![0.0f32; 2 * n]);
+        let bytes = vec![0xA5u8; 4096];
+        let lane = Lane::Avx2;
+        let check = |name: &str, kernel: &mut dyn FnMut()| {
+            // SAFETY: AVX2 (hence AVX) was detected above.
+            unsafe { std::arch::x86_64::_mm256_zeroupper() };
+            assert_eq!(avx_upper_state_in_use(), Some(false), "before {name}");
+            kernel();
+            assert_eq!(avx_upper_state_in_use(), Some(false), "after {name}");
+        };
+        check("predict_run", &mut || predict_run(lane, &wide, base, &st, &mut o64));
+        check("predict_run_typed", &mut || predict_run_typed(lane, &narrow, base, &st, &mut o64));
+        check("predict_recon_run_f64", &mut || {
+            predict_recon_run_f64(lane, &wide, base, &st, &codes, 2e-3, &mut o64)
+        });
+        check("predict_recon_run_f32", &mut || {
+            predict_recon_run_f32(lane, &wide, base, &st, &codes, 2e-3, &mut o64)
+        });
+        check("predict_recon_run_typed", &mut || {
+            predict_recon_run_typed(lane, &narrow, base, &st, &codes, 2e-3, &mut o64)
+        });
+        check("recon_run_f64", &mut || recon_run_f64(lane, &wide[..n], &codes, 2e-3, &mut o64));
+        check("recon_run_f32", &mut || recon_run_f32(lane, &wide[..n], &codes, 2e-3, &mut o64));
+        check("quantize_run_f64", &mut || {
+            let (a, p) = (&wide[..n], &wide[n..2 * n]);
+            quantize_run_f64(lane, a, p, 1e-3, 2e-3, 32768.0, &mut q, &mut o64, &mut esc)
+        });
+        check("quantize_run_f32", &mut || {
+            let (a, p) = (&wide[..n], &wide[n..2 * n]);
+            quantize_run_f32(lane, a, p, 1e-3, 2e-3, 32768.0, &mut q, &mut o64, &mut esc)
+        });
+        check("gather2_f64", &mut || gather2_f64(lane, &wide, 1, &mut o64));
+        check("gather2_f32", &mut || gather2_f32(lane, &narrow, 1, &mut o32));
+        check("scatter2_f64", &mut || scatter2_f64(lane, &wide[..n], &mut d64, 0));
+        check("scatter2_f32", &mut || scatter2_f32(lane, &narrow[..n], &mut d32, 0));
+        check("narrow_run", &mut || narrow_run(lane, &wide[..n], &mut o32));
+        check("widen_run", &mut || widen_run(lane, &narrow[..n], &mut o64));
+        check("crc32_update", &mut || {
+            std::hint::black_box(crc32_update(lane, 0xFFFF_FFFF, &bytes));
+        });
     }
 
     #[test]

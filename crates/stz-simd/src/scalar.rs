@@ -8,14 +8,16 @@
 //! (`quantize_scalar`/`reconstruct_scalar`) operation for operation, so
 //! `STZ_SIMD=scalar` and the pre-SIMD code paths agree bit-for-bit too.
 
-use crate::Stencil;
+use crate::{GridElem, Stencil};
 
 /// Predict the point at `buf[base + 2*i]` for each `i` in `0..out.len()`.
 ///
-/// Mirrors `StencilOffsets::predict_interior`: corner sums in ascending
-/// bit order, then `wi*si + wo*so` (cubic) or `s / corners` (linear).
-/// The caller guarantees every stencil tap of every point is in bounds.
-pub fn predict_run(buf: &[f64], base: usize, st: &Stencil, out: &mut [f64]) {
+/// Mirrors `StencilOffsets::predict_interior`: every tap is widened to
+/// `f64` as it is loaded (exact), corner sums run in ascending bit order,
+/// then `wi*si + wo*so` (cubic) or `s / corners` (linear). An `f32` grid
+/// therefore predicts exactly what its widened `f64` copy would. The caller
+/// guarantees every stencil tap of every point is in bounds.
+pub fn predict_run<S: GridElem>(buf: &[S], base: usize, st: &Stencil, out: &mut [f64]) {
     for (i, o) in out.iter_mut().enumerate() {
         *o = predict_one(buf, base + 2 * i, st);
     }
@@ -23,20 +25,20 @@ pub fn predict_run(buf: &[f64], base: usize, st: &Stencil, out: &mut [f64]) {
 
 /// One point of [`predict_run`].
 #[inline(always)]
-pub fn predict_one(buf: &[f64], gidx: usize, st: &Stencil) -> f64 {
+pub fn predict_one<S: GridElem>(buf: &[S], gidx: usize, st: &Stencil) -> f64 {
     let base = gidx as isize;
     if st.cubic {
         let mut si = 0.0;
         let mut so = 0.0;
         for bits in 0..st.corners {
-            si += buf[(base + st.inner[bits]) as usize];
-            so += buf[(base + st.outer[bits]) as usize];
+            si += buf[(base + st.inner[bits]) as usize].widen();
+            so += buf[(base + st.outer[bits]) as usize].widen();
         }
         st.wi * si + st.wo * so
     } else {
         let mut s = 0.0;
         for bits in 0..st.corners {
-            s += buf[(base + st.inner[bits]) as usize];
+            s += buf[(base + st.inner[bits]) as usize].widen();
         }
         s / st.corners as f64
     }
@@ -62,8 +64,8 @@ pub fn recon_run_f32(preds: &[f64], codes: &[f64], two_eb: f64, out: &mut [f64])
 /// `out[i] = predict_one(buf, base + 2*i) + two_eb * codes[i]`. Bitwise
 /// equal to [`predict_run`] followed by [`recon_run_f64`] — the prediction
 /// merely stays in a register instead of a scratch buffer.
-pub fn predict_recon_run_f64(
-    buf: &[f64],
+pub fn predict_recon_run_f64<S: GridElem>(
+    buf: &[S],
     base: usize,
     st: &Stencil,
     codes: &[f64],
@@ -76,8 +78,8 @@ pub fn predict_recon_run_f64(
 }
 
 /// [`predict_recon_run_f64`] rounded through `f32`.
-pub fn predict_recon_run_f32(
-    buf: &[f64],
+pub fn predict_recon_run_f32<S: GridElem>(
+    buf: &[S],
     base: usize,
     st: &Stencil,
     codes: &[f64],

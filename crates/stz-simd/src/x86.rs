@@ -19,10 +19,22 @@
 //! so a full-width vector may touch one element past the last even index;
 //! [`vec_points`] bounds the vector portion and the scalar reference
 //! finishes the run.
+//!
+//! The predict kernels are generic over the grid's element ([`GridElem`]):
+//! an `f32` grid differs only in its loads, which widen the same `2w`
+//! elements with `cvtps2pd` (exact) before the identical shuffle, so every
+//! add, multiply and divide sees the operands the `f64` grid would supply.
+//!
+//! Every function that executes a 256-bit instruction must leave the upper
+//! halves of the YMM registers clean: LLVM inserts `vzeroupper` before the
+//! returns of a function that names a YMM *register*, but not when every
+//! 256-bit operation takes its operand from memory (`vcvtpd2ps (mem), %xmm`),
+//! and the CPU then runs all later legacy-SSE code — libm, for one — many
+//! times slower. [`narrow_run_avx2`] is that case and issues its own.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
-use crate::kernels::{vec_points, Stencil};
+use crate::kernels::{vec_points, GridElem, Stencil};
 use crate::scalar;
 use std::arch::x86_64::*;
 
@@ -32,43 +44,94 @@ const TRUNC: i32 = _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC;
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn load_evens_pd(p: *const f64) -> __m256d {
-    fix_evens_pd(load_evens_pd_mixed(p))
+    fix_evens_pd(f64::load_evens_mixed_avx2(p))
 }
 
-/// Load the four even elements at `p` in the mixed lane order
-/// `[e0, e2, e1, e3]` — one in-lane shuffle, no cross-lane permute.
-///
-/// Because [`fix_evens_pd`] is a pure element rearrangement, it commutes
-/// with elementwise add/mul: stencil kernels sum several of these mixed
-/// vectors, apply the weights, and permute **once** at the end instead of
-/// per tap (the cross-lane permute is the port-5 bottleneck of the
-/// stride-2 stencil loop). The deferred computation is bit-identical —
-/// each output element sees exactly the same scalar operations.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn load_evens_pd_mixed(p: *const f64) -> __m256d {
-    let v0 = _mm256_loadu_pd(p);
-    let v1 = _mm256_loadu_pd(p.add(4));
-    // [v0_0, v1_0, v0_2, v1_2] = [e0, e2, e1, e3].
-    _mm256_shuffle_pd::<0b0000>(v0, v1)
-}
-
-/// Swap the middle pair of a [`load_evens_pd_mixed`] vector:
+/// Swap the middle pair of a [`Loads::load_evens_mixed_avx2`] vector:
 /// `[e0, e2, e1, e3]` -> `[e0, e1, e2, e3]`.
+///
+/// A pure element rearrangement, so it commutes with elementwise add/mul:
+/// stencil kernels sum several mixed vectors, apply the weights, and permute
+/// **once** at the end instead of per tap (the cross-lane permute is the
+/// port-5 bottleneck of the stride-2 stencil loop). The deferred computation
+/// is bit-identical — each output element sees exactly the same scalar
+/// operations.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn fix_evens_pd(v: __m256d) -> __m256d {
     _mm256_permute4x64_pd::<0xD8>(v)
 }
 
-/// Load `[p[0], p[2]]`.
-#[inline]
-unsafe fn load_evens_sse(p: *const f64) -> __m128d {
-    _mm_shuffle_pd::<0b00>(_mm_loadu_pd(p), _mm_loadu_pd(p.add(2)))
+/// The stride-2 loads of one grid element type: the part of [`GridElem`]
+/// that only this module can write. Public in a private module, which also
+/// seals `GridElem` to `f32` and `f64`.
+pub trait Loads: Sized {
+    /// `[p[0], p[2]]`, widened to `f64`.
+    ///
+    /// # Safety
+    /// `p[0..4]` must be readable.
+    unsafe fn load_evens_sse2(p: *const Self) -> __m128d;
+
+    /// `[p[0], p[4], p[2], p[6]]`, widened to `f64`: the four even elements
+    /// in the mixed order [`fix_evens_pd`] straightens out.
+    ///
+    /// # Safety
+    /// `p[0..8]` must be readable and the CPU must support AVX2.
+    unsafe fn load_evens_mixed_avx2(p: *const Self) -> __m256d;
 }
 
+impl Loads for f64 {
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn load_evens_sse2(p: *const f64) -> __m128d {
+        // SAFETY: two 2-element loads inside `p[0..4]`.
+        _mm_shuffle_pd::<0b00>(_mm_loadu_pd(p), _mm_loadu_pd(p.add(2)))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_evens_mixed_avx2(p: *const f64) -> __m256d {
+        // SAFETY: two 4-element loads inside `p[0..8]`.
+        let v0 = _mm256_loadu_pd(p);
+        let v1 = _mm256_loadu_pd(p.add(4));
+        // One in-lane shuffle, no cross-lane permute:
+        // [v0_0, v1_0, v0_2, v1_2] = [e0, e2, e1, e3].
+        _mm256_shuffle_pd::<0b0000>(v0, v1)
+    }
+}
+
+impl Loads for f32 {
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn load_evens_sse2(p: *const f32) -> __m128d {
+        // SAFETY: one 4-element load, exactly `p[0..4]`.
+        let v = _mm_loadu_ps(p);
+        // [p0 p2 p0 p2]; the low two widen to [p0, p2].
+        _mm_cvtps_pd(_mm_shuffle_ps::<0b10_00_10_00>(v, v))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_evens_mixed_avx2(p: *const f32) -> __m256d {
+        // SAFETY: two 4-element loads inside `p[0..8]`. Widening straight
+        // from memory keeps the conversion off the shuffle port; the rest is
+        // the f64 sequence on the widened halves.
+        let v0 = _mm256_cvtps_pd(_mm_loadu_ps(p));
+        let v1 = _mm256_cvtps_pd(_mm_loadu_ps(p.add(4)));
+        _mm256_shuffle_pd::<0b0000>(v0, v1)
+    }
+}
+
+/// # Safety
+/// Every stencil tap of every point must lie inside `buf` (the dispatching
+/// wrapper asserts it) and the CPU must support AVX2.
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn predict_run_avx2(buf: &[f64], base: usize, st: &Stencil, out: &mut [f64]) {
+pub(crate) unsafe fn predict_run_avx2<S: GridElem>(
+    buf: &[S],
+    base: usize,
+    st: &Stencil,
+    out: &mut [f64],
+) {
     const W: usize = 4;
     let (_, hi) = st.offset_range();
     let v = vec_points(base, hi, buf.len(), out.len(), W);
@@ -83,8 +146,8 @@ pub(crate) unsafe fn predict_run_avx2(buf: &[f64], base: usize, st: &Stencil, ou
             let mut si = _mm256_setzero_pd();
             let mut so = _mm256_setzero_pd();
             for bits in 0..st.corners {
-                si = _mm256_add_pd(si, load_evens_pd_mixed(c.offset(st.inner[bits])));
-                so = _mm256_add_pd(so, load_evens_pd_mixed(c.offset(st.outer[bits])));
+                si = _mm256_add_pd(si, S::load_evens_mixed_avx2(c.offset(st.inner[bits])));
+                so = _mm256_add_pd(so, S::load_evens_mixed_avx2(c.offset(st.outer[bits])));
             }
             let r = _mm256_add_pd(_mm256_mul_pd(wi, si), _mm256_mul_pd(wo, so));
             _mm256_storeu_pd(o.add(i), fix_evens_pd(r));
@@ -97,7 +160,7 @@ pub(crate) unsafe fn predict_run_avx2(buf: &[f64], base: usize, st: &Stencil, ou
             let c = p.add(base + 2 * i);
             let mut s = _mm256_setzero_pd();
             for bits in 0..st.corners {
-                s = _mm256_add_pd(s, load_evens_pd_mixed(c.offset(st.inner[bits])));
+                s = _mm256_add_pd(s, S::load_evens_mixed_avx2(c.offset(st.inner[bits])));
             }
             _mm256_storeu_pd(o.add(i), fix_evens_pd(_mm256_div_pd(s, div)));
             i += W;
@@ -106,7 +169,16 @@ pub(crate) unsafe fn predict_run_avx2(buf: &[f64], base: usize, st: &Stencil, ou
     scalar::predict_run(buf, base + 2 * v, st, &mut out[v..]);
 }
 
-pub(crate) unsafe fn predict_run_sse2(buf: &[f64], base: usize, st: &Stencil, out: &mut [f64]) {
+/// # Safety
+/// Every stencil tap of every point must lie inside `buf` (the dispatching
+/// wrapper asserts it).
+#[target_feature(enable = "sse2")]
+pub(crate) unsafe fn predict_run_sse2<S: GridElem>(
+    buf: &[S],
+    base: usize,
+    st: &Stencil,
+    out: &mut [f64],
+) {
     const W: usize = 2;
     let (_, hi) = st.offset_range();
     let v = vec_points(base, hi, buf.len(), out.len(), W);
@@ -121,8 +193,8 @@ pub(crate) unsafe fn predict_run_sse2(buf: &[f64], base: usize, st: &Stencil, ou
             let mut si = _mm_setzero_pd();
             let mut so = _mm_setzero_pd();
             for bits in 0..st.corners {
-                si = _mm_add_pd(si, load_evens_sse(c.offset(st.inner[bits])));
-                so = _mm_add_pd(so, load_evens_sse(c.offset(st.outer[bits])));
+                si = _mm_add_pd(si, S::load_evens_sse2(c.offset(st.inner[bits])));
+                so = _mm_add_pd(so, S::load_evens_sse2(c.offset(st.outer[bits])));
             }
             let r = _mm_add_pd(_mm_mul_pd(wi, si), _mm_mul_pd(wo, so));
             _mm_storeu_pd(o.add(i), r);
@@ -135,7 +207,7 @@ pub(crate) unsafe fn predict_run_sse2(buf: &[f64], base: usize, st: &Stencil, ou
             let c = p.add(base + 2 * i);
             let mut s = _mm_setzero_pd();
             for bits in 0..st.corners {
-                s = _mm_add_pd(s, load_evens_sse(c.offset(st.inner[bits])));
+                s = _mm_add_pd(s, S::load_evens_sse2(c.offset(st.inner[bits])));
             }
             _mm_storeu_pd(o.add(i), _mm_div_pd(s, div));
             i += W;
@@ -144,9 +216,13 @@ pub(crate) unsafe fn predict_run_sse2(buf: &[f64], base: usize, st: &Stencil, ou
     scalar::predict_run(buf, base + 2 * v, st, &mut out[v..]);
 }
 
+/// # Safety
+/// Every stencil tap of every point must lie inside `buf`,
+/// `codes.len() == out.len()` (the dispatching wrapper asserts both) and the
+/// CPU must support AVX2.
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn predict_recon_run_avx2(
-    buf: &[f64],
+pub(crate) unsafe fn predict_recon_run_avx2<S: GridElem>(
+    buf: &[S],
     base: usize,
     st: &Stencil,
     codes: &[f64],
@@ -176,12 +252,12 @@ pub(crate) unsafe fn predict_recon_run_avx2(
             while i < v {
                 let c = p.add(base + 2 * i);
                 let si = _mm256_add_pd(
-                    _mm256_add_pd(z, load_evens_pd_mixed(c.offset(i0))),
-                    load_evens_pd_mixed(c.offset(i1)),
+                    _mm256_add_pd(z, S::load_evens_mixed_avx2(c.offset(i0))),
+                    S::load_evens_mixed_avx2(c.offset(i1)),
                 );
                 let so = _mm256_add_pd(
-                    _mm256_add_pd(z, load_evens_pd_mixed(c.offset(o0))),
-                    load_evens_pd_mixed(c.offset(o1)),
+                    _mm256_add_pd(z, S::load_evens_mixed_avx2(c.offset(o0))),
+                    S::load_evens_mixed_avx2(c.offset(o1)),
                 );
                 let pred =
                     fix_evens_pd(_mm256_add_pd(_mm256_mul_pd(wi, si), _mm256_mul_pd(wo, so)));
@@ -198,8 +274,8 @@ pub(crate) unsafe fn predict_recon_run_avx2(
             let mut si = _mm256_setzero_pd();
             let mut so = _mm256_setzero_pd();
             for bits in 0..st.corners {
-                si = _mm256_add_pd(si, load_evens_pd_mixed(c.offset(st.inner[bits])));
-                so = _mm256_add_pd(so, load_evens_pd_mixed(c.offset(st.outer[bits])));
+                si = _mm256_add_pd(si, S::load_evens_mixed_avx2(c.offset(st.inner[bits])));
+                so = _mm256_add_pd(so, S::load_evens_mixed_avx2(c.offset(st.outer[bits])));
             }
             let pred = fix_evens_pd(_mm256_add_pd(_mm256_mul_pd(wi, si), _mm256_mul_pd(wo, so)));
             let mut r = _mm256_add_pd(pred, _mm256_mul_pd(v2eb, _mm256_loadu_pd(cp.add(i))));
@@ -216,7 +292,7 @@ pub(crate) unsafe fn predict_recon_run_avx2(
             let c = p.add(base + 2 * i);
             let mut s = _mm256_setzero_pd();
             for bits in 0..st.corners {
-                s = _mm256_add_pd(s, load_evens_pd_mixed(c.offset(st.inner[bits])));
+                s = _mm256_add_pd(s, S::load_evens_mixed_avx2(c.offset(st.inner[bits])));
             }
             let pred = fix_evens_pd(_mm256_div_pd(s, div));
             let mut r = _mm256_add_pd(pred, _mm256_mul_pd(v2eb, _mm256_loadu_pd(cp.add(i))));
@@ -234,8 +310,12 @@ pub(crate) unsafe fn predict_recon_run_avx2(
     }
 }
 
-pub(crate) unsafe fn predict_recon_run_sse2(
-    buf: &[f64],
+/// # Safety
+/// Every stencil tap of every point must lie inside `buf` and
+/// `codes.len() == out.len()` (the dispatching wrapper asserts both).
+#[target_feature(enable = "sse2")]
+pub(crate) unsafe fn predict_recon_run_sse2<S: GridElem>(
+    buf: &[S],
     base: usize,
     st: &Stencil,
     codes: &[f64],
@@ -259,8 +339,8 @@ pub(crate) unsafe fn predict_recon_run_sse2(
             let mut si = _mm_setzero_pd();
             let mut so = _mm_setzero_pd();
             for bits in 0..st.corners {
-                si = _mm_add_pd(si, load_evens_sse(c.offset(st.inner[bits])));
-                so = _mm_add_pd(so, load_evens_sse(c.offset(st.outer[bits])));
+                si = _mm_add_pd(si, S::load_evens_sse2(c.offset(st.inner[bits])));
+                so = _mm_add_pd(so, S::load_evens_sse2(c.offset(st.outer[bits])));
             }
             let pred = _mm_add_pd(_mm_mul_pd(wi, si), _mm_mul_pd(wo, so));
             let mut r = _mm_add_pd(pred, _mm_mul_pd(v2eb, _mm_loadu_pd(cp.add(i))));
@@ -277,7 +357,7 @@ pub(crate) unsafe fn predict_recon_run_sse2(
             let c = p.add(base + 2 * i);
             let mut s = _mm_setzero_pd();
             for bits in 0..st.corners {
-                s = _mm_add_pd(s, load_evens_sse(c.offset(st.inner[bits])));
+                s = _mm_add_pd(s, S::load_evens_sse2(c.offset(st.inner[bits])));
             }
             let pred = _mm_div_pd(s, div);
             let mut r = _mm_add_pd(pred, _mm_mul_pd(v2eb, _mm_loadu_pd(cp.add(i))));
@@ -464,7 +544,7 @@ pub(crate) unsafe fn gather2_f64_sse2(src: &[f64], start: usize, out: &mut [f64]
     let p = src.as_ptr();
     let mut i = 0;
     while i < v {
-        _mm_storeu_pd(out.as_mut_ptr().add(i), load_evens_sse(p.add(start + 2 * i)));
+        _mm_storeu_pd(out.as_mut_ptr().add(i), f64::load_evens_sse2(p.add(start + 2 * i)));
         i += W;
     }
     scalar::gather2_f64(src, start + 2 * v, &mut out[v..]);
@@ -503,10 +583,16 @@ pub(crate) unsafe fn gather2_f32_sse2(src: &[f32], start: usize, out: &mut [f32]
     scalar::gather2_f32(src, start + 2 * v, &mut out[v..]);
 }
 
+/// The scatters store their even elements with masked stores and never read
+/// the destination. A load-blend-store would move the same bytes, but its
+/// load is the *first* touch of every page of a freshly zeroed grid: the
+/// kernel maps the shared zero page for the read and then takes a second,
+/// copy-on-write fault for the store — twice the page faults of a decode.
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn scatter2_f64_avx2(src: &[f64], dst: &mut [f64], start: usize) {
     const W: usize = 4;
     let v = vec_points(start, 0, dst.len(), src.len(), W);
+    let evens = _mm256_setr_epi64x(-1, 0, -1, 0);
     let mut i = 0;
     while i < v {
         let s = _mm256_loadu_pd(src.as_ptr().add(i));
@@ -514,12 +600,8 @@ pub(crate) unsafe fn scatter2_f64_avx2(src: &[f64], dst: &mut [f64], start: usiz
         let lo = _mm256_permute4x64_pd::<0x50>(s);
         let hi = _mm256_permute4x64_pd::<0xFA>(s);
         let d = dst.as_mut_ptr().add(start + 2 * i);
-        let d0 = _mm256_loadu_pd(d);
-        let d1 = _mm256_loadu_pd(d.add(4));
-        // Rewrite the odd elements with their current values (exclusive
-        // &mut borrow makes the read-modify-write race-free).
-        _mm256_storeu_pd(d, _mm256_blend_pd::<0b0101>(d0, lo));
-        _mm256_storeu_pd(d.add(4), _mm256_blend_pd::<0b0101>(d1, hi));
+        _mm256_maskstore_pd(d, evens, lo);
+        _mm256_maskstore_pd(d.add(4), evens, hi);
         i += W;
     }
     scalar::scatter2_f64(&src[v..], dst, start + 2 * v);
@@ -529,6 +611,7 @@ pub(crate) unsafe fn scatter2_f64_avx2(src: &[f64], dst: &mut [f64], start: usiz
 pub(crate) unsafe fn scatter2_f32_avx2(src: &[f32], dst: &mut [f32], start: usize) {
     const W: usize = 8;
     let v = vec_points(start, 0, dst.len(), src.len(), W);
+    let evens = _mm256_setr_epi32(-1, 0, -1, 0, -1, 0, -1, 0);
     let mut i = 0;
     while i < v {
         let s = _mm256_loadu_ps(src.as_ptr().add(i));
@@ -537,10 +620,8 @@ pub(crate) unsafe fn scatter2_f32_avx2(src: &[f32], dst: &mut [f32], start: usiz
         let lo = _mm256_permute2f128_ps::<0x20>(dup_lo, dup_hi);
         let hi = _mm256_permute2f128_ps::<0x31>(dup_lo, dup_hi);
         let d = dst.as_mut_ptr().add(start + 2 * i);
-        let d0 = _mm256_loadu_ps(d);
-        let d1 = _mm256_loadu_ps(d.add(8));
-        _mm256_storeu_ps(d, _mm256_blend_ps::<0b01010101>(d0, lo));
-        _mm256_storeu_ps(d.add(8), _mm256_blend_ps::<0b01010101>(d1, hi));
+        _mm256_maskstore_ps(d, evens, lo);
+        _mm256_maskstore_ps(d.add(8), evens, hi);
         i += W;
     }
     scalar::scatter2_f32(&src[v..], dst, start + 2 * v);
@@ -555,6 +636,9 @@ pub(crate) unsafe fn narrow_run_avx2(src: &[f64], out: &mut [f32]) {
         _mm_storeu_ps(out.as_mut_ptr().add(i), _mm256_cvtpd_ps(x));
         i += 4;
     }
+    // The loop compiles to `vcvtpd2ps (mem), %xmm`: 256 bits wide, no YMM
+    // register named, so LLVM adds no `vzeroupper` of its own (module docs).
+    _mm256_zeroupper();
     scalar::narrow_run(&src[i..], &mut out[i..]);
 }
 

@@ -79,27 +79,6 @@ pub fn reconstruct_run<T: Scalar>(
     }
 }
 
-/// Fused batch predict + [`reconstruct_run`]: `out[i]` reconstructs the
-/// grid point at `base + 2*i` from its interior stencil prediction and the
-/// signed code `codes[i]`, rounded through `T`.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn predict_reconstruct_run<T: Scalar>(
-    q: &LinearQuantizer,
-    lane: stz_simd::Lane,
-    gbuf: &[f64],
-    base: usize,
-    st: &stz_simd::Stencil,
-    codes: &[f64],
-    out: &mut [f64],
-) {
-    if T::TYPE_TAG == f32::TYPE_TAG {
-        q.predict_reconstruct_run_f32(lane, gbuf, base, st, codes, out);
-    } else {
-        q.predict_reconstruct_run_f64(lane, gbuf, base, st, codes, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -221,3 +221,225 @@ fn pipelined_containers_byte_identical_across_thread_counts() {
         assert_eq!(pack(threads), sequential, "{threads} thread(s)");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Golden table: the bytes of the codec this one replaced.
+//
+// Every identity test above compares the codec with itself (threads, lanes).
+// The constants below were captured with the f64-working-grid codec (the
+// parent of the typed-grid rewrite) and pin `(archive length, CRC-32 of the
+// archive, CRC-32 of the decoded field's little-endian bytes)`. A change to
+// the decode or encode core must reproduce them; regenerate them only in a
+// change that moves the format on purpose, never beside a rewrite.
+// ---------------------------------------------------------------------------
+
+use stz::core::InterpKind;
+use stz::stream::crc::crc32;
+
+type Golden = (usize, u32, u32);
+
+#[rustfmt::skip]
+const GOLDEN: [Golden; 52] = [
+    (13610, 0x75B8E592, 0xD1EFB400), // 33x31x35 L2 Cubic f32
+    (14160, 0xBC15E6F5, 0x32BA7AC9), // 33x31x35 L2 Cubic f64
+    (24419, 0x03B5B9E0, 0x6F922FDE), // 33x31x35 L2 Linear f32
+    (26800, 0x9094CC59, 0x7C4A9358), // 33x31x35 L2 Linear f64
+    (16112, 0x0A4AF4A9, 0xFE33C12C), // 33x31x35 L3 Cubic f32
+    (15669, 0xE5F43B50, 0xB1546BA8), // 33x31x35 L3 Cubic f64
+    (27059, 0xEFE11078, 0xE2E87D0F), // 33x31x35 L3 Linear f32
+    (27219, 0x757C061F, 0x7EAC19AD), // 33x31x35 L3 Linear f64
+    (16459, 0x9CFEB47A, 0x806F9C2E), // 33x31x35 L4 Cubic f32
+    (15899, 0xC22EE2C6, 0x4B33CD7B), // 33x31x35 L4 Cubic f64
+    (27393, 0x4DC8C3A1, 0xA5E23CD5), // 33x31x35 L4 Linear f32
+    (27447, 0x84DDEBD5, 0x1983CDBE), // 33x31x35 L4 Linear f64
+    (719, 0x8A355FB2, 0x5B871BA6), // 7x9x11 L2 Cubic f32
+    (1004, 0xC0EC8379, 0x055E57B7), // 7x9x11 L2 Cubic f64
+    (719, 0x7D7D9E48, 0xCF5E3D3C), // 7x9x11 L2 Linear f32
+    (1028, 0x490B583D, 0xF544E2CB), // 7x9x11 L2 Linear f64
+    (858, 0xE175DB34, 0xF8A91C27), // 7x9x11 L3 Cubic f32
+    (1107, 0xD27AF1B3, 0x691B0F5B), // 7x9x11 L3 Cubic f64
+    (857, 0xF3460A1B, 0xAFA61260), // 7x9x11 L3 Linear f32
+    (1130, 0x8AF22FF2, 0xCCDCE8D7), // 7x9x11 L3 Linear f64
+    (935, 0xAEC1D241, 0x379F1479), // 7x9x11 L4 Cubic f32
+    (1184, 0x9252BF76, 0xDB1115ED), // 7x9x11 L4 Cubic f64
+    (934, 0x275C2CD2, 0x459706CA), // 7x9x11 L4 Linear f32
+    (1207, 0x5966008A, 0xACF84D99), // 7x9x11 L4 Linear f64
+    (1243, 0x1866BD91, 0x1FBE5E34), // 40x36 L2 Cubic f32
+    (1369, 0x18AD7EB4, 0x5AF16B6D), // 40x36 L2 Cubic f64
+    (1697, 0xCD0A7B4F, 0xDA17F49C), // 40x36 L2 Linear f32
+    (2126, 0x69BC2F41, 0x01BD9EFF), // 40x36 L2 Linear f64
+    (1383, 0x7C821AD6, 0xDD2BF36C), // 40x36 L3 Cubic f32
+    (1512, 0x326B7493, 0x8ACC0951), // 40x36 L3 Cubic f64
+    (1840, 0xB483CC1C, 0x739B512E), // 40x36 L3 Linear f32
+    (2267, 0xC2AA3569, 0x7F318CB4), // 40x36 L3 Linear f64
+    (1398, 0xC6107712, 0x82D427C6), // 40x36 L4 Cubic f32
+    (1553, 0xFC0BC19B, 0xA6EE689F), // 40x36 L4 Cubic f64
+    (1872, 0x38750F24, 0x3E5AA856), // 40x36 L4 Linear f32
+    (2327, 0x5F8B6F20, 0xFBACF09C), // 40x36 L4 Linear f64
+    (206, 0x5D506672, 0x1CA04565), // 100 L2 Cubic f32
+    (211, 0x88BD0E39, 0xECFE0FD0), // 100 L2 Cubic f64
+    (273, 0xDBBDB328, 0xF8A5BD9E), // 100 L2 Linear f32
+    (348, 0xBDB16842, 0x895BE4C2), // 100 L2 Linear f64
+    (214, 0x2660E950, 0xE5FC8480), // 100 L3 Cubic f32
+    (232, 0x5F890163, 0x2EA1C489), // 100 L3 Cubic f64
+    (281, 0x618D179C, 0xCA667DE8), // 100 L3 Linear f32
+    (373, 0x5EDA4E48, 0x6C6AA227), // 100 L3 Linear f64
+    (221, 0x6155A88E, 0xA1D5A00F), // 100 L4 Cubic f32
+    (248, 0x7DE2892E, 0xC26CC2D5), // 100 L4 Cubic f64
+    (292, 0x99233443, 0x2F4DB61D), // 100 L4 Linear f32
+    (385, 0x45F02B9C, 0xC0828D25), // 100 L4 Linear f64
+    (609979, 0x02FB9123, 0x6DB63C19), // 128^3 f32
+    (532286, 0x4BAD28B9, 0xE179404B), // 128^3 f64
+    (2305, 0xB11C1153, 0x3E7D266E), // escapes f32
+    (3066, 0xF9437A98, 0xC119D525), // escapes f64
+];
+
+/// Length and CRC-32 of the archive of the signalling-NaN field below.
+const SNAN_ARCHIVE: (usize, u32) = (2376, 0x9811C374);
+
+/// Bounds that give the two generators a healthy mix of codes and escapes.
+const EB_F32: f64 = 1e-3;
+const EB_F64: f64 = 0.5;
+
+fn le_crc<T: Scalar>(field: &Field<T>) -> u32 {
+    let mut bytes = Vec::new();
+    T::write_slice_exact(field.as_slice(), &mut bytes);
+    crc32(&bytes)
+}
+
+fn golden_of<T: Scalar>(field: &Field<T>, config: StzConfig) -> Golden {
+    let archive = StzCompressor::new(config).compress(field).unwrap();
+    let decoded: Field<T> = archive.decompress().unwrap();
+    (archive.compressed_len(), crc32(archive.as_bytes()), le_crc(&decoded))
+}
+
+/// Fields with a huge, a hugely negative and a (quiet) NaN value planted on a
+/// level-3, a level-1 and a level-3 point: all three escape.
+fn escape_fields() -> (Field<f32>, Field<f64>) {
+    let dims = Dims::d3(12, 12, 12);
+    let (mut a, mut b) = (f32_field(dims), f64_field(dims));
+    a.set(5, 5, 5, 3e30);
+    a.set(0, 0, 0, -2e30);
+    a.set(11, 11, 11, f32::NAN);
+    b.set(5, 5, 5, 3e30);
+    b.set(0, 0, 0, -2e30);
+    b.set(11, 11, 11, f64::NAN);
+    (a, b)
+}
+
+fn big() -> Dims {
+    Dims::d3(128, 128, 128)
+}
+
+/// The rows of the golden table, in table order: four small geometries x
+/// 2-4 levels x both interpolations x both element types, one 128^3 field per
+/// element type (multi-chunk blocks, multi-slab parallel paths), and the
+/// escape fields.
+fn golden_rows() -> Vec<(String, Golden)> {
+    let mut rows = Vec::new();
+    for dims in [Dims::d3(33, 31, 35), Dims::d3(7, 9, 11), Dims::d2(40, 36), Dims::d1(100)] {
+        for levels in 2..=4u8 {
+            for interp in [InterpKind::Cubic, InterpKind::Linear] {
+                let cfg = |eb| StzConfig::three_level(eb).with_levels(levels).with_interp(interp);
+                let name = format!("{dims} L{levels} {interp:?}");
+                rows.push((format!("{name} f32"), golden_of(&f32_field(dims), cfg(EB_F32))));
+                rows.push((format!("{name} f64"), golden_of(&f64_field(dims), cfg(EB_F64))));
+            }
+        }
+    }
+    let three = StzConfig::three_level;
+    rows.push(("128^3 f32".into(), golden_of(&f32_field(big()), three(EB_F32))));
+    rows.push(("128^3 f64".into(), golden_of(&f64_field(big()), three(EB_F64))));
+    let (e32, e64) = escape_fields();
+    rows.push(("escapes f32".into(), golden_of(&e32, three(EB_F32))));
+    rows.push(("escapes f64".into(), golden_of(&e64, three(EB_F64))));
+    rows
+}
+
+#[test]
+fn golden_table_matches_the_f64_grid_codec() {
+    let rows = golden_rows();
+    assert_eq!(rows.len(), GOLDEN.len());
+    for ((name, got), want) in rows.iter().zip(GOLDEN) {
+        assert_eq!(*got, want, "{name}: (archive len, archive crc, decoded crc)");
+    }
+}
+
+#[test]
+fn signalling_nan_escapes_come_back_bit_exact() {
+    // The one permitted difference from the golden codec: on levels 2 and up
+    // an escape is the stored `T` and now reaches the output without an
+    // f32 -> f64 -> f32 round trip, which used to quiet a signalling NaN
+    // (0x7FA00001 came back as 0x7FE00001). Level 1 is SZ3's stream, whose
+    // decoder still works in f64 and still quiets it. The archive bytes are
+    // the same either way.
+    let snan = f32::from_bits(0x7FA0_0001);
+    let mut field = f32_field(Dims::d3(12, 12, 12));
+    field.set(4, 8, 0, snan); // level 1
+    field.set(5, 5, 5, snan); // level 3
+    let archive = StzCompressor::new(StzConfig::three_level(EB_F32)).compress(&field).unwrap();
+    assert_eq!((archive.compressed_len(), crc32(archive.as_bytes())), SNAN_ARCHIVE);
+    let back = archive.decompress().unwrap();
+    assert_eq!(back.get(4, 8, 0).to_bits(), 0x7FE0_0001);
+    assert_eq!(back.get(5, 5, 5).to_bits(), snan.to_bits());
+    let region = Region::d3(4..8, 4..8, 4..8);
+    assert_eq!(archive.decompress_region(&region).unwrap().get(1, 1, 1).to_bits(), snan.to_bits());
+}
+
+// ---------------------------------------------------------------------------
+// The same identities at 128^3: blocks of several Huffman chunks, dozens of
+// z-slabs per block on the pool.
+// ---------------------------------------------------------------------------
+
+fn assert_identities_at_128<T: Scalar>(field: &Field<T>, eb: f64) {
+    let _guard = LANE_LOCK.lock().unwrap();
+    let compressor = StzCompressor::new(StzConfig::three_level(eb));
+    let region = Region::d3(37..70, 5..38, 90..128);
+    let (archive, full, levels, roi) = with_lane(stz::simd::Lane::Scalar, || {
+        let archive = compressor.compress(field).unwrap();
+        let full: Field<T> = archive.decompress().unwrap();
+        let levels: Vec<Field<T>> =
+            (1..=3u8).map(|k| archive.decompress_level(k).unwrap()).collect();
+        let roi: Field<T> = archive.decompress_region(&region).unwrap();
+        (archive, full, levels, roi)
+    });
+    // Previews are lattices of the full decode, the ROI a crop of it.
+    for (k, level) in levels.iter().enumerate() {
+        assert_eq!(level, &full.downsample(1 << (2 - k)), "level {}", k + 1);
+    }
+    assert_eq!(roi, full.extract_region(&region));
+
+    for lane in vector_lanes() {
+        with_lane(lane, || {
+            assert_eq!(compressor.compress(field).unwrap().as_bytes(), archive.as_bytes());
+            assert_eq!(archive.decompress().unwrap(), full, "full decode on {lane}");
+            for (k, level) in levels.iter().enumerate() {
+                let got = archive.decompress_level(k as u8 + 1).unwrap();
+                assert_eq!(&got, level, "level {} on {lane}", k + 1);
+            }
+            assert_eq!(archive.decompress_region(&region).unwrap(), roi, "ROI on {lane}");
+        });
+    }
+    for threads in WIDTHS {
+        with_pool(threads, || {
+            let parallel = compressor.compress_parallel(field).unwrap();
+            assert_eq!(parallel.as_bytes(), archive.as_bytes(), "{threads} thread(s)");
+            assert_eq!(archive.decompress_parallel().unwrap(), full, "{threads} thread(s)");
+            let mut steps = archive.progressive().parallel(true);
+            for (k, level) in levels.iter().enumerate() {
+                let got = steps.next_level().unwrap().unwrap();
+                assert_eq!(&got, level, "level {} at {threads} thread(s)", k + 1);
+            }
+        });
+    }
+}
+
+#[test]
+fn f32_identities_hold_at_128_cubed() {
+    assert_identities_at_128(&f32_field(big()), EB_F32);
+}
+
+#[test]
+fn f64_identities_hold_at_128_cubed() {
+    assert_identities_at_128(&f64_field(big()), EB_F64);
+}
