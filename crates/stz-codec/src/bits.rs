@@ -10,10 +10,14 @@ use crate::{CodecError, Result};
 /// pads the final partial byte with zero bits.
 #[derive(Default, Debug, Clone)]
 pub struct BitWriter {
-    buf: Vec<u8>,
-    acc: u64,
-    /// Number of valid bits currently in `acc` (0..=63).
-    nbits: u32,
+    /// Crate-visible, like [`BitReader`]'s, so the Huffman encode loop can
+    /// keep the accumulator in registers and flush it a word at a time (see
+    /// `HuffmanEncoder::encode_into`).
+    pub(crate) buf: Vec<u8>,
+    /// Pending bits in the low `nbits`; whatever lies above them is stale.
+    pub(crate) acc: u64,
+    /// Number of valid bits currently in `acc`: below 8 between calls.
+    pub(crate) nbits: u32,
 }
 
 impl BitWriter {

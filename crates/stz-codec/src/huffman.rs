@@ -4,13 +4,26 @@
 //! §2.1 step 3). Codes are *canonical*: they are fully determined by the code
 //! lengths plus the symbol ordering, so the serialized table stores only
 //! `(symbol, length)` pairs. Lengths are limited to [`MAX_CODE_LEN`] bits by
-//! a Kraft-sum repair pass, which keeps the decoder's fast path a single
-//! table lookup.
+//! a Kraft-sum repair pass.
 //!
-//! Decoding uses a one-level lookup table covering codes up to
-//! [`TABLE_BITS`] bits (the overwhelmingly common case for quantization-code
-//! streams, whose distribution is sharply peaked at zero), falling back to
-//! canonical first-code walking for longer codes.
+//! Decoding is table-driven at three depths, all derived from the one set of
+//! canonical arrays. A stream long enough to repay it gets a *packed* table:
+//! every window of up to [`TABLE_BITS`] bits maps to all the symbols whose
+//! codes lie wholly inside it — up to seven, a byte each — so one lookup
+//! yields several symbols, and the all-zeros window of a one-bit code turns
+//! into a run as long as the zero bits last (quantization-code streams are
+//! sharply peaked at zero, down to a seventh of a bit per symbol). A window
+//! the packed table cannot answer — a symbol past a byte, a code past the
+//! window — takes one symbol from the single-symbol table of [`TABLE_BITS`]
+//! bits, and codes longer than that walk the canonical first codes. The
+//! per-symbol path ([`HuffmanDecoder::decode_symbol`]) is the reference: for
+//! every input, valid or hostile, the batch decoders return its symbols, its
+//! error and its final bit position.
+//!
+//! Encoding counts in interleaved sub-histograms, so a stream that is nearly
+//! all one symbol does not serialize on one counter, and emits through a
+//! packed `(code, length)` table into an accumulator flushed a word at a
+//! time; the bytes are those of one [`BitWriter::put`] per symbol.
 
 use crate::bits::{BitReader, BitWriter};
 use crate::byteio::{ByteReader, ByteWriter};
@@ -22,11 +35,73 @@ pub const MAX_CODE_LEN: u32 = 32;
 /// Width of the one-level decode lookup table.
 pub const TABLE_BITS: u32 = 12;
 
+/// Symbols a packed-table entry can hold, and the output slots every lookup
+/// stores (the entry's eight bytes, the last being its counts).
+const PACK_SYMBOLS: u64 = 7;
+const PACK_SLOTS: usize = 8;
+/// Packed entry of the all-zeros window when `0` is a whole code: count 0
+/// and the one bit pattern no real entry has (31 bits used).
+const PACK_RUN: u64 = 31 << 59;
+/// Symbols decoded per packed-table entry built (see
+/// `HuffmanDecoder::packed_bits`).
+const PACK_RATIO: usize = 16;
+/// Stream length from which the decoder's packed table is as wide as it
+/// gets, [`TABLE_BITS`] bits: what a fuzz seed must reach to exercise the
+/// decode loop as production chunks do.
+pub const PACKED_TABLE_FULL: usize = PACK_RATIO << TABLE_BITS;
+/// The symbol bytes of a packed entry.
+const PACK_BYTES: u64 = (1 << 56) - 1;
+
 /// Canonical Huffman encoder over a dense `u32` symbol alphabet.
 #[derive(Debug, Clone)]
 pub struct HuffmanEncoder {
-    /// Per-symbol `(code, length)`; length 0 means the symbol never occurs.
-    codes: Vec<(u32, u8)>,
+    /// Per-symbol `code << 8 | length`, one load per symbol in the encode
+    /// loop; 0 means the symbol never occurs.
+    codes: Vec<u64>,
+}
+
+/// Largest alphabet counted in [`HIST_LANES`] interleaved sub-histograms:
+/// 4 × 1024 `u32` counters are 16 KB, half of a 32 KB L1d. Quantization
+/// symbols are `zigzag(code) + 1`, so real streams sit far below it.
+const HIST_ALPHABET: usize = 1 << 10;
+const HIST_LANES: usize = 4;
+
+/// `freqs[s]` = occurrences of `s` in `symbols`, for `s` up to the largest
+/// symbol present.
+///
+/// A stream that is 99 % one symbol makes every increment of a single
+/// histogram wait on the store of the previous one to the same counter, so
+/// consecutive symbols go to different sub-histograms, summed at the end.
+fn histogram(symbols: &[u32]) -> Vec<u64> {
+    let Some(max) = symbols.iter().copied().max() else {
+        return Vec::new();
+    };
+    let alphabet = max as usize + 1;
+    let mut freqs = vec![0u64; alphabet];
+    // Neither worth it when summing the lanes would outweigh the counting.
+    let lanes = HIST_LANES * alphabet;
+    if alphabet > HIST_ALPHABET || symbols.len() < lanes || symbols.len() > u32::MAX as usize {
+        for &s in symbols {
+            freqs[s as usize] += 1;
+        }
+        return freqs;
+    }
+    let mut lanes = vec![0u32; lanes];
+    let groups = symbols.chunks_exact(HIST_LANES);
+    for &s in groups.remainder() {
+        lanes[s as usize] += 1;
+    }
+    for group in groups {
+        for (lane, &s) in group.iter().enumerate() {
+            lanes[lane * alphabet + s as usize] += 1;
+        }
+    }
+    for lane in lanes.chunks_exact(alphabet) {
+        for (f, &c) in freqs.iter_mut().zip(lane) {
+            *f += c as u64;
+        }
+    }
+    freqs
 }
 
 impl HuffmanEncoder {
@@ -40,64 +115,69 @@ impl HuffmanEncoder {
 
     /// Build an encoder directly from a symbol stream.
     pub fn from_symbols(symbols: &[u32]) -> Self {
-        let alphabet = symbols.iter().copied().max().map_or(0, |m| m as usize + 1);
-        let mut freqs = vec![0u64; alphabet];
-        for &s in symbols {
-            freqs[s as usize] += 1;
-        }
-        Self::from_frequencies(&freqs)
+        Self::from_frequencies(&histogram(symbols))
     }
 
     /// Append the code for one symbol.
     #[inline]
     pub fn encode_symbol(&self, symbol: u32, w: &mut BitWriter) {
-        let (code, len) = self.codes[symbol as usize];
-        debug_assert!(len > 0, "symbol {symbol} has no code (zero frequency)");
-        w.put(code as u64, len as u32);
+        let entry = self.codes[symbol as usize];
+        debug_assert!(entry != 0, "symbol {symbol} has no code (zero frequency)");
+        w.put(entry >> 8, (entry & 0xFF) as u32);
     }
 
-    /// Append codes for a whole stream.
+    /// Append codes for a whole stream: the bytes [`HuffmanEncoder::encode_symbol`]
+    /// would append one symbol at a time.
     pub fn encode_into(&self, symbols: &[u32], w: &mut BitWriter) {
+        // The accumulator lives in registers and leaves 32 bits at a time:
+        // fewer than 32 pending bits plus a code of at most `MAX_CODE_LEN`
+        // fit the 64-bit accumulator, and whatever is shifted out above them
+        // has already been written.
+        let codes = &self.codes[..];
+        let (mut acc, mut nbits) = (w.acc, w.nbits);
         for &s in symbols {
-            self.encode_symbol(s, w);
+            let entry = codes[s as usize];
+            debug_assert!(entry != 0, "symbol {s} has no code (zero frequency)");
+            let len = (entry & 0xFF) as u32;
+            acc = (acc << len) | (entry >> 8);
+            nbits += len;
+            if nbits >= 32 {
+                nbits -= 32;
+                w.buf.extend_from_slice(&((acc >> nbits) as u32).to_be_bytes());
+            }
         }
+        // Hand the writer back as `put` leaves it: fewer than 8 bits pending.
+        while nbits >= 8 {
+            nbits -= 8;
+            w.buf.push((acc >> nbits) as u8);
+        }
+        (w.acc, w.nbits) = (acc, nbits);
     }
 
     /// Exact encoded size in bits for a frequency histogram.
     pub fn encoded_bits(&self, freqs: &[u64]) -> u64 {
-        freqs
-            .iter()
-            .enumerate()
-            .map(|(s, &f)| f * self.codes.get(s).map_or(0, |&(_, l)| l as u64))
-            .sum()
+        freqs.iter().zip(&self.codes).map(|(&f, &entry)| f * (entry & 0xFF)).sum()
     }
 
     /// Serialize the code table (lengths only — codes are canonical).
     pub fn serialize_table(&self, w: &mut ByteWriter) {
-        let entries: Vec<(u32, u8)> = self
-            .codes
-            .iter()
-            .enumerate()
-            .filter(|(_, &(_, len))| len > 0)
-            .map(|(sym, &(_, len))| (sym as u32, len))
-            .collect();
-        w.put_uvarint(entries.len() as u64);
+        w.put_uvarint(self.coded_symbols() as u64);
         let mut prev = 0u32;
-        for &(sym, len) in &entries {
-            w.put_uvarint((sym - prev) as u64);
-            w.put_u8(len);
-            prev = sym;
+        for (sym, &entry) in self.codes.iter().enumerate().filter(|(_, &entry)| entry != 0) {
+            w.put_uvarint((sym as u32 - prev) as u64);
+            w.put_u8(entry as u8);
+            prev = sym as u32;
         }
     }
 
     /// Number of symbols that have a code.
     pub fn coded_symbols(&self) -> usize {
-        self.codes.iter().filter(|&&(_, l)| l > 0).count()
+        self.codes.iter().filter(|&&entry| entry != 0).count()
     }
 
     /// Code length of `symbol` in bits (0 if uncoded).
     pub fn code_len(&self, symbol: u32) -> u8 {
-        self.codes.get(symbol as usize).map_or(0, |&(_, l)| l)
+        self.codes.get(symbol as usize).map_or(0, |&entry| entry as u8)
     }
 }
 
@@ -156,6 +236,10 @@ impl HuffmanDecoder {
 
     /// Build a decoder from `(symbol, length)` pairs (ascending symbols).
     pub fn from_entries(entries: &[(u32, u8)]) -> Result<Self> {
+        // Canonical order, and with it every table below, rests on it.
+        if entries.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+            return Err(CodecError::corrupt("huffman table symbols not ascending"));
+        }
         let mut count = [0u32; MAX_CODE_LEN as usize + 1];
         let mut max_len = 0u32;
         for &(_, len) in entries {
@@ -251,8 +335,9 @@ impl HuffmanDecoder {
 
     /// Decode exactly `n` symbols.
     pub fn decode_n(&self, r: &mut BitReader<'_>, n: usize) -> Result<Vec<u32>> {
-        let mut out = Vec::new();
-        self.decode_n_into(r, n, &mut out)?;
+        // A fresh buffer comes zeroed from the allocator: no fill pass.
+        let mut out = vec![0u32; Self::slots_for(r, n)];
+        self.decode_sized(r, n, 0, &mut out)?;
         Ok(out)
     }
 
@@ -260,58 +345,237 @@ impl HuffmanDecoder {
     /// decodes block after block can keep one buffer. On an error `out`
     /// keeps whatever was decoded before it.
     pub fn decode_n_into(&self, r: &mut BitReader<'_>, n: usize, out: &mut Vec<u32>) -> Result<()> {
-        // `n` is caller-declared, but each decoded symbol consumes at least
-        // one input bit, so clamping the reservation to the real input size
-        // bounds the allocation even when the declared count lies — while an
-        // honest `n` gets its exact capacity up front (no growth copies in
-        // the decode hot loop).
-        out.reserve(n.min(r.bits_remaining() as usize));
-        let n = out.len() + n;
-        let table = &self.table[..];
-        let tb = self.table_bits;
-        if tb > 0 && table.len() == 1usize << tb {
-            // Hot loop: reader state lives in registers, the table index is
-            // masked to the (length-checked) table size so no per-symbol
-            // bounds check or `Result` survives, and refills use the 8-byte
-            // fast path. The last few bytes of input — where the fast refill
-            // no longer applies — and long codes fall back to
-            // `decode_symbol`, which reproduces the exact same bit stream
-            // semantics (the fast loop merely batches its state updates).
-            let data = r.data;
-            let (mut pos, mut acc, mut nbits) = (r.pos, r.acc, r.nbits);
-            while out.len() < n {
-                if nbits < tb {
-                    if pos + 8 > data.len() {
-                        break;
-                    }
-                    let take = ((64 - nbits) >> 3) as usize;
-                    let word = u64::from_be_bytes(data[pos..pos + 8].try_into().unwrap());
-                    acc = if take == 8 {
-                        word
-                    } else {
-                        (acc << (8 * take)) | (word >> (64 - 8 * take as u32))
-                    };
-                    pos += take;
-                    nbits += 8 * take as u32;
-                }
-                let prefix = (acc >> (nbits - tb)) as usize & (table.len() - 1);
-                let (sym, len) = table[prefix];
-                if len == 0 {
-                    // Long code: hand the reader back and take the cold path.
-                    (r.pos, r.acc, r.nbits) = (pos, acc, nbits);
-                    out.push(self.decode_long(r)?);
-                    (pos, acc, nbits) = (r.pos, r.acc, r.nbits);
-                    continue;
-                }
-                nbits -= len as u32;
-                out.push(sym);
-            }
-            (r.pos, r.acc, r.nbits) = (pos, acc, nbits);
-        }
-        for _ in out.len()..n {
+        let start = out.len();
+        out.resize(start + Self::slots_for(r, n), 0);
+        self.decode_sized(r, n, start, out)
+    }
+
+    /// Output slots to commit for `n` declared symbols. `n` is
+    /// caller-declared, but each decoded symbol consumes at least one input
+    /// bit, so clamping to the real input size bounds the allocation even
+    /// when the declared count lies — while an honest `n` gets its exact
+    /// size up front.
+    fn slots_for(r: &BitReader<'_>, n: usize) -> usize {
+        n.min(r.bits_remaining() as usize)
+    }
+
+    /// Decode `n` symbols into `out[start..]`, which [`Self::slots_for`]
+    /// sized; a count beyond the slots can only run into the end of the
+    /// input, one symbol at a time.
+    fn decode_sized(
+        &self,
+        r: &mut BitReader<'_>,
+        n: usize,
+        start: usize,
+        out: &mut Vec<u32>,
+    ) -> Result<()> {
+        let slots = out.len() - start;
+        let (done, result) = self.decode_into_slice(r, &mut out[start..]);
+        out.truncate(start + done);
+        result?;
+        for _ in slots..n {
             out.push(self.decode_symbol(r)?);
         }
         Ok(())
+    }
+
+    /// Decode `out.len()` symbols into `out`: how many were stored, and the
+    /// error that stopped the decode short of all of them, if one did. For
+    /// every input the count, the stored prefix, the error and the reader's
+    /// final position are those of [`HuffmanDecoder::decode_symbol`] called
+    /// `out.len()` times; slots past the count are unspecified.
+    pub fn decode_into_slice(&self, r: &mut BitReader<'_>, out: &mut [u32]) -> (usize, Result<()>) {
+        // The hot loop, with the packed table the stream is worth or without
+        // one, then whatever it left, one symbol at a time.
+        let (mut done, hot) = match Self::packed_bits(out.len(), r.bits_remaining()) {
+            0 => self.decode_hot::<false>(r, out, &[], 0),
+            pbits => {
+                self.decode_hot::<true>(r, out, &self.packed_table(pbits)[1 << pbits..], pbits)
+            }
+        };
+        if hot.is_err() {
+            return (done, hot);
+        }
+        for slot in &mut out[done..] {
+            match self.decode_symbol(r) {
+                Ok(symbol) => *slot = symbol,
+                Err(e) => return (done, Err(e)),
+            }
+            done += 1;
+        }
+        (done, Ok(()))
+    }
+
+    /// Index width of the packed table worth building to decode `n` symbols
+    /// from `bits` bits of input; 0 when none is.
+    ///
+    /// Measured on 65,536-symbol chunks of quantization codes (one thread,
+    /// 2.1 GHz Xeon): an entry costs ~2.3 ns to build and a lookup ~3 ns
+    /// whichever table answers it, so a table pays for itself once each
+    /// entry serves [`PACK_RATIO`] symbols (8, 16 and 32 measure alike; 64
+    /// gives up a tenth at 3 bits per symbol) — but only if lookups return at
+    /// least two symbols on average, `pbits / (bits / n)`: below that (5.7
+    /// bits per symbol gains a tenth, 7.6 loses a quarter) hits and misses
+    /// alternate unpredictably and the single-symbol table alone is faster.
+    fn packed_bits(n: usize, bits: u64) -> u32 {
+        let pbits = match n / PACK_RATIO {
+            0 => 0,
+            entries => entries.ilog2().min(TABLE_BITS),
+        };
+        if pbits as u64 * n as u64 >= 2 * bits {
+            pbits
+        } else {
+            0
+        }
+    }
+
+    /// The packed tables of every width up to `pbits`, the entry of `window`
+    /// among the windows of `w` bits at `(1 << w) + window`: every symbol
+    /// whose code lies wholly inside the window — up to [`PACK_SYMBOLS`] of
+    /// them, one byte each from the low byte up — with their number in bits
+    /// 56..59 and their total code length in bits 59..64. The hot loop uses
+    /// the widest, the upper half; the narrower ones are what it is built
+    /// from, since a window is its first code and then a narrower window.
+    /// Built from the canonical arrays the single-symbol table comes from —
+    /// a test holds it to a greedy walk of that table — so there is no
+    /// second source of truth.
+    ///
+    /// A window whose first symbol has no byte-sized value or no code inside
+    /// the window is 0: the hot loop sends that one symbol through the
+    /// single-symbol table. The widest all-zeros window of a table whose
+    /// first code is the one bit `0` is [`PACK_RUN`] instead: a run of that
+    /// symbol as long as the zero bits last.
+    fn packed_table(&self, pbits: u32) -> Vec<u64> {
+        let mut tables = vec![0u64; 2 << pbits];
+        // One symbol of `len` bits in byte `slot` of an entry, counted.
+        let one = |symbol: u32, len: u32, slot: u64| {
+            (symbol as u64) << (8 * slot) | 1 << 56 | (len as u64) << 59
+        };
+        // What an entry gives back when an eighth symbol pushes its seventh
+        // out, by that symbol.
+        let mut seventh = [0u64; 256];
+        for len in 1..=self.max_len.min(pbits) {
+            let first = self.offset[len as usize] as usize;
+            for &symbol in &self.symbols[first..first + self.count[len as usize] as usize] {
+                if let Some(entry) = seventh.get_mut(symbol as usize) {
+                    *entry = one(symbol, len, PACK_SYMBOLS - 1);
+                }
+            }
+        }
+        for width in 1..=pbits {
+            let (narrower, wider) = tables.split_at_mut(1 << width);
+            let mut at = 0;
+            for len in 1..=self.max_len.min(width) {
+                // Canonical codes ascend with (length, symbol), so the codes
+                // of this length tile the windows from `at` on, each taking
+                // the `share` windows that go on after it — whose entries
+                // are it and then those of the `width - len`-bit table.
+                let share = 1usize << (width - len);
+                let rest = &narrower[share..2 * share];
+                let first = self.offset[len as usize] as usize;
+                for &symbol in &self.symbols[first..first + self.count[len as usize] as usize] {
+                    if symbol <= 0xFF {
+                        let head = one(symbol, len, 0);
+                        for (entry, &rest) in wider[at..at + share].iter_mut().zip(rest) {
+                            let rest = match rest >> 56 & 7 {
+                                PACK_SYMBOLS => rest - seventh[(rest >> 48) as usize & 0xFF],
+                                _ => rest,
+                            };
+                            *entry = ((rest & PACK_BYTES) << 8 | rest & !PACK_BYTES) + head;
+                        }
+                    }
+                    at += share;
+                }
+            }
+        }
+        if self.count[1] > 0 {
+            tables[1 << pbits] = PACK_RUN;
+        }
+        tables
+    }
+
+    /// The hot loop of [`HuffmanDecoder::decode_into_slice`]: symbols through
+    /// the packed table of `pbits` bits (if `PACKED`; without it the same
+    /// source compiles to the plain single-symbol loop) while at least
+    /// [`PACK_SLOTS`] output slots and a whole 8-byte refill remain. Returns
+    /// how many symbols it stored and the error of the long code that
+    /// stopped it, if one did.
+    fn decode_hot<const PACKED: bool>(
+        &self,
+        r: &mut BitReader<'_>,
+        out: &mut [u32],
+        packed: &[u64],
+        pbits: u32,
+    ) -> (usize, Result<()>) {
+        let (table, tb) = (&self.table[..], self.table_bits);
+        if tb == 0 || table.len() != 1 << tb || (PACKED && packed.len() != 1 << pbits) {
+            return (0, Ok(()));
+        }
+        let run_symbol = self.symbols[0];
+        // Reader state lives in registers. A packed hit stores all
+        // `PACK_SLOTS` slots — the entry's bytes — and advances by its
+        // counts; table indices are masked to the (length-checked) table
+        // sizes, so no per-symbol branch, bounds check or `Result` survives,
+        // and refills use the 8-byte path. The last slots, the last bytes of
+        // input — where that refill no longer applies — and long codes go
+        // through `decode_symbol` / `decode_long`, which keep the exact bit
+        // stream semantics (this loop merely batches their state updates).
+        let data = r.data;
+        let (mut pos, mut acc, mut nbits) = (r.pos, r.acc, r.nbits);
+        let mut o = 0usize;
+        while o + PACK_SLOTS <= out.len() {
+            if nbits < TABLE_BITS {
+                if pos + 8 > data.len() {
+                    break;
+                }
+                let take = ((64 - nbits) >> 3) as usize;
+                let word = u64::from_be_bytes(data[pos..pos + 8].try_into().unwrap());
+                acc = if take == 8 {
+                    word
+                } else {
+                    (acc << (8 * take)) | (word >> (64 - 8 * take as u32))
+                };
+                pos += take;
+                nbits += 8 * take as u32;
+            }
+            if PACKED {
+                let entry = packed[(acc >> (nbits - pbits)) as usize & (packed.len() - 1)];
+                let count = (entry >> 56) as usize & 7;
+                if count > 0 {
+                    let slots: &mut [u32; PACK_SLOTS] =
+                        (&mut out[o..o + PACK_SLOTS]).try_into().expect("PACK_SLOTS slots");
+                    *slots = entry.to_le_bytes().map(u32::from);
+                    o += count;
+                    nbits -= (entry >> 59) as u32;
+                    continue;
+                }
+                if entry == PACK_RUN {
+                    // Every leading zero bit is one more `run_symbol`.
+                    let zeros = (acc << (64 - nbits)).leading_zeros().min(nbits) as usize;
+                    let run = zeros.min(out.len() - o);
+                    out[o..o + run].fill(run_symbol);
+                    o += run;
+                    nbits -= run as u32;
+                    continue;
+                }
+            }
+            let (symbol, len) = table[(acc >> (nbits - tb)) as usize & (table.len() - 1)];
+            if len > 0 {
+                out[o] = symbol;
+                nbits -= len as u32;
+            } else {
+                // Long code: hand the reader back and take the cold path.
+                (r.pos, r.acc, r.nbits) = (pos, acc, nbits);
+                match self.decode_long(r) {
+                    Ok(symbol) => out[o] = symbol,
+                    Err(e) => return (o, Err(e)),
+                }
+                (pos, acc, nbits) = (r.pos, r.acc, r.nbits);
+            }
+            o += 1;
+        }
+        (r.pos, r.acc, r.nbits) = (pos, acc, nbits);
+        (o, Ok(()))
     }
 
     /// Number of symbols in the table.
@@ -419,8 +683,8 @@ fn limit_lengths(depths: &mut [u32], nonzero: &[usize], freqs: &[u64], limit: u3
     }
 }
 
-/// Assign canonical codes from lengths.
-fn assign_canonical(lengths: &[u8]) -> Vec<(u32, u8)> {
+/// Assign canonical codes from lengths, packed `code << 8 | length`.
+fn assign_canonical(lengths: &[u8]) -> Vec<u64> {
     let mut count = [0u32; MAX_CODE_LEN as usize + 1];
     for &l in lengths {
         count[l as usize] += 1;
@@ -432,10 +696,10 @@ fn assign_canonical(lengths: &[u8]) -> Vec<(u32, u8)> {
         code = (code + count[len - 1] as u64) << 1;
         next_code[len] = code;
     }
-    let mut out = vec![(0u32, 0u8); lengths.len()];
+    let mut out = vec![0u64; lengths.len()];
     for (sym, &len) in lengths.iter().enumerate() {
         if len > 0 {
-            out[sym] = (next_code[len as usize] as u32, len);
+            out[sym] = next_code[len as usize] << 8 | len as u64;
             next_code[len as usize] += 1;
         }
     }
@@ -451,11 +715,19 @@ fn assign_canonical(lengths: &[u8]) -> Vec<(u32, u8)> {
 /// with a sharply peaked code distribution Huffman floors at 1 bit/symbol,
 /// while the payload bytes become long constant runs that RLE collapses.
 pub fn encode_block(symbols: &[u32]) -> Vec<u8> {
-    let enc = HuffmanEncoder::from_symbols(symbols);
+    encode_block_counting(symbols).0
+}
+
+/// [`encode_block`], also returning how often symbol 0 — the quantizer's
+/// escape — occurs in the stream: the histogram the codes are built from has
+/// counted it already.
+pub fn encode_block_counting(symbols: &[u32]) -> (Vec<u8>, usize) {
+    let freqs = histogram(symbols);
+    let enc = HuffmanEncoder::from_frequencies(&freqs);
     let mut w = ByteWriter::new();
     enc.serialize_table(&mut w);
     w.put_uvarint(symbols.len() as u64);
-    let mut bw = BitWriter::with_capacity(symbols.len() / 2);
+    let mut bw = BitWriter::with_capacity(enc.encoded_bits(&freqs).div_ceil(8) as usize);
     enc.encode_into(symbols, &mut bw);
     let payload = bw.finish();
     let rle = crate::rle::encode(&payload);
@@ -466,19 +738,42 @@ pub fn encode_block(symbols: &[u32]) -> Vec<u8> {
         w.put_u8(0);
         w.put_block(&payload);
     }
-    w.finish()
+    (w.finish(), freqs.first().map_or(0, |&zeros| zeros as usize))
 }
 
 /// Inverse of [`encode_block`].
 pub fn decode_block(data: &[u8]) -> Result<Vec<u32>> {
-    let mut out = Vec::new();
-    decode_block_into(data, &mut out)?;
-    Ok(out)
+    with_block(data, |dec, r, n| dec.decode_n(r, n))
 }
 
 /// [`decode_block`] onto the end of a caller's buffer, so one buffer can take
 /// block after block. On an error `out` keeps whatever was decoded before it.
 pub fn decode_block_into(data: &[u8], out: &mut Vec<u32>) -> Result<()> {
+    with_block(data, |dec, r, n| dec.decode_n_into(r, n, out))
+}
+
+/// [`decode_block`] into a caller's slice — no allocation, no fill: returns
+/// the number of symbols the block holds, of which the first `out.len()` are
+/// stored. A caller that expects a count sizes `out` to it and compares. The
+/// block is decoded to its end either way, so a stream that breaks after
+/// `out` is full fails exactly as it does in [`decode_block`].
+pub fn decode_block_into_slice(data: &[u8], out: &mut [u32]) -> Result<usize> {
+    with_block(data, |dec, r, n| {
+        let stored = n.min(out.len());
+        dec.decode_into_slice(r, &mut out[..stored]).1?;
+        for _ in stored..n {
+            dec.decode_symbol(r)?;
+        }
+        Ok(n)
+    })
+}
+
+/// Parse a block up to its bit stream and hand `decode` the table's decoder,
+/// a reader over the (un-run-length-coded) payload and the declared count.
+fn with_block<R>(
+    data: &[u8],
+    decode: impl FnOnce(&HuffmanDecoder, &mut BitReader<'_>, usize) -> Result<R>,
+) -> Result<R> {
     let mut r = ByteReader::new(data);
     let dec = HuffmanDecoder::deserialize(&mut r)?;
     let n = r.get_uvarint()? as usize;
@@ -499,8 +794,7 @@ pub fn decode_block_into(data: &[u8], out: &mut Vec<u32>) -> Result<()> {
     } else {
         block
     };
-    let mut br = BitReader::new(payload_ref);
-    dec.decode_n_into(&mut br, n, out)
+    decode(&dec, &mut BitReader::new(payload_ref), n)
 }
 
 #[cfg(test)]
@@ -605,6 +899,9 @@ mod tests {
         // Kraft violation: three 1-bit codes.
         let entries = [(0u32, 1u8), (1, 1), (2, 1)];
         assert!(HuffmanDecoder::from_entries(&entries).is_err());
+        // Symbols out of order, or twice.
+        assert!(HuffmanDecoder::from_entries(&[(1, 1), (0, 1)]).is_err());
+        assert!(HuffmanDecoder::from_entries(&[(1, 1), (1, 2)]).is_err());
     }
 
     #[test]
@@ -673,6 +970,336 @@ mod tests {
             })
             .sum();
         assert!(bits <= entropy + total as f64, "bits {bits} vs entropy {entropy}");
+    }
+
+    // ---- The per-symbol reference coders, and the fast paths held to them.
+
+    /// What a decode leaves behind: the symbols, how it ended, and where the
+    /// reader stopped.
+    type Decoded = (Vec<u32>, Result<()>, u64);
+
+    /// The reference decoder: `decode_symbol`, `n` times.
+    fn reference_decode(dec: &HuffmanDecoder, data: &[u8], n: usize) -> Decoded {
+        let mut r = BitReader::new(data);
+        let mut out = Vec::new();
+        for _ in 0..n {
+            match dec.decode_symbol(&mut r) {
+                Ok(symbol) => out.push(symbol),
+                Err(e) => return (out, Err(e), r.bits_consumed()),
+            }
+        }
+        (out, Ok(()), r.bits_consumed())
+    }
+
+    /// The fast decoder through each of its fronts, which must all agree.
+    fn fast_decode(dec: &HuffmanDecoder, data: &[u8], n: usize) -> Decoded {
+        let mut r = BitReader::new(data);
+        let mut appended = vec![7u32, 7];
+        let result = dec.decode_n_into(&mut r, n, &mut appended);
+        assert_eq!(appended[..2], [7, 7], "decode_n_into appends");
+        let appended = (appended[2..].to_vec(), result, r.bits_consumed());
+
+        let mut r = BitReader::new(data);
+        let fresh = dec.decode_n(&mut r, n);
+        assert_eq!(fresh.clone().err(), appended.1.clone().err());
+        assert_eq!(r.bits_consumed(), appended.2);
+        if let Ok(fresh) = fresh {
+            assert!(fresh == appended.0, "decode_n and decode_n_into differ");
+        }
+
+        // The slice front cannot hold more than the input has bits for.
+        let mut r = BitReader::new(data);
+        let mut slots = vec![u32::MAX; n.min(data.len() * 8)];
+        let (done, result) = dec.decode_into_slice(&mut r, &mut slots);
+        if slots.len() == n {
+            assert_eq!(
+                (&slots[..done], &result, r.bits_consumed()),
+                (&appended.0[..], &appended.1, appended.2)
+            );
+        }
+        appended
+    }
+
+    fn assert_decodes_alike(dec: &HuffmanDecoder, data: &[u8], n: usize, what: &str) {
+        let (fast, reference) = (fast_decode(dec, data, n), reference_decode(dec, data, n));
+        assert_eq!(
+            (fast.0.len(), &fast.1, fast.2),
+            (reference.0.len(), &reference.1, reference.2),
+            "{what}, n = {n}"
+        );
+        assert!(fast.0 == reference.0, "{what}, n = {n}: symbols differ");
+    }
+
+    /// The reference encoder: one `put` per symbol.
+    fn reference_encode(enc: &HuffmanEncoder, symbols: &[u32], w: &mut BitWriter) {
+        for &s in symbols {
+            enc.encode_symbol(s, w);
+        }
+    }
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+    }
+
+    /// A complete code with lengths `1, 2, .., max_len - 1, max_len, max_len`
+    /// (one symbol of one bit when `max_len` is 0), over symbols that include
+    /// values past a byte, past 16 bits and a sparse 1,000,000.
+    fn comb_table(max_len: u8) -> Vec<(u32, u8)> {
+        const SYMBOLS: [u32; 8] = [3, 9, 200, 256, 70_000, 1_000_000, 1_000_001, 4_000_000_000];
+        let lens: Vec<u8> = match max_len {
+            0 => vec![1],
+            _ => (1..=max_len).chain([max_len]).collect(),
+        };
+        // Ascending symbols; which of them gets the short codes rotates.
+        let mut entries: Vec<(u32, u8)> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                let turn = (i + max_len as usize) % lens.len();
+                (SYMBOLS[turn % 8] + turn as u32 / 8 * 17, len)
+            })
+            .collect();
+        entries.sort_unstable();
+        entries.dedup_by_key(|e| e.0);
+        entries
+    }
+
+    /// `n` symbols drawn so that a code of `len` bits turns up about once in
+    /// `2^len` draws, and their encoding: one `put` per symbol of the
+    /// canonical code of `entries`, worked out here from its definition.
+    fn random_stream(entries: &[(u32, u8)], n: usize, seed: u64) -> (Vec<u32>, Vec<u8>) {
+        let mut by_length: Vec<(u8, u32)> =
+            entries.iter().map(|&(symbol, len)| (len, symbol)).collect();
+        by_length.sort_unstable();
+        let (mut code, mut code_len) = (0u64, by_length[0].0);
+        let codes: Vec<(u32, u64, u8)> = by_length
+            .iter()
+            .map(|&(len, symbol)| {
+                code <<= len - code_len;
+                code_len = len;
+                code += 1;
+                (symbol, code - 1, len)
+            })
+            .collect();
+        let mut rng = XorShift(seed | 1);
+        let mut w = BitWriter::new();
+        let symbols = (0..n)
+            .map(|_| loop {
+                let (symbol, code, len) = codes[rng.next() as usize % codes.len()];
+                if len <= 2 || rng.next() >> 40 & ((1 << len.min(20)) - 1) == 0 {
+                    w.put(code, len as u32);
+                    break symbol;
+                }
+            })
+            .collect();
+        (symbols, w.finish())
+    }
+
+    /// Symbol counts on both sides of every packed-table width: no table
+    /// below `PACK_RATIO * 2`, then one bit wider at each doubling.
+    fn counts() -> Vec<usize> {
+        let mut counts: Vec<usize> = (0..=70).collect();
+        for p in 1..=TABLE_BITS + 1 {
+            let edge = PACK_RATIO << p;
+            counts.extend([edge - 1, edge, edge + PACK_SLOTS + 1]);
+        }
+        counts
+    }
+
+    #[test]
+    fn fast_decode_equals_reference_on_generated_tables() {
+        for max_len in 0..=MAX_CODE_LEN as u8 {
+            let entries = comb_table(max_len);
+            let dec = HuffmanDecoder::from_entries(&entries).unwrap();
+            let (symbols, payload) = random_stream(&entries, 70_000, 0xA5A5 + max_len as u64);
+            for n in counts() {
+                assert_decodes_alike(&dec, &payload, n, &format!("max_len {max_len}"));
+            }
+            let (fast, result, _) = fast_decode(&dec, &payload, symbols.len());
+            assert!(fast == symbols && result.is_ok(), "max_len {max_len}: {result:?}");
+            // A count the payload cannot hold runs into its end.
+            assert_decodes_alike(&dec, &payload[..payload.len() / 3], 70_000, "short payload");
+            // Random bits: every symbol of the table, the giants included,
+            // and — where the code is incomplete — undecodable prefixes.
+            let mut rng = XorShift(77 + max_len as u64);
+            let noise: Vec<u8> = (0..4096).map(|_| rng.next() as u8).collect();
+            for n in [70, 1024, 4096, 40_000] {
+                assert_decodes_alike(&dec, &noise, n, &format!("noise, max_len {max_len}"));
+                let incomplete = HuffmanDecoder::from_entries(&entries[1..]).unwrap();
+                assert_decodes_alike(&incomplete, &noise, n, &format!("incomplete {max_len}"));
+            }
+        }
+    }
+
+    /// Two-sided geometric quantization codes (`zigzag + 1`) around zero.
+    fn quantization_codes(q: f64, n: usize, seed: u64) -> Vec<u32> {
+        let mut rng = XorShift(seed | 1);
+        (0..n)
+            .map(|_| {
+                let mut k = 0u32;
+                while ((rng.next() >> 11) as f64) < q * (1u64 << 53) as f64 && k < 300 {
+                    k += 1;
+                }
+                match (k, rng.next() & 1) {
+                    (0, _) => 1,
+                    (k, 0) => 2 * k + 1,
+                    (k, _) => 2 * k,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn chunk_sized_streams_code_like_the_reference() {
+        // ~0.15, ~1 and ~4 bits per symbol, and one past the point where
+        // the packed table is given up.
+        for (q, escapes) in [(0.01, 0), (0.15, 3), (0.8, 40), (0.97, 0)] {
+            let mut symbols = quantization_codes(q, 1 << 16, 9);
+            for i in 0..escapes {
+                symbols[i * 1531 + 11] = 0;
+            }
+            let enc = HuffmanEncoder::from_symbols(&symbols);
+            let (mut fast, mut reference) = (BitWriter::new(), BitWriter::new());
+            enc.encode_into(&symbols, &mut fast);
+            reference_encode(&enc, &symbols, &mut reference);
+            let payload = fast.finish();
+            assert!(payload == reference.finish(), "q {q}: encoded bytes differ");
+
+            let mut table = ByteWriter::new();
+            enc.serialize_table(&mut table);
+            let table = table.finish();
+            let dec = HuffmanDecoder::deserialize(&mut ByteReader::new(&table)).unwrap();
+            let (decoded, result, _) = fast_decode(&dec, &payload, symbols.len());
+            assert!(decoded == symbols && result.is_ok(), "q {q}: {result:?}");
+            assert_decodes_alike(&dec, &payload, symbols.len(), "chunk");
+            // Sampled damage at chunk size: cuts, and single-bit flips.
+            for cut in (0..payload.len()).step_by(payload.len() / 61 + 1) {
+                assert_decodes_alike(&dec, &payload[..cut], symbols.len(), "cut chunk");
+            }
+            for bit in (0..payload.len() * 8).step_by(payload.len() * 8 / 97 + 1) {
+                let mut flipped = payload.clone();
+                flipped[bit / 8] ^= 0x80 >> (bit % 8);
+                assert_decodes_alike(&dec, &flipped, symbols.len(), "flipped chunk");
+            }
+
+            let (block, zeros) = encode_block_counting(&symbols);
+            assert_eq!(zeros, escapes, "q {q}");
+            assert!(block == encode_block(&symbols));
+            assert!(decode_block(&block).unwrap() == symbols);
+            let mut slots = vec![u32::MAX; symbols.len()];
+            assert_eq!(decode_block_into_slice(&block, &mut slots), Ok(symbols.len()));
+            assert!(slots == symbols);
+        }
+    }
+
+    #[test]
+    fn every_cut_and_every_flipped_bit_of_a_short_payload() {
+        // Long enough for a 64-entry packed table, short enough to try
+        // every damage there is; the incomplete table turns some of it into
+        // undecodable prefixes and long-code failures.
+        for max_len in [3u8, 7, 12, 15] {
+            let entries = comb_table(max_len);
+            let (symbols, payload) = random_stream(&entries, 1100, 31 + max_len as u64);
+            for entries in [&entries[..], &entries[1..]] {
+                let dec = HuffmanDecoder::from_entries(entries).unwrap();
+                for cut in 0..=payload.len() {
+                    assert_decodes_alike(&dec, &payload[..cut], symbols.len(), "cut");
+                }
+                for bit in 0..payload.len() * 8 {
+                    let mut flipped = payload.clone();
+                    flipped[bit / 8] ^= 0x80 >> (bit % 8);
+                    assert_decodes_alike(&dec, &flipped, symbols.len(), "flip");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_table_is_the_greedy_walk_of_the_single_symbol_table() {
+        for max_len in 0..=MAX_CODE_LEN as u8 {
+            let mut tables = vec![comb_table(max_len)];
+            tables.push(tables[0][1..].to_vec());
+            // Seven one-bit codes and more in one window: the cap.
+            tables.push(vec![(1, 1), (2, 2), (4, 4), (5, 4), (300, 3)]);
+            for entries in tables.iter().filter(|t| !t.is_empty()) {
+                let dec = HuffmanDecoder::from_entries(entries).unwrap();
+                for pbits in 0..=TABLE_BITS {
+                    let packed = &dec.packed_table(pbits)[1 << pbits..];
+                    assert_eq!(packed.len(), 1 << pbits);
+                    for (window, &entry) in packed.iter().enumerate() {
+                        if entry == PACK_RUN {
+                            assert_eq!((window, entries.iter().any(|e| e.1 == 1)), (0, true));
+                            continue;
+                        }
+                        let (mut bits, mut expect, mut used) = (window << (32 - pbits), 0u64, 0);
+                        for held in 0..PACK_SYMBOLS as u32 {
+                            let (symbol, len) =
+                                dec.table[(bits >> (32 - dec.table_bits)) & (dec.table.len() - 1)];
+                            if len == 0 || used + len as u32 > pbits || symbol > 0xFF {
+                                break;
+                            }
+                            expect = (expect | (symbol as u64) << (8 * held))
+                                + (1 << 56)
+                                + ((len as u64) << 59);
+                            used += len as u32;
+                            bits = (bits << len) & 0xFFFF_FFFF;
+                        }
+                        assert_eq!(
+                            entry, expect,
+                            "max_len {max_len}, {pbits}-bit window {window:b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_flush_encoder_writes_the_reference_bytes() {
+        let symbols = quantization_codes(0.6, 1 << 16, 5);
+        let enc = HuffmanEncoder::from_symbols(&symbols);
+        for n in (0..=200).chain([1 << 16]) {
+            // From a writer that already holds a few bits, and on into more.
+            let (mut fast, mut reference) = (BitWriter::new(), BitWriter::new());
+            for w in [&mut fast, &mut reference] {
+                w.put(0b101, 3);
+            }
+            enc.encode_into(&symbols[..n], &mut fast);
+            reference_encode(&enc, &symbols[..n], &mut reference);
+            assert_eq!(fast.bit_len(), reference.bit_len(), "{n} symbols");
+            for w in [&mut fast, &mut reference] {
+                w.put(0x1F_FFFF_FFFF_FFFF, 57);
+            }
+            assert!(fast.finish() == reference.finish(), "{n} symbols: encoded bytes differ");
+        }
+    }
+
+    #[test]
+    fn sub_histograms_count_like_one() {
+        let mut rng = XorShift(3);
+        for (alphabet, n) in [
+            (1, 9),
+            (5, 0),
+            (5, 3),
+            (40, 1001),
+            (HIST_ALPHABET as u64, 5000),
+            (HIST_ALPHABET as u64 + 1, 5000),
+            (70_000, 300),
+        ] {
+            let symbols: Vec<u32> = (0..n).map(|_| (rng.next() % alphabet) as u32).collect();
+            let mut expect = vec![0u64; symbols.iter().max().map_or(0, |&m| m as usize + 1)];
+            for &s in &symbols {
+                expect[s as usize] += 1;
+            }
+            assert_eq!(histogram(&symbols), expect, "alphabet {alphabet}, {n} symbols");
+        }
     }
 
     #[test]

@@ -456,17 +456,19 @@ impl<'a> BlockRows<'a> {
         walk.row_base + walk.gx0
     }
 
-    /// Reconstruct row `(z, y)` of the block from its `symbols`, predicting
-    /// from the working grid `gbuf`, into `s.row`. `cursor` is the rank of
-    /// the row's first escape among the block's `outliers` and is advanced
-    /// past the row's escapes. Returns the flattened grid index the row
-    /// starts at.
+    /// Reconstruct the span `xs` of row `(z, y)` of the block from its
+    /// `symbols` — one per point of the span — predicting from the working
+    /// grid `gbuf`, into `s.row[xs]`: the whole row for a full decode, the
+    /// target's share of it for a region. `cursor` is the rank of the span's
+    /// first escape among the block's `outliers` and is advanced past the
+    /// span's escapes. Returns the flattened grid index the span starts at.
     #[allow(clippy::too_many_arguments)]
     fn reconstruct_row<T: Scalar>(
         &self,
         gbuf: &[T],
         z: usize,
         y: usize,
+        xs: Range<usize>,
         symbols: &[u32],
         outliers: &[T],
         cursor: &mut usize,
@@ -474,8 +476,10 @@ impl<'a> BlockRows<'a> {
     ) -> usize {
         let walk = self.row(z, y);
         let (xa, xb) = walk.batch_range();
-        let mut x = 0;
-        while x < self.bx {
+        let (xa, xb) = (xa.max(xs.start), xb.min(xs.end));
+        let symbols = &symbols[..xs.len()];
+        let mut x = xs.start;
+        while x < xs.end {
             if x == xa && x < xb {
                 // Interior span: branchless symbol→code conversion, one
                 // fused predict+reconstruct pass, one narrowing. Escape slots
@@ -483,7 +487,7 @@ impl<'a> BlockRows<'a> {
                 // with the stored outlier below, so it cannot influence any
                 // output byte.
                 let m = xb - xa;
-                let span = &symbols[xa..xb];
+                let span = &symbols[xa - xs.start..xb - xs.start];
                 let (codes, wide) = (&mut s.codes[..m], &mut s.recon[..m]);
                 LinearQuantizer::codes_of_run(span, codes);
                 self.quant.predict_reconstruct_run(
@@ -506,7 +510,7 @@ impl<'a> BlockRows<'a> {
                 x = xb;
                 continue;
             }
-            let symbol = symbols[x];
+            let symbol = symbols[x - xs.start];
             s.row[x] = if symbol == ESCAPE_SYMBOL {
                 *cursor += 1;
                 outliers[*cursor - 1]
@@ -515,7 +519,7 @@ impl<'a> BlockRows<'a> {
             };
             x += 1;
         }
-        walk.row_base + walk.gx0
+        walk.row_base + walk.gx0 + 2 * xs.start
     }
 }
 
@@ -567,10 +571,11 @@ pub(crate) fn encode_block_payload<T: Scalar>(
     let nchunks = chunk_count(n);
     let size = n.div_ceil(nchunks).max(1);
     let chunks: Vec<&[u32]> = payload.symbols.chunks(size).collect();
-    let encoded: Vec<Vec<u8>> = if parallel && chunks.len() > 1 {
-        chunks.par_iter().map(|c| huffman::encode_block(c)).collect()
+    // Each chunk with its escape count: the coder's histogram has it.
+    let encoded: Vec<(Vec<u8>, usize)> = if parallel && chunks.len() > 1 {
+        chunks.par_iter().map(|c| huffman::encode_block_counting(c)).collect()
     } else {
-        chunks.iter().map(|c| huffman::encode_block(c)).collect()
+        chunks.iter().map(|c| huffman::encode_block_counting(c)).collect()
     };
     let mut w = ByteWriter::with_capacity(n / 2 + 32);
     w.put_uvarint(encoded.len() as u64);
@@ -578,12 +583,11 @@ pub(crate) fn encode_block_payload<T: Scalar>(
     // Per-chunk escape counts: a random-access reader can align its outlier
     // cursor without entropy-decoding skipped chunks (the paper's
     // "random-access Huffman decoding" future-work item).
-    for c in &chunks {
-        let escapes = c.iter().filter(|&&s| s == ESCAPE_SYMBOL).count();
-        w.put_uvarint(escapes as u64);
+    for (_, escapes) in &encoded {
+        w.put_uvarint(*escapes as u64);
     }
-    for e in &encoded {
-        w.put_block(e);
+    for (bytes, _) in &encoded {
+        w.put_block(bytes);
     }
     stz_sz3::stream::write_outliers(&mut w, &payload.outliers);
     w.finish()
@@ -608,10 +612,28 @@ impl PayloadMeta<'_> {
         self.chunk_size.min(self.total - start)
     }
 
-    /// Hold the decoded symbols of chunk `c` to what the stream declared for
-    /// it: their number and how many of them are escapes.
-    pub fn check_chunk(&self, c: usize, decoded: &[u32]) -> Result<()> {
-        if decoded.len() != self.len_of(c) {
+    /// One slice of `symbols` — the block's stream — per chunk, in order.
+    pub fn split<'s>(&self, mut symbols: &'s mut [u32]) -> Vec<&'s mut [u32]> {
+        (0..self.chunks.len())
+            .map(|c| {
+                let (chunk, rest) = std::mem::take(&mut symbols).split_at_mut(self.len_of(c));
+                symbols = rest;
+                chunk
+            })
+            .collect()
+    }
+
+    /// Entropy-decode chunk `c` into `out`, its `len_of(c)` slots of the
+    /// block's stream, and hold it to what the stream declared for it.
+    pub fn decode_chunk(&self, c: usize, out: &mut [u32]) -> Result<()> {
+        let count = huffman::decode_block_into_slice(self.chunks[c], out)?;
+        self.check_chunk(c, count, out)
+    }
+
+    /// Hold chunk `c` as decoded to what the stream declared for it: the
+    /// number of symbols it coded and how many of them are escapes.
+    fn check_chunk(&self, c: usize, count: usize, decoded: &[u32]) -> Result<()> {
+        if count != self.len_of(c) {
             return Err(CodecError::corrupt("chunk symbol count mismatch"));
         }
         let escapes = decoded.iter().filter(|&&s| s == ESCAPE_SYMBOL).count();
@@ -659,41 +681,43 @@ pub(crate) fn parse_block_payload<'a, T: Scalar>(
     Ok((PayloadMeta { chunks, chunk_escapes, chunk_size, total: expected_points }, outliers))
 }
 
-/// Entropy-decode a whole sub-block stream into `symbols` (cleared first, so
-/// one buffer can serve block after block), validating symbol and outlier
-/// counts; returns the outliers. Serially each chunk decodes straight onto
-/// the end of `symbols`; on the pool the chunks decode side by side and are
-/// appended in order.
+/// Entropy-decode a whole sub-block stream into `symbols` — one slot per
+/// point of the block — validating symbol and outlier counts; returns the
+/// outliers. Every chunk decodes straight into its own share of `symbols`,
+/// one after the other or side by side on the pool.
 pub(crate) fn decode_block_payload<T: Scalar>(
     bytes: &[u8],
-    expected_points: usize,
     parallel: bool,
-    symbols: &mut Vec<u32>,
+    symbols: &mut [u32],
 ) -> Result<Vec<T>> {
-    let (meta, outliers) = parse_block_payload::<T>(bytes, expected_points)?;
-    symbols.clear();
-    if parallel && meta.chunks.len() > 1 {
-        let decoded: Vec<Result<Vec<u32>>> =
-            meta.chunks.par_iter().map(|b| huffman::decode_block(b)).collect();
-        for (c, d) in decoded.into_iter().enumerate() {
-            let d = d?;
-            meta.check_chunk(c, &d)?;
-            symbols.extend(d);
-        }
+    let (meta, outliers) = parse_block_payload::<T>(bytes, symbols.len())?;
+    let chunks = meta.split(symbols);
+    if parallel && chunks.len() > 1 {
+        let decoded: Vec<Result<()>> =
+            chunks.into_par_iter().enumerate().map(|(c, out)| meta.decode_chunk(c, out)).collect();
+        decoded.into_iter().collect::<Result<()>>()?;
     } else {
-        for (c, chunk) in meta.chunks.iter().enumerate() {
-            let start = symbols.len();
-            huffman::decode_block_into(chunk, symbols)?;
-            meta.check_chunk(c, &symbols[start..])?;
+        for (c, out) in chunks.into_iter().enumerate() {
+            meta.decode_chunk(c, out)?;
         }
-    }
-    if symbols.len() != expected_points {
-        return Err(CodecError::corrupt(format!(
-            "sub-block has {} symbols, geometry requires {expected_points}",
-            symbols.len()
-        )));
     }
     Ok(outliers)
+}
+
+/// Lengthen entropy-decode scratch to at least `len` slots, reserving no more
+/// than that. It keeps its length from block to block and level to level — a
+/// decode overwrites every slot it hands on — so only growth is ever filled.
+pub(crate) fn grow_symbols(symbols: &mut Vec<u32>, len: usize) {
+    symbols.reserve_exact(len.saturating_sub(symbols.len()));
+    symbols.resize(len.max(symbols.len()), 0);
+}
+
+/// A trace span of one stage of one sub-block's decode. Off-trace a span is
+/// one thread-local read: no clock, no allocation.
+pub(crate) fn block_span(name: &'static str, block: usize) -> stz_telemetry::trace::TraceSpan {
+    let mut span = stz_telemetry::trace::span(name);
+    span.attr("block", block);
+    span
 }
 
 /// Reconstruct one sub-block from its decoded symbols, storing each row
@@ -708,9 +732,56 @@ fn reconstruct_in_place<T: Scalar>(
     let mut cursor = 0;
     for (i, span) in symbols.chunks_exact(rows.bx).enumerate() {
         let (z, y) = (i / rows.by, i % rows.by);
-        let at =
-            rows.reconstruct_row(grid.as_slice(), z, y, span, outliers, &mut cursor, &mut scratch);
+        let at = rows.reconstruct_row(
+            grid.as_slice(),
+            z,
+            y,
+            0..rows.bx,
+            span,
+            outliers,
+            &mut cursor,
+            &mut scratch,
+        );
         T::simd_scatter2(rows.lane, &scratch.row, grid.as_mut_slice(), at);
+    }
+}
+
+/// Reconstruct the `target` box of one sub-block (in block-local
+/// coordinates) into the working grid: the rows of a full decode, each over
+/// the box's x-range only, so a region is a crop of the full decode by
+/// construction. `decoded` is a stretch of the block's stream that holds the
+/// box's rows, with the stream index of its first symbol; `rank_before(i)`
+/// is the number of escapes before symbol `i`, asked in ascending order.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn reconstruct_box<T: Scalar>(
+    grid: &mut Field<T>,
+    block: &BlockSpec,
+    quant: &LinearQuantizer,
+    interp: InterpKind,
+    target: &Region,
+    (symbols, origin): (&[u32], usize),
+    outliers: &[T],
+    mut rank_before: impl FnMut(usize) -> usize,
+) {
+    let rows = BlockRows::new(grid.dims(), block, quant, interp);
+    let mut scratch = RowScratch::new(rows.bx);
+    let xs = target.x0..target.x1;
+    for z in target.z0..target.z1 {
+        for y in target.y0..target.y1 {
+            let first = (z * rows.by + y) * rows.bx + xs.start;
+            let mut cursor = rank_before(first);
+            let at = rows.reconstruct_row(
+                grid.as_slice(),
+                z,
+                y,
+                xs.clone(),
+                &symbols[first - origin..][..xs.len()],
+                outliers,
+                &mut cursor,
+                &mut scratch,
+            );
+            T::simd_scatter2(rows.lane, &scratch.row[xs.clone()], grid.as_mut_slice(), at);
+        }
     }
 }
 
@@ -746,7 +817,8 @@ fn reconstruct_slabs<T: Scalar>(
             for z in slab {
                 for y in 0..rows.by {
                     let span = &symbols[(z * rows.by + y) * rows.bx..][..rows.bx];
-                    rows.reconstruct_row(gbuf, z, y, span, outliers, &mut cursor, &mut scratch);
+                    let xs = 0..rows.bx;
+                    rows.reconstruct_row(gbuf, z, y, xs, span, outliers, &mut cursor, &mut scratch);
                     out.extend_from_slice(&scratch.row);
                 }
             }
@@ -837,22 +909,16 @@ pub(crate) fn decode_level_grid<T: Scalar, S: SectionSource + ?Sized>(
     let mut next = Field::<T>::zeros(level.grid_dims);
     upscatter(prev_grid, &mut next, &Region::full(prev_grid.dims()));
 
-    // Off-trace a stage span is one thread-local read: no clock, no
-    // allocation.
-    let stage = |name, block: usize| {
-        let mut span = stz_telemetry::trace::span(name);
-        span.attr("block", block);
-        span
-    };
     if parallel {
         let decode_one = |(i, block): (usize, &BlockSpec)| -> Result<Vec<Vec<T>>> {
             let bytes = source.block_bytes(level_index, i)?;
-            let mut symbols = Vec::new();
+            // Fresh from the allocator, so zeroed without a fill pass.
+            let mut symbols = vec![0u32; block.lattice.len()];
             let outliers = {
-                let _stage = stage("entropy", i);
-                decode_block_payload::<T>(&bytes, block.lattice.len(), true, &mut symbols)?
+                let _stage = block_span("entropy", i);
+                decode_block_payload::<T>(&bytes, true, &mut symbols)?
             };
-            let _stage = stage("reconstruct", i);
+            let _stage = block_span("reconstruct", i);
             let rows = BlockRows::new(next.dims(), block, &quant, interp);
             Ok(reconstruct_slabs(&rows, &symbols, &outliers, &next))
         };
@@ -862,16 +928,16 @@ pub(crate) fn decode_level_grid<T: Scalar, S: SectionSource + ?Sized>(
             place_slabs(&mut next, block, &slabs?);
         }
     } else {
-        // One buffer for the level's largest block, so no block regrows it.
-        symbols.clear();
-        symbols.reserve_exact(level.blocks.iter().map(|b| b.lattice.len()).max().unwrap_or(0));
+        // One buffer for the level's largest block.
+        grow_symbols(symbols, level.blocks.iter().map(|b| b.lattice.len()).max().unwrap_or(0));
         for (i, block) in level.blocks.iter().enumerate() {
             let bytes = source.block_bytes(level_index, i)?;
+            let symbols = &mut symbols[..block.lattice.len()];
             let outliers = {
-                let _stage = stage("entropy", i);
-                decode_block_payload::<T>(&bytes, block.lattice.len(), false, symbols)?
+                let _stage = block_span("entropy", i);
+                decode_block_payload::<T>(&bytes, false, symbols)?
             };
-            let _stage = stage("reconstruct", i);
+            let _stage = block_span("reconstruct", i);
             let rows = BlockRows::new(next.dims(), block, &quant, interp);
             reconstruct_in_place(&rows, symbols, &outliers, &mut next);
         }

@@ -70,6 +70,28 @@ fn small_dims() -> Dims {
     Dims::d3(8, 6, 10)
 }
 
+/// Codec seeds whose longest Huffman stream is a full production chunk, with
+/// the number of symbols in it: the small seeds' streams end before the
+/// decoder's hot loop has run a few dozen symbols, let alone with the packed
+/// table a chunk gets. An `stz` level-3 block and a whole `sz3` archive of
+/// 65,536 points each, of a field smooth enough — nearly every code the
+/// dominant one, so the run-length pass folds the payload — that the archive
+/// still fits `max_input_len`.
+fn long_stream_seeds() -> Vec<(usize, Vec<u8>)> {
+    [("stz", Dims::d3(64, 64, 128), 8), ("sz3", Dims::d3(32, 32, 64), 1)]
+        .into_iter()
+        .map(|(name, dims, blocks)| {
+            let field: Field<f32> = Field::from_fn(dims, |z, y, x| {
+                (z as f32 * 0.05).sin() + (y as f32 * 0.04).cos() + x as f32 * 0.01
+            });
+            let codec = registry().by_name(name).expect("registered codec");
+            let archive = stz_backend::compress(codec, &field, &ErrorBound::Absolute(3e-2))
+                .expect("compress long-stream seed");
+            (dims.len() / blocks, archive)
+        })
+        .collect()
+}
+
 fn classify_access(e: &AccessError) -> (&'static str, String) {
     let class = match e {
         AccessError::NotFound { .. } => "not-found",
@@ -567,6 +589,7 @@ impl FuzzTarget for CodecTarget {
                     .expect("compress f64 seed"),
             );
         }
+        seeds.extend(long_stream_seeds().into_iter().map(|(_, archive)| archive));
         seeds
     }
 
@@ -621,6 +644,16 @@ mod tests {
         let t = ProtoTarget;
         for seed in t.seeds() {
             assert_eq!(t.exec(&seed), t.exec(&seed));
+        }
+    }
+
+    #[test]
+    fn long_stream_seeds_fill_the_packed_table_and_fit_the_input_cap() {
+        let seeds = long_stream_seeds();
+        assert_eq!(seeds.len(), 2);
+        for (longest, archive) in seeds {
+            assert!(longest >= stz_codec::huffman::PACKED_TABLE_FULL, "{longest} symbols");
+            assert!(archive.len() < CodecTarget.max_input_len(), "{} bytes", archive.len());
         }
     }
 

@@ -670,25 +670,36 @@ fn trace_context_round_trips_byte_exact_ids() {
     // rings, so retry until the fetch→TRACE_GET window wins the race.
     let trace_id = 0xDEAD_BEEF_1234_5678u64;
     let parent_span = 0x42u64;
-    let mut found = None;
-    for _ in 0..20 {
-        let fetched = client
-            .fetch(&FetchReq {
-                container: "steps".into(),
-                entry: EntrySel::Index(0),
-                kind: RequestKind::Full,
-                trace: Some(proto::TraceContextExt { trace_id, parent_span }),
-            })
-            .unwrap();
-        assert_eq!(fetched.dims, dims());
-        // TRACE_GET returns the tail-sampled snapshot; the server must
-        // have adopted the client's trace id verbatim and rooted its span
-        // tree under the client's parent span.
-        let traces = client.trace().unwrap();
-        if let Some(t) = traces.iter().find(|t| t.trace_id == trace_id) {
-            found = Some(t.clone());
-            break;
+    let mut traced = |kind: RequestKind, expect: Dims, trace_id: u64| {
+        for _ in 0..20 {
+            let fetched = client
+                .fetch(&FetchReq {
+                    container: "steps".into(),
+                    entry: EntrySel::Index(0),
+                    kind,
+                    trace: Some(proto::TraceContextExt { trace_id, parent_span }),
+                })
+                .unwrap();
+            assert_eq!(fetched.dims, expect);
+            // TRACE_GET returns the tail-sampled snapshot; the server must
+            // have adopted the client's trace id verbatim and rooted its
+            // span tree under the client's parent span.
+            let traces = client.trace().unwrap();
+            if let Some(t) = traces.iter().find(|t| t.trace_id == trace_id) {
+                return Some(t.clone());
+            }
         }
+        None
+    };
+    let found = traced(RequestKind::Full, dims(), trace_id);
+    // A region request explains itself down to the codec's stages, like a
+    // full decode does.
+    let roi = traced(RequestKind::Roi([2, 9, 0, 16, 3, 20]), Dims::d3(7, 16, 17), trace_id + 1);
+    let roi = roi.expect("server retained the region trace");
+    assert_eq!(roi.kind, "roi");
+    assert_causally_linked(&roi);
+    for stage in ["decode", "level1", "level_decode", "entropy", "reconstruct"] {
+        assert!(roi.spans.iter().any(|s| s.name == stage), "span {stage:?} missing from roi");
     }
     let t = &found.expect("server retained the trace under the client's id");
     assert_eq!(t.kind, "full");
