@@ -15,6 +15,9 @@
 /// small-magnitude codes stay small (good for Huffman).
 pub const ESCAPE_SYMBOL: u32 = 0;
 
+// The fused `stz-simd` kernels store 0 at an escape and decode 0 as one.
+const _: () = assert!(ESCAPE_SYMBOL == 0);
+
 /// Outcome of quantizing one value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QuantOutcome {
@@ -35,6 +38,30 @@ pub struct LinearQuantizer {
 }
 
 impl LinearQuantizer {
+    /// Largest radius an encoder may be configured with: beyond it a
+    /// symbol, `zigzag(q) + 1`, no longer fits the stream's `u32` and the
+    /// decoder would reconstruct from a truncated code. Encoders reject a
+    /// larger radius before they quantize anything — as a configuration
+    /// error where they have one ([`LinearQuantizer::radius_in_range`]), by
+    /// building their quantizer with [`LinearQuantizer::encoder`] where they
+    /// do not; a decoder never consults the radius, so
+    /// [`LinearQuantizer::new`] takes whatever a header says.
+    pub const MAX_RADIUS: i64 = stz_simd::Bound::MAX_RADIUS;
+
+    /// Whether an encoder can keep its error bound with `radius`.
+    pub fn radius_in_range(radius: i64) -> bool {
+        (1..=Self::MAX_RADIUS).contains(&radius)
+    }
+
+    /// [`LinearQuantizer::new`] for an encoder.
+    ///
+    /// # Panics
+    /// If `radius` is not in `1..=`[`LinearQuantizer::MAX_RADIUS`].
+    pub fn encoder(eb: f64, radius: i64) -> Self {
+        assert!(Self::radius_in_range(radius), "quantizer radius {radius} out of range");
+        LinearQuantizer::new(eb, radius)
+    }
+
     /// Create a quantizer for absolute error bound `eb > 0`.
     ///
     /// `radius` bounds the symbol alphabet (the reference SZ3 uses 2^15 by
@@ -99,23 +126,6 @@ impl LinearQuantizer {
     pub fn code_of(symbol: u32) -> i64 {
         debug_assert_ne!(symbol, ESCAPE_SYMBOL);
         crate::varint::unzigzag(symbol as u64 - 1)
-    }
-
-    /// Branchless batch [`code_of`](Self::code_of):
-    /// `codes[i] = code_of(symbols[i]) as f64` for every coded symbol.
-    /// Escape slots (`symbols[i] == 0`) receive `i32::MIN as f64` — a
-    /// finite placeholder the caller must overwrite, chosen so the decode
-    /// batch path can convert a whole row without a per-symbol branch.
-    ///
-    /// The code of a `u32` symbol always fits an `i32`, and staying in 32
-    /// bits lets the loop compile to packed `i32 -> f64` conversions (there
-    /// is no packed `i64 -> f64` below AVX-512).
-    pub fn codes_of_run(symbols: &[u32], codes: &mut [f64]) {
-        assert!(symbols.len() == codes.len());
-        for (c, &s) in codes.iter_mut().zip(symbols) {
-            let u = s.wrapping_sub(1);
-            *c = (((u >> 1) as i32) ^ -((u & 1) as i32)) as f64;
-        }
     }
 
     /// Upper bound (exclusive) of the symbol alphabet this quantizer emits.
@@ -193,21 +203,48 @@ impl LinearQuantizer {
         stz_simd::recon_run_f64(lane, preds, codes, 2.0 * self.eb, out);
     }
 
-    /// Fused interior predict + reconstruct over a working grid in its own
-    /// precision: `out[i]` reconstructs the grid point at `base + 2*i` from
-    /// its stencil prediction and the signed code `codes[i]`, rounded
-    /// through the grid's element type, without materializing the
-    /// predictions.
-    pub fn predict_reconstruct_run<S: stz_simd::GridElem>(
+    /// Fused predict + reconstruct of a row span from the previous level's
+    /// dense grid: `out[i]` is the stencil prediction at `prev[base + i]`
+    /// plus `2·eb` times the code of `symbols[i]`, rounded to the grid's
+    /// element type. An [`ESCAPE_SYMBOL`] slot receives a finite placeholder
+    /// the caller overwrites with the stored value. Bit-identical to
+    /// [`reconstruct`](Self::reconstruct) of every point on every lane.
+    pub fn reconstruct_dense<S: stz_simd::GridElem>(
         &self,
         lane: stz_simd::Lane,
-        gbuf: &[S],
+        prev: &[S],
         base: usize,
         st: &stz_simd::Stencil,
-        codes: &[f64],
-        out: &mut [f64],
+        symbols: &[u32],
+        out: &mut [S],
     ) {
-        stz_simd::predict_recon_run_typed(lane, gbuf, base, st, codes, 2.0 * self.eb, out);
+        stz_simd::predict_recon_dense(lane, prev, base, st, symbols, 2.0 * self.eb, out);
+    }
+
+    /// Fused predict + [`quantize`](Self::quantize) of a row span against
+    /// the previous level's dense grid, the reconstruction rounded through
+    /// the grid's element type and re-checked as the `T`-aware compressor
+    /// path does: `symbols[i]` is the symbol of `actuals[i]`
+    /// ([`ESCAPE_SYMBOL`] where it escapes), `recon` — where wanted — the
+    /// value the decoder will see at a coded point. Returns whether any point
+    /// escaped. Bit-identical to the per-point method on every lane.
+    ///
+    /// # Panics
+    /// If the radius exceeds [`LinearQuantizer::MAX_RADIUS`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn quantize_dense<S: stz_simd::GridElem>(
+        &self,
+        lane: stz_simd::Lane,
+        prev: &[S],
+        base: usize,
+        st: &stz_simd::Stencil,
+        actuals: &[S],
+        symbols: &mut [u32],
+        recon: Option<&mut [S]>,
+    ) -> bool {
+        let bound =
+            stz_simd::Bound { eb: self.eb, two_eb: 2.0 * self.eb, radius: self.radius as f64 };
+        stz_simd::predict_quantize_dense(lane, prev, base, st, actuals, &bound, symbols, recon)
     }
 
     /// [`reconstruct_run_f64`](Self::reconstruct_run_f64) rounded through
@@ -281,15 +318,58 @@ mod tests {
         }
     }
 
+    /// A one-tap dense stencil over a grid of zeros: the prediction is 0.
+    fn zero_prediction() -> ([f64; 16], stz_simd::Stencil) {
+        ([0.0; 16], stz_simd::Stencil::new(false, 1, [0; 8], [0; 8], 0.0, 0.0))
+    }
+
     #[test]
-    fn codes_of_run_matches_code_of() {
+    fn reconstruct_dense_decodes_what_code_of_does() {
+        // With a zero prediction and a unit step the output *is* the code.
         let symbols = [1u32, 2, 3, 4, 65_535, 65_536, u32::MAX - 1, u32::MAX, ESCAPE_SYMBOL];
-        let mut codes = [0.0; 9];
-        LinearQuantizer::codes_of_run(&symbols, &mut codes);
-        for (&s, &c) in symbols.iter().zip(&codes).take(8) {
-            assert_eq!(c, LinearQuantizer::code_of(s) as f64, "symbol {s}");
+        let (prev, st) = zero_prediction();
+        let q = LinearQuantizer::new(0.5, 1 << 15);
+        for lane in stz_simd::available_lanes() {
+            let mut codes = [0.0f64; 9];
+            q.reconstruct_dense(lane, &prev, 0, &st, &symbols, &mut codes);
+            for (&s, &c) in symbols.iter().zip(&codes).take(8) {
+                assert_eq!(c, LinearQuantizer::code_of(s) as f64, "symbol {s} on {lane}");
+            }
+            assert_eq!(codes[8], i32::MIN as f64, "escape placeholder on {lane}");
         }
-        assert_eq!(codes[8], i32::MIN as f64);
+    }
+
+    #[test]
+    fn quantize_dense_matches_per_point_to_the_radius_cap() {
+        // Codes at, next to and beyond the largest radius: the symbol must be
+        // `symbol_of`'s, or an escape — never a truncated one.
+        let (prev, st) = zero_prediction();
+        let cap = LinearQuantizer::MAX_RADIUS;
+        let q = LinearQuantizer::new(0.5, cap);
+        let actuals: Vec<f64> = [0, 1, -1, 77, cap - 1, 1 - cap, cap, -cap, cap + 1, -cap - 1]
+            .iter()
+            .map(|&c| c as f64)
+            .collect();
+        for lane in stz_simd::available_lanes() {
+            let mut symbols = vec![9u32; actuals.len()];
+            let mut recon = vec![9.0f64; actuals.len()];
+            let escaped =
+                q.quantize_dense(lane, &prev, 0, &st, &actuals, &mut symbols, Some(&mut recon));
+            assert!(escaped, "beyond the radius escapes on {lane}");
+            for (i, &a) in actuals.iter().enumerate() {
+                match q.quantize(a, 0.0) {
+                    QuantOutcome::Escape => assert_eq!(symbols[i], ESCAPE_SYMBOL, "{a} on {lane}"),
+                    QuantOutcome::Code { symbol, reconstructed } => {
+                        assert_eq!(symbols[i], symbol, "{a} on {lane}");
+                        assert_eq!(recon[i].to_bits(), reconstructed.to_bits(), "{a} on {lane}");
+                        assert_eq!(LinearQuantizer::code_of(symbol) as f64, a);
+                    }
+                }
+            }
+            assert_eq!(symbols.iter().filter(|&&s| s == ESCAPE_SYMBOL).count(), 2);
+        }
+        assert!(LinearQuantizer::radius_in_range(cap) && LinearQuantizer::radius_in_range(1));
+        assert!(!LinearQuantizer::radius_in_range(cap + 1) && !LinearQuantizer::radius_in_range(0));
     }
 
     #[test]

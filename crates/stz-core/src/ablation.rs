@@ -22,7 +22,7 @@
 use crate::archive::StzArchive;
 use crate::compressor::StzCompressor;
 use crate::config::StzConfig;
-use crate::kernels::{predict_direct, predict_point};
+use crate::kernels::{grid_taps, predict_direct, predict_point};
 use crate::level::LevelPlan;
 use stz_codec::{ByteReader, ByteWriter, CodecError, Result};
 use stz_field::{Dims, Field, Region, Scalar};
@@ -174,7 +174,7 @@ pub fn compress_variant<T: Scalar>(
                                 )
                             } else {
                                 predict_point(
-                                    grid.as_slice(),
+                                    grid_taps(grid.as_slice(), grid.dims()),
                                     grid.dims(),
                                     [gz, gy, gx],
                                     &block.active_axes,
@@ -285,7 +285,7 @@ pub fn decompress_variant<T: Scalar>(bytes: &[u8]) -> Result<Field<T>> {
                                 )
                             } else {
                                 predict_point(
-                                    grid.as_slice(),
+                                    grid_taps(grid.as_slice(), grid.dims()),
                                     grid.dims(),
                                     [gz, gy, gx],
                                     &block.active_axes,

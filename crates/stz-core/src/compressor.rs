@@ -2,27 +2,31 @@
 //!
 //! Compression proceeds level by level on *working grids* — successively
 //! finer coarsenings of the original grid (see [`crate::level`]), held in
-//! the field's own element type `T`. At each level transition the known
-//! coarse grid is scattered into the even positions of the next working
-//! grid, and every sub-block's points are predicted from it with the
-//! multi-dimensional kernels one row at a time: the row's residuals are
-//! quantized (or its symbols reconstructed) in row-sized `f64` scratch and
-//! the reconstructed row is stored once, straight into its stride-2 place in
-//! the grid. Every value that enters a grid is already `T`-representable —
-//! level 1 comes from SZ3 as `T`, every reconstruction is rounded through
-//! `T`, every escape is the stored `T` — so widening the taps at load gives
-//! the kernels the operands an `f64` grid would, and the finest level's grid
-//! *is* the decoded field.
+//! the field's own element type `T`. Every sub-block's points are predicted
+//! with the multi-dimensional kernels one row at a time **from the previous
+//! level's grid as it is**: every tap of every prediction is a point of it,
+//! and a block row is unit stride in it ([`crate::kernels::RowStencils`]).
+//! One fused kernel call takes a row from originals to symbols (or from
+//! symbols to reconstructed `T`) with nothing row-sized in `f64` in between,
+//! and the reconstructed row is stored once, straight into its stride-2
+//! place in the next grid — beside the previous grid's points, scattered
+//! into its even positions. Every value that enters a grid is already
+//! `T`-representable — level 1 comes from SZ3 as `T`, every reconstruction
+//! is rounded through `T`, every escape is the stored `T` — so widening the
+//! taps at load gives the kernels the operands an `f64` grid would. On
+//! decode the finest level's grid *is* the decoded field; on encode it does
+//! not exist, because nothing predicts from it.
 //!
 //! Because finer-level points never depend on one another, both the blocks
 //! of a level and the points within a block are embarrassingly parallel; the
 //! `parallel` entry points run the same row routine over z-slabs on the
-//! rayon thread pool, into per-slab buffers that are placed afterwards, and
-//! produce **bit-identical archives and fields** to the serial path.
+//! rayon thread pool — encode into per-slab buffers that are placed
+//! afterwards, decode straight into each slab's own planes of the next grid —
+//! and produce **bit-identical archives and fields** to the serial path.
 
 use crate::archive::{build_bytes, ArchiveHeader, StzArchive};
 use crate::config::StzConfig;
-use crate::kernels::predict_point;
+use crate::kernels::{dense_taps, predict_point, RowStencils, StencilOffsets};
 use crate::level::{BlockSpec, LevelPlan};
 use crate::source::SectionSource;
 use rayon::prelude::*;
@@ -109,19 +113,25 @@ impl StzCompressor {
         // Finer levels.
         let mut level_blocks: Vec<Vec<Vec<u8>>> = Vec::with_capacity(cfg.levels as usize - 1);
         for level in &plan.levels[1..] {
-            let quant = LinearQuantizer::new(ebs[level.index as usize - 1], cfg.radius);
-            let mut next = Field::<T>::zeros(level.grid_dims);
-            upscatter(&grid, &mut next, &Region::full(grid.dims()));
+            let quant = LinearQuantizer::encoder(ebs[level.index as usize - 1], cfg.radius);
+            // Only a level the next one predicts from assembles its grid: the
+            // finest level's reconstruction is nobody's operand.
+            let mut next = (level.index < cfg.levels).then(|| {
+                let mut next = Field::<T>::zeros(level.grid_dims);
+                upscatter(&grid, &mut next, &Region::full(grid.dims()));
+                next
+            });
 
             let encoded = if parallel {
                 let results: Vec<(Vec<u8>, Vec<Vec<T>>)> = level
                     .blocks
                     .par_iter()
                     .map(|block| {
-                        let rows = BlockRows::new(next.dims(), block, &quant, cfg.interp);
+                        let rows =
+                            BlockRows::new(level.grid_dims, grid.dims(), block, &quant, cfg.interp);
                         let (payload, slabs) = {
                             let _stage = quantize_ns.span();
-                            quantize_slabs(&rows, field, &next)
+                            quantize_slabs(&rows, field, &grid, next.is_some())
                         };
                         let _stage = encode_ns.span();
                         (encode_block_payload(&payload, true), slabs)
@@ -129,7 +139,9 @@ impl StzCompressor {
                     .collect();
                 let mut encoded = Vec::with_capacity(results.len());
                 for (block, (bytes, slabs)) in level.blocks.iter().zip(results) {
-                    place_slabs(&mut next, block, &slabs);
+                    if let Some(next) = &mut next {
+                        place_slabs(next, block, &slabs);
+                    }
                     encoded.push(bytes);
                 }
                 encoded
@@ -137,10 +149,11 @@ impl StzCompressor {
                 let mut payload = BlockPayload { symbols: Vec::new(), outliers: Vec::new() };
                 let mut encoded = Vec::with_capacity(level.blocks.len());
                 for block in &level.blocks {
-                    let rows = BlockRows::new(next.dims(), block, &quant, cfg.interp);
+                    let rows =
+                        BlockRows::new(level.grid_dims, grid.dims(), block, &quant, cfg.interp);
                     {
                         let _stage = quantize_ns.span();
-                        quantize_in_place(&rows, field, &mut next, &mut payload);
+                        quantize_in_place(&rows, field, &grid, next.as_mut(), &mut payload);
                     }
                     let _stage = encode_ns.span();
                     encoded.push(encode_block_payload(&payload, false));
@@ -148,7 +161,9 @@ impl StzCompressor {
                 encoded
             };
             level_blocks.push(encoded);
-            grid = next;
+            if let Some(next) = next {
+                grid = next;
+            }
         }
 
         let header = ArchiveHeader {
@@ -169,62 +184,82 @@ impl StzCompressor {
 /// positions of the next (2× finer) working grid. A full decode or encode
 /// moves the whole grid up; a region decode only the box its stencils reach.
 pub(crate) fn upscatter<T: Scalar>(coarse: &Field<T>, next: &mut Field<T>, window: &Region) {
-    let (cd, nd) = (coarse.dims(), next.dims());
-    debug_assert_eq!(nd.coarsened(2).as_array(), cd.as_array());
+    debug_assert_eq!(next.dims().coarsened(2).as_array(), coarse.dims().as_array());
+    let ndims = next.dims();
+    upscatter_into(coarse, window, ndims, next.as_mut_slice(), 0);
+}
+
+/// [`upscatter`] into `planes`, the stretch of a next grid of `ndims` that
+/// starts at its flattened index `base` and holds every plane of the window.
+fn upscatter_into<T: Scalar>(
+    coarse: &Field<T>,
+    window: &Region,
+    ndims: Dims,
+    planes: &mut [T],
+    base: usize,
+) {
+    let cd = coarse.dims();
     let lane = stz_simd::active_lane();
     let width = window.x1 - window.x0;
     for z in window.z0..window.z1 {
         for y in window.y0..window.y1 {
             let start = cd.index(z, y, window.x0);
             let row = &coarse.as_slice()[start..start + width];
-            T::simd_scatter2(lane, row, next.as_mut_slice(), nd.index(2 * z, 2 * y, 2 * window.x0));
+            T::simd_scatter2(lane, row, planes, ndims.index(2 * z, 2 * y, 2 * window.x0) - base);
         }
     }
 }
 
-/// Quantize one sub-block against the (partially filled) working grid,
-/// storing each reconstructed row into the grid as it is produced. `payload`
-/// is cleared first, so one can serve every block of a level.
+/// Quantize one sub-block against the previous level's grid, storing each
+/// reconstructed row into the `next` one — where there is a next one — as it
+/// is produced. `payload` is cleared first, so one can serve every block of
+/// a level.
 fn quantize_in_place<T: Scalar>(
     rows: &BlockRows<'_>,
     field: &Field<T>,
-    grid: &mut Field<T>,
+    prev: &Field<T>,
+    mut next: Option<&mut Field<T>>,
     payload: &mut BlockPayload<T>,
 ) {
     payload.symbols.clear();
     payload.outliers.clear();
     payload.symbols.reserve(rows.nz * rows.by * rows.bx);
-    let mut scratch = RowScratch::new(rows.bx);
+    let (src, prev) = (field.as_slice(), prev.as_slice());
+    let (mut orig, mut row) = (vec![T::default(); rows.bx], vec![T::default(); rows.bx]);
     for z in 0..rows.nz {
         for y in 0..rows.by {
-            let at =
-                rows.quantize_row(field.as_slice(), grid.as_slice(), z, y, payload, &mut scratch);
-            T::simd_scatter2(rows.lane, &scratch.row, grid.as_mut_slice(), at);
+            let recon = next.is_some().then_some(&mut row[..]);
+            let at = rows.quantize_row(src, prev, z, y, payload, &mut orig, recon);
+            if let Some(next) = &mut next {
+                T::simd_scatter2(rows.lane, &row, next.as_mut_slice(), at);
+            }
         }
     }
 }
 
 /// [`quantize_in_place`] for the pool: z-slabs of the block run in parallel,
-/// each into its own payload and its own buffer of reconstructed rows (in
-/// slab order, for [`place_slabs`]). The same rows in the same order, so the
-/// merged payload is the serial one.
+/// each into its own payload and — where the level `keeps` its
+/// reconstruction — its own buffer of reconstructed rows (in slab order, for
+/// [`place_slabs`]). The same rows in the same order, so the merged payload
+/// is the serial one.
 fn quantize_slabs<T: Scalar>(
     rows: &BlockRows<'_>,
     field: &Field<T>,
-    grid: &Field<T>,
+    prev: &Field<T>,
+    keeps: bool,
 ) -> (BlockPayload<T>, Vec<Vec<T>>) {
     let parts: Vec<(BlockPayload<T>, Vec<T>)> = slab_ranges(rows.nz)
         .into_par_iter()
         .map(|slab| {
             let n = slab.len() * rows.by * rows.bx;
             let mut payload = BlockPayload { symbols: Vec::with_capacity(n), outliers: Vec::new() };
-            let mut recon = Vec::with_capacity(n);
-            let mut scratch = RowScratch::new(rows.bx);
-            let (src, gbuf) = (field.as_slice(), grid.as_slice());
+            let mut recon = vec![T::default(); if keeps { n } else { 0 }];
+            let mut rows_out = recon.chunks_exact_mut(rows.bx);
+            let mut orig = vec![T::default(); rows.bx];
+            let (src, prev) = (field.as_slice(), prev.as_slice());
             for z in slab {
                 for y in 0..rows.by {
-                    rows.quantize_row(src, gbuf, z, y, &mut payload, &mut scratch);
-                    recon.extend_from_slice(&scratch.row);
+                    rows.quantize_row(src, prev, z, y, &mut payload, &mut orig, rows_out.next());
                 }
             }
             (payload, recon)
@@ -265,52 +300,25 @@ fn place_slabs<T: Scalar>(grid: &mut Field<T>, block: &BlockSpec, slabs: &[Vec<T
     }
 }
 
-/// Row-sized scratch of one block walk: the reconstructed row in `T` — what
-/// a row routine hands back — and the `f64` operands of the batch kernels.
-struct RowScratch<T> {
-    /// The row as it belongs in the working grid.
-    row: Vec<T>,
-    /// The row's original values (compression only).
-    orig: Vec<T>,
-    actuals: Vec<f64>,
-    preds: Vec<f64>,
-    codes: Vec<f64>,
-    recon: Vec<f64>,
-    escapes: Vec<u8>,
-}
-
-impl<T: Scalar> RowScratch<T> {
-    fn new(bx: usize) -> RowScratch<T> {
-        RowScratch {
-            row: vec![T::default(); bx],
-            orig: vec![T::default(); bx],
-            actuals: vec![0.0; bx],
-            preds: vec![0.0; bx],
-            codes: vec![0.0; bx],
-            recon: vec![0.0; bx],
-            escapes: vec![0; bx],
-        }
-    }
-}
-
-/// Everything the rows of one sub-block share: its geometry, the interior
-/// fast-path stencil with its per-row bounds, the quantizer and the lane.
-/// The two row routines — [`BlockRows::quantize_row`] and
-/// [`BlockRows::reconstruct_row`] — read the working grid and leave one row
-/// of `T` in the scratch; where it is stored is the driver's business, which
-/// is what lets a serial driver refine the grid in place and a pool driver
-/// share it immutably.
+/// Everything the rows of one sub-block share: its geometry, its stencils
+/// over the previous level's grid, the quantizer and the lane. The two row
+/// routines — [`BlockRows::quantize_row`] and [`BlockRows::reconstruct_row`]
+/// — read the previous grid and write a row of `T` where the driver says;
+/// where that row is stored afterwards is the driver's business, which is
+/// what lets a serial driver fill the next grid as it goes and a pool driver
+/// work from shared borrows alone.
 struct BlockRows<'a> {
-    stencil: crate::kernels::StencilOffsets,
-    simd_stencil: stz_simd::Stencil,
+    stencils: RowStencils,
     block: &'a BlockSpec,
     quant: &'a LinearQuantizer,
     interp: InterpKind,
     /// `Lane::Scalar` keeps the per-point walk as the byte-identity anchor;
-    /// every other lane batches the interior span of each row.
+    /// every other lane batches the span of each row its stencil is
+    /// interior at.
     lane: Lane,
+    /// Dims of the grid being refined and of the previous level's.
     gdims: Dims,
-    x_active: bool,
+    cdims: Dims,
     /// Block extents.
     nz: usize,
     by: usize,
@@ -324,9 +332,13 @@ struct RowWalk<'a> {
     gz: usize,
     gy: usize,
     gx0: usize,
-    row_base: usize,
-    /// Whether the z/y components of the stencil are interior.
-    zy_interior: bool,
+    /// Flattened index of the row's first point in the grid being refined,
+    /// and of its coarse index — block-local `x = 0` — in the previous one.
+    at: usize,
+    cbase: usize,
+    /// The row's stencil and the block-local x span `[xa, xb)` it is
+    /// interior at.
+    stencil: &'a StencilOffsets,
     xa: usize,
     xb: usize,
 }
@@ -334,21 +346,20 @@ struct RowWalk<'a> {
 impl<'a> BlockRows<'a> {
     fn new(
         gdims: Dims,
+        cdims: Dims,
         block: &'a BlockSpec,
         quant: &'a LinearQuantizer,
         interp: InterpKind,
     ) -> BlockRows<'a> {
-        let stencil = crate::kernels::StencilOffsets::new(gdims, &block.active_axes, interp);
         let bdims = block.lattice.dims();
         BlockRows {
-            simd_stencil: stencil.as_simd(),
-            stencil,
+            stencils: RowStencils::new(gdims, cdims, &block.active_axes, interp),
             block,
             quant,
             interp,
             lane: stz_simd::active_lane(),
             gdims,
-            x_active: block.active_axes.contains(&2),
+            cdims,
             nz: bdims.nz(),
             by: bdims.ny(),
             bx: bdims.nx(),
@@ -357,195 +368,170 @@ impl<'a> BlockRows<'a> {
 
     fn row(&self, z: usize, y: usize) -> RowWalk<'_> {
         let (gz, gy, gx0) = self.block.grid_lattice.to_parent(z, y, 0);
-        let mut zy_interior = true;
-        for &d in &self.block.active_axes {
-            match d {
-                0 => zy_interior &= self.stencil.interior_coord(gz, self.gdims.nz()),
-                1 => zy_interior &= self.stencil.interior_coord(gy, self.gdims.ny()),
-                _ => {}
-            }
-        }
-        let (xa, xb) = self.stencil.interior_x_range(self.x_active, gx0, self.gdims.nx(), self.bx);
+        let (stencil, xa, xb) = self.stencils.of_row(gz, gy, gx0, self.bx);
         RowWalk {
             rows: self,
             gz,
             gy,
             gx0,
-            row_base: (gz * self.gdims.ny() + gy) * self.gdims.nx(),
-            zy_interior,
+            at: (gz * self.gdims.ny() + gy) * self.gdims.nx() + gx0,
+            cbase: ((gz >> 1) * self.cdims.ny() + (gy >> 1)) * self.cdims.nx(),
+            stencil,
             xa,
             xb,
         }
     }
 
     /// Quantize row `(z, y)` of the block: gather its originals from `src`
-    /// (the field being compressed) at the block's stride, predict from the
-    /// working grid `gbuf`, append the row's symbols and outliers to
-    /// `payload` and leave the reconstructed row in `s.row`. Returns the
-    /// flattened grid index the row starts at.
+    /// (the field being compressed) at the block's stride into `orig`,
+    /// predict from the previous level's grid `prev`, append the row's
+    /// symbols and outliers to `payload` and — where the caller keeps it —
+    /// leave the reconstructed row in `recon`. Returns the flattened index of
+    /// the row's first point in the grid being refined.
+    #[allow(clippy::too_many_arguments)]
     fn quantize_row<T: Scalar>(
         &self,
         src: &[T],
-        gbuf: &[T],
+        prev: &[T],
         z: usize,
         y: usize,
         payload: &mut BlockPayload<T>,
-        s: &mut RowScratch<T>,
+        orig: &mut [T],
+        mut recon: Option<&mut [T]>,
     ) -> usize {
         let lattice = &self.block.lattice;
         let (pz, py, px) = lattice.to_parent(z, y, 0);
         let parent = lattice.parent_dims();
         let start = (pz * parent.ny() + py) * parent.nx() + px;
         match lattice.stride() {
-            2 => T::simd_gather2(self.lane, src, start, &mut s.orig),
+            2 => T::simd_gather2(self.lane, src, start, orig),
             stride => {
-                for (o, &v) in s.orig.iter_mut().zip(src[start..].iter().step_by(stride)) {
+                for (o, &v) in orig.iter_mut().zip(src[start..].iter().step_by(stride)) {
                     *o = v;
                 }
             }
         }
         let walk = self.row(z, y);
         let (xa, xb) = walk.batch_range();
-        let mut x = 0;
-        while x < self.bx {
-            if x == xa && x < xb {
-                // Interior span: predict + quantize a whole row segment at
-                // SIMD width, then emit symbols/outliers in the same
-                // ascending order as the per-point loop.
-                let m = xb - xa;
-                let (actuals, preds) = (&mut s.actuals[..m], &mut s.preds[..m]);
-                let (qs, rs, es) = (&mut s.codes[..m], &mut s.recon[..m], &mut s.escapes[..m]);
-                T::simd_widen(self.lane, &s.orig[xa..xb], actuals);
-                stz_simd::predict_run_typed(
-                    self.lane,
-                    gbuf,
-                    walk.row_base + walk.gx0 + 2 * xa,
-                    &self.simd_stencil,
-                    preds,
-                );
-                stz_sz3::quant::quantize_run::<T>(
-                    self.quant, self.lane, actuals, preds, qs, rs, es,
-                );
-                T::simd_from_f64(self.lane, rs, &mut s.row[xa..xb]);
-                for j in 0..m {
-                    if es[j] == 0 {
-                        payload.symbols.push(LinearQuantizer::symbol_of(qs[j] as i64));
-                    } else {
-                        payload.symbols.push(ESCAPE_SYMBOL);
-                        payload.outliers.push(s.orig[xa + j]);
-                        s.row[xa + j] = s.orig[xa + j];
+        let first = payload.symbols.len();
+        payload.symbols.resize(first + self.bx, ESCAPE_SYMBOL);
+        let symbols = &mut payload.symbols[first..];
+        // The kernel span: originals to symbols in one fused pass.
+        let mut escaped = self.quant.quantize_dense(
+            self.lane,
+            prev,
+            walk.cbase + xa,
+            &walk.stencil.as_simd(),
+            &orig[xa..xb],
+            &mut symbols[xa..xb],
+            recon.as_deref_mut().map(|row| &mut row[xa..xb]),
+        );
+        for x in (0..xa).chain(xb..self.bx) {
+            match quantize_scalar::<T>(self.quant, orig[x].to_f64(), walk.predict(prev, x)) {
+                ScalarQuant::Code { symbol, recon: value } => {
+                    symbols[x] = symbol;
+                    if let Some(row) = &mut recon {
+                        row[x] = T::from_f64(value);
                     }
                 }
-                x = xb;
-                continue;
-            }
-            let pred = walk.predict(gbuf, x);
-            match quantize_scalar::<T>(self.quant, s.orig[x].to_f64(), pred) {
-                ScalarQuant::Code { symbol, recon } => {
-                    payload.symbols.push(symbol);
-                    s.row[x] = T::from_f64(recon);
-                }
                 ScalarQuant::Escape => {
-                    payload.symbols.push(ESCAPE_SYMBOL);
-                    payload.outliers.push(s.orig[x]);
-                    s.row[x] = s.orig[x];
+                    symbols[x] = ESCAPE_SYMBOL;
+                    escaped = true;
                 }
             }
-            x += 1;
         }
-        walk.row_base + walk.gx0
+        // Outliers in ascending x, as the stream orders them: a walk only
+        // rows with an escape pay for.
+        if escaped {
+            for x in (0..self.bx).filter(|&x| symbols[x] == ESCAPE_SYMBOL) {
+                payload.outliers.push(orig[x]);
+                if let Some(row) = &mut recon {
+                    row[x] = orig[x];
+                }
+            }
+        }
+        walk.at
     }
 
     /// Reconstruct the span `xs` of row `(z, y)` of the block from its
-    /// `symbols` — one per point of the span — predicting from the working
-    /// grid `gbuf`, into `s.row[xs]`: the whole row for a full decode, the
-    /// target's share of it for a region. `cursor` is the rank of the span's
-    /// first escape among the block's `outliers` and is advanced past the
-    /// span's escapes. Returns the flattened grid index the span starts at.
+    /// `symbols` — one per point of the span — predicting from the previous
+    /// level's grid `prev`, into `out`, one slot per point of the span: the
+    /// whole row for a full decode, the target's share of it for a region.
+    /// `cursor` is the rank of the span's first escape among the block's
+    /// `outliers` and is advanced past the span's escapes. Returns the
+    /// flattened index the span starts at in the grid being refined.
     #[allow(clippy::too_many_arguments)]
     fn reconstruct_row<T: Scalar>(
         &self,
-        gbuf: &[T],
+        prev: &[T],
         z: usize,
         y: usize,
         xs: Range<usize>,
         symbols: &[u32],
         outliers: &[T],
         cursor: &mut usize,
-        s: &mut RowScratch<T>,
+        out: &mut [T],
     ) -> usize {
         let walk = self.row(z, y);
         let (xa, xb) = walk.batch_range();
-        let (xa, xb) = (xa.max(xs.start), xb.min(xs.end));
-        let symbols = &symbols[..xs.len()];
-        let mut x = xs.start;
-        while x < xs.end {
-            if x == xa && x < xb {
-                // Interior span: branchless symbol→code conversion, one
-                // fused predict+reconstruct pass, one narrowing. Escape slots
-                // get a placeholder code — their lane result is overwritten
-                // with the stored outlier below, so it cannot influence any
-                // output byte.
-                let m = xb - xa;
-                let span = &symbols[xa - xs.start..xb - xs.start];
-                let (codes, wide) = (&mut s.codes[..m], &mut s.recon[..m]);
-                LinearQuantizer::codes_of_run(span, codes);
-                self.quant.predict_reconstruct_run(
-                    self.lane,
-                    gbuf,
-                    walk.row_base + walk.gx0 + 2 * xa,
-                    &self.simd_stencil,
-                    codes,
-                    wide,
-                );
-                T::simd_from_f64(self.lane, wide, &mut s.row[xa..xb]);
-                if !outliers.is_empty() {
-                    for (j, &symbol) in span.iter().enumerate() {
-                        if symbol == ESCAPE_SYMBOL {
-                            s.row[xa + j] = outliers[*cursor];
-                            *cursor += 1;
-                        }
-                    }
-                }
-                x = xb;
-                continue;
-            }
+        let xa = xa.clamp(xs.start, xs.end);
+        let xb = xb.clamp(xa, xs.end);
+        let (symbols, out) = (&symbols[..xs.len()], &mut out[..xs.len()]);
+        // The kernel span: symbols to `T` in one fused pass. An escape slot
+        // gets a placeholder there — and nothing at all in the per-point
+        // loop — that the stored outlier overwrites below, so it cannot
+        // influence any output byte.
+        let span = xa - xs.start..xb - xs.start;
+        self.quant.reconstruct_dense(
+            self.lane,
+            prev,
+            walk.cbase + xa,
+            &walk.stencil.as_simd(),
+            &symbols[span.clone()],
+            &mut out[span],
+        );
+        for x in (xs.start..xa).chain(xb..xs.end) {
             let symbol = symbols[x - xs.start];
-            s.row[x] = if symbol == ESCAPE_SYMBOL {
-                *cursor += 1;
-                outliers[*cursor - 1]
-            } else {
-                T::from_f64(reconstruct_scalar::<T>(self.quant, symbol, walk.predict(gbuf, x)))
-            };
-            x += 1;
+            if symbol != ESCAPE_SYMBOL {
+                let value = reconstruct_scalar::<T>(self.quant, symbol, walk.predict(prev, x));
+                out[x - xs.start] = T::from_f64(value);
+            }
         }
-        walk.row_base + walk.gx0 + 2 * xs.start
+        if !outliers.is_empty() {
+            for (o, _) in out.iter_mut().zip(symbols).filter(|(_, &s)| s == ESCAPE_SYMBOL) {
+                *o = outliers[*cursor];
+                *cursor += 1;
+            }
+        }
+        walk.at + 2 * xs.start
     }
 }
 
 impl RowWalk<'_> {
-    /// The block-local x span `[xa, xb)` this row can process with the SIMD
-    /// batch kernels — its interior fast-path span, or empty on the scalar
-    /// lane or when the row's z/y stencil legs leave the grid.
+    /// The block-local x span `[xa, xb)` the batch kernels take: the span
+    /// the row's stencil is interior at, or nothing on the scalar lane.
     #[inline]
     fn batch_range(&self) -> (usize, usize) {
-        if self.rows.lane != Lane::Scalar && self.zy_interior {
-            (self.xa, self.xb)
-        } else {
+        if self.rows.lane == Lane::Scalar {
             (0, 0)
+        } else {
+            (self.xa, self.xb)
         }
     }
 
+    /// The prediction of the row's point `x`, one point at a time: what the
+    /// batch kernels must reproduce, and what takes the points they leave —
+    /// through the row's stencil where it is interior, through the one
+    /// per-point body everywhere else.
     #[inline(always)]
-    fn predict<T: Scalar>(&self, gbuf: &[T], x: usize) -> f64 {
+    fn predict<T: Scalar>(&self, prev: &[T], x: usize) -> f64 {
         let rows = self.rows;
-        let gx = self.gx0 + 2 * x;
-        if self.zy_interior && x >= self.xa && x < self.xb {
-            rows.stencil.predict_interior(gbuf, self.row_base + gx)
-        } else {
-            let active = &rows.block.active_axes;
-            predict_point(gbuf, rows.gdims, [self.gz, self.gy, gx], active, 1, rows.interp)
+        if (self.xa..self.xb).contains(&x) {
+            return self.stencil.predict_interior(prev, self.cbase + x);
         }
+        let p = [self.gz, self.gy, self.gx0 + 2 * x];
+        let taps = dense_taps(prev, rows.cdims);
+        predict_point(taps, rows.gdims, p, &rows.block.active_axes, 1, rows.interp)
     }
 }
 
@@ -720,41 +706,36 @@ pub(crate) fn block_span(name: &'static str, block: usize) -> stz_telemetry::tra
     span
 }
 
-/// Reconstruct one sub-block from its decoded symbols, storing each row
-/// into the working grid as it is produced.
+/// Reconstruct one sub-block from its decoded symbols and the previous
+/// level's grid, storing each row into the `next` one as it is produced.
 fn reconstruct_in_place<T: Scalar>(
     rows: &BlockRows<'_>,
     symbols: &[u32],
     outliers: &[T],
-    grid: &mut Field<T>,
+    prev: &Field<T>,
+    next: &mut Field<T>,
 ) {
-    let mut scratch = RowScratch::new(rows.bx);
+    let mut row = vec![T::default(); rows.bx];
     let mut cursor = 0;
     for (i, span) in symbols.chunks_exact(rows.bx).enumerate() {
-        let (z, y) = (i / rows.by, i % rows.by);
-        let at = rows.reconstruct_row(
-            grid.as_slice(),
-            z,
-            y,
-            0..rows.bx,
-            span,
-            outliers,
-            &mut cursor,
-            &mut scratch,
-        );
-        T::simd_scatter2(rows.lane, &scratch.row, grid.as_mut_slice(), at);
+        let (z, y, xs) = (i / rows.by, i % rows.by, 0..rows.bx);
+        let at =
+            rows.reconstruct_row(prev.as_slice(), z, y, xs, span, outliers, &mut cursor, &mut row);
+        T::simd_scatter2(rows.lane, &row, next.as_mut_slice(), at);
     }
 }
 
 /// Reconstruct the `target` box of one sub-block (in block-local
-/// coordinates) into the working grid: the rows of a full decode, each over
-/// the box's x-range only, so a region is a crop of the full decode by
-/// construction. `decoded` is a stretch of the block's stream that holds the
-/// box's rows, with the stream index of its first symbol; `rank_before(i)`
-/// is the number of escapes before symbol `i`, asked in ascending order.
+/// coordinates) from the previous level's grid into the `next` one: the rows
+/// of a full decode, each over the box's x-range only, so a region is a crop
+/// of the full decode by construction. `decoded` is a stretch of the block's
+/// stream that holds the box's rows, with the stream index of its first
+/// symbol; `rank_before(i)` is the number of escapes before symbol `i`, asked
+/// in ascending order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn reconstruct_box<T: Scalar>(
-    grid: &mut Field<T>,
+    prev: &Field<T>,
+    next: &mut Field<T>,
     block: &BlockSpec,
     quant: &LinearQuantizer,
     interp: InterpKind,
@@ -763,68 +744,83 @@ pub(crate) fn reconstruct_box<T: Scalar>(
     outliers: &[T],
     mut rank_before: impl FnMut(usize) -> usize,
 ) {
-    let rows = BlockRows::new(grid.dims(), block, quant, interp);
-    let mut scratch = RowScratch::new(rows.bx);
+    let rows = BlockRows::new(next.dims(), prev.dims(), block, quant, interp);
     let xs = target.x0..target.x1;
+    let mut row = vec![T::default(); xs.len()];
     for z in target.z0..target.z1 {
         for y in target.y0..target.y1 {
             let first = (z * rows.by + y) * rows.bx + xs.start;
             let mut cursor = rank_before(first);
             let at = rows.reconstruct_row(
-                grid.as_slice(),
+                prev.as_slice(),
                 z,
                 y,
                 xs.clone(),
                 &symbols[first - origin..][..xs.len()],
                 outliers,
                 &mut cursor,
-                &mut scratch,
+                &mut row,
             );
-            T::simd_scatter2(rows.lane, &scratch.row[xs.clone()], grid.as_mut_slice(), at);
+            T::simd_scatter2(rows.lane, &row, next.as_mut_slice(), at);
         }
     }
 }
 
-/// [`reconstruct_in_place`] for the pool: z-slabs of the block run in
-/// parallel against the shared grid, each into its own buffer of rows (in
-/// slab order, for [`place_slabs`]).
+/// One sub-block as the entropy stage leaves it for the pool.
+struct DecodedBlock<T> {
+    symbols: Vec<u32>,
+    outliers: Vec<T>,
+    /// Rank among `outliers` of the first escape of each z-slab.
+    cursors: Vec<usize>,
+}
+
+/// [`reconstruct_in_place`] for the pool, [`upscatter`] included. Rows read
+/// the previous grid only, so the next one can be cut into z-`slabs` (in
+/// previous-grid planes: two planes of the next grid each) that move their
+/// share of the previous grid up and fill in their rows of every block side by
+/// side, straight into place — and fault their own pages in.
 fn reconstruct_slabs<T: Scalar>(
-    rows: &BlockRows<'_>,
-    symbols: &[u32],
-    outliers: &[T],
-    grid: &Field<T>,
-) -> Vec<Vec<T>> {
-    // Outlier cursor at each slab boundary.
-    let plane = rows.by * rows.bx;
-    let gbuf = grid.as_slice();
-    let slabs = slab_ranges(rows.nz);
-    let mut escapes_so_far = 0usize;
-    let cursors: Vec<usize> = slabs
-        .iter()
-        .map(|slab| {
-            let before = escapes_so_far;
-            let span = &symbols[slab.start * plane..slab.end * plane];
-            escapes_so_far += span.iter().filter(|&&s| s == ESCAPE_SYMBOL).count();
-            before
-        })
-        .collect();
-    slabs
-        .into_par_iter()
-        .zip(cursors.into_par_iter())
-        .map(|(slab, mut cursor)| {
-            let mut out = Vec::with_capacity(slab.len() * plane);
-            let mut scratch = RowScratch::new(rows.bx);
-            for z in slab {
+    blocks: &[(BlockRows<'_>, DecodedBlock<T>)],
+    slabs: &[Range<usize>],
+    coarse: &Field<T>,
+    next: &mut Field<T>,
+) {
+    let (cdims, ndims) = (coarse.dims(), next.dims());
+    let pair = 2 * ndims.ny() * ndims.nx();
+    let prev = coarse.as_slice();
+    // Every slab but the last is as long as the first.
+    let chunks = next.as_mut_slice().chunks_mut(slabs[0].len() * pair);
+    let fill = |(s, planes): (usize, &mut [T])| {
+        let (slab, base) = (&slabs[s], slabs[s].start * pair);
+        let mut span = stz_telemetry::trace::span("reconstruct");
+        span.attr("slab", s);
+        let window = Region::d3(slab.clone(), 0..cdims.ny(), 0..cdims.nx());
+        upscatter_into(coarse, &window, ndims, planes, base);
+        let mut row = Vec::new();
+        for (rows, block) in blocks {
+            row.resize(rows.bx, T::default());
+            let mut cursor = block.cursors[s];
+            for z in slab.start..slab.end.min(rows.nz) {
                 for y in 0..rows.by {
-                    let span = &symbols[(z * rows.by + y) * rows.bx..][..rows.bx];
-                    let xs = 0..rows.bx;
-                    rows.reconstruct_row(gbuf, z, y, xs, span, outliers, &mut cursor, &mut scratch);
-                    out.extend_from_slice(&scratch.row);
+                    let (xs, first) = (0..rows.bx, (z * rows.by + y) * rows.bx);
+                    let symbols = &block.symbols[first..first + rows.bx];
+                    let outliers = &block.outliers;
+                    let at = rows.reconstruct_row(
+                        prev,
+                        z,
+                        y,
+                        xs,
+                        symbols,
+                        outliers,
+                        &mut cursor,
+                        &mut row,
+                    );
+                    T::simd_scatter2(rows.lane, &row, planes, at - base);
                 }
             }
-            out
-        })
-        .collect()
+        }
+    };
+    let _: Vec<()> = chunks.into_par_iter().enumerate().map(fill).collect();
 }
 
 /// Decompress levels `1..=upto` of an archive, returning the corresponding
@@ -907,27 +903,41 @@ pub(crate) fn decode_level_grid<T: Scalar, S: SectionSource + ?Sized>(
     // A zeroed allocation costs nothing until its pages are touched, and
     // every page is touched exactly once per point stored.
     let mut next = Field::<T>::zeros(level.grid_dims);
-    upscatter(prev_grid, &mut next, &Region::full(prev_grid.dims()));
 
     if parallel {
-        let decode_one = |(i, block): (usize, &BlockSpec)| -> Result<Vec<Vec<T>>> {
+        // The entropy stage of every block side by side (and of every chunk
+        // within one), then every z-slab of the grid side by side.
+        let slabs = slab_ranges(prev_grid.dims().nz());
+        let decode_one = |(i, block): (usize, &BlockSpec)| -> Result<_> {
             let bytes = source.block_bytes(level_index, i)?;
             // Fresh from the allocator, so zeroed without a fill pass.
             let mut symbols = vec![0u32; block.lattice.len()];
-            let outliers = {
-                let _stage = block_span("entropy", i);
-                decode_block_payload::<T>(&bytes, true, &mut symbols)?
-            };
-            let _stage = block_span("reconstruct", i);
-            let rows = BlockRows::new(next.dims(), block, &quant, interp);
-            Ok(reconstruct_slabs(&rows, &symbols, &outliers, &next))
+            let _stage = block_span("entropy", i);
+            let outliers = decode_block_payload::<T>(&bytes, true, &mut symbols)?;
+            let plane = block.lattice.dims().ny() * block.lattice.dims().nx();
+            let mut rank = 0;
+            let cursors = slabs
+                .iter()
+                .map(|slab| {
+                    let (before, end) = (rank, symbols.len().min(slab.end * plane));
+                    if !outliers.is_empty() && slab.start * plane < end {
+                        let span = &symbols[slab.start * plane..end];
+                        rank += span.iter().filter(|&&s| s == ESCAPE_SYMBOL).count();
+                    }
+                    before
+                })
+                .collect();
+            Ok(DecodedBlock { symbols, outliers, cursors })
         };
-        let results: Vec<Result<Vec<Vec<T>>>> =
-            level.blocks.par_iter().enumerate().map(decode_one).collect();
-        for (block, slabs) in level.blocks.iter().zip(results) {
-            place_slabs(&mut next, block, &slabs?);
+        let decoded: Vec<Result<_>> = level.blocks.par_iter().enumerate().map(decode_one).collect();
+        let mut blocks = Vec::with_capacity(decoded.len());
+        for (block, decoded) in level.blocks.iter().zip(decoded) {
+            let rows = BlockRows::new(next.dims(), prev_grid.dims(), block, &quant, interp);
+            blocks.push((rows, decoded?));
         }
+        reconstruct_slabs(&blocks, &slabs, prev_grid, &mut next);
     } else {
+        upscatter(prev_grid, &mut next, &Region::full(prev_grid.dims()));
         // One buffer for the level's largest block.
         grow_symbols(symbols, level.blocks.iter().map(|b| b.lattice.len()).max().unwrap_or(0));
         for (i, block) in level.blocks.iter().enumerate() {
@@ -938,8 +948,8 @@ pub(crate) fn decode_level_grid<T: Scalar, S: SectionSource + ?Sized>(
                 decode_block_payload::<T>(&bytes, false, symbols)?
             };
             let _stage = block_span("reconstruct", i);
-            let rows = BlockRows::new(next.dims(), block, &quant, interp);
-            reconstruct_in_place(&rows, symbols, &outliers, &mut next);
+            let rows = BlockRows::new(next.dims(), prev_grid.dims(), block, &quant, interp);
+            reconstruct_in_place(&rows, symbols, &outliers, prev_grid, &mut next);
         }
     }
     Ok(next)

@@ -1,6 +1,7 @@
 //! STZ compressor configuration.
 
 use std::fmt;
+use stz_codec::LinearQuantizer;
 use stz_field::{Field, Scalar};
 use stz_sz3::{ErrorBound, InterpKind};
 
@@ -19,7 +20,9 @@ pub enum ConfigError {
     BadLevels(u8),
     /// The adaptive ratio is non-finite or not strictly positive.
     BadAdaptiveRatio(f64),
-    /// The quantizer radius is not strictly positive.
+    /// The quantizer radius is outside `1..=`[`LinearQuantizer::MAX_RADIUS`]:
+    /// beyond it a symbol no longer fits the stream and the bound would
+    /// silently break.
     BadRadius(i64),
 }
 
@@ -36,7 +39,7 @@ impl fmt::Display for ConfigError {
                 write!(f, "adaptive ratio {r} must be positive and finite")
             }
             ConfigError::BadRadius(r) => {
-                write!(f, "quantizer radius {r} must be positive")
+                write!(f, "quantizer radius {r} must be in 1..={}", LinearQuantizer::MAX_RADIUS)
             }
         }
     }
@@ -124,8 +127,9 @@ impl StzConfig {
     /// The compressor calls this before touching the field, so a config
     /// assembled from raw struct fields (bypassing the checked builders)
     /// still fails cleanly: a NaN or negative bound, a 0/1/5-level
-    /// hierarchy, a degenerate adaptive ratio, or a non-positive radius
-    /// each map to their [`ConfigError`] variant.
+    /// hierarchy, a degenerate adaptive ratio, or a radius that is not
+    /// positive or too large for the symbol stream each map to their
+    /// [`ConfigError`] variant.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let raw_eb = match self.eb {
             ErrorBound::Absolute(eb) | ErrorBound::Relative(eb) => eb,
@@ -139,7 +143,7 @@ impl StzConfig {
         if self.adaptive && !(self.adaptive_ratio > 0.0 && self.adaptive_ratio.is_finite()) {
             return Err(ConfigError::BadAdaptiveRatio(self.adaptive_ratio));
         }
-        if self.radius <= 0 {
+        if !LinearQuantizer::radius_in_range(self.radius) {
             return Err(ConfigError::BadRadius(self.radius));
         }
         Ok(())
@@ -245,8 +249,31 @@ mod tests {
             let cfg = StzConfig { adaptive: false, ..cfg };
             assert_eq!(cfg.validate(), Ok(()), "{ratio} non-adaptive");
         }
-        for radius in [0i64, -1, i64::MIN] {
+        let cap = LinearQuantizer::MAX_RADIUS;
+        for radius in [0i64, -1, i64::MIN, cap + 1, 1 << 31, 1 << 40, i64::MAX] {
             let cfg = StzConfig { radius, ..StzConfig::three_level(1e-3) };
+            assert_eq!(cfg.validate(), Err(ConfigError::BadRadius(radius)));
+        }
+        assert_eq!(StzConfig::three_level(1e-3).with_radius(cap).validate(), Ok(()));
+    }
+
+    #[test]
+    fn a_radius_the_symbols_cannot_hold_is_rejected_not_silently_wrong() {
+        // One spike over zeros: its code is ~5e9, which `zigzag + 1`
+        // truncated to `u32` used to turn into a wrong small code (max error
+        // 8.59e6 at radius 2^40). At the cap it escapes and the bound holds;
+        // above the cap there is no archive at all.
+        use crate::StzCompressor;
+        let mut field = Field::<f64>::zeros(Dims::d3(16, 16, 16));
+        field.set(7, 9, 5, 1e7);
+        let at_cap = StzConfig::three_level(1e-3).with_radius(LinearQuantizer::MAX_RADIUS);
+        let back = StzCompressor::new(at_cap).compress(&field).unwrap().decompress().unwrap();
+        let worst = field.as_slice().iter().zip(back.as_slice()).map(|(a, b)| (a - b).abs());
+        assert!(worst.fold(0.0, f64::max) <= 1e-3);
+        for radius in [1i64 << 31, 1 << 40] {
+            let cfg = StzConfig::three_level(1e-3).with_radius(radius);
+            let err = StzCompressor::new(cfg).compress(&field).unwrap_err();
+            assert!(err.to_string().contains("invalid configuration"), "{radius} -> {err}");
             assert_eq!(cfg.validate(), Err(ConfigError::BadRadius(radius)));
         }
     }

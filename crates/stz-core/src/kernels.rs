@@ -26,10 +26,27 @@ pub fn diag_weights(k: usize) -> (f64, f64) {
     (9.0 / denom, -1.0 / denom)
 }
 
-/// Predict the value at parent coordinate `p` from the reconstructed coarse
-/// lattice stored (at parent positions) in `buf`, a grid of either element
-/// type: every tap is widened to `f64` as it is loaded (exact), so an `f32`
+/// Tap reader over a grid that holds the coarse lattice at its parent
+/// positions — the grid being refined, the previous level upscattered into
+/// it. Every tap is widened to `f64` as it is loaded (exact), so an `f32`
 /// grid predicts exactly what its widened copy would.
+#[inline]
+pub fn grid_taps<S: Scalar>(buf: &[S], dims: Dims) -> impl Fn([usize; 3]) -> f64 + '_ {
+    move |c| buf[dims.index(c[0], c[1], c[2])].to_f64()
+}
+
+/// Tap reader over the previous level's working grid as it is — dense, of
+/// dims `cdims` — for a point in working-grid coordinates (prediction unit
+/// 1): every tap coordinate is even on every axis, and half of it is the
+/// tap's index in the previous grid.
+#[inline]
+pub fn dense_taps<S: Scalar>(prev: &[S], cdims: Dims) -> impl Fn([usize; 3]) -> f64 + '_ {
+    move |c| prev[cdims.index(c[0] >> 1, c[1] >> 1, c[2] >> 1)].to_f64()
+}
+
+/// Predict the value at parent coordinate `p` of a grid of `dims` from the
+/// reconstructed coarse lattice, read one coordinate at a time through `tap`
+/// ([`grid_taps`], [`dense_taps`]).
 ///
 /// `active` lists the axes along which `p` is `u` away from coarse points;
 /// along inactive axes `p` already lies on the coarse lattice. All coarse
@@ -37,8 +54,8 @@ pub fn diag_weights(k: usize) -> (f64, f64) {
 /// points because active coordinates are odd multiples of `u` (offset `u`
 /// plus a multiple of `2u`).
 #[inline]
-pub fn predict_point<S: Scalar>(
-    buf: &[S],
+pub fn predict_point(
+    tap: impl Fn([usize; 3]) -> f64,
     dims: Dims,
     p: [usize; 3],
     active: &[usize],
@@ -78,8 +95,8 @@ pub fn predict_point<S: Scalar>(
                     co[d] = p[d] - 3 * u;
                 }
             }
-            inner += buf[dims.index(ci[0], ci[1], ci[2])].to_f64();
-            outer += buf[dims.index(co[0], co[1], co[2])].to_f64();
+            inner += tap(ci);
+            outer += tap(co);
         }
         return wi * inner + wo * outer;
     }
@@ -92,7 +109,7 @@ pub fn predict_point<S: Scalar>(
         for (j, &d) in active.iter().enumerate() {
             c[d] = if bits >> j & 1 == 1 && p[d] + u < n[d] { p[d] + u } else { p[d] - u };
         }
-        sum += buf[dims.index(c[0], c[1], c[2])].to_f64();
+        sum += tap(c);
     }
     sum / (1usize << k) as f64
 }
@@ -101,85 +118,99 @@ pub fn predict_point<S: Scalar>(
 ///
 /// In working-grid coordinates the prediction unit is always 1, so the
 /// stencil's corner positions are fixed *linear-index offsets* from the
-/// target: ±1/±3 along each active axis map to ±stride(axis)/±3·stride(axis)
-/// in the flattened grid. Interior points (where the whole stencil is in
-/// bounds) are predicted with pure pointer arithmetic — no per-point
-/// coordinate math, no branches. This is the cache-friendly sequential
-/// access pattern the paper credits for STZ's speed advantage over SZ3's
-/// long-range strided interpolation (§4.4).
-#[derive(Debug, Clone)]
+/// target. Interior points (where the whole stencil is in bounds) are
+/// predicted with pure pointer arithmetic — no per-point coordinate math, no
+/// branches. This is the cache-friendly sequential access pattern the paper
+/// credits for STZ's speed advantage over SZ3's long-range strided
+/// interpolation (§4.4).
+///
+/// The offsets come in two readings of the same taps: [`StencilOffsets::new`]
+/// counts them in the grid being refined, where the coarse lattice sits at
+/// the even positions (±1/±3 strides around the target); and
+/// [`StencilOffsets::dense`] in the previous level's grid as it is, which is
+/// what the codec's rows read.
+#[derive(Debug, Clone, Copy)]
 pub struct StencilOffsets {
-    k: usize,
-    cubic: bool,
-    inner: [isize; 8],
-    outer: [isize; 8],
-    wi: f64,
-    wo: f64,
+    st: stz_simd::Stencil,
+}
+
+/// Flattened strides of the z, y and x axes of a grid.
+fn strides(dims: Dims) -> [isize; 3] {
+    [(dims.ny() * dims.nx()) as isize, dims.nx() as isize, 1]
 }
 
 impl StencilOffsets {
-    /// Build the stencil for a block with the given active axes.
-    pub fn new(gdims: Dims, active: &[usize], kind: InterpKind) -> Self {
-        let k = active.len();
+    /// A `k`-axis stencil whose corner `bits` takes, on the `j`-th active
+    /// axis, the (inner, outer) offsets `tap(j, bit j of bits)`.
+    fn from_taps(k: usize, kind: InterpKind, tap: impl Fn(usize, bool) -> (isize, isize)) -> Self {
         debug_assert!((1..=3).contains(&k));
-        let strides = [(gdims.ny() * gdims.nx()) as isize, gdims.nx() as isize, 1isize];
         let mut inner = [0isize; 8];
         let mut outer = [0isize; 8];
         for bits in 0..(1usize << k) {
-            let (mut di, mut do_) = (0isize, 0isize);
-            for (j, &d) in active.iter().enumerate() {
-                let sign = if bits >> j & 1 == 1 { 1 } else { -1 };
-                di += sign * strides[d];
-                do_ += sign * 3 * strides[d];
+            for j in 0..k {
+                let (di, do_) = tap(j, bits >> j & 1 == 1);
+                inner[bits] += di;
+                outer[bits] += do_;
             }
-            inner[bits] = di;
-            outer[bits] = do_;
         }
         let (wi, wo) = diag_weights(k);
-        StencilOffsets { k, cubic: kind == InterpKind::Cubic, inner, outer, wi, wo }
+        let cubic = kind == InterpKind::Cubic;
+        StencilOffsets { st: stz_simd::Stencil::new(cubic, 1 << k, inner, outer, wi, wo) }
     }
 
-    /// Number of corners (2^k).
-    #[inline]
-    pub fn corners(&self) -> usize {
-        1 << self.k
+    /// Build the stencil for a block with the given active axes, as offsets
+    /// from a target in the grid being refined (`gdims`): ±1/±3 along each
+    /// active axis map to ±stride(axis)/±3·stride(axis).
+    pub fn new(gdims: Dims, active: &[usize], kind: InterpKind) -> Self {
+        let strides = strides(gdims);
+        Self::from_taps(active.len(), kind, |j, plus| {
+            let s = if plus { strides[active[j]] } else { -strides[active[j]] };
+            (s, 3 * s)
+        })
     }
 
-    /// Predict at flattened grid index `gidx`; the caller guarantees the
-    /// whole stencil is in bounds (see [`StencilOffsets::interior_coord`]).
+    /// The same stencil as offsets into the previous level's working grid
+    /// (`cdims`) from the coarse index `p >> 1` of a target `p`: along each
+    /// active axis the inner taps `p − 1`, `p + 1` are the coarse points
+    /// `+0`, `+1` and the outer taps `p − 3`, `p + 3` the coarse points `−1`,
+    /// `+2`. Block-local `x` is the coarse x index, so a block row is unit
+    /// stride there. An axis of `clamped` (multilinear only) has no `p + 1`
+    /// inside the grid and gives its plus corner the minus corner's offset,
+    /// as [`predict_point`] does.
+    pub fn dense(cdims: Dims, active: &[usize], kind: InterpKind, clamped: [bool; 3]) -> Self {
+        debug_assert!(kind == InterpKind::Linear || clamped == [false; 3]);
+        let strides = strides(cdims);
+        Self::from_taps(active.len(), kind, |j, plus| {
+            let s = strides[active[j]];
+            match plus {
+                true if clamped[active[j]] => (0, 2 * s),
+                true => (s, 2 * s),
+                false => (0, -s),
+            }
+        })
+    }
+
+    /// Predict at flattened grid index `gidx` — of the grid the offsets were
+    /// counted in; the caller guarantees the whole stencil is in bounds (see
+    /// [`StencilOffsets::interior_coord`]). Corner sums ascend from `0.0`,
+    /// then `wi·si + wo·so` (cubic) or `s / corners` (multilinear): the one
+    /// point every `stz-simd` predict kernel reproduces bit for bit.
     #[inline(always)]
     pub fn predict_interior<S: Scalar>(&self, buf: &[S], gidx: usize) -> f64 {
-        let base = gidx as isize;
-        if self.cubic {
-            let mut si = 0.0;
-            let mut so = 0.0;
-            for bits in 0..self.corners() {
-                si += buf[(base + self.inner[bits]) as usize].to_f64();
-                so += buf[(base + self.outer[bits]) as usize].to_f64();
-            }
-            self.wi * si + self.wo * so
-        } else {
-            let mut s = 0.0;
-            for bits in 0..self.corners() {
-                s += buf[(base + self.inner[bits]) as usize].to_f64();
-            }
-            s / self.corners() as f64
-        }
+        stz_simd::scalar::predict_one(buf, gidx, &self.st)
     }
 
-    /// This stencil in `stz-simd` batch-kernel form (the fields mirror each
-    /// other one-to-one; `stz_simd::predict_run_typed` reproduces
-    /// [`predict_interior`](Self::predict_interior) bit-for-bit).
+    /// This stencil in `stz-simd` batch-kernel form.
     #[inline]
     pub fn as_simd(&self) -> stz_simd::Stencil {
-        stz_simd::Stencil::new(self.cubic, self.corners(), self.inner, self.outer, self.wi, self.wo)
+        self.st
     }
 
     /// Whether coordinate `p` along an *active* axis of extent `n` keeps the
     /// whole stencil in bounds for this interpolation order.
     #[inline]
     pub fn interior_coord(&self, p: usize, n: usize) -> bool {
-        if self.cubic {
+        if self.st.cubic {
             p >= 3 && p + 3 < n
         } else {
             p + 1 < n
@@ -199,7 +230,7 @@ impl StencilOffsets {
         if !x_active {
             return (0, bx);
         }
-        let (need_lo, need_hi) = if self.cubic { (3usize, 3usize) } else { (0, 1) };
+        let (need_lo, need_hi) = if self.st.cubic { (3usize, 3usize) } else { (0, 1) };
         // ox + 2·x >= need_lo  →  x >= ceil((need_lo - ox) / 2)
         let xa = need_lo.saturating_sub(ox).div_ceil(2);
         // ox + 2·x + need_hi < gnx  →  x <= (gnx - 1 - need_hi - ox) / 2
@@ -208,6 +239,65 @@ impl StencilOffsets {
             None => 0,
         };
         (xa.min(bx), xb.max(xa.min(bx)))
+    }
+}
+
+/// The dense stencils of one sub-block, one per kind of row.
+///
+/// [`predict_point`] gives every point of a row the same kernel as long as
+/// its x-coordinate is interior to it: the block's own where the row's z and
+/// y stencil legs stay inside the grid, and otherwise — whatever the
+/// interpolation order — multilinear over the inner corners, clamped on the
+/// z/y axis that has no `p + 1`. So a border row is a row with another
+/// stencil, not a row without one.
+#[derive(Debug, Clone)]
+pub struct RowStencils {
+    interior: StencilOffsets,
+    /// Multilinear, indexed by `z clamped + 2 · y clamped`.
+    border: [StencilOffsets; 4],
+    gdims: Dims,
+    /// Whether the z, y and x axes are active.
+    on: [bool; 3],
+}
+
+impl RowStencils {
+    /// The stencils of a block with the given active axes over the previous
+    /// level's grid (`cdims`), for rows of the grid being refined (`gdims`).
+    pub fn new(gdims: Dims, cdims: Dims, active: &[usize], kind: InterpKind) -> Self {
+        let border = |clamp: usize| {
+            let clamped = [clamp & 1 == 1, clamp & 2 == 2, false];
+            StencilOffsets::dense(cdims, active, InterpKind::Linear, clamped)
+        };
+        RowStencils {
+            interior: StencilOffsets::dense(cdims, active, kind, [false; 3]),
+            border: [border(0), border(1), border(2), border(3)],
+            gdims,
+            on: [0, 1, 2].map(|d| active.contains(&d)),
+        }
+    }
+
+    /// The stencil of the row at grid coordinates `(gz, gy)` whose first
+    /// point is at `gx0`, and the span `[xa, xb)` of its `bx` block-local x
+    /// indices the stencil is interior at: the points a batch kernel may
+    /// take. The at most three left over — x-border points of a cubic row,
+    /// the clamped last point of any — are [`predict_point`]'s.
+    pub fn of_row(
+        &self,
+        gz: usize,
+        gy: usize,
+        gx0: usize,
+        bx: usize,
+    ) -> (&StencilOffsets, usize, usize) {
+        let (mut interior, mut clamp) = (true, 0);
+        for (d, p, n) in [(0, gz, self.gdims.nz()), (1, gy, self.gdims.ny())] {
+            if self.on[d] {
+                interior &= self.interior.interior_coord(p, n);
+                clamp |= usize::from(p + 1 >= n) << d;
+            }
+        }
+        let stencil = if interior { &self.interior } else { &self.border[clamp] };
+        let (xa, xb) = stencil.interior_x_range(self.on[2], gx0, self.gdims.nx(), bx);
+        (stencil, xa, xb)
     }
 }
 
@@ -231,6 +321,18 @@ pub fn predict_direct<S: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`predict_point`] over a grid that holds the coarse lattice in place.
+    fn predict_in(
+        buf: &[f64],
+        dims: Dims,
+        p: [usize; 3],
+        active: &[usize],
+        u: usize,
+        kind: InterpKind,
+    ) -> f64 {
+        predict_point(grid_taps(buf, dims), dims, p, active, u, kind)
+    }
 
     /// Fill a full-size buffer with `f` evaluated at every parent point (the
     /// tests pretend the whole grid is coarse-reconstructed).
@@ -280,7 +382,7 @@ mod tests {
     fn linear_k1_is_midpoint() {
         let dims = Dims::d1(9);
         let buf = grid(dims, |_, _, x| 3.0 * x + 1.0);
-        let p = predict_point(&buf, dims, [0, 0, 3], &[2], 1, InterpKind::Linear);
+        let p = predict_in(&buf, dims, [0, 0, 3], &[2], 1, InterpKind::Linear);
         assert!((p - 10.0).abs() < 1e-12);
     }
 
@@ -290,7 +392,7 @@ mod tests {
         let poly = |x: f64| 1.0 + x - 0.3 * x * x + 0.05 * x * x * x;
         let buf = grid(dims, |_, _, x| poly(x));
         // interior point with full stencil: p=7, u=1 -> sources 4,6,8,10
-        let p = predict_point(&buf, dims, [0, 0, 7], &[2], 1, InterpKind::Cubic);
+        let p = predict_in(&buf, dims, [0, 0, 7], &[2], 1, InterpKind::Cubic);
         assert!((p - poly(7.0)).abs() < 1e-10, "got {p}, want {}", poly(7.0));
     }
 
@@ -299,7 +401,7 @@ mod tests {
         let dims = Dims::d2(9, 9);
         let f = |y: f64, x: f64| 2.0 + y + 3.0 * x + 0.5 * x * y;
         let buf = grid(dims, |_, y, x| f(y, x));
-        let p = predict_point(&buf, dims, [0, 3, 5], &[1, 2], 1, InterpKind::Linear);
+        let p = predict_in(&buf, dims, [0, 3, 5], &[1, 2], 1, InterpKind::Linear);
         assert!((p - f(3.0, 5.0)).abs() < 1e-12);
     }
 
@@ -310,7 +412,7 @@ mod tests {
         let dims = Dims::d2(17, 17);
         let f = |y: f64, x: f64| 1.0 + x + y + x * y + 0.5 * (x * x + y * y);
         let buf = grid(dims, |_, y, x| f(y, x));
-        let p = predict_point(&buf, dims, [0, 7, 7], &[1, 2], 1, InterpKind::Cubic);
+        let p = predict_in(&buf, dims, [0, 7, 7], &[1, 2], 1, InterpKind::Cubic);
         assert!((p - f(7.0, 7.0)).abs() < 1e-10, "got {p}, want {}", f(7.0, 7.0));
     }
 
@@ -319,7 +421,7 @@ mod tests {
         let dims = Dims::d3(17, 17, 17);
         let f = |z: f64, y: f64, x: f64| 1.0 + x + 2.0 * y + 3.0 * z + x * y * z;
         let buf = grid(dims, f);
-        let p = predict_point(&buf, dims, [7, 7, 7], &[0, 1, 2], 1, InterpKind::Cubic);
+        let p = predict_in(&buf, dims, [7, 7, 7], &[0, 1, 2], 1, InterpKind::Cubic);
         assert!((p - f(7.0, 7.0, 7.0)).abs() < 1e-10);
     }
 
@@ -329,7 +431,7 @@ mod tests {
         let dims = Dims::d1(17);
         let poly = |x: f64| 2.0 * x * x * x - x;
         let buf = grid(dims, |_, _, x| poly(x));
-        let p = predict_point(&buf, dims, [0, 0, 6], &[2], 2, InterpKind::Cubic);
+        let p = predict_in(&buf, dims, [0, 0, 6], &[2], 2, InterpKind::Cubic);
         assert!((p - poly(6.0)).abs() < 1e-9);
     }
 
@@ -338,10 +440,10 @@ mod tests {
         let dims = Dims::d1(6);
         let buf = grid(dims, |_, _, x| x * x);
         // p=1: outer stencil (-2) out of range -> linear of 0 and 2 -> 2.0
-        let p = predict_point(&buf, dims, [0, 0, 1], &[2], 1, InterpKind::Cubic);
+        let p = predict_in(&buf, dims, [0, 0, 1], &[2], 1, InterpKind::Cubic);
         assert!((p - 2.0).abs() < 1e-12);
         // p=5 (last): +u out of range -> clamp to low corner -> value at 4
-        let p = predict_point(&buf, dims, [0, 0, 5], &[2], 1, InterpKind::Cubic);
+        let p = predict_in(&buf, dims, [0, 0, 5], &[2], 1, InterpKind::Cubic);
         assert!((p - 16.0).abs() < 1e-12);
     }
 
@@ -350,7 +452,7 @@ mod tests {
         let dims = Dims::d2(4, 6);
         let buf = grid(dims, |_, y, x| 10.0 * y + x);
         // p = (3, 3): y+1 = 4 out of range -> y clamps to 2; x in range.
-        let p = predict_point(&buf, dims, [0, 3, 3], &[1, 2], 1, InterpKind::Linear);
+        let p = predict_in(&buf, dims, [0, 3, 3], &[1, 2], 1, InterpKind::Linear);
         // corners: (2,2), (2,4) for both y choices -> avg = (22 + 24 + 22 + 24)/4
         assert!((p - 23.0).abs() < 1e-12);
     }
@@ -388,13 +490,124 @@ mod tests {
                             if !ok {
                                 continue;
                             }
-                            let slow = predict_point(&buf, dims, p, &active, 1, kind);
+                            let slow = predict_in(&buf, dims, p, &active, 1, kind);
                             let fast = st.predict_interior(&buf, dims.index(z, y, x));
                             assert!(
                                 (slow - fast).abs() < 1e-15,
                                 "{kind:?} {active:?} at {p:?}: {slow} vs {fast}"
                             );
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every point of every block class, predicted the way the codec's rows
+    /// do it — from the previous level's dense grid, through the row's
+    /// stencil inside its kernel span and through [`predict_point`] over
+    /// [`dense_taps`] outside — against [`predict_point`] over the
+    /// upscattered grid, bit for bit. Positions off the coarse lattice hold
+    /// NaN there, so a tap that strays poisons the reference too.
+    fn assert_dense_is_upscattered<S: Scalar>(gdims: Dims, value: impl Fn(usize) -> S) {
+        let cdims = gdims.coarsened(2);
+        let prev: Vec<S> = (0..cdims.len()).map(&value).collect();
+        let mut up = vec![S::from_f64(f64::NAN); gdims.len()];
+        for z in 0..cdims.nz() {
+            for y in 0..cdims.ny() {
+                for x in 0..cdims.nx() {
+                    up[gdims.index(2 * z, 2 * y, 2 * x)] = prev[cdims.index(z, y, x)];
+                }
+            }
+        }
+        for kind in [InterpKind::Linear, InterpKind::Cubic] {
+            for bits in 1..8usize {
+                let o = [bits >> 2 & 1, bits >> 1 & 1, bits & 1];
+                if (0..3).any(|d| o[d] >= gdims.as_array()[d]) {
+                    continue; // no such block in this grid
+                }
+                let active: Vec<usize> = (0..3).filter(|&d| o[d] == 1).collect();
+                let stencils = RowStencils::new(gdims, cdims, &active, kind);
+                let bx = (gdims.nx() - o[2]).div_ceil(2);
+                for gz in (o[0]..gdims.nz()).step_by(2) {
+                    for gy in (o[1]..gdims.ny()).step_by(2) {
+                        let (st, xa, xb) = stencils.of_row(gz, gy, o[2], bx);
+                        assert!(xa + (bx - xb) <= 3, "{gdims} {active:?}: per-point leftovers");
+                        let cbase = ((gz >> 1) * cdims.ny() + (gy >> 1)) * cdims.nx();
+                        for x in 0..bx {
+                            let p = [gz, gy, o[2] + 2 * x];
+                            let want =
+                                predict_point(grid_taps(&up, gdims), gdims, p, &active, 1, kind);
+                            let got = if (xa..xb).contains(&x) {
+                                st.predict_interior(&prev, cbase + x)
+                            } else {
+                                predict_point(dense_taps(&prev, cdims), gdims, p, &active, 1, kind)
+                            };
+                            assert!(!want.is_nan(), "{gdims} {kind:?} {active:?} {p:?}: stray tap");
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{gdims} {kind:?} {active:?} at {p:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_prediction_equals_the_upscattered_one_at_every_point() {
+        for gdims in [
+            Dims::d3(16, 17, 15),
+            Dims::d3(9, 8, 12),
+            Dims::d3(7, 9, 11),
+            Dims::d3(5, 4, 6), // below 7 on every axis: no cubic interior at all
+            Dims::d3(3, 2, 2),
+            Dims::d3(32, 3, 33),
+            Dims::d2(20, 13),
+            Dims::d2(6, 41),
+            Dims::d1(37),
+            Dims::d1(4),
+        ] {
+            assert_dense_is_upscattered(gdims, |i| ((i as f64 * 0.37).sin() * 1e3) as f32);
+            assert_dense_is_upscattered(gdims, |i| (i as f64 * 0.37).sin() * 1e3 + 1e-9 * i as f64);
+        }
+    }
+
+    #[test]
+    fn dense_row_kernel_equals_predict_point_on_every_lane() {
+        // The same identity through the batch kernel itself: with the code 0
+        // (symbol 1) and an `f64` grid the fused decode returns the
+        // prediction, give or take the sign of a zero.
+        let (gdims, kind) = (Dims::d3(9, 12, 23), InterpKind::Cubic);
+        let cdims = gdims.coarsened(2);
+        let prev: Vec<f64> = (0..cdims.len()).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
+        let (active, o) = ([0, 1, 2], [1, 1, 1]);
+        let stencils = RowStencils::new(gdims, cdims, &active, kind);
+        let bx = (gdims.nx() - o[2]).div_ceil(2);
+        for lane in stz_simd::available_lanes() {
+            for gz in (o[0]..gdims.nz()).step_by(2) {
+                for gy in (o[1]..gdims.ny()).step_by(2) {
+                    let (st, xa, xb) = stencils.of_row(gz, gy, o[2], bx);
+                    let cbase = ((gz >> 1) * cdims.ny() + (gy >> 1)) * cdims.nx();
+                    let mut out = vec![0.0f64; xb - xa];
+                    let ones = vec![1u32; xb - xa];
+                    let st = st.as_simd();
+                    stz_simd::predict_recon_dense(
+                        lane,
+                        &prev,
+                        cbase + xa,
+                        &st,
+                        &ones,
+                        1.0,
+                        &mut out,
+                    );
+                    for (x, got) in (xa..xb).zip(out) {
+                        let p = [gz, gy, o[2] + 2 * x];
+                        let want =
+                            predict_point(dense_taps(&prev, cdims), gdims, p, &active, 1, kind);
+                        assert_eq!(got.to_bits(), (want + 0.0).to_bits(), "{lane} at {p:?}");
                     }
                 }
             }
@@ -425,8 +638,8 @@ mod tests {
         let mut err_cubic = 0.0f64;
         let mut err_linear = 0.0f64;
         for t in (7..26).step_by(2) {
-            let pc = predict_point(&buf, dims, [0, 0, t], &[2], 1, InterpKind::Cubic);
-            let pl = predict_point(&buf, dims, [0, 0, t], &[2], 1, InterpKind::Linear);
+            let pc = predict_in(&buf, dims, [0, 0, t], &[2], 1, InterpKind::Cubic);
+            let pl = predict_in(&buf, dims, [0, 0, t], &[2], 1, InterpKind::Linear);
             err_cubic += (pc - f(t as f64)).abs();
             err_linear += (pl - f(t as f64)).abs();
         }

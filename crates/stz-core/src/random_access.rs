@@ -187,7 +187,9 @@ pub(crate) fn decompress_region<T: Scalar, S: SectionSource + ?Sized>(
             let decoded = (&symbols[..], origin);
             let mut escapes = EscapeRank { meta: &meta, decoded, at: 0, rank: 0 };
             let rank = |i| escapes.before(i);
-            reconstruct_box(&mut next, block, &quant, interp, &target, decoded, &outliers, rank);
+            reconstruct_box(
+                &grid, &mut next, block, &quant, interp, &target, decoded, &outliers, rank,
+            );
             times.predict += t.elapsed().as_secs_f64();
         }
 

@@ -17,7 +17,8 @@ pub const VERSION: u8 = 1;
 #[derive(Debug, Clone, Copy)]
 pub struct MgardConfig {
     pub eb: f64,
-    /// Quantizer radius.
+    /// Quantizer radius, in `1..=`[`LinearQuantizer::MAX_RADIUS`]: `compress`
+    /// panics on any other.
     pub radius: i64,
 }
 
@@ -32,7 +33,7 @@ impl MgardConfig {
 pub fn compress<T: Scalar>(field: &Field<T>, config: &MgardConfig) -> Vec<u8> {
     let dims = field.dims();
     let levels = num_levels(dims);
-    let quant = LinearQuantizer::new(config.eb, config.radius);
+    let quant = LinearQuantizer::encoder(config.eb, config.radius);
 
     let mut symbols: Vec<u32> = Vec::with_capacity(dims.len());
     let mut outliers: Vec<T> = Vec::new();

@@ -6,14 +6,20 @@
 //! implementation decide how many points it can process with full-width
 //! vector loads — a vector covering the last few stride-2 points may read
 //! one element past the last even index, so the implementations finish
-//! with the scalar reference for the unsafe remainder.
+//! with the scalar reference for the unsafe remainder. The dense kernels
+//! ([`predict_recon_dense`], [`predict_quantize_dense`]) read at unit
+//! stride, so a vector of points loads exactly what its points would.
 
 use crate::{scalar, Lane};
 
-/// Interior interpolation stencil in flattened-grid form: `corners = 2^k`
-/// linear-index offsets for the inner (±1·stride) and outer (±3·stride)
-/// diagonal rings, plus the cubic weights. Mirrors
-/// `stz_core::kernels::StencilOffsets`.
+/// Interpolation stencil in flattened-grid form: `corners = 2^k`
+/// linear-index offsets for the inner and outer diagonal rings, plus the
+/// cubic weights. Mirrors `stz_core::kernels::StencilOffsets`, whose
+/// constructors give the offsets of either reading: taps at ±1/±3 strides
+/// around a point of the grid being refined (the stride-2 kernels), or at
+/// 0, +1 / −1, +2 strides in the previous level's dense grid (the dense
+/// kernels). A clamped multilinear stencil repeats the minus corner's offset
+/// on the axis that has no plus corner.
 #[derive(Debug, Clone, Copy)]
 pub struct Stencil {
     /// Cubic (inner + outer ring) or multilinear (inner ring only).
@@ -92,6 +98,9 @@ pub trait GridElem: Copy + LaneLoads {
     /// Exact widening to `f64`.
     fn widen(self) -> f64;
 
+    /// Rounding to this type (`as` cast semantics; the identity for `f64`).
+    fn narrow(v: f64) -> Self;
+
     /// The grid as `f64`s if that is what it holds: NEON has no `f32`-grid
     /// kernel, so that lane runs the portable one for `f32` grids.
     #[cfg(target_arch = "aarch64")]
@@ -107,6 +116,11 @@ impl GridElem for f32 {
         self as f64
     }
 
+    #[inline(always)]
+    fn narrow(v: f64) -> f32 {
+        v as f32
+    }
+
     #[cfg(target_arch = "aarch64")]
     fn as_f64s(_: &[f32]) -> Option<&[f64]> {
         None
@@ -119,6 +133,11 @@ impl GridElem for f64 {
     #[inline(always)]
     fn widen(self) -> f64 {
         self
+    }
+
+    #[inline(always)]
+    fn narrow(v: f64) -> f64 {
+        v
     }
 
     #[cfg(target_arch = "aarch64")]
@@ -153,50 +172,12 @@ pub(crate) fn vec_points(base: usize, max_off: isize, len: usize, n: usize, w: u
     v
 }
 
-/// Batch interior prediction: `out[i]` predicts the grid point at
-/// flattened index `base + 2*i`. See [`scalar::predict_run`] for the
-/// reference semantics.
-///
-/// # Panics
-/// If any stencil tap of any point falls outside `buf`.
-pub fn predict_run(lane: Lane, buf: &[f64], base: usize, st: &Stencil, out: &mut [f64]) {
-    predict_run_typed(lane, buf, base, st, out)
-}
-
-/// [`predict_run`] over a grid of either element type.
-pub fn predict_run_typed<S: GridElem>(
-    lane: Lane,
-    buf: &[S],
-    base: usize,
-    st: &Stencil,
-    out: &mut [f64],
-) {
-    if out.is_empty() {
-        return;
-    }
-    assert_taps_in_bounds(buf.len(), base, st, out.len());
-    match lane {
-        // SAFETY (every lane arm): the assertion above put every tap of every
-        // point inside `buf`; SSE2 is the x86_64 baseline, and `Lane::Avx2` /
-        // `Lane::Neon` are only ever selected on a CPU that has them.
-        #[cfg(target_arch = "x86_64")]
-        Lane::Sse2 => unsafe { crate::x86::predict_run_sse2(buf, base, st, out) },
-        #[cfg(target_arch = "x86_64")]
-        Lane::Avx2 => unsafe { crate::x86::predict_run_avx2(buf, base, st, out) },
-        #[cfg(target_arch = "aarch64")]
-        Lane::Neon => match S::as_f64s(buf) {
-            Some(buf) => unsafe { crate::neon::predict_run(buf, base, st, out) },
-            None => scalar::predict_run(buf, base, st, out),
-        },
-        _ => scalar::predict_run(buf, base, st, out),
-    }
-}
-
 /// The scalar access pattern of a predict kernel, checked once per run: the
-/// lowest tap of the first point and the highest tap of the last.
-fn assert_taps_in_bounds(len: usize, base: usize, st: &Stencil, points: usize) {
+/// lowest tap of the first point and the highest tap of the last, `step`
+/// elements apart (2 in the grid being refined, 1 in the dense one).
+fn assert_taps_in_bounds(len: usize, base: usize, st: &Stencil, points: usize, step: usize) {
     let (lo, hi) = st.offset_range();
-    let last = base + 2 * (points - 1);
+    let last = base + step * (points - 1);
     assert!(base as isize + lo >= 0, "stencil underruns the grid");
     assert!(
         (last as isize + hi) >= 0 && ((last as isize + hi) as usize) < len,
@@ -204,10 +185,114 @@ fn assert_taps_in_bounds(len: usize, base: usize, st: &Stencil, points: usize) {
     );
 }
 
+/// Fused predict + reconstruct from the previous level's dense grid, decode
+/// side: `out[i]` is the prediction from the taps `prev[base + i + offset]`
+/// plus `two_eb` times the signed code of `symbols[i]` (`symbol − 1`,
+/// un-zigzagged), rounded to `S` — the value that belongs in the grid. A
+/// zero symbol (an escape) decodes to the code `i32::MIN`: a finite
+/// placeholder result the caller overwrites with the stored value.
+///
+/// `Avx2` runs four points a step; every other lane runs the portable
+/// kernel ([`scalar::predict_recon_dense`]), whose unit-stride blocks the
+/// compiler vectorises for the target's baseline.
+///
+/// # Panics
+/// If any stencil tap of any point falls outside `prev`, or
+/// `symbols.len() != out.len()`.
+pub fn predict_recon_dense<S: GridElem>(
+    lane: Lane,
+    prev: &[S],
+    base: usize,
+    st: &Stencil,
+    symbols: &[u32],
+    two_eb: f64,
+    out: &mut [S],
+) {
+    if out.is_empty() {
+        return;
+    }
+    assert!(symbols.len() == out.len());
+    assert_taps_in_bounds(prev.len(), base, st, out.len(), 1);
+    match lane {
+        // SAFETY: the assertions above put every tap of every point inside
+        // `prev` and matched `symbols` to `out`, which is all the kernel
+        // reads and writes; `Lane::Avx2` is only ever selected on a CPU
+        // that has it.
+        #[cfg(target_arch = "x86_64")]
+        Lane::Avx2 => unsafe {
+            crate::x86::predict_recon_dense_avx2(prev, base, st, symbols, two_eb, out)
+        },
+        _ => scalar::predict_recon_dense(prev, base, st, symbols, two_eb, out),
+    }
+}
+
+/// The error bound of the fused quantizer: `eb`, twice it, and the largest
+/// code magnitude that is not an escape.
+#[derive(Debug, Clone, Copy)]
+pub struct Bound {
+    /// Absolute error bound.
+    pub eb: f64,
+    /// `2.0 * eb`, the quantization step.
+    pub two_eb: f64,
+    /// Quantizer radius, at most [`Bound::MAX_RADIUS`].
+    pub radius: f64,
+}
+
+impl Bound {
+    /// Largest radius whose symbols (`zigzag(code) + 1`) fit the `u32` the
+    /// kernels compute them in.
+    pub const MAX_RADIUS: i64 = 1 << 30;
+}
+
+/// Fused predict + quantize from the previous level's dense grid, encode
+/// side: point `i` is predicted from the taps `prev[base + i + offset]`,
+/// `actuals[i]` is quantized against it exactly as `quantize_run_f32` /
+/// `_f64` (by `S`) would, and `symbols[i]` receives `zigzag(code) + 1` — or 0
+/// where the point escapes. `recon`, where a caller wants it, receives the
+/// reconstruction rounded to `S` (meaningless at an escape). Returns whether
+/// any point escaped, so the caller's walk for outliers can skip a run that
+/// has none.
+///
+/// Lanes as for [`predict_recon_dense`].
+///
+/// # Panics
+/// If any stencil tap of any point falls outside `prev`, the slices differ
+/// in length, or `bound.radius` exceeds [`Bound::MAX_RADIUS`].
+#[allow(clippy::too_many_arguments)]
+pub fn predict_quantize_dense<S: GridElem>(
+    lane: Lane,
+    prev: &[S],
+    base: usize,
+    st: &Stencil,
+    actuals: &[S],
+    bound: &Bound,
+    symbols: &mut [u32],
+    recon: Option<&mut [S]>,
+) -> bool {
+    let n = actuals.len();
+    if n == 0 {
+        return false;
+    }
+    assert!(symbols.len() == n && recon.as_deref().map_or(true, |r| r.len() == n));
+    assert!(bound.radius <= Bound::MAX_RADIUS as f64, "radius too large for u32 symbols");
+    assert_taps_in_bounds(prev.len(), base, st, n, 1);
+    match lane {
+        // SAFETY: the assertions above put every tap of every point inside
+        // `prev` and gave `actuals`, `symbols` and `recon` one length, which
+        // is all the kernel reads and writes; `Lane::Avx2` is only ever
+        // selected on a CPU that has it.
+        #[cfg(target_arch = "x86_64")]
+        Lane::Avx2 => unsafe {
+            crate::x86::predict_quantize_dense_avx2(prev, base, st, actuals, bound, symbols, recon)
+        },
+        _ => scalar::predict_quantize_dense(prev, base, st, actuals, bound, symbols, recon),
+    }
+}
+
 /// Fused predict + f64 reconstruct:
-/// `out[i] = predict(base + 2*i) + two_eb * codes[i]`. Bitwise equal to
-/// [`predict_run`] followed by [`recon_run_f64`], saving the prediction
-/// round-trip through a scratch buffer (the decode hot path).
+/// `out[i] = predict(base + 2*i) + two_eb * codes[i]`, the prediction read
+/// at stride 2 from the grid being refined — what the codec did before its
+/// rows read the previous level's grid ([`predict_recon_dense`]).
 ///
 /// # Panics
 /// If any stencil tap of any point falls outside `buf`, or
@@ -267,7 +352,7 @@ fn predict_recon_run<S: GridElem>(
         return;
     }
     assert!(codes.len() == out.len());
-    assert_taps_in_bounds(buf.len(), base, st, out.len());
+    assert_taps_in_bounds(buf.len(), base, st, out.len(), 2);
     let portable = |out: &mut [f64]| {
         if round32 {
             scalar::predict_recon_run_f32(buf, base, st, codes, two_eb, out)
@@ -579,7 +664,7 @@ mod tests {
     /// Every lane against the portable kernel for runs of 0..=40 points (a
     /// few vector widths and every remainder) whose last tap is the grid's
     /// last element — the tightest bound `vec_points` must respect — with
-    /// the plain and both fused kernels.
+    /// both fused stride-2 kernels.
     fn assert_predict_lanes_match<S: GridElem>(grid: &[S], what: &str) {
         for (k, cubic) in [(1, false), (1, true), (2, false), (2, true), (3, false), (3, true)] {
             let st = synthetic_stencil(k, cubic);
@@ -589,15 +674,13 @@ mod tests {
                 let len = if n == 0 { 0 } else { base + 2 * (n - 1) + hi as usize + 1 };
                 let buf = &grid[..len];
                 let codes: Vec<f64> = (0..n).map(|i| (i as i64 % 9 - 4) as f64).collect();
-                let mut want = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
-                crate::scalar::predict_run(buf, base, &st, &mut want[0]);
-                crate::scalar::predict_recon_run_f64(buf, base, &st, &codes, 2e-3, &mut want[1]);
-                crate::scalar::predict_recon_run_f32(buf, base, &st, &codes, 2e-3, &mut want[2]);
+                let mut want = [vec![0.0; n], vec![0.0; n]];
+                crate::scalar::predict_recon_run_f64(buf, base, &st, &codes, 2e-3, &mut want[0]);
+                crate::scalar::predict_recon_run_f32(buf, base, &st, &codes, 2e-3, &mut want[1]);
                 for lane in available_lanes() {
-                    let mut got = [vec![1.0; n], vec![1.0; n], vec![1.0; n]];
-                    predict_run_typed(lane, buf, base, &st, &mut got[0]);
-                    predict_recon_run(lane, buf, base, &st, &codes, 2e-3, &mut got[1], false);
-                    predict_recon_run(lane, buf, base, &st, &codes, 2e-3, &mut got[2], true);
+                    let mut got = [vec![1.0; n], vec![1.0; n]];
+                    predict_recon_run(lane, buf, base, &st, &codes, 2e-3, &mut got[0], false);
+                    predict_recon_run(lane, buf, base, &st, &codes, 2e-3, &mut got[1], true);
                     for (kernel, (g, w)) in got.iter().zip(&want).enumerate() {
                         let what =
                             format!("{what} kernel {kernel} k={k} cubic={cubic} n={n} {lane}");
@@ -634,6 +717,218 @@ mod tests {
             predict_recon_run_f32(lane, &widened, base, &st, &codes, 2e-3, &mut b);
             assert_bits_eq(&a, &b, &format!("typed f32 vs widened on {lane}"));
         }
+    }
+
+    /// Dense stencil over `k` axes of strides 1, 7 and 64 — taps at 0, +1
+    /// (inner) and −1, +2 (outer) strides — of one of the three kinds the
+    /// codec builds: cubic, multilinear, or multilinear with the axes of
+    /// `clamped` folded onto their minus corner.
+    fn dense_stencil(k: usize, cubic: bool, clamped: usize) -> Stencil {
+        let corners = 1usize << k;
+        let mut inner = [0isize; 8];
+        let mut outer = [0isize; 8];
+        for bits in 0..corners {
+            for j in 0..k {
+                let s = [1isize, 7, 64][j];
+                let plus = bits >> j & 1 == 1;
+                if clamped >> j & 1 == 0 {
+                    inner[bits] += if plus { s } else { 0 };
+                }
+                outer[bits] += if plus { 2 * s } else { -s };
+            }
+        }
+        Stencil::new(cubic, corners, inner, outer, 9.0 / 16.0, -1.0 / 16.0)
+    }
+
+    fn dense_stencils() -> Vec<(String, Stencil)> {
+        let mut all = Vec::new();
+        for k in 1..=3 {
+            all.push((format!("k={k} cubic"), dense_stencil(k, true, 0)));
+            for clamped in 0..1usize << k {
+                all.push((
+                    format!("k={k} linear clamp={clamped:03b}"),
+                    dense_stencil(k, false, clamped),
+                ));
+            }
+        }
+        all
+    }
+
+    /// The bits of a grid element, every NaN alike. Which NaN comes out of an
+    /// addition of two is the one thing a compiler may change by commuting
+    /// the operands, and no NaN prediction ever reaches a decoded field: the
+    /// encoder escapes the point, and the decoder stores the escape.
+    fn elem_bits<S: GridElem>(v: S) -> u64 {
+        let wide = v.widen();
+        if wide.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            wide.to_bits()
+        }
+    }
+
+    /// Both dense kernels on every lane against the portable ones, for runs
+    /// of 0..=40 points whose last tap is the grid's last element: decode from
+    /// symbols that include escapes and the alphabet's ends, encode of
+    /// originals that are codable, far off (radius escapes) and non-finite.
+    fn assert_dense_lanes_match<S: GridElem + PartialEq + std::fmt::Debug>(
+        grid: &[S],
+        actuals: &[S],
+        what: &str,
+    ) {
+        let bounds = [
+            Bound { eb: 1e-3, two_eb: 2e-3, radius: 32768.0 },
+            Bound { eb: 0.25, two_eb: 0.5, radius: (1u64 << 30) as f64 },
+            Bound { eb: 1e-9, two_eb: 2e-9, radius: 4.0 },
+        ];
+        for (kind, st) in dense_stencils() {
+            let (lo, hi) = st.offset_range();
+            let base = (-lo) as usize + 1;
+            for n in 0..=40usize {
+                let len = if n == 0 { 0 } else { base + n - 1 + hi as usize + 1 };
+                let prev = &grid[..len];
+                let symbols: Vec<u32> = (0..n as u32)
+                    .map(|i| match i % 7 {
+                        0 => 0,
+                        1 => u32::MAX - i,
+                        _ => i.wrapping_mul(2654435761) % 19 + 1,
+                    })
+                    .collect();
+                let mut want = vec![S::narrow(0.0); n];
+                crate::scalar::predict_recon_dense(prev, base, &st, &symbols, 2e-3, &mut want);
+                // Originals near the prediction, so most points code.
+                let near: Vec<S> = (0..n)
+                    .map(|i| match i % 5 {
+                        0 => actuals[i],
+                        _ => S::narrow(want[i].widen() + (i as f64 - 20.0) * 1.7e-3),
+                    })
+                    .collect();
+                for lane in available_lanes() {
+                    let what = format!("{what} {kind} n={n} {lane}");
+                    let mut got = vec![S::narrow(1.0); n];
+                    predict_recon_dense(lane, prev, base, &st, &symbols, 2e-3, &mut got);
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(elem_bits(*g), elem_bits(*w), "recon {what}");
+                    }
+                    for bound in &bounds {
+                        let (mut ws, mut wr) = (vec![9u32; n], vec![S::narrow(9.0); n]);
+                        let (mut gs, mut gr) = (vec![7u32; n], vec![S::narrow(7.0); n]);
+                        let we = crate::scalar::predict_quantize_dense(
+                            prev,
+                            base,
+                            &st,
+                            &near,
+                            bound,
+                            &mut ws,
+                            Some(&mut wr),
+                        );
+                        let ge = predict_quantize_dense(
+                            lane,
+                            prev,
+                            base,
+                            &st,
+                            &near,
+                            bound,
+                            &mut gs,
+                            Some(&mut gr),
+                        );
+                        assert_eq!(gs, ws, "symbols {what} eb={}", bound.eb);
+                        assert_eq!(ge, we, "escaped {what}");
+                        assert_eq!(we, ws.contains(&0), "escape flag {what}");
+                        for i in (0..n).filter(|&i| ws[i] != 0) {
+                            assert_eq!(elem_bits(gr[i]), elem_bits(wr[i]), "recon[{i}] {what}");
+                        }
+                        // Without a reconstruction asked for: the same symbols.
+                        let mut gs2 = vec![5u32; n];
+                        let ge2 = predict_quantize_dense(
+                            lane, prev, base, &st, &near, bound, &mut gs2, None,
+                        );
+                        assert_eq!((gs2, ge2), (ws.clone(), we), "no recon {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_kernels_match_portable_on_every_lane() {
+        // Largest dense stencil reach is 2*(1+7+64) = 144 above the point.
+        let wide = test_values(400, 7);
+        let actuals = test_values(40, 19);
+        assert_dense_lanes_match(&wide, &actuals, "f64 grid");
+        let narrow: Vec<f32> = wide.iter().map(|&v| v as f32).collect();
+        let actuals: Vec<f32> = actuals.iter().map(|&v| v as f32).collect();
+        assert_dense_lanes_match(&narrow, &actuals, "f32 grid");
+    }
+
+    #[test]
+    fn dense_portable_kernels_are_the_per_point_definitions() {
+        // The blocked portable kernels against the one-point functions they
+        // are defined by, and the decode against the encode: a coded point
+        // reconstructs to what the quantizer said it would.
+        let grid: Vec<f32> = (0..400).map(|i| (i as f32 * 0.37).sin()).collect();
+        let bound = Bound { eb: 1e-3, two_eb: 2e-3, radius: 32768.0 };
+        for (kind, st) in dense_stencils() {
+            let (lo, hi) = st.offset_range();
+            let base = (-lo) as usize + 1;
+            let n = grid.len() - base - hi as usize;
+            let actuals: Vec<f32> = (0..n)
+                .map(|i| (i as f32 * 0.37 + 0.2).sin() + (i % 11 == 3) as u8 as f32 * 1e9)
+                .collect();
+            let (mut symbols, mut recon) = (vec![0u32; n], vec![0.0f32; n]);
+            let escaped = crate::scalar::predict_quantize_dense(
+                &grid,
+                base,
+                &st,
+                &actuals,
+                &bound,
+                &mut symbols,
+                Some(&mut recon),
+            );
+            assert!(escaped, "{kind}: the planted outliers escape");
+            let mut decoded = vec![0.0f32; n];
+            crate::scalar::predict_recon_dense(
+                &grid,
+                base,
+                &st,
+                &symbols,
+                bound.two_eb,
+                &mut decoded,
+            );
+            for i in 0..n {
+                let pred = crate::scalar::predict_one(&grid, base + i, &st);
+                let (q, r, e) = crate::scalar::quantize_one_f32(
+                    actuals[i] as f64,
+                    pred,
+                    bound.eb,
+                    bound.two_eb,
+                    bound.radius,
+                );
+                if e {
+                    assert_eq!(symbols[i], 0, "{kind} [{i}]");
+                    continue;
+                }
+                assert_eq!(crate::scalar::code_of_symbol(symbols[i]), q, "{kind} code[{i}]");
+                assert_eq!(recon[i].to_bits(), (r as f32).to_bits(), "{kind} recon[{i}]");
+                assert_eq!(decoded[i].to_bits(), recon[i].to_bits(), "{kind} decode[{i}]");
+                assert!((decoded[i] as f64 - actuals[i] as f64).abs() <= bound.eb);
+            }
+        }
+    }
+
+    #[test]
+    fn symbols_and_codes_invert_each_other_to_the_radius_cap() {
+        use crate::scalar::{code_of_symbol, symbol_of_code};
+        let cap = Bound::MAX_RADIUS as i32;
+        for code in [0, 1, -1, 2, -2, 77, -32768, 32768, cap - 1, 1 - cap, cap, -cap] {
+            let symbol = symbol_of_code(code);
+            assert_ne!(symbol, 0, "code {code} must not look like an escape");
+            assert_eq!(code_of_symbol(symbol), code as f64, "code {code}");
+            // `zigzag + 1`, as `stz-codec` defines the alphabet.
+            let zigzag = ((code as i64) << 1) ^ ((code as i64) >> 63);
+            assert_eq!(symbol as i64, zigzag + 1, "code {code}");
+        }
+        assert_eq!(code_of_symbol(0), i32::MIN as f64);
     }
 
     /// XINUSE[AVX] — whether the upper halves of the YMM registers are in
@@ -680,8 +975,6 @@ mod tests {
             kernel();
             assert_eq!(avx_upper_state_in_use(), Some(false), "after {name}");
         };
-        check("predict_run", &mut || predict_run(lane, &wide, base, &st, &mut o64));
-        check("predict_run_typed", &mut || predict_run_typed(lane, &narrow, base, &st, &mut o64));
         check("predict_recon_run_f64", &mut || {
             predict_recon_run_f64(lane, &wide, base, &st, &codes, 2e-3, &mut o64)
         });
@@ -691,6 +984,31 @@ mod tests {
         check("predict_recon_run_typed", &mut || {
             predict_recon_run_typed(lane, &narrow, base, &st, &codes, 2e-3, &mut o64)
         });
+        // The dense kernels: an `f32` grid's loads fold into `vcvtps2pd (mem)`
+        // and its stores into `vcvtpd2ps`, the case the `x86` module doc
+        // warns of.
+        let symbols = vec![3u32; n];
+        let bound = Bound { eb: 1e-3, two_eb: 2e-3, radius: 32768.0 };
+        let mut s32 = vec![0u32; n];
+        for (kind, st) in dense_stencils() {
+            check(&format!("predict_recon_dense f64 {kind}"), &mut || {
+                predict_recon_dense(lane, &wide, base, &st, &symbols, 2e-3, &mut o64)
+            });
+            check(&format!("predict_recon_dense f32 {kind}"), &mut || {
+                predict_recon_dense(lane, &narrow, base, &st, &symbols, 2e-3, &mut o32)
+            });
+            check(&format!("predict_quantize_dense f64 {kind}"), &mut || {
+                let a = &wide[..n];
+                predict_quantize_dense(lane, &wide, base, &st, a, &bound, &mut s32, Some(&mut q));
+                predict_quantize_dense(lane, &wide, base, &st, a, &bound, &mut s32, None);
+            });
+            check(&format!("predict_quantize_dense f32 {kind}"), &mut || {
+                let a = &narrow[..n];
+                let r = Some(&mut d32[..n]);
+                predict_quantize_dense(lane, &narrow, base, &st, a, &bound, &mut s32, r);
+                predict_quantize_dense(lane, &narrow, base, &st, a, &bound, &mut s32, None);
+            });
+        }
         check("recon_run_f64", &mut || recon_run_f64(lane, &wide[..n], &codes, 2e-3, &mut o64));
         check("recon_run_f32", &mut || recon_run_f32(lane, &wide[..n], &codes, 2e-3, &mut o64));
         check("quantize_run_f64", &mut || {
@@ -958,48 +1276,6 @@ mod tests {
                 assert_eq!(e[i], 0, "unexpected escape at {x} on {lane}");
                 let want = (rounded as i64) as f64;
                 assert_eq!(q[i].to_bits(), want.to_bits(), "round({x}) on {lane}");
-            }
-        }
-    }
-    #[test]
-    #[ignore]
-    fn microbench_predict_recon() {
-        // k=1 cubic along z in a 64^3 grid (typical finest-level block),
-        // rows of 29 interior points (scale-16-like) and 2048-point runs.
-        let n = 64usize;
-        let buf: Vec<f64> = (0..n * n * n).map(|i| ((i as f64) * 0.001).sin()).collect();
-        let stride = (n * n) as isize;
-        let st = Stencil::new(
-            true,
-            1,
-            [stride, 0, 0, 0, 0, 0, 0, 0],
-            [3 * stride, 0, 0, 0, 0, 0, 0, 0],
-            0.5625,
-            -0.0625,
-        );
-        let codes: Vec<f64> = (0..64).map(|i| (i % 7) as f64 - 3.0).collect();
-        let mut out = vec![0.0; 64];
-        for lane in crate::available_lanes() {
-            // rows of m points starting mid-grid
-            for m in [13usize, 29, 61] {
-                let reps = 2_000_000 / m;
-                let t = std::time::Instant::now();
-                for r in 0..reps {
-                    let base = 4 * n * n + ((r % 32) + 4) * n + 2;
-                    crate::predict_recon_run_f32(
-                        lane,
-                        &buf,
-                        base,
-                        &st,
-                        &codes[..m],
-                        2e-3,
-                        &mut out[..m],
-                    );
-                }
-                let el = t.elapsed().as_secs_f64();
-                let pts = (reps * m) as f64;
-                println!("{lane} m={m}: {:.2} ns/pt", el / pts * 1e9);
-                std::hint::black_box(&out);
             }
         }
     }

@@ -50,10 +50,10 @@ pub mod scalar;
 mod x86;
 
 pub use kernels::{
-    crc32_update, gather2_f32, gather2_f64, narrow_run, predict_recon_run_f32,
-    predict_recon_run_f64, predict_recon_run_typed, predict_run, predict_run_typed,
+    crc32_update, gather2_f32, gather2_f64, narrow_run, predict_quantize_dense,
+    predict_recon_dense, predict_recon_run_f32, predict_recon_run_f64, predict_recon_run_typed,
     quantize_run_f32, quantize_run_f64, recon_run_f32, recon_run_f64, scatter2_f32, scatter2_f64,
-    widen_run, GridElem, Stencil,
+    widen_run, Bound, GridElem, Stencil,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -22,45 +22,6 @@ unsafe fn not_u64(x: uint64x2_t) -> uint64x2_t {
 }
 
 #[target_feature(enable = "neon")]
-pub(crate) unsafe fn predict_run(buf: &[f64], base: usize, st: &Stencil, out: &mut [f64]) {
-    const W: usize = 2;
-    let (_, hi) = st.offset_range();
-    let v = vec_points(base, hi, buf.len(), out.len(), W);
-    let p = buf.as_ptr();
-    let o = out.as_mut_ptr();
-    if st.cubic {
-        let wi = vdupq_n_f64(st.wi);
-        let wo = vdupq_n_f64(st.wo);
-        let mut i = 0;
-        while i < v {
-            let c = p.add(base + 2 * i);
-            let mut si = vdupq_n_f64(0.0);
-            let mut so = vdupq_n_f64(0.0);
-            for bits in 0..st.corners {
-                si = vaddq_f64(si, vld2q_f64(c.offset(st.inner[bits])).0);
-                so = vaddq_f64(so, vld2q_f64(c.offset(st.outer[bits])).0);
-            }
-            let r = vaddq_f64(vmulq_f64(wi, si), vmulq_f64(wo, so));
-            vst1q_f64(o.add(i), r);
-            i += W;
-        }
-    } else {
-        let div = vdupq_n_f64(st.corners as f64);
-        let mut i = 0;
-        while i < v {
-            let c = p.add(base + 2 * i);
-            let mut s = vdupq_n_f64(0.0);
-            for bits in 0..st.corners {
-                s = vaddq_f64(s, vld2q_f64(c.offset(st.inner[bits])).0);
-            }
-            vst1q_f64(o.add(i), vdivq_f64(s, div));
-            i += W;
-        }
-    }
-    scalar::predict_run(buf, base + 2 * v, st, &mut out[v..]);
-}
-
-#[target_feature(enable = "neon")]
 pub(crate) unsafe fn predict_recon_run(
     buf: &[f64],
     base: usize,

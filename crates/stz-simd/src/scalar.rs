@@ -3,27 +3,20 @@
 //! This module *defines* the semantics: each vector lane must reproduce
 //! these exact operations, in this exact order, per output element. The
 //! scalar kernels mirror the original per-point loops in `stz-core`
-//! (`StencilOffsets::predict_interior`), `stz-codec`
-//! (`LinearQuantizer::quantize`/`reconstruct`) and `stz-sz3`
+//! (`predict_point`; `StencilOffsets::predict_interior` is [`predict_one`]),
+//! `stz-codec` (`LinearQuantizer::quantize`/`reconstruct`) and `stz-sz3`
 //! (`quantize_scalar`/`reconstruct_scalar`) operation for operation, so
 //! `STZ_SIMD=scalar` and the pre-SIMD code paths agree bit-for-bit too.
 
-use crate::{GridElem, Stencil};
+use crate::{Bound, GridElem, Stencil};
 
-/// Predict the point at `buf[base + 2*i]` for each `i` in `0..out.len()`.
+/// Predict the grid point at flattened index `gidx`.
 ///
-/// Mirrors `StencilOffsets::predict_interior`: every tap is widened to
+/// The body of `StencilOffsets::predict_interior`: every tap is widened to
 /// `f64` as it is loaded (exact), corner sums run in ascending bit order,
 /// then `wi*si + wo*so` (cubic) or `s / corners` (linear). An `f32` grid
 /// therefore predicts exactly what its widened `f64` copy would. The caller
-/// guarantees every stencil tap of every point is in bounds.
-pub fn predict_run<S: GridElem>(buf: &[S], base: usize, st: &Stencil, out: &mut [f64]) {
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = predict_one(buf, base + 2 * i, st);
-    }
-}
-
-/// One point of [`predict_run`].
+/// guarantees every stencil tap of the point is in bounds.
 #[inline(always)]
 pub fn predict_one<S: GridElem>(buf: &[S], gidx: usize, st: &Stencil) -> f64 {
     let base = gidx as isize;
@@ -44,6 +37,103 @@ pub fn predict_one<S: GridElem>(buf: &[S], gidx: usize, st: &Stencil) -> f64 {
     }
 }
 
+/// Points per step of the portable dense kernels: long enough for the
+/// compiler to vectorise the unit-stride tap loops at the target's width.
+const BLOCK: usize = 8;
+
+/// [`predict_one`] for the `n <= BLOCK` consecutive points from `at` of a
+/// dense grid, one tap at a time across the points: every point still sums
+/// its own taps in ascending bit order from `0.0`.
+#[inline(always)]
+fn predict_block<S: GridElem>(prev: &[S], at: usize, st: &Stencil, n: usize) -> [f64; BLOCK] {
+    let sum = |offsets: &[isize]| {
+        let mut s = [0.0; BLOCK];
+        for &off in offsets {
+            let taps = &prev[(at as isize + off) as usize..][..n];
+            for (s, t) in s.iter_mut().zip(taps) {
+                *s += t.widen();
+            }
+        }
+        s
+    };
+    let mut pred = sum(&st.inner[..st.corners]);
+    if st.cubic {
+        let so = sum(&st.outer[..st.corners]);
+        for (p, so) in pred.iter_mut().zip(so) {
+            *p = st.wi * *p + st.wo * so;
+        }
+    } else {
+        for p in &mut pred {
+            *p /= st.corners as f64;
+        }
+    }
+    pred
+}
+
+/// The signed code of a stream symbol as an `f64`: `symbol − 1`,
+/// un-zigzagged. The code of a `u32` symbol always fits an `i32`, and
+/// staying in 32 bits lets a lane convert with packed `i32 → f64`; symbol 0
+/// (an escape) comes out as `i32::MIN`.
+#[inline(always)]
+pub fn code_of_symbol(symbol: u32) -> f64 {
+    let u = symbol.wrapping_sub(1);
+    (((u >> 1) as i32) ^ -((u & 1) as i32)) as f64
+}
+
+/// The stream symbol of a signed code: `zigzag(code) + 1`, exact in `u32`
+/// for `|code| <= 2^30`.
+#[inline(always)]
+pub fn symbol_of_code(code: i32) -> u32 {
+    (((code << 1) ^ (code >> 31)) as u32).wrapping_add(1)
+}
+
+/// Portable [`crate::predict_recon_dense`]:
+/// `out[i] = (predict(base + i) + two_eb * code(symbols[i]))` rounded to `S`.
+pub fn predict_recon_dense<S: GridElem>(
+    prev: &[S],
+    base: usize,
+    st: &Stencil,
+    symbols: &[u32],
+    two_eb: f64,
+    out: &mut [S],
+) {
+    for (b, (out, symbols)) in out.chunks_mut(BLOCK).zip(symbols.chunks(BLOCK)).enumerate() {
+        let pred = predict_block(prev, base + b * BLOCK, st, out.len());
+        for ((o, &s), p) in out.iter_mut().zip(symbols).zip(pred) {
+            *o = S::narrow(p + two_eb * code_of_symbol(s));
+        }
+    }
+}
+
+/// Portable [`crate::predict_quantize_dense`]: [`quantize_one_f32`] /
+/// [`quantize_one_f64`] (by `S`) of every point against its dense
+/// prediction, the outcome stored as a symbol (0 = escape).
+pub fn predict_quantize_dense<S: GridElem>(
+    prev: &[S],
+    base: usize,
+    st: &Stencil,
+    actuals: &[S],
+    bound: &Bound,
+    symbols: &mut [u32],
+    mut recon: Option<&mut [S]>,
+) -> bool {
+    let quantize = if S::ROUND32 { quantize_one_f32 } else { quantize_one_f64 };
+    let mut escaped = false;
+    for (b, actuals) in actuals.chunks(BLOCK).enumerate() {
+        let at = b * BLOCK;
+        let pred = predict_block(prev, base + at, st, actuals.len());
+        for (i, (a, p)) in actuals.iter().zip(pred).enumerate() {
+            let (q, r, escape) = quantize(a.widen(), p, bound.eb, bound.two_eb, bound.radius);
+            symbols[at + i] = if escape { 0 } else { symbol_of_code(q as i32) };
+            if let Some(recon) = recon.as_deref_mut() {
+                recon[at + i] = S::narrow(r);
+            }
+            escaped |= escape;
+        }
+    }
+    escaped
+}
+
 /// `out[i] = preds[i] + two_eb * codes[i]` — the f64 reconstruction of
 /// `LinearQuantizer::reconstruct` (the `T = f64` round-trip is identity).
 pub fn recon_run_f64(preds: &[f64], codes: &[f64], two_eb: f64, out: &mut [f64]) {
@@ -60,10 +150,8 @@ pub fn recon_run_f32(preds: &[f64], codes: &[f64], two_eb: f64, out: &mut [f64])
     }
 }
 
-/// Fused predict + f64 reconstruct:
-/// `out[i] = predict_one(buf, base + 2*i) + two_eb * codes[i]`. Bitwise
-/// equal to [`predict_run`] followed by [`recon_run_f64`] — the prediction
-/// merely stays in a register instead of a scratch buffer.
+/// Fused predict + f64 reconstruct over the stride-2 points of `buf`:
+/// `out[i] = predict_one(buf, base + 2*i) + two_eb * codes[i]`.
 pub fn predict_recon_run_f64<S: GridElem>(
     buf: &[S],
     base: usize,

@@ -15,26 +15,42 @@
 //! * `cvtpd2ps`/`cvtps2pd` are the packed forms of the same conversions
 //!   rustc emits for scalar `as` casts (`cvtsd2ss`/`cvtss2sd`).
 //!
-//! Stride-2 loads read *pairs* (evens and the odd elements between them),
-//! so a full-width vector may touch one element past the last even index;
-//! [`vec_points`] bounds the vector portion and the scalar reference
-//! finishes the run.
+//! The codec's rows run through the *dense* kernels
+//! ([`predict_recon_dense_avx2`], [`predict_quantize_dense_avx2`]): every
+//! tap of a run of points is a run of the previous level's grid, so a tap
+//! for four points is one unit-stride load — `vcvtps2pd (mem)` from an `f32`
+//! grid, a plain load from an `f64` one — with no shuffle and no permute,
+//! and a vector reads exactly what its four points would. A run that is no
+//! multiple of four ends on a vector that overlaps the one before it; runs
+//! shorter than four go to the portable kernel, which is also what SSE2
+//! runs (unit stride is what the compiler vectorises by itself). Symbols
+//! come in and go out as `u32`, the reconstruction leaves as the grid's
+//! element: the store is the rounding.
 //!
-//! The predict kernels are generic over the grid's element ([`GridElem`]):
-//! an `f32` grid differs only in its loads, which widen the same `2w`
-//! elements with `cvtps2pd` (exact) before the identical shuffle, so every
-//! add, multiply and divide sees the operands the `f64` grid would supply.
+//! The stride-2 kernels the codec used before stay for their benchmark
+//! entry points. Their loads read *pairs* (evens and the odd elements
+//! between them), so a full-width vector may touch one element past the
+//! last even index; [`vec_points`] bounds the vector portion and the scalar
+//! reference finishes the run. An `f32` grid differs only in its loads,
+//! which widen the same `2w` elements with `cvtps2pd` (exact) before the
+//! identical shuffle.
+//!
+//! Either way the kernels are generic over the grid's element
+//! ([`GridElem`]), and every add, multiply and divide sees the operands the
+//! `f64` grid would supply.
 //!
 //! Every function that executes a 256-bit instruction must leave the upper
 //! halves of the YMM registers clean: LLVM inserts `vzeroupper` before the
 //! returns of a function that names a YMM *register*, but not when every
 //! 256-bit operation takes its operand from memory (`vcvtpd2ps (mem), %xmm`),
 //! and the CPU then runs all later legacy-SSE code — libm, for one — many
-//! times slower. [`narrow_run_avx2`] is that case and issues its own.
+//! times slower. [`narrow_run_avx2`] is that case and issues its own; the
+//! dense kernels keep their sums and masks in registers, and the test that
+//! reads `XGETBV` after every kernel holds them to it.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
-use crate::kernels::{vec_points, GridElem, Stencil};
+use crate::kernels::{vec_points, Bound, GridElem, Stencil};
 use crate::scalar;
 use std::arch::x86_64::*;
 
@@ -78,6 +94,18 @@ pub trait Loads: Sized {
     /// # Safety
     /// `p[0..8]` must be readable and the CPU must support AVX2.
     unsafe fn load_evens_mixed_avx2(p: *const Self) -> __m256d;
+
+    /// `p[0..4]`, widened to `f64`.
+    ///
+    /// # Safety
+    /// `p[0..4]` must be readable and the CPU must support AVX2.
+    unsafe fn load4_avx2(p: *const Self) -> __m256d;
+
+    /// Round `v` to this type into `p[0..4]`.
+    ///
+    /// # Safety
+    /// `p[0..4]` must be writable and the CPU must support AVX2.
+    unsafe fn store4_avx2(p: *mut Self, v: __m256d);
 }
 
 impl Loads for f64 {
@@ -97,6 +125,18 @@ impl Loads for f64 {
         // One in-lane shuffle, no cross-lane permute:
         // [v0_0, v1_0, v0_2, v1_2] = [e0, e2, e1, e3].
         _mm256_shuffle_pd::<0b0000>(v0, v1)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load4_avx2(p: *const f64) -> __m256d {
+        _mm256_loadu_pd(p)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store4_avx2(p: *mut f64, v: __m256d) {
+        _mm256_storeu_pd(p, v)
     }
 }
 
@@ -120,100 +160,18 @@ impl Loads for f32 {
         let v1 = _mm256_cvtps_pd(_mm_loadu_ps(p.add(4)));
         _mm256_shuffle_pd::<0b0000>(v0, v1)
     }
-}
 
-/// # Safety
-/// Every stencil tap of every point must lie inside `buf` (the dispatching
-/// wrapper asserts it) and the CPU must support AVX2.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn predict_run_avx2<S: GridElem>(
-    buf: &[S],
-    base: usize,
-    st: &Stencil,
-    out: &mut [f64],
-) {
-    const W: usize = 4;
-    let (_, hi) = st.offset_range();
-    let v = vec_points(base, hi, buf.len(), out.len(), W);
-    let p = buf.as_ptr();
-    let o = out.as_mut_ptr();
-    if st.cubic {
-        let wi = _mm256_set1_pd(st.wi);
-        let wo = _mm256_set1_pd(st.wo);
-        let mut i = 0;
-        while i < v {
-            let c = p.add(base + 2 * i);
-            let mut si = _mm256_setzero_pd();
-            let mut so = _mm256_setzero_pd();
-            for bits in 0..st.corners {
-                si = _mm256_add_pd(si, S::load_evens_mixed_avx2(c.offset(st.inner[bits])));
-                so = _mm256_add_pd(so, S::load_evens_mixed_avx2(c.offset(st.outer[bits])));
-            }
-            let r = _mm256_add_pd(_mm256_mul_pd(wi, si), _mm256_mul_pd(wo, so));
-            _mm256_storeu_pd(o.add(i), fix_evens_pd(r));
-            i += W;
-        }
-    } else {
-        let div = _mm256_set1_pd(st.corners as f64);
-        let mut i = 0;
-        while i < v {
-            let c = p.add(base + 2 * i);
-            let mut s = _mm256_setzero_pd();
-            for bits in 0..st.corners {
-                s = _mm256_add_pd(s, S::load_evens_mixed_avx2(c.offset(st.inner[bits])));
-            }
-            _mm256_storeu_pd(o.add(i), fix_evens_pd(_mm256_div_pd(s, div)));
-            i += W;
-        }
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load4_avx2(p: *const f32) -> __m256d {
+        _mm256_cvtps_pd(_mm_loadu_ps(p))
     }
-    scalar::predict_run(buf, base + 2 * v, st, &mut out[v..]);
-}
 
-/// # Safety
-/// Every stencil tap of every point must lie inside `buf` (the dispatching
-/// wrapper asserts it).
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn predict_run_sse2<S: GridElem>(
-    buf: &[S],
-    base: usize,
-    st: &Stencil,
-    out: &mut [f64],
-) {
-    const W: usize = 2;
-    let (_, hi) = st.offset_range();
-    let v = vec_points(base, hi, buf.len(), out.len(), W);
-    let p = buf.as_ptr();
-    let o = out.as_mut_ptr();
-    if st.cubic {
-        let wi = _mm_set1_pd(st.wi);
-        let wo = _mm_set1_pd(st.wo);
-        let mut i = 0;
-        while i < v {
-            let c = p.add(base + 2 * i);
-            let mut si = _mm_setzero_pd();
-            let mut so = _mm_setzero_pd();
-            for bits in 0..st.corners {
-                si = _mm_add_pd(si, S::load_evens_sse2(c.offset(st.inner[bits])));
-                so = _mm_add_pd(so, S::load_evens_sse2(c.offset(st.outer[bits])));
-            }
-            let r = _mm_add_pd(_mm_mul_pd(wi, si), _mm_mul_pd(wo, so));
-            _mm_storeu_pd(o.add(i), r);
-            i += W;
-        }
-    } else {
-        let div = _mm_set1_pd(st.corners as f64);
-        let mut i = 0;
-        while i < v {
-            let c = p.add(base + 2 * i);
-            let mut s = _mm_setzero_pd();
-            for bits in 0..st.corners {
-                s = _mm_add_pd(s, S::load_evens_sse2(c.offset(st.inner[bits])));
-            }
-            _mm_storeu_pd(o.add(i), _mm_div_pd(s, div));
-            i += W;
-        }
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store4_avx2(p: *mut f32, v: __m256d) {
+        _mm_storeu_ps(p, _mm256_cvtpd_ps(v))
     }
-    scalar::predict_run(buf, base + 2 * v, st, &mut out[v..]);
 }
 
 /// # Safety
@@ -446,6 +404,43 @@ unsafe fn round_away_pd(x: __m256d) -> __m256d {
     _mm256_add_pd(t, _mm256_and_pd(away, one_signed))
 }
 
+/// Four points of the quantizer, [`scalar::quantize_one_f64`] (or `_f32`
+/// with `round32`) on each: the code as an `f64`, the reconstruction and the
+/// escape mask. The first two mean nothing where the mask is set.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize4(
+    a: __m256d,
+    p: __m256d,
+    veb: __m256d,
+    v2eb: __m256d,
+    vrad: __m256d,
+    round32: bool,
+) -> (__m256d, __m256d, __m256d) {
+    let sign = _mm256_set1_pd(-0.0);
+    let inf = _mm256_set1_pd(f64::INFINITY);
+    // Escape on non-finite input: |x| NLT inf is true for ±inf and NaN.
+    let nf_a = _mm256_cmp_pd::<_CMP_NLT_UQ>(_mm256_andnot_pd(sign, a), inf);
+    let nf_p = _mm256_cmp_pd::<_CMP_NLT_UQ>(_mm256_andnot_pd(sign, p), inf);
+    let mut esc = _mm256_or_pd(nf_a, nf_p);
+    let diff = _mm256_sub_pd(a, p);
+    let q = round_away_pd(_mm256_div_pd(diff, v2eb));
+    let absq = _mm256_andnot_pd(sign, q);
+    esc = _mm256_or_pd(esc, _mm256_cmp_pd::<_CMP_GT_OQ>(absq, vrad));
+    // q + 0.0 reproduces the scalar `q as i64 as f64` round-trip
+    // (normalizing -0.0); LLVM cannot fold it away without fast-math.
+    let qn = _mm256_add_pd(q, _mm256_setzero_pd());
+    let recon = _mm256_add_pd(p, _mm256_mul_pd(v2eb, qn));
+    let err = _mm256_andnot_pd(sign, _mm256_sub_pd(recon, a));
+    esc = _mm256_or_pd(esc, _mm256_cmp_pd::<_CMP_GT_OQ>(err, veb));
+    if !round32 {
+        return (qn, recon, esc);
+    }
+    let r32 = _mm256_cvtps_pd(_mm256_cvtpd_ps(recon));
+    let err32 = _mm256_andnot_pd(sign, _mm256_sub_pd(r32, a));
+    (qn, r32, _mm256_or_pd(esc, _mm256_cmp_pd::<_CMP_GT_OQ>(err32, veb)))
+}
+
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn quantize_run_avx2(
@@ -460,38 +455,14 @@ pub(crate) unsafe fn quantize_run_avx2(
     round32: bool,
 ) {
     let n = actuals.len();
-    let sign = _mm256_set1_pd(-0.0);
-    let inf = _mm256_set1_pd(f64::INFINITY);
     let veb = _mm256_set1_pd(eb);
     let v2eb = _mm256_set1_pd(two_eb);
     let vrad = _mm256_set1_pd(radius_f);
-    let zero = _mm256_setzero_pd();
     let mut i = 0;
     while i + 4 <= n {
         let a = _mm256_loadu_pd(actuals.as_ptr().add(i));
         let p = _mm256_loadu_pd(preds.as_ptr().add(i));
-        // Escape on non-finite input: |x| NLT inf is true for ±inf and NaN.
-        let nf_a = _mm256_cmp_pd::<_CMP_NLT_UQ>(_mm256_andnot_pd(sign, a), inf);
-        let nf_p = _mm256_cmp_pd::<_CMP_NLT_UQ>(_mm256_andnot_pd(sign, p), inf);
-        let mut esc = _mm256_or_pd(nf_a, nf_p);
-        let diff = _mm256_sub_pd(a, p);
-        let q = round_away_pd(_mm256_div_pd(diff, v2eb));
-        let absq = _mm256_andnot_pd(sign, q);
-        esc = _mm256_or_pd(esc, _mm256_cmp_pd::<_CMP_GT_OQ>(absq, vrad));
-        // q + 0.0 reproduces the scalar `q as i64 as f64` round-trip
-        // (normalizing -0.0); LLVM cannot fold it away without fast-math.
-        let qn = _mm256_add_pd(q, zero);
-        let recon = _mm256_add_pd(p, _mm256_mul_pd(v2eb, qn));
-        let err = _mm256_andnot_pd(sign, _mm256_sub_pd(recon, a));
-        esc = _mm256_or_pd(esc, _mm256_cmp_pd::<_CMP_GT_OQ>(err, veb));
-        let r = if round32 {
-            let r32 = _mm256_cvtps_pd(_mm256_cvtpd_ps(recon));
-            let err32 = _mm256_andnot_pd(sign, _mm256_sub_pd(r32, a));
-            esc = _mm256_or_pd(esc, _mm256_cmp_pd::<_CMP_GT_OQ>(err32, veb));
-            r32
-        } else {
-            recon
-        };
+        let (qn, r, esc) = quantize4(a, p, veb, v2eb, vrad, round32);
         _mm256_storeu_pd(q_out.as_mut_ptr().add(i), qn);
         _mm256_storeu_pd(recon_out.as_mut_ptr().add(i), r);
         let m = _mm256_movemask_pd(esc) as u32;
@@ -523,6 +494,171 @@ pub(crate) unsafe fn quantize_run_avx2(
             &mut escape_out[i..],
         );
     }
+}
+
+/// The sum of the first `K` `offsets` taps of each of the four dense-grid
+/// points at `c`, ascending from `0.0` as [`scalar::predict_one`] sums them.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn sum_taps4<S: GridElem, const K: usize>(c: *const S, offsets: &[isize; 8]) -> __m256d {
+    let mut s = _mm256_setzero_pd();
+    for &off in &offsets[..K] {
+        s = _mm256_add_pd(s, S::load4_avx2(c.offset(off)));
+    }
+    s
+}
+
+/// [`scalar::predict_one`] of the four dense-grid points at `c`, for a
+/// stencil of `K` corners: one unit-stride load per tap, no rearrangement.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn predict4<S: GridElem, const K: usize>(c: *const S, st: &Stencil) -> __m256d {
+    let si = sum_taps4::<S, K>(c, &st.inner);
+    if st.cubic {
+        let so = sum_taps4::<S, K>(c, &st.outer);
+        _mm256_add_pd(
+            _mm256_mul_pd(_mm256_set1_pd(st.wi), si),
+            _mm256_mul_pd(_mm256_set1_pd(st.wo), so),
+        )
+    } else {
+        _mm256_div_pd(si, _mm256_set1_pd(K as f64))
+    }
+}
+
+/// The next chunk of a dense run of `n >= 4` points after the one at `i`,
+/// if any. A run that is no multiple of four ends on a chunk that overlaps
+/// the one before it: input and output are different buffers, so it stores
+/// again the values it stored the first time.
+#[inline(always)]
+fn next_chunk(i: usize, n: usize) -> Option<usize> {
+    (i + 4 < n).then(|| (i + 4).min(n - 4))
+}
+
+/// # Safety
+/// Every stencil tap of every point must lie inside `prev`,
+/// `symbols.len() == out.len()` (the dispatching wrapper asserts both) and
+/// the CPU must support AVX2.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn predict_recon_dense_avx2<S: GridElem>(
+    prev: &[S],
+    base: usize,
+    st: &Stencil,
+    symbols: &[u32],
+    two_eb: f64,
+    out: &mut [S],
+) {
+    match st.corners {
+        _ if out.len() < 4 => scalar::predict_recon_dense(prev, base, st, symbols, two_eb, out),
+        2 => predict_recon_dense_k::<S, 2>(prev, base, st, symbols, two_eb, out),
+        4 => predict_recon_dense_k::<S, 4>(prev, base, st, symbols, two_eb, out),
+        8 => predict_recon_dense_k::<S, 8>(prev, base, st, symbols, two_eb, out),
+        _ => scalar::predict_recon_dense(prev, base, st, symbols, two_eb, out),
+    }
+}
+
+/// # Safety
+/// As [`predict_recon_dense_avx2`], with `st.corners == K` and at least four
+/// points.
+#[target_feature(enable = "avx2")]
+unsafe fn predict_recon_dense_k<S: GridElem, const K: usize>(
+    prev: &[S],
+    base: usize,
+    st: &Stencil,
+    symbols: &[u32],
+    two_eb: f64,
+    out: &mut [S],
+) {
+    let st = *st;
+    let n = out.len();
+    let p = prev.as_ptr().add(base);
+    let sp = symbols.as_ptr();
+    let o = out.as_mut_ptr();
+    let v2eb = _mm256_set1_pd(two_eb);
+    let one = _mm_set1_epi32(1);
+    let mut chunk = Some(0);
+    while let Some(i) = chunk {
+        let pred = predict4::<S, K>(p.add(i), &st);
+        // `scalar::code_of_symbol` on four symbols.
+        let u = _mm_sub_epi32(_mm_loadu_si128(sp.add(i) as *const __m128i), one);
+        let odd = _mm_sub_epi32(_mm_setzero_si128(), _mm_and_si128(u, one));
+        let code = _mm256_cvtepi32_pd(_mm_xor_si128(_mm_srli_epi32::<1>(u), odd));
+        // The store rounds to `S`: the narrowing the row would get anyway.
+        S::store4_avx2(o.add(i), _mm256_add_pd(pred, _mm256_mul_pd(v2eb, code)));
+        chunk = next_chunk(i, n);
+    }
+}
+
+/// # Safety
+/// Every stencil tap of every point must lie inside `prev`, `actuals`,
+/// `symbols` and `recon` must have one length (the dispatching wrapper
+/// asserts both) and the CPU must support AVX2.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn predict_quantize_dense_avx2<S: GridElem>(
+    prev: &[S],
+    base: usize,
+    st: &Stencil,
+    actuals: &[S],
+    bound: &Bound,
+    symbols: &mut [u32],
+    recon: Option<&mut [S]>,
+) -> bool {
+    match st.corners {
+        _ if actuals.len() < 4 => {
+            scalar::predict_quantize_dense(prev, base, st, actuals, bound, symbols, recon)
+        }
+        2 => predict_quantize_dense_k::<S, 2>(prev, base, st, actuals, bound, symbols, recon),
+        4 => predict_quantize_dense_k::<S, 4>(prev, base, st, actuals, bound, symbols, recon),
+        8 => predict_quantize_dense_k::<S, 8>(prev, base, st, actuals, bound, symbols, recon),
+        _ => scalar::predict_quantize_dense(prev, base, st, actuals, bound, symbols, recon),
+    }
+}
+
+/// # Safety
+/// As [`predict_quantize_dense_avx2`], with `st.corners == K` and at least
+/// four points.
+#[target_feature(enable = "avx2")]
+unsafe fn predict_quantize_dense_k<S: GridElem, const K: usize>(
+    prev: &[S],
+    base: usize,
+    st: &Stencil,
+    actuals: &[S],
+    bound: &Bound,
+    symbols: &mut [u32],
+    recon: Option<&mut [S]>,
+) -> bool {
+    let st = *st;
+    let n = actuals.len();
+    let p = prev.as_ptr().add(base);
+    let ap = actuals.as_ptr();
+    let sp = symbols.as_mut_ptr();
+    let rp = recon.map(|r| r.as_mut_ptr());
+    let veb = _mm256_set1_pd(bound.eb);
+    let v2eb = _mm256_set1_pd(bound.two_eb);
+    let vrad = _mm256_set1_pd(bound.radius);
+    let one = _mm_set1_epi32(1);
+    let mut escaped = _mm256_setzero_pd();
+    let mut chunk = Some(0);
+    while let Some(i) = chunk {
+        let pred = predict4::<S, K>(p.add(i), &st);
+        let (q, r, esc) = quantize4(S::load4_avx2(ap.add(i)), pred, veb, v2eb, vrad, S::ROUND32);
+        // `scalar::symbol_of_code` on four codes (exact: the radius is at
+        // most 2^30), zeroed where the point escapes. The low halves of the
+        // four 64-bit masks make the 32-bit one.
+        let code = _mm256_cvttpd_epi32(q);
+        let zigzag = _mm_xor_si128(_mm_slli_epi32::<1>(code), _mm_srai_epi32::<31>(code));
+        let esc32 = _mm_castps_si128(_mm_shuffle_ps::<0b10_00_10_00>(
+            _mm256_castps256_ps128(_mm256_castpd_ps(esc)),
+            _mm256_extractf128_ps::<1>(_mm256_castpd_ps(esc)),
+        ));
+        let symbol = _mm_andnot_si128(esc32, _mm_add_epi32(zigzag, one));
+        _mm_storeu_si128(sp.add(i) as *mut __m128i, symbol);
+        if let Some(rp) = rp {
+            S::store4_avx2(rp.add(i), r);
+        }
+        escaped = _mm256_or_pd(escaped, esc);
+        chunk = next_chunk(i, n);
+    }
+    _mm256_movemask_pd(escaped) != 0
 }
 
 #[target_feature(enable = "avx2")]

@@ -49,7 +49,7 @@ pub fn compress_full<T: Scalar>(
 ) -> (Vec<u8>, CompressStats, Vec<f64>) {
     let dims = field.dims();
     let eb = config.eb.absolute_for(field);
-    let quant = LinearQuantizer::new(eb, config.radius);
+    let quant = LinearQuantizer::encoder(eb, config.radius);
 
     // Working buffer holds the evolving *reconstructed* values.
     let mut buf: Vec<f64> = field.as_slice().iter().map(|v| v.to_f64()).collect();
@@ -253,6 +253,22 @@ mod tests {
             .zip(b.as_slice())
             .map(|(&x, &y)| ((x as f64) - (y as f64)).abs())
             .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn the_largest_radius_keeps_the_bound_on_a_spike() {
+        // A code far beyond `u32`: it must escape, not wrap into a small one.
+        let mut f = Field::<f64>::zeros(Dims::d3(8, 8, 8));
+        f.set(3, 4, 5, 1e7);
+        let config = Sz3Config::absolute(1e-3).with_radius(LinearQuantizer::MAX_RADIUS);
+        let back: Field<f64> = decompress(&compress(&f, &config)).unwrap();
+        assert!(f.as_slice().iter().zip(back.as_slice()).all(|(a, b)| (a - b).abs() <= 1e-3));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_radius_the_symbols_cannot_hold_is_refused() {
+        compress(&smooth_3d(4), &Sz3Config::absolute(1e-3).with_radius(1 << 31));
     }
 
     #[test]

@@ -45,7 +45,9 @@ pub enum InterpKind {
 pub struct Sz3Config {
     /// Error bound.
     pub eb: ErrorBound,
-    /// Quantizer radius: maximum |code| before escaping (SZ3 default 2^15).
+    /// Quantizer radius: maximum |code| before escaping (SZ3 default 2^15),
+    /// in `1..=`[`stz_codec::LinearQuantizer::MAX_RADIUS`] — the compressor
+    /// panics on any other, before it quantizes anything.
     pub radius: i64,
     /// Interpolation order (SZ3 default cubic).
     pub interp: InterpKind,

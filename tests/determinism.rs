@@ -387,48 +387,50 @@ fn signalling_nan_escapes_come_back_bit_exact() {
 }
 
 // ---------------------------------------------------------------------------
-// The same identities at 128^3: blocks of several Huffman chunks, dozens of
-// z-slabs per block on the pool.
+// The same identities at 128^3 — blocks of several Huffman chunks, dozens of
+// z-slabs per block on the pool — and on geometries that are all border:
+// rows whose z/y stencil legs leave the grid, clamped last rows and columns,
+// blocks with no cubic interior at all.
 // ---------------------------------------------------------------------------
 
-fn assert_identities_at_128<T: Scalar>(field: &Field<T>, eb: f64) {
+fn assert_identities<T: Scalar>(field: &Field<T>, config: StzConfig, region: &Region) {
     let _guard = LANE_LOCK.lock().unwrap();
-    let compressor = StzCompressor::new(StzConfig::three_level(eb));
-    let region = Region::d3(37..70, 5..38, 90..128);
+    let compressor = StzCompressor::new(config);
+    let (dims, last) = (field.dims(), config.levels);
     let (archive, full, levels, roi) = with_lane(stz::simd::Lane::Scalar, || {
         let archive = compressor.compress(field).unwrap();
         let full: Field<T> = archive.decompress().unwrap();
         let levels: Vec<Field<T>> =
-            (1..=3u8).map(|k| archive.decompress_level(k).unwrap()).collect();
-        let roi: Field<T> = archive.decompress_region(&region).unwrap();
+            (1..=last).map(|k| archive.decompress_level(k).unwrap()).collect();
+        let roi: Field<T> = archive.decompress_region(region).unwrap();
         (archive, full, levels, roi)
     });
     // Previews are lattices of the full decode, the ROI a crop of it.
     for (k, level) in levels.iter().enumerate() {
-        assert_eq!(level, &full.downsample(1 << (2 - k)), "level {}", k + 1);
+        assert_eq!(level, &full.downsample(1 << (last as usize - 1 - k)), "{dims} level {}", k + 1);
     }
-    assert_eq!(roi, full.extract_region(&region));
+    assert_eq!(roi, full.extract_region(region), "{dims}");
 
     for lane in vector_lanes() {
         with_lane(lane, || {
             assert_eq!(compressor.compress(field).unwrap().as_bytes(), archive.as_bytes());
-            assert_eq!(archive.decompress().unwrap(), full, "full decode on {lane}");
+            assert_eq!(archive.decompress().unwrap(), full, "{dims} full decode on {lane}");
             for (k, level) in levels.iter().enumerate() {
                 let got = archive.decompress_level(k as u8 + 1).unwrap();
-                assert_eq!(&got, level, "level {} on {lane}", k + 1);
+                assert_eq!(&got, level, "{dims} level {} on {lane}", k + 1);
             }
-            assert_eq!(archive.decompress_region(&region).unwrap(), roi, "ROI on {lane}");
+            assert_eq!(archive.decompress_region(region).unwrap(), roi, "{dims} ROI on {lane}");
         });
     }
     for threads in WIDTHS {
         with_pool(threads, || {
             let parallel = compressor.compress_parallel(field).unwrap();
-            assert_eq!(parallel.as_bytes(), archive.as_bytes(), "{threads} thread(s)");
-            assert_eq!(archive.decompress_parallel().unwrap(), full, "{threads} thread(s)");
+            assert_eq!(parallel.as_bytes(), archive.as_bytes(), "{dims} {threads} thread(s)");
+            assert_eq!(archive.decompress_parallel().unwrap(), full, "{dims} {threads} thread(s)");
             let mut steps = archive.progressive().parallel(true);
             for (k, level) in levels.iter().enumerate() {
                 let got = steps.next_level().unwrap().unwrap();
-                assert_eq!(&got, level, "level {} at {threads} thread(s)", k + 1);
+                assert_eq!(&got, level, "{dims} level {} at {threads} thread(s)", k + 1);
             }
         });
     }
@@ -436,10 +438,32 @@ fn assert_identities_at_128<T: Scalar>(field: &Field<T>, eb: f64) {
 
 #[test]
 fn f32_identities_hold_at_128_cubed() {
-    assert_identities_at_128(&f32_field(big()), EB_F32);
+    let region = Region::d3(37..70, 5..38, 90..128);
+    assert_identities(&f32_field(big()), StzConfig::three_level(EB_F32), &region);
 }
 
 #[test]
 fn f64_identities_hold_at_128_cubed() {
-    assert_identities_at_128(&f64_field(big()), EB_F64);
+    let region = Region::d3(37..70, 5..38, 90..128);
+    assert_identities(&f64_field(big()), StzConfig::three_level(EB_F64), &region);
+}
+
+#[test]
+fn identities_hold_on_border_only_geometries() {
+    for (dims, region) in [
+        (Dims::d3(5, 4, 6), Region::d3(1..5, 0..3, 2..6)),
+        (Dims::d3(7, 9, 11), Region::d3(2..7, 3..9, 0..10)),
+        (Dims::d3(64, 3, 64), Region::d3(9..50, 0..3, 30..64)),
+        (Dims::d3(37, 41, 45), Region::d3(20..37, 0..41, 31..45)),
+        (Dims::d2(130, 67), Region::d3(0..1, 61..130, 3..67)),
+        (Dims::d1(1000), Region::d3(0..1, 0..1, 490..1000)),
+    ] {
+        for levels in 2..=4u8 {
+            for interp in [InterpKind::Cubic, InterpKind::Linear] {
+                let cfg = |eb| StzConfig::three_level(eb).with_levels(levels).with_interp(interp);
+                assert_identities(&f32_field(dims), cfg(EB_F32), &region);
+                assert_identities(&f64_field(dims), cfg(EB_F64), &region);
+            }
+        }
+    }
 }
