@@ -134,75 +134,6 @@ impl LinearQuantizer {
         2 * self.radius as usize + 2
     }
 
-    /// Batch [`quantize`](Self::quantize) on a SIMD lane.
-    ///
-    /// For each point: `q_out[i]` holds the signed code as an `f64` (exact
-    /// for any in-radius code — pass it to [`Self::symbol_of`] as
-    /// `q_out[i] as i64`), `recon_out[i]` the reconstruction, and
-    /// `escape_out[i]` is 1 where the point escapes (its `q_out`/`recon_out`
-    /// are then meaningless). Bit-identical to the per-point method on every
-    /// lane.
-    pub fn quantize_run_f64(
-        &self,
-        lane: stz_simd::Lane,
-        actuals: &[f64],
-        preds: &[f64],
-        q_out: &mut [f64],
-        recon_out: &mut [f64],
-        escape_out: &mut [u8],
-    ) {
-        stz_simd::quantize_run_f64(
-            lane,
-            actuals,
-            preds,
-            self.eb,
-            2.0 * self.eb,
-            self.radius as f64,
-            q_out,
-            recon_out,
-            escape_out,
-        );
-    }
-
-    /// [`quantize_run_f64`](Self::quantize_run_f64) with the reconstruction
-    /// rounded through `f32` and re-checked against the bound, mirroring the
-    /// `T = f32` compressor path.
-    pub fn quantize_run_f32(
-        &self,
-        lane: stz_simd::Lane,
-        actuals: &[f64],
-        preds: &[f64],
-        q_out: &mut [f64],
-        recon_out: &mut [f64],
-        escape_out: &mut [u8],
-    ) {
-        stz_simd::quantize_run_f32(
-            lane,
-            actuals,
-            preds,
-            self.eb,
-            2.0 * self.eb,
-            self.radius as f64,
-            q_out,
-            recon_out,
-            escape_out,
-        );
-    }
-
-    /// Batch [`reconstruct`](Self::reconstruct) on a SIMD lane:
-    /// `out[i] = preds[i] + 2·eb·codes[i]`, where `codes[i]` is the signed
-    /// code as an `f64` ([`Self::code_of`]` as f64`). Bit-identical to the
-    /// per-point method on every lane.
-    pub fn reconstruct_run_f64(
-        &self,
-        lane: stz_simd::Lane,
-        preds: &[f64],
-        codes: &[f64],
-        out: &mut [f64],
-    ) {
-        stz_simd::recon_run_f64(lane, preds, codes, 2.0 * self.eb, out);
-    }
-
     /// Fused predict + reconstruct of a row span from the previous level's
     /// dense grid: `out[i]` is the stencil prediction at `prev[base + i]`
     /// plus `2·eb` times the code of `symbols[i]`, rounded to the grid's
@@ -245,18 +176,6 @@ impl LinearQuantizer {
         let bound =
             stz_simd::Bound { eb: self.eb, two_eb: 2.0 * self.eb, radius: self.radius as f64 };
         stz_simd::predict_quantize_dense(lane, prev, base, st, actuals, &bound, symbols, recon)
-    }
-
-    /// [`reconstruct_run_f64`](Self::reconstruct_run_f64) rounded through
-    /// `f32`, mirroring the `T = f32` decompressor path.
-    pub fn reconstruct_run_f32(
-        &self,
-        lane: stz_simd::Lane,
-        preds: &[f64],
-        codes: &[f64],
-        out: &mut [f64],
-    ) {
-        stz_simd::recon_run_f32(lane, preds, codes, 2.0 * self.eb, out);
     }
 }
 
@@ -391,46 +310,6 @@ mod tests {
             assert_eq!(q.reconstruct(symbol, pred).to_bits(), reconstructed.to_bits());
         } else {
             panic!("should be codable");
-        }
-    }
-
-    #[test]
-    fn batch_matches_per_point_on_every_lane() {
-        let q = LinearQuantizer::new(1e-3, 1 << 15);
-        let preds: Vec<f64> = (0..300).map(|i| (i as f64 * 0.731).sin()).collect();
-        let actuals: Vec<f64> = preds
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| match i % 7 {
-                0 => p + i as f64 * 1.9e-4,
-                1 => f64::NAN,
-                2 => p - 0.5, // large code
-                3 => p + 1e6, // radius escape
-                4 => -0.0,
-                _ => p * 1.0000003,
-            })
-            .collect();
-        let n = actuals.len();
-        for lane in stz_simd::available_lanes() {
-            let mut qs = vec![0.0; n];
-            let mut rs = vec![0.0; n];
-            let mut es = vec![0u8; n];
-            q.quantize_run_f64(lane, &actuals, &preds, &mut qs, &mut rs, &mut es);
-            for i in 0..n {
-                match q.quantize(actuals[i], preds[i]) {
-                    QuantOutcome::Escape => assert_eq!(es[i], 1, "escape[{i}] on {lane}"),
-                    QuantOutcome::Code { symbol, reconstructed } => {
-                        assert_eq!(es[i], 0, "code[{i}] on {lane}");
-                        assert_eq!(LinearQuantizer::symbol_of(qs[i] as i64), symbol);
-                        assert_eq!(rs[i].to_bits(), reconstructed.to_bits());
-                        // And the batch reconstruction agrees too.
-                        let code = [LinearQuantizer::code_of(symbol) as f64];
-                        let mut out = [0.0];
-                        q.reconstruct_run_f64(lane, &preds[i..i + 1], &code, &mut out);
-                        assert_eq!(out[0].to_bits(), reconstructed.to_bits());
-                    }
-                }
-            }
         }
     }
 

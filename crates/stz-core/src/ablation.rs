@@ -22,10 +22,10 @@
 use crate::archive::StzArchive;
 use crate::compressor::StzCompressor;
 use crate::config::StzConfig;
-use crate::kernels::{grid_taps, predict_direct, predict_point};
-use crate::level::LevelPlan;
+use crate::kernels::{dense_taps, predict_direct, predict_point};
+use crate::level::{BlockSpec, LevelPlan};
 use stz_codec::{ByteReader, ByteWriter, CodecError, Result};
-use stz_field::{Dims, Field, Region, Scalar};
+use stz_field::{Dims, Field, Scalar};
 use stz_sz3::{InterpKind, Sz3Config};
 
 /// One point on the Figure-5 ablation ladder.
@@ -152,9 +152,7 @@ pub fn compress_variant<T: Scalar>(
             w.put_block(&l1_bytes);
 
             let level = &plan.levels[1];
-            let mut grid = Field::<f64>::zeros(level.grid_dims);
             let coarse = Field::from_vec(plan.levels[0].grid_dims, a_recon);
-            crate::compressor::upscatter(&coarse, &mut grid, &Region::full(coarse.dims()));
             w.put_uvarint(level.blocks.len() as u64);
             for block in &level.blocks {
                 let orig: Field<T> = block.lattice.gather(field);
@@ -163,25 +161,7 @@ pub fn compress_variant<T: Scalar>(
                 for z in 0..bdims.nz() {
                     for y in 0..bdims.ny() {
                         for x in 0..bdims.nx() {
-                            let (gz, gy, gx) = block.grid_lattice.to_parent(z, y, x);
-                            let pred = if variant == AblationVariant::DirectPred {
-                                predict_direct(
-                                    grid.as_slice(),
-                                    grid.dims(),
-                                    [gz, gy, gx],
-                                    &block.active_axes,
-                                    1,
-                                )
-                            } else {
-                                predict_point(
-                                    grid_taps(grid.as_slice(), grid.dims()),
-                                    grid.dims(),
-                                    [gz, gy, gx],
-                                    &block.active_axes,
-                                    1,
-                                    InterpKind::Linear,
-                                )
-                            };
+                            let pred = predict(variant, &coarse, level.grid_dims, block, [z, y, x]);
                             residual.push(orig.get(z, y, x).to_f64() - pred);
                         }
                     }
@@ -193,6 +173,23 @@ pub fn compress_variant<T: Scalar>(
         _ => unreachable!("configuration variants handled above"),
     }
     Ok(w.finish())
+}
+
+/// The prediction of point `p` of `block` — in block coordinates — by the
+/// direct or multilinear strawman, from the level-1 grid `coarse` as it is.
+fn predict(
+    variant: AblationVariant,
+    coarse: &Field<f64>,
+    gdims: Dims,
+    block: &BlockSpec,
+    [z, y, x]: [usize; 3],
+) -> f64 {
+    let (gz, gy, gx) = block.grid_lattice.to_parent(z, y, x);
+    let taps = dense_taps(coarse.as_slice(), coarse.dims(), [0; 3]);
+    match variant {
+        AblationVariant::DirectPred => predict_direct(taps, [gz, gy, gx], &block.active_axes, 1),
+        _ => predict_point(taps, gdims, [gz, gy, gx], &block.active_axes, 1, InterpKind::Linear),
+    }
 }
 
 /// Decompress bytes produced by [`compress_variant`].
@@ -254,12 +251,12 @@ pub fn decompress_variant<T: Scalar>(bytes: &[u8]) -> Result<Field<T>> {
                 return Err(CodecError::corrupt("level-1 dims mismatch"));
             }
             let level = &plan.levels[1];
-            let mut grid = Field::<f64>::zeros(level.grid_dims);
             let coarse = Field::from_vec(
                 plan.levels[0].grid_dims,
                 a.as_slice().iter().map(|&v| v.to_f64()).collect(),
             );
-            crate::compressor::upscatter(&coarse, &mut grid, &Region::full(coarse.dims()));
+            let mut grid = Field::<f64>::zeros(level.grid_dims);
+            plan.level1().scatter(&coarse, &mut grid);
             let n = r.get_uvarint()? as usize;
             if n != level.blocks.len() {
                 return Err(CodecError::corrupt("block count mismatch"));
@@ -274,25 +271,7 @@ pub fn decompress_variant<T: Scalar>(bytes: &[u8]) -> Result<Field<T>> {
                 for z in 0..bdims.nz() {
                     for y in 0..bdims.ny() {
                         for x in 0..bdims.nx() {
-                            let (gz, gy, gx) = block.grid_lattice.to_parent(z, y, x);
-                            let pred = if variant == AblationVariant::DirectPred {
-                                predict_direct(
-                                    grid.as_slice(),
-                                    grid.dims(),
-                                    [gz, gy, gx],
-                                    &block.active_axes,
-                                    1,
-                                )
-                            } else {
-                                predict_point(
-                                    grid_taps(grid.as_slice(), grid.dims()),
-                                    grid.dims(),
-                                    [gz, gy, gx],
-                                    &block.active_axes,
-                                    1,
-                                    InterpKind::Linear,
-                                )
-                            };
+                            let pred = predict(variant, &coarse, level.grid_dims, block, [z, y, x]);
                             vals.push(pred + residual.get(z, y, x));
                         }
                     }

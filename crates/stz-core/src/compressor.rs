@@ -7,30 +7,37 @@
 //! level's grid as it is**: every tap of every prediction is a point of it,
 //! and a block row is unit stride in it ([`crate::kernels::RowStencils`]).
 //! One fused kernel call takes a row from originals to symbols (or from
-//! symbols to reconstructed `T`) with nothing row-sized in `f64` in between,
-//! and the reconstructed row is stored once, straight into its stride-2
-//! place in the next grid — beside the previous grid's points, scattered
-//! into its even positions. Every value that enters a grid is already
-//! `T`-representable — level 1 comes from SZ3 as `T`, every reconstruction
-//! is rounded through `T`, every escape is the stored `T` — so widening the
-//! taps at load gives the kernels the operands an `f64` grid would. On
-//! decode the finest level's grid *is* the decoded field; on encode it does
-//! not exist, because nothing predicts from it.
+//! symbols to reconstructed `T`) with nothing row-sized in `f64` in between.
+//! An encoder stores the reconstructed row straight into its stride-2 place
+//! in the next grid, beside the previous grid's points scattered into its
+//! even positions. A decoder writes every point of the next grid once: it
+//! assembles each row in L1 from two sources — the previous grid's row or
+//! one block's, and another block's — and stores it at unit stride, each
+//! block's stream entropy-decoded a chunk at a time as the walk reaches it
+//! (`LevelRows::assemble`); a region's working grids are boxes of the
+//! levels', assembled by the same walk. Every value that enters a grid is
+//! already `T`-representable — level 1 comes from SZ3 as `T`, every
+//! reconstruction is rounded through `T`, every escape is the stored `T` —
+//! so widening the taps at load gives the kernels the operands an `f64` grid
+//! would. On decode the finest level's grid *is* the decoded field; on
+//! encode it does not exist, because nothing predicts from it.
 //!
 //! Because finer-level points never depend on one another, both the blocks
 //! of a level and the points within a block are embarrassingly parallel; the
 //! `parallel` entry points run the same row routine over z-slabs on the
 //! rayon thread pool — encode into per-slab buffers that are placed
-//! afterwards, decode straight into each slab's own planes of the next grid —
+//! afterwards, decode assembling each slab's own planes of the next grid —
 //! and produce **bit-identical archives and fields** to the serial path.
 
 use crate::archive::{build_bytes, ArchiveHeader, StzArchive};
 use crate::config::StzConfig;
 use crate::kernels::{dense_taps, predict_point, RowStencils, StencilOffsets};
-use crate::level::{BlockSpec, LevelPlan};
+use crate::level::{BlockSpec, LevelPlan, LevelSpec};
+use crate::random_access::LevelTimes;
 use crate::source::SectionSource;
 use rayon::prelude::*;
 use std::ops::Range;
+use std::time::Instant;
 use stz_codec::{
     huffman, ByteReader, ByteWriter, CodecError, LinearQuantizer, Result, ESCAPE_SYMBOL,
 };
@@ -118,9 +125,10 @@ impl StzCompressor {
             // finest level's reconstruction is nobody's operand.
             let mut next = (level.index < cfg.levels).then(|| {
                 let mut next = Field::<T>::zeros(level.grid_dims);
-                upscatter(&grid, &mut next, &Region::full(grid.dims()));
+                upscatter(&grid, &mut next);
                 next
             });
+            let cbox = Region::full(grid.dims());
 
             let encoded = if parallel {
                 let results: Vec<(Vec<u8>, Vec<Vec<T>>)> = level
@@ -128,7 +136,7 @@ impl StzCompressor {
                     .par_iter()
                     .map(|block| {
                         let rows =
-                            BlockRows::new(level.grid_dims, grid.dims(), block, &quant, cfg.interp);
+                            BlockRows::new(level.grid_dims, &cbox, block, &quant, cfg.interp);
                         let (payload, slabs) = {
                             let _stage = quantize_ns.span();
                             quantize_slabs(&rows, field, &grid, next.is_some())
@@ -149,8 +157,7 @@ impl StzCompressor {
                 let mut payload = BlockPayload { symbols: Vec::new(), outliers: Vec::new() };
                 let mut encoded = Vec::with_capacity(level.blocks.len());
                 for block in &level.blocks {
-                    let rows =
-                        BlockRows::new(level.grid_dims, grid.dims(), block, &quant, cfg.interp);
+                    let rows = BlockRows::new(level.grid_dims, &cbox, block, &quant, cfg.interp);
                     {
                         let _stage = quantize_ns.span();
                         quantize_in_place(&rows, field, &grid, next.as_mut(), &mut payload);
@@ -180,33 +187,15 @@ impl StzCompressor {
     }
 }
 
-/// Scatter the `window` box of the coarse working grid into the even
-/// positions of the next (2× finer) working grid. A full decode or encode
-/// moves the whole grid up; a region decode only the box its stencils reach.
-pub(crate) fn upscatter<T: Scalar>(coarse: &Field<T>, next: &mut Field<T>, window: &Region) {
-    debug_assert_eq!(next.dims().coarsened(2).as_array(), coarse.dims().as_array());
-    let ndims = next.dims();
-    upscatter_into(coarse, window, ndims, next.as_mut_slice(), 0);
-}
-
-/// [`upscatter`] into `planes`, the stretch of a next grid of `ndims` that
-/// starts at its flattened index `base` and holds every plane of the window.
-fn upscatter_into<T: Scalar>(
-    coarse: &Field<T>,
-    window: &Region,
-    ndims: Dims,
-    planes: &mut [T],
-    base: usize,
-) {
-    let cd = coarse.dims();
+/// Scatter the coarse working grid into the even positions of the next (2×
+/// finer) working grid, which an encoder then fills in block by block.
+fn upscatter<T: Scalar>(coarse: &Field<T>, next: &mut Field<T>) {
+    let (cd, nd) = (coarse.dims(), next.dims());
+    debug_assert_eq!(nd.coarsened(2).as_array(), cd.as_array());
     let lane = stz_simd::active_lane();
-    let width = window.x1 - window.x0;
-    for z in window.z0..window.z1 {
-        for y in window.y0..window.y1 {
-            let start = cd.index(z, y, window.x0);
-            let row = &coarse.as_slice()[start..start + width];
-            T::simd_scatter2(lane, row, planes, ndims.index(2 * z, 2 * y, 2 * window.x0) - base);
-        }
+    for (i, row) in coarse.as_slice().chunks_exact(cd.nx()).enumerate() {
+        let (z, y) = (i / cd.ny(), i % cd.ny());
+        T::simd_scatter2(lane, row, next.as_mut_slice(), nd.index(2 * z, 2 * y, 0));
     }
 }
 
@@ -305,8 +294,8 @@ fn place_slabs<T: Scalar>(grid: &mut Field<T>, block: &BlockSpec, slabs: &[Vec<T
 /// routines — [`BlockRows::quantize_row`] and [`BlockRows::reconstruct_row`]
 /// — read the previous grid and write a row of `T` where the driver says;
 /// where that row is stored afterwards is the driver's business, which is
-/// what lets a serial driver fill the next grid as it goes and a pool driver
-/// work from shared borrows alone.
+/// what lets an encoder fill the next grid as it goes and a decoder assemble
+/// it from the rows of two blocks at a time ([`LevelRows::assemble`]).
 struct BlockRows<'a> {
     stencils: RowStencils,
     block: &'a BlockSpec,
@@ -316,8 +305,11 @@ struct BlockRows<'a> {
     /// every other lane batches the span of each row its stencil is
     /// interior at.
     lane: Lane,
-    /// Dims of the grid being refined and of the previous level's.
+    /// Dims of the grid being refined.
     gdims: Dims,
+    /// The box of the previous level's grid the rows read — all of it, or
+    /// the share a region needs — and its extents.
+    cbox: Region,
     cdims: Dims,
     /// Block extents.
     nz: usize,
@@ -333,7 +325,7 @@ struct RowWalk<'a> {
     gy: usize,
     gx0: usize,
     /// Flattened index of the row's first point in the grid being refined,
-    /// and of its coarse index — block-local `x = 0` — in the previous one.
+    /// and of the first point of its coarse row in the previous grid's box.
     at: usize,
     cbase: usize,
     /// The row's stencil and the block-local x span `[xa, xb)` it is
@@ -346,12 +338,13 @@ struct RowWalk<'a> {
 impl<'a> BlockRows<'a> {
     fn new(
         gdims: Dims,
-        cdims: Dims,
+        cbox: &Region,
         block: &'a BlockSpec,
         quant: &'a LinearQuantizer,
         interp: InterpKind,
     ) -> BlockRows<'a> {
         let bdims = block.lattice.dims();
+        let cdims = extents(cbox);
         BlockRows {
             stencils: RowStencils::new(gdims, cdims, &block.active_axes, interp),
             block,
@@ -359,6 +352,7 @@ impl<'a> BlockRows<'a> {
             interp,
             lane: stz_simd::active_lane(),
             gdims,
+            cbox: cbox.clone(),
             cdims,
             nz: bdims.nz(),
             by: bdims.ny(),
@@ -369,13 +363,14 @@ impl<'a> BlockRows<'a> {
     fn row(&self, z: usize, y: usize) -> RowWalk<'_> {
         let (gz, gy, gx0) = self.block.grid_lattice.to_parent(z, y, 0);
         let (stencil, xa, xb) = self.stencils.of_row(gz, gy, gx0, self.bx);
+        let (cz, cy) = ((gz >> 1) - self.cbox.z0, (gy >> 1) - self.cbox.y0);
         RowWalk {
             rows: self,
             gz,
             gy,
             gx0,
             at: (gz * self.gdims.ny() + gy) * self.gdims.nx() + gx0,
-            cbase: ((gz >> 1) * self.cdims.ny() + (gy >> 1)) * self.cdims.nx(),
+            cbase: (cz * self.cdims.ny() + cy) * self.cdims.nx(),
             stencil,
             xa,
             xb,
@@ -420,7 +415,7 @@ impl<'a> BlockRows<'a> {
         let mut escaped = self.quant.quantize_dense(
             self.lane,
             prev,
-            walk.cbase + xa,
+            walk.coarse(xa),
             &walk.stencil.as_simd(),
             &orig[xa..xb],
             &mut symbols[xa..xb],
@@ -458,8 +453,7 @@ impl<'a> BlockRows<'a> {
     /// level's grid `prev`, into `out`, one slot per point of the span: the
     /// whole row for a full decode, the target's share of it for a region.
     /// `cursor` is the rank of the span's first escape among the block's
-    /// `outliers` and is advanced past the span's escapes. Returns the
-    /// flattened index the span starts at in the grid being refined.
+    /// `outliers` and is advanced past the span's escapes.
     #[allow(clippy::too_many_arguments)]
     fn reconstruct_row<T: Scalar>(
         &self,
@@ -471,7 +465,7 @@ impl<'a> BlockRows<'a> {
         outliers: &[T],
         cursor: &mut usize,
         out: &mut [T],
-    ) -> usize {
+    ) {
         let walk = self.row(z, y);
         let (xa, xb) = walk.batch_range();
         let xa = xa.clamp(xs.start, xs.end);
@@ -485,7 +479,7 @@ impl<'a> BlockRows<'a> {
         self.quant.reconstruct_dense(
             self.lane,
             prev,
-            walk.cbase + xa,
+            walk.coarse(xa),
             &walk.stencil.as_simd(),
             &symbols[span.clone()],
             &mut out[span],
@@ -503,11 +497,18 @@ impl<'a> BlockRows<'a> {
                 *cursor += 1;
             }
         }
-        walk.at + 2 * xs.start
     }
 }
 
 impl RowWalk<'_> {
+    /// Index in the previous grid's box of the row's coarse point under
+    /// block-local `x` (the tap at offset 0): every point a walk predicts
+    /// lies inside the box, whose stencils reach it.
+    #[inline(always)]
+    fn coarse(&self, x: usize) -> usize {
+        self.cbase + x - self.rows.cbox.x0
+    }
+
     /// The block-local x span `[xa, xb)` the batch kernels take: the span
     /// the row's stencil is interior at, or nothing on the scalar lane.
     #[inline]
@@ -527,10 +528,10 @@ impl RowWalk<'_> {
     fn predict<T: Scalar>(&self, prev: &[T], x: usize) -> f64 {
         let rows = self.rows;
         if (self.xa..self.xb).contains(&x) {
-            return self.stencil.predict_interior(prev, self.cbase + x);
+            return self.stencil.predict_interior(prev, self.coarse(x));
         }
         let p = [self.gz, self.gy, self.gx0 + 2 * x];
-        let taps = dense_taps(prev, rows.cdims);
+        let taps = dense_taps(prev, rows.cdims, [rows.cbox.z0, rows.cbox.y0, rows.cbox.x0]);
         predict_point(taps, rows.gdims, p, &rows.block.active_axes, 1, rows.interp)
     }
 }
@@ -579,248 +580,280 @@ pub(crate) fn encode_block_payload<T: Scalar>(
     w.finish()
 }
 
-/// Parsed structure of a sub-block stream (nothing entropy-decoded yet).
-pub(crate) struct PayloadMeta<'a> {
-    /// Encoded Huffman chunks.
-    pub chunks: Vec<&'a [u8]>,
-    /// Escapes per chunk.
-    pub chunk_escapes: Vec<usize>,
-    /// Symbols per chunk (the final chunk may be smaller).
-    pub chunk_size: usize,
-    /// Total symbol count.
-    pub total: usize,
+/// A sub-block stream, parsed: its Huffman chunks, what the stream declares
+/// for each, and its outliers — nothing entropy-decoded yet.
+struct BlockStream<'a, T> {
+    chunks: Vec<&'a [u8]>,
+    /// Escapes before each chunk, and in all of them.
+    escapes_before: Vec<usize>,
+    /// Symbols per chunk (the final chunk may hold fewer), and in the block.
+    chunk_size: usize,
+    total: usize,
+    outliers: Vec<T>,
+    /// The block's index in its level, for the trace.
+    index: usize,
 }
 
-impl PayloadMeta<'_> {
-    /// Symbol count of chunk `c`.
-    pub fn len_of(&self, c: usize) -> usize {
-        let start = c * self.chunk_size;
-        self.chunk_size.min(self.total - start)
+impl<'a, T: Scalar> BlockStream<'a, T> {
+    /// Parse the stream of `block`, the `index`-th of its level, without
+    /// decoding any symbols.
+    fn parse(bytes: &'a [u8], block: &BlockSpec, index: usize) -> Result<Self> {
+        let total = block.lattice.len();
+        let mut r = ByteReader::new(bytes);
+        let nchunks = r.get_uvarint()? as usize;
+        if nchunks == 0 || nchunks > 64 {
+            return Err(CodecError::corrupt(format!("invalid chunk count {nchunks}")));
+        }
+        let chunk_size = r.get_uvarint()? as usize;
+        if chunk_size == 0
+            || chunk_size.saturating_mul(nchunks) < total
+            || (nchunks - 1).saturating_mul(chunk_size) >= total.max(1)
+        {
+            return Err(CodecError::corrupt("chunk size inconsistent with point count"));
+        }
+        let mut escapes_before = vec![0];
+        for c in 0..nchunks {
+            let e = r.get_uvarint()? as usize;
+            if e > chunk_size {
+                return Err(CodecError::corrupt("chunk escape count exceeds chunk size"));
+            }
+            escapes_before.push(escapes_before[c] + e);
+        }
+        let mut chunks = Vec::with_capacity(nchunks);
+        for _ in 0..nchunks {
+            chunks.push(r.get_block()?);
+        }
+        let outliers: Vec<T> = stz_sz3::stream::read_outliers(&mut r)?;
+        if outliers.len() != escapes_before[nchunks] {
+            return Err(CodecError::corrupt("outlier count does not match chunk escape counts"));
+        }
+        Ok(BlockStream { chunks, escapes_before, chunk_size, total, outliers, index })
     }
 
-    /// One slice of `symbols` — the block's stream — per chunk, in order.
-    pub fn split<'s>(&self, mut symbols: &'s mut [u32]) -> Vec<&'s mut [u32]> {
-        (0..self.chunks.len())
-            .map(|c| {
-                let (chunk, rest) = std::mem::take(&mut symbols).split_at_mut(self.len_of(c));
-                symbols = rest;
-                chunk
-            })
-            .collect()
+    /// Symbol count of chunk `c`.
+    fn len_of(&self, c: usize) -> usize {
+        self.chunk_size.min(self.total - c * self.chunk_size)
+    }
+
+    /// Escape count of chunk `c`.
+    fn escapes_in(&self, c: usize) -> usize {
+        self.escapes_before[c + 1] - self.escapes_before[c]
     }
 
     /// Entropy-decode chunk `c` into `out`, its `len_of(c)` slots of the
-    /// block's stream, and hold it to what the stream declared for it.
-    pub fn decode_chunk(&self, c: usize, out: &mut [u32]) -> Result<()> {
-        let count = huffman::decode_block_into_slice(self.chunks[c], out)?;
-        self.check_chunk(c, count, out)
-    }
-
-    /// Hold chunk `c` as decoded to what the stream declared for it: the
+    /// block's stream, and hold it to what the stream declared for it: the
     /// number of symbols it coded and how many of them are escapes.
-    fn check_chunk(&self, c: usize, count: usize, decoded: &[u32]) -> Result<()> {
-        if count != self.len_of(c) {
+    fn decode_chunk(&self, c: usize, out: &mut [u32]) -> Result<()> {
+        if huffman::decode_block_into_slice(self.chunks[c], out)? != self.len_of(c) {
             return Err(CodecError::corrupt("chunk symbol count mismatch"));
         }
-        let escapes = decoded.iter().filter(|&&s| s == ESCAPE_SYMBOL).count();
-        if escapes != self.chunk_escapes[c] {
+        if out.iter().filter(|&&s| s == ESCAPE_SYMBOL).count() != self.escapes_in(c) {
             return Err(CodecError::corrupt("chunk escape count mismatch"));
         }
         Ok(())
     }
 }
 
-/// Parse a sub-block stream into chunk metadata + outliers, without
-/// decoding any symbols.
-pub(crate) fn parse_block_payload<'a, T: Scalar>(
-    bytes: &'a [u8],
-    expected_points: usize,
-) -> Result<(PayloadMeta<'a>, Vec<T>)> {
-    let mut r = ByteReader::new(bytes);
-    let nchunks = r.get_uvarint()? as usize;
-    if nchunks == 0 || nchunks > 64 {
-        return Err(CodecError::corrupt(format!("invalid chunk count {nchunks}")));
-    }
-    let chunk_size = r.get_uvarint()? as usize;
-    if chunk_size == 0
-        || chunk_size.saturating_mul(nchunks) < expected_points
-        || (nchunks - 1).saturating_mul(chunk_size) >= expected_points.max(1)
-    {
-        return Err(CodecError::corrupt("chunk size inconsistent with point count"));
-    }
-    let mut chunk_escapes = Vec::with_capacity(nchunks);
-    for _ in 0..nchunks {
-        let e = r.get_uvarint()? as usize;
-        if e > chunk_size {
-            return Err(CodecError::corrupt("chunk escape count exceeds chunk size"));
+/// One value per block of a level, at the block's offset `oz·4 + oy·2 + ox`
+/// in the level's grid: the row parity whose points the block holds.
+type Slots<T> = [Option<T>; 8];
+
+fn slot(block: &BlockSpec) -> usize {
+    let [z, y, x] = block.grid_lattice.offset();
+    (z << 2) | (y << 1) | x
+}
+
+/// Extents of a box, as the dims of a grid that holds just the box.
+fn extents(b: &Region) -> Dims {
+    Dims::d3(b.z1 - b.z0, b.y1 - b.y0, b.x1 - b.x0)
+}
+
+/// The rows of one level's blocks, and the walk that assembles the level's
+/// grid from them — all of it or a box of it — writing every point once.
+struct LevelRows<'a> {
+    blocks: Slots<BlockRows<'a>>,
+    /// The box of the previous level's grid the rows read.
+    cbox: Region,
+}
+
+impl<'a> LevelRows<'a> {
+    fn new(
+        level: &'a LevelSpec,
+        cbox: &Region,
+        quant: &'a LinearQuantizer,
+        interp: InterpKind,
+    ) -> Self {
+        let mut blocks = Slots::default();
+        for block in &level.blocks {
+            blocks[slot(block)] = Some(BlockRows::new(level.grid_dims, cbox, block, quant, interp));
         }
-        chunk_escapes.push(e);
+        LevelRows { blocks, cbox: cbox.clone() }
     }
-    let mut chunks = Vec::with_capacity(nchunks);
-    for _ in 0..nchunks {
-        chunks.push(r.get_block()?);
-    }
-    let outliers: Vec<T> = stz_sz3::stream::read_outliers(&mut r)?;
-    if outliers.len() != chunk_escapes.iter().sum::<usize>() {
-        return Err(CodecError::corrupt("outlier count does not match chunk escape counts"));
-    }
-    Ok((PayloadMeta { chunks, chunk_escapes, chunk_size, total: expected_points }, outliers))
-}
 
-/// Entropy-decode a whole sub-block stream into `symbols` — one slot per
-/// point of the block — validating symbol and outlier counts; returns the
-/// outliers. Every chunk decodes straight into its own share of `symbols`,
-/// one after the other or side by side on the pool.
-pub(crate) fn decode_block_payload<T: Scalar>(
-    bytes: &[u8],
-    parallel: bool,
-    symbols: &mut [u32],
-) -> Result<Vec<T>> {
-    let (meta, outliers) = parse_block_payload::<T>(bytes, symbols.len())?;
-    let chunks = meta.split(symbols);
-    if parallel && chunks.len() > 1 {
-        let decoded: Vec<Result<()>> =
-            chunks.into_par_iter().enumerate().map(|(c, out)| meta.decode_chunk(c, out)).collect();
-        decoded.into_iter().collect::<Result<()>>()?;
-    } else {
-        for (c, out) in chunks.into_iter().enumerate() {
-            meta.decode_chunk(c, out)?;
-        }
-    }
-    Ok(outliers)
-}
-
-/// Lengthen entropy-decode scratch to at least `len` slots, reserving no more
-/// than that. It keeps its length from block to block and level to level — a
-/// decode overwrites every slot it hands on — so only growth is ever filled.
-pub(crate) fn grow_symbols(symbols: &mut Vec<u32>, len: usize) {
-    symbols.reserve_exact(len.saturating_sub(symbols.len()));
-    symbols.resize(len.max(symbols.len()), 0);
-}
-
-/// A trace span of one stage of one sub-block's decode. Off-trace a span is
-/// one thread-local read: no clock, no allocation.
-pub(crate) fn block_span(name: &'static str, block: usize) -> stz_telemetry::trace::TraceSpan {
-    let mut span = stz_telemetry::trace::span(name);
-    span.attr("block", block);
-    span
-}
-
-/// Reconstruct one sub-block from its decoded symbols and the previous
-/// level's grid, storing each row into the `next` one as it is produced.
-fn reconstruct_in_place<T: Scalar>(
-    rows: &BlockRows<'_>,
-    symbols: &[u32],
-    outliers: &[T],
-    prev: &Field<T>,
-    next: &mut Field<T>,
-) {
-    let mut row = vec![T::default(); rows.bx];
-    let mut cursor = 0;
-    for (i, span) in symbols.chunks_exact(rows.bx).enumerate() {
-        let (z, y, xs) = (i / rows.by, i % rows.by, 0..rows.bx);
-        let at =
-            rows.reconstruct_row(prev.as_slice(), z, y, xs, span, outliers, &mut cursor, &mut row);
-        T::simd_scatter2(rows.lane, &row, next.as_mut_slice(), at);
-    }
-}
-
-/// Reconstruct the `target` box of one sub-block (in block-local
-/// coordinates) from the previous level's grid into the `next` one: the rows
-/// of a full decode, each over the box's x-range only, so a region is a crop
-/// of the full decode by construction. `decoded` is a stretch of the block's
-/// stream that holds the box's rows, with the stream index of its first
-/// symbol; `rank_before(i)` is the number of escapes before symbol `i`, asked
-/// in ascending order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn reconstruct_box<T: Scalar>(
-    prev: &Field<T>,
-    next: &mut Field<T>,
-    block: &BlockSpec,
-    quant: &LinearQuantizer,
-    interp: InterpKind,
-    target: &Region,
-    (symbols, origin): (&[u32], usize),
-    outliers: &[T],
-    mut rank_before: impl FnMut(usize) -> usize,
-) {
-    let rows = BlockRows::new(next.dims(), prev.dims(), block, quant, interp);
-    let xs = target.x0..target.x1;
-    let mut row = vec![T::default(); xs.len()];
-    for z in target.z0..target.z1 {
-        for y in target.y0..target.y1 {
-            let first = (z * rows.by + y) * rows.bx + xs.start;
-            let mut cursor = rank_before(first);
-            let at = rows.reconstruct_row(
-                prev.as_slice(),
-                z,
-                y,
-                xs.clone(),
-                &symbols[first - origin..][..xs.len()],
-                outliers,
-                &mut cursor,
-                &mut row,
-            );
-            T::simd_scatter2(rows.lane, &row, next.as_mut_slice(), at);
-        }
-    }
-}
-
-/// One sub-block as the entropy stage leaves it for the pool.
-struct DecodedBlock<T> {
-    symbols: Vec<u32>,
-    outliers: Vec<T>,
-    /// Rank among `outliers` of the first escape of each z-slab.
-    cursors: Vec<usize>,
-}
-
-/// [`reconstruct_in_place`] for the pool, [`upscatter`] included. Rows read
-/// the previous grid only, so the next one can be cut into z-`slabs` (in
-/// previous-grid planes: two planes of the next grid each) that move their
-/// share of the previous grid up and fill in their rows of every block side by
-/// side, straight into place — and fault their own pages in.
-fn reconstruct_slabs<T: Scalar>(
-    blocks: &[(BlockRows<'_>, DecodedBlock<T>)],
-    slabs: &[Range<usize>],
-    coarse: &Field<T>,
-    next: &mut Field<T>,
-) {
-    let (cdims, ndims) = (coarse.dims(), next.dims());
-    let pair = 2 * ndims.ny() * ndims.nx();
-    let prev = coarse.as_slice();
-    // Every slab but the last is as long as the first.
-    let chunks = next.as_mut_slice().chunks_mut(slabs[0].len() * pair);
-    let fill = |(s, planes): (usize, &mut [T])| {
-        let (slab, base) = (&slabs[s], slabs[s].start * pair);
-        let mut span = stz_telemetry::trace::span("reconstruct");
-        span.attr("slab", s);
-        let window = Region::d3(slab.clone(), 0..cdims.ny(), 0..cdims.nx());
-        upscatter_into(coarse, &window, ndims, planes, base);
-        let mut row = Vec::new();
-        for (rows, block) in blocks {
-            row.resize(rows.bx, T::default());
-            let mut cursor = block.cursors[s];
-            for z in slab.start..slab.end.min(rows.nz) {
-                for y in 0..rows.by {
-                    let (xs, first) = (0..rows.bx, (z * rows.by + y) * rows.bx);
-                    let symbols = &block.symbols[first..first + rows.bx];
-                    let outliers = &block.outliers;
-                    let at = rows.reconstruct_row(
-                        prev,
-                        z,
-                        y,
-                        xs,
-                        symbols,
-                        outliers,
-                        &mut cursor,
-                        &mut row,
-                    );
-                    T::simd_scatter2(rows.lane, &row, planes, at - base);
-                }
+    /// Assemble `obox`, a box of the level's grid, into `out` from `prev` —
+    /// the previous grid's box — and the blocks' streams, plane by plane.
+    /// Each row is built in L1 from two sources and stored once, at unit
+    /// stride: its even-x points are the previous grid's row where z and y
+    /// are even and block `(z&1, y&1, 0)`'s row elsewhere, its odd-x points
+    /// block `(z&1, y&1, 1)`'s. Which blocks exist is the plan's business, so
+    /// axes of extent 1 or 2 and odd x-extents take no case of their own.
+    fn assemble<T: Scalar>(
+        &self,
+        prev: &[T],
+        obox: &Region,
+        out: &mut [T],
+        windows: &mut Slots<ChunkWindow<'_, T>>,
+    ) -> Result<()> {
+        let (ny, nx) = (obox.y1 - obox.y0, obox.x1 - obox.x0);
+        let (evens, odds) = (obox.x0.div_ceil(2)..obox.x1.div_ceil(2), obox.x0 / 2..obox.x1 / 2);
+        let (mut even, mut odd) = (vec![T::default(); evens.len()], vec![T::default(); odds.len()]);
+        let (c, cdims) = (&self.cbox, extents(&self.cbox));
+        for (gz, plane) in (obox.z0..obox.z1).zip(out.chunks_exact_mut(ny * nx)) {
+            for (gy, row) in (obox.y0..obox.y1).zip(plane.chunks_exact_mut(nx)) {
+                let (s, z, y) = (((gz & 1) << 2) | ((gy & 1) << 1), gz >> 1, gy >> 1);
+                let even = if s == 0 {
+                    let at = cdims.index(z - c.z0, y - c.y0, evens.start - c.x0);
+                    &prev[at..at + evens.len()]
+                } else {
+                    self.row(s, prev, (z, y), evens.clone(), windows, &mut even)?;
+                    &even[..]
+                };
+                self.row(s | 1, prev, (z, y), odds.clone(), windows, &mut odd)?;
+                interleave(even, &odd, obox.x0 % 2 == 1, row);
             }
         }
+        Ok(())
+    }
+
+    /// Reconstruct the span `xs` of row `(z, y)` of the block in slot `s`
+    /// into `out`.
+    fn row<T: Scalar>(
+        &self,
+        s: usize,
+        prev: &[T],
+        (z, y): (usize, usize),
+        xs: Range<usize>,
+        windows: &mut Slots<ChunkWindow<'_, T>>,
+        out: &mut [T],
+    ) -> Result<()> {
+        if xs.is_empty() {
+            return Ok(());
+        }
+        let rows = self.blocks[s].as_ref().expect("the plan has a block for every row parity");
+        let window = windows[s].as_mut().expect("a window is open on every block a box reads");
+        let first = (z * rows.by + y) * rows.bx + xs.start;
+        let (symbols, outliers, cursor) = window.row(first, xs.len())?;
+        rows.reconstruct_row(prev, z, y, xs, symbols, outliers, cursor, out);
+        Ok(())
+    }
+}
+
+/// Store a row's points from its even-x and odd-x sources in turn; the row
+/// starts at an odd x where `odd_first`.
+fn interleave<T: Copy>(even: &[T], odd: &[T], odd_first: bool, out: &mut [T]) {
+    let (odd, out) = if odd_first {
+        out[0] = odd[0];
+        (&odd[1..], &mut out[1..])
+    } else {
+        (odd, out)
     };
-    let _: Vec<()> = chunks.into_par_iter().enumerate().map(fill).collect();
+    let mut pairs = out.chunks_exact_mut(2);
+    for ((pair, &e), &o) in (&mut pairs).zip(even).zip(odd) {
+        pair[0] = e;
+        pair[1] = o;
+    }
+    if let [last] = pairs.into_remainder() {
+        *last = even[even.len() - 1];
+    }
+}
+
+/// A walk's view of one block's stream: entropy-decoded a chunk at a time
+/// when the walk reaches the chunk, into a window the chunk's size; a row
+/// astride two chunks is copied out whole. A chunk no row touches is never
+/// decoded. The escapes in what the walk passes over are counted from the
+/// declared counts where it passes a whole chunk and from the symbols where
+/// it passes part of one, so a box's rows — a region's, a z-slab's — find
+/// their outliers as a whole-grid walk's do.
+struct ChunkWindow<'a, T> {
+    stream: &'a BlockStream<'a, T>,
+    /// The decoded chunk, and which one it is.
+    chunk: Vec<u32>,
+    current: Option<usize>,
+    /// A row astride chunks.
+    row: Vec<u32>,
+    /// How far into the stream the walk has read, and the escapes before.
+    at: usize,
+    rank: usize,
+    /// Chunks decoded, and the seconds they took.
+    tally: (usize, f64),
+}
+
+impl<'a, T: Scalar> ChunkWindow<'a, T> {
+    fn new(stream: &'a BlockStream<'a, T>) -> Self {
+        ChunkWindow {
+            stream,
+            chunk: Vec::new(),
+            current: None,
+            row: Vec::new(),
+            at: 0,
+            rank: 0,
+            tally: (0, 0.0),
+        }
+    }
+
+    /// Make chunk `c` the window.
+    fn load(&mut self, c: usize) -> Result<()> {
+        if self.current != Some(c) {
+            let t = Instant::now();
+            let mut span = stz_telemetry::trace::span("entropy");
+            span.attr("block", self.stream.index);
+            span.attr("chunk", c);
+            self.chunk.resize(self.stream.len_of(c), 0);
+            self.stream.decode_chunk(c, &mut self.chunk)?;
+            self.current = Some(c);
+            self.tally = (self.tally.0 + 1, self.tally.1 + t.elapsed().as_secs_f64());
+        }
+        Ok(())
+    }
+
+    /// The `len` symbols from stream index `first` on — past every row asked
+    /// before — the block's outliers (none if no escape is left in the row's
+    /// chunks) and the rank of the row's first escape, for the row to advance.
+    fn row(&mut self, first: usize, len: usize) -> Result<(&[u32], &[T], &mut usize)> {
+        let stream = self.stream;
+        let size = stream.chunk_size;
+        while self.at < first {
+            let (c, start) = (self.at / size, self.at / size * size);
+            let (end, to) = (start + stream.len_of(c), first.min(start + stream.len_of(c)));
+            let escapes = match stream.escapes_in(c) {
+                0 => 0,
+                all if self.at == start && to == end => all,
+                _ => {
+                    self.load(c)?;
+                    let passed = &self.chunk[self.at - start..to - start];
+                    passed.iter().filter(|&&s| s == ESCAPE_SYMBOL).count()
+                }
+            };
+            (self.rank, self.at) = (self.rank + escapes, to);
+        }
+        self.at = first + len;
+        let (mut c, start) = (first / size, first / size * size);
+        self.load(c)?;
+        let within = first + len <= start + self.chunk.len();
+        if !within {
+            self.row.clear();
+            self.row.extend_from_slice(&self.chunk[first - start..]);
+            while self.row.len() < len {
+                c += 1;
+                self.load(c)?;
+                let take = (len - self.row.len()).min(self.chunk.len());
+                self.row.extend_from_slice(&self.chunk[..take]);
+            }
+        }
+        let symbols = if within { &self.chunk[first - start..][..len] } else { &self.row[..] };
+        let left = self.rank < stream.escapes_before[c + 1];
+        Ok((symbols, if left { &stream.outliers } else { &[] }, &mut self.rank))
+    }
 }
 
 /// Decompress levels `1..=upto` of an archive, returning the corresponding
@@ -845,12 +878,10 @@ pub(crate) fn decompress_impl<T: Scalar, S: SectionSource + ?Sized>(
         let _stage = stz_telemetry::trace::span("level1");
         decode_level1::<T, S>(source, &plan)?
     };
-    let mut symbols = Vec::new();
     for level in &plan.levels[1..upto as usize] {
         let mut stage = stz_telemetry::trace::span("level_decode");
         stage.attr("level", level.index);
-        grid =
-            decode_level_grid::<T, S>(source, &plan, level.index, &grid, &mut symbols, parallel)?;
+        grid = decode_level_grid::<T, S>(source, &plan, level.index, &grid, parallel)?;
     }
     Ok(grid)
 }
@@ -882,77 +913,147 @@ pub(crate) fn decode_level1<T: Scalar, S: SectionSource + ?Sized>(
     Ok(Field::from_vec(expect, a.into_vec()))
 }
 
-/// Decode one finer level, given the previous level's working grid.
-///
-/// `symbols` is entropy-decode scratch the serial path reuses for every
-/// block (and the caller for every level); on the pool each block decodes
-/// into a buffer of its own.
+/// Decode one finer level whole, given the previous level's working grid.
 pub(crate) fn decode_level_grid<T: Scalar, S: SectionSource + ?Sized>(
     source: &S,
     plan: &LevelPlan,
     level_index: u8,
-    prev_grid: &Field<T>,
-    symbols: &mut Vec<u32>,
+    prev: &Field<T>,
     parallel: bool,
 ) -> Result<Field<T>> {
     let level = &plan.levels[level_index as usize - 1];
-    let ebs = source.header().level_ebs();
-    let quant = LinearQuantizer::new(ebs[level_index as usize - 1], source.header().radius);
-    let interp = source.header().interp;
+    let (cbox, obox) = (Region::full(prev.dims()), Region::full(level.grid_dims));
+    let (grid, _) = decode_box(source, level, prev.as_slice(), &cbox, &obox, parallel)?;
+    Ok(Field::from_vec(level.grid_dims, grid))
+}
 
-    // A zeroed allocation costs nothing until its pages are touched, and
-    // every page is touched exactly once per point stored.
-    let mut next = Field::<T>::zeros(level.grid_dims);
+/// Decode `obox`, a box of `level`'s grid — all of it, or a region's share
+/// — from `prev`, the box `cbox` of the previous level's grid. The blocks a
+/// row of the box falls in are fetched and parsed, then the box is assembled
+/// with a [`ChunkWindow`] on each: one walk over the whole box on the calling
+/// thread, or on the pool one walk per z-slab, side by side, straight into
+/// place. Returns the box and the level's stage timings.
+///
+/// A walk meets the blocks' errors plane by plane. On any failure the level
+/// is read again block by block ([`first_error`]), and the error returned is
+/// the first one that order meets.
+pub(crate) fn decode_box<T: Scalar, S: SectionSource + ?Sized>(
+    source: &S,
+    level: &LevelSpec,
+    prev: &[T],
+    cbox: &Region,
+    obox: &Region,
+    parallel: bool,
+) -> Result<(Vec<T>, LevelTimes)> {
+    let quant = LinearQuantizer::new(
+        source.header().level_ebs()[level.index as usize - 1],
+        source.header().radius,
+    );
+    let rows = LevelRows::new(level, cbox, &quant, source.header().interp);
+    let targets: Vec<Option<Region>> = level
+        .blocks
+        .iter()
+        .map(|b| obox.project_to_sublattice(b.grid_lattice.offset(), 2))
+        .collect();
+    let mut times = LevelTimes { level: level.index, ..LevelTimes::default() };
+    let t = Instant::now();
+    let mut out = vec![T::default(); obox.len()];
+    times.reconstruct = t.elapsed().as_secs_f64();
 
-    if parallel {
-        // The entropy stage of every block side by side (and of every chunk
-        // within one), then every z-slab of the grid side by side.
-        let slabs = slab_ranges(prev_grid.dims().nz());
-        let decode_one = |(i, block): (usize, &BlockSpec)| -> Result<_> {
-            let bytes = source.block_bytes(level_index, i)?;
-            // Fresh from the allocator, so zeroed without a fill pass.
-            let mut symbols = vec![0u32; block.lattice.len()];
-            let _stage = block_span("entropy", i);
-            let outliers = decode_block_payload::<T>(&bytes, true, &mut symbols)?;
-            let plane = block.lattice.dims().ny() * block.lattice.dims().nx();
-            let mut rank = 0;
-            let cursors = slabs
-                .iter()
-                .map(|slab| {
-                    let (before, end) = (rank, symbols.len().min(slab.end * plane));
-                    if !outliers.is_empty() && slab.start * plane < end {
-                        let span = &symbols[slab.start * plane..end];
-                        rank += span.iter().filter(|&&s| s == ESCAPE_SYMBOL).count();
-                    }
-                    before
-                })
-                .collect();
-            Ok(DecodedBlock { symbols, outliers, cursors })
+    let t = Instant::now();
+    let fill = |streams: &Slots<BlockStream<'_, T>>| {
+        let plane = (obox.y1 - obox.y0) * (obox.x1 - obox.x0);
+        let planes = if parallel {
+            2 * slab_planes(&rows, streams, cbox.z1 - cbox.z0)
+        } else {
+            obox.z1 - obox.z0
         };
-        let decoded: Vec<Result<_>> = level.blocks.par_iter().enumerate().map(decode_one).collect();
-        let mut blocks = Vec::with_capacity(decoded.len());
-        for (block, decoded) in level.blocks.iter().zip(decoded) {
-            let rows = BlockRows::new(next.dims(), prev_grid.dims(), block, &quant, interp);
-            blocks.push((rows, decoded?));
-        }
-        reconstruct_slabs(&blocks, &slabs, prev_grid, &mut next);
-    } else {
-        upscatter(prev_grid, &mut next, &Region::full(prev_grid.dims()));
-        // One buffer for the level's largest block.
-        grow_symbols(symbols, level.blocks.iter().map(|b| b.lattice.len()).max().unwrap_or(0));
-        for (i, block) in level.blocks.iter().enumerate() {
-            let bytes = source.block_bytes(level_index, i)?;
-            let symbols = &mut symbols[..block.lattice.len()];
-            let outliers = {
-                let _stage = block_span("entropy", i);
-                decode_block_payload::<T>(&bytes, false, symbols)?
-            };
-            let _stage = block_span("reconstruct", i);
-            let rows = BlockRows::new(next.dims(), prev_grid.dims(), block, &quant, interp);
-            reconstruct_in_place(&rows, symbols, &outliers, prev_grid, &mut next);
+        let slab = |(s, out): (usize, &mut [T])| -> Result<(usize, f64)> {
+            let mut span = stz_telemetry::trace::span("reconstruct");
+            span.attr("slab", s);
+            let z0 = obox.z0 + s * planes;
+            let slab = Region { z0, z1: z0 + out.len() / plane, ..obox.clone() };
+            let mut windows = std::array::from_fn(|k| streams[k].as_ref().map(ChunkWindow::new));
+            rows.assemble(prev, &slab, out, &mut windows)?;
+            Ok(windows.iter().flatten().fold((0, 0.0), |(n, s), w| (n + w.tally.0, s + w.tally.1)))
+        };
+        let slabs = out.chunks_mut(planes * plane);
+        let done: Vec<Result<_>> = if parallel {
+            slabs.into_par_iter().enumerate().map(slab).collect()
+        } else {
+            slabs.enumerate().map(slab).collect()
+        };
+        done.into_iter().try_fold((0, 0.0), |(n, s), d| d.map(|(dn, ds)| (n + dn, s + ds)))
+    };
+    let ((decoded, entropy), chunks, opened) = match walk(source, level, &targets, fill) {
+        Ok(walked) => walked,
+        Err(e) => return Err(first_error::<T, S>(source, level, &targets).err().unwrap_or(e)),
+    };
+    times.decode = opened + entropy;
+    times.predict = t.elapsed().as_secs_f64() - times.decode;
+    times.decoded_blocks = targets.iter().flatten().count();
+    times.skipped_blocks = targets.len() - times.decoded_blocks;
+    times.decoded_chunks = decoded;
+    times.skipped_chunks = chunks.saturating_sub(decoded);
+    Ok((out, times))
+}
+
+/// Fetch and parse the stream of every block with a target, in block order,
+/// and hand them to `fill`. Returns what `fill` returns, the chunks the
+/// streams hold, and the seconds fetching and parsing took.
+fn walk<T: Scalar, S: SectionSource + ?Sized, R>(
+    source: &S,
+    level: &LevelSpec,
+    targets: &[Option<Region>],
+    fill: impl FnOnce(&Slots<BlockStream<'_, T>>) -> Result<R>,
+) -> Result<(R, usize, f64)> {
+    let t = Instant::now();
+    let mut bytes = Vec::with_capacity(targets.len());
+    for (i, target) in targets.iter().enumerate() {
+        bytes.push(target.as_ref().map(|_| source.block_bytes(level.index, i)).transpose()?);
+    }
+    let mut streams = Slots::default();
+    for ((index, block), bytes) in level.blocks.iter().enumerate().zip(&bytes) {
+        if let Some(bytes) = bytes {
+            streams[slot(block)] = Some(BlockStream::parse(bytes, block, index)?);
         }
     }
-    Ok(next)
+    let opened = t.elapsed().as_secs_f64();
+    let chunks = streams.iter().flatten().map(|s| s.chunks.len()).sum();
+    Ok((fill(&streams)?, chunks, opened))
+}
+
+/// Previous-grid planes per z-slab of the pool: a few slabs per thread, and
+/// no fewer planes than a Huffman chunk of any block spans, so that where
+/// chunks are whole planes each is decoded by one slab.
+fn slab_planes<T>(rows: &LevelRows<'_>, streams: &Slots<BlockStream<'_, T>>, cnz: usize) -> usize {
+    let chunk_planes = rows.blocks.iter().zip(streams).filter_map(|(rows, stream)| {
+        let (rows, stream) = (rows.as_ref()?, stream.as_ref()?);
+        Some(stream.chunk_size.div_ceil(rows.by * rows.bx))
+    });
+    let threads = rayon::current_num_threads().max(1);
+    chunk_planes.fold(cnz / (threads * 4), usize::max).max(1)
+}
+
+/// The first error a block-by-block decode of `level` meets — each block
+/// with a target fetched, parsed and entropy-decoded over the target's rows,
+/// one block after the other — or `Ok` if it meets none.
+fn first_error<T: Scalar, S: SectionSource + ?Sized>(
+    source: &S,
+    level: &LevelSpec,
+    targets: &[Option<Region>],
+) -> Result<()> {
+    for ((index, block), target) in level.blocks.iter().enumerate().zip(targets) {
+        let Some(t) = target else { continue };
+        let bytes = source.block_bytes(level.index, index)?;
+        let stream = BlockStream::<T>::parse(&bytes, block, index)?;
+        let mut window = ChunkWindow::new(&stream);
+        let [_, by, bx] = block.lattice.dims().as_array();
+        for (z, y) in (t.z0..t.z1).flat_map(|z| (t.y0..t.y1).map(move |y| (z, y))) {
+            window.row((z * by + y) * bx + t.x0, t.x1 - t.x0)?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1055,6 +1156,17 @@ mod tests {
         let a = archive.decompress().unwrap();
         let b = archive.decompress_parallel().unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn interleave_starts_at_either_parity() {
+        let (even, odd) = ([0, 2, 4, 6], [1, 3, 5]);
+        for (x0, x1) in [(0, 7), (0, 6), (1, 7), (1, 6), (1, 2), (2, 3), (5, 6)] {
+            let mut out = vec![9; x1 - x0];
+            let (evens, odds) = (x0.div_ceil(2)..x1.div_ceil(2), x0 / 2..x1 / 2);
+            interleave(&even[evens], &odd[odds], x0 % 2 == 1, &mut out);
+            assert_eq!(out, (x0..x1).collect::<Vec<_>>(), "x in {x0}..{x1}");
+        }
     }
 
     #[test]

@@ -35,13 +35,19 @@ pub fn grid_taps<S: Scalar>(buf: &[S], dims: Dims) -> impl Fn([usize; 3]) -> f64
     move |c| buf[dims.index(c[0], c[1], c[2])].to_f64()
 }
 
-/// Tap reader over the previous level's working grid as it is — dense, of
-/// dims `cdims` — for a point in working-grid coordinates (prediction unit
-/// 1): every tap coordinate is even on every axis, and half of it is the
-/// tap's index in the previous grid.
+/// Tap reader over the previous level's working grid as it is — dense, a
+/// box of dims `cdims` of it starting at `origin` (all of it at the origin)
+/// — for a point in working-grid coordinates (prediction unit 1): every tap
+/// coordinate is even on every axis, and half of it is the tap's coordinate
+/// in the previous grid.
 #[inline]
-pub fn dense_taps<S: Scalar>(prev: &[S], cdims: Dims) -> impl Fn([usize; 3]) -> f64 + '_ {
-    move |c| prev[cdims.index(c[0] >> 1, c[1] >> 1, c[2] >> 1)].to_f64()
+pub fn dense_taps<S: Scalar>(
+    prev: &[S],
+    cdims: Dims,
+    origin: [usize; 3],
+) -> impl Fn([usize; 3]) -> f64 + '_ {
+    let [oz, oy, ox] = origin;
+    move |c| prev[cdims.index((c[0] >> 1) - oz, (c[1] >> 1) - oy, (c[2] >> 1) - ox)].to_f64()
 }
 
 /// Predict the value at parent coordinate `p` of a grid of `dims` from the
@@ -302,11 +308,11 @@ impl RowStencils {
 }
 
 /// Direct prediction (paper §3.1, optimization 1 / Eq. 1): copy the coarse
-/// point at the low corner. Used only by the `DirectPred` ablation variant.
+/// point at the low corner, read through `tap` as in [`predict_point`]. Used
+/// only by the `DirectPred` ablation variant.
 #[inline]
-pub fn predict_direct<S: Scalar>(
-    buf: &[S],
-    dims: Dims,
+pub fn predict_direct(
+    tap: impl Fn([usize; 3]) -> f64,
     p: [usize; 3],
     active: &[usize],
     u: usize,
@@ -315,7 +321,7 @@ pub fn predict_direct<S: Scalar>(
     for &d in active {
         c[d] = p[d] - u;
     }
-    buf[dims.index(c[0], c[1], c[2])].to_f64()
+    tap(c)
 }
 
 #[cfg(test)]
@@ -461,7 +467,7 @@ mod tests {
     fn direct_pred_takes_low_corner() {
         let dims = Dims::d3(4, 4, 4);
         let buf = grid(dims, |z, y, x| z * 100.0 + y * 10.0 + x);
-        let p = predict_direct(&buf, dims, [1, 3, 2], &[0, 1], 1);
+        let p = predict_direct(grid_taps(&buf, dims), [1, 3, 2], &[0, 1], 1);
         assert!((p - (0.0 * 100.0 + 2.0 * 10.0 + 2.0)).abs() < 1e-12);
     }
 
@@ -541,7 +547,14 @@ mod tests {
                             let got = if (xa..xb).contains(&x) {
                                 st.predict_interior(&prev, cbase + x)
                             } else {
-                                predict_point(dense_taps(&prev, cdims), gdims, p, &active, 1, kind)
+                                predict_point(
+                                    dense_taps(&prev, cdims, [0; 3]),
+                                    gdims,
+                                    p,
+                                    &active,
+                                    1,
+                                    kind,
+                                )
                             };
                             assert!(!want.is_nan(), "{gdims} {kind:?} {active:?} {p:?}: stray tap");
                             assert_eq!(
@@ -605,8 +618,14 @@ mod tests {
                     );
                     for (x, got) in (xa..xb).zip(out) {
                         let p = [gz, gy, o[2] + 2 * x];
-                        let want =
-                            predict_point(dense_taps(&prev, cdims), gdims, p, &active, 1, kind);
+                        let want = predict_point(
+                            dense_taps(&prev, cdims, [0; 3]),
+                            gdims,
+                            p,
+                            &active,
+                            1,
+                            kind,
+                        );
                         assert_eq!(got.to_bits(), (want + 0.0).to_bits(), "{lane} at {p:?}");
                     }
                 }

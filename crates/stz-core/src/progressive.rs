@@ -20,8 +20,6 @@ pub struct ProgressiveDecoder<'a, T: Scalar, S: SectionSource + ?Sized = StzArch
     source: &'a S,
     plan: crate::level::LevelPlan,
     grid: Option<Field<T>>,
-    /// Entropy-decode scratch, kept from level to level.
-    symbols: Vec<u32>,
     /// Levels decoded so far (0 = none yet).
     decoded: u8,
     parallel: bool,
@@ -30,14 +28,7 @@ pub struct ProgressiveDecoder<'a, T: Scalar, S: SectionSource + ?Sized = StzArch
 impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
     /// Start a progressive walk over `source` (nothing is read yet).
     pub fn new(source: &'a S) -> Self {
-        ProgressiveDecoder {
-            source,
-            plan: source.plan(),
-            grid: None,
-            symbols: Vec::new(),
-            decoded: 0,
-            parallel: false,
-        }
+        ProgressiveDecoder { source, plan: source.plan(), grid: None, decoded: 0, parallel: false }
     }
 
     /// Use the rayon thread pool for each refinement step.
@@ -89,13 +80,11 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
                 &self.plan,
                 self.decoded + 1,
                 &prev,
-                &mut self.symbols,
                 self.parallel,
             )?,
         };
         self.decoded += 1;
         if self.is_complete() {
-            self.symbols = Vec::new();
             return Ok(Some(grid));
         }
         self.grid = Some(grid.clone());

@@ -11,24 +11,22 @@
 //!    z-parity — 3 of 7 at the finest level, the paper's ≈57% decode saving.
 //!    A 3-D box intersects every sub-block but few of their chunks: a cube
 //!    of 1/64 of a 256³ volume decodes 30% of them.
-//! 3. **Predict** — only the points inside the dilated ROI are predicted and
-//!    reconstructed, by the row routine of the full decode over the ROI's
-//!    x-range: cost proportional to the ROI, not the dataset (the paper's
-//!    ≈98.4% prediction saving), and the ROI is a crop of the full decode by
-//!    construction.
+//! 3. **Predict** — each level's working grid is only the box of the
+//!    dilated ROI, assembled by the serial walk of the full decode
+//!    (`compressor::decode_box`) from the box before it: cost and memory
+//!    proportional to the ROI, not the dataset (the paper's ≈98.4%
+//!    prediction saving), the last box is the answer, and the ROI is a crop
+//!    of the full decode by construction.
 //!
 //! Every stage is timed separately so the benchmark harness can regenerate
 //! Table 4's breakdown, and opens the trace spans of the full decode.
 
-use crate::compressor::{
-    block_span, decode_level1, grow_symbols, parse_block_payload, reconstruct_box, upscatter,
-    PayloadMeta,
-};
+use crate::compressor::{decode_box, decode_level1};
 use crate::level::LevelPlan;
 use crate::source::SectionSource;
 use std::time::Instant;
-use stz_codec::{CodecError, LinearQuantizer, Result, ESCAPE_SYMBOL};
-use stz_field::{Dims, Field, Region, Scalar};
+use stz_codec::{CodecError, Result};
+use stz_field::{Field, Region, Scalar};
 use stz_telemetry::trace;
 
 /// Per-stage wall-clock breakdown of one random-access decompression,
@@ -48,11 +46,14 @@ pub struct AccessBreakdown {
 pub struct LevelTimes {
     /// 2-based level index.
     pub level: u8,
-    /// Seconds entropy-decoding sub-block streams ("L* dec.").
+    /// Seconds fetching, parsing and entropy-decoding sub-block streams
+    /// ("L* dec.").
     pub decode: f64,
-    /// Seconds predicting + applying residuals for ROI points ("L* pre.").
+    /// Seconds assembling the level's box row by row — predicting and
+    /// applying residuals for its points ("L* pre.").
     pub predict: f64,
-    /// Seconds assembling working grids ("L* rec.").
+    /// Seconds allocating the level's box, and on the last level handing it
+    /// out as the answer ("L* rec.").
     pub reconstruct: f64,
     /// Sub-blocks whose streams were (partially) decoded.
     pub decoded_blocks: usize,
@@ -123,154 +124,34 @@ pub(crate) fn decompress_region<T: Scalar, S: SectionSource + ?Sized>(
     let start = Instant::now();
     let plan = source.plan();
     let needed = needed_regions(&plan, region);
-    let ebs = source.header().level_ebs();
-    let interp = source.header().interp;
     let mut breakdown = AccessBreakdown::default();
 
-    // Level 1: always decoded in full.
+    // Level 1: always decoded in full, so its box is the whole grid.
     let t = Instant::now();
-    let mut grid = {
+    let level1 = {
         let _stage = trace::span("level1");
         decode_level1::<T, S>(source, &plan)?
     };
     breakdown.l1_sz3 = t.elapsed().as_secs_f64();
 
-    // One buffer takes the decoded chunks of every block of every level,
-    // grown to the longest run of chunks a block needs.
-    let mut symbols = Vec::new();
-
-    for level in &plan.levels[1..] {
-        let li = level.index as usize - 1;
-        let quant = LinearQuantizer::new(ebs[li], source.header().radius);
-        let mut times = LevelTimes { level: level.index, ..Default::default() };
+    // Every finer level: the box of `needed` its successor's stencils reach,
+    // assembled from the box before it. The last box is the region.
+    let (mut grid, mut cbox) = (level1.into_vec(), Region::full(plan.levels[0].grid_dims));
+    for (level, obox) in plan.levels[1..].iter().zip(&needed[1..]) {
         let mut stage = trace::span("level_decode");
         stage.attr("level", level.index);
-
-        // Reconstruct: assemble the next working grid from the coarser one.
-        // Only `needed[li - 1]` of the coarser grid was ever reconstructed,
-        // and it is exactly what this level's stencils reach, so only that
-        // box moves up: the pages of the zeroed grid outside the window are
-        // never touched.
-        let t = Instant::now();
-        let mut next = Field::<T>::zeros(level.grid_dims);
-        upscatter(&grid, &mut next, &needed[li - 1]);
-        times.reconstruct += t.elapsed().as_secs_f64();
-
-        for (i, block) in level.blocks.iter().enumerate() {
-            // Which of this block's points fall inside the needed region?
-            let target = match needed[li].project_to_sublattice(block.grid_lattice.offset(), 2) {
-                Some(t) => t,
-                None => {
-                    times.skipped_blocks += 1;
-                    continue;
-                }
-            };
-
-            // Decode only the Huffman chunks the target sub-box touches;
-            // per-chunk escape counts keep the outlier cursor aligned across
-            // skipped chunks (random-access Huffman decoding).
-            let t = Instant::now();
-            let entropy = block_span("entropy", i);
-            let block_bytes = source.block_bytes(level.index, i)?;
-            let (meta, outliers) = parse_block_payload::<T>(&block_bytes, block.lattice.len())?;
-            let (origin, decoded) =
-                decode_wanted(&meta, block.lattice.dims(), &target, &mut symbols)?;
-            drop(entropy);
-            times.decode += t.elapsed().as_secs_f64();
-            times.decoded_blocks += 1;
-            times.decoded_chunks += decoded;
-            times.skipped_chunks += meta.chunks.len() - decoded;
-
-            // Predict only the needed points.
-            let t = Instant::now();
-            let _stage = block_span("reconstruct", i);
-            let decoded = (&symbols[..], origin);
-            let mut escapes = EscapeRank { meta: &meta, decoded, at: 0, rank: 0 };
-            let rank = |i| escapes.before(i);
-            reconstruct_box(
-                &grid, &mut next, block, &quant, interp, &target, decoded, &outliers, rank,
-            );
-            times.predict += t.elapsed().as_secs_f64();
-        }
-
+        let (next, times) = decode_box(source, level, &grid, &cbox, obox, false)?;
         breakdown.levels.push(times);
-        grid = next;
+        (grid, cbox) = (next, obox.clone());
     }
 
-    // Final extraction of the ROI from the full-resolution working grid.
     let t = Instant::now();
-    let out = grid.extract_region(region);
+    let out = Field::from_vec(region.dims(dims.ndim()), grid);
     if let Some(last) = breakdown.levels.last_mut() {
         last.reconstruct += t.elapsed().as_secs_f64();
     }
     breakdown.total = start.elapsed().as_secs_f64();
     Ok((out, breakdown))
-}
-
-/// Entropy-decode exactly the chunks that hold a point of the non-empty
-/// `target` (C-order indices over a block of `bdims`) into `symbols`, which
-/// spans from the first of them to the last: symbol `i` of the block's
-/// stream lands at `i - origin`. Returns `origin` and how many were decoded.
-fn decode_wanted(
-    meta: &PayloadMeta<'_>,
-    bdims: Dims,
-    target: &Region,
-    symbols: &mut Vec<u32>,
-) -> Result<(usize, usize)> {
-    // `parse_block_payload` made sure the chunks cover every point.
-    let chunk_of =
-        |z: usize, y: usize, x: usize| ((z * bdims.ny() + y) * bdims.nx() + x) / meta.chunk_size;
-    let mut wanted = vec![false; meta.chunks.len()];
-    for z in target.z0..target.z1 {
-        for y in target.y0..target.y1 {
-            wanted[chunk_of(z, y, target.x0)..=chunk_of(z, y, target.x1 - 1)].fill(true);
-        }
-    }
-    // Rows ascend through the stream, so the target's corners bound it.
-    let first = chunk_of(target.z0, target.y0, target.x0);
-    let last = chunk_of(target.z1 - 1, target.y1 - 1, target.x1 - 1);
-    let origin = first * meta.chunk_size;
-    grow_symbols(symbols, last * meta.chunk_size + meta.len_of(last) - origin);
-    for c in (first..=last).filter(|&c| wanted[c]) {
-        let at = c * meta.chunk_size - origin;
-        meta.decode_chunk(c, &mut symbols[at..at + meta.len_of(c)])?;
-    }
-    Ok((origin, wanted.iter().filter(|&&w| w).count()))
-}
-
-/// The outlier rank of a position in a selectively decoded block: how many
-/// escapes come before it. Positions are asked in ascending order; a whole
-/// chunk passed over counts what the stream declared for it — decoded or
-/// not — and part of one, always of a decoded chunk, is counted in its
-/// symbols.
-struct EscapeRank<'a> {
-    meta: &'a PayloadMeta<'a>,
-    /// Decoded symbols and the stream index of the first (see [`decode_wanted`]).
-    decoded: (&'a [u32], usize),
-    /// Escapes before `at` number `rank`.
-    at: usize,
-    rank: usize,
-}
-
-impl EscapeRank<'_> {
-    fn before(&mut self, to: usize) -> usize {
-        let (symbols, origin) = self.decoded;
-        while self.at < to {
-            let c = self.at / self.meta.chunk_size;
-            let (start, declared) = (c * self.meta.chunk_size, self.meta.chunk_escapes[c]);
-            let end = (start + self.meta.len_of(c)).min(to);
-            self.rank += match declared {
-                0 => 0,
-                _ if self.at == start && end == start + self.meta.len_of(c) => declared,
-                _ => symbols[self.at - origin..end - origin]
-                    .iter()
-                    .filter(|&&s| s == ESCAPE_SYMBOL)
-                    .count(),
-            };
-            self.at = end;
-        }
-        self.rank
-    }
 }
 
 #[cfg(test)]
@@ -285,6 +166,12 @@ mod tests {
                 + ((x as f32) * 0.11).sin()
                 + 0.01 * (z + y) as f32
         })
+    }
+
+    /// The `region` of `field`, cut out point by point.
+    fn crop(field: &Field<f32>, r: &Region) -> Field<f32> {
+        let dims = r.dims(field.dims().ndim());
+        Field::from_fn(dims, |z, y, x| field.get(r.z0 + z, r.y0 + y, r.x0 + x))
     }
 
     fn archive(dims: Dims, eb: f64) -> (Field<f32>, StzArchive<f32>) {
@@ -303,9 +190,10 @@ mod tests {
             Region::d3(11..12, 0..24, 0..24),   // 2-D slice at odd z
             Region::d3(0..24, 0..24, 0..24),    // everything
             Region::d3(23..24, 23..24, 23..24), // single corner point
+            Region::d3(4..5, 8..9, 16..17),     // a level-1 point: no block at all
         ] {
             let roi = a.decompress_region(&region).unwrap();
-            let expect = full.extract_region(&region);
+            let expect = crop(&full, &region);
             assert_eq!(roi, expect, "region {region:?}");
         }
     }
@@ -315,7 +203,7 @@ mod tests {
         let (f, a) = archive(Dims::d3(20, 22, 26), 1e-2);
         let region = Region::d3(2..10, 3..15, 4..22);
         let roi = a.decompress_region(&region).unwrap();
-        let orig = f.extract_region(&region);
+        let orig = crop(&f, &region);
         let err = orig
             .as_slice()
             .iter()
@@ -346,7 +234,7 @@ mod tests {
         let full = a.decompress().unwrap();
         let region = Region::slice_z(Dims::d3(32, 32, 32), 9);
         let (roi, bd) = a.decompress_region_with_breakdown(&region).unwrap();
-        assert_eq!(roi, full.extract_region(&region));
+        assert_eq!(roi, crop(&full, &region));
         // Odd-z slice needs the 4 blocks with oz = 1 at level 3.
         assert_eq!(bd.levels[1].decoded_blocks, 4);
     }
@@ -385,7 +273,7 @@ mod tests {
         assert_eq!(roi.get(9 - 4, 9 - 6, 9 - 6), -1e30);
         assert_eq!(roi.get(5 - 4, 9 - 6, 9 - 6), 2e30);
         let full = a.decompress().unwrap();
-        assert_eq!(roi, full.extract_region(&region));
+        assert_eq!(roi, crop(&full, &region));
     }
 
     #[test]
@@ -394,7 +282,7 @@ mod tests {
         let a = StzCompressor::new(StzConfig::two_level(1e-3)).compress(&f).unwrap();
         let region = Region::d3(5..10, 0..18, 2..9);
         let roi = a.decompress_region(&region).unwrap();
-        assert_eq!(roi, a.decompress().unwrap().extract_region(&region));
+        assert_eq!(roi, crop(&a.decompress().unwrap(), &region));
     }
 
     #[test]
@@ -423,7 +311,7 @@ mod tests {
             Region::d3(0..24, 0..24, 0..24),
         ] {
             let roi = a.decompress_region(&region).unwrap();
-            assert_eq!(roi, full.extract_region(&region), "{region:?}");
+            assert_eq!(roi, crop(&full, &region), "{region:?}");
         }
     }
 
@@ -444,7 +332,7 @@ mod tests {
         );
         // And correctness still holds.
         let full = a.decompress().unwrap();
-        assert_eq!(a.decompress_region(&region).unwrap(), full.extract_region(&region));
+        assert_eq!(a.decompress_region(&region).unwrap(), crop(&full, &region));
     }
 
     #[test]
@@ -476,7 +364,7 @@ mod tests {
             Region::d3(78..84, 0..20, 40..91),
         ] {
             let (roi, bd) = a.decompress_region_with_breakdown(&region).unwrap();
-            assert_eq!(roi, full.extract_region(&region), "{region:?}");
+            assert_eq!(roi, crop(&full, &region), "{region:?}");
             assert!(bd.levels[1].skipped_chunks > 0, "{region:?} decodes every chunk");
         }
         let roi = a.decompress_region(&Region::d3(20..50, 0..128, 40..91)).unwrap();

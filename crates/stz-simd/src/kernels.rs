@@ -100,12 +100,6 @@ pub trait GridElem: Copy + LaneLoads {
 
     /// Rounding to this type (`as` cast semantics; the identity for `f64`).
     fn narrow(v: f64) -> Self;
-
-    /// The grid as `f64`s if that is what it holds: NEON has no `f32`-grid
-    /// kernel, so that lane runs the portable one for `f32` grids.
-    #[cfg(target_arch = "aarch64")]
-    #[doc(hidden)]
-    fn as_f64s(buf: &[Self]) -> Option<&[f64]>;
 }
 
 impl GridElem for f32 {
@@ -119,11 +113,6 @@ impl GridElem for f32 {
     #[inline(always)]
     fn narrow(v: f64) -> f32 {
         v as f32
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    fn as_f64s(_: &[f32]) -> Option<&[f64]> {
-        None
     }
 }
 
@@ -139,11 +128,6 @@ impl GridElem for f64 {
     fn narrow(v: f64) -> f64 {
         v
     }
-
-    #[cfg(target_arch = "aarch64")]
-    fn as_f64s(buf: &[f64]) -> Option<&[f64]> {
-        Some(buf)
-    }
 }
 
 /// Largest multiple of `w` (≤ `n`) such that processing that many stride-2
@@ -152,10 +136,8 @@ impl GridElem for f64 {
 ///
 /// The chunk of points `i..i + w` loads, per tap offset `off`, the `2w`
 /// consecutive elements from `base + 2i + off`: its `w` even elements and
-/// the odd one after each. That holds for either element type — an `f64`
-/// grid reads them as two `w`-wide vectors, an `f32` grid as two loads of
-/// half the bytes covering the same `2w` elements, widened afterwards — and
-/// for the `2w`-wide gather loads and scatter stores. The last chunk
+/// the odd one after each, as two `w`-wide vectors; so do the `2w`-wide
+/// gather loads and scatter stores of either element type. The last chunk
 /// therefore touches index `base + 2(v - 1) + max_off + 1`, one past the
 /// last even element.
 #[cfg_attr(not(any(target_arch = "x86_64", target_arch = "aarch64")), allow(dead_code))]
@@ -322,25 +304,10 @@ pub fn predict_recon_run_f32(
     predict_recon_run(lane, buf, base, st, codes, two_eb, out, true)
 }
 
-/// Fused predict + reconstruct over a grid in its own precision: the taps
-/// come from `buf` and the result is rounded through `S`, so narrowing
-/// `out` to `S` is exact and yields the values that belong in `buf`.
-pub fn predict_recon_run_typed<S: GridElem>(
-    lane: Lane,
-    buf: &[S],
-    base: usize,
-    st: &Stencil,
-    codes: &[f64],
-    two_eb: f64,
-    out: &mut [f64],
-) {
-    predict_recon_run(lane, buf, base, st, codes, two_eb, out, S::ROUND32)
-}
-
 #[allow(clippy::too_many_arguments)]
-fn predict_recon_run<S: GridElem>(
+fn predict_recon_run(
     lane: Lane,
-    buf: &[S],
+    buf: &[f64],
     base: usize,
     st: &Stencil,
     codes: &[f64],
@@ -353,13 +320,6 @@ fn predict_recon_run<S: GridElem>(
     }
     assert!(codes.len() == out.len());
     assert_taps_in_bounds(buf.len(), base, st, out.len(), 2);
-    let portable = |out: &mut [f64]| {
-        if round32 {
-            scalar::predict_recon_run_f32(buf, base, st, codes, two_eb, out)
-        } else {
-            scalar::predict_recon_run_f64(buf, base, st, codes, two_eb, out)
-        }
-    };
     match lane {
         // SAFETY (every lane arm): the assertions above put every tap of
         // every point inside `buf` and matched `codes` to `out`; SSE2 is the
@@ -374,43 +334,11 @@ fn predict_recon_run<S: GridElem>(
             crate::x86::predict_recon_run_avx2(buf, base, st, codes, two_eb, out, round32)
         },
         #[cfg(target_arch = "aarch64")]
-        Lane::Neon => match S::as_f64s(buf) {
-            Some(buf) => unsafe {
-                crate::neon::predict_recon_run(buf, base, st, codes, two_eb, out, round32)
-            },
-            None => portable(out),
+        Lane::Neon => unsafe {
+            crate::neon::predict_recon_run(buf, base, st, codes, two_eb, out, round32)
         },
-        _ => portable(out),
-    }
-}
-
-/// Batch f64 reconstruction: `out[i] = preds[i] + two_eb * codes[i]`.
-pub fn recon_run_f64(lane: Lane, preds: &[f64], codes: &[f64], two_eb: f64, out: &mut [f64]) {
-    let n = out.len();
-    assert!(preds.len() == n && codes.len() == n);
-    match lane {
-        #[cfg(target_arch = "x86_64")]
-        Lane::Sse2 => unsafe { crate::x86::recon_run_sse2(preds, codes, two_eb, out, false) },
-        #[cfg(target_arch = "x86_64")]
-        Lane::Avx2 => unsafe { crate::x86::recon_run_avx2(preds, codes, two_eb, out, false) },
-        #[cfg(target_arch = "aarch64")]
-        Lane::Neon => unsafe { crate::neon::recon_run(preds, codes, two_eb, out, false) },
-        _ => scalar::recon_run_f64(preds, codes, two_eb, out),
-    }
-}
-
-/// Batch f32-rounded reconstruction (the `T = f32` mirror).
-pub fn recon_run_f32(lane: Lane, preds: &[f64], codes: &[f64], two_eb: f64, out: &mut [f64]) {
-    let n = out.len();
-    assert!(preds.len() == n && codes.len() == n);
-    match lane {
-        #[cfg(target_arch = "x86_64")]
-        Lane::Sse2 => unsafe { crate::x86::recon_run_sse2(preds, codes, two_eb, out, true) },
-        #[cfg(target_arch = "x86_64")]
-        Lane::Avx2 => unsafe { crate::x86::recon_run_avx2(preds, codes, two_eb, out, true) },
-        #[cfg(target_arch = "aarch64")]
-        Lane::Neon => unsafe { crate::neon::recon_run(preds, codes, two_eb, out, true) },
-        _ => scalar::recon_run_f32(preds, codes, two_eb, out),
+        _ if round32 => scalar::predict_recon_run_f32(buf, base, st, codes, two_eb, out),
+        _ => scalar::predict_recon_run_f64(buf, base, st, codes, two_eb, out),
     }
 }
 
@@ -661,11 +589,14 @@ mod tests {
         Stencil::new(cubic, corners, inner, outer, 9.0 / 16.0, -1.0 / 16.0)
     }
 
-    /// Every lane against the portable kernel for runs of 0..=40 points (a
-    /// few vector widths and every remainder) whose last tap is the grid's
-    /// last element — the tightest bound `vec_points` must respect — with
-    /// both fused stride-2 kernels.
-    fn assert_predict_lanes_match<S: GridElem>(grid: &[S], what: &str) {
+    #[test]
+    fn predict_matches_scalar_on_every_lane() {
+        // Every lane against the portable kernel for runs of 0..=40 points
+        // (a few vector widths and every remainder) whose last tap is the
+        // grid's last element — the tightest bound `vec_points` must
+        // respect — with both fused stride-2 kernels. The largest synthetic
+        // stencil reach is 3*(1+7+64) = 216 either side.
+        let grid = test_values(600, 7);
         for (k, cubic) in [(1, false), (1, true), (2, false), (2, true), (3, false), (3, true)] {
             let st = synthetic_stencil(k, cubic);
             let (lo, hi) = st.offset_range();
@@ -682,40 +613,11 @@ mod tests {
                     predict_recon_run(lane, buf, base, &st, &codes, 2e-3, &mut got[0], false);
                     predict_recon_run(lane, buf, base, &st, &codes, 2e-3, &mut got[1], true);
                     for (kernel, (g, w)) in got.iter().zip(&want).enumerate() {
-                        let what =
-                            format!("{what} kernel {kernel} k={k} cubic={cubic} n={n} {lane}");
+                        let what = format!("kernel {kernel} k={k} cubic={cubic} n={n} {lane}");
                         assert_bits_eq(g, w, &what);
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn predict_matches_scalar_on_every_lane() {
-        // Largest synthetic stencil reach is 3*(1+7+64) = 216 either side.
-        let wide = test_values(600, 7);
-        assert_predict_lanes_match(&wide, "f64 grid");
-        let narrow: Vec<f32> = wide.iter().map(|&v| v as f32).collect();
-        assert_predict_lanes_match(&narrow, "f32 grid");
-    }
-
-    #[test]
-    fn f32_grid_predicts_what_its_widened_copy_does() {
-        // The premise of the typed working grid: loading an f32 tap and
-        // widening it is the same operand as loading the widened tap.
-        let narrow: Vec<f32> = test_values(600, 13).iter().map(|&v| v as f32).collect();
-        let widened: Vec<f64> = narrow.iter().map(|&v| v as f64).collect();
-        let st = synthetic_stencil(3, true);
-        let (lo, hi) = st.offset_range();
-        let base = (-lo) as usize + 1;
-        let n = (narrow.len() - base - hi as usize - 1) / 2 + 1;
-        let codes: Vec<f64> = (0..n).map(|i| (i as i64 % 9 - 4) as f64).collect();
-        for lane in available_lanes() {
-            let (mut a, mut b) = (vec![0.0; n], vec![1.0; n]);
-            predict_recon_run_typed(lane, &narrow, base, &st, &codes, 2e-3, &mut a);
-            predict_recon_run_f32(lane, &widened, base, &st, &codes, 2e-3, &mut b);
-            assert_bits_eq(&a, &b, &format!("typed f32 vs widened on {lane}"));
         }
     }
 
@@ -981,9 +883,6 @@ mod tests {
         check("predict_recon_run_f32", &mut || {
             predict_recon_run_f32(lane, &wide, base, &st, &codes, 2e-3, &mut o64)
         });
-        check("predict_recon_run_typed", &mut || {
-            predict_recon_run_typed(lane, &narrow, base, &st, &codes, 2e-3, &mut o64)
-        });
         // The dense kernels: an `f32` grid's loads fold into `vcvtps2pd (mem)`
         // and its stores into `vcvtpd2ps`, the case the `x86` module doc
         // warns of.
@@ -1009,8 +908,6 @@ mod tests {
                 predict_quantize_dense(lane, &narrow, base, &st, a, &bound, &mut s32, None);
             });
         }
-        check("recon_run_f64", &mut || recon_run_f64(lane, &wide[..n], &codes, 2e-3, &mut o64));
-        check("recon_run_f32", &mut || recon_run_f32(lane, &wide[..n], &codes, 2e-3, &mut o64));
         check("quantize_run_f64", &mut || {
             let (a, p) = (&wide[..n], &wide[n..2 * n]);
             quantize_run_f64(lane, a, p, 1e-3, 2e-3, 32768.0, &mut q, &mut o64, &mut esc)
@@ -1064,32 +961,6 @@ mod tests {
                             assert_eq!(gr[i].to_bits(), wr[i].to_bits(), "recon[{i}] lane={lane}");
                         }
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn recon_matches_scalar_on_every_lane() {
-        let n = 131;
-        let preds = test_values(n, 3);
-        let codes: Vec<f64> = (0..n).map(|i| (i as i64 - 60) as f64).collect();
-        for two_eb in [2e-3, 0.5] {
-            for f32_mode in [false, true] {
-                let mut want = vec![0.0; n];
-                if f32_mode {
-                    crate::scalar::recon_run_f32(&preds, &codes, two_eb, &mut want);
-                } else {
-                    crate::scalar::recon_run_f64(&preds, &codes, two_eb, &mut want);
-                }
-                for lane in available_lanes() {
-                    let mut got = vec![1.0; n];
-                    if f32_mode {
-                        recon_run_f32(lane, &preds, &codes, two_eb, &mut got);
-                    } else {
-                        recon_run_f64(lane, &preds, &codes, two_eb, &mut got);
-                    }
-                    assert_bits_eq(&got, &want, &format!("recon f32={f32_mode} {lane}"));
                 }
             }
         }

@@ -83,34 +83,6 @@ pub(crate) unsafe fn predict_recon_run(
     }
 }
 
-#[target_feature(enable = "neon")]
-pub(crate) unsafe fn recon_run(
-    preds: &[f64],
-    codes: &[f64],
-    two_eb: f64,
-    out: &mut [f64],
-    round32: bool,
-) {
-    let n = out.len();
-    let v2eb = vdupq_n_f64(two_eb);
-    let mut i = 0;
-    while i + 2 <= n {
-        let p = vld1q_f64(preds.as_ptr().add(i));
-        let c = vld1q_f64(codes.as_ptr().add(i));
-        let mut r = vaddq_f64(p, vmulq_f64(v2eb, c));
-        if round32 {
-            r = vcvt_f64_f32(vcvt_f32_f64(r));
-        }
-        vst1q_f64(out.as_mut_ptr().add(i), r);
-        i += 2;
-    }
-    if round32 {
-        scalar::recon_run_f32(&preds[i..], &codes[i..], two_eb, &mut out[i..]);
-    } else {
-        scalar::recon_run_f64(&preds[i..], &codes[i..], two_eb, &mut out[i..]);
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "neon")]
 pub(crate) unsafe fn quantize_run(

@@ -134,26 +134,10 @@ pub fn predict_quantize_dense<S: GridElem>(
     escaped
 }
 
-/// `out[i] = preds[i] + two_eb * codes[i]` — the f64 reconstruction of
-/// `LinearQuantizer::reconstruct` (the `T = f64` round-trip is identity).
-pub fn recon_run_f64(preds: &[f64], codes: &[f64], two_eb: f64, out: &mut [f64]) {
-    for i in 0..out.len() {
-        out[i] = preds[i] + two_eb * codes[i];
-    }
-}
-
-/// [`recon_run_f64`] rounded through `f32`, as `reconstruct_scalar::<f32>`
-/// does (`T::from_f64(..).to_f64()` = `as f32 as f64`).
-pub fn recon_run_f32(preds: &[f64], codes: &[f64], two_eb: f64, out: &mut [f64]) {
-    for i in 0..out.len() {
-        out[i] = (preds[i] + two_eb * codes[i]) as f32 as f64;
-    }
-}
-
 /// Fused predict + f64 reconstruct over the stride-2 points of `buf`:
 /// `out[i] = predict_one(buf, base + 2*i) + two_eb * codes[i]`.
-pub fn predict_recon_run_f64<S: GridElem>(
-    buf: &[S],
+pub fn predict_recon_run_f64(
+    buf: &[f64],
     base: usize,
     st: &Stencil,
     codes: &[f64],
@@ -166,8 +150,8 @@ pub fn predict_recon_run_f64<S: GridElem>(
 }
 
 /// [`predict_recon_run_f64`] rounded through `f32`.
-pub fn predict_recon_run_f32<S: GridElem>(
-    buf: &[S],
+pub fn predict_recon_run_f32(
+    buf: &[f64],
     base: usize,
     st: &Stencil,
     codes: &[f64],

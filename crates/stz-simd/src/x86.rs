@@ -27,17 +27,15 @@
 //! come in and go out as `u32`, the reconstruction leaves as the grid's
 //! element: the store is the rounding.
 //!
-//! The stride-2 kernels the codec used before stay for their benchmark
-//! entry points. Their loads read *pairs* (evens and the odd elements
-//! between them), so a full-width vector may touch one element past the
-//! last even index; [`vec_points`] bounds the vector portion and the scalar
-//! reference finishes the run. An `f32` grid differs only in its loads,
-//! which widen the same `2w` elements with `cvtps2pd` (exact) before the
-//! identical shuffle.
+//! The stride-2 kernels the codec used before stay, over `f64` grids, for
+//! their benchmark entry points. Their loads read *pairs* (evens and the odd
+//! elements between them), so a full-width vector may touch one element
+//! past the last even index; [`vec_points`] bounds the vector portion and
+//! the scalar reference finishes the run.
 //!
-//! Either way the kernels are generic over the grid's element
-//! ([`GridElem`]), and every add, multiply and divide sees the operands the
-//! `f64` grid would supply.
+//! The dense kernels are generic over the grid's element ([`GridElem`]), and
+//! every add, multiply and divide sees the operands the `f64` grid would
+//! supply.
 //!
 //! Every function that executes a 256-bit instruction must leave the upper
 //! halves of the YMM registers clean: LLVM inserts `vzeroupper` before the
@@ -56,14 +54,37 @@ use std::arch::x86_64::*;
 
 const TRUNC: i32 = _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC;
 
+/// `[p[0], p[2]]`.
+///
+/// # Safety
+/// `p[0..4]` must be readable.
+#[inline]
+#[target_feature(enable = "sse2")]
+unsafe fn load_evens_sse2(p: *const f64) -> __m128d {
+    _mm_shuffle_pd::<0b00>(_mm_loadu_pd(p), _mm_loadu_pd(p.add(2)))
+}
+
+/// `[p[0], p[4], p[2], p[6]]`: the four even elements in the mixed order
+/// [`fix_evens_pd`] straightens out.
+///
+/// # Safety
+/// `p[0..8]` must be readable and the CPU must support AVX2.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn load_evens_mixed_avx2(p: *const f64) -> __m256d {
+    // One in-lane shuffle, no cross-lane permute:
+    // [v0_0, v1_0, v0_2, v1_2] = [e0, e2, e1, e3].
+    _mm256_shuffle_pd::<0b0000>(_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4)))
+}
+
 /// Load `[p[0], p[2], p[4], p[6]]`.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn load_evens_pd(p: *const f64) -> __m256d {
-    fix_evens_pd(f64::load_evens_mixed_avx2(p))
+    fix_evens_pd(load_evens_mixed_avx2(p))
 }
 
-/// Swap the middle pair of a [`Loads::load_evens_mixed_avx2`] vector:
+/// Swap the middle pair of a [`load_evens_mixed_avx2`] vector:
 /// `[e0, e2, e1, e3]` -> `[e0, e1, e2, e3]`.
 ///
 /// A pure element rearrangement, so it commutes with elementwise add/mul:
@@ -78,23 +99,10 @@ unsafe fn fix_evens_pd(v: __m256d) -> __m256d {
     _mm256_permute4x64_pd::<0xD8>(v)
 }
 
-/// The stride-2 loads of one grid element type: the part of [`GridElem`]
-/// that only this module can write. Public in a private module, which also
-/// seals `GridElem` to `f32` and `f64`.
+/// The dense loads and stores of one grid element type: the part of
+/// [`GridElem`] that only this module can write. Public in a private module,
+/// which also seals `GridElem` to `f32` and `f64`.
 pub trait Loads: Sized {
-    /// `[p[0], p[2]]`, widened to `f64`.
-    ///
-    /// # Safety
-    /// `p[0..4]` must be readable.
-    unsafe fn load_evens_sse2(p: *const Self) -> __m128d;
-
-    /// `[p[0], p[4], p[2], p[6]]`, widened to `f64`: the four even elements
-    /// in the mixed order [`fix_evens_pd`] straightens out.
-    ///
-    /// # Safety
-    /// `p[0..8]` must be readable and the CPU must support AVX2.
-    unsafe fn load_evens_mixed_avx2(p: *const Self) -> __m256d;
-
     /// `p[0..4]`, widened to `f64`.
     ///
     /// # Safety
@@ -110,24 +118,6 @@ pub trait Loads: Sized {
 
 impl Loads for f64 {
     #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn load_evens_sse2(p: *const f64) -> __m128d {
-        // SAFETY: two 2-element loads inside `p[0..4]`.
-        _mm_shuffle_pd::<0b00>(_mm_loadu_pd(p), _mm_loadu_pd(p.add(2)))
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load_evens_mixed_avx2(p: *const f64) -> __m256d {
-        // SAFETY: two 4-element loads inside `p[0..8]`.
-        let v0 = _mm256_loadu_pd(p);
-        let v1 = _mm256_loadu_pd(p.add(4));
-        // One in-lane shuffle, no cross-lane permute:
-        // [v0_0, v1_0, v0_2, v1_2] = [e0, e2, e1, e3].
-        _mm256_shuffle_pd::<0b0000>(v0, v1)
-    }
-
-    #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn load4_avx2(p: *const f64) -> __m256d {
         _mm256_loadu_pd(p)
@@ -141,26 +131,6 @@ impl Loads for f64 {
 }
 
 impl Loads for f32 {
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn load_evens_sse2(p: *const f32) -> __m128d {
-        // SAFETY: one 4-element load, exactly `p[0..4]`.
-        let v = _mm_loadu_ps(p);
-        // [p0 p2 p0 p2]; the low two widen to [p0, p2].
-        _mm_cvtps_pd(_mm_shuffle_ps::<0b10_00_10_00>(v, v))
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load_evens_mixed_avx2(p: *const f32) -> __m256d {
-        // SAFETY: two 4-element loads inside `p[0..8]`. Widening straight
-        // from memory keeps the conversion off the shuffle port; the rest is
-        // the f64 sequence on the widened halves.
-        let v0 = _mm256_cvtps_pd(_mm_loadu_ps(p));
-        let v1 = _mm256_cvtps_pd(_mm_loadu_ps(p.add(4)));
-        _mm256_shuffle_pd::<0b0000>(v0, v1)
-    }
-
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn load4_avx2(p: *const f32) -> __m256d {
@@ -179,8 +149,8 @@ impl Loads for f32 {
 /// `codes.len() == out.len()` (the dispatching wrapper asserts both) and the
 /// CPU must support AVX2.
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn predict_recon_run_avx2<S: GridElem>(
-    buf: &[S],
+pub(crate) unsafe fn predict_recon_run_avx2(
+    buf: &[f64],
     base: usize,
     st: &Stencil,
     codes: &[f64],
@@ -210,12 +180,12 @@ pub(crate) unsafe fn predict_recon_run_avx2<S: GridElem>(
             while i < v {
                 let c = p.add(base + 2 * i);
                 let si = _mm256_add_pd(
-                    _mm256_add_pd(z, S::load_evens_mixed_avx2(c.offset(i0))),
-                    S::load_evens_mixed_avx2(c.offset(i1)),
+                    _mm256_add_pd(z, load_evens_mixed_avx2(c.offset(i0))),
+                    load_evens_mixed_avx2(c.offset(i1)),
                 );
                 let so = _mm256_add_pd(
-                    _mm256_add_pd(z, S::load_evens_mixed_avx2(c.offset(o0))),
-                    S::load_evens_mixed_avx2(c.offset(o1)),
+                    _mm256_add_pd(z, load_evens_mixed_avx2(c.offset(o0))),
+                    load_evens_mixed_avx2(c.offset(o1)),
                 );
                 let pred =
                     fix_evens_pd(_mm256_add_pd(_mm256_mul_pd(wi, si), _mm256_mul_pd(wo, so)));
@@ -232,8 +202,8 @@ pub(crate) unsafe fn predict_recon_run_avx2<S: GridElem>(
             let mut si = _mm256_setzero_pd();
             let mut so = _mm256_setzero_pd();
             for bits in 0..st.corners {
-                si = _mm256_add_pd(si, S::load_evens_mixed_avx2(c.offset(st.inner[bits])));
-                so = _mm256_add_pd(so, S::load_evens_mixed_avx2(c.offset(st.outer[bits])));
+                si = _mm256_add_pd(si, load_evens_mixed_avx2(c.offset(st.inner[bits])));
+                so = _mm256_add_pd(so, load_evens_mixed_avx2(c.offset(st.outer[bits])));
             }
             let pred = fix_evens_pd(_mm256_add_pd(_mm256_mul_pd(wi, si), _mm256_mul_pd(wo, so)));
             let mut r = _mm256_add_pd(pred, _mm256_mul_pd(v2eb, _mm256_loadu_pd(cp.add(i))));
@@ -250,7 +220,7 @@ pub(crate) unsafe fn predict_recon_run_avx2<S: GridElem>(
             let c = p.add(base + 2 * i);
             let mut s = _mm256_setzero_pd();
             for bits in 0..st.corners {
-                s = _mm256_add_pd(s, S::load_evens_mixed_avx2(c.offset(st.inner[bits])));
+                s = _mm256_add_pd(s, load_evens_mixed_avx2(c.offset(st.inner[bits])));
             }
             let pred = fix_evens_pd(_mm256_div_pd(s, div));
             let mut r = _mm256_add_pd(pred, _mm256_mul_pd(v2eb, _mm256_loadu_pd(cp.add(i))));
@@ -272,8 +242,8 @@ pub(crate) unsafe fn predict_recon_run_avx2<S: GridElem>(
 /// Every stencil tap of every point must lie inside `buf` and
 /// `codes.len() == out.len()` (the dispatching wrapper asserts both).
 #[target_feature(enable = "sse2")]
-pub(crate) unsafe fn predict_recon_run_sse2<S: GridElem>(
-    buf: &[S],
+pub(crate) unsafe fn predict_recon_run_sse2(
+    buf: &[f64],
     base: usize,
     st: &Stencil,
     codes: &[f64],
@@ -297,8 +267,8 @@ pub(crate) unsafe fn predict_recon_run_sse2<S: GridElem>(
             let mut si = _mm_setzero_pd();
             let mut so = _mm_setzero_pd();
             for bits in 0..st.corners {
-                si = _mm_add_pd(si, S::load_evens_sse2(c.offset(st.inner[bits])));
-                so = _mm_add_pd(so, S::load_evens_sse2(c.offset(st.outer[bits])));
+                si = _mm_add_pd(si, load_evens_sse2(c.offset(st.inner[bits])));
+                so = _mm_add_pd(so, load_evens_sse2(c.offset(st.outer[bits])));
             }
             let pred = _mm_add_pd(_mm_mul_pd(wi, si), _mm_mul_pd(wo, so));
             let mut r = _mm_add_pd(pred, _mm_mul_pd(v2eb, _mm_loadu_pd(cp.add(i))));
@@ -315,7 +285,7 @@ pub(crate) unsafe fn predict_recon_run_sse2<S: GridElem>(
             let c = p.add(base + 2 * i);
             let mut s = _mm_setzero_pd();
             for bits in 0..st.corners {
-                s = _mm_add_pd(s, S::load_evens_sse2(c.offset(st.inner[bits])));
+                s = _mm_add_pd(s, load_evens_sse2(c.offset(st.inner[bits])));
             }
             let pred = _mm_div_pd(s, div);
             let mut r = _mm_add_pd(pred, _mm_mul_pd(v2eb, _mm_loadu_pd(cp.add(i))));
@@ -330,61 +300,6 @@ pub(crate) unsafe fn predict_recon_run_sse2<S: GridElem>(
         scalar::predict_recon_run_f32(buf, base + 2 * v, st, &codes[v..], two_eb, &mut out[v..]);
     } else {
         scalar::predict_recon_run_f64(buf, base + 2 * v, st, &codes[v..], two_eb, &mut out[v..]);
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn recon_run_avx2(
-    preds: &[f64],
-    codes: &[f64],
-    two_eb: f64,
-    out: &mut [f64],
-    round32: bool,
-) {
-    let n = out.len();
-    let v2eb = _mm256_set1_pd(two_eb);
-    let mut i = 0;
-    while i + 4 <= n {
-        let p = _mm256_loadu_pd(preds.as_ptr().add(i));
-        let c = _mm256_loadu_pd(codes.as_ptr().add(i));
-        let mut r = _mm256_add_pd(p, _mm256_mul_pd(v2eb, c));
-        if round32 {
-            r = _mm256_cvtps_pd(_mm256_cvtpd_ps(r));
-        }
-        _mm256_storeu_pd(out.as_mut_ptr().add(i), r);
-        i += 4;
-    }
-    if round32 {
-        scalar::recon_run_f32(&preds[i..], &codes[i..], two_eb, &mut out[i..]);
-    } else {
-        scalar::recon_run_f64(&preds[i..], &codes[i..], two_eb, &mut out[i..]);
-    }
-}
-
-pub(crate) unsafe fn recon_run_sse2(
-    preds: &[f64],
-    codes: &[f64],
-    two_eb: f64,
-    out: &mut [f64],
-    round32: bool,
-) {
-    let n = out.len();
-    let v2eb = _mm_set1_pd(two_eb);
-    let mut i = 0;
-    while i + 2 <= n {
-        let p = _mm_loadu_pd(preds.as_ptr().add(i));
-        let c = _mm_loadu_pd(codes.as_ptr().add(i));
-        let mut r = _mm_add_pd(p, _mm_mul_pd(v2eb, c));
-        if round32 {
-            r = _mm_cvtps_pd(_mm_cvtpd_ps(r));
-        }
-        _mm_storeu_pd(out.as_mut_ptr().add(i), r);
-        i += 2;
-    }
-    if round32 {
-        scalar::recon_run_f32(&preds[i..], &codes[i..], two_eb, &mut out[i..]);
-    } else {
-        scalar::recon_run_f64(&preds[i..], &codes[i..], two_eb, &mut out[i..]);
     }
 }
 
@@ -680,7 +595,7 @@ pub(crate) unsafe fn gather2_f64_sse2(src: &[f64], start: usize, out: &mut [f64]
     let p = src.as_ptr();
     let mut i = 0;
     while i < v {
-        _mm_storeu_pd(out.as_mut_ptr().add(i), f64::load_evens_sse2(p.add(start + 2 * i)));
+        _mm_storeu_pd(out.as_mut_ptr().add(i), load_evens_sse2(p.add(start + 2 * i)));
         i += W;
     }
     scalar::gather2_f64(src, start + 2 * v, &mut out[v..]);

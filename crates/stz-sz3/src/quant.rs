@@ -41,44 +41,6 @@ pub fn reconstruct_scalar<T: Scalar>(q: &LinearQuantizer, symbol: u32, pred: f64
     T::from_f64(q.reconstruct(symbol, pred)).to_f64()
 }
 
-/// Batch [`quantize_scalar`] on a SIMD lane, selecting the `T`-rounded
-/// variant by [`Scalar::TYPE_TAG`]. Outputs as in
-/// [`LinearQuantizer::quantize_run_f64`]; bit-identical to the per-point
-/// function on every lane.
-#[inline]
-pub fn quantize_run<T: Scalar>(
-    q: &LinearQuantizer,
-    lane: stz_simd::Lane,
-    actuals: &[f64],
-    preds: &[f64],
-    q_out: &mut [f64],
-    recon_out: &mut [f64],
-    escape_out: &mut [u8],
-) {
-    if T::TYPE_TAG == f32::TYPE_TAG {
-        q.quantize_run_f32(lane, actuals, preds, q_out, recon_out, escape_out);
-    } else {
-        q.quantize_run_f64(lane, actuals, preds, q_out, recon_out, escape_out);
-    }
-}
-
-/// Batch [`reconstruct_scalar`] on a SIMD lane: `out[i]` from `preds[i]`
-/// and the signed code `codes[i]` (as `f64`), rounded through `T`.
-#[inline]
-pub fn reconstruct_run<T: Scalar>(
-    q: &LinearQuantizer,
-    lane: stz_simd::Lane,
-    preds: &[f64],
-    codes: &[f64],
-    out: &mut [f64],
-) {
-    if T::TYPE_TAG == f32::TYPE_TAG {
-        q.reconstruct_run_f32(lane, preds, codes, out);
-    } else {
-        q.reconstruct_run_f64(lane, preds, codes, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,42 +86,6 @@ mod tests {
     fn escape_passthrough() {
         let q = LinearQuantizer::new(1e-9, 4);
         assert_eq!(quantize_scalar::<f32>(&q, 100.0, 0.0), ScalarQuant::Escape);
-    }
-
-    #[test]
-    fn batch_matches_per_point_for_both_types() {
-        let q = LinearQuantizer::new(1e-4, 1 << 15);
-        let preds: Vec<f64> = (0..200).map(|i| 1.0 + (i as f64 * 0.413).cos()).collect();
-        let actuals: Vec<f64> =
-            preds.iter().enumerate().map(|(i, &p)| p + (i as f64 - 100.0) * 1.7e-5).collect();
-        let n = actuals.len();
-        fn check<T: Scalar>(q: &LinearQuantizer, actuals: &[f64], preds: &[f64]) {
-            let n = actuals.len();
-            for lane in stz_simd::available_lanes() {
-                let mut qs = vec![0.0; n];
-                let mut rs = vec![0.0; n];
-                let mut es = vec![0u8; n];
-                quantize_run::<T>(q, lane, actuals, preds, &mut qs, &mut rs, &mut es);
-                for i in 0..n {
-                    match quantize_scalar::<T>(q, actuals[i], preds[i]) {
-                        ScalarQuant::Escape => assert_eq!(es[i], 1),
-                        ScalarQuant::Code { symbol, recon } => {
-                            assert_eq!(es[i], 0);
-                            assert_eq!(LinearQuantizer::symbol_of(qs[i] as i64), symbol);
-                            assert_eq!(rs[i].to_bits(), recon.to_bits());
-                            let code = [LinearQuantizer::code_of(symbol) as f64];
-                            let mut out = [0.0];
-                            reconstruct_run::<T>(q, lane, &preds[i..i + 1], &code, &mut out);
-                            let dec = reconstruct_scalar::<T>(q, symbol, preds[i]);
-                            assert_eq!(out[0].to_bits(), dec.to_bits());
-                        }
-                    }
-                }
-            }
-        }
-        check::<f32>(&q, &actuals, &preds);
-        check::<f64>(&q, &actuals, &preds);
-        assert_eq!(n, 200);
     }
 
     #[test]

@@ -449,6 +449,171 @@ fn f64_identities_hold_at_128_cubed() {
 }
 
 #[test]
+fn identities_hold_with_rows_astride_chunks() {
+    // 106^3: the level-3 blocks are 53^3 symbols in three chunks of 49,626,
+    // no multiple of a row or a plane, so rows straddle chunk boundaries, a
+    // pool's z-slab starts inside a chunk, and a region's first row does too.
+    // Escapes everywhere make the outlier rank count what the walk skips.
+    let dims = Dims::d3(106, 106, 106);
+    let mut field = f32_field(dims);
+    for i in 0..400usize {
+        field.set(i * 37 % 106, i * 53 % 106, i * 71 % 106, 1e30 + i as f32 * 1e27);
+    }
+    let region = Region::d3(35..106, 49..77, 3..106);
+    assert_identities(&field, StzConfig::three_level(EB_F32), &region);
+}
+
+#[test]
+fn identities_hold_on_degenerate_axes() {
+    // Axes of extent 1 and 2 and odd x-extents: which blocks a row of a
+    // level's grid is assembled from is the plan's business, never a case of
+    // its own. Every region starts at an odd coordinate where its axis has
+    // one and ends on the far border.
+    for (dims, region) in [
+        (Dims::d3(1, 64, 64), Region::d3(0..1, 5..64, 33..64)),
+        (Dims::d3(64, 1, 64), Region::d3(7..64, 0..1, 1..64)),
+        (Dims::d3(64, 64, 1), Region::d3(3..64, 9..64, 0..1)),
+        (Dims::d3(2, 3, 5), Region::d3(1..2, 1..3, 3..5)),
+        (Dims::d3(65, 1, 1), Region::d3(31..65, 0..1, 0..1)),
+    ] {
+        for levels in 2..=4u8 {
+            for interp in [InterpKind::Cubic, InterpKind::Linear] {
+                let cfg = |eb| StzConfig::three_level(eb).with_levels(levels).with_interp(interp);
+                assert_identities(&f32_field(dims), cfg(EB_F32), &region);
+                assert_identities(&f64_field(dims), cfg(EB_F64), &region);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Error order: a level broken in two of its blocks fails on every decode path
+// with the error a block-by-block decode meets first, whatever order the path
+// itself reaches the blocks' chunks in. The texts were captured with the
+// block-by-block decoder.
+// ---------------------------------------------------------------------------
+
+use stz::codec::{ByteReader, ByteWriter};
+
+/// A sub-block stream taken apart (FORMAT.md §5.1).
+struct BlockStream {
+    size: u64,
+    escapes: Vec<u64>,
+    chunks: Vec<Vec<u8>>,
+    outliers: u64,
+    outlier_bytes: Vec<u8>,
+}
+
+impl BlockStream {
+    fn parse(bytes: &[u8]) -> BlockStream {
+        let mut r = ByteReader::new(bytes);
+        let n = r.get_uvarint().unwrap() as usize;
+        let size = r.get_uvarint().unwrap();
+        let escapes = (0..n).map(|_| r.get_uvarint().unwrap()).collect();
+        let chunks = (0..n).map(|_| r.get_block().unwrap().to_vec()).collect();
+        let outliers = r.get_uvarint().unwrap();
+        let outlier_bytes = r.get_raw(r.remaining()).unwrap().to_vec();
+        BlockStream { size, escapes, chunks, outliers, outlier_bytes }
+    }
+
+    fn build(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_uvarint(self.chunks.len() as u64);
+        w.put_uvarint(self.size);
+        self.escapes.iter().for_each(|&e| w.put_uvarint(e));
+        self.chunks.iter().for_each(|c| w.put_block(c));
+        w.put_uvarint(self.outliers);
+        w.put_raw(&self.outlier_bytes);
+        w.finish()
+    }
+}
+
+/// `archive` with the block streams of `level` passed through `edit`.
+fn edit_level(
+    archive: &StzArchive<f32>,
+    level: u8,
+    edit: impl Fn(usize, &[u8]) -> Vec<u8>,
+) -> StzArchive<f32> {
+    let mut w = ByteWriter::new();
+    w.put_raw(&archive.as_bytes()[..archive.l1_range().end]);
+    for k in 2..=archive.num_levels() {
+        w.put_uvarint(archive.num_blocks(k) as u64);
+        for i in 0..archive.num_blocks(k) {
+            let block = archive.block_bytes(k, i);
+            w.put_block(&if k == level { edit(i, block) } else { block.to_vec() });
+        }
+    }
+    StzArchive::from_bytes(w.finish()).unwrap()
+}
+
+/// A block stream with the first byte of its first chunk flipped.
+fn flip_first_chunk(bytes: &[u8]) -> Vec<u8> {
+    let mut stream = BlockStream::parse(bytes);
+    stream.chunks[0][0] ^= 0xFF;
+    stream.build()
+}
+
+/// One escape more declared for the last chunk of a block, and one outlier
+/// more stored, so the block still parses.
+fn bad_last_escape_count(bytes: &[u8]) -> Vec<u8> {
+    let mut stream = BlockStream::parse(bytes);
+    *stream.escapes.last_mut().unwrap() += 1;
+    stream.outliers += 1;
+    stream.outlier_bytes.extend_from_slice(&[0; 4]);
+    stream.build()
+}
+
+/// The error text of every decode path that reaches level 3 of `archive`.
+fn error_texts(archive: &StzArchive<f32>) -> Vec<String> {
+    let text = |r: Result<Field<f32>, stz::codec::CodecError>| r.unwrap_err().to_string();
+    let progressive = |parallel: bool| {
+        let mut steps = archive.progressive().parallel(parallel);
+        steps.next_level().unwrap();
+        steps.next_level().unwrap();
+        steps.next_level().unwrap_err().to_string()
+    };
+    let dims = archive.dims();
+    vec![
+        text(archive.decompress()),
+        text(with_pool(2, || archive.decompress_parallel())),
+        text(archive.decompress_level(3)),
+        progressive(false),
+        progressive(true),
+        text(archive.decompress_region(&Region::full(dims))),
+        text(archive.decompress_region(&Region::d3(33..128, 61..128, 3..128))),
+        text(archive.decompress_region(&Region::d3(1..40, 0..9, 17..120))),
+    ]
+}
+
+#[test]
+fn a_level_broken_in_two_blocks_fails_with_the_first_block_error_on_every_path() {
+    let archive =
+        StzCompressor::new(StzConfig::three_level(EB_F32)).compress(&f32_field(big())).unwrap();
+    let two_chunks = edit_level(&archive, 3, |i, b| match i {
+        5 => flip_first_chunk(b),
+        2 => bad_last_escape_count(b),
+        _ => b.to_vec(),
+    });
+    let truncated = edit_level(&archive, 3, |i, b| match i {
+        1 => flip_first_chunk(b),
+        4 => b[..b.len() / 2].to_vec(),
+        _ => b.to_vec(),
+    });
+    let (escape, kraft, eof) = (
+        "corrupt stream: chunk escape count mismatch",
+        "corrupt stream: huffman table violates Kraft inequality",
+        "unexpected end of input while reading length-prefixed block",
+    );
+    // Block 2's last chunk comes before block 5's first in block order; the
+    // last region wants no chunk of block 2 but the first of block 5.
+    let want = [escape, escape, escape, escape, escape, escape, escape, kraft];
+    assert_eq!(error_texts(&two_chunks), want, "escape count in block 2, flip in block 5");
+    // The second region wants none of block 1's first chunk.
+    let want = [kraft, kraft, kraft, kraft, kraft, kraft, eof, kraft];
+    assert_eq!(error_texts(&truncated), want, "flip in block 1, block 4 truncated");
+}
+
+#[test]
 fn identities_hold_on_border_only_geometries() {
     for (dims, region) in [
         (Dims::d3(5, 4, 6), Region::d3(1..5, 0..3, 2..6)),
