@@ -340,6 +340,11 @@ fn parse(bytes: &[u8]) -> Result<Parsed> {
         eb_finest,
         radius: radius as i64,
     };
+    if header.config().usable_level_ebs(eb_finest).is_none() {
+        return Err(CodecError::corrupt(format!(
+            "error bound {eb_finest} leaves a level's bound zero"
+        )));
+    }
 
     // Catalogue block ranges.
     let l1 = r.get_block()?;
@@ -457,6 +462,16 @@ mod tests {
         assert!(b1 < b2 && b2 < b3);
         assert!(b3 <= total);
         assert_eq!(b1, 3);
+    }
+
+    #[test]
+    fn a_bound_that_leaves_a_level_zero_is_corrupt_not_a_panic() {
+        let field = Field::from_fn(Dims::d3(16, 16, 16), |z, y, x| (z * y + x) as f32 * 0.01);
+        let compressor = crate::StzCompressor::new(StzConfig::three_level(1e-3));
+        let mut bytes = compressor.compress(&field).unwrap().into_bytes();
+        bytes[21..29].copy_from_slice(&5e-324f64.to_le_bytes());
+        let err = StzArchive::<f32>::from_bytes(bytes).unwrap_err();
+        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //! and a block row is unit stride in it ([`crate::kernels::RowStencils`]).
 //! One fused kernel call takes a row from originals to symbols (or from
 //! symbols to reconstructed `T`) with nothing row-sized in `f64` in between.
-//! An encoder stores the reconstructed row straight into its stride-2 place
-//! in the next grid, beside the previous grid's points scattered into its
-//! even positions. A decoder writes every point of the next grid once: it
-//! assembles each row in L1 from two sources — the previous grid's row or
-//! one block's, and another block's — and stores it at unit stride, each
-//! block's stream entropy-decoded a chunk at a time as the walk reaches it
-//! (`LevelRows::assemble`); a region's working grids are boxes of the
-//! levels', assembled by the same walk. Every value that enters a grid is
+//! Both directions walk a level alike and write every point of the next grid
+//! once (`LevelRows::assemble`): each row is assembled in L1 from two
+//! sources — the previous grid's row or one block's, and another block's —
+//! and stored at unit stride. A block row is made from originals on encode,
+//! its symbols Huffman-coded a chunk at a time as the walk fills the chunk,
+//! and from symbols on decode, entropy-decoded a chunk at a time as the walk
+//! reaches it; a region's working grids are boxes of the levels', assembled
+//! by the same walk. Every value that enters a grid is
 //! already `T`-representable — level 1 comes from SZ3 as `T`, every
 //! reconstruction is rounded through `T`, every escape is the stored `T` —
 //! so widening the taps at load gives the kernels the operands an `f64` grid
@@ -24,10 +24,11 @@
 //!
 //! Because finer-level points never depend on one another, both the blocks
 //! of a level and the points within a block are embarrassingly parallel; the
-//! `parallel` entry points run the same row routine over z-slabs on the
-//! rayon thread pool — encode into per-slab buffers that are placed
-//! afterwards, decode assembling each slab's own planes of the next grid —
-//! and produce **bit-identical archives and fields** to the serial path.
+//! `parallel` entry points run the same walk over slabs on the rayon pool —
+//! planes of the next grid, or rows or spans where it is thin — each slab
+//! assembling its share in place (an encoder's slabs stitch the chunks they
+//! share afterwards, in slab order), and produce **bit-identical archives
+//! and fields** to the serial path.
 
 use crate::archive::{build_bytes, ArchiveHeader, StzArchive};
 use crate::config::StzConfig;
@@ -36,7 +37,9 @@ use crate::level::{BlockSpec, LevelPlan, LevelSpec};
 use crate::random_access::LevelTimes;
 use crate::source::SectionSource;
 use rayon::prelude::*;
+use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 use stz_codec::{
     huffman, ByteReader, ByteWriter, CodecError, LinearQuantizer, Result, ESCAPE_SYMBOL,
@@ -45,17 +48,12 @@ use stz_field::{Dims, Field, Region, Scalar};
 use stz_simd::Lane;
 use stz_sz3::quant::{quantize_scalar, reconstruct_scalar, ScalarQuant};
 use stz_sz3::{ErrorBound, InterpKind, Sz3Config};
+use stz_telemetry::Histogram;
 
 /// The STZ streaming compressor.
 #[derive(Debug, Clone)]
 pub struct StzCompressor {
     config: StzConfig,
-}
-
-/// Quantization output of one sub-block (or of one z-slab of it).
-pub(crate) struct BlockPayload<T> {
-    pub symbols: Vec<u32>,
-    pub outliers: Vec<T>,
 }
 
 impl StzCompressor {
@@ -87,17 +85,18 @@ impl StzCompressor {
         let dims = field.dims();
         let plan = LevelPlan::new(dims, cfg.levels);
         let eb_abs = cfg.eb.absolute_for(field);
-        // A *relative* bound over a constant field resolves to zero even
-        // when the configured ratio is valid; catch the resolved value too.
-        if !(eb_abs > 0.0 && eb_abs.is_finite()) {
+        // Catch the resolved values too: a *relative* bound over a constant
+        // field can resolve to zero even when the configured ratio is valid,
+        // and a tiny one leaves a coarser level's bound zero.
+        let Some(ebs) = cfg.usable_level_ebs(eb_abs) else {
             return Err(CodecError::unsupported(format!(
-                "invalid configuration: resolved error bound {eb_abs} must be positive and finite"
+                "invalid configuration: resolved error bound {eb_abs} must be positive and \
+                 finite, and leave every level's bound nonzero"
             )));
-        }
-        let ebs = cfg.level_ebs_from_absolute(eb_abs);
+        };
 
-        // Per-stage wall-clock histograms (resolved once; the per-block
-        // closures record through the lock-free handles).
+        // Per-stage wall-clock histograms (resolved once; the slab closures
+        // record through the lock-free handles).
         let reg = stz_telemetry::global();
         let level1_ns = reg.latency("stz_core_stage_ns", &[("stage", "level1")]);
         let quantize_ns = reg.latency("stz_core_stage_ns", &[("stage", "quantize")]);
@@ -112,65 +111,20 @@ impl StzCompressor {
             let _stage = level1_ns.span();
             stz_sz3::compress_full(&a_field, &sz3_cfg)
         };
-        let mut grid = Field::from_vec(
-            plan.levels[0].grid_dims,
-            a_recon.into_iter().map(T::from_f64).collect(),
-        );
+        let mut grid: Vec<T> = a_recon.into_iter().map(T::from_f64).collect();
 
-        // Finer levels.
+        // Finer levels. Only a level the next one predicts from keeps its
+        // grid: the finest level's reconstruction is nobody's operand.
         let mut level_blocks: Vec<Vec<Vec<u8>>> = Vec::with_capacity(cfg.levels as usize - 1);
         for level in &plan.levels[1..] {
             let quant = LinearQuantizer::encoder(ebs[level.index as usize - 1], cfg.radius);
-            // Only a level the next one predicts from assembles its grid: the
-            // finest level's reconstruction is nobody's operand.
-            let mut next = (level.index < cfg.levels).then(|| {
-                let mut next = Field::<T>::zeros(level.grid_dims);
-                upscatter(&grid, &mut next);
-                next
-            });
-            let cbox = Region::full(grid.dims());
-
-            let encoded = if parallel {
-                let results: Vec<(Vec<u8>, Vec<Vec<T>>)> = level
-                    .blocks
-                    .par_iter()
-                    .map(|block| {
-                        let rows =
-                            BlockRows::new(level.grid_dims, &cbox, block, &quant, cfg.interp);
-                        let (payload, slabs) = {
-                            let _stage = quantize_ns.span();
-                            quantize_slabs(&rows, field, &grid, next.is_some())
-                        };
-                        let _stage = encode_ns.span();
-                        (encode_block_payload(&payload, true), slabs)
-                    })
-                    .collect();
-                let mut encoded = Vec::with_capacity(results.len());
-                for (block, (bytes, slabs)) in level.blocks.iter().zip(results) {
-                    if let Some(next) = &mut next {
-                        place_slabs(next, block, &slabs);
-                    }
-                    encoded.push(bytes);
-                }
-                encoded
-            } else {
-                let mut payload = BlockPayload { symbols: Vec::new(), outliers: Vec::new() };
-                let mut encoded = Vec::with_capacity(level.blocks.len());
-                for block in &level.blocks {
-                    let rows = BlockRows::new(level.grid_dims, &cbox, block, &quant, cfg.interp);
-                    {
-                        let _stage = quantize_ns.span();
-                        quantize_in_place(&rows, field, &grid, next.as_mut(), &mut payload);
-                    }
-                    let _stage = encode_ns.span();
-                    encoded.push(encode_block_payload(&payload, false));
-                }
-                encoded
-            };
-            level_blocks.push(encoded);
-            if let Some(next) = next {
-                grid = next;
-            }
+            let rows =
+                LevelRows::new(level, &Region::full(level.prev_grid_dims), &quant, cfg.interp);
+            let keeps = level.index < cfg.levels;
+            let (streams, next) =
+                rows.encode(field, &grid, keeps, parallel, (&quantize_ns, &encode_ns))?;
+            level_blocks.push(streams);
+            grid = next;
         }
 
         let header = ArchiveHeader {
@@ -187,115 +141,12 @@ impl StzCompressor {
     }
 }
 
-/// Scatter the coarse working grid into the even positions of the next (2×
-/// finer) working grid, which an encoder then fills in block by block.
-fn upscatter<T: Scalar>(coarse: &Field<T>, next: &mut Field<T>) {
-    let (cd, nd) = (coarse.dims(), next.dims());
-    debug_assert_eq!(nd.coarsened(2).as_array(), cd.as_array());
-    let lane = stz_simd::active_lane();
-    for (i, row) in coarse.as_slice().chunks_exact(cd.nx()).enumerate() {
-        let (z, y) = (i / cd.ny(), i % cd.ny());
-        T::simd_scatter2(lane, row, next.as_mut_slice(), nd.index(2 * z, 2 * y, 0));
-    }
-}
-
-/// Quantize one sub-block against the previous level's grid, storing each
-/// reconstructed row into the `next` one — where there is a next one — as it
-/// is produced. `payload` is cleared first, so one can serve every block of
-/// a level.
-fn quantize_in_place<T: Scalar>(
-    rows: &BlockRows<'_>,
-    field: &Field<T>,
-    prev: &Field<T>,
-    mut next: Option<&mut Field<T>>,
-    payload: &mut BlockPayload<T>,
-) {
-    payload.symbols.clear();
-    payload.outliers.clear();
-    payload.symbols.reserve(rows.nz * rows.by * rows.bx);
-    let (src, prev) = (field.as_slice(), prev.as_slice());
-    let (mut orig, mut row) = (vec![T::default(); rows.bx], vec![T::default(); rows.bx]);
-    for z in 0..rows.nz {
-        for y in 0..rows.by {
-            let recon = next.is_some().then_some(&mut row[..]);
-            let at = rows.quantize_row(src, prev, z, y, payload, &mut orig, recon);
-            if let Some(next) = &mut next {
-                T::simd_scatter2(rows.lane, &row, next.as_mut_slice(), at);
-            }
-        }
-    }
-}
-
-/// [`quantize_in_place`] for the pool: z-slabs of the block run in parallel,
-/// each into its own payload and — where the level `keeps` its
-/// reconstruction — its own buffer of reconstructed rows (in slab order, for
-/// [`place_slabs`]). The same rows in the same order, so the merged payload
-/// is the serial one.
-fn quantize_slabs<T: Scalar>(
-    rows: &BlockRows<'_>,
-    field: &Field<T>,
-    prev: &Field<T>,
-    keeps: bool,
-) -> (BlockPayload<T>, Vec<Vec<T>>) {
-    let parts: Vec<(BlockPayload<T>, Vec<T>)> = slab_ranges(rows.nz)
-        .into_par_iter()
-        .map(|slab| {
-            let n = slab.len() * rows.by * rows.bx;
-            let mut payload = BlockPayload { symbols: Vec::with_capacity(n), outliers: Vec::new() };
-            let mut recon = vec![T::default(); if keeps { n } else { 0 }];
-            let mut rows_out = recon.chunks_exact_mut(rows.bx);
-            let mut orig = vec![T::default(); rows.bx];
-            let (src, prev) = (field.as_slice(), prev.as_slice());
-            for z in slab {
-                for y in 0..rows.by {
-                    rows.quantize_row(src, prev, z, y, &mut payload, &mut orig, rows_out.next());
-                }
-            }
-            (payload, recon)
-        })
-        .collect();
-    let mut merged = BlockPayload {
-        symbols: Vec::with_capacity(parts.iter().map(|(p, _)| p.symbols.len()).sum()),
-        outliers: Vec::with_capacity(parts.iter().map(|(p, _)| p.outliers.len()).sum()),
-    };
-    let mut slabs = Vec::with_capacity(parts.len());
-    for (part, recon) in parts {
-        merged.symbols.extend(part.symbols);
-        merged.outliers.extend(part.outliers);
-        slabs.push(recon);
-    }
-    (merged, slabs)
-}
-
-/// The z-slabs a block of `nz` planes is cut into for the pool: a few per
-/// thread, whole planes each, so every slab starts on a row boundary.
-fn slab_ranges(nz: usize) -> Vec<Range<usize>> {
-    let threads = rayon::current_num_threads().max(1);
-    let slab = (nz / (threads * 4)).max(1);
-    (0..nz).step_by(slab).map(|z0| z0..(z0 + slab).min(nz)).collect()
-}
-
-/// Store the rows the pool reconstructed for `block` (slab after slab, row
-/// after row) into their stride-2 places in the working grid.
-fn place_slabs<T: Scalar>(grid: &mut Field<T>, block: &BlockSpec, slabs: &[Vec<T>]) {
-    let (by, bx) = (block.lattice.dims().ny(), block.lattice.dims().nx());
-    let (gny, gnx) = (grid.dims().ny(), grid.dims().nx());
-    let [oz, oy, ox] = block.grid_lattice.offset();
-    let lane = stz_simd::active_lane();
-    let dst = grid.as_mut_slice();
-    for (i, row) in slabs.iter().flat_map(|slab| slab.chunks_exact(bx)).enumerate() {
-        let (z, y) = (i / by, i % by);
-        T::simd_scatter2(lane, row, dst, ((oz + 2 * z) * gny + oy + 2 * y) * gnx + ox);
-    }
-}
-
 /// Everything the rows of one sub-block share: its geometry, its stencils
 /// over the previous level's grid, the quantizer and the lane. The two row
 /// routines — [`BlockRows::quantize_row`] and [`BlockRows::reconstruct_row`]
-/// — read the previous grid and write a row of `T` where the driver says;
-/// where that row is stored afterwards is the driver's business, which is
-/// what lets an encoder fill the next grid as it goes and a decoder assemble
-/// it from the rows of two blocks at a time ([`LevelRows::assemble`]).
+/// — read the previous grid and write a row of `T` where the walk says;
+/// the walk assembles the next grid from the rows of two blocks at a time
+/// ([`LevelRows::assemble`]), in either direction.
 struct BlockRows<'a> {
     stencils: RowStencils,
     block: &'a BlockSpec,
@@ -311,8 +162,7 @@ struct BlockRows<'a> {
     /// the share a region needs — and its extents.
     cbox: Region,
     cdims: Dims,
-    /// Block extents.
-    nz: usize,
+    /// Block extents along y and x.
     by: usize,
     bx: usize,
 }
@@ -324,9 +174,8 @@ struct RowWalk<'a> {
     gz: usize,
     gy: usize,
     gx0: usize,
-    /// Flattened index of the row's first point in the grid being refined,
-    /// and of the first point of its coarse row in the previous grid's box.
-    at: usize,
+    /// Index of the first point of the row's coarse row in the previous
+    /// grid's box.
     cbase: usize,
     /// The row's stencil and the block-local x span `[xa, xb)` it is
     /// interior at.
@@ -354,7 +203,6 @@ impl<'a> BlockRows<'a> {
             gdims,
             cbox: cbox.clone(),
             cdims,
-            nz: bdims.nz(),
             by: bdims.ny(),
             bx: bdims.nx(),
         }
@@ -369,7 +217,6 @@ impl<'a> BlockRows<'a> {
             gz,
             gy,
             gx0,
-            at: (gz * self.gdims.ny() + gy) * self.gdims.nx() + gx0,
             cbase: (cz * self.cdims.ny() + cy) * self.cdims.nx(),
             stencil,
             xa,
@@ -377,27 +224,28 @@ impl<'a> BlockRows<'a> {
         }
     }
 
-    /// Quantize row `(z, y)` of the block: gather its originals from `src`
-    /// (the field being compressed) at the block's stride into `orig`,
-    /// predict from the previous level's grid `prev`, append the row's
-    /// symbols and outliers to `payload` and — where the caller keeps it —
-    /// leave the reconstructed row in `recon`. Returns the flattened index of
-    /// the row's first point in the grid being refined.
+    /// Quantize the span `xs` of row `(z, y)` of the block: gather its
+    /// originals from `src` (the field being compressed) at the block's
+    /// stride into `orig`, predict from the previous level's grid `prev`,
+    /// write the span's symbols and outliers to `sink` and — where the
+    /// caller keeps it — leave the span reconstructed in `recon`, one slot
+    /// per point of the span.
     #[allow(clippy::too_many_arguments)]
     fn quantize_row<T: Scalar>(
         &self,
         src: &[T],
         prev: &[T],
-        z: usize,
-        y: usize,
-        payload: &mut BlockPayload<T>,
+        (z, y): (usize, usize),
+        xs: Range<usize>,
         orig: &mut [T],
+        sink: &mut ChunkSink<'_, T>,
         mut recon: Option<&mut [T]>,
-    ) -> usize {
+    ) {
         let lattice = &self.block.lattice;
-        let (pz, py, px) = lattice.to_parent(z, y, 0);
+        let (pz, py, px) = lattice.to_parent(z, y, xs.start);
         let parent = lattice.parent_dims();
         let start = (pz * parent.ny() + py) * parent.nx() + px;
+        let orig = &mut orig[..xs.len()];
         match lattice.stride() {
             2 => T::simd_gather2(self.lane, src, start, orig),
             stride => {
@@ -407,45 +255,44 @@ impl<'a> BlockRows<'a> {
             }
         }
         let walk = self.row(z, y);
-        let (xa, xb) = walk.batch_range();
-        let first = payload.symbols.len();
-        payload.symbols.resize(first + self.bx, ESCAPE_SYMBOL);
-        let symbols = &mut payload.symbols[first..];
+        let (xa, xb) = walk.batch_range(&xs);
+        let (symbols, outliers) = sink.row((z * self.by + y) * self.bx + xs.start, xs.len());
         // The kernel span: originals to symbols in one fused pass.
+        let span = xa - xs.start..xb - xs.start;
         let mut escaped = self.quant.quantize_dense(
             self.lane,
             prev,
             walk.coarse(xa),
             &walk.stencil.as_simd(),
-            &orig[xa..xb],
-            &mut symbols[xa..xb],
-            recon.as_deref_mut().map(|row| &mut row[xa..xb]),
+            &orig[span.clone()],
+            &mut symbols[span.clone()],
+            recon.as_deref_mut().map(|row| &mut row[span]),
         );
-        for x in (0..xa).chain(xb..self.bx) {
-            match quantize_scalar::<T>(self.quant, orig[x].to_f64(), walk.predict(prev, x)) {
+        for x in (xs.start..xa).chain(xb..xs.end) {
+            let i = x - xs.start;
+            match quantize_scalar::<T>(self.quant, orig[i].to_f64(), walk.predict(prev, x)) {
                 ScalarQuant::Code { symbol, recon: value } => {
-                    symbols[x] = symbol;
+                    symbols[i] = symbol;
                     if let Some(row) = &mut recon {
-                        row[x] = T::from_f64(value);
+                        row[i] = T::from_f64(value);
                     }
                 }
                 ScalarQuant::Escape => {
-                    symbols[x] = ESCAPE_SYMBOL;
+                    symbols[i] = ESCAPE_SYMBOL;
                     escaped = true;
                 }
             }
         }
         // Outliers in ascending x, as the stream orders them: a walk only
-        // rows with an escape pay for.
+        // spans with an escape pay for.
         if escaped {
-            for x in (0..self.bx).filter(|&x| symbols[x] == ESCAPE_SYMBOL) {
-                payload.outliers.push(orig[x]);
+            for i in (0..xs.len()).filter(|&i| symbols[i] == ESCAPE_SYMBOL) {
+                outliers.push(orig[i]);
                 if let Some(row) = &mut recon {
-                    row[x] = orig[x];
+                    row[i] = orig[i];
                 }
             }
         }
-        walk.at
     }
 
     /// Reconstruct the span `xs` of row `(z, y)` of the block from its
@@ -467,9 +314,7 @@ impl<'a> BlockRows<'a> {
         out: &mut [T],
     ) {
         let walk = self.row(z, y);
-        let (xa, xb) = walk.batch_range();
-        let xa = xa.clamp(xs.start, xs.end);
-        let xb = xb.clamp(xa, xs.end);
+        let (xa, xb) = walk.batch_range(&xs);
         let (symbols, out) = (&symbols[..xs.len()], &mut out[..xs.len()]);
         // The kernel span: symbols to `T` in one fused pass. An escape slot
         // gets a placeholder there — and nothing at all in the per-point
@@ -509,15 +354,13 @@ impl RowWalk<'_> {
         self.cbase + x - self.rows.cbox.x0
     }
 
-    /// The block-local x span `[xa, xb)` the batch kernels take: the span
-    /// the row's stencil is interior at, or nothing on the scalar lane.
+    /// The block-local x span `[xa, xb)` the batch kernels take of `xs`: the
+    /// part the row's stencil is interior at, or nothing on the scalar lane.
     #[inline]
-    fn batch_range(&self) -> (usize, usize) {
-        if self.rows.lane == Lane::Scalar {
-            (0, 0)
-        } else {
-            (self.xa, self.xb)
-        }
+    fn batch_range(&self, xs: &Range<usize>) -> (usize, usize) {
+        let (xa, xb) = if self.rows.lane == Lane::Scalar { (0, 0) } else { (self.xa, self.xb) };
+        let xa = xa.clamp(xs.start, xs.end);
+        (xa, xb.clamp(xa, xs.end))
     }
 
     /// The prediction of the row's point `x`, one point at a time: what the
@@ -543,41 +386,124 @@ impl RowWalk<'_> {
 /// still decoded as a whole, as §3.3 describes).
 const HUFFMAN_CHUNK: usize = 1 << 16;
 
-fn chunk_count(n: usize) -> usize {
-    n.div_ceil(HUFFMAN_CHUNK).clamp(1, 64)
+/// Symbols per chunk of a block of `n`: at most 64 chunks of about
+/// [`HUFFMAN_CHUNK`] each, the last of which may hold fewer. The layout is
+/// fixed by the point count before any symbol exists.
+fn chunk_size(n: usize) -> usize {
+    n.div_ceil(n.div_ceil(HUFFMAN_CHUNK).clamp(1, 64)).max(1)
 }
 
-/// Serialize a sub-block stream: Huffman-coded symbol chunks (each prefixed
-/// by its escape count, enabling random-access chunk decoding) + bit-exact
-/// outliers.
-pub(crate) fn encode_block_payload<T: Scalar>(
-    payload: &BlockPayload<T>,
-    parallel: bool,
-) -> Vec<u8> {
-    let n = payload.symbols.len();
-    let nchunks = chunk_count(n);
-    let size = n.div_ceil(nchunks).max(1);
-    let chunks: Vec<&[u32]> = payload.symbols.chunks(size).collect();
-    // Each chunk with its escape count: the coder's histogram has it.
-    let encoded: Vec<(Vec<u8>, usize)> = if parallel && chunks.len() > 1 {
-        chunks.par_iter().map(|c| huffman::encode_block_counting(c)).collect()
-    } else {
-        chunks.iter().map(|c| huffman::encode_block_counting(c)).collect()
-    };
-    let mut w = ByteWriter::with_capacity(n / 2 + 32);
-    w.put_uvarint(encoded.len() as u64);
-    w.put_uvarint(size as u64);
-    // Per-chunk escape counts: a random-access reader can align its outlier
-    // cursor without entropy-decoding skipped chunks (the paper's
-    // "random-access Huffman decoding" future-work item).
-    for (_, escapes) in &encoded {
-        w.put_uvarint(*escapes as u64);
+/// A walk's sink for one block's symbols, the encode twin of
+/// [`ChunkWindow`]: rows are quantised into the chunk being filled, which is
+/// Huffman-coded as soon as it is full, so a block holds one chunk of
+/// symbols, never the whole block. A slab's sink starts where its first row
+/// does in the block's stream and codes only the chunks it fills from their
+/// start; the piece of a chunk it starts inside (`head`) and of the one it
+/// ends inside wait as symbols for [`ChunkSink::append`], which stitches the
+/// slabs' sinks together in slab order.
+struct ChunkSink<'a, T> {
+    /// Symbols per chunk (the final chunk may hold fewer), and in the block.
+    size: usize,
+    total: usize,
+    /// Stream index of `open`'s first symbol, and the symbols from there on.
+    from: usize,
+    open: Vec<u32>,
+    /// The piece of the chunk the sink started inside, up to its end.
+    head: Vec<u32>,
+    /// The chunks coded, each with its escape count, and the outliers.
+    coded: Vec<(Vec<u8>, usize)>,
+    outliers: Vec<T>,
+    encode_ns: &'a Arc<Histogram>,
+}
+
+impl<'a, T: Scalar> ChunkSink<'a, T> {
+    /// A sink for a block of `total` symbols.
+    fn new(total: usize, encode_ns: &'a Arc<Histogram>) -> Self {
+        ChunkSink {
+            size: chunk_size(total),
+            total,
+            from: 0,
+            open: Vec::new(),
+            head: Vec::new(),
+            coded: Vec::new(),
+            outliers: Vec::new(),
+            encode_ns,
+        }
     }
-    for (bytes, _) in &encoded {
-        w.put_block(bytes);
+
+    /// `len` slots for the symbols of a row from stream index `first` on —
+    /// where the sink's last row ended, or anywhere for its first — and the
+    /// outliers the row's escapes go to.
+    fn row(&mut self, first: usize, len: usize) -> (&mut [u32], &mut Vec<T>) {
+        self.flush();
+        if self.open.is_empty() {
+            self.from = first;
+        }
+        debug_assert_eq!(self.from + self.open.len(), first);
+        let n = self.open.len();
+        if self.open.capacity() < n + len {
+            self.open.reserve_exact(self.size + len - n);
+        }
+        self.open.resize(n + len, ESCAPE_SYMBOL);
+        (&mut self.open[n..], &mut self.outliers)
     }
-    stz_sz3::stream::write_outliers(&mut w, &payload.outliers);
-    w.finish()
+
+    /// Code every chunk `open` holds whole, and set aside as `head` the
+    /// piece it holds of a chunk it did not start.
+    fn flush(&mut self) {
+        let mut done = 0;
+        while done < self.open.len() {
+            let start = self.from / self.size * self.size;
+            let end = (start + self.size).min(self.total);
+            if self.from + self.open.len() - done < end {
+                break;
+            }
+            let piece = &self.open[done..done + end - self.from];
+            if self.from == start {
+                let _stage = self.encode_ns.span();
+                self.coded.push(huffman::encode_block_counting(piece));
+            } else {
+                self.head = piece.to_vec();
+            }
+            (done, self.from) = (done + end - self.from, end);
+        }
+        self.open.drain(..done);
+    }
+
+    /// Stitch on `next`, the sink of the following slab: its head
+    /// completes the chunk this one ends inside, its chunks follow, and the
+    /// chunk it ends inside is the one this sink holds next.
+    fn append(&mut self, next: ChunkSink<'_, T>) {
+        self.open.extend_from_slice(&next.head);
+        self.flush();
+        debug_assert!(next.coded.is_empty() || self.open.is_empty());
+        self.from = (self.from + next.coded.len() * self.size).min(self.total);
+        self.coded.extend(next.coded);
+        self.open.extend_from_slice(&next.open);
+        self.outliers.extend(next.outliers);
+    }
+
+    /// The block's stream: Huffman-coded symbol chunks, each chunk's escape
+    /// count ahead of them all, and the outliers bit-exact.
+    fn into_stream(mut self) -> Vec<u8> {
+        self.flush();
+        debug_assert_eq!((self.from, self.head.len()), (self.total, 0));
+        let chunks: usize = self.coded.iter().map(|(bytes, _)| bytes.len() + 20).sum();
+        let mut w = ByteWriter::with_capacity(chunks + 30 + self.outliers.len() * T::BYTES);
+        w.put_uvarint(self.coded.len() as u64);
+        w.put_uvarint(self.size as u64);
+        // Per-chunk escape counts: a random-access reader can align its outlier
+        // cursor without entropy-decoding skipped chunks (the paper's
+        // "random-access Huffman decoding" future-work item).
+        for (_, escapes) in &self.coded {
+            w.put_uvarint(*escapes as u64);
+        }
+        for (bytes, _) in &self.coded {
+            w.put_block(bytes);
+        }
+        stz_sz3::stream::write_outliers(&mut w, &self.outliers);
+        w.finish()
+    }
 }
 
 /// A sub-block stream, parsed: its Huffman chunks, what the stream declares
@@ -671,6 +597,7 @@ fn extents(b: &Region) -> Dims {
 /// The rows of one level's blocks, and the walk that assembles the level's
 /// grid from them — all of it or a box of it — writing every point once.
 struct LevelRows<'a> {
+    level: &'a LevelSpec,
     blocks: Slots<BlockRows<'a>>,
     /// The box of the previous level's grid the rows read.
     cbox: Region,
@@ -687,64 +614,168 @@ impl<'a> LevelRows<'a> {
         for block in &level.blocks {
             blocks[slot(block)] = Some(BlockRows::new(level.grid_dims, cbox, block, quant, interp));
         }
-        LevelRows { blocks, cbox: cbox.clone() }
+        LevelRows { level, blocks, cbox: cbox.clone() }
     }
 
-    /// Assemble `obox`, a box of the level's grid, into `out` from `prev` —
-    /// the previous grid's box — and the blocks' streams, plane by plane.
-    /// Each row is built in L1 from two sources and stored once, at unit
-    /// stride: its even-x points are the previous grid's row where z and y
-    /// are even and block `(z&1, y&1, 0)`'s row elsewhere, its odd-x points
-    /// block `(z&1, y&1, 1)`'s. Which blocks exist is the plan's business, so
-    /// axes of extent 1 or 2 and odd x-extents take no case of their own.
+    /// Assemble `obox`, a box of the level's grid, plane by plane from `prev`
+    /// — the previous grid's box — and block rows, into `out` where there is
+    /// one: `row(rows, (z, y), xs, out)` makes the span `xs` of row `(z, y)`
+    /// of the block `rows` into `out`. Each row is built in L1 from two
+    /// sources and stored once, at unit stride: its even-x points are the
+    /// previous grid's row where z and y are even and block `(z&1, y&1, 0)`'s
+    /// row elsewhere, its odd-x points block `(z&1, y&1, 1)`'s. Which blocks
+    /// exist is the plan's business, so axes of extent 1 or 2 and odd
+    /// x-extents take no case of their own.
     fn assemble<T: Scalar>(
         &self,
         prev: &[T],
         obox: &Region,
-        out: &mut [T],
-        windows: &mut Slots<ChunkWindow<'_, T>>,
+        mut out: Option<&mut [T]>,
+        mut row: impl FnMut(&BlockRows<'a>, (usize, usize), Range<usize>, &mut [T]) -> Result<()>,
     ) -> Result<()> {
         let (ny, nx) = (obox.y1 - obox.y0, obox.x1 - obox.x0);
         let (evens, odds) = (obox.x0.div_ceil(2)..obox.x1.div_ceil(2), obox.x0 / 2..obox.x1 / 2);
         let (mut even, mut odd) = (vec![T::default(); evens.len()], vec![T::default(); odds.len()]);
         let (c, cdims) = (&self.cbox, extents(&self.cbox));
-        for (gz, plane) in (obox.z0..obox.z1).zip(out.chunks_exact_mut(ny * nx)) {
-            for (gy, row) in (obox.y0..obox.y1).zip(plane.chunks_exact_mut(nx)) {
+        let mut block_row = |s: usize, zy, xs: Range<usize>, out: &mut [T]| {
+            if xs.is_empty() {
+                return Ok(());
+            }
+            let rows = self.blocks[s].as_ref().expect("the plan has a block for every row parity");
+            row(rows, zy, xs, out)
+        };
+        for gz in obox.z0..obox.z1 {
+            for gy in obox.y0..obox.y1 {
                 let (s, z, y) = (((gz & 1) << 2) | ((gy & 1) << 1), gz >> 1, gy >> 1);
                 let even = if s == 0 {
                     let at = cdims.index(z - c.z0, y - c.y0, evens.start - c.x0);
                     &prev[at..at + evens.len()]
                 } else {
-                    self.row(s, prev, (z, y), evens.clone(), windows, &mut even)?;
+                    block_row(s, (z, y), evens.clone(), &mut even)?;
                     &even[..]
                 };
-                self.row(s | 1, prev, (z, y), odds.clone(), windows, &mut odd)?;
-                interleave(even, &odd, obox.x0 % 2 == 1, row);
+                block_row(s | 1, (z, y), odds.clone(), &mut odd)?;
+                if let Some(out) = out.as_deref_mut() {
+                    let at = ((gz - obox.z0) * ny + gy - obox.y0) * nx;
+                    interleave(even, &odd, obox.x0 % 2 == 1, &mut out[at..at + nx]);
+                }
             }
         }
         Ok(())
     }
 
-    /// Reconstruct the span `xs` of row `(z, y)` of the block in slot `s`
-    /// into `out`.
-    fn row<T: Scalar>(
+    /// Encode the level from `prev`, the whole previous grid: quantise every
+    /// block's rows of the originals in `field` as the walk reaches them, and
+    /// return the blocks' streams in block order and — where the next level
+    /// predicts from it (`keeps`) — the level's grid. The chunks slabs share
+    /// are stitched together afterwards, in slab order.
+    fn encode<T: Scalar>(
         &self,
-        s: usize,
+        field: &Field<T>,
         prev: &[T],
-        (z, y): (usize, usize),
-        xs: Range<usize>,
-        windows: &mut Slots<ChunkWindow<'_, T>>,
-        out: &mut [T],
-    ) -> Result<()> {
-        if xs.is_empty() {
-            return Ok(());
+        keeps: bool,
+        parallel: bool,
+        (quantize_ns, encode_ns): (&Arc<Histogram>, &Arc<Histogram>),
+    ) -> Result<(Vec<Vec<u8>>, Vec<T>)> {
+        let obox = Region::full(self.level.grid_dims);
+        let mut grid = vec![T::default(); if keeps { obox.len() } else { 0 }];
+        let parts = self.slabs(parallel, &obox, &mut grid, |_, slab, out| {
+            let _stage = quantize_ns.span();
+            let mut sinks: Slots<ChunkSink<'_, T>> = std::array::from_fn(|k| {
+                Some(ChunkSink::new(self.blocks[k].as_ref()?.block.lattice.len(), encode_ns))
+            });
+            let mut orig = vec![T::default(); slab.x1.div_ceil(2) - slab.x0 / 2];
+            self.assemble(prev, &slab, keeps.then_some(out), |rows, zy, xs, recon| {
+                let sink = sinks[slot(rows.block)].as_mut().expect("a sink on every block");
+                let recon = keeps.then_some(recon);
+                rows.quantize_row(field.as_slice(), prev, zy, xs, &mut orig, sink, recon);
+                Ok(())
+            })?;
+            // What waits for the stitch is at most two pieces of a chunk.
+            for sink in sinks.iter_mut().flatten() {
+                sink.flush();
+                sink.open.shrink_to_fit();
+            }
+            Ok(sinks)
+        });
+        let mut parts = parts.into_iter();
+        let mut blocks = parts.next().expect("a grid is one slab or more")?;
+        for part in parts {
+            for (block, part) in blocks.iter_mut().flatten().zip(part?.into_iter().flatten()) {
+                block.append(part);
+            }
         }
-        let rows = self.blocks[s].as_ref().expect("the plan has a block for every row parity");
-        let window = windows[s].as_mut().expect("a window is open on every block a box reads");
-        let first = (z * rows.by + y) * rows.bx + xs.start;
-        let (symbols, outliers, cursor) = window.row(first, xs.len())?;
-        rows.reconstruct_row(prev, z, y, xs, symbols, outliers, cursor, out);
-        Ok(())
+        let streams = self.level.blocks.iter().map(|b| blocks[slot(b)].take());
+        let streams = streams.map(|sink| sink.expect("a sink on every block").into_stream());
+        Ok((streams.collect(), grid))
+    }
+
+    /// Run `slab(s, box, out)` on each slab of `obox` — the `s`-th, its box,
+    /// and its share of `out` (nothing, where `out` is empty) — and return
+    /// what each returns, in slab order. Serially the box is one slab; on the
+    /// pool it is cut as [`LevelRows::cut`] says and the slabs run side by
+    /// side. Every slab is contiguous in `obox`'s order.
+    fn slabs<T: Send, R: Send>(
+        &self,
+        parallel: bool,
+        obox: &Region,
+        out: &mut [T],
+        slab: impl Fn(usize, Region, &mut [T]) -> R + Sync,
+    ) -> Vec<R> {
+        let (lo, hi) = ([obox.z0, obox.y0, obox.x0], [obox.z1, obox.y1, obox.x1]);
+        let steps = if parallel { self.cut(obox) } else { extents(obox).as_array() };
+        let span =
+            |a: usize| (lo[a]..hi[a]).step_by(steps[a]).map(move |i| (i, hi[a].min(i + steps[a])));
+        let boxes = span(0).flat_map(|(z0, z1)| {
+            span(1).flat_map(move |(y0, y1)| {
+                span(2).map(move |(x0, x1)| Region { z0, z1, y0, y1, x0, x1 })
+            })
+        });
+        let mut rest = out;
+        let parts: Vec<_> = boxes
+            .enumerate()
+            .map(|(s, b)| {
+                let n = if rest.is_empty() { 0 } else { b.len() };
+                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(n);
+                rest = tail;
+                (s, b, mine)
+            })
+            .collect();
+        let run = |(s, b, out): (usize, Region, &mut [T])| slab(s, b, out);
+        if parallel {
+            parts.into_par_iter().map(run).collect()
+        } else {
+            parts.into_iter().map(run).collect()
+        }
+    }
+
+    /// How the pool cuts `obox`: grid units per slab along each axis. The
+    /// cut axis is the outermost of planes, rows and points that gives a slab
+    /// per thread, or past which slabs would be smaller than a chunk; along
+    /// it a slab is a few per thread and no fewer units than a Huffman chunk
+    /// of any block spans, so that where chunks are whole units each is coded
+    /// or decoded by one slab. Across the axes outside it a slab is one unit,
+    /// along those inside it all of `obox`.
+    fn cut(&self, obox: &Region) -> [usize; 3] {
+        let threads = rayon::current_num_threads().max(1);
+        let (ext, c) = (extents(obox).as_array(), extents(&self.cbox).as_array());
+        let mut axis = 0;
+        let step = loop {
+            let chunk = (self.blocks.iter().flatten())
+                .map(|r| chunk_size(r.block.lattice.len()).div_ceil([r.by * r.bx, r.bx, 1][axis]))
+                .fold(1, usize::max);
+            let step = 2 * chunk.max(c[..=axis].iter().product::<usize>() / (threads * 4));
+            let slabs = ext[..axis].iter().product::<usize>() * ext[axis].div_ceil(step);
+            if slabs >= threads || chunk > 1 || axis == 2 {
+                break step;
+            }
+            axis += 1;
+        };
+        std::array::from_fn(|a| match a.cmp(&axis) {
+            Ordering::Less => 1,
+            Ordering::Equal => step,
+            Ordering::Greater => ext[a],
+        })
     }
 }
 
@@ -962,27 +993,21 @@ pub(crate) fn decode_box<T: Scalar, S: SectionSource + ?Sized>(
 
     let t = Instant::now();
     let fill = |streams: &Slots<BlockStream<'_, T>>| {
-        let plane = (obox.y1 - obox.y0) * (obox.x1 - obox.x0);
-        let planes = if parallel {
-            2 * slab_planes(&rows, streams, cbox.z1 - cbox.z0)
-        } else {
-            obox.z1 - obox.z0
-        };
-        let slab = |(s, out): (usize, &mut [T])| -> Result<(usize, f64)> {
+        let done = rows.slabs(parallel, obox, &mut out, |s, slab, out| -> Result<(usize, f64)> {
             let mut span = stz_telemetry::trace::span("reconstruct");
             span.attr("slab", s);
-            let z0 = obox.z0 + s * planes;
-            let slab = Region { z0, z1: z0 + out.len() / plane, ..obox.clone() };
-            let mut windows = std::array::from_fn(|k| streams[k].as_ref().map(ChunkWindow::new));
-            rows.assemble(prev, &slab, out, &mut windows)?;
+            let mut windows: Slots<ChunkWindow<'_, T>> =
+                std::array::from_fn(|k| streams[k].as_ref().map(ChunkWindow::new));
+            rows.assemble(prev, &slab, Some(out), |rows, (z, y), xs, out| {
+                let window = windows[slot(rows.block)].as_mut();
+                let window = window.expect("a window is open on every block a box reads");
+                let (symbols, outliers, cursor) =
+                    window.row((z * rows.by + y) * rows.bx + xs.start, xs.len())?;
+                rows.reconstruct_row(prev, z, y, xs, symbols, outliers, cursor, out);
+                Ok(())
+            })?;
             Ok(windows.iter().flatten().fold((0, 0.0), |(n, s), w| (n + w.tally.0, s + w.tally.1)))
-        };
-        let slabs = out.chunks_mut(planes * plane);
-        let done: Vec<Result<_>> = if parallel {
-            slabs.into_par_iter().enumerate().map(slab).collect()
-        } else {
-            slabs.enumerate().map(slab).collect()
-        };
+        });
         done.into_iter().try_fold((0, 0.0), |(n, s), d| d.map(|(dn, ds)| (n + dn, s + ds)))
     };
     let ((decoded, entropy), chunks, opened) = match walk(source, level, &targets, fill) {
@@ -1021,18 +1046,6 @@ fn walk<T: Scalar, S: SectionSource + ?Sized, R>(
     let opened = t.elapsed().as_secs_f64();
     let chunks = streams.iter().flatten().map(|s| s.chunks.len()).sum();
     Ok((fill(&streams)?, chunks, opened))
-}
-
-/// Previous-grid planes per z-slab of the pool: a few slabs per thread, and
-/// no fewer planes than a Huffman chunk of any block spans, so that where
-/// chunks are whole planes each is decoded by one slab.
-fn slab_planes<T>(rows: &LevelRows<'_>, streams: &Slots<BlockStream<'_, T>>, cnz: usize) -> usize {
-    let chunk_planes = rows.blocks.iter().zip(streams).filter_map(|(rows, stream)| {
-        let (rows, stream) = (rows.as_ref()?, stream.as_ref()?);
-        Some(stream.chunk_size.div_ceil(rows.by * rows.bx))
-    });
-    let threads = rayon::current_num_threads().max(1);
-    chunk_planes.fold(cnz / (threads * 4), usize::max).max(1)
 }
 
 /// The first error a block-by-block decode of `level` meets — each block
@@ -1156,6 +1169,42 @@ mod tests {
         let a = archive.decompress().unwrap();
         let b = archive.decompress_parallel().unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn slab_sinks_stitched_in_order_code_the_stream_one_sink_does() {
+        // Symbol 0 is the escape: each one brings an outlier along.
+        let encode_ns =
+            stz_telemetry::global().latency("stz_core_stage_ns", &[("stage", "encode")]);
+        let total = 3 * HUFFMAN_CHUNK + 1234;
+        let symbols: Vec<u32> = (0..total as u32).map(|i| (i * 7919 % 61) / 9).collect();
+        let stream = |cuts: &[usize]| {
+            let mut merged = ChunkSink::new(total, &encode_ns);
+            for slab in cuts.windows(2) {
+                let mut sink = ChunkSink::new(total, &encode_ns);
+                for x0 in (slab[0]..slab[1]).step_by(1000) {
+                    let xs = x0..(x0 + 1000).min(slab[1]);
+                    let (slots, outliers) = sink.row(x0, xs.len());
+                    slots.copy_from_slice(&symbols[xs.clone()]);
+                    outliers.extend(xs.filter(|&x| symbols[x] == 0).map(|x| x as f32));
+                }
+                sink.flush();
+                merged.append(sink);
+            }
+            merged.into_stream()
+        };
+        let whole = stream(&[0, total]);
+        let size = chunk_size(total);
+        assert_eq!(size, total.div_ceil(4));
+        for cuts in [
+            vec![0, 5, total],
+            vec![0, size, 2 * size, total],
+            vec![0, size - 1, size + 1, 2 * size + 7, 2 * size + 7, total],
+            (0..total).step_by(size / 3).chain([total]).collect(),
+            vec![0, 10, 20, 30, 3 * size + 1, total, total],
+        ] {
+            assert_eq!(stream(&cuts), whole, "cuts {cuts:?}");
+        }
     }
 
     #[test]

@@ -168,6 +168,17 @@ impl StzConfig {
             })
             .collect()
     }
+
+    /// [`StzConfig::level_ebs_from_absolute`] where every level has a
+    /// quantizer step: `None` where `eb` is not positive and finite, or
+    /// leaves a level's bound zero (an `eb` near zero underflows at the
+    /// coarser levels) or infinite.
+    pub fn usable_level_ebs(&self, eb: f64) -> Option<Vec<f64>> {
+        let usable = |eb: f64| eb > 0.0 && eb.is_finite();
+        usable(eb)
+            .then(|| self.level_ebs_from_absolute(eb))
+            .filter(|ebs| ebs.iter().all(|&e| usable(e)))
+    }
 }
 
 #[cfg(test)]
@@ -297,5 +308,22 @@ mod tests {
         // `MIN_POSITIVE` fallback — still a success, never an assert.
         let flat = Field::from_fn(Dims::d3(8, 8, 8), |_, _, _| 1.0f32);
         assert!(StzCompressor::new(StzConfig::three_level_relative(1e-3)).compress(&flat).is_ok());
+    }
+
+    #[test]
+    fn a_bound_that_leaves_a_level_zero_is_rejected_not_a_panic() {
+        // Valid configurations both: the finest bound, or the one a relative
+        // bound resolves to, is positive and finite, and 6.25 times smaller
+        // at level 1 it underflows to zero.
+        use crate::StzCompressor;
+        let field = Field::from_fn(Dims::d3(16, 16, 16), |z, y, x| (z * y + x) as f32 * 0.01);
+        for cfg in [StzConfig::three_level(5e-324), StzConfig::three_level_relative(5e-324)] {
+            assert_eq!(cfg.validate(), Ok(()), "{cfg:?}");
+            let err = StzCompressor::new(cfg).compress(&field).unwrap_err();
+            assert!(err.to_string().contains("invalid configuration"), "{cfg:?} -> {err}");
+        }
+        // A subnormal level bound is a step still: every point escapes.
+        let compressor = StzCompressor::new(StzConfig::three_level(f64::MIN_POSITIVE));
+        assert_eq!(compressor.compress(&field).unwrap().decompress().unwrap(), field);
     }
 }

@@ -27,8 +27,8 @@ pub fn diag_weights(k: usize) -> (f64, f64) {
 }
 
 /// Tap reader over a grid that holds the coarse lattice at its parent
-/// positions — the grid being refined, the previous level upscattered into
-/// it. Every tap is widened to `f64` as it is loaded (exact), so an `f32`
+/// positions — the grid being refined, the previous level's points at its
+/// even positions. Every tap is widened to `f64` as it is loaded (exact), so an `f32`
 /// grid predicts exactly what its widened copy would.
 #[inline]
 pub fn grid_taps<S: Scalar>(buf: &[S], dims: Dims) -> impl Fn([usize; 3]) -> f64 + '_ {
@@ -512,10 +512,10 @@ mod tests {
     /// Every point of every block class, predicted the way the codec's rows
     /// do it — from the previous level's dense grid, through the row's
     /// stencil inside its kernel span and through [`predict_point`] over
-    /// [`dense_taps`] outside — against [`predict_point`] over the
-    /// upscattered grid, bit for bit. Positions off the coarse lattice hold
+    /// [`dense_taps`] outside — against [`predict_point`] over the sparse
+    /// grid holding it at its even positions, bit for bit. Positions off the coarse lattice hold
     /// NaN there, so a tap that strays poisons the reference too.
-    fn assert_dense_is_upscattered<S: Scalar>(gdims: Dims, value: impl Fn(usize) -> S) {
+    fn assert_dense_is_sparse<S: Scalar>(gdims: Dims, value: impl Fn(usize) -> S) {
         let cdims = gdims.coarsened(2);
         let prev: Vec<S> = (0..cdims.len()).map(&value).collect();
         let mut up = vec![S::from_f64(f64::NAN); gdims.len()];
@@ -570,7 +570,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_prediction_equals_the_upscattered_one_at_every_point() {
+    fn dense_prediction_equals_the_sparse_grid_one_at_every_point() {
         for gdims in [
             Dims::d3(16, 17, 15),
             Dims::d3(9, 8, 12),
@@ -583,8 +583,8 @@ mod tests {
             Dims::d1(37),
             Dims::d1(4),
         ] {
-            assert_dense_is_upscattered(gdims, |i| ((i as f64 * 0.37).sin() * 1e3) as f32);
-            assert_dense_is_upscattered(gdims, |i| (i as f64 * 0.37).sin() * 1e3 + 1e-9 * i as f64);
+            assert_dense_is_sparse(gdims, |i| ((i as f64 * 0.37).sin() * 1e3) as f32);
+            assert_dense_is_sparse(gdims, |i| (i as f64 * 0.37).sin() * 1e3 + 1e-9 * i as f64);
         }
     }
 

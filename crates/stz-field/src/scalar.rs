@@ -31,21 +31,11 @@ pub trait Scalar:
     /// Deserialize the exact bit pattern; `bytes.len()` must be `>= BYTES`.
     fn read_exact(bytes: &[u8]) -> Self;
 
-    #[inline]
-    fn abs64(self) -> f64 {
-        self.to_f64().abs()
-    }
-
     /// Stride-2 gather `out[i] = src[start + 2*i]` on the given SIMD lane.
     /// Byte-identical to the scalar loop (it only moves values).
     fn simd_gather2(lane: Lane, src: &[Self], start: usize, out: &mut [Self]);
     /// Stride-2 scatter `dst[start + 2*i] = src[i]` on the given SIMD lane.
     fn simd_scatter2(lane: Lane, src: &[Self], dst: &mut [Self], start: usize);
-    /// Batch `out[i] = src[i].to_f64()` (exact widening) on the given lane.
-    fn simd_widen(lane: Lane, src: &[Self], out: &mut [f64]);
-    /// Batch `out[i] = Self::from_f64(src[i])` (IEEE narrowing for `f32`,
-    /// identity for `f64`) on the given lane.
-    fn simd_from_f64(lane: Lane, src: &[f64], out: &mut [Self]);
 }
 
 /// Append `le(v)` for every value, staged through a block that stays in L1
@@ -103,16 +93,6 @@ impl Scalar for f32 {
     fn simd_scatter2(lane: Lane, src: &[Self], dst: &mut [Self], start: usize) {
         stz_simd::scatter2_f32(lane, src, dst, start);
     }
-
-    #[inline]
-    fn simd_widen(lane: Lane, src: &[Self], out: &mut [f64]) {
-        stz_simd::widen_run(lane, src, out);
-    }
-
-    #[inline]
-    fn simd_from_f64(lane: Lane, src: &[f64], out: &mut [Self]) {
-        stz_simd::narrow_run(lane, src, out);
-    }
 }
 
 impl Scalar for f64 {
@@ -151,16 +131,6 @@ impl Scalar for f64 {
     #[inline]
     fn simd_scatter2(lane: Lane, src: &[Self], dst: &mut [Self], start: usize) {
         stz_simd::scatter2_f64(lane, src, dst, start);
-    }
-
-    #[inline]
-    fn simd_widen(_lane: Lane, src: &[Self], out: &mut [f64]) {
-        out.copy_from_slice(src);
-    }
-
-    #[inline]
-    fn simd_from_f64(_lane: Lane, src: &[f64], out: &mut [Self]) {
-        out.copy_from_slice(src);
     }
 }
 

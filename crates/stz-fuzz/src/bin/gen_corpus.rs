@@ -353,6 +353,19 @@ fn container_cases() -> Vec<(&'static str, &'static str, Vec<u8>)> {
         dead_damaged,
     ));
 
+    // An index whose STZ entry declares a finest bound of 5e-324: its
+    // coarser levels' bounds underflow to zero. Only the trailer's footer
+    // CRC is restamped, so the index parser itself must refuse it.
+    let mut subnormal = valid.clone();
+    let eb = 1e-3f64.to_le_bytes();
+    let at = subnormal.windows(8).rposition(|w| w == eb).expect("footer error bound");
+    subnormal[at..at + 8].copy_from_slice(&5e-324f64.to_le_bytes());
+    cases.push((
+        "container_stz_entry_subnormal_error_bound",
+        "an index bound whose level bounds underflow must be Corrupt, not a quantizer panic",
+        refix_container(&subnormal, false).expect("container-shaped"),
+    ));
+
     cases.push((
         "container_v3_upgraded_from_v2",
         "a v2 container upgraded in place must read identically under the v3 slot protocol",
@@ -408,6 +421,20 @@ fn codec_cases() -> Vec<(String, &'static str, Vec<u8>)> {
         0xFF, 0xFF, 0xFF, 0xFF, 0x03, // huffman table count 2^30-1
     ];
     sz3_lying_table.resize(101, 0x42);
+    // An STZ archive whose finest bound (bytes 21..29 of a 16^3 archive) is
+    // 5e-324: the coarser levels' bounds underflow to zero.
+    let field: Field<f32> = stz_data::synth::miranda_like(Dims::d3(16, 16, 16), 23);
+    let mut subnormal = stz_core::StzCompressor::new(stz_core::StzConfig::three_level(1e-3))
+        .compress(&field)
+        .expect("compress")
+        .into_bytes();
+    subnormal[21..29].copy_from_slice(&5e-324f64.to_le_bytes());
+    cases.push((
+        "codec_stz_subnormal_error_bound".to_string(),
+        "a finest bound whose level bounds underflow must be Corrupt, not a quantizer panic",
+        subnormal,
+    ));
+
     cases.push((
         "codec_sz3_lying_huffman_table".to_string(),
         "huffman table count far beyond the input size must be Corrupt, not an 8 GiB reserve",

@@ -444,6 +444,11 @@ fn parse_stz_entry(
         eb_finest,
         radius: radius as i64,
     };
+    if header.config().usable_level_ebs(eb_finest).is_none() {
+        return Err(StreamError::corrupt(format!(
+            "error bound {eb_finest} leaves a level's bound zero"
+        )));
+    }
 
     let payload = get_section(r)?;
     check_bounds(&payload, payload_lo, payload_end, "payload")?;

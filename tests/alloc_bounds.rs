@@ -1,9 +1,9 @@
 //! The structure of the codec's memory, pinned with the tracking allocator.
 //!
-//! `compress` predicts every level from the previous level's grid, so the
-//! largest thing it ever holds beside its input is the second-finest grid
-//! (an eighth of the field) or one block's symbols (`u32` per point of an
-//! eighth of the field): no finest-level working grid, serial or on the pool.
+//! `compress` predicts every level from the previous level's grid and codes
+//! a block's symbols a chunk at a time, so beside its input it holds the
+//! second-finest grid (an eighth of the field), two chunks of symbols per
+//! block (per worker, on the pool) and the archive it builds: no finest grid.
 //! `decompress` allocates its output — the finest grid *is* the decoded
 //! field — and nothing larger; serially it holds no more than that, the grid
 //! it predicts from and a window of two Huffman chunks per block. A region or
@@ -56,6 +56,26 @@ fn compress_allocates_no_finest_grid_and_decompress_only_its_output() {
     let (same, peak, _) = peaks_of(|| serial.decompress_parallel().unwrap());
     assert!(peak <= raw + slack, "decompress_parallel: one allocation of {peak} B for {raw} B");
     assert_eq!(full, same);
+
+    // Level-3 blocks of 32 x 128 x 512 = 32 chunks each: an encoder that
+    // holds a whole block's symbols, or scatters into a zeroed grid, holds
+    // more than two chunks of all seven.
+    let field = wavy(Dims::d3(64, 256, 1024));
+    let raw = field.len() * std::mem::size_of::<f32>();
+    let (archive, _, held) = peaks_of(|| compressor.compress(&field).unwrap());
+    let sinks = 7 * 2 * CHUNK * 4;
+    let bound = raw / 8 + sinks + 2 * archive.compressed_len() + slack;
+    assert!(
+        held <= bound,
+        "compress held {held} B: level-2 grid + sinks + 2 x archive = {bound} B"
+    );
+    let threads = 4;
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+    let (pooled, _, held) = peaks_of(|| pool.install(|| compressor.compress_parallel(&field)));
+    let bound = bound + (threads - 1) * sinks;
+    assert!(held <= bound, "compress_parallel held {held} B: {threads} workers' sinks = {bound} B");
+    assert_eq!(archive.as_bytes(), pooled.unwrap().as_bytes());
+    drop((field, archive));
 
     // Level-3 blocks of 16 x 128 x 512 = 16 chunks each: a decoder that holds
     // a whole block's symbols holds more than two chunks of all seven.

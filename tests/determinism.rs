@@ -464,6 +464,21 @@ fn identities_hold_with_rows_astride_chunks() {
 }
 
 #[test]
+fn identities_hold_where_the_pool_cuts_rows_or_spans() {
+    // Grids too thin for a slab of planes per thread, whose level-3 blocks
+    // hold several Huffman chunks: the pool cuts the 4-plane field into
+    // rows of a plane at 8 threads, the 2-D one into rows and the 1-D one
+    // into spans of its one row, and slabs start and end inside chunks.
+    for (dims, region) in [
+        (Dims::d3(4, 621, 733), Region::d3(1..4, 77..621, 5..700)),
+        (Dims::d2(733, 800), Region::d2(301..733, 1..800)),
+        (Dims::d1(1_200_001), Region::d1(99_999..1_200_001)),
+    ] {
+        assert_identities(&f32_field(dims), StzConfig::three_level(EB_F32), &region);
+    }
+}
+
+#[test]
 fn identities_hold_on_degenerate_axes() {
     // Axes of extent 1 and 2 and odd x-extents: which blocks a row of a
     // level's grid is assembled from is the plan's business, never a case of
