@@ -5,6 +5,7 @@ use crate::error::{AccessError, Result};
 use crate::{resolve_sel, validate_fetch, Entry, EntrySel, Fetch, FetchedField, Provenance, Store};
 use std::sync::Arc;
 use stz_backend::BackendScalar;
+use stz_core::archive::type_tag;
 use stz_core::StzArchive;
 use stz_field::{Field, Scalar};
 use stz_stream::ForeignArchive;
@@ -96,14 +97,14 @@ impl MemStore {
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "archive".to_string());
-        // Dispatch f32/f64 from the header's type-tag byte (magic[4] +
-        // version + tag; see `stz_core::archive`) instead of
+        // Dispatch f32/f64 from the header's type tag instead of
         // parse-and-retry on a clone — no second copy of a possibly large
         // file. A wrong or corrupt tag byte still ends in `from_bytes`'s
         // own validation error.
-        let parsed = match bytes.get(5) {
-            Some(&1) => StzArchive::<f64>::from_bytes(bytes).map(MemArchive::from),
-            _ => StzArchive::<f32>::from_bytes(bytes).map(MemArchive::from),
+        let parsed = if type_tag(&bytes) == Some(f64::TYPE_TAG) {
+            StzArchive::<f64>::from_bytes(bytes).map(MemArchive::from)
+        } else {
+            StzArchive::<f32>::from_bytes(bytes).map(MemArchive::from)
         };
         let archive = parsed.map_err(|e| {
             AccessError::corrupt(format!("{} is not an stz archive: {e}", path.display()))

@@ -36,7 +36,7 @@ pub mod slab;
 pub mod timing;
 
 use stz_codec::Result;
-use stz_core::{StzArchive, StzCompressor, StzConfig};
+use stz_core::{pool, StzArchive, StzCompressor, StzConfig};
 use stz_field::{Field, Scalar};
 
 /// The number of threads the paper's OMP evaluation uses (§4.3).
@@ -123,36 +123,24 @@ impl Codec {
         eb: f64,
         threads: usize,
     ) -> Vec<u8> {
-        let pool =
-            rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("thread pool");
-        match self {
-            Codec::Stz => pool.install(|| {
-                StzCompressor::new(StzConfig::three_level(eb))
-                    .compress_parallel(field)
-                    .expect("STZ compression cannot fail on a valid field")
-                    .into_bytes()
+        pool::with_threads(threads, || match self {
+            Codec::Stz => StzCompressor::new(StzConfig::three_level(eb))
+                .compress_parallel(field)
+                .expect("STZ compression cannot fail on a valid field")
+                .into_bytes(),
+            Codec::Sz3 => slab::compress_slabs(field, threads, |slab| {
+                stz_sz3::compress(slab, &stz_sz3::Sz3Config::absolute(eb))
             }),
-            Codec::Sz3 => pool.install(|| {
-                slab::compress_slabs(field, threads, |slab| {
-                    stz_sz3::compress(slab, &stz_sz3::Sz3Config::absolute(eb))
-                })
+            Codec::Sperr => slab::compress_slabs(field, threads, |slab| {
+                stz_sperr::compress(slab, &stz_sperr::SperrConfig::new(eb))
             }),
-            Codec::Sperr => pool.install(|| {
-                slab::compress_slabs(field, threads, |slab| {
-                    stz_sperr::compress(slab, &stz_sperr::SperrConfig::new(eb))
-                })
+            Codec::Zfp => slab::compress_slabs(field, threads, |slab| {
+                stz_zfp::compress(slab, &stz_zfp::ZfpConfig::new(eb))
             }),
-            Codec::Zfp => pool.install(|| {
-                slab::compress_slabs(field, threads, |slab| {
-                    stz_zfp::compress(slab, &stz_zfp::ZfpConfig::new(eb))
-                })
+            Codec::MgardX => slab::compress_slabs(field, threads, |slab| {
+                stz_mgard::compress(slab, &stz_mgard::MgardConfig::new(eb))
             }),
-            Codec::MgardX => pool.install(|| {
-                slab::compress_slabs(field, threads, |slab| {
-                    stz_mgard::compress(slab, &stz_mgard::MgardConfig::new(eb))
-                })
-            }),
-        }
+        })
     }
 
     /// Parallel decompression where supported (falls back to serial for
@@ -169,22 +157,14 @@ impl Codec {
                 _ => unreachable!(),
             };
         }
-        let pool =
-            rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("thread pool");
-        match self {
-            Codec::Stz => {
-                pool.install(|| StzArchive::<T>::from_bytes(bytes.to_vec())?.decompress_parallel())
-            }
-            Codec::Sz3 => pool.install(|| {
-                slab::decompress_slabs(bytes, true, |b| stz_sz3::decompress(b))
-                    .or_else(|_| stz_sz3::decompress(bytes))
-            }),
-            Codec::Sperr => pool.install(|| {
-                slab::decompress_slabs(bytes, true, |b| stz_sperr::decompress(b))
-                    .or_else(|_| stz_sperr::decompress(bytes))
-            }),
+        pool::with_threads(threads, || match self {
+            Codec::Stz => StzArchive::<T>::from_bytes(bytes.to_vec())?.decompress_parallel(),
+            Codec::Sz3 => slab::decompress_slabs(bytes, true, |b| stz_sz3::decompress(b))
+                .or_else(|_| stz_sz3::decompress(bytes)),
+            Codec::Sperr => slab::decompress_slabs(bytes, true, |b| stz_sperr::decompress(b))
+                .or_else(|_| stz_sperr::decompress(bytes)),
             _ => unreachable!(),
-        }
+        })
     }
 }
 

@@ -8,8 +8,8 @@
 //! correlation, which is exactly the compression-ratio drop the paper
 //! reports for SZ3's OMP mode (Table 3's asterisks).
 
-use rayon::prelude::*;
 use stz_codec::{ByteReader, ByteWriter, CodecError, Result};
+use stz_core::pool;
 use stz_field::{Dims, Field, Region, Scalar};
 
 /// Magic bytes of the slab container.
@@ -24,7 +24,7 @@ pub fn compress_slabs<T: Scalar>(
 ) -> Vec<u8> {
     let dims = field.dims();
     let regions = slab_regions(dims, nslabs);
-    let blocks: Vec<Vec<u8>> = regions.par_iter().map(|r| f(&field.extract_region(r))).collect();
+    let blocks = pool::map(regions.iter().collect(), |r| f(&field.extract_region(r)));
 
     let mut w = ByteWriter::new();
     w.put_raw(&MAGIC);
@@ -82,7 +82,7 @@ pub fn decompress_slabs<T: Scalar>(
     }
 
     let decoded: Vec<Result<Field<T>>> = if parallel {
-        slabs.par_iter().map(|&(_, _, b)| f(b)).collect()
+        pool::map(slabs.iter().collect(), |&(_, _, b)| f(b))
     } else {
         slabs.iter().map(|&(_, _, b)| f(b)).collect()
     };

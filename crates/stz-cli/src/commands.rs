@@ -13,7 +13,7 @@ use stz_access::{
     open_store, open_store_mut, Entry, EntryPayload, EntrySel, Fetch, Location, Store, StoreMut,
 };
 use stz_backend::{registry, BackendScalar, Codec, ErrorBound};
-use stz_core::{InterpKind, StzArchive, StzCompressor, StzConfig};
+use stz_core::{pool, InterpKind, StzArchive, StzCompressor, StzConfig};
 use stz_data::io::{read_raw, write_raw};
 use stz_field::{Field, Scalar};
 use stz_serve::{Client, ServeOptions, Server};
@@ -49,15 +49,6 @@ fn error_bound(p: &Parsed) -> Result<ErrorBound, String> {
         return Err("error bound must be positive and finite".into());
     }
     Ok(if p.switch("--rel") { ErrorBound::Relative(eb) } else { ErrorBound::Absolute(eb) })
-}
-
-/// Build the thread pool a subcommand will run under (`0` = auto:
-/// `STZ_THREADS` or all cores). Archive bytes are identical at every width.
-fn thread_pool(threads: usize) -> Result<rayon::ThreadPool, String> {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .map_err(|e| format!("cannot build thread pool: {e}"))
 }
 
 pub fn run(argv: &[String]) -> Result<(), String> {
@@ -200,7 +191,7 @@ fn compress_typed<T: Scalar>(
     let archive = if threads == 1 {
         compressor.compress(&field)
     } else {
-        thread_pool(threads)?.install(|| compressor.compress_parallel(&field))
+        pool::with_threads(threads, || compressor.compress_parallel(&field))
     }
     .map_err(|e| e.to_string())?;
     let cr = archive.compression_ratio();
@@ -210,16 +201,17 @@ fn compress_typed<T: Scalar>(
     Ok(())
 }
 
-/// Load an archive and dispatch on its element type.
+/// Load an archive and dispatch on the element type its header names.
 fn with_archive<R>(
     path: &Path,
     f32_case: impl FnOnce(StzArchive<f32>) -> Result<R, String>,
     f64_case: impl FnOnce(StzArchive<f64>) -> Result<R, String>,
 ) -> Result<R, String> {
     let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
-    match StzArchive::<f32>::from_bytes(bytes.clone()) {
-        Ok(a) => f32_case(a),
-        Err(_) => f64_case(StzArchive::<f64>::from_bytes(bytes).map_err(|e| e.to_string())?),
+    if stz_core::archive::type_tag(&bytes) == Some(f64::TYPE_TAG) {
+        f64_case(StzArchive::from_bytes(bytes).map_err(|e| e.to_string())?)
+    } else {
+        f32_case(StzArchive::from_bytes(bytes).map_err(|e| e.to_string())?)
     }
 }
 
@@ -246,20 +238,28 @@ fn decompress(p: &Parsed) -> Result<(), String> {
     if backend.id() != stz_backend::id::STZ {
         return decompress_foreign(backend, input, &output);
     }
-    let pool = thread_pool(p.threads()?)?;
-    let serial = p.threads()? == 1;
+    let threads = p.threads()?;
+    let serial = threads == 1;
     with_archive(
         input,
         |a| {
-            let f = if serial { a.decompress() } else { pool.install(|| a.decompress_parallel()) }
-                .map_err(|e| e.to_string())?;
+            let f = if serial {
+                a.decompress()
+            } else {
+                pool::with_threads(threads, || a.decompress_parallel())
+            }
+            .map_err(|e| e.to_string())?;
             write_raw(&output, &f).map_err(|e| e.to_string())?;
             eprintln!("wrote {} ({} f32 values)", output.display(), f.len());
             Ok(())
         },
         |a| {
-            let f = if serial { a.decompress() } else { pool.install(|| a.decompress_parallel()) }
-                .map_err(|e| e.to_string())?;
+            let f = if serial {
+                a.decompress()
+            } else {
+                pool::with_threads(threads, || a.decompress_parallel())
+            }
+            .map_err(|e| e.to_string())?;
             write_raw(&output, &f).map_err(|e| e.to_string())?;
             eprintln!("wrote {} ({} f64 values)", output.display(), f.len());
             Ok(())
@@ -468,13 +468,8 @@ fn pack_foreign<T: BackendScalar>(
     threads: usize,
 ) -> Result<(), String> {
     let jobs = entry_jobs(inputs, p.optional("--name"))?;
-    // Foreign engines compress serially, so pack parallelism is purely
-    // entry-level: resolve the auto width (STZ_THREADS or all cores)
-    // without spawning a pool that would sit idle.
-    let entry_workers = match threads {
-        0 => rayon::current_num_threads(),
-        n => n,
-    };
+    // Foreign engines compress serially, so pack parallelism is entry-level.
+    let entry_workers = pool::with_threads(threads, pool::threads);
     let n = jobs.len();
     let compress_entry =
         |(name, input): (String, &Path)| -> stz_stream::Result<(String, stz_stream::PackEntry<T>)> {
@@ -531,12 +526,11 @@ fn pack_typed<T: Scalar>(
     threads: usize,
 ) -> Result<(), String> {
     let jobs = entry_jobs(inputs, name_override)?;
-    let pool = thread_pool(threads)?;
     // Entry-level parallelism: workers compress time steps serially while
     // the writer thread appends finished entries in order. A single entry
     // has no sibling entries to overlap with, so it parallelizes
     // *internally* over the pool instead.
-    let entry_workers = if threads == 1 { 1 } else { pool.current_num_threads() };
+    let entry_workers = pool::with_threads(threads, pool::threads);
     let single_entry = jobs.len() == 1;
     let compress_entry =
         |(name, input): (String, &Path)| -> stz_stream::Result<(String, stz_stream::PackEntry<T>)> {
@@ -544,7 +538,7 @@ fn pack_typed<T: Scalar>(
             let field: Field<T> = read_raw(input, dims)?;
             let compressor = StzCompressor::new(cfg);
             let archive = if entry_workers > 1 && single_entry {
-                pool.install(|| compressor.compress_parallel(&field))?
+                pool::with_threads(entry_workers, || compressor.compress_parallel(&field))?
             } else {
                 compressor.compress(&field)?
             };
@@ -620,14 +614,13 @@ fn append_typed<T: Scalar>(
 where
     EntryPayload: From<StzArchive<T>>,
 {
-    let pool = thread_pool(threads)?;
     let compressor = StzCompressor::new(cfg);
     for (name, input) in jobs {
         let field: Field<T> = read_raw(input, dims).map_err(|e| e.to_string())?;
         let archive = if threads == 1 {
             compressor.compress(&field)
         } else {
-            pool.install(|| compressor.compress_parallel(&field))
+            pool::with_threads(threads, || compressor.compress_parallel(&field))
         }
         .map_err(|e| e.to_string())?;
         eprintln!(
@@ -1489,5 +1482,37 @@ mod tests {
             "-1".into(),
         ]))
         .is_err());
+
+        // A corrupt f32 archive reports its own error, not an f64 retry's.
+        let d = dir("corrupt_f32");
+        let (raw, stz) = (d.join("in.f32"), d.join("in.stz"));
+        write_raw(&raw, &stz_data::synth::miranda_like(Dims::d3(16, 16, 16), 5)).unwrap();
+        run(&argv(&[
+            "compress".into(),
+            "-i".into(),
+            raw.display().to_string(),
+            "-o".into(),
+            stz.display().to_string(),
+            "-d".into(),
+            "16x16x16".into(),
+            "-t".into(),
+            "f32".into(),
+            "-e".into(),
+            "1e-3".into(),
+        ]))
+        .unwrap();
+        let mut bytes = std::fs::read(&stz).unwrap();
+        bytes[9] = 1; // nx: the level blocks no longer fit the geometry
+        std::fs::write(&stz, bytes).unwrap();
+        let (stz, out) = (stz.display().to_string(), d.join("out.f32").display().to_string());
+        for args in [
+            vec!["info".into(), "-i".into(), stz.clone()],
+            vec!["inspect".into(), "-i".into(), stz.clone()],
+            vec!["decompress".into(), "-i".into(), stz, "-o".into(), out],
+        ] {
+            let err = run(&argv(&args)).unwrap_err();
+            assert!(err.contains("level 2 has 7 blocks, geometry requires"), "{args:?}: {err}");
+        }
+        let _ = std::fs::remove_dir_all(&d);
     }
 }

@@ -122,6 +122,12 @@ pub(crate) fn build_bytes(
     w.finish()
 }
 
+/// The element type tag of archive `bytes` (the byte after the magic and
+/// the version), read without parsing the rest; `None` if it is cut short.
+pub fn type_tag(bytes: &[u8]) -> Option<u8> {
+    bytes.get(MAGIC.len() + 1).copied()
+}
+
 impl<T: Scalar> StzArchive<T> {
     /// Parse an archive from bytes, validating the header and cataloguing
     /// every sub-block stream.
@@ -239,7 +245,7 @@ impl<T: Scalar> StzArchive<T> {
         crate::compressor::decompress_impl::<T, Self>(self, self.header.levels, false)
     }
 
-    /// Full decompression using the rayon thread pool.
+    /// Full decompression on the [`crate::pool`] threads.
     pub fn decompress_parallel(&self) -> Result<Field<T>> {
         crate::compressor::decompress_impl::<T, Self>(self, self.header.levels, true)
     }

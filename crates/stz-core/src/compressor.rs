@@ -24,7 +24,7 @@
 //!
 //! Because finer-level points never depend on one another, both the blocks
 //! of a level and the points within a block are embarrassingly parallel; the
-//! `parallel` entry points run the same walk over slabs on the rayon pool —
+//! `parallel` entry points run the same walk over slabs on [`crate::pool`] —
 //! planes of the next grid, or rows or spans where it is thin — each slab
 //! assembling its share in place (an encoder's slabs stitch the chunks they
 //! share afterwards, in slab order), and produce **bit-identical archives
@@ -34,9 +34,9 @@ use crate::archive::{build_bytes, ArchiveHeader, StzArchive};
 use crate::config::StzConfig;
 use crate::kernels::{dense_taps, predict_point, RowStencils, StencilOffsets};
 use crate::level::{BlockSpec, LevelPlan, LevelSpec};
+use crate::pool;
 use crate::random_access::LevelTimes;
 use crate::source::SectionSource;
-use rayon::prelude::*;
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
@@ -70,7 +70,7 @@ impl StzCompressor {
         self.compress_impl(field, false)
     }
 
-    /// Compress using the rayon thread pool. Produces bytes identical to
+    /// Compress on the [`crate::pool`] threads. Produces bytes identical to
     /// [`StzCompressor::compress`].
     pub fn compress_parallel<T: Scalar>(&self, field: &Field<T>) -> Result<StzArchive<T>> {
         self.compress_impl(field, true)
@@ -741,12 +741,7 @@ impl<'a> LevelRows<'a> {
                 (s, b, mine)
             })
             .collect();
-        let run = |(s, b, out): (usize, Region, &mut [T])| slab(s, b, out);
-        if parallel {
-            parts.into_par_iter().map(run).collect()
-        } else {
-            parts.into_iter().map(run).collect()
-        }
+        pool::map(parts, |(s, b, out)| slab(s, b, out))
     }
 
     /// How the pool cuts `obox`: grid units per slab along each axis. The
@@ -757,7 +752,7 @@ impl<'a> LevelRows<'a> {
     /// or decoded by one slab. Across the axes outside it a slab is one unit,
     /// along those inside it all of `obox`.
     fn cut(&self, obox: &Region) -> [usize; 3] {
-        let threads = rayon::current_num_threads().max(1);
+        let threads = pool::threads();
         let (ext, c) = (extents(obox).as_array(), extents(&self.cbox).as_array());
         let mut axis = 0;
         let step = loop {

@@ -50,6 +50,7 @@ pub mod compressor;
 pub mod config;
 pub mod kernels;
 pub mod level;
+pub mod pool;
 pub mod progressive;
 pub mod random_access;
 pub mod roi;

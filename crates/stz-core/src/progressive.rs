@@ -31,7 +31,7 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
         ProgressiveDecoder { source, plan: source.plan(), grid: None, decoded: 0, parallel: false }
     }
 
-    /// Use the rayon thread pool for each refinement step.
+    /// Run each refinement step on the [`crate::pool`] threads.
     pub fn parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
         self

@@ -10,9 +10,9 @@
 //! * every connection shares the same open [`ContainerReader`]s, sound
 //!   because all container I/O is positioned (`pread`-style) reads with
 //!   no seek state ([`stz_stream::ByteSource`]);
-//! * decode work runs under the workspace thread pool
-//!   (`crates/shims/rayon`), so one busy request parallelizes across
-//!   cores while other connections keep being accepted;
+//! * decode work runs on the codec's thread pool (`stz_core::pool`), so
+//!   one busy request parallelizes across cores while other connections
+//!   keep being accepted;
 //! * responses pass through a byte-budgeted sharded LRU cache
 //!   ([`DecodedCache`]) keyed by container/entry/request-kind and stored
 //!   framed — a repeat request skips decompression, response encoding

@@ -4,10 +4,10 @@
 //! from then on all connections share the same open
 //! [`ContainerReader`]s, which is sound because every read is a
 //! positioned (`pread`-style) [`ByteSource`] access with no seek
-//! state. Each accepted connection runs on its own
-//! thread; decode work inside a connection runs under the shared
-//! rayon-shim pool, and every fetch response passes through the
-//! [`DecodedCache`] so repeated requests skip decompression entirely.
+//! state. Each accepted connection runs on its own thread; decode work
+//! inside a connection runs on `stz_core::pool` threads at the configured
+//! width, and every fetch response passes through the [`DecodedCache`] so
+//! repeated requests skip decompression entirely.
 //!
 //! A fetch response is produced exactly once: the miss path writes the
 //! `FETCH_OK` head and the little-endian scalars straight into one buffer
@@ -214,7 +214,8 @@ impl ServeMetrics {
 struct ServerState {
     containers: BTreeMap<String, Hosted>,
     cache: DecodedCache,
-    pool: rayon::ThreadPool,
+    /// Width of the pool a fetch decodes on (`0`: the default width).
+    threads: usize,
     requests: AtomicU64,
     active: AtomicUsize,
     max_conns: usize,
@@ -244,10 +245,6 @@ impl Server {
         log_debug!("stz-serve", "simd dispatch resolved"; "lane" => lane.name());
         let containers = scan_containers(&opts.root)?;
         let listener = TcpListener::bind(&opts.addr)?;
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(opts.threads)
-            .build()
-            .map_err(|e| ServeError::protocol(format!("cannot build thread pool: {e}")))?;
         let cache = DecodedCache::new(opts.cache_bytes);
         cache.register_metrics(stz_telemetry::global());
         Ok(Server {
@@ -255,7 +252,7 @@ impl Server {
             state: Arc::new(ServerState {
                 containers,
                 cache,
-                pool,
+                threads: opts.threads,
                 requests: AtomicU64::new(0),
                 active: AtomicUsize::new(0),
                 max_conns: opts.max_conns.max(1),
@@ -782,7 +779,7 @@ fn handle_fetch(
     let response = {
         let _decode = state.metrics.decode_ns.span();
         let _decode_span = trace::span("decode");
-        state.pool.install(|| match meta.type_tag() {
+        stz_core::pool::with_threads(state.threads, || match meta.type_tag() {
             0 => decode_block::<f32>(reader, index, &req.kind),
             _ => decode_block::<f64>(reader, index, &req.kind),
         })

@@ -1,7 +1,7 @@
 //! Zero-dependency observability for the STZ workspace.
 //!
 //! Three small, allocation-light facilities, shared by every layer from
-//! the rayon shim up to the archive server:
+//! the codec's thread pool up to the archive server:
 //!
 //! * **Metrics** — lock-free [`Counter`]s, [`Gauge`]s, and fixed-log-bucket
 //!   [`Histogram`]s (geometric buckets: factor-2 bounds from a

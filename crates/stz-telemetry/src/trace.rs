@@ -23,9 +23,9 @@
 //!   and span times are [`Instant`] offsets from the trace start.
 //!
 //! Context propagates two ways: **across threads** via
-//! [`current_context`] / [`install_context`] (the rayon-shim pool
-//! captures the caller's context and installs it in every worker, so
-//! spans recorded inside pool chunks parent correctly), and **across
+//! [`current_context`] / [`install_context`] (`stz_core::pool` captures
+//! the caller's context and installs it in every worker, so spans
+//! recorded inside pool items parent correctly), and **across
 //! processes** via the STZP trace-context extension (the client sends
 //! its trace id + root span id with a fetch; the server roots its span
 //! tree under them — see `docs/SERVER.md`).

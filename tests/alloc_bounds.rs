@@ -12,6 +12,7 @@
 //! One `#[test]` in a binary of its own: the high-water marks are global to
 //! the process, and a neighbouring test would allocate under them.
 
+use stz::core::pool::with_threads;
 use stz::prelude::*;
 use stz_fuzz::alloc_guard;
 
@@ -70,8 +71,8 @@ fn compress_allocates_no_finest_grid_and_decompress_only_its_output() {
         "compress held {held} B: level-2 grid + sinks + 2 x archive = {bound} B"
     );
     let threads = 4;
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-    let (pooled, _, held) = peaks_of(|| pool.install(|| compressor.compress_parallel(&field)));
+    let (pooled, _, held) =
+        peaks_of(|| with_threads(threads, || compressor.compress_parallel(&field)));
     let bound = bound + (threads - 1) * sinks;
     assert!(held <= bound, "compress_parallel held {held} B: {threads} workers' sinks = {bound} B");
     assert_eq!(archive.as_bytes(), pooled.unwrap().as_bytes());

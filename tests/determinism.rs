@@ -1,20 +1,17 @@
 //! Determinism suite for the multi-threaded compression runtime.
 //!
-//! The work-stealing pool (`crates/shims/rayon`) promises that parallel
-//! execution is **byte-identical** to sequential execution at every thread
-//! count: chunk boundaries depend only on input length and results are
-//! reassembled in input order. These tests pin that promise across the
-//! stack — archives, decompressions, progressive refinement, and pipelined
-//! containers — for both element types.
+//! The codec's pool (`stz_core::pool`) promises that parallel execution is
+//! **byte-identical** to sequential execution at every thread count: each
+//! slab is deterministic and results come back in slab order. These tests
+//! pin that promise across the stack — archives, decompressions,
+//! progressive refinement, and pipelined containers — for both element
+//! types.
 
+use stz::core::pool::with_threads;
 use stz::prelude::*;
 use stz::stream::pack_pipelined;
 
 const WIDTHS: [usize; 3] = [1, 2, 8];
-
-fn with_pool<R>(threads: usize, op: impl FnOnce() -> R) -> R {
-    rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(op)
-}
 
 fn f32_field(dims: Dims) -> Field<f32> {
     Field::from_fn(dims, |z, y, x| {
@@ -31,13 +28,13 @@ fn assert_archive_deterministic<T: Scalar>(field: &Field<T>, eb: f64) {
     let compressor = StzCompressor::new(StzConfig::three_level(eb));
     let serial = compressor.compress(field).unwrap();
     for threads in WIDTHS {
-        let parallel = with_pool(threads, || compressor.compress_parallel(field)).unwrap();
+        let parallel = with_threads(threads, || compressor.compress_parallel(field)).unwrap();
         assert_eq!(
             serial.as_bytes(),
             parallel.as_bytes(),
             "compress_parallel must be byte-identical to compress at {threads} thread(s)"
         );
-        let restored: Field<T> = with_pool(threads, || parallel.decompress_parallel()).unwrap();
+        let restored: Field<T> = with_threads(threads, || parallel.decompress_parallel()).unwrap();
         assert_eq!(
             restored,
             serial.decompress().unwrap(),
@@ -65,7 +62,7 @@ fn four_level_archives_byte_identical_across_thread_counts() {
     let compressor = StzCompressor::new(StzConfig::three_level(1e-2).with_levels(4));
     let serial = compressor.compress(&field).unwrap();
     for threads in WIDTHS {
-        let parallel = with_pool(threads, || compressor.compress_parallel(&field)).unwrap();
+        let parallel = with_threads(threads, || compressor.compress_parallel(&field)).unwrap();
         assert_eq!(serial.as_bytes(), parallel.as_bytes(), "{threads} thread(s)");
     }
 }
@@ -75,7 +72,7 @@ fn progressive_refinement_matches_serial_at_every_width() {
     let field = f32_field(Dims::d3(24, 24, 24));
     let archive = StzCompressor::new(StzConfig::three_level(1e-3)).compress(&field).unwrap();
     for threads in WIDTHS {
-        with_pool(threads, || {
+        with_threads(threads, || {
             let mut serial = archive.progressive();
             let mut parallel = archive.progressive().parallel(true);
             while let Some(expect) = serial.next_level().unwrap() {
@@ -423,7 +420,7 @@ fn assert_identities<T: Scalar>(field: &Field<T>, config: StzConfig, region: &Re
         });
     }
     for threads in WIDTHS {
-        with_pool(threads, || {
+        with_threads(threads, || {
             let parallel = compressor.compress_parallel(field).unwrap();
             assert_eq!(parallel.as_bytes(), archive.as_bytes(), "{dims} {threads} thread(s)");
             assert_eq!(archive.decompress_parallel().unwrap(), full, "{dims} {threads} thread(s)");
@@ -590,7 +587,7 @@ fn error_texts(archive: &StzArchive<f32>) -> Vec<String> {
     let dims = archive.dims();
     vec![
         text(archive.decompress()),
-        text(with_pool(2, || archive.decompress_parallel())),
+        text(with_threads(2, || archive.decompress_parallel())),
         text(archive.decompress_level(3)),
         progressive(false),
         progressive(true),
