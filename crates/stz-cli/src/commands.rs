@@ -1515,4 +1515,49 @@ mod tests {
         }
         let _ = std::fs::remove_dir_all(&d);
     }
+
+    #[test]
+    fn corrupt_f64_archive_reports_its_own_error() {
+        let d = dir("corrupt_f64");
+        let (raw, stz) = (d.join("in.f64"), d.join("in.stz"));
+        let field =
+            Field::from_fn(Dims::d3(16, 16, 16), |z, y, x| ((z * y + x) as f64 * 0.01).sin());
+        write_raw(&raw, &field).unwrap();
+        run(&argv(&[
+            "compress".into(),
+            "-i".into(),
+            raw.display().to_string(),
+            "-o".into(),
+            stz.display().to_string(),
+            "-d".into(),
+            "16x16x16".into(),
+            "-t".into(),
+            "f64".into(),
+            "-e".into(),
+            "1e-3".into(),
+        ]))
+        .unwrap();
+        let bytes = std::fs::read(&stz).unwrap();
+        let out = d.join("out.f64").display().to_string();
+        let verbs = |stz: &str| -> [Vec<String>; 3] {
+            [
+                vec!["info".into(), "-i".into(), stz.into()],
+                vec!["inspect".into(), "-i".into(), stz.into()],
+                vec!["decompress".into(), "-i".into(), stz.into(), "-o".into(), out.clone()],
+            ]
+        };
+        let mut corrupt = bytes.clone();
+        corrupt[9] = 1; // nx: the level blocks no longer fit the geometry
+        std::fs::write(&stz, corrupt).unwrap();
+        for args in verbs(&stz.display().to_string()) {
+            let err = run(&argv(&args)).unwrap_err();
+            assert!(err.contains("level 2 has 7 blocks, geometry requires"), "{args:?}: {err}");
+        }
+        // Cut before the type tag: no tag to dispatch on, still a clean error.
+        std::fs::write(&stz, &bytes[..5]).unwrap();
+        for args in verbs(&stz.display().to_string()) {
+            assert!(run(&argv(&args)).is_err(), "{args:?}");
+        }
+        let _ = std::fs::remove_dir_all(&d);
+    }
 }

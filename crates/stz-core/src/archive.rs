@@ -447,6 +447,19 @@ mod tests {
     }
 
     #[test]
+    fn type_tag_is_read_from_the_header_alone() {
+        for tag in [f32::TYPE_TAG, f64::TYPE_TAG] {
+            let h = ArchiveHeader { type_tag: tag, ..sample_header() };
+            let (l1, mut blocks) = sample_blocks(&h);
+            blocks[0].pop(); // the body no longer parses; the tag still reads
+            let bytes = build_bytes(&h, &l1, &blocks);
+            assert_eq!(type_tag(&bytes), Some(tag));
+            assert_eq!(type_tag(&bytes[..MAGIC.len() + 2]), Some(tag));
+            assert_eq!(type_tag(&bytes[..MAGIC.len() + 1]), None);
+        }
+    }
+
+    #[test]
     fn trailing_garbage_rejected() {
         let h = sample_header();
         let (l1, blocks) = sample_blocks(&h);

@@ -170,7 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_width_resolves_to_default() {
+    fn builder_zero_resolves_to_default() {
         assert_eq!(with_threads(0, threads), default_threads());
         assert_eq!(with_threads(3, || with_threads(0, threads)), default_threads());
         assert_eq!(with_threads(7, threads), 7);
@@ -219,6 +219,103 @@ mod tests {
         assert_eq!(payload.downcast_ref::<&str>().copied(), Some("boom from a worker"));
         assert!(!IN_WORKER.with(Cell::get), "the caller is no longer a worker");
         assert_eq!(with_threads(4, || map(vec![1, 2, 3], |x| x * 2)), [2, 4, 6]);
+    }
+
+    #[test]
+    fn short_and_serial_maps_stay_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let on_caller = |x: usize| (x, std::thread::current().id() == caller);
+        assert_eq!(with_threads(8, || map(vec![7], on_caller)), [(7, true)]);
+        assert!(with_threads(8, || map(Vec::new(), on_caller)).is_empty());
+        let serial = with_threads(1, || map((0..16).collect(), on_caller));
+        assert!(serial.iter().all(|&(_, here)| here), "a width of 1 spawns nothing");
+    }
+
+    #[test]
+    fn every_item_runs_once_at_every_length() {
+        for width in 1..=5 {
+            for n in 0..=12 {
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let out = with_threads(width, || {
+                    map((0..n).collect(), |i: usize| {
+                        runs[i].fetch_add(1, Ordering::Relaxed);
+                        i
+                    })
+                });
+                assert_eq!(out, (0..n).collect::<Vec<_>>(), "width {width}, {n} items");
+                let once = runs.iter().all(|r| r.load(Ordering::Relaxed) == 1);
+                assert!(once, "width {width}, {n} items: an item ran twice or not at all");
+            }
+        }
+    }
+
+    #[test]
+    fn no_more_threads_than_items_and_the_caller_is_one() {
+        let caller = std::thread::current().id();
+        // Each of three items waits for the other two, so three threads run
+        // them at a width of 8.
+        let all_running = Barrier::new(3);
+        let ids = with_threads(8, || {
+            map((0..3).collect(), |_: usize| {
+                all_running.wait();
+                std::thread::current().id()
+            })
+        });
+        let ids: HashSet<_> = ids.into_iter().collect();
+        assert_eq!(ids.len(), 3);
+        assert!(ids.contains(&caller), "the caller is the last worker");
+        let ids =
+            with_threads(2, || map((0..64).collect(), |_: usize| std::thread::current().id()));
+        assert!(ids.into_iter().collect::<HashSet<_>>().len() <= 2);
+    }
+
+    #[test]
+    fn a_panic_drops_every_item_and_result_once() {
+        struct Counted<'a>(&'a AtomicUsize);
+        impl Drop for Counted<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let (items, results, ran) = (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            with_threads(4, || {
+                map((0..64).map(|_| Counted(&items)).collect(), |item| {
+                    if ran.fetch_add(1, Ordering::SeqCst) == 10 {
+                        panic!("the eleventh item");
+                    }
+                    drop(item);
+                    Counted(&results)
+                })
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(items.load(Ordering::SeqCst), 64, "claimed or not, every item is dropped");
+        let finished = ran.load(Ordering::SeqCst) - 1;
+        assert_eq!(results.load(Ordering::SeqCst), finished, "every finished result is dropped");
+    }
+
+    #[test]
+    fn workers_open_their_spans_under_the_callers_span() {
+        let collector = Box::leak(Box::new(trace::TraceCollector::new(true)));
+        let (trace_id, caller) = {
+            let root = collector.start("test", "request", None);
+            let span = trace::span("caller");
+            let caller = trace::current_context().unwrap().span_id();
+            with_threads(4, || map((0..3).collect(), |_: usize| drop(trace::span("item"))));
+            drop(span);
+            (root.trace_id().unwrap(), caller)
+        };
+        let t = collector.snapshot().into_iter().find(|t| t.trace_id == trace_id).unwrap();
+        let named = |name: &'static str| t.spans.iter().filter(move |s| s.name == name);
+        assert_eq!(named("item").count(), 3);
+        assert!(named("item").all(|s| s.parent == caller), "an item's span left the trace");
+        let mut workers: Vec<&str> = named("queue_wait")
+            .inspect(|s| assert_eq!(s.parent, caller))
+            .map(|s| s.attrs[0].1.as_str())
+            .collect();
+        workers.sort_unstable();
+        assert_eq!(workers, ["0", "1"], "one queue_wait per spawned worker");
     }
 
     #[test]
