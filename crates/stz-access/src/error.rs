@@ -106,6 +106,7 @@ impl From<CodecError> for AccessError {
     fn from(e: CodecError) -> Self {
         match e {
             CodecError::Unsupported(msg) => AccessError::Unsupported(msg),
+            CodecError::Io { kind, message } => AccessError::Io(io::Error::new(kind, message)),
             other => AccessError::Corrupt(other.to_string()),
         }
     }

@@ -7,6 +7,7 @@ use crate::{resolve_sel, validate_fetch, Entry, EntrySel, Fetch, FetchedField, P
 use std::path::Path;
 use std::sync::Arc;
 use stz_backend::BackendScalar;
+use stz_core::pool;
 use stz_stream::{ByteSource, ContainerReader, FileSource};
 
 /// The out-of-core [`Store`]: wraps a [`ContainerReader`] over any
@@ -89,7 +90,10 @@ impl<S: ByteSource + 'static> FileEntry<S> {
             Fetch::Full => entry.decompress()?,
             Fetch::Level(k) => entry.decompress_level(*k)?,
             Fetch::Region(region) => entry.decompress_region(region)?,
-            Fetch::Progressive(k) => entry.progressive()?.decode_to(*k)?,
+            Fetch::Progressive(k) => {
+                let steps = entry.progressive()?;
+                pool::with_threads(1, || steps.decode_to(*k))?
+            }
             Fetch::RawSection(_) => {
                 return Ok(FetchedField {
                     fetch: fetch.clone(),

@@ -6,7 +6,7 @@ use crate::{resolve_sel, validate_fetch, Entry, EntrySel, Fetch, FetchedField, P
 use std::sync::Arc;
 use stz_backend::BackendScalar;
 use stz_core::archive::type_tag;
-use stz_core::StzArchive;
+use stz_core::{pool, StzArchive};
 use stz_field::{Field, Scalar};
 use stz_stream::ForeignArchive;
 
@@ -251,7 +251,9 @@ impl MemEntry {
             Fetch::Full => done(&archive.decompress()?),
             Fetch::Level(k) => done(&archive.decompress_level(*k)?),
             Fetch::Region(region) => done(&archive.decompress_region(region)?),
-            Fetch::Progressive(k) => done(&archive.progressive().decode_to(*k)?),
+            Fetch::Progressive(k) => {
+                done(&pool::with_threads(1, || archive.progressive().decode_to(*k))?)
+            }
             Fetch::RawSection(_) => Ok(FetchedField {
                 fetch: fetch.clone(),
                 dims: self.desc.dims,

@@ -188,12 +188,8 @@ fn compress_typed<T: Scalar>(
 ) -> Result<(), String> {
     let field: Field<T> = read_raw(input, dims).map_err(|e| e.to_string())?;
     let compressor = StzCompressor::new(cfg);
-    let archive = if threads == 1 {
-        compressor.compress(&field)
-    } else {
-        pool::with_threads(threads, || compressor.compress_parallel(&field))
-    }
-    .map_err(|e| e.to_string())?;
+    let archive = pool::with_threads(threads, || compressor.compress_parallel(&field))
+        .map_err(|e| e.to_string())?;
     let cr = archive.compression_ratio();
     let len = archive.compressed_len();
     std::fs::write(output, archive.into_bytes()).map_err(|e| e.to_string())?;
@@ -239,27 +235,18 @@ fn decompress(p: &Parsed) -> Result<(), String> {
         return decompress_foreign(backend, input, &output);
     }
     let threads = p.threads()?;
-    let serial = threads == 1;
     with_archive(
         input,
         |a| {
-            let f = if serial {
-                a.decompress()
-            } else {
-                pool::with_threads(threads, || a.decompress_parallel())
-            }
-            .map_err(|e| e.to_string())?;
+            let f = pool::with_threads(threads, || a.decompress_parallel())
+                .map_err(|e| e.to_string())?;
             write_raw(&output, &f).map_err(|e| e.to_string())?;
             eprintln!("wrote {} ({} f32 values)", output.display(), f.len());
             Ok(())
         },
         |a| {
-            let f = if serial {
-                a.decompress()
-            } else {
-                pool::with_threads(threads, || a.decompress_parallel())
-            }
-            .map_err(|e| e.to_string())?;
+            let f = pool::with_threads(threads, || a.decompress_parallel())
+                .map_err(|e| e.to_string())?;
             write_raw(&output, &f).map_err(|e| e.to_string())?;
             eprintln!("wrote {} ({} f64 values)", output.display(), f.len());
             Ok(())
@@ -531,17 +518,13 @@ fn pack_typed<T: Scalar>(
     // has no sibling entries to overlap with, so it parallelizes
     // *internally* over the pool instead.
     let entry_workers = pool::with_threads(threads, pool::threads);
-    let single_entry = jobs.len() == 1;
+    let width = if jobs.len() == 1 { entry_workers } else { 1 };
     let compress_entry =
         |(name, input): (String, &Path)| -> stz_stream::Result<(String, stz_stream::PackEntry<T>)> {
             // An unreadable input is an I/O failure, not stream corruption.
             let field: Field<T> = read_raw(input, dims)?;
             let compressor = StzCompressor::new(cfg);
-            let archive = if entry_workers > 1 && single_entry {
-                pool::with_threads(entry_workers, || compressor.compress_parallel(&field))?
-            } else {
-                compressor.compress(&field)?
-            };
+            let archive = pool::with_threads(width, || compressor.compress_parallel(&field))?;
             // Runs on a worker thread, so lines may interleave out of entry
             // order; say "compressed", which is true at this point — whether
             // every entry reached the container is confirmed by the final
@@ -617,12 +600,8 @@ where
     let compressor = StzCompressor::new(cfg);
     for (name, input) in jobs {
         let field: Field<T> = read_raw(input, dims).map_err(|e| e.to_string())?;
-        let archive = if threads == 1 {
-            compressor.compress(&field)
-        } else {
-            pool::with_threads(threads, || compressor.compress_parallel(&field))
-        }
-        .map_err(|e| e.to_string())?;
+        let archive = pool::with_threads(threads, || compressor.compress_parallel(&field))
+            .map_err(|e| e.to_string())?;
         eprintln!(
             "compressed {} as {name:?} ({} bytes, CR {:.1}x)",
             input.display(),

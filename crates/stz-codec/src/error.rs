@@ -19,6 +19,9 @@ pub enum CodecError {
     /// The input encodes a feature this build does not support (e.g. an
     /// unknown format version or element type).
     Unsupported(String),
+    /// Reading the input failed: an out-of-core source's I/O error, carried
+    /// across the decoder so its caller can tell it from bad bytes.
+    Io { kind: std::io::ErrorKind, message: String },
 }
 
 impl CodecError {
@@ -39,6 +42,7 @@ impl fmt::Display for CodecError {
             }
             CodecError::Corrupt(msg) => write!(f, "corrupt stream: {msg}"),
             CodecError::Unsupported(msg) => write!(f, "unsupported stream: {msg}"),
+            CodecError::Io { message, .. } => write!(f, "I/O error: {message}"),
         }
     }
 }

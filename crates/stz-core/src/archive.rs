@@ -21,6 +21,9 @@
 
 use crate::config::StzConfig;
 use crate::level::LevelPlan;
+use crate::pool;
+use crate::progressive::ProgressiveDecoder;
+use crate::random_access::AccessBreakdown;
 use std::marker::PhantomData;
 use std::ops::Range;
 use stz_codec::{ByteReader, ByteWriter, CodecError, Result};
@@ -69,10 +72,9 @@ impl ArchiveHeader {
 /// A compressed STZ archive, typed by the element type of the field it
 /// encodes.
 ///
-/// The archive owns its bytes and a parsed table of contents; all
-/// decompression entry points live here (implemented across
-/// [`crate::compressor`], [`crate::progressive`] and
-/// [`crate::random_access`]).
+/// The archive owns its bytes and a parsed table of contents; every
+/// decompression entry point here walks a [`ProgressiveDecoder`]. The pool's
+/// width decides how many threads a walk uses, and the serial methods pin 1.
 #[derive(Debug, Clone)]
 pub struct StzArchive<T: Scalar> {
     bytes: Vec<u8>,
@@ -240,39 +242,40 @@ impl<T: Scalar> StzArchive<T> {
         total
     }
 
-    /// Full decompression (serial). See [`crate::compressor`].
+    /// Full decompression at width 1: [`StzArchive::decompress_parallel`]
+    /// on the calling thread alone.
     pub fn decompress(&self) -> Result<Field<T>> {
-        crate::compressor::decompress_impl::<T, Self>(self, self.header.levels, false)
+        pool::with_threads(1, || self.decompress_parallel())
     }
 
     /// Full decompression on the [`crate::pool`] threads.
     pub fn decompress_parallel(&self) -> Result<Field<T>> {
-        crate::compressor::decompress_impl::<T, Self>(self, self.header.levels, true)
+        self.progressive().decode_to(self.header.levels)
     }
 
     /// Progressive decompression to hierarchy level `k` (1 = coarsest): the
-    /// stride-`2^(levels-k)` preview of the field.
+    /// stride-`2^(levels-k)` preview of the field, at width 1.
     pub fn decompress_level(&self, k: u8) -> Result<Field<T>> {
-        crate::compressor::decompress_impl::<T, Self>(self, k, false)
+        pool::with_threads(1, || self.progressive().decode_to(k))
     }
 
-    /// Incremental progressive decoder.
-    pub fn progressive(&self) -> crate::progressive::ProgressiveDecoder<'_, T> {
-        crate::progressive::ProgressiveDecoder::new(self)
+    /// Incremental progressive decoder; its steps run at the pool's width.
+    pub fn progressive(&self) -> ProgressiveDecoder<'_, T> {
+        ProgressiveDecoder::new(self)
     }
 
-    /// Random-access decompression of `region` at full resolution.
+    /// Random-access decompression of `region` at full resolution, at width 1.
     pub fn decompress_region(&self, region: &Region) -> Result<Field<T>> {
-        crate::random_access::decompress_region::<T, Self>(self, region).map(|(f, _)| f)
+        self.decompress_region_with_breakdown(region).map(|(f, _)| f)
     }
 
     /// Random-access decompression with the per-stage time breakdown of the
-    /// paper's Table 4.
+    /// paper's Table 4, at width 1.
     pub fn decompress_region_with_breakdown(
         &self,
         region: &Region,
-    ) -> Result<(Field<T>, crate::random_access::AccessBreakdown)> {
-        crate::random_access::decompress_region::<T, Self>(self, region)
+    ) -> Result<(Field<T>, AccessBreakdown)> {
+        pool::with_threads(1, || crate::random_access::decompress_region(self, region))
     }
 }
 

@@ -1,4 +1,4 @@
-//! STZ compression and full/progressive decompression drivers.
+//! STZ compression, and the level decode [`crate::progressive`] steps.
 //!
 //! Compression proceeds level by level on *working grids* — successively
 //! finer coarsenings of the original grid (see [`crate::level`]), held in
@@ -23,12 +23,13 @@
 //! encode it does not exist, because nothing predicts from it.
 //!
 //! Because finer-level points never depend on one another, both the blocks
-//! of a level and the points within a block are embarrassingly parallel; the
-//! `parallel` entry points run the same walk over slabs on [`crate::pool`] —
-//! planes of the next grid, or rows or spans where it is thin — each slab
-//! assembling its share in place (an encoder's slabs stitch the chunks they
-//! share afterwards, in slab order), and produce **bit-identical archives
-//! and fields** to the serial path.
+//! of a level and the points within a block are embarrassingly parallel:
+//! every walk runs over slabs on [`crate::pool`] — planes of the next grid,
+//! or rows or spans where it is thin — each slab assembling its share in
+//! place (an encoder's slabs stitch the chunks they share afterwards, in slab
+//! order). The pool's width decides how many; at width 1 the box is one slab,
+//! which is what the serial entry points pin. Archives and fields are
+//! **bit-identical** at every width.
 
 use crate::archive::{build_bytes, ArchiveHeader, StzArchive};
 use crate::config::StzConfig;
@@ -65,18 +66,14 @@ impl StzCompressor {
         &self.config
     }
 
-    /// Compress serially.
+    /// Compress serially: [`StzCompressor::compress_parallel`] at width 1.
     pub fn compress<T: Scalar>(&self, field: &Field<T>) -> Result<StzArchive<T>> {
-        self.compress_impl(field, false)
+        pool::with_threads(1, || self.compress_parallel(field))
     }
 
     /// Compress on the [`crate::pool`] threads. Produces bytes identical to
     /// [`StzCompressor::compress`].
     pub fn compress_parallel<T: Scalar>(&self, field: &Field<T>) -> Result<StzArchive<T>> {
-        self.compress_impl(field, true)
-    }
-
-    fn compress_impl<T: Scalar>(&self, field: &Field<T>, parallel: bool) -> Result<StzArchive<T>> {
         let cfg = &self.config;
         // Classify bad configurations up front (typed `ConfigError`) —
         // before the level planner or the quantizer can assert on them.
@@ -121,8 +118,7 @@ impl StzCompressor {
             let rows =
                 LevelRows::new(level, &Region::full(level.prev_grid_dims), &quant, cfg.interp);
             let keeps = level.index < cfg.levels;
-            let (streams, next) =
-                rows.encode(field, &grid, keeps, parallel, (&quantize_ns, &encode_ns))?;
+            let (streams, next) = rows.encode(field, &grid, keeps, (&quantize_ns, &encode_ns))?;
             level_blocks.push(streams);
             grid = next;
         }
@@ -674,12 +670,11 @@ impl<'a> LevelRows<'a> {
         field: &Field<T>,
         prev: &[T],
         keeps: bool,
-        parallel: bool,
         (quantize_ns, encode_ns): (&Arc<Histogram>, &Arc<Histogram>),
     ) -> Result<(Vec<Vec<u8>>, Vec<T>)> {
         let obox = Region::full(self.level.grid_dims);
         let mut grid = vec![T::default(); if keeps { obox.len() } else { 0 }];
-        let parts = self.slabs(parallel, &obox, &mut grid, |_, slab, out| {
+        let parts = self.slabs(&obox, &mut grid, |_, slab, out| {
             let _stage = quantize_ns.span();
             let mut sinks: Slots<ChunkSink<'_, T>> = std::array::from_fn(|k| {
                 Some(ChunkSink::new(self.blocks[k].as_ref()?.block.lattice.len(), encode_ns))
@@ -712,18 +707,17 @@ impl<'a> LevelRows<'a> {
 
     /// Run `slab(s, box, out)` on each slab of `obox` — the `s`-th, its box,
     /// and its share of `out` (nothing, where `out` is empty) — and return
-    /// what each returns, in slab order. Serially the box is one slab; on the
-    /// pool it is cut as [`LevelRows::cut`] says and the slabs run side by
-    /// side. Every slab is contiguous in `obox`'s order.
+    /// what each returns, in slab order. The box is cut as [`LevelRows::cut`]
+    /// says and the slabs run side by side on the pool. Every slab is
+    /// contiguous in `obox`'s order.
     fn slabs<T: Send, R: Send>(
         &self,
-        parallel: bool,
         obox: &Region,
         out: &mut [T],
         slab: impl Fn(usize, Region, &mut [T]) -> R + Sync,
     ) -> Vec<R> {
         let (lo, hi) = ([obox.z0, obox.y0, obox.x0], [obox.z1, obox.y1, obox.x1]);
-        let steps = if parallel { self.cut(obox) } else { extents(obox).as_array() };
+        let steps = self.cut(obox);
         let span =
             |a: usize| (lo[a]..hi[a]).step_by(steps[a]).map(move |i| (i, hi[a].min(i + steps[a])));
         let boxes = span(0).flat_map(|(z0, z1)| {
@@ -744,16 +738,19 @@ impl<'a> LevelRows<'a> {
         pool::map(parts, |(s, b, out)| slab(s, b, out))
     }
 
-    /// How the pool cuts `obox`: grid units per slab along each axis. The
-    /// cut axis is the outermost of planes, rows and points that gives a slab
-    /// per thread, or past which slabs would be smaller than a chunk; along
-    /// it a slab is a few per thread and no fewer units than a Huffman chunk
-    /// of any block spans, so that where chunks are whole units each is coded
-    /// or decoded by one slab. Across the axes outside it a slab is one unit,
-    /// along those inside it all of `obox`.
+    /// How the pool cuts `obox`: grid units per slab along each axis; one
+    /// slab at width 1. Else the cut axis is the outermost of planes, rows
+    /// and points that gives a slab per thread, or past which slabs would be
+    /// smaller than a chunk; along it a slab is a few per thread and no fewer
+    /// units than a Huffman chunk of any block spans, so that where chunks
+    /// are whole units each is coded or decoded by one slab. Across the axes
+    /// outside it a slab is one unit, along those inside it all of `obox`.
     fn cut(&self, obox: &Region) -> [usize; 3] {
-        let threads = pool::threads();
-        let (ext, c) = (extents(obox).as_array(), extents(&self.cbox).as_array());
+        let (threads, ext) = (pool::threads(), extents(obox).as_array());
+        if threads == 1 {
+            return ext;
+        }
+        let c = extents(&self.cbox).as_array();
         let mut axis = 0;
         let step = loop {
             let chunk = (self.blocks.iter().flatten())
@@ -882,36 +879,6 @@ impl<'a, T: Scalar> ChunkWindow<'a, T> {
     }
 }
 
-/// Decompress levels `1..=upto` of an archive, returning the corresponding
-/// preview field (`upto == levels` gives the full-resolution field): the
-/// working grid of level `upto`, as it is.
-///
-/// Generic over [`SectionSource`], so the same driver serves resident
-/// archives and out-of-core containers; only levels `1..=upto` are fetched.
-pub(crate) fn decompress_impl<T: Scalar, S: SectionSource + ?Sized>(
-    source: &S,
-    upto: u8,
-    parallel: bool,
-) -> Result<Field<T>> {
-    if !(1..=source.num_levels()).contains(&upto) {
-        return Err(CodecError::corrupt(format!(
-            "requested level {upto} of a {}-level archive",
-            source.num_levels()
-        )));
-    }
-    let plan = source.plan();
-    let mut grid = {
-        let _stage = stz_telemetry::trace::span("level1");
-        decode_level1::<T, S>(source, &plan)?
-    };
-    for level in &plan.levels[1..upto as usize] {
-        let mut stage = stz_telemetry::trace::span("level_decode");
-        stage.attr("level", level.index);
-        grid = decode_level_grid::<T, S>(source, &plan, level.index, &grid, parallel)?;
-    }
-    Ok(grid)
-}
-
 /// Decode level 1 (the SZ3 stream): it is its own working grid.
 ///
 /// Also the element-type gate for every decode path: a source whose header
@@ -920,7 +887,7 @@ pub(crate) fn decompress_impl<T: Scalar, S: SectionSource + ?Sized>(
 pub(crate) fn decode_level1<T: Scalar, S: SectionSource + ?Sized>(
     source: &S,
     plan: &LevelPlan,
-) -> Result<Field<T>> {
+) -> Result<Vec<T>> {
     if source.header().type_tag != T::TYPE_TAG {
         return Err(CodecError::corrupt(format!(
             "archive element type tag {} does not match requested type",
@@ -936,29 +903,15 @@ pub(crate) fn decode_level1<T: Scalar, S: SectionSource + ?Sized>(
             a.dims()
         )));
     }
-    Ok(Field::from_vec(expect, a.into_vec()))
-}
-
-/// Decode one finer level whole, given the previous level's working grid.
-pub(crate) fn decode_level_grid<T: Scalar, S: SectionSource + ?Sized>(
-    source: &S,
-    plan: &LevelPlan,
-    level_index: u8,
-    prev: &Field<T>,
-    parallel: bool,
-) -> Result<Field<T>> {
-    let level = &plan.levels[level_index as usize - 1];
-    let (cbox, obox) = (Region::full(prev.dims()), Region::full(level.grid_dims));
-    let (grid, _) = decode_box(source, level, prev.as_slice(), &cbox, &obox, parallel)?;
-    Ok(Field::from_vec(level.grid_dims, grid))
+    Ok(a.into_vec())
 }
 
 /// Decode `obox`, a box of `level`'s grid — all of it, or a region's share
 /// — from `prev`, the box `cbox` of the previous level's grid. The blocks a
 /// row of the box falls in are fetched and parsed, then the box is assembled
-/// with a [`ChunkWindow`] on each: one walk over the whole box on the calling
-/// thread, or on the pool one walk per z-slab, side by side, straight into
-/// place. Returns the box and the level's stage timings.
+/// with a [`ChunkWindow`] on each, one walk per slab of the pool's cut, side
+/// by side, straight into place. Returns the box and the level's stage
+/// timings.
 ///
 /// A walk meets the blocks' errors plane by plane. On any failure the level
 /// is read again block by block ([`first_error`]), and the error returned is
@@ -969,7 +922,6 @@ pub(crate) fn decode_box<T: Scalar, S: SectionSource + ?Sized>(
     prev: &[T],
     cbox: &Region,
     obox: &Region,
-    parallel: bool,
 ) -> Result<(Vec<T>, LevelTimes)> {
     let quant = LinearQuantizer::new(
         source.header().level_ebs()[level.index as usize - 1],
@@ -988,7 +940,7 @@ pub(crate) fn decode_box<T: Scalar, S: SectionSource + ?Sized>(
 
     let t = Instant::now();
     let fill = |streams: &Slots<BlockStream<'_, T>>| {
-        let done = rows.slabs(parallel, obox, &mut out, |s, slab, out| -> Result<(usize, f64)> {
+        let done = rows.slabs(obox, &mut out, |s, slab, out| -> Result<(usize, f64)> {
             let mut span = stz_telemetry::trace::span("reconstruct");
             span.attr("slab", s);
             let mut windows: Slots<ChunkWindow<'_, T>> =
@@ -1164,6 +1116,30 @@ mod tests {
         let a = archive.decompress().unwrap();
         let b = archive.decompress_parallel().unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn width_one_is_one_slab() {
+        // Level-3 blocks of 64^3 points span four Huffman chunks, so any
+        // wider cut gives the finest level several slabs.
+        let f = wavy(Dims::d3(128, 128, 128));
+        let c = StzCompressor::new(StzConfig::three_level(1e-3));
+        let archive = c.compress(&f).unwrap();
+        let one = pool::with_threads(1, || c.compress_parallel(&f)).unwrap();
+        assert_eq!(one.as_bytes(), archive.as_bytes());
+        let collector = Box::leak(Box::new(stz_telemetry::trace::TraceCollector::new(true)));
+        let trace_id = {
+            let root = collector.start("test", "request", None);
+            pool::with_threads(1, || archive.decompress_parallel()).unwrap();
+            root.trace_id().unwrap()
+        };
+        let t = collector.snapshot().into_iter().find(|t| t.trace_id == trace_id).unwrap();
+        let named = |name: &'static str| t.spans.iter().filter(move |s| s.name == name);
+        assert_eq!(named("level_decode").count(), 2);
+        for level in named("level_decode") {
+            let slabs = named("reconstruct").filter(|s| s.parent == level.id).count();
+            assert_eq!(slabs, 1, "level {:?} at width 1", level.attrs);
+        }
     }
 
     #[test]

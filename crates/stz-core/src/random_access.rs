@@ -12,22 +12,21 @@
 //!    A 3-D box intersects every sub-block but few of their chunks: a cube
 //!    of 1/64 of a 256³ volume decodes 30% of them.
 //! 3. **Predict** — each level's working grid is only the box of the
-//!    dilated ROI, assembled by the serial walk of the full decode
-//!    (`compressor::decode_box`) from the box before it: cost and memory
-//!    proportional to the ROI, not the dataset (the paper's ≈98.4%
+//!    dilated ROI, assembled by the full decode's walk
+//!    ([`ProgressiveDecoder`] over boxes) from the box before it: cost and
+//!    memory proportional to the ROI, not the dataset (the paper's ≈98.4%
 //!    prediction saving), the last box is the answer, and the ROI is a crop
 //!    of the full decode by construction.
 //!
 //! Every stage is timed separately so the benchmark harness can regenerate
 //! Table 4's breakdown, and opens the trace spans of the full decode.
 
-use crate::compressor::{decode_box, decode_level1};
 use crate::level::LevelPlan;
+use crate::progressive::ProgressiveDecoder;
 use crate::source::SectionSource;
 use std::time::Instant;
-use stz_codec::{CodecError, Result};
+use stz_codec::Result;
 use stz_field::{Field, Region, Scalar};
-use stz_telemetry::trace;
 
 /// Per-stage wall-clock breakdown of one random-access decompression,
 /// mirroring the columns of the paper's Table 4.
@@ -108,50 +107,20 @@ pub(crate) fn needed_regions(plan: &LevelPlan, region: &Region) -> Vec<Region> {
     needed
 }
 
-/// Random-access decompression of `region` with stage timings.
+/// Random-access decoding of `region` with stage timings, at the pool's width.
 ///
 /// Generic over [`SectionSource`]: only the level-1 stream and the
 /// sub-blocks whose lattice intersects the stencil-dilated region are
 /// fetched, so an out-of-core source reads a fraction of the archive.
-pub(crate) fn decompress_region<T: Scalar, S: SectionSource + ?Sized>(
+pub fn decompress_region<T: Scalar, S: SectionSource + ?Sized>(
     source: &S,
     region: &Region,
 ) -> Result<(Field<T>, AccessBreakdown)> {
-    let dims = source.header().dims;
-    if !region.fits_in(dims) {
-        return Err(CodecError::corrupt(format!("region {region:?} outside grid {dims}")));
-    }
     let start = Instant::now();
-    let plan = source.plan();
-    let needed = needed_regions(&plan, region);
-    let mut breakdown = AccessBreakdown::default();
-
-    // Level 1: always decoded in full, so its box is the whole grid.
-    let t = Instant::now();
-    let level1 = {
-        let _stage = trace::span("level1");
-        decode_level1::<T, S>(source, &plan)?
-    };
-    breakdown.l1_sz3 = t.elapsed().as_secs_f64();
-
-    // Every finer level: the box of `needed` its successor's stencils reach,
-    // assembled from the box before it. The last box is the region.
-    let (mut grid, mut cbox) = (level1.into_vec(), Region::full(plan.levels[0].grid_dims));
-    for (level, obox) in plan.levels[1..].iter().zip(&needed[1..]) {
-        let mut stage = trace::span("level_decode");
-        stage.attr("level", level.index);
-        let (next, times) = decode_box(source, level, &grid, &cbox, obox, false)?;
-        breakdown.levels.push(times);
-        (grid, cbox) = (next, obox.clone());
-    }
-
-    let t = Instant::now();
-    let out = Field::from_vec(region.dims(dims.ndim()), grid);
-    if let Some(last) = breakdown.levels.last_mut() {
-        last.reconstruct += t.elapsed().as_secs_f64();
-    }
+    let (field, mut breakdown) =
+        ProgressiveDecoder::region(source, region)?.finish(source.num_levels())?;
     breakdown.total = start.elapsed().as_secs_f64();
-    Ok((out, breakdown))
+    Ok((field, breakdown))
 }
 
 #[cfg(test)]

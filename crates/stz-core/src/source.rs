@@ -10,17 +10,16 @@
 //! [`StzArchive`] implements the trait by borrowing slices of its resident
 //! buffer; the `stz-stream` crate implements it with positioned reads
 //! against an on-disk container, fetching **only** the byte ranges a query
-//! touches. Because the random-access and progressive drivers already skip
+//! touches. Because the decode driver ([`crate::progressive`]) already skips
 //! sub-blocks that a query does not need, an out-of-core source
 //! automatically inherits the paper's I/O savings: the bytes never leave the
 //! disk.
 
 use crate::archive::{ArchiveHeader, StzArchive};
 use crate::level::LevelPlan;
-use crate::random_access::AccessBreakdown;
 use std::borrow::Cow;
 use stz_codec::Result;
-use stz_field::{Field, Region, Scalar};
+use stz_field::Scalar;
 
 /// Provider of the sections of one STZ archive.
 ///
@@ -73,39 +72,13 @@ impl<T: Scalar> SectionSource for StzArchive<T> {
     }
 }
 
-/// Full decompression from any source.
-pub fn decompress<T: Scalar, S: SectionSource + ?Sized>(
-    source: &S,
-    parallel: bool,
-) -> Result<Field<T>> {
-    crate::compressor::decompress_impl::<T, S>(source, source.num_levels(), parallel)
-}
-
-/// Progressive decompression to hierarchy level `k` (1 = coarsest): the
-/// stride-`2^(levels-k)` preview of the field, reading only levels `1..=k`.
-pub fn decompress_level<T: Scalar, S: SectionSource + ?Sized>(
-    source: &S,
-    k: u8,
-) -> Result<Field<T>> {
-    crate::compressor::decompress_impl::<T, S>(source, k, false)
-}
-
-/// Random-access decompression of `region` at full resolution, reading only
-/// the level-1 stream plus the sub-blocks whose lattice intersects the
-/// (stencil-dilated) region.
-pub fn decompress_region<T: Scalar, S: SectionSource + ?Sized>(
-    source: &S,
-    region: &Region,
-) -> Result<(Field<T>, AccessBreakdown)> {
-    crate::random_access::decompress_region::<T, S>(source, region)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{StzCompressor, StzConfig};
+    use crate::random_access::decompress_region;
+    use crate::{ProgressiveDecoder, StzCompressor, StzConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use stz_field::Dims;
+    use stz_field::{Dims, Field, Region};
 
     fn sample() -> (Field<f32>, StzArchive<f32>) {
         let f = Field::from_fn(Dims::d3(20, 20, 20), |z, y, x| {
@@ -139,12 +112,16 @@ mod tests {
         }
     }
 
+    fn decode_to(src: &CountingSource<'_>, k: u8) -> Field<f32> {
+        ProgressiveDecoder::new(src).decode_to(k).unwrap()
+    }
+
     #[test]
     fn generic_paths_match_archive_methods() {
         let (_, a) = sample();
         let src = CountingSource { inner: &a, fetches: AtomicUsize::new(0) };
-        assert_eq!(decompress::<f32, _>(&src, false).unwrap(), a.decompress().unwrap());
-        assert_eq!(decompress_level::<f32, _>(&src, 1).unwrap(), a.decompress_level(1).unwrap());
+        assert_eq!(decode_to(&src, 3), a.decompress().unwrap());
+        assert_eq!(decode_to(&src, 1), a.decompress_level(1).unwrap());
         let region = Region::d3(2..8, 3..9, 4..10);
         let (roi, _) = decompress_region::<f32, _>(&src, &region).unwrap();
         assert_eq!(roi, a.decompress_region(&region).unwrap());
@@ -155,7 +132,7 @@ mod tests {
     fn level_one_preview_touches_only_l1() {
         let (_, a) = sample();
         let src = CountingSource { inner: &a, fetches: AtomicUsize::new(0) };
-        decompress_level::<f32, _>(&src, 1).unwrap();
+        decode_to(&src, 1);
         // One fetch: the SZ3 stream. No finer-level blocks.
         assert_eq!(src.fetches.load(Ordering::Relaxed), 1);
     }

@@ -604,6 +604,7 @@ impl FuzzTarget for CodecTarget {
             }
             Err(stz_codec::CodecError::Corrupt(m)) => ("corrupt".to_string(), m.clone()),
             Err(stz_codec::CodecError::Unsupported(m)) => ("unsupported".to_string(), m.clone()),
+            Err(stz_codec::CodecError::Io { message, .. }) => ("io".to_string(), message.clone()),
         };
         let f32_result = codec.decompress_f32(input);
         let (c32, s32) = classify(&f32_result);
@@ -614,6 +615,7 @@ impl FuzzTarget for CodecTarget {
             }
             Err(stz_codec::CodecError::Corrupt(m)) => ("corrupt".to_string(), m),
             Err(stz_codec::CodecError::Unsupported(m)) => ("unsupported".to_string(), m),
+            Err(stz_codec::CodecError::Io { message, .. }) => ("io".to_string(), message),
         };
         Outcome {
             class: format!("{}:f32-{c32},f64-{c64}", codec.name()),

@@ -64,16 +64,20 @@ impl From<io::Error> for StreamError {
 
 impl From<CodecError> for StreamError {
     fn from(e: CodecError) -> Self {
-        StreamError::Codec(e)
+        match e {
+            CodecError::Io { kind, message } => StreamError::Io(io::Error::new(kind, message)),
+            e => StreamError::Codec(e),
+        }
     }
 }
 
 /// Map a container error into a codec error, for the [`stz_core::SectionSource`]
-/// methods whose signatures use [`stz_codec::Result`].
+/// methods whose signatures use [`stz_codec::Result`]; an I/O failure keeps
+/// its class, and [`From<CodecError>`] maps it back.
 pub(crate) fn to_codec(e: StreamError) -> CodecError {
     match e {
         StreamError::Codec(e) => e,
-        StreamError::Io(e) => CodecError::corrupt(format!("I/O error: {e}")),
+        StreamError::Io(e) => CodecError::Io { kind: e.kind(), message: e.to_string() },
         StreamError::Corrupt(msg) => CodecError::Corrupt(msg),
         StreamError::Unsupported(msg) => CodecError::Unsupported(msg),
     }

@@ -14,8 +14,8 @@ use std::path::Path;
 use stz_backend::BackendScalar;
 use stz_codec::CodecError;
 use stz_core::archive::ArchiveHeader;
-use stz_core::random_access::AccessBreakdown;
-use stz_core::{ProgressiveDecoder, SectionSource, StzArchive};
+use stz_core::random_access::{self, AccessBreakdown};
+use stz_core::{pool, ProgressiveDecoder, SectionSource, StzArchive};
 use stz_field::{Dims, Field, Region, Scalar};
 
 /// A container opened over any [`ByteSource`].
@@ -394,10 +394,10 @@ impl<S: ByteSource> SectionSource for StzSections<'_, S> {
 
 /// Typed, lazily fetching view of one container entry.
 ///
-/// Native STZ entries serve the full streaming surface — progressive
-/// previews, ROI decompression, incremental refinement — through
-/// [`StzSections`], fetching only the byte ranges a query needs. Foreign
-/// codec entries (format v2) decode through the
+/// Native STZ entries serve the full streaming surface by walking a
+/// [`ProgressiveDecoder`] over [`StzSections`], fetching only the byte
+/// ranges a query needs, at the pool's width (the serial methods pin 1).
+/// Foreign codec entries (format v2) decode through the
 /// [`stz_backend`] registry: [`EntryReader::decompress`] fetches the whole
 /// payload, and [`EntryReader::decompress_region`] falls back to a full
 /// decode followed by a crop (foreign archives have no sub-block index).
@@ -490,36 +490,31 @@ impl<T: BackendScalar, S: ByteSource> EntryReader<'_, T, S> {
         Ok(field)
     }
 
-    /// Full decompression (reads the whole payload, section by section for
-    /// STZ entries; in one fetch for foreign codecs).
+    /// Full decompression at width 1 (reads the whole payload, section by
+    /// section for STZ entries; in one fetch for foreign codecs).
     pub fn decompress(&self) -> Result<Field<T>> {
-        match &self.stz {
-            Some(sections) => {
-                stz_core::source::decompress::<T, _>(sections, false).map_err(StreamError::Codec)
-            }
-            None => self.decompress_foreign(),
-        }
+        pool::with_threads(1, || self.decompress_parallel())
     }
 
-    /// Full decompression using the thread pool (foreign codecs decode
+    /// Full decompression on the pool's threads (foreign codecs decode
     /// serially — their archives are monolithic).
     pub fn decompress_parallel(&self) -> Result<Field<T>> {
         match &self.stz {
             Some(sections) => {
-                stz_core::source::decompress::<T, _>(sections, true).map_err(StreamError::Codec)
+                Ok(ProgressiveDecoder::new(sections).decode_to(sections.num_levels())?)
             }
             None => self.decompress_foreign(),
         }
     }
 
-    /// Progressive preview through level `k`, reading only levels `1..=k`
-    /// (STZ entries only).
+    /// Progressive preview through level `k` at width 1, reading only levels
+    /// `1..=k` (STZ entries only).
     pub fn decompress_level(&self, k: u8) -> Result<Field<T>> {
-        stz_core::source::decompress_level::<T, _>(self.stz("level preview")?, k)
-            .map_err(StreamError::Codec)
+        let steps = ProgressiveDecoder::new(self.stz("level preview")?);
+        Ok(pool::with_threads(1, || steps.decode_to(k))?)
     }
 
-    /// Random-access decompression of `region`.
+    /// Random-access decompression of `region` at width 1.
     ///
     /// STZ entries read only the level-1 stream plus intersecting
     /// sub-blocks. Foreign entries have no sub-block index, so the whole
@@ -539,18 +534,18 @@ impl<T: BackendScalar, S: ByteSource> EntryReader<'_, T, S> {
         }
     }
 
-    /// Random-access decompression with per-stage timings (STZ entries
-    /// only — foreign codecs have no staged access path to break down).
+    /// Random-access decompression with per-stage timings at width 1 (STZ
+    /// entries only — foreign codecs have no staged access path).
     pub fn decompress_region_with_breakdown(
         &self,
         region: &Region,
     ) -> Result<(Field<T>, AccessBreakdown)> {
-        stz_core::source::decompress_region::<T, _>(self.stz("random access breakdown")?, region)
-            .map_err(StreamError::Codec)
+        let sections = self.stz("random access breakdown")?;
+        Ok(pool::with_threads(1, || random_access::decompress_region(sections, region))?)
     }
 
-    /// Incremental coarse-to-fine decoder over this entry (STZ entries
-    /// only).
+    /// Incremental coarse-to-fine decoder over this entry, stepping at the
+    /// pool's width (STZ entries only).
     pub fn progressive(&self) -> Result<ProgressiveDecoder<'_, T, StzSections<'_, S>>> {
         Ok(ProgressiveDecoder::new(self.stz("progressive refinement")?))
     }

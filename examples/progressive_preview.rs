@@ -44,8 +44,7 @@ fn main() {
     }
 
     // The final refinement equals a direct full decompression.
-    let mut decoder = archive.progressive();
-    let full = decoder.decode_to(archive.num_levels()).expect("full");
+    let full = archive.progressive().decode_to(archive.num_levels()).expect("full");
     assert_eq!(full, archive.decompress().expect("decompress"));
     println!("progressive refinement converges to the full reconstruction ✓");
 }

@@ -6,10 +6,13 @@
 //! switch `MemStore` → `FileStore` → `RemoteStore` (or be handed any
 //! `Box<dyn Store>` by `open_store`) without results drifting by transport.
 
-use stz::access::{open_store, AccessError, EntrySel, Fetch, MemStore, Store};
+use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use stz::access::{open_store, AccessError, EntrySel, Fetch, FileStore, MemStore, Store};
 use stz::prelude::*;
 use stz::serve::{ServeOptions, Server};
-use stz::stream::{ContainerWriter, ForeignArchive};
+use stz::stream::{ByteSource, ContainerWriter, ForeignArchive, MemorySource};
 
 /// The test fixture: one f32 stz entry, one f64 stz entry, one foreign
 /// (zfp) f32 entry — resident archives plus the container file packing
@@ -187,6 +190,50 @@ fn raw_fetch_matches_packed_payload_and_crc() {
         let desc = fx.mem.open(&sel).unwrap().desc().clone();
         assert_eq!(stz::stream::crc::crc32(&mem_raw.data), desc.payload_crc, "{name}: crc");
         assert_eq!(mem_raw.data.len() as u64, desc.compressed_len, "{name}: length");
+    }
+    let _ = std::fs::remove_dir_all(&fx.dir);
+}
+
+/// A container image whose reads fail once `broken` is set.
+struct FailingSource {
+    image: MemorySource,
+    broken: Arc<AtomicBool>,
+}
+
+impl ByteSource for FailingSource {
+    fn len(&self) -> u64 {
+        self.image.len()
+    }
+
+    fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        if self.broken.load(Ordering::Relaxed) {
+            return Err(io::Error::new(io::ErrorKind::PermissionDenied, "device gone"));
+        }
+        self.image.read_exact_at(offset, buf)
+    }
+}
+
+#[test]
+fn a_read_failure_after_open_is_an_io_error_for_every_entry() {
+    let fx = fixture("io");
+    let broken = Arc::new(AtomicBool::new(false));
+    let image = MemorySource::new(std::fs::read(&fx.container).unwrap());
+    let store = FileStore::open_source(FailingSource { image, broken: broken.clone() }, "failing");
+    let store = store.unwrap();
+    broken.store(true, Ordering::Relaxed);
+    let foreign = vec![Fetch::Full, Fetch::Region(Region::d3(3..9, 0..24, 10..14))];
+    for (name, fetches) in [("t32", fetch_matrix()), ("t64", fetch_matrix()), ("zfp", foreign)] {
+        let entry = store.open(&EntrySel::Name(name.into())).unwrap();
+        for fetch in fetches {
+            let err = entry.fetch(&fetch).err();
+            match &err {
+                Some(AccessError::Io(e)) => {
+                    assert_eq!(e.kind(), io::ErrorKind::PermissionDenied, "{name} {fetch:?}");
+                    assert_eq!(e.to_string(), "device gone", "{name} {fetch:?}");
+                }
+                _ => panic!("{name} {fetch:?}: want an I/O error, got {err:?}"),
+            }
+        }
     }
     let _ = std::fs::remove_dir_all(&fx.dir);
 }

@@ -8,6 +8,7 @@
 //! types.
 
 use stz::core::pool::with_threads;
+use stz::core::random_access::decompress_region;
 use stz::prelude::*;
 use stz::stream::pack_pipelined;
 
@@ -72,15 +73,12 @@ fn progressive_refinement_matches_serial_at_every_width() {
     let field = f32_field(Dims::d3(24, 24, 24));
     let archive = StzCompressor::new(StzConfig::three_level(1e-3)).compress(&field).unwrap();
     for threads in WIDTHS {
-        with_threads(threads, || {
-            let mut serial = archive.progressive();
-            let mut parallel = archive.progressive().parallel(true);
-            while let Some(expect) = serial.next_level().unwrap() {
-                let got = parallel.next_level().unwrap().unwrap();
-                assert_eq!(got, expect, "{threads} thread(s)");
-            }
-            assert!(parallel.is_complete());
-        });
+        let (mut serial, mut steps) = (archive.progressive(), archive.progressive());
+        while let Some(expect) = with_threads(1, || serial.next_level()).unwrap() {
+            let got = with_threads(threads, || steps.next_level()).unwrap().unwrap();
+            assert_eq!(got, expect, "{threads} thread(s)");
+        }
+        assert!(steps.is_complete());
     }
 }
 
@@ -424,11 +422,13 @@ fn assert_identities<T: Scalar>(field: &Field<T>, config: StzConfig, region: &Re
             let parallel = compressor.compress_parallel(field).unwrap();
             assert_eq!(parallel.as_bytes(), archive.as_bytes(), "{dims} {threads} thread(s)");
             assert_eq!(archive.decompress_parallel().unwrap(), full, "{dims} {threads} thread(s)");
-            let mut steps = archive.progressive().parallel(true);
+            let mut steps = archive.progressive();
             for (k, level) in levels.iter().enumerate() {
                 let got = steps.next_level().unwrap().unwrap();
                 assert_eq!(&got, level, "{dims} level {} at {threads} thread(s)", k + 1);
             }
+            let (got, _) = decompress_region::<T, _>(&archive, region).unwrap();
+            assert_eq!(got, roi, "{dims} ROI at {threads} thread(s)");
         });
     }
 }
@@ -578,19 +578,19 @@ fn bad_last_escape_count(bytes: &[u8]) -> Vec<u8> {
 /// The error text of every decode path that reaches level 3 of `archive`.
 fn error_texts(archive: &StzArchive<f32>) -> Vec<String> {
     let text = |r: Result<Field<f32>, stz::codec::CodecError>| r.unwrap_err().to_string();
-    let progressive = |parallel: bool| {
-        let mut steps = archive.progressive().parallel(parallel);
+    let progressive = |threads| {
+        let mut steps = archive.progressive();
         steps.next_level().unwrap();
         steps.next_level().unwrap();
-        steps.next_level().unwrap_err().to_string()
+        with_threads(threads, || steps.next_level()).unwrap_err().to_string()
     };
     let dims = archive.dims();
     vec![
         text(archive.decompress()),
         text(with_threads(2, || archive.decompress_parallel())),
         text(archive.decompress_level(3)),
-        progressive(false),
-        progressive(true),
+        progressive(1),
+        progressive(2),
         text(archive.decompress_region(&Region::full(dims))),
         text(archive.decompress_region(&Region::d3(33..128, 61..128, 3..128))),
         text(archive.decompress_region(&Region::d3(1..40, 0..9, 17..120))),
