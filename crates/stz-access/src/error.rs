@@ -12,7 +12,6 @@ use std::fmt;
 use std::io;
 use stz_codec::CodecError;
 use stz_serve::ServeError;
-use stz_stream::StreamError;
 
 /// Failure while listing, opening, or fetching through the access layer.
 #[derive(Debug)]
@@ -106,19 +105,9 @@ impl From<CodecError> for AccessError {
     fn from(e: CodecError) -> Self {
         match e {
             CodecError::Unsupported(msg) => AccessError::Unsupported(msg),
+            CodecError::Corrupt(msg) => AccessError::Corrupt(msg),
             CodecError::Io { kind, message } => AccessError::Io(io::Error::new(kind, message)),
-            other => AccessError::Corrupt(other.to_string()),
-        }
-    }
-}
-
-impl From<StreamError> for AccessError {
-    fn from(e: StreamError) -> Self {
-        match e {
-            StreamError::Io(e) => AccessError::Io(e),
-            StreamError::Codec(e) => e.into(),
-            StreamError::Corrupt(msg) => AccessError::Corrupt(msg),
-            StreamError::Unsupported(msg) => AccessError::Unsupported(msg),
+            eof @ CodecError::UnexpectedEof { .. } => AccessError::Corrupt(eof.to_string()),
         }
     }
 }
@@ -164,11 +153,21 @@ mod tests {
 
     #[test]
     fn stream_and_codec_errors_map() {
-        let e: AccessError = StreamError::corrupt("bad footer").into();
-        assert!(matches!(e, AccessError::Corrupt(_)));
+        let e: AccessError = CodecError::corrupt("bad footer").into();
+        assert!(matches!(e, AccessError::Corrupt(m) if m == "bad footer"));
         let e: AccessError = CodecError::unsupported("codec id 9").into();
         assert!(matches!(e, AccessError::Unsupported(_)));
         let e: AccessError = CodecError::UnexpectedEof { context: "header" }.into();
         assert!(matches!(e, AccessError::Corrupt(_)));
+        let gone = || CodecError::Io { kind: io::ErrorKind::NotFound, message: "gone".into() };
+        for e in [AccessError::from(gone()), ServeError::Stream(gone()).into()] {
+            match e {
+                AccessError::Io(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::NotFound);
+                    assert_eq!(e.to_string(), "gone");
+                }
+                e => panic!("want an I/O error, got {e:?}"),
+            }
+        }
     }
 }

@@ -459,7 +459,7 @@ fn pack_foreign<T: BackendScalar>(
     let entry_workers = pool::with_threads(threads, pool::threads);
     let n = jobs.len();
     let compress_entry =
-        |(name, input): (String, &Path)| -> stz_stream::Result<(String, stz_stream::PackEntry<T>)> {
+        |(name, input): (String, &Path)| -> stz_codec::Result<(String, stz_stream::PackEntry<T>)> {
             let field: Field<T> = read_raw(input, dims)?;
             // Resolve a relative bound once (value_range is a full-field
             // scan) and reuse the absolute value for both the compression
@@ -520,7 +520,7 @@ fn pack_typed<T: Scalar>(
     let entry_workers = pool::with_threads(threads, pool::threads);
     let width = if jobs.len() == 1 { entry_workers } else { 1 };
     let compress_entry =
-        |(name, input): (String, &Path)| -> stz_stream::Result<(String, stz_stream::PackEntry<T>)> {
+        |(name, input): (String, &Path)| -> stz_codec::Result<(String, stz_stream::PackEntry<T>)> {
             // An unreadable input is an I/O failure, not stream corruption.
             let field: Field<T> = read_raw(input, dims)?;
             let compressor = StzCompressor::new(cfg);

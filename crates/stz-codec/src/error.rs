@@ -1,8 +1,10 @@
-//! Error type for all decoding paths in the workspace.
+//! Error type for every read or write of stored bytes in the workspace:
+//! codec payloads, containers and their mutation.
 
 use std::fmt;
 
-/// Failure while decoding a compressed stream or archive.
+/// Failure while decoding, reading or writing stored bytes: a compressed
+/// stream, an archive, or a container holding them.
 ///
 /// Decoders in this workspace are total over arbitrary byte input: malformed
 /// or truncated data yields a `CodecError`, never a panic.
@@ -13,14 +15,15 @@ pub enum CodecError {
         /// What was being read when the input ran out.
         context: &'static str,
     },
-    /// The input is structurally invalid (bad magic, impossible table,
-    /// inconsistent counts, …).
+    /// The input is structurally invalid (bad magic, impossible table or
+    /// index, inconsistent counts, checksum mismatch, …).
     Corrupt(String),
     /// The input encodes a feature this build does not support (e.g. an
     /// unknown format version or element type).
     Unsupported(String),
-    /// Reading the input failed: an out-of-core source's I/O error, carried
-    /// across the decoder so its caller can tell it from bad bytes.
+    /// Reading or writing the underlying file or source failed: an I/O
+    /// error, carried across the decoder so its caller can tell it from bad
+    /// bytes.
     Io { kind: std::io::ErrorKind, message: String },
 }
 
@@ -48,6 +51,12 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+impl From<std::io::Error> for CodecError {
+    fn from(e: std::io::Error) -> Self {
+        CodecError::Io { kind: e.kind(), message: e.to_string() }
+    }
+}
 
 #[cfg(test)]
 mod tests {

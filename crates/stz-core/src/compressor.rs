@@ -691,7 +691,7 @@ impl<'a> LevelRows<'a> {
                 sink.flush();
                 sink.open.shrink_to_fit();
             }
-            Ok(sinks)
+            Ok::<_, CodecError>(sinks)
         });
         let mut parts = parts.into_iter();
         let mut blocks = parts.next().expect("a grid is one slab or more")?;

@@ -25,7 +25,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use stz_stream::{ByteSource, Result, StreamError};
+use stz_codec::{CodecError, Result};
+use stz_stream::ByteSource;
 
 /// Writable random-access storage for a mutable container.
 ///
@@ -186,7 +187,7 @@ impl MutBacking for FileBacking {
             let mut out = io::BufWriter::new(file);
             build(&*self, &mut out)?;
             out.flush()?;
-            let file = out.into_inner().map_err(|e| StreamError::Io(e.into_error()))?;
+            let file = out.into_inner().map_err(|e| e.into_error())?;
             let len = file.metadata()?.len();
             file.sync_all()?;
             Ok(len)
@@ -273,10 +274,10 @@ impl ByteSource for MemBacking {
 impl MutBacking for MemBacking {
     fn write_all_at(&mut self, offset: u64, buf: &[u8]) -> Result<()> {
         let start = usize::try_from(offset)
-            .map_err(|_| StreamError::corrupt("write offset beyond addressable memory"))?;
+            .map_err(|_| CodecError::corrupt("write offset beyond addressable memory"))?;
         let end = start
             .checked_add(buf.len())
-            .ok_or_else(|| StreamError::corrupt("write range overflow"))?;
+            .ok_or_else(|| CodecError::corrupt("write range overflow"))?;
         if end > self.bytes.len() {
             self.bytes.resize(end, 0);
         }
@@ -286,7 +287,7 @@ impl MutBacking for MemBacking {
 
     fn set_len(&mut self, len: u64) -> Result<()> {
         let len = usize::try_from(len)
-            .map_err(|_| StreamError::corrupt("length beyond addressable memory"))?;
+            .map_err(|_| CodecError::corrupt("length beyond addressable memory"))?;
         self.bytes.resize(len, 0);
         Ok(())
     }

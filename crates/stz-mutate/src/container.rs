@@ -38,6 +38,7 @@ use crate::backing::{FileBacking, MutBacking};
 use crate::metrics::metrics;
 use std::io::Write;
 use std::path::Path;
+use stz_codec::{CodecError, Result};
 use stz_field::Scalar;
 use stz_stream::crc::{crc32, Crc32};
 use stz_stream::format::{
@@ -46,8 +47,7 @@ use stz_stream::format::{
     MUTABLE_CONTAINER_VERSION, MUTABLE_DATA_START,
 };
 use stz_stream::{
-    index_pack_entry, run_pipelined, ByteSource, ContainerReader, MemorySource, PackEntry, Result,
-    StreamError,
+    index_pack_entry, run_pipelined, ByteSource, ContainerReader, MemorySource, PackEntry,
 };
 
 /// Chunk size for payload copies during compaction and upgrade.
@@ -163,18 +163,18 @@ impl<B: MutBacking> MutableContainer<B> {
     pub fn open(mut backing: B) -> Result<Self> {
         let file_len = backing.len();
         if file_len < MUTABLE_DATA_START {
-            return Err(StreamError::corrupt(format!(
+            return Err(CodecError::corrupt(format!(
                 "file of {file_len} bytes is too short for a mutable container"
             )));
         }
         let mut header = [0u8; HEADER_LEN as usize];
         backing.read_exact_at(0, &mut header)?;
         if header[0..4] != CONTAINER_MAGIC {
-            return Err(StreamError::corrupt("bad container magic"));
+            return Err(CodecError::corrupt("bad container magic"));
         }
         let version = header[4];
         if version != MUTABLE_CONTAINER_VERSION {
-            return Err(StreamError::unsupported(format!(
+            return Err(CodecError::unsupported(format!(
                 "container format version {version} is not mutable; upgrade it first"
             )));
         }
@@ -191,12 +191,12 @@ impl<B: MutBacking> MutableContainer<B> {
             }
         }
         let (active_slot, slot) = best.ok_or_else(|| {
-            StreamError::corrupt("torn mutable container: no valid generation slot")
+            CodecError::corrupt("torn mutable container: no valid generation slot")
         })?;
         let mut footer = vec![0u8; slot.footer_len as usize];
         backing.read_exact_at(slot.footer_off, &mut footer)?;
         if crc32(&footer) != slot.footer_crc {
-            return Err(StreamError::corrupt("footer checksum mismatch"));
+            return Err(CodecError::corrupt("footer checksum mismatch"));
         }
         let entries = parse_footer_bounded(
             &footer,
@@ -304,7 +304,7 @@ impl<B: MutBacking> MutableContainer<B> {
     /// is an error (use [`replace`](MutableContainer::replace)).
     pub fn append<T: Scalar>(&mut self, name: &str, entry: &PackEntry<T>) -> Result<()> {
         if self.find(name).is_some() {
-            return Err(StreamError::unsupported(format!(
+            return Err(CodecError::unsupported(format!(
                 "entry {name:?} already exists; replace or delete it first"
             )));
         }
@@ -347,7 +347,7 @@ impl<B: MutBacking> MutableContainer<B> {
     pub fn replace<T: Scalar>(&mut self, name: &str, entry: &PackEntry<T>) -> Result<()> {
         let index = self
             .find(name)
-            .ok_or_else(|| StreamError::corrupt(format!("no entry named {name:?}")))?;
+            .ok_or_else(|| CodecError::corrupt(format!("no entry named {name:?}")))?;
         let record = self.stage(name, entry)?;
         self.entries[index] = record;
         Ok(())
@@ -358,7 +358,7 @@ impl<B: MutBacking> MutableContainer<B> {
     pub fn delete(&mut self, name: &str) -> Result<()> {
         let index = self
             .find(name)
-            .ok_or_else(|| StreamError::corrupt(format!("no entry named {name:?}")))?;
+            .ok_or_else(|| CodecError::corrupt(format!("no entry named {name:?}")))?;
         self.entries.remove(index);
         self.dirty = true;
         Ok(())
@@ -506,7 +506,7 @@ fn write_v3_image(
             remaining -= take as u64;
         }
         if crc.finish() != record.payload.crc {
-            return Err(StreamError::corrupt(format!(
+            return Err(CodecError::corrupt(format!(
                 "entry {:?} payload checksum mismatch during rewrite",
                 record.name
             )));
@@ -555,7 +555,7 @@ pub fn upgrade_path(path: impl AsRef<Path>) -> Result<bool> {
         let mut out = std::io::BufWriter::new(file);
         write_v3_image(reader.source(), reader.records(), &footer, &slot, &mut out)?;
         out.flush()?;
-        out.into_inner().map_err(|e| StreamError::Io(e.into_error()))?.sync_all()?;
+        out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
         Ok(())
     })();
     if let Err(e) = result {

@@ -2,7 +2,7 @@
 
 use std::fmt;
 use std::io;
-use stz_stream::StreamError;
+use stz_codec::CodecError;
 
 /// Failure while speaking STZP or serving a container over it.
 ///
@@ -26,7 +26,7 @@ pub enum ServeError {
         message: String,
     },
     /// A hosted container failed locally (server side).
-    Stream(StreamError),
+    Stream(CodecError),
 }
 
 impl ServeError {
@@ -65,8 +65,8 @@ impl From<io::Error> for ServeError {
     }
 }
 
-impl From<StreamError> for ServeError {
-    fn from(e: StreamError) -> Self {
+impl From<CodecError> for ServeError {
+    fn from(e: CodecError) -> Self {
         ServeError::Stream(e)
     }
 }

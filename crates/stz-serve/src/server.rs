@@ -31,7 +31,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant, SystemTime};
 use stz_backend::BackendScalar;
-use stz_stream::{ByteSource, ContainerReader, FileSource, StreamError};
+use stz_codec::CodecError;
+use stz_stream::{ByteSource, ContainerReader, FileSource};
 use stz_telemetry::{log_debug, log_warn, trace, Counter, Gauge, Histogram, LogLimiter, Registry};
 
 /// Server configuration.
@@ -96,7 +97,7 @@ struct Snapshot {
 }
 
 impl Snapshot {
-    fn open(path: &Path) -> std::result::Result<Snapshot, StreamError> {
+    fn open(path: &Path) -> stz_codec::Result<Snapshot> {
         // Stat *before* opening: if the file changes between the stat and
         // the open, the recorded stamp is stale and the next probe simply
         // reopens again — converging, never serving a torn view (the
@@ -111,7 +112,7 @@ impl Snapshot {
 }
 
 impl Hosted {
-    fn open(path: PathBuf) -> std::result::Result<Hosted, StreamError> {
+    fn open(path: PathBuf) -> stz_codec::Result<Hosted> {
         let snapshot = Snapshot::open(&path)?;
         Ok(Hosted { path, current: RwLock::new(Arc::new(snapshot)) })
     }
@@ -801,7 +802,7 @@ fn decode_block<T: BackendScalar>(
     reader: &ContainerReader<FileSource>,
     index: usize,
     kind: &RequestKind,
-) -> std::result::Result<Enc, StreamError> {
+) -> stz_codec::Result<Enc> {
     let entry = reader.entry::<T>(index)?;
     let field = match kind {
         RequestKind::Raw => {
@@ -825,12 +826,32 @@ fn decode_block<T: BackendScalar>(
     Ok(response)
 }
 
-/// Map a container failure to an `ERR` code + message.
-fn stream_err(e: &StreamError) -> (u16, String) {
+/// Map a hosted container's failure to an `ERR` code, by its class, and a
+/// message.
+fn stream_err(e: &CodecError) -> (u16, String) {
     let code = match e {
-        StreamError::Unsupported(_) => err_code::UNSUPPORTED,
-        StreamError::Corrupt(_) | StreamError::Codec(_) => err_code::CORRUPT,
-        StreamError::Io(_) => err_code::INTERNAL,
+        CodecError::Unsupported(_) => err_code::UNSUPPORTED,
+        CodecError::Corrupt(_) | CodecError::UnexpectedEof { .. } => err_code::CORRUPT,
+        CodecError::Io { .. } => err_code::INTERNAL,
     };
     (code, e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stream_err_codes_follow_the_codec_error_class() {
+        let io = CodecError::Io { kind: std::io::ErrorKind::Other, message: "disk".into() };
+        let table = [
+            (CodecError::unsupported("zfp format version 99"), err_code::UNSUPPORTED),
+            (CodecError::corrupt("footer checksum mismatch"), err_code::CORRUPT),
+            (CodecError::UnexpectedEof { context: "header" }, err_code::CORRUPT),
+            (io, err_code::INTERNAL),
+        ];
+        for (e, want) in table {
+            assert_eq!(stream_err(&e), (want, e.to_string()), "{e:?}");
+        }
+    }
 }

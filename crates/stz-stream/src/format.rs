@@ -42,8 +42,7 @@
 //!   Unknown codec ids parse (the foreign index layout is self-describing)
 //!   so `inspect` can report them; *decoding* such an entry errors.
 
-use crate::error::{Result, StreamError};
-use stz_codec::{ByteReader, ByteWriter};
+use stz_codec::{ByteReader, ByteWriter, CodecError, Result};
 use stz_core::archive::ArchiveHeader;
 use stz_core::level::LevelPlan;
 use stz_core::InterpKind;
@@ -352,9 +351,9 @@ fn check_bounds(s: &SectionLoc, lo: u64, hi: u64, what: &str) -> Result<()> {
     let end = s
         .off
         .checked_add(s.len)
-        .ok_or_else(|| StreamError::corrupt(format!("{what} section offset overflow")))?;
+        .ok_or_else(|| CodecError::corrupt(format!("{what} section offset overflow")))?;
     if s.off < lo || end > hi {
-        return Err(StreamError::corrupt(format!(
+        return Err(CodecError::corrupt(format!(
             "{what} section {}..{end} outside {lo}..{hi}",
             s.off
         )));
@@ -365,7 +364,7 @@ fn check_bounds(s: &SectionLoc, lo: u64, hi: u64, what: &str) -> Result<()> {
 fn get_type_tag(r: &mut ByteReader<'_>) -> Result<u8> {
     let type_tag = r.get_u8()?;
     if type_tag > 1 {
-        return Err(StreamError::unsupported(format!("element type tag {type_tag}")));
+        return Err(CodecError::unsupported(format!("element type tag {type_tag}")));
     }
     Ok(type_tag)
 }
@@ -373,7 +372,7 @@ fn get_type_tag(r: &mut ByteReader<'_>) -> Result<u8> {
 fn get_dims(r: &mut ByteReader<'_>) -> Result<Dims> {
     let ndim = r.get_u8()?;
     if !(1..=3).contains(&ndim) {
-        return Err(StreamError::corrupt(format!("invalid ndim {ndim}")));
+        return Err(CodecError::corrupt(format!("invalid ndim {ndim}")));
     }
     let nz = r.get_uvarint()?;
     let ny = r.get_uvarint()?;
@@ -383,10 +382,10 @@ fn get_dims(r: &mut ByteReader<'_>) -> Result<Dims> {
         || nx == 0
         || nz.saturating_mul(ny).saturating_mul(nx) > stz_sz3::stream::MAX_POINTS
     {
-        return Err(StreamError::corrupt(format!("invalid dims {nz}x{ny}x{nx}")));
+        return Err(CodecError::corrupt(format!("invalid dims {nz}x{ny}x{nx}")));
     }
     if (ndim < 3 && nz != 1) || (ndim < 2 && ny != 1) {
-        return Err(StreamError::corrupt("dims inconsistent with ndim"));
+        return Err(CodecError::corrupt("dims inconsistent with ndim"));
     }
     // Entry dims size every decode-side work buffer downstream; reject
     // hostile geometry here, before any of them can be reserved.
@@ -409,29 +408,29 @@ fn parse_stz_entry(
     let dims = get_dims(r)?;
     let levels = r.get_u8()?;
     if !(2..=4).contains(&levels) {
-        return Err(StreamError::corrupt(format!("invalid level count {levels}")));
+        return Err(CodecError::corrupt(format!("invalid level count {levels}")));
     }
     let interp = match r.get_u8()? {
         0 => InterpKind::Linear,
         1 => InterpKind::Cubic,
-        k => return Err(StreamError::unsupported(format!("interp kind {k}"))),
+        k => return Err(CodecError::unsupported(format!("interp kind {k}"))),
     };
     let adaptive = match r.get_u8()? {
         0 => false,
         1 => true,
-        k => return Err(StreamError::corrupt(format!("invalid adaptive flag {k}"))),
+        k => return Err(CodecError::corrupt(format!("invalid adaptive flag {k}"))),
     };
     let adaptive_ratio = r.get_f64()?;
     if !(adaptive_ratio >= 1.0 && adaptive_ratio.is_finite()) {
-        return Err(StreamError::corrupt(format!("invalid adaptive ratio {adaptive_ratio}")));
+        return Err(CodecError::corrupt(format!("invalid adaptive ratio {adaptive_ratio}")));
     }
     let eb_finest = r.get_f64()?;
     if !(eb_finest > 0.0 && eb_finest.is_finite()) {
-        return Err(StreamError::corrupt(format!("invalid error bound {eb_finest}")));
+        return Err(CodecError::corrupt(format!("invalid error bound {eb_finest}")));
     }
     let radius = r.get_uvarint()?;
     if radius == 0 || radius > i64::MAX as u64 {
-        return Err(StreamError::corrupt("invalid quantizer radius"));
+        return Err(CodecError::corrupt("invalid quantizer radius"));
     }
 
     let header = ArchiveHeader {
@@ -445,7 +444,7 @@ fn parse_stz_entry(
         radius: radius as i64,
     };
     if header.config().usable_level_ebs(eb_finest).is_none() {
-        return Err(StreamError::corrupt(format!(
+        return Err(CodecError::corrupt(format!(
             "error bound {eb_finest} leaves a level's bound zero"
         )));
     }
@@ -461,11 +460,11 @@ fn parse_stz_entry(
     for k in 2..=levels {
         let n = r.get_uvarint()?;
         if n > 8 {
-            return Err(StreamError::corrupt(format!("level with {n} blocks")));
+            return Err(CodecError::corrupt(format!("level with {n} blocks")));
         }
         let expect = plan.levels[k as usize - 1].blocks.len();
         if n as usize != expect {
-            return Err(StreamError::corrupt(format!(
+            return Err(CodecError::corrupt(format!(
                 "level {k} has {n} blocks, geometry requires {expect}"
             )));
         }
@@ -492,7 +491,7 @@ fn parse_foreign_entry(
     let dims = get_dims(r)?;
     let eb = r.get_f64()?;
     if !(eb > 0.0 && eb.is_finite()) {
-        return Err(StreamError::corrupt(format!("invalid error bound {eb}")));
+        return Err(CodecError::corrupt(format!("invalid error bound {eb}")));
     }
     let payload = get_section(r)?;
     check_bounds(&payload, payload_lo, payload_end, "payload")?;
@@ -527,16 +526,16 @@ pub fn parse_footer_bounded(
     let mut r = ByteReader::new(bytes);
     let count = r.get_uvarint()?;
     if count > MAX_ENTRIES {
-        return Err(StreamError::corrupt(format!("container claims {count} entries")));
+        return Err(CodecError::corrupt(format!("container claims {count} entries")));
     }
     let mut entries = Vec::with_capacity(count.min(1024) as usize);
     for _ in 0..count {
         let name_bytes = r.get_block()?;
         if name_bytes.len() as u64 > MAX_NAME_LEN {
-            return Err(StreamError::corrupt("entry name too long"));
+            return Err(CodecError::corrupt("entry name too long"));
         }
         let name = std::str::from_utf8(name_bytes)
-            .map_err(|_| StreamError::corrupt("entry name is not UTF-8"))?
+            .map_err(|_| CodecError::corrupt("entry name is not UTF-8"))?
             .to_string();
 
         let codec = if version >= 2 { r.get_u8()? } else { stz_backend::id::STZ };
@@ -550,7 +549,7 @@ pub fn parse_footer_bounded(
         entries.push(EntryRecord { name, codec, payload, detail });
     }
     if r.remaining() != 0 {
-        return Err(StreamError::corrupt("trailing bytes after footer entries"));
+        return Err(CodecError::corrupt("trailing bytes after footer entries"));
     }
     Ok(entries)
 }
@@ -568,19 +567,19 @@ pub fn encode_trailer(footer_off: u64, footer_len: u64, footer_crc: u32) -> [u8;
 /// Parse the trailer; returns `(footer_off, footer_len, footer_crc)`.
 pub fn parse_trailer(t: &[u8; 24], file_len: u64) -> Result<(u64, u64, u32)> {
     if t[20..24] != TRAILER_MAGIC {
-        return Err(StreamError::corrupt("bad container trailer magic"));
+        return Err(CodecError::corrupt("bad container trailer magic"));
     }
     let footer_off = u64::from_le_bytes(t[0..8].try_into().expect("8 bytes"));
     let footer_len = u64::from_le_bytes(t[8..16].try_into().expect("8 bytes"));
     let footer_crc = u32::from_le_bytes(t[16..20].try_into().expect("4 bytes"));
     let end = footer_off
         .checked_add(footer_len)
-        .ok_or_else(|| StreamError::corrupt("footer range overflow"))?;
+        .ok_or_else(|| CodecError::corrupt("footer range overflow"))?;
     let payload_end = file_len
         .checked_sub(TRAILER_LEN)
-        .ok_or_else(|| StreamError::corrupt("file too short for a trailer"))?;
+        .ok_or_else(|| CodecError::corrupt("file too short for a trailer"))?;
     if footer_off < HEADER_LEN || end != payload_end {
-        return Err(StreamError::corrupt(format!(
+        return Err(CodecError::corrupt(format!(
             "footer range {footer_off}..{end} inconsistent with file length {file_len}"
         )));
     }

@@ -65,20 +65,21 @@
 
 pub mod byte_source;
 pub mod crc;
-pub mod error;
 pub mod format;
 pub mod pipeline;
 pub mod reader;
 pub mod writer;
 
 pub use byte_source::{ByteSource, CountingSource, FileSource, MemorySource};
-pub use error::{Result, StreamError};
 pub use pipeline::{pack_pipelined, run_pipelined};
 pub use reader::{ContainerReader, EntryMeta, EntryReader, StzSections};
 pub use writer::{
     index_foreign_archive, index_pack_entry, index_stz_archive, pack_to_file, pack_to_vec,
     ContainerWriter, ForeignArchive, PackEntry,
 };
+
+/// Exists only because `benchmark/src/ingest_live.rs` names `StreamError`.
+pub use stz_codec::{CodecError as StreamError, Result};
 
 /// Sniff whether `bytes` begin with the container magic (vs. a bare
 /// `StzArchive` stream or something else entirely).

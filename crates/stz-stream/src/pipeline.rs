@@ -14,20 +14,20 @@
 //! `window` started-but-unwritten entries (in flight or buffered) exist at
 //! any moment — independent of how many entries the container will hold.
 
-use crate::error::Result;
 use crate::writer::{ContainerWriter, PackEntry};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard};
+use stz_codec::{CodecError, Result};
 use stz_field::Scalar;
 
 /// Outcome of one compression job, keyed by its entry index: a named
 /// [`PackEntry`] — a native STZ archive or a foreign codec's bytes
-/// (`StzArchive` converts via `.into()`). Job failures use
-/// [`StreamError`](crate::StreamError) so I/O problems (an unreadable
-/// input, say) surface as I/O errors, not payload corruption;
-/// `stz_codec::CodecError` converts via `?`.
+/// (`StzArchive` converts via `.into()`). A job's [`CodecError`] keeps its
+/// class, so an I/O problem (an unreadable input, say) surfaces as
+/// [`CodecError::Io`], not payload corruption; `std::io::Error` converts
+/// via `?`.
 type JobResult<T> = Result<(String, PackEntry<T>)>;
 
 /// Shared pipeline state: finished jobs waiting for the writer, the write
@@ -121,7 +121,7 @@ where
         changed: Condvar::new(),
     };
 
-    let mut write_error: Option<crate::error::StreamError> = None;
+    let mut write_error: Option<CodecError> = None;
 
     std::thread::scope(|scope| {
         for w in 0..workers {
@@ -266,7 +266,7 @@ mod tests {
         let err =
             pack_pipelined::<f32, _, _, _>(Vec::new(), (0..8).collect::<Vec<usize>>(), 4, |i| {
                 if i == 3 {
-                    Err(crate::StreamError::Io(std::io::Error::other("job 3 exploded")))
+                    Err(std::io::Error::other("job 3 exploded").into())
                 } else {
                     Ok((format!("t{i}"), compress(i as f32).into()))
                 }
@@ -274,7 +274,7 @@ mod tests {
             .unwrap_err();
         // The job's own error kind must survive — an I/O failure must not
         // be re-labelled as payload corruption.
-        assert!(matches!(err, crate::StreamError::Io(_)), "got: {err}");
+        assert!(matches!(err, CodecError::Io { .. }), "got: {err}");
         assert!(err.to_string().contains("job 3 exploded"), "got: {err}");
     }
 

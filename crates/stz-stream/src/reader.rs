@@ -2,7 +2,6 @@
 
 use crate::byte_source::{ByteSource, FileSource};
 use crate::crc::crc32;
-use crate::error::{to_codec, Result, StreamError};
 use crate::format::{
     parse_footer_bounded, parse_gen_slot, parse_trailer, EntryRecord, GenSlot, SectionLoc,
     StzDetail, CONTAINER_MAGIC, CONTAINER_VERSION, GEN_SLOT_LEN, GEN_SLOT_OFFSETS, HEADER_LEN,
@@ -12,7 +11,7 @@ use std::borrow::Cow;
 use std::marker::PhantomData;
 use std::path::Path;
 use stz_backend::BackendScalar;
-use stz_codec::CodecError;
+use stz_codec::{CodecError, Result};
 use stz_core::archive::ArchiveHeader;
 use stz_core::random_access::{self, AccessBreakdown};
 use stz_core::{pool, ProgressiveDecoder, SectionSource, StzArchive};
@@ -58,21 +57,21 @@ impl<S: ByteSource> ContainerReader<S> {
     pub fn open(source: S) -> Result<Self> {
         let file_len = source.len();
         if file_len < HEADER_LEN + TRAILER_LEN {
-            return Err(StreamError::corrupt(format!(
+            return Err(CodecError::corrupt(format!(
                 "file of {file_len} bytes is too short to be a container"
             )));
         }
         let mut header = [0u8; HEADER_LEN as usize];
         source.read_exact_at(0, &mut header)?;
         if header[0..4] != CONTAINER_MAGIC {
-            return Err(StreamError::corrupt("bad container magic"));
+            return Err(CodecError::corrupt("bad container magic"));
         }
         let version = header[4];
         if version == MUTABLE_CONTAINER_VERSION {
             return Self::open_mutable(source, file_len);
         }
         if !(MIN_CONTAINER_VERSION..=CONTAINER_VERSION).contains(&version) {
-            return Err(StreamError::unsupported(format!("container format version {version}")));
+            return Err(CodecError::unsupported(format!("container format version {version}")));
         }
         let mut trailer = [0u8; TRAILER_LEN as usize];
         source.read_exact_at(file_len - TRAILER_LEN, &mut trailer)?;
@@ -80,7 +79,7 @@ impl<S: ByteSource> ContainerReader<S> {
         let mut footer = vec![0u8; footer_len as usize];
         source.read_exact_at(footer_off, &mut footer)?;
         if crc32(&footer) != footer_crc {
-            return Err(StreamError::corrupt("footer checksum mismatch"));
+            return Err(CodecError::corrupt("footer checksum mismatch"));
         }
         let entries = parse_footer_bounded(&footer, HEADER_LEN, file_len - TRAILER_LEN, version)?;
         Ok(ContainerReader {
@@ -101,12 +100,12 @@ impl<S: ByteSource> ContainerReader<S> {
     /// as corrupt rather than silently serving partial data.
     fn open_mutable(source: S, file_len: u64) -> Result<Self> {
         let slot = Self::read_gen_slots(&source, file_len)?.ok_or_else(|| {
-            StreamError::corrupt("torn mutable container: no valid generation slot")
+            CodecError::corrupt("torn mutable container: no valid generation slot")
         })?;
         let mut footer = vec![0u8; slot.footer_len as usize];
         source.read_exact_at(slot.footer_off, &mut footer)?;
         if crc32(&footer) != slot.footer_crc {
-            return Err(StreamError::corrupt("footer checksum mismatch"));
+            return Err(CodecError::corrupt("footer checksum mismatch"));
         }
         let entries = parse_footer_bounded(
             &footer,
@@ -129,7 +128,7 @@ impl<S: ByteSource> ContainerReader<S> {
     /// the highest generation, or `None` when both are torn.
     pub(crate) fn read_gen_slots(source: &S, file_len: u64) -> Result<Option<GenSlot>> {
         if file_len < MUTABLE_DATA_START {
-            return Err(StreamError::corrupt(format!(
+            return Err(CodecError::corrupt(format!(
                 "file of {file_len} bytes is too short for a mutable container"
             )));
         }
@@ -215,13 +214,13 @@ impl<S: ByteSource> ContainerReader<S> {
     /// is not `T`.
     pub fn entry<T: Scalar>(&self, index: usize) -> Result<EntryReader<'_, T, S>> {
         let record = self.entries.get(index).ok_or_else(|| {
-            StreamError::corrupt(format!(
+            CodecError::corrupt(format!(
                 "entry index {index} out of range ({} entries)",
                 self.entries.len()
             ))
         })?;
         if record.type_tag() != T::TYPE_TAG {
-            return Err(StreamError::corrupt(format!(
+            return Err(CodecError::corrupt(format!(
                 "entry {:?} element type tag {} does not match requested type",
                 record.name,
                 record.type_tag()
@@ -239,7 +238,7 @@ impl<S: ByteSource> ContainerReader<S> {
     pub fn entry_by_name<T: Scalar>(&self, name: &str) -> Result<EntryReader<'_, T, S>> {
         let index = self
             .find(name)
-            .ok_or_else(|| StreamError::corrupt(format!("no entry named {name:?}")))?;
+            .ok_or_else(|| CodecError::corrupt(format!("no entry named {name:?}")))?;
         self.entry(index)
     }
 
@@ -343,11 +342,11 @@ impl<'a> EntryMeta<'a> {
 /// Fetch and CRC-verify one indexed section.
 fn fetch_section<S: ByteSource>(source: &S, loc: &SectionLoc, what: &str) -> Result<Vec<u8>> {
     let len = usize::try_from(loc.len)
-        .map_err(|_| StreamError::corrupt(format!("{what} section too large")))?;
+        .map_err(|_| CodecError::corrupt(format!("{what} section too large")))?;
     let mut buf = vec![0u8; len];
     source.read_exact_at(loc.off, &mut buf)?;
     if crc32(&buf) != loc.crc {
-        return Err(StreamError::corrupt(format!(
+        return Err(CodecError::corrupt(format!(
             "{what} checksum mismatch at {}..{}",
             loc.off,
             loc.off + loc.len
@@ -372,11 +371,11 @@ impl<S: ByteSource> SectionSource for StzSections<'_, S> {
         &self.detail.header
     }
 
-    fn l1_bytes(&self) -> stz_codec::Result<Cow<'_, [u8]>> {
-        fetch_section(self.source, &self.detail.l1, "level-1").map(Cow::Owned).map_err(to_codec)
+    fn l1_bytes(&self) -> Result<Cow<'_, [u8]>> {
+        fetch_section(self.source, &self.detail.l1, "level-1").map(Cow::Owned)
     }
 
-    fn block_bytes(&self, level: u8, i: usize) -> stz_codec::Result<Cow<'_, [u8]>> {
+    fn block_bytes(&self, level: u8, i: usize) -> Result<Cow<'_, [u8]>> {
         let loc = (level as usize)
             .checked_sub(2)
             .and_then(|k| self.detail.blocks.get(k))
@@ -384,7 +383,7 @@ impl<S: ByteSource> SectionSource for StzSections<'_, S> {
             .ok_or_else(|| {
                 CodecError::corrupt(format!("no sub-block {i} at level {level} in index"))
             })?;
-        fetch_section(self.source, loc, "sub-block").map(Cow::Owned).map_err(to_codec)
+        fetch_section(self.source, loc, "sub-block").map(Cow::Owned)
     }
 
     fn bytes_through_level(&self, k: u8) -> usize {
@@ -418,7 +417,7 @@ impl<'a, T: Scalar, S: ByteSource> EntryReader<'a, T, S> {
     /// foreign codec cannot serve.
     fn stz(&self, what: &str) -> Result<&StzSections<'a, S>> {
         self.stz.as_ref().ok_or_else(|| {
-            StreamError::unsupported(format!(
+            CodecError::unsupported(format!(
                 "{what} requires a native stz entry; entry {:?} uses codec {}",
                 self.record.name,
                 self.codec_label()
@@ -472,15 +471,15 @@ impl<T: BackendScalar, S: ByteSource> EntryReader<'_, T, S> {
     /// Decode the whole payload of a foreign entry via the codec registry.
     fn decompress_foreign(&self) -> Result<Field<T>> {
         let codec = stz_backend::registry().by_id(self.record.codec).ok_or_else(|| {
-            StreamError::unsupported(format!(
+            CodecError::unsupported(format!(
                 "entry {:?} uses codec id {}, which this build does not know",
                 self.record.name, self.record.codec
             ))
         })?;
         let bytes = self.read_payload()?;
-        let field = stz_backend::decompress::<T>(codec, &bytes).map_err(StreamError::Codec)?;
+        let field = stz_backend::decompress::<T>(codec, &bytes)?;
         if field.dims() != self.record.dims() {
-            return Err(StreamError::corrupt(format!(
+            return Err(CodecError::corrupt(format!(
                 "entry {:?} payload decodes to {:?}, index says {:?}",
                 self.record.name,
                 field.dims(),
@@ -500,9 +499,7 @@ impl<T: BackendScalar, S: ByteSource> EntryReader<'_, T, S> {
     /// serially — their archives are monolithic).
     pub fn decompress_parallel(&self) -> Result<Field<T>> {
         match &self.stz {
-            Some(sections) => {
-                Ok(ProgressiveDecoder::new(sections).decode_to(sections.num_levels())?)
-            }
+            Some(sections) => ProgressiveDecoder::new(sections).decode_to(sections.num_levels()),
             None => self.decompress_foreign(),
         }
     }
@@ -511,7 +508,7 @@ impl<T: BackendScalar, S: ByteSource> EntryReader<'_, T, S> {
     /// `1..=k` (STZ entries only).
     pub fn decompress_level(&self, k: u8) -> Result<Field<T>> {
         let steps = ProgressiveDecoder::new(self.stz("level preview")?);
-        Ok(pool::with_threads(1, || steps.decode_to(k))?)
+        pool::with_threads(1, || steps.decode_to(k))
     }
 
     /// Random-access decompression of `region` at width 1.
@@ -524,7 +521,7 @@ impl<T: BackendScalar, S: ByteSource> EntryReader<'_, T, S> {
             Some(_) => self.decompress_region_with_breakdown(region).map(|(f, _)| f),
             None => {
                 if !region.fits_in(self.record.dims()) {
-                    return Err(StreamError::corrupt(format!(
+                    return Err(CodecError::corrupt(format!(
                         "region {region:?} outside entry dims {:?}",
                         self.record.dims()
                     )));
@@ -541,7 +538,7 @@ impl<T: BackendScalar, S: ByteSource> EntryReader<'_, T, S> {
         region: &Region,
     ) -> Result<(Field<T>, AccessBreakdown)> {
         let sections = self.stz("random access breakdown")?;
-        Ok(pool::with_threads(1, || random_access::decompress_region(sections, region))?)
+        pool::with_threads(1, || random_access::decompress_region(sections, region))
     }
 
     /// Incremental coarse-to-fine decoder over this entry, stepping at the
@@ -557,6 +554,6 @@ impl<T: BackendScalar, S: ByteSource> EntryReader<'_, T, S> {
     pub fn read_archive(&self) -> Result<StzArchive<T>> {
         self.stz("rebuilding a resident archive")?;
         let bytes = self.read_payload()?;
-        StzArchive::from_bytes(bytes).map_err(StreamError::Codec)
+        StzArchive::from_bytes(bytes)
     }
 }

@@ -1,13 +1,13 @@
 //! Incremental container writer.
 
 use crate::crc::crc32;
-use crate::error::{Result, StreamError};
 use crate::format::{
     encode_footer, encode_trailer, EntryDetail, EntryRecord, ForeignDetail, SectionLoc, StzDetail,
     CONTAINER_MAGIC, CONTAINER_VERSION,
 };
 use std::io::Write;
 use std::path::Path;
+use stz_codec::{CodecError, Result};
 use stz_core::StzArchive;
 use stz_field::{Dims, Scalar};
 
@@ -151,20 +151,20 @@ pub fn index_foreign_archive<'e>(
     base: u64,
 ) -> Result<(EntryRecord, &'e [u8])> {
     if foreign.codec == stz_backend::id::STZ {
-        return Err(StreamError::unsupported(
+        return Err(CodecError::unsupported(
             "codec id 0 (stz) entries must be added as indexed archives, not foreign blobs",
         ));
     }
     if foreign.type_tag > 1 {
-        return Err(StreamError::unsupported(format!("element type tag {}", foreign.type_tag)));
+        return Err(CodecError::unsupported(format!("element type tag {}", foreign.type_tag)));
     }
     if !(foreign.eb > 0.0 && foreign.eb.is_finite()) {
-        return Err(StreamError::corrupt(format!("invalid error bound {}", foreign.eb)));
+        return Err(CodecError::corrupt(format!("invalid error bound {}", foreign.eb)));
     }
     // Mirror the reader's dims cap so the writer can never emit a
     // container its own reader rejects.
     if foreign.dims.len() as u64 > stz_sz3::stream::MAX_POINTS {
-        return Err(StreamError::corrupt(format!(
+        return Err(CodecError::corrupt(format!(
             "dims {:?} exceed the container point cap",
             foreign.dims
         )));

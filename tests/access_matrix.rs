@@ -15,8 +15,9 @@ use stz::serve::{ServeOptions, Server};
 use stz::stream::{ByteSource, ContainerWriter, ForeignArchive, MemorySource};
 
 /// The test fixture: one f32 stz entry, one f64 stz entry, one foreign
-/// (zfp) f32 entry — resident archives plus the container file packing
-/// the exact same payloads.
+/// (zfp) f32 entry, and one foreign zfp entry from a future zfp format
+/// version — resident archives plus the container file packing the exact
+/// same payloads.
 struct Fixture {
     dir: std::path::PathBuf,
     container: std::path::PathBuf,
@@ -34,7 +35,10 @@ fn fixture(tag: &str) -> Fixture {
     let zfp = registry().by_name("zfp").unwrap();
     let zfp_bytes =
         stz::backend::compress(zfp, &zfp_field, &stz::backend::ErrorBound::Absolute(1e-2)).unwrap();
+    let mut future_bytes = zfp_bytes.clone();
+    future_bytes[4] = 99; // the zfp format version
     let foreign = ForeignArchive::new::<f32>(zfp.id(), dims, 1e-2, zfp_bytes);
+    let future = ForeignArchive::new::<f32>(zfp.id(), dims, 1e-2, future_bytes);
 
     let dir = std::env::temp_dir().join(format!("stz_access_matrix_{}_{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -44,12 +48,14 @@ fn fixture(tag: &str) -> Fixture {
     writer.add_archive("t32", &a32).unwrap();
     writer.add_archive("t64", &a64).unwrap();
     writer.add_foreign("zfp", &foreign).unwrap();
+    writer.add_foreign("zfp99", &future).unwrap();
     writer.finish().unwrap();
 
     let mut mem = MemStore::new();
     mem.add("t32", a32);
     mem.add("t64", a64);
     mem.add("zfp", foreign);
+    mem.add("zfp99", future);
 
     Fixture { dir, container, mem }
 }
@@ -110,7 +116,7 @@ fn fetch_matrix_is_byte_identical_across_all_three_stores() {
 
     // Listings agree on everything a fetch plan needs.
     let mem_list = fx.mem.list().unwrap();
-    assert_eq!(mem_list.len(), 3);
+    assert_eq!(mem_list.len(), 4);
     for (name, store) in &stores {
         let list = store.list().unwrap();
         assert_eq!(list.len(), mem_list.len(), "{name} entry count");
@@ -131,10 +137,15 @@ fn fetch_matrix_is_byte_identical_across_all_three_stores() {
     // The full matrix: every entry x every fetch x every store, compared
     // against the MemStore result (success bytes AND failure class).
     let mut decoded_fetches = 0;
-    for entry_name in ["t32", "t64", "zfp"] {
+    for entry_name in ["t32", "t64", "zfp", "zfp99"] {
         let sel = EntrySel::Name(entry_name.into());
         for fetch in fetch_matrix() {
             let expect = run_fetch(&fx.mem, &sel, &fetch);
+            // The future-version payload is intact, so its raw bytes serve;
+            // every decode of it is unsupported, not corrupt.
+            if entry_name == "zfp99" && !matches!(fetch, Fetch::RawSection(_)) {
+                assert_eq!(expect, Err("unsupported"), "{entry_name}: {fetch:?}");
+            }
             for (store_name, store) in &stores {
                 let got = run_fetch(*store, &sel, &fetch);
                 assert_eq!(
@@ -149,8 +160,8 @@ fn fetch_matrix_is_byte_identical_across_all_three_stores() {
     }
     // Sanity: the matrix actually exercised successes of every shape —
     // stz entries serve all 9 fetches, the foreign entry serves
-    // full/region×2/raw.
-    assert_eq!(decoded_fetches, 9 + 9 + 4, "unexpected matrix coverage");
+    // full/region×2/raw, the future-version one only raw.
+    assert_eq!(decoded_fetches, 9 + 9 + 4 + 1, "unexpected matrix coverage");
 
     // Progressive and direct previews are byte-identical by construction.
     for (store_name, store) in &stores {
