@@ -24,8 +24,9 @@ use crate::level::LevelPlan;
 use crate::pool;
 use crate::progressive::ProgressiveDecoder;
 use crate::random_access::AccessBreakdown;
-use std::marker::PhantomData;
+use std::fmt;
 use std::ops::Range;
+use std::sync::OnceLock;
 use stz_codec::{ByteReader, ByteWriter, CodecError, Result};
 use stz_field::{Dims, Field, Region, Scalar};
 use stz_sz3::{ErrorBound, InterpKind};
@@ -75,7 +76,12 @@ impl ArchiveHeader {
 /// The archive owns its bytes and a parsed table of contents; every
 /// decompression entry point here walks a [`ProgressiveDecoder`]. The pool's
 /// width decides how many threads a walk uses, and the serial methods pin 1.
-#[derive(Debug, Clone)]
+///
+/// The handle also keeps its decoded level-1 grid — 1/64 of the field in
+/// the 3-level 3-D case — once any decode has made it: full, preview,
+/// region or stepped. Every later walk starts from that grid instead of the
+/// level-1 SZ3 stream, on whatever thread it runs; a decode that fails keeps
+/// nothing. A clone starts without it, and `Debug` never prints it.
 pub struct StzArchive<T: Scalar> {
     bytes: Vec<u8>,
     header: ArchiveHeader,
@@ -85,7 +91,32 @@ pub struct StzArchive<T: Scalar> {
     /// `block_ranges[k - 2][i]` for level `k`, block index `i` (canonical
     /// order, empty blocks skipped — same order as `LevelPlan`).
     block_ranges: Vec<Vec<Range<usize>>>,
-    _marker: PhantomData<fn() -> T>,
+    /// The decoded level-1 grid, once a walk has made it.
+    level1: OnceLock<Vec<T>>,
+}
+
+impl<T: Scalar> Clone for StzArchive<T> {
+    /// The same archive, without the decoded level-1 grid.
+    fn clone(&self) -> Self {
+        StzArchive {
+            bytes: self.bytes.clone(),
+            header: self.header.clone(),
+            l1_range: self.l1_range.clone(),
+            block_ranges: self.block_ranges.clone(),
+            level1: OnceLock::new(),
+        }
+    }
+}
+
+impl<T: Scalar> fmt::Debug for StzArchive<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StzArchive")
+            .field("len", &self.bytes.len())
+            .field("header", &self.header)
+            .field("l1_range", &self.l1_range)
+            .field("block_ranges", &self.block_ranges)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Assemble archive bytes from the parts produced by the compressor.
@@ -153,7 +184,7 @@ impl<T: Scalar> StzArchive<T> {
                 )));
             }
         }
-        Ok(StzArchive { bytes, header, l1_range, block_ranges, _marker: PhantomData })
+        Ok(StzArchive { bytes, header, l1_range, block_ranges, level1: OnceLock::new() })
     }
 
     /// The raw archive bytes (what you would write to disk).
@@ -254,14 +285,17 @@ impl<T: Scalar> StzArchive<T> {
     }
 
     /// Progressive decompression to hierarchy level `k` (1 = coarsest): the
-    /// stride-`2^(levels-k)` preview of the field, at width 1.
+    /// stride-`2^(levels-k)` preview of the field, at width 1. Level 1 is a
+    /// copy of the handle's decoded level-1 grid.
     pub fn decompress_level(&self, k: u8) -> Result<Field<T>> {
         pool::with_threads(1, || self.progressive().decode_to(k))
     }
 
-    /// Incremental progressive decoder; its steps run at the pool's width.
+    /// Incremental progressive decoder; its steps run at the pool's width,
+    /// and its first one takes the handle's decoded level-1 grid (making it
+    /// if no decode has yet).
     pub fn progressive(&self) -> ProgressiveDecoder<'_, T> {
-        ProgressiveDecoder::new(self)
+        ProgressiveDecoder::new(self).resume(&self.level1)
     }
 
     /// Random-access decompression of `region` at full resolution, at width 1.
@@ -275,7 +309,9 @@ impl<T: Scalar> StzArchive<T> {
         &self,
         region: &Region,
     ) -> Result<(Field<T>, AccessBreakdown)> {
-        pool::with_threads(1, || crate::random_access::decompress_region(self, region))
+        pool::with_threads(1, || {
+            ProgressiveDecoder::region(self, region)?.resume(&self.level1).finish(self.num_levels())
+        })
     }
 }
 
@@ -494,6 +530,70 @@ mod tests {
         bytes[21..29].copy_from_slice(&5e-324f64.to_le_bytes());
         let err = StzArchive::<f32>::from_bytes(bytes).unwrap_err();
         assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+    }
+
+    fn compressed(dims: Dims) -> StzArchive<f32> {
+        let field = Field::from_fn(dims, |z, y, x| ((z * y + x) as f32 * 0.01).sin());
+        crate::StzCompressor::new(StzConfig::three_level(1e-3)).compress(&field).unwrap()
+    }
+
+    #[test]
+    fn the_first_decode_of_any_kind_keeps_level_one_and_a_clone_does_not() {
+        let archive = compressed(Dims::d3(16, 16, 16));
+        let region = Region::d3(2..9, 0..16, 5..11);
+        type Decode = fn(&StzArchive<f32>, &Region);
+        let first: [Decode; 5] = [
+            |a, _| drop(a.decompress().unwrap()),
+            |a, _| drop(a.decompress_level(2).unwrap()),
+            |a, region| drop(a.decompress_region(region).unwrap()),
+            |a, _| drop(a.progressive().next_level().unwrap()),
+            |a, _| drop(pool::with_threads(2, || a.decompress_parallel()).unwrap()),
+        ];
+        let l1 = archive.decompress_level(1).unwrap().into_vec();
+        for decode in first {
+            let fresh = StzArchive::<f32>::from_bytes(archive.as_bytes().to_vec()).unwrap();
+            let shown = format!("{fresh:?}");
+            assert!(fresh.level1.get().is_none());
+            decode(&fresh, &region);
+            assert_eq!(fresh.level1.get(), Some(&l1));
+            assert!(fresh.clone().level1.get().is_none());
+            // `Debug` shows neither the grid nor the bytes.
+            assert_eq!(format!("{fresh:?}"), shown);
+            assert!(shown.len() < 1000, "{shown}");
+        }
+    }
+
+    #[test]
+    fn a_walk_that_resumes_from_level_one_reports_no_level_one_time() {
+        let archive = compressed(Dims::d3(24, 24, 24));
+        let region = Region::d3(3..9, 0..24, 10..14);
+        let (cold, bd) = archive.decompress_region_with_breakdown(&region).unwrap();
+        assert!(bd.l1_sz3 > 0.0);
+        let (warm, bd) = archive.decompress_region_with_breakdown(&region).unwrap();
+        assert_eq!((warm, bd.l1_sz3, bd.levels.len()), (cold, 0.0, 2));
+    }
+
+    #[test]
+    fn a_corrupt_level_one_stream_fails_alike_on_every_call_and_keeps_nothing() {
+        let mut bytes = compressed(Dims::d3(16, 16, 16)).into_bytes();
+        let l1 = StzArchive::<f32>::from_bytes(bytes.clone()).unwrap().l1_range();
+        bytes[l1.start] ^= 0xFF; // the SZ3 stream's magic
+        let archive = StzArchive::<f32>::from_bytes(bytes).unwrap();
+        let region = Region::d3(2..9, 0..16, 5..11);
+        for _ in 0..2 {
+            let errors = [
+                archive.decompress().unwrap_err(),
+                archive.decompress_parallel().unwrap_err(),
+                archive.decompress_level(1).unwrap_err(),
+                archive.decompress_level(3).unwrap_err(),
+                archive.decompress_region(&region).unwrap_err(),
+                archive.progressive().next_level().unwrap_err(),
+            ];
+            for err in errors {
+                assert_eq!(err.to_string(), "corrupt stream: bad SZ3 magic");
+            }
+            assert!(archive.level1.get().is_none());
+        }
     }
 
     #[test]

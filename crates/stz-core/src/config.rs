@@ -101,7 +101,6 @@ impl StzConfig {
     }
 
     pub fn with_levels(mut self, levels: u8) -> Self {
-        assert!((2..=4).contains(&levels), "STZ supports 2–4 levels");
         self.levels = levels;
         self
     }
@@ -117,19 +116,18 @@ impl StzConfig {
     }
 
     pub fn with_radius(mut self, radius: i64) -> Self {
-        assert!(radius > 0);
         self.radius = radius;
         self
     }
 
     /// Check the configuration, classifying the first problem found.
     ///
-    /// The compressor calls this before touching the field, so a config
-    /// assembled from raw struct fields (bypassing the checked builders)
-    /// still fails cleanly: a NaN or negative bound, a 0/1/5-level
-    /// hierarchy, a degenerate adaptive ratio, or a radius that is not
-    /// positive or too large for the symbol stream each map to their
-    /// [`ConfigError`] variant.
+    /// The builders are plain setters and this is the one check. The
+    /// compressor calls it before touching the field, so a config from the
+    /// builders or from raw struct fields fails cleanly: a NaN or negative
+    /// bound, a 0/1/5-level hierarchy, a degenerate adaptive ratio, or a
+    /// radius that is not positive or too large for the symbol stream each
+    /// map to their [`ConfigError`] variant.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let raw_eb = match self.eb {
             ErrorBound::Absolute(eb) | ErrorBound::Relative(eb) => eb,
@@ -220,9 +218,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn five_levels_rejected() {
-        let _ = StzConfig::three_level(0.1).with_levels(5);
+        let cfg = StzConfig::three_level(0.1).with_levels(5);
+        assert_eq!(cfg.validate(), Err(ConfigError::BadLevels(5)));
+        let field = Field::from_fn(Dims::d3(8, 8, 8), |z, y, x| (z + y + x) as f32);
+        let err = crate::StzCompressor::new(cfg).compress(&field).unwrap_err();
+        assert!(err.to_string().contains("invalid configuration"), "{err}");
     }
 
     #[test]

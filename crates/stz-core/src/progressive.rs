@@ -3,12 +3,20 @@
 //! working grid — or the box of it a region needs — between steps; full,
 //! preview and ROI decodes are throw-away walks. A level's grid *is* its
 //! preview: an intermediate step hands out a copy, the last the grid itself.
+//!
+//! Level 1 is the one grid every walk decodes whole. An [`StzArchive`]
+//! decodes it once and keeps it, and its walks resume from that memo: level
+//! 2 predicts straight from it rather than from a fresh decode of the SZ3
+//! stream (the jxl-oxide `LfGroup` model: decode the coarse image once,
+//! refine each region against it). A level-1 preview is a copy of it.
 
 use crate::archive::StzArchive;
 use crate::compressor::{decode_box, decode_level1};
 use crate::level::LevelPlan;
 use crate::random_access::{needed_regions, AccessBreakdown};
 use crate::source::SectionSource;
+use std::borrow::Cow;
+use std::sync::OnceLock;
 use std::time::Instant;
 use stz_codec::{CodecError, Result};
 use stz_field::{Dims, Field, Region, Scalar};
@@ -23,8 +31,11 @@ pub struct ProgressiveDecoder<'a, T: Scalar, S: SectionSource + ?Sized = StzArch
     /// The box of each level's grid the walk assembles: all of it, or the
     /// share a region needs.
     boxes: Vec<Region>,
-    /// The box of the last level decoded.
-    grid: Vec<T>,
+    /// The box of the last level decoded: level 1 borrowed from a memo, or
+    /// a grid this walk owns.
+    grid: Cow<'a, [T]>,
+    /// The level-1 memo this walk resumes from, filling it if it is empty.
+    memo: Option<&'a OnceLock<Vec<T>>>,
     /// Levels decoded so far (0 = none yet).
     decoded: u8,
     /// Stage timings of the levels decoded so far.
@@ -41,7 +52,8 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
 
     /// A walk whose last step is `region` at full resolution: every finer
     /// level assembles only the box of `needed` its successor's stencils
-    /// reach. Level 1 is one SZ3 stream, decoded whole.
+    /// reach. Level 1 is one SZ3 stream, decoded whole (or, on a walk that
+    /// [resumes](ProgressiveDecoder::resume), taken whole from the memo).
     pub(crate) fn region(source: &'a S, region: &Region) -> Result<Self> {
         let dims = source.header().dims;
         if !region.fits_in(dims) {
@@ -55,7 +67,17 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
 
     fn over(source: &'a S, plan: LevelPlan, boxes: Vec<Region>) -> Self {
         let breakdown = AccessBreakdown::default();
-        ProgressiveDecoder { source, plan, boxes, grid: Vec::new(), decoded: 0, breakdown }
+        let grid = Cow::Borrowed(&[][..]);
+        ProgressiveDecoder { source, plan, boxes, grid, memo: None, decoded: 0, breakdown }
+    }
+
+    /// This walk, taking level 1 from `memo` rather than the SZ3 stream: its
+    /// level-1 step borrows the grid `memo` holds, or decodes and stores it
+    /// there if it holds none (a failed decode leaves it empty), and level 2
+    /// predicts straight from the memo.
+    pub(crate) fn resume(mut self, memo: &'a OnceLock<Vec<T>>) -> Self {
+        self.memo = Some(memo);
+        self
     }
 
     /// Number of levels decoded so far.
@@ -91,8 +113,11 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
             return Ok(None);
         }
         self.step()?;
-        let grid =
-            if self.is_complete() { std::mem::take(&mut self.grid) } else { self.grid.clone() };
+        let grid = if self.is_complete() {
+            std::mem::take(&mut self.grid).into_owned()
+        } else {
+            self.grid.to_vec()
+        };
         Ok(Some(self.field(grid)))
     }
 
@@ -103,8 +128,9 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
     }
 
     /// [`ProgressiveDecoder::decode_to`], with the stage timings of every
-    /// level decoded (`total` is the caller's to fill in).
+    /// level decoded and, as `total`, the seconds this call took.
     pub(crate) fn finish(mut self, k: u8) -> Result<(Field<T>, AccessBreakdown)> {
+        let start = Instant::now();
         let levels = self.boxes.len();
         if !(self.decoded as usize + 1..=levels).contains(&(k as usize)) {
             return Err(CodecError::corrupt(format!(
@@ -115,11 +141,12 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
             self.step()?;
         }
         let t = Instant::now();
-        let grid = std::mem::take(&mut self.grid);
+        let grid = std::mem::take(&mut self.grid).into_owned();
         let field = self.field(grid);
         if let Some(last) = self.breakdown.levels.last_mut() {
             last.reconstruct += t.elapsed().as_secs_f64();
         }
+        self.breakdown.total = start.elapsed().as_secs_f64();
         Ok((field, self.breakdown))
     }
 
@@ -127,16 +154,33 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
     fn step(&mut self) -> Result<()> {
         let (t, k) = (Instant::now(), self.decoded as usize);
         if k == 0 {
-            let _stage = trace::span("level1");
-            self.grid = decode_level1::<T, S>(self.source, &self.plan)?;
-            self.breakdown.l1_sz3 = t.elapsed().as_secs_f64();
+            let mut stage = trace::span("level1");
+            let decode = || decode_level1::<T, S>(self.source, &self.plan);
+            let (grid, decoded) = match self.memo {
+                None => (Cow::Owned(decode()?), true),
+                Some(memo) => {
+                    let fill = memo.get().is_none();
+                    stage.attr("memo", if fill { "fill" } else { "hit" });
+                    if fill {
+                        // First walks that race each decode the same grid;
+                        // the memo keeps one of them.
+                        let _ = memo.set(decode()?);
+                    }
+                    (Cow::Borrowed(memo.get().expect("the memo is filled").as_slice()), fill)
+                }
+            };
+            self.grid = grid;
+            // A walk that resumes from a filled memo reads 0 here.
+            if decoded {
+                self.breakdown.l1_sz3 = t.elapsed().as_secs_f64();
+            }
         } else {
             let level = &self.plan.levels[k];
             let mut stage = trace::span("level_decode");
             stage.attr("level", level.index);
             let (cbox, obox) = (&self.boxes[k - 1], &self.boxes[k]);
             let (grid, times) = decode_box(self.source, level, &self.grid, cbox, obox)?;
-            self.grid = grid;
+            self.grid = Cow::Owned(grid);
             self.breakdown.levels.push(times);
         }
         self.decoded += 1;
@@ -222,6 +266,36 @@ mod tests {
         assert_eq!(total, archive.bytes_through_level(3));
         // The coarsest level must be a small fraction of the stream.
         assert!(archive.bytes_through_level(1) < archive.compressed_len() / 4);
+    }
+
+    #[test]
+    fn the_level1_span_says_whether_a_walk_filled_the_memo_or_resumed_from_it() {
+        let collector = Box::leak(Box::new(trace::TraceCollector::new(true)));
+        let archive = StzCompressor::new(StzConfig::three_level(1e-3)).compress(&field()).unwrap();
+        let region = Region::d3(2..9, 3..20, 5..11);
+        let memo = |walk: &dyn Fn()| {
+            let id = {
+                let root = collector.start("test", "request", None);
+                walk();
+                root.trace_id().unwrap()
+            };
+            let trace = collector.snapshot().into_iter().find(|t| t.trace_id == id).unwrap();
+            let level1: Vec<_> = trace.spans.iter().filter(|s| s.name == "level1").collect();
+            assert_eq!(level1.len(), 1, "one level-1 step per walk");
+            level1[0].attrs.iter().find(|(k, _)| k == "memo").map(|(_, v)| v.clone())
+        };
+        let roi = || drop(archive.decompress_region(&region).unwrap());
+        assert_eq!(memo(&roi).as_deref(), Some("fill"));
+        assert_eq!(memo(&roi).as_deref(), Some("hit"));
+        assert_eq!(
+            memo(&|| drop(archive.progressive().next_level().unwrap())).as_deref(),
+            Some("hit")
+        );
+        // The public constructor walks without a memo, as over any source.
+        assert_eq!(
+            memo(&|| drop(ProgressiveDecoder::<f32>::new(&archive).decode_to(3).unwrap())),
+            None
+        );
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //!
 //! Reconstructing an ROI needs:
 //!
-//! 1. **Level 1** — always decoded in full (the SZ3 stream is monolithic),
-//!    but it is only ~1.6% of the data in the 3-level 3-D scheme.
+//! 1. **Level 1** — needed in full (the SZ3 stream is monolithic), but it
+//!    is only ~1.6% of the data in the 3-level 3-D scheme. An
+//!    [`crate::StzArchive`] decodes it once and keeps it: its later ROIs
+//!    predict level 2 straight from that grid and report `l1_sz3` as 0.
+//!    A generic [`SectionSource`] walk decodes it on every call.
 //! 2. **Decode** — for every finer level, only the sub-blocks whose lattice
 //!    intersects the (stencil-dilated) ROI are visited, and within them only
 //!    the Huffman chunks that hold a row of the ROI are entropy-decoded. A
@@ -24,7 +27,6 @@
 use crate::level::LevelPlan;
 use crate::progressive::ProgressiveDecoder;
 use crate::source::SectionSource;
-use std::time::Instant;
 use stz_codec::Result;
 use stz_field::{Field, Region, Scalar};
 
@@ -32,11 +34,12 @@ use stz_field::{Field, Region, Scalar};
 /// mirroring the columns of the paper's Table 4.
 #[derive(Debug, Clone, Default)]
 pub struct AccessBreakdown {
-    /// Seconds decompressing the level-1 SZ3 stream ("L1 SZ3").
+    /// Seconds decompressing the level-1 SZ3 stream ("L1 SZ3"); 0 on a walk
+    /// that resumed from an archive's decoded level-1 grid.
     pub l1_sz3: f64,
     /// Per finer level (index 0 = level 2): stage timings.
     pub levels: Vec<LevelTimes>,
-    /// Total seconds.
+    /// Total seconds of the walk.
     pub total: f64,
 }
 
@@ -116,11 +119,7 @@ pub fn decompress_region<T: Scalar, S: SectionSource + ?Sized>(
     source: &S,
     region: &Region,
 ) -> Result<(Field<T>, AccessBreakdown)> {
-    let start = Instant::now();
-    let (field, mut breakdown) =
-        ProgressiveDecoder::region(source, region)?.finish(source.num_levels())?;
-    breakdown.total = start.elapsed().as_secs_f64();
-    Ok((field, breakdown))
+    ProgressiveDecoder::region(source, region)?.finish(source.num_levels())
 }
 
 #[cfg(test)]

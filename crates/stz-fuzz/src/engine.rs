@@ -26,7 +26,7 @@ pub struct Config {
     /// Largest tolerated single allocation during one execution, in
     /// bytes; 0 disables the oracle (no tracking allocator installed).
     pub alloc_cap: usize,
-    /// Run transport/classification deep checks on corpus-new inputs.
+    /// Run the targets' deep checks on corpus-new inputs, seeds included.
     pub deep_checks: bool,
     /// Where minimized reproducers for violations are written (`None` =
     /// don't write files).
@@ -182,11 +182,19 @@ pub fn run(target: &dyn FuzzTarget, cfg: &Config) -> Summary {
 
     // Warm up on the seeds: lazily initialized registries and pools
     // allocate on first touch; doing it here keeps iteration
-    // measurements clean. Seeds join the corpus like any other input.
+    // measurements clean. Seeds join the corpus like any other input, and
+    // the deep check runs on those that are new to it: most inputs the
+    // mutator makes fail, and only a seed is sure to decode.
     for seed_input in &seeds {
         let (result, _peak) = execute(target, seed_input);
         if let Ok(outcome) = result {
-            corpus.insert(&outcome.signature(target.name()), seed_input);
+            let new = corpus.insert(&outcome.signature(target.name()), seed_input);
+            if new && cfg.deep_checks {
+                if let Err(detail) = target.deep_check(seed_input) {
+                    let input = seed_input.clone();
+                    record_violation(target, cfg, &mut violations, "deep-check", detail, 0, input);
+                }
+            }
         }
     }
 

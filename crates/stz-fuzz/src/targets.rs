@@ -11,8 +11,8 @@ use crate::corpus::signature;
 use std::io::{Cursor, Read, Write};
 use stz_access::{AccessError, Entry, EntrySel as AccessSel, Fetch, FileStore, Store};
 use stz_backend::{registry, ErrorBound};
-use stz_core::{StzCompressor, StzConfig};
-use stz_field::{Dims, Field, Region};
+use stz_core::{StzArchive, StzCompressor, StzConfig};
+use stz_field::{Dims, Field, Region, Scalar};
 use stz_mutate::{upgrade_image, MemBacking, MutableContainer};
 use stz_serve::proto::{
     self, write_frame, ContainerInfo, Enc, EntryInfo, EntrySel, FetchReq, FetchedField, FrameType,
@@ -623,9 +623,71 @@ impl FuzzTarget for CodecTarget {
         }
     }
 
+    /// The level-1 memo oracle: on an input that parses as an
+    /// [`StzArchive`], a handle that resumes from the level-1 grid it kept
+    /// must answer every call as a fresh handle does.
+    fn deep_check(&self, input: &[u8]) -> Result<(), String> {
+        if stz_core::archive::type_tag(input) == Some(f64::TYPE_TAG) {
+            cold_equals_warm::<f64>(input)
+        } else {
+            cold_equals_warm::<f32>(input)
+        }
+    }
+
     fn max_input_len(&self) -> usize {
         1 << 14
     }
+}
+
+/// A region, every level, then the full decode, each on a handle of its
+/// own, which decodes level 1 from the stream, and twice over on one handle,
+/// which resumes from the grid it kept after its first call: each answer's
+/// exact bits or error text must be the same all three times. Input that is
+/// no archive of `T` passes.
+fn cold_equals_warm<T: Scalar>(input: &[u8]) -> Result<(), String> {
+    let handle = || StzArchive::<T>::from_bytes(input.to_vec());
+    let Ok(archive) = handle() else { return Ok(()) };
+    let [nz, ny, nx] = archive.dims().as_array();
+    let middle = |n: usize| n / 4..n / 4 + n.div_ceil(2);
+    let region = Region::d3(middle(nz), middle(ny), middle(nx));
+    let levels = archive.num_levels();
+    let call = |a: &StzArchive<T>, i: u8| {
+        let decoded = match i {
+            0 => a.decompress_region(&region),
+            i if i <= levels => a.decompress_level(i),
+            _ => a.decompress(),
+        };
+        let bits = |f: Field<T>| f.as_slice().iter().map(|v| v.to_f64().to_bits()).collect();
+        decoded.map(bits).map_err(|e| e.to_string())
+    };
+    let calls = 0..=levels + 1;
+    let cold: Vec<Result<Vec<u64>, String>> =
+        calls.clone().map(|i| call(&handle().expect("parsed above"), i)).collect();
+    for pass in ["first", "second"] {
+        for (i, cold) in calls.clone().zip(&cold) {
+            let warm = call(&archive, i);
+            if &warm != cold {
+                let what = match i {
+                    0 => format!("region {region:?}"),
+                    i if i <= levels => format!("level {i}"),
+                    _ => "full decode".to_string(),
+                };
+                let brief = |r: &Result<Vec<u64>, String>| match r {
+                    Ok(bits) => format!("{} values", bits.len()),
+                    Err(e) => e.clone(),
+                };
+                let diff = match (&warm, cold) {
+                    (Ok(w), Ok(c)) if w.len() == c.len() => {
+                        let at = w.iter().zip(c).position(|(w, c)| w != c).unwrap_or(0);
+                        format!("value {at} differs")
+                    }
+                    _ => format!("{} against {}", brief(&warm), brief(cold)),
+                };
+                return Err(format!("{what}, {pass} pass on one handle vs a fresh one: {diff}"));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -668,6 +730,26 @@ mod tests {
                 out.class.contains("f32-ok") || out.class.contains("f64-ok"),
                 "each codec seed decodes at its own type: {out:?}"
             );
+        }
+    }
+
+    #[test]
+    fn codec_deep_check_finds_the_memo_stable_on_valid_and_corrupt() {
+        let t = CodecTarget;
+        let seeds = t.seeds();
+        let stz: Vec<&Vec<u8>> = seeds.iter().filter(|s| s.starts_with(b"STZ1")).collect();
+        assert!(stz.len() >= 2, "an f32 and an f64 stz seed");
+        for seed in stz {
+            t.deep_check(seed).unwrap();
+            // A flipped byte in the level-1 stream: the same answer or error
+            // on every handle, and no grid kept from a failed decode.
+            let l1 = StzArchive::<f32>::from_bytes(seed.clone())
+                .map(|a| a.l1_range())
+                .or_else(|_| StzArchive::<f64>::from_bytes(seed.clone()).map(|a| a.l1_range()))
+                .unwrap();
+            let mut corrupt = seed.clone();
+            corrupt[l1.start + l1.len() / 2] ^= 0xFF;
+            t.deep_check(&corrupt).unwrap();
         }
     }
 

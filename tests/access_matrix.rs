@@ -22,6 +22,21 @@ struct Fixture {
     dir: std::path::PathBuf,
     container: std::path::PathBuf,
     mem: MemStore,
+    archives: (StzArchive<f32>, StzArchive<f64>, ForeignArchive, ForeignArchive),
+}
+
+impl Fixture {
+    /// A resident store over clones of the archives, which keep no decoded
+    /// level-1 grid: every first fetch of an entry decodes it afresh.
+    fn fresh_mem(&self) -> MemStore {
+        let (a32, a64, foreign, future) = self.archives.clone();
+        let mut mem = MemStore::new();
+        mem.add("t32", a32);
+        mem.add("t64", a64);
+        mem.add("zfp", foreign);
+        mem.add("zfp99", future);
+        mem
+    }
 }
 
 fn fixture(tag: &str) -> Fixture {
@@ -51,13 +66,10 @@ fn fixture(tag: &str) -> Fixture {
     writer.add_foreign("zfp99", &future).unwrap();
     writer.finish().unwrap();
 
-    let mut mem = MemStore::new();
-    mem.add("t32", a32);
-    mem.add("t64", a64);
-    mem.add("zfp", foreign);
-    mem.add("zfp99", future);
-
-    Fixture { dir, container, mem }
+    let mut fx =
+        Fixture { dir, container, mem: MemStore::new(), archives: (a32, a64, foreign, future) };
+    fx.mem = fx.fresh_mem();
+    fx
 }
 
 /// Every decoded/raw fetch shape the matrix exercises.
@@ -135,12 +147,14 @@ fn fetch_matrix_is_byte_identical_across_all_three_stores() {
     }
 
     // The full matrix: every entry x every fetch x every store, compared
-    // against the MemStore result (success bytes AND failure class).
+    // against the MemStore result (success bytes AND failure class) on a
+    // store that has decoded nothing yet. The fixture's own store is one of
+    // the three, and keeps each entry's level-1 grid from its first fetch.
     let mut decoded_fetches = 0;
     for entry_name in ["t32", "t64", "zfp", "zfp99"] {
         let sel = EntrySel::Name(entry_name.into());
         for fetch in fetch_matrix() {
-            let expect = run_fetch(&fx.mem, &sel, &fetch);
+            let expect = run_fetch(&fx.fresh_mem(), &sel, &fetch);
             // The future-version payload is intact, so its raw bytes serve;
             // every decode of it is unsupported, not corrupt.
             if entry_name == "zfp99" && !matches!(fetch, Fetch::RawSection(_)) {
@@ -162,6 +176,19 @@ fn fetch_matrix_is_byte_identical_across_all_three_stores() {
     // stz entries serve all 9 fetches, the foreign entry serves
     // full/region×2/raw, the future-version one only raw.
     assert_eq!(decoded_fetches, 9 + 9 + 4 + 1, "unexpected matrix coverage");
+
+    // The MemStore pass again, now that every entry is warm: it still
+    // answers byte for byte as the file and remote stores do.
+    for entry_name in ["t32", "t64", "zfp", "zfp99"] {
+        let sel = EntrySel::Name(entry_name.into());
+        for fetch in fetch_matrix() {
+            let warm = run_fetch(&fx.mem, &sel, &fetch);
+            for (store_name, store) in &stores[1..] {
+                let got = run_fetch(*store, &sel, &fetch);
+                assert_eq!(warm, got, "warm mem vs {store_name}: {entry_name} {fetch:?}");
+            }
+        }
+    }
 
     // Progressive and direct previews are byte-identical by construction.
     for (store_name, store) in &stores {

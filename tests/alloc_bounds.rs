@@ -7,7 +7,9 @@
 //! `decompress` allocates its output — the finest grid *is* the decoded
 //! field — and nothing larger; serially it holds no more than that, the grid
 //! it predicts from and a window of two Huffman chunks per block. A region or
-//! a preview holds a small multiple of what it returns.
+//! a preview holds a small multiple of what it returns. Beyond its answer, a
+//! handle's first decode of any kind keeps exactly one thing, its level-1
+//! grid, and a warm ROI predicts from it without copying it.
 //!
 //! One `#[test]` in a binary of its own: the high-water marks are global to
 //! the process, and a neighbouring test would allocate under them.
@@ -98,4 +100,33 @@ fn compress_allocates_no_finest_grid_and_decompress_only_its_output() {
     let (preview, _, held) = peaks_of(|| archive.decompress_level(2).unwrap());
     let out = preview.len() * std::mem::size_of::<f32>();
     assert!(held <= 4 * out, "decompress_level(2) held {held} B for {out} B of output");
+
+    // A handle keeps its decoded level-1 grid and nothing more, whatever its
+    // first decode; a warm ROI predicts from that grid and copies none of it.
+    // At 192^3 the grid (48^3 f32, 432 KiB) outsizes a level-3 chunk window
+    // (61,952 symbols, 242 KiB), the largest allocation of a walk that
+    // decodes no level 1; at 128^3 the two are 128 and 256 KiB.
+    let dims = Dims::d3(192, 192, 192);
+    let archive = StzCompressor::new(StzConfig::three_level(1e-3)).compress(&wavy(dims)).unwrap();
+    let l1 = archive.plan().levels[0].grid_dims.len() * std::mem::size_of::<f32>();
+    let small = Region::d3(88..104, 88..104, 88..104);
+    type Decode = fn(&StzArchive<f32>, &Region);
+    let firsts: [(&str, Decode); 2] = [
+        ("a full decode", |a, _| drop(a.decompress().unwrap())),
+        ("a cold ROI", |a, region| drop(a.decompress_region(region).unwrap())),
+    ];
+    for (first, decode) in firsts {
+        let handle = StzArchive::<f32>::from_bytes(archive.as_bytes().to_vec()).unwrap();
+        let before = alloc_guard::net_bytes();
+        let (_, peak, _) = peaks_of(|| decode(&handle, &small));
+        assert!(peak >= l1, "{first} decodes level 1: one allocation of {peak} B, grid {l1} B");
+        let kept = (alloc_guard::net_bytes() - before) as usize;
+        assert!(
+            (l1..=l1 + slack).contains(&kept),
+            "after {first} the handle holds {kept} B more, its level-1 grid is {l1} B"
+        );
+        let (roi, peak, _) = peaks_of(|| handle.decompress_region(&small).unwrap());
+        assert!(peak < l1, "a warm ROI made an allocation of {peak} B, the grid is {l1} B");
+        assert_eq!(roi, archive.decompress_region(&small).unwrap());
+    }
 }

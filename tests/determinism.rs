@@ -12,7 +12,7 @@ use stz::core::random_access::decompress_region;
 use stz::prelude::*;
 use stz::stream::pack_pipelined;
 
-const WIDTHS: [usize; 3] = [1, 2, 8];
+const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 fn f32_field(dims: Dims) -> Field<f32> {
     Field::from_fn(dims, |z, y, x| {
@@ -406,29 +406,51 @@ fn assert_identities<T: Scalar>(field: &Field<T>, config: StzConfig, region: &Re
     }
     assert_eq!(roi, full.extract_region(region), "{dims}");
 
-    for lane in vector_lanes() {
+    // Each call on a fresh handle, which decodes level 1 from its stream,
+    // and on `archive`, which resumes from the level-1 grid it kept.
+    let fresh = || StzArchive::<T>::from_bytes(archive.as_bytes().to_vec()).unwrap();
+    let cold_and_warm = |call: &dyn Fn(&StzArchive<T>) -> Field<T>, want: &Field<T>, what| {
+        assert_eq!(&call(&fresh()), want, "{dims} {what} on a fresh handle");
+        assert_eq!(&call(&archive), want, "{dims} {what} on a warm handle");
+    };
+    let lanes = std::iter::once(stz::simd::Lane::Scalar).chain(vector_lanes());
+    for lane in lanes {
         with_lane(lane, || {
             assert_eq!(compressor.compress(field).unwrap().as_bytes(), archive.as_bytes());
-            assert_eq!(archive.decompress().unwrap(), full, "{dims} full decode on {lane}");
+            cold_and_warm(&|a| a.decompress().unwrap(), &full, format!("full decode on {lane}"));
             for (k, level) in levels.iter().enumerate() {
-                let got = archive.decompress_level(k as u8 + 1).unwrap();
-                assert_eq!(&got, level, "{dims} level {} on {lane}", k + 1);
+                let k = k as u8 + 1;
+                cold_and_warm(
+                    &|a| a.decompress_level(k).unwrap(),
+                    level,
+                    format!("level {k} on {lane}"),
+                );
             }
-            assert_eq!(archive.decompress_region(region).unwrap(), roi, "{dims} ROI on {lane}");
+            let call = |a: &StzArchive<T>| a.decompress_region(region).unwrap();
+            cold_and_warm(&call, &roi, format!("ROI on {lane}"));
         });
     }
     for threads in WIDTHS {
         with_threads(threads, || {
             let parallel = compressor.compress_parallel(field).unwrap();
             assert_eq!(parallel.as_bytes(), archive.as_bytes(), "{dims} {threads} thread(s)");
-            assert_eq!(archive.decompress_parallel().unwrap(), full, "{dims} {threads} thread(s)");
-            let mut steps = archive.progressive();
-            for (k, level) in levels.iter().enumerate() {
-                let got = steps.next_level().unwrap().unwrap();
-                assert_eq!(&got, level, "{dims} level {} at {threads} thread(s)", k + 1);
+            let at = format!("at {threads} thread(s)");
+            cold_and_warm(
+                &|a| a.decompress_parallel().unwrap(),
+                &full,
+                format!("full decode {at}"),
+            );
+            for handle in [&fresh(), &archive] {
+                let mut steps = handle.progressive();
+                for (k, level) in levels.iter().enumerate() {
+                    let got = steps.next_level().unwrap().unwrap();
+                    assert_eq!(&got, level, "{dims} level {} {at}", k + 1);
+                }
             }
+            let call = |a: &StzArchive<T>| a.decompress_region_with_breakdown(region).unwrap().0;
+            cold_and_warm(&call, &roi, format!("ROI {at}"));
             let (got, _) = decompress_region::<T, _>(&archive, region).unwrap();
-            assert_eq!(got, roi, "{dims} ROI at {threads} thread(s)");
+            assert_eq!(got, roi, "{dims} section-source ROI {at}");
         });
     }
 }
@@ -443,6 +465,47 @@ fn f32_identities_hold_at_128_cubed() {
 fn f64_identities_hold_at_128_cubed() {
     let region = Region::d3(37..70, 5..38, 90..128);
     assert_identities(&f64_field(big()), StzConfig::three_level(EB_F64), &region);
+}
+
+#[test]
+fn first_rois_racing_on_one_shared_handle_equal_the_serial_answers() {
+    // Four threads' first calls all find the level-1 grid missing; each
+    // decodes it, one is kept, and every answer is the serial one.
+    let dims = Dims::d3(64, 64, 64);
+    let bytes = StzCompressor::new(StzConfig::three_level(EB_F32))
+        .compress(&f32_field(dims))
+        .unwrap()
+        .into_bytes();
+    let regions = [
+        Region::d3(0..16, 0..16, 0..16),
+        Region::d3(21..50, 3..64, 33..40),
+        Region::slice_z(dims, 31),
+        Region::d3(63..64, 0..64, 1..2),
+    ];
+    let handle = || StzArchive::<f32>::from_bytes(bytes.clone()).unwrap();
+    let serial: Vec<Field<f32>> =
+        regions.iter().map(|r| handle().decompress_region(r).unwrap()).collect();
+    for _ in 0..4 {
+        let shared = std::sync::Arc::new(handle());
+        let start = std::sync::Arc::new(std::sync::Barrier::new(regions.len()));
+        let racers: Vec<_> = regions
+            .iter()
+            .cloned()
+            .map(|region| {
+                let (shared, start) = (shared.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    shared.decompress_region(&region).unwrap()
+                })
+            })
+            .collect();
+        for ((racer, want), region) in racers.into_iter().zip(&serial).zip(&regions) {
+            assert_eq!(&racer.join().unwrap(), want, "{region:?}");
+        }
+        for (region, want) in regions.iter().zip(&serial) {
+            assert_eq!(&shared.decompress_region(region).unwrap(), want, "warm {region:?}");
+        }
+    }
 }
 
 #[test]
