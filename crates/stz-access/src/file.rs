@@ -83,29 +83,39 @@ struct FileEntry<S: ByteSource + 'static> {
 }
 
 impl<S: ByteSource + 'static> FileEntry<S> {
+    /// Serve `fetch` at width 1: a native entry's decode ends in the
+    /// fetch's bytes ([`FetchedField::from_walk`]); a foreign codec's field
+    /// is decoded whole and copied.
     fn fetch_typed<T: BackendScalar>(&self, fetch: &Fetch) -> Result<FetchedField> {
         let entry = self.reader.entry::<T>(self.desc.index as usize)?;
         let provenance = Provenance::File(self.label.clone());
-        let field = match fetch {
-            Fetch::Full => entry.decompress()?,
-            Fetch::Level(k) => entry.decompress_level(*k)?,
-            Fetch::Region(region) => entry.decompress_region(region)?,
-            Fetch::Progressive(k) => {
-                let steps = entry.progressive()?;
-                pool::with_threads(1, || steps.decode_to(*k))?
-            }
+        let (codec_id, levels) = (self.desc.codec_id, self.desc.levels);
+        let (walk, k) = match fetch {
             Fetch::RawSection(_) => {
                 return Ok(FetchedField {
                     fetch: fetch.clone(),
                     dims: self.desc.dims,
                     type_tag: self.desc.type_tag,
-                    codec_id: self.desc.codec_id,
+                    codec_id,
                     data: entry.read_payload()?,
                     provenance,
                 })
             }
+            _ if codec_id != stz_backend::id::STZ => {
+                let field = match fetch {
+                    Fetch::Region(region) => entry.decompress_region(region)?,
+                    Fetch::Level(k) | Fetch::Progressive(k) => entry.decompress_level(*k)?,
+                    _ => entry.decompress()?,
+                };
+                return Ok(FetchedField::from_field(fetch.clone(), codec_id, &field, provenance));
+            }
+            Fetch::Full => (entry.progressive()?, levels),
+            Fetch::Level(k) | Fetch::Progressive(k) => (entry.progressive()?, *k),
+            Fetch::Region(region) => (entry.progressive_region(region)?, levels),
         };
-        Ok(FetchedField::from_field(fetch.clone(), self.desc.codec_id, &field, provenance))
+        pool::with_threads(1, || {
+            FetchedField::from_walk(fetch.clone(), codec_id, walk, k, provenance)
+        })
     }
 }
 

@@ -83,6 +83,7 @@ pub use write::{
 // protocol address entries identically.
 pub use stz_serve::EntrySel;
 
+use stz_core::{ProgressiveDecoder, SectionSource};
 use stz_field::{Dims, Field, Region, Scalar};
 
 /// A typed read request — the one vocabulary every transport serves.
@@ -162,7 +163,24 @@ pub struct FetchedField {
 }
 
 impl FetchedField {
-    /// Build a decoded result from a field.
+    /// Build a decoded result from `walk` through level `k`, its answer
+    /// stored as little-endian scalars straight into `data`: how every
+    /// store answers a decoded fetch of a native entry, as the server
+    /// answers one into its response frame.
+    pub(crate) fn from_walk<T: Scalar, S: SectionSource + ?Sized>(
+        fetch: Fetch,
+        codec_id: u8,
+        walk: ProgressiveDecoder<'_, T, S>,
+        k: u8,
+        provenance: Provenance,
+    ) -> Result<FetchedField> {
+        let mut answer = None;
+        walk.decode_to_le(k, |dims| &mut answer.insert((dims, vec![0; dims.len() * T::BYTES])).1)?;
+        let (dims, data) = answer.expect("a decoded walk asked for its memory");
+        Ok(FetchedField { fetch, dims, type_tag: T::TYPE_TAG, codec_id, data, provenance })
+    }
+
+    /// Build a decoded result from a field a foreign codec decoded.
     pub(crate) fn from_field<T: Scalar>(
         fetch: Fetch,
         codec_id: u8,

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use stz_backend::BackendScalar;
 use stz_core::archive::type_tag;
 use stz_core::{pool, StzArchive};
-use stz_field::{Field, Scalar};
+use stz_field::Scalar;
 use stz_stream::ForeignArchive;
 
 /// A resident archive a [`MemStore`] can host.
@@ -238,31 +238,28 @@ struct MemEntry {
 }
 
 impl MemEntry {
+    /// Serve `fetch` at width 1, a decode ending in the fetch's bytes
+    /// ([`FetchedField::from_walk`]) and resuming from the archive's level 1.
     fn fetch_stz<T: Scalar>(&self, archive: &StzArchive<T>, fetch: &Fetch) -> Result<FetchedField> {
-        let done = |field: &Field<T>| {
-            Ok(FetchedField::from_field(
-                fetch.clone(),
-                self.desc.codec_id,
-                field,
-                Provenance::Memory,
-            ))
-        };
-        match fetch {
-            Fetch::Full => done(&archive.decompress()?),
-            Fetch::Level(k) => done(&archive.decompress_level(*k)?),
-            Fetch::Region(region) => done(&archive.decompress_region(region)?),
-            Fetch::Progressive(k) => {
-                done(&pool::with_threads(1, || archive.progressive().decode_to(*k))?)
+        let (walk, k) = match fetch {
+            Fetch::Full => (archive.progressive(), archive.num_levels()),
+            Fetch::Level(k) | Fetch::Progressive(k) => (archive.progressive(), *k),
+            Fetch::Region(region) => (archive.progressive_region(region)?, archive.num_levels()),
+            Fetch::RawSection(_) => {
+                return Ok(FetchedField {
+                    fetch: fetch.clone(),
+                    dims: self.desc.dims,
+                    type_tag: self.desc.type_tag,
+                    codec_id: self.desc.codec_id,
+                    data: archive.as_bytes().to_vec(),
+                    provenance: Provenance::Memory,
+                })
             }
-            Fetch::RawSection(_) => Ok(FetchedField {
-                fetch: fetch.clone(),
-                dims: self.desc.dims,
-                type_tag: self.desc.type_tag,
-                codec_id: self.desc.codec_id,
-                data: archive.as_bytes().to_vec(),
-                provenance: Provenance::Memory,
-            }),
-        }
+        };
+        let codec_id = self.desc.codec_id;
+        pool::with_threads(1, || {
+            FetchedField::from_walk(fetch.clone(), codec_id, walk, k, Provenance::Memory)
+        })
     }
 
     fn fetch_foreign(&self, foreign: &ForeignArchive, fetch: &Fetch) -> Result<FetchedField> {

@@ -298,6 +298,13 @@ impl<T: Scalar> StzArchive<T> {
         ProgressiveDecoder::new(self).resume(&self.level1)
     }
 
+    /// A [`ProgressiveDecoder::region`] walk over this archive, which ends in
+    /// `region` at full resolution and resumes as
+    /// [`StzArchive::progressive`] does.
+    pub fn progressive_region(&self, region: &Region) -> Result<ProgressiveDecoder<'_, T>> {
+        Ok(ProgressiveDecoder::region(self, region)?.resume(&self.level1))
+    }
+
     /// Random-access decompression of `region` at full resolution, at width 1.
     pub fn decompress_region(&self, region: &Region) -> Result<Field<T>> {
         self.decompress_region_with_breakdown(region).map(|(f, _)| f)
@@ -309,9 +316,7 @@ impl<T: Scalar> StzArchive<T> {
         &self,
         region: &Region,
     ) -> Result<(Field<T>, AccessBreakdown)> {
-        pool::with_threads(1, || {
-            ProgressiveDecoder::region(self, region)?.resume(&self.level1).finish(self.num_levels())
-        })
+        pool::with_threads(1, || self.progressive_region(region)?.finish(self.num_levels()))
     }
 }
 

@@ -19,8 +19,10 @@
 //! already `T`-representable — level 1 comes from SZ3 as `T`, every
 //! reconstruction is rounded through `T`, every escape is the stored `T` —
 //! so widening the taps at load gives the kernels the operands an `f64` grid
-//! would. On decode the finest level's grid *is* the decoded field; on
-//! encode it does not exist, because nothing predicts from it.
+//! would. On decode the finest level's grid *is* the decoded answer, stored
+//! straight into the memory the caller hands the last step ([`Points`]: a
+//! typed grid, or little-endian bytes); on encode it does not exist, because
+//! nothing predicts from it.
 //!
 //! Because finer-level points never depend on one another, both the blocks
 //! of a level and the points within a block are embarrassingly parallel:
@@ -626,7 +628,7 @@ impl<'a> LevelRows<'a> {
         &self,
         prev: &[T],
         obox: &Region,
-        mut out: Option<&mut [T]>,
+        mut out: Option<impl Points<T>>,
         mut row: impl FnMut(&BlockRows<'a>, (usize, usize), Range<usize>, &mut [T]) -> Result<()>,
     ) -> Result<()> {
         let (ny, nx) = (obox.y1 - obox.y0, obox.x1 - obox.x0);
@@ -651,9 +653,9 @@ impl<'a> LevelRows<'a> {
                     &even[..]
                 };
                 block_row(s | 1, (z, y), odds.clone(), &mut odd)?;
-                if let Some(out) = out.as_deref_mut() {
+                if let Some(out) = out.as_mut() {
                     let at = ((gz - obox.z0) * ny + gy - obox.y0) * nx;
-                    interleave(even, &odd, obox.x0 % 2 == 1, &mut out[at..at + nx]);
+                    out.interleave(at..at + nx, even, &odd, obox.x0 % 2 == 1);
                 }
             }
         }
@@ -674,7 +676,7 @@ impl<'a> LevelRows<'a> {
     ) -> Result<(Vec<Vec<u8>>, Vec<T>)> {
         let obox = Region::full(self.level.grid_dims);
         let mut grid = vec![T::default(); if keeps { obox.len() } else { 0 }];
-        let parts = self.slabs(&obox, &mut grid, |_, slab, out| {
+        let parts = self.slabs(&obox, &mut grid[..], |_, slab, out| {
             let _stage = quantize_ns.span();
             let mut sinks: Slots<ChunkSink<'_, T>> = std::array::from_fn(|k| {
                 Some(ChunkSink::new(self.blocks[k].as_ref()?.block.lattice.len(), encode_ns))
@@ -710,11 +712,11 @@ impl<'a> LevelRows<'a> {
     /// what each returns, in slab order. The box is cut as [`LevelRows::cut`]
     /// says and the slabs run side by side on the pool. Every slab is
     /// contiguous in `obox`'s order.
-    fn slabs<T: Send, R: Send>(
+    fn slabs<T, O: Points<T>, R: Send>(
         &self,
         obox: &Region,
-        out: &mut [T],
-        slab: impl Fn(usize, Region, &mut [T]) -> R + Sync,
+        out: O,
+        slab: impl Fn(usize, Region, O) -> R + Sync,
     ) -> Vec<R> {
         let (lo, hi) = ([obox.z0, obox.y0, obox.x0], [obox.z1, obox.y1, obox.x1]);
         let steps = self.cut(obox);
@@ -725,16 +727,13 @@ impl<'a> LevelRows<'a> {
                 span(2).map(move |(x0, x1)| Region { z0, z1, y0, y1, x0, x1 })
             })
         });
-        let mut rest = out;
-        let parts: Vec<_> = boxes
-            .enumerate()
-            .map(|(s, b)| {
-                let n = if rest.is_empty() { 0 } else { b.len() };
-                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(n);
-                rest = tail;
-                (s, b, mine)
-            })
-            .collect();
+        let (mut parts, mut rest) = (Vec::new(), out);
+        for (s, b) in boxes.enumerate() {
+            let n = if rest.points() == 0 { 0 } else { b.len() };
+            let (mine, tail) = rest.split_at(n);
+            rest = tail;
+            parts.push((s, b, mine));
+        }
         pool::map(parts, |(s, b, out)| slab(s, b, out))
     }
 
@@ -771,22 +770,84 @@ impl<'a> LevelRows<'a> {
     }
 }
 
-/// Store a row's points from its even-x and odd-x sources in turn; the row
-/// starts at an odd x where `odd_first`.
-fn interleave<T: Copy>(even: &[T], odd: &[T], odd_first: bool, out: &mut [T]) {
-    let (odd, out) = if odd_first {
-        out[0] = odd[0];
-        (&odd[1..], &mut out[1..])
-    } else {
-        (odd, out)
-    };
-    let mut pairs = out.chunks_exact_mut(2);
-    for ((pair, &e), &o) in (&mut pairs).zip(even).zip(odd) {
-        pair[0] = e;
-        pair[1] = o;
+/// Memory a walk stores a box's points into, in the box's order: a typed
+/// grid (`&mut [T]`), every intermediate level's and every field's, or the
+/// little-endian bytes of one ([`LeBytes`]), a response's.
+pub(crate) trait Points<T>: Sized + Send {
+    /// Points it has room for.
+    fn points(&self) -> usize;
+
+    /// Its first `n` points, and the rest.
+    fn split_at(self, n: usize) -> (Self, Self);
+
+    /// Store the row of points `at` from its even-x and odd-x sources in
+    /// turn; the row starts at an odd x where `odd_first`.
+    fn interleave(&mut self, at: Range<usize>, even: &[T], odd: &[T], odd_first: bool);
+}
+
+impl<T: Copy + Send> Points<T> for &mut [T] {
+    fn points(&self) -> usize {
+        self.len()
     }
-    if let [last] = pairs.into_remainder() {
-        *last = even[even.len() - 1];
+
+    fn split_at(self, n: usize) -> (Self, Self) {
+        self.split_at_mut(n)
+    }
+
+    #[inline]
+    fn interleave(&mut self, at: Range<usize>, even: &[T], odd: &[T], odd_first: bool) {
+        let (odd, out) = if odd_first {
+            self[at.start] = odd[0];
+            (&odd[1..], &mut self[at.start + 1..at.end])
+        } else {
+            (odd, &mut self[at])
+        };
+        let mut pairs = out.chunks_exact_mut(2);
+        for ((pair, &e), &o) in (&mut pairs).zip(even).zip(odd) {
+            pair[0] = e;
+            pair[1] = o;
+        }
+        if let [last] = pairs.into_remainder() {
+            *last = even[even.len() - 1];
+        }
+    }
+}
+
+/// The little-endian bytes of a box's points, at any alignment.
+pub(crate) struct LeBytes<'a>(pub &'a mut [u8]);
+
+impl<T: Scalar> Points<T> for LeBytes<'_> {
+    fn points(&self) -> usize {
+        self.0.len() / T::BYTES
+    }
+
+    fn split_at(self, n: usize) -> (Self, Self) {
+        let (head, tail) = self.0.split_at_mut(n * T::BYTES);
+        (LeBytes(head), LeBytes(tail))
+    }
+
+    /// The typed interleave's stores, each as the point's little-endian
+    /// bytes.
+    #[inline]
+    fn interleave(&mut self, at: Range<usize>, even: &[T], odd: &[T], odd_first: bool) {
+        let out = &mut self.0[at.start * T::BYTES..at.end * T::BYTES];
+        let (odd, out) = if odd_first {
+            let (first, rest) = out.split_at_mut(T::BYTES);
+            odd[0].store_le(first);
+            (&odd[1..], rest)
+        } else {
+            (odd, out)
+        };
+        let mut pairs = out.chunks_exact_mut(2 * T::BYTES);
+        for ((pair, &e), &o) in (&mut pairs).zip(even).zip(odd) {
+            let (a, b) = pair.split_at_mut(T::BYTES);
+            e.store_le(a);
+            o.store_le(b);
+        }
+        let last = pairs.into_remainder();
+        if !last.is_empty() {
+            even[even.len() - 1].store_le(last);
+        }
     }
 }
 
@@ -907,11 +968,11 @@ pub(crate) fn decode_level1<T: Scalar, S: SectionSource + ?Sized>(
 }
 
 /// Decode `obox`, a box of `level`'s grid — all of it, or a region's share
-/// — from `prev`, the box `cbox` of the previous level's grid. The blocks a
-/// row of the box falls in are fetched and parsed, then the box is assembled
-/// with a [`ChunkWindow`] on each, one walk per slab of the pool's cut, side
-/// by side, straight into place. Returns the box and the level's stage
-/// timings.
+/// — from `prev`, the box `cbox` of the previous level's grid, into `out`,
+/// which has room for the box's points. The blocks a row of the box falls in
+/// are fetched and parsed, then the box is assembled with a [`ChunkWindow`]
+/// on each, one walk per slab of the pool's cut, side by side, straight into
+/// place. Returns the level's stage timings.
 ///
 /// A walk meets the blocks' errors plane by plane. On any failure the level
 /// is read again block by block ([`first_error`]), and the error returned is
@@ -922,7 +983,8 @@ pub(crate) fn decode_box<T: Scalar, S: SectionSource + ?Sized>(
     prev: &[T],
     cbox: &Region,
     obox: &Region,
-) -> Result<(Vec<T>, LevelTimes)> {
+    out: impl Points<T>,
+) -> Result<LevelTimes> {
     let quant = LinearQuantizer::new(
         source.header().level_ebs()[level.index as usize - 1],
         source.header().radius,
@@ -933,14 +995,11 @@ pub(crate) fn decode_box<T: Scalar, S: SectionSource + ?Sized>(
         .iter()
         .map(|b| obox.project_to_sublattice(b.grid_lattice.offset(), 2))
         .collect();
+    assert_eq!(out.points(), obox.len(), "the output holds the box");
     let mut times = LevelTimes { level: level.index, ..LevelTimes::default() };
     let t = Instant::now();
-    let mut out = vec![T::default(); obox.len()];
-    times.reconstruct = t.elapsed().as_secs_f64();
-
-    let t = Instant::now();
     let fill = |streams: &Slots<BlockStream<'_, T>>| {
-        let done = rows.slabs(obox, &mut out, |s, slab, out| -> Result<(usize, f64)> {
+        let done = rows.slabs::<T, _, _>(obox, out, |s, slab, out| -> Result<(usize, f64)> {
             let mut span = stz_telemetry::trace::span("reconstruct");
             span.attr("slab", s);
             let mut windows: Slots<ChunkWindow<'_, T>> =
@@ -967,7 +1026,7 @@ pub(crate) fn decode_box<T: Scalar, S: SectionSource + ?Sized>(
     times.skipped_blocks = targets.len() - times.decoded_blocks;
     times.decoded_chunks = decoded;
     times.skipped_chunks = chunks.saturating_sub(decoded);
-    Ok((out, times))
+    Ok(times)
 }
 
 /// Fetch and parse the stream of every block with a target, in block order,
@@ -1180,12 +1239,23 @@ mod tests {
 
     #[test]
     fn interleave_starts_at_either_parity() {
-        let (even, odd) = ([0, 2, 4, 6], [1, 3, 5]);
-        for (x0, x1) in [(0, 7), (0, 6), (1, 7), (1, 6), (1, 2), (2, 3), (5, 6)] {
-            let mut out = vec![9; x1 - x0];
+        let (even, odd) = ([0.0f64, 2.0, 4.0, 6.0], [1.0, 3.0, 5.0]);
+        for (x0, x1) in [(0usize, 7usize), (0, 6), (1, 7), (1, 6), (1, 2), (2, 3), (5, 6)] {
+            let n = x1 - x0;
             let (evens, odds) = (x0.div_ceil(2)..x1.div_ceil(2), x0 / 2..x1 / 2);
-            interleave(&even[evens], &odd[odds], x0 % 2 == 1, &mut out);
-            assert_eq!(out, (x0..x1).collect::<Vec<_>>(), "x in {x0}..{x1}");
+            let (even, odd) = (&even[evens], &odd[odds]);
+            // A row one point into each memory; the bytes start at an odd
+            // offset, so no f64 in them is aligned.
+            let mut out = vec![9.0; n + 1];
+            Points::interleave(&mut &mut out[..], 1..n + 1, even, odd, x0 % 2 == 1);
+            let want: Vec<f64> = (x0..x1).map(|x| x as f64).collect();
+            assert_eq!(out[1..], want, "x in {x0}..{x1}");
+            let mut bytes = vec![0xEE; 1 + 8 * (n + 1)];
+            let mut le = LeBytes(&mut bytes[1..]);
+            Points::<f64>::interleave(&mut le, 1..n + 1, even, odd, x0 % 2 == 1);
+            let mut expect = vec![0xEE; 9];
+            f64::write_slice_exact(&want, &mut expect);
+            assert_eq!(bytes, expect, "bytes of x in {x0}..{x1}");
         }
     }
 

@@ -3,6 +3,12 @@
 //! working grid — or the box of it a region needs — between steps; full,
 //! preview and ROI decodes are throw-away walks. A level's grid *is* its
 //! preview: an intermediate step hands out a copy, the last the grid itself.
+//! A walk ends one of two ways, through one level loop: as a typed field
+//! ([`ProgressiveDecoder::decode_to`]), or with its last box stored straight
+//! into little-endian bytes the caller owns
+//! ([`ProgressiveDecoder::decode_to_le`]) — a server's response frame, a
+//! fetch's buffer — so an answer on the wire is made once, not decoded and
+//! then copied.
 //!
 //! Level 1 is the one grid every walk decodes whole. An [`StzArchive`]
 //! decodes it once and keeps it, and its walks resume from that memo: level
@@ -11,7 +17,7 @@
 //! refine each region against it). A level-1 preview is a copy of it.
 
 use crate::archive::StzArchive;
-use crate::compressor::{decode_box, decode_level1};
+use crate::compressor::{decode_box, decode_level1, LeBytes, Points};
 use crate::level::LevelPlan;
 use crate::random_access::{needed_regions, AccessBreakdown};
 use crate::source::SectionSource;
@@ -54,7 +60,7 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
     /// level assembles only the box of `needed` its successor's stencils
     /// reach. Level 1 is one SZ3 stream, decoded whole (or, on a walk that
     /// [resumes](ProgressiveDecoder::resume), taken whole from the memo).
-    pub(crate) fn region(source: &'a S, region: &Region) -> Result<Self> {
+    pub fn region(source: &'a S, region: &Region) -> Result<Self> {
         let dims = source.header().dims;
         if !region.fits_in(dims) {
             return Err(CodecError::corrupt(format!("region {region:?} outside grid {dims}")));
@@ -121,6 +127,19 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
         Ok(Some(self.field(grid)))
     }
 
+    /// Dims of what a walk that ends at level `k`, a level not decoded yet,
+    /// hands out: the level-`k` preview, or on a region walk through its
+    /// last level, the region.
+    fn dims_to(&self, k: u8) -> Result<Dims> {
+        let levels = self.boxes.len();
+        if !(self.decoded as usize + 1..=levels).contains(&(k as usize)) {
+            return Err(CodecError::corrupt(format!(
+                "requested level {k} of a {levels}-level archive"
+            )));
+        }
+        Ok(self.boxes[k as usize - 1].dims(self.source.header().dims.ndim()))
+    }
+
     /// Decode through level `k`, a level not decoded yet, and hand out that
     /// preview itself: the walk ends here.
     pub fn decode_to(self, k: u8) -> Result<Field<T>> {
@@ -131,12 +150,7 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
     /// level decoded and, as `total`, the seconds this call took.
     pub(crate) fn finish(mut self, k: u8) -> Result<(Field<T>, AccessBreakdown)> {
         let start = Instant::now();
-        let levels = self.boxes.len();
-        if !(self.decoded as usize + 1..=levels).contains(&(k as usize)) {
-            return Err(CodecError::corrupt(format!(
-                "requested level {k} of a {levels}-level archive"
-            )));
-        }
+        self.dims_to(k)?;
         while self.decoded < k {
             self.step()?;
         }
@@ -150,7 +164,37 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
         Ok((field, self.breakdown))
     }
 
-    /// Decode the next level's box from the last one's.
+    /// [`ProgressiveDecoder::decode_to`] with the answer stored straight
+    /// into memory the caller owns, as little-endian scalars — the bytes
+    /// `T::write_slice_exact` makes of the field, at any alignment, on any
+    /// host — rather than into a field of its own: the last level's rows are
+    /// assembled in it. Once the walk reaches level `k`, `out` is handed the
+    /// answer's dims, which the plan fixes, and returns memory of `T::BYTES`
+    /// a point for them; so the answer is not held while the coarser levels
+    /// decode. An error from level `k` leaves that memory part-written.
+    ///
+    /// # Panics
+    /// If the memory `out` returns is not the answer's size.
+    pub fn decode_to_le<'o>(mut self, k: u8, out: impl FnOnce(Dims) -> &'o mut [u8]) -> Result<()> {
+        let dims = self.dims_to(k)?;
+        // Level 1 is a grid whole, from its SZ3 stream or the memo.
+        while self.decoded + 1 < k.max(2) {
+            self.step()?;
+        }
+        let out = out(dims);
+        assert_eq!(out.len(), dims.len() * T::BYTES, "the output holds {} points", dims.len());
+        if k == 1 {
+            for (v, cell) in self.grid.iter().zip(out.chunks_exact_mut(T::BYTES)) {
+                v.store_le(cell);
+            }
+            Ok(())
+        } else {
+            self.refine(LeBytes(out))
+        }
+    }
+
+    /// Decode the next level's box from the last one's, into a grid of its
+    /// own.
     fn step(&mut self) -> Result<()> {
         let (t, k) = (Instant::now(), self.decoded as usize);
         if k == 0 {
@@ -174,15 +218,27 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
             if decoded {
                 self.breakdown.l1_sz3 = t.elapsed().as_secs_f64();
             }
+            self.decoded += 1;
         } else {
-            let level = &self.plan.levels[k];
-            let mut stage = trace::span("level_decode");
-            stage.attr("level", level.index);
-            let (cbox, obox) = (&self.boxes[k - 1], &self.boxes[k]);
-            let (grid, times) = decode_box(self.source, level, &self.grid, cbox, obox)?;
+            let mut grid = vec![T::default(); self.boxes[k].len()];
+            let allocated = t.elapsed().as_secs_f64();
+            self.refine(&mut grid[..])?;
             self.grid = Cow::Owned(grid);
-            self.breakdown.levels.push(times);
+            self.breakdown.levels.last_mut().expect("a level was decoded").reconstruct = allocated;
         }
+        Ok(())
+    }
+
+    /// Decode the next level's box, level 2 or finer, from the last one's
+    /// into `out`.
+    fn refine(&mut self, out: impl Points<T>) -> Result<()> {
+        let k = self.decoded as usize;
+        let level = &self.plan.levels[k];
+        let mut stage = trace::span("level_decode");
+        stage.attr("level", level.index);
+        let (cbox, obox) = (&self.boxes[k - 1], &self.boxes[k]);
+        let times = decode_box(self.source, level, &self.grid, cbox, obox, out)?;
+        self.breakdown.levels.push(times);
         self.decoded += 1;
         Ok(())
     }
@@ -296,6 +352,100 @@ mod tests {
             memo(&|| drop(ProgressiveDecoder::<f32>::new(&archive).decode_to(3).unwrap())),
             None
         );
+    }
+
+    /// `walk` through level `k`, finished into bytes.
+    fn into_bytes<T: Scalar>(walk: Result<ProgressiveDecoder<'_, T>>, k: u8) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        walk?.decode_to_le(k, |dims| {
+            out = vec![0xA5; dims.len() * T::BYTES];
+            &mut out
+        })?;
+        Ok(out)
+    }
+
+    /// Every answer of `archive` — the full field, each level, a region at
+    /// odd offsets — into bytes equals its typed decode stored with
+    /// `write_slice_exact`, at widths 1 and 4, on a fresh handle and on one
+    /// that resumes from its level 1.
+    fn check_into_bytes<T: Scalar>(archive: &StzArchive<T>, region: &Region) {
+        let levels = archive.num_levels();
+        let le = |field: Result<Field<T>>| {
+            let mut out = Vec::new();
+            T::write_slice_exact(field?.as_slice(), &mut out);
+            Ok::<_, CodecError>(out)
+        };
+        let dims = archive.dims();
+        for threads in [1, 4] {
+            for handle in ["cold", "warm"] {
+                let fresh = archive.clone();
+                let a = if handle == "cold" { &fresh } else { archive };
+                let on = |f: &dyn Fn() -> Result<Vec<u8>>| with_threads(threads, f);
+                let what = format!("{dims} at width {threads} on a {handle} handle");
+                let full = on(&|| into_bytes(Ok(a.progressive()), levels));
+                assert_eq!(full.unwrap(), le(archive.decompress()).unwrap(), "full, {what}");
+                for k in 1..=levels {
+                    let level = on(&|| into_bytes(Ok(a.progressive()), k));
+                    let want = le(archive.decompress_level(k)).unwrap();
+                    assert_eq!(level.unwrap(), want, "level {k}, {what}");
+                }
+                let roi = on(&|| into_bytes(a.progressive_region(region), levels));
+                let want = le(archive.decompress_region(region)).unwrap();
+                assert_eq!(roi.unwrap(), want, "region {region:?}, {what}");
+                let stepped = on(&|| {
+                    let mut walk = a.progressive();
+                    walk.next_level()?;
+                    into_bytes(Ok(walk), levels)
+                });
+                assert_eq!(stepped.unwrap(), le(archive.decompress()).unwrap(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_into_bytes_finish_stores_the_typed_answer_little_endian() {
+        let wave = |z: usize, y: usize, x: usize| {
+            (z as f64 * 0.31).sin() + (y as f64 * 0.17).cos() * (x as f64 * 0.23).sin()
+        };
+        for (dims, region) in [
+            (Dims::d3(20, 24, 28), Region::d3(3..14, 5..20, 1..26)),
+            (Dims::d3(17, 15, 13), Region::d3(1..16, 3..14, 5..12)),
+            (Dims::d2(33, 29), Region::d2(7..30, 3..28)),
+            (Dims::d1(301), Region::d1(31..250)),
+        ] {
+            let f32_field = Field::from_fn(dims, |z, y, x| wave(z, y, x) as f32);
+            let f64_field = Field::from_fn(dims, wave);
+            let compressor = StzCompressor::new(StzConfig::three_level(1e-3));
+            check_into_bytes(&compressor.compress(&f32_field).unwrap(), &region);
+            check_into_bytes(&compressor.compress(&f64_field).unwrap(), &region);
+        }
+    }
+
+    #[test]
+    fn the_into_bytes_finish_refuses_what_decode_to_refuses() {
+        let archive = StzCompressor::new(StzConfig::three_level(1e-3)).compress(&field()).unwrap();
+        for k in [0, 4] {
+            let want = archive.progressive().decode_to(k).unwrap_err().to_string();
+            let got = into_bytes(Ok(archive.progressive()), k).unwrap_err().to_string();
+            assert_eq!(got, want, "level {k}");
+        }
+        let outside = Region::d3(0..21, 0..4, 0..4);
+        let want = archive.decompress_region(&outside).unwrap_err().to_string();
+        assert_eq!(
+            into_bytes(archive.progressive_region(&outside), 3).unwrap_err().to_string(),
+            want
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "the output holds")]
+    fn the_into_bytes_finish_needs_room_for_exactly_its_answer() {
+        let archive = StzCompressor::new(StzConfig::three_level(1e-3)).compress(&field()).unwrap();
+        let mut out = Vec::new();
+        let _ = archive.progressive().decode_to_le(2, |dims| {
+            out = vec![0; dims.len() * 4 + 1];
+            &mut out
+        });
     }
 
     #[test]

@@ -28,6 +28,9 @@ pub trait Scalar:
     /// bulk pass: the bytes [`Scalar::write_exact`] would append one value
     /// at a time, produced as block copies.
     fn write_slice_exact(values: &[Self], out: &mut Vec<u8>);
+    /// Store the exact bit pattern (little-endian) in `out`, which is
+    /// [`Scalar::BYTES`] long and may sit at any alignment.
+    fn store_le(self, out: &mut [u8]);
     /// Deserialize the exact bit pattern; `bytes.len()` must be `>= BYTES`.
     fn read_exact(bytes: &[u8]) -> Self;
 
@@ -79,6 +82,11 @@ impl Scalar for f32 {
         write_blocks(values, out, f32::to_le_bytes);
     }
 
+    #[inline(always)]
+    fn store_le(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
+    }
+
     #[inline]
     fn read_exact(bytes: &[u8]) -> Self {
         f32::from_le_bytes(bytes[..4].try_into().expect("need 4 bytes"))
@@ -116,6 +124,11 @@ impl Scalar for f64 {
 
     fn write_slice_exact(values: &[Self], out: &mut Vec<u8>) {
         write_blocks(values, out, f64::to_le_bytes);
+    }
+
+    #[inline(always)]
+    fn store_le(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
     }
 
     #[inline]
@@ -174,6 +187,12 @@ mod tests {
             v32.iter().for_each(|v| v.write_exact(&mut each));
             v64.iter().for_each(|v| v.write_exact(&mut each));
             assert_eq!(bulk, each, "n = {n}");
+            // Stored in place, from an odd offset.
+            let mut stored = vec![0xEE; 1 + n * 12];
+            let (v32_at, v64_at) = stored[1..].split_at_mut(n * 4);
+            v32.iter().zip(v32_at.chunks_exact_mut(4)).for_each(|(v, b)| v.store_le(b));
+            v64.iter().zip(v64_at.chunks_exact_mut(8)).for_each(|(v, b)| v.store_le(b));
+            assert_eq!(stored, each, "n = {n}");
         }
     }
 

@@ -642,8 +642,10 @@ impl FuzzTarget for CodecTarget {
 /// A region, every level, then the full decode, each on a handle of its
 /// own, which decodes level 1 from the stream, and twice over on one handle,
 /// which resumes from the grid it kept after its first call: each answer's
-/// exact bits or error text must be the same all three times. Input that is
-/// no archive of `T` passes.
+/// exact bytes or error text must be the same all three times. Each call
+/// then ends its walk in little-endian bytes instead of a field, on a fresh
+/// handle and on the one that resumes, and must give the field's bytes or
+/// the same error text again. Input that is no archive of `T` passes.
 fn cold_equals_warm<T: Scalar>(input: &[u8]) -> Result<(), String> {
     let handle = || StzArchive::<T>::from_bytes(input.to_vec());
     let Ok(archive) = handle() else { return Ok(()) };
@@ -657,33 +659,59 @@ fn cold_equals_warm<T: Scalar>(input: &[u8]) -> Result<(), String> {
             i if i <= levels => a.decompress_level(i),
             _ => a.decompress(),
         };
-        let bits = |f: Field<T>| f.as_slice().iter().map(|v| v.to_f64().to_bits()).collect();
-        decoded.map(bits).map_err(|e| e.to_string())
+        let bytes = |f: Field<T>| {
+            let mut out = Vec::new();
+            T::write_slice_exact(f.as_slice(), &mut out);
+            out
+        };
+        decoded.map(bytes).map_err(|e| e.to_string())
+    };
+    let into_bytes = |a: &StzArchive<T>, i: u8| {
+        let (walk, k) = match i {
+            0 => (a.progressive_region(&region), levels),
+            i if i <= levels => (Ok(a.progressive()), i),
+            _ => (Ok(a.progressive()), levels),
+        };
+        let mut out = Vec::new();
+        let done = walk.and_then(|walk| {
+            stz_core::pool::with_threads(1, || {
+                walk.decode_to_le(k, |dims| {
+                    out = vec![0; dims.len() * T::BYTES];
+                    &mut out[..]
+                })
+            })
+        });
+        done.map(|()| out).map_err(|e| e.to_string())
     };
     let calls = 0..=levels + 1;
-    let cold: Vec<Result<Vec<u64>, String>> =
+    let cold: Vec<Result<Vec<u8>, String>> =
         calls.clone().map(|i| call(&handle().expect("parsed above"), i)).collect();
-    for pass in ["first", "second"] {
+    let warm = |pass: &str, i: u8| match pass {
+        "into bytes, fresh" => into_bytes(&handle().expect("parsed above"), i),
+        "into bytes, resumed" => into_bytes(&archive, i),
+        _ => call(&archive, i),
+    };
+    for pass in ["first", "second", "into bytes, fresh", "into bytes, resumed"] {
         for (i, cold) in calls.clone().zip(&cold) {
-            let warm = call(&archive, i);
+            let warm = warm(pass, i);
             if &warm != cold {
                 let what = match i {
                     0 => format!("region {region:?}"),
                     i if i <= levels => format!("level {i}"),
                     _ => "full decode".to_string(),
                 };
-                let brief = |r: &Result<Vec<u64>, String>| match r {
-                    Ok(bits) => format!("{} values", bits.len()),
+                let brief = |r: &Result<Vec<u8>, String>| match r {
+                    Ok(bytes) => format!("{} values", bytes.len() / T::BYTES),
                     Err(e) => e.clone(),
                 };
                 let diff = match (&warm, cold) {
                     (Ok(w), Ok(c)) if w.len() == c.len() => {
                         let at = w.iter().zip(c).position(|(w, c)| w != c).unwrap_or(0);
-                        format!("value {at} differs")
+                        format!("value {} differs", at / T::BYTES)
                     }
                     _ => format!("{} against {}", brief(&warm), brief(cold)),
                 };
-                return Err(format!("{what}, {pass} pass on one handle vs a fresh one: {diff}"));
+                return Err(format!("{what}, {pass} pass vs a fresh handle's field: {diff}"));
             }
         }
     }
@@ -743,12 +771,20 @@ mod tests {
             t.deep_check(seed).unwrap();
             // A flipped byte in the level-1 stream: the same answer or error
             // on every handle, and no grid kept from a failed decode.
-            let l1 = StzArchive::<f32>::from_bytes(seed.clone())
-                .map(|a| a.l1_range())
-                .or_else(|_| StzArchive::<f64>::from_bytes(seed.clone()).map(|a| a.l1_range()))
+            let (l1, block) = StzArchive::<f32>::from_bytes(seed.clone())
+                .map(|a| (a.l1_range(), a.block_range(a.num_levels(), 0)))
+                .or_else(|_| {
+                    StzArchive::<f64>::from_bytes(seed.clone())
+                        .map(|a| (a.l1_range(), a.block_range(a.num_levels(), 0)))
+                })
                 .unwrap();
             let mut corrupt = seed.clone();
             corrupt[l1.start + l1.len() / 2] ^= 0xFF;
+            t.deep_check(&corrupt).unwrap();
+            // And in a sub-block of the finest level: the same error text
+            // whether the walk ends in a field or in bytes.
+            let mut corrupt = seed.clone();
+            corrupt[block.start + block.len() / 2] ^= 0xFF;
             t.deep_check(&corrupt).unwrap();
         }
     }

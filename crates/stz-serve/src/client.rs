@@ -6,8 +6,9 @@
 //! bytes, no second sweep) and validated against the request before it is
 //! returned, so a corrupted or lying server yields a clean [`ServeError`]
 //! — never a panic, and (with the default timeout) never a hang. A fetched
-//! field keeps the buffer its frame was read into: the `FETCH_OK` head is
-//! stripped in place, the scalars are not copied again.
+//! field keeps the buffer its scalars were read into: a `FETCH_OK` payload
+//! is read in two parts, the head into a buffer of its own and the scalars
+//! into the one that becomes the field's data, so they are never moved.
 //!
 //! The transport is generic: [`Client::connect`] produces the everyday
 //! `Client<TcpStream>`, while [`Client::handshake`] accepts any
@@ -17,9 +18,9 @@
 
 use crate::error::{Result, ServeError};
 use crate::proto::{
-    decode_err, decode_inspect, decode_list, decode_trace_ok, read_frame, write_frame,
+    decode_err, decode_inspect, decode_list, decode_trace_ok, read_frame_split, write_frame,
     ContainerInfo, Enc, EntryInfo, EntrySel, FetchReq, FetchedField, Frame, FrameType, RequestKind,
-    ServerStats, TraceContextExt, PROTO_VERSION,
+    ServerStats, TraceContextExt, FETCH_HEAD_LEN, PROTO_VERSION,
 };
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -84,13 +85,26 @@ impl<S: Read + Write> Client<S> {
     /// Send one frame and read the response, surfacing `ERR` replies as
     /// [`ServeError::Remote`].
     fn roundtrip(&mut self, kind: FrameType, payload: &[u8]) -> Result<Frame> {
+        self.roundtrip_split(kind, payload, usize::MAX).map(|(frame, _)| frame)
+    }
+
+    /// [`Client::roundtrip`], the response's payload read in two parts
+    /// ([`read_frame_split`]): the frame carries its first `head_len` bytes,
+    /// and the rest comes beside it.
+    fn roundtrip_split(
+        &mut self,
+        kind: FrameType,
+        payload: &[u8],
+        head_len: usize,
+    ) -> Result<(Frame, Vec<u8>)> {
         write_frame(&mut self.stream, kind, payload)?;
-        let frame = read_frame(&mut self.stream)?
+        let (mut frame, rest) = read_frame_split(&mut self.stream, head_len)?
             .ok_or_else(|| ServeError::protocol("server closed the connection mid-request"))?;
         if frame.frame_type() == Some(FrameType::Err) {
+            frame.payload.extend_from_slice(&rest);
             return Err(decode_err(&frame.payload));
         }
-        Ok(frame)
+        Ok((frame, rest))
     }
 
     /// The hosted containers.
@@ -125,8 +139,8 @@ impl<S: Read + Write> Client<S> {
         if req.kind == RequestKind::Raw {
             return Err(ServeError::protocol("use fetch_raw for raw-section fetches"));
         }
-        let reply = self.roundtrip_reusing(req)?;
-        let fetched = FetchedField::decode_owned(expect(reply, FrameType::FetchOk)?)?;
+        let (reply, data) = self.roundtrip_reusing(req, FETCH_HEAD_LEN)?;
+        let fetched = FetchedField::from_parts(&expect(reply, FrameType::FetchOk)?, data)?;
         if fetched.kind_tag != req.kind.tag() {
             return Err(ServeError::protocol(format!(
                 "response kind tag {} does not match request kind {}",
@@ -185,17 +199,18 @@ impl<S: Read + Write> Client<S> {
     pub fn fetch_raw(&mut self, container: &str, entry: EntrySel) -> Result<Vec<u8>> {
         let req =
             FetchReq { container: container.into(), entry, kind: RequestKind::Raw, trace: None };
-        let reply = self.roundtrip_reusing(&req)?;
+        let (reply, _) = self.roundtrip_reusing(&req, usize::MAX)?;
         expect(reply, FrameType::RawOk)
     }
 
     /// Send a fetch request encoded into the recycled scratch buffer and
-    /// read the response. The buffer survives errors, so a failed fetch
+    /// read the response, split as [`Client::roundtrip_split`] does at
+    /// `head_len`. The buffer survives errors, so a failed fetch
     /// does not cost the next one its allocation. When the calling thread
     /// has an active trace and the request carries no explicit context,
     /// the thread's trace id + current span are injected as the wire
     /// extension — distributed tracing with zero caller changes.
-    fn roundtrip_reusing(&mut self, req: &FetchReq) -> Result<Frame> {
+    fn roundtrip_reusing(&mut self, req: &FetchReq, head_len: usize) -> Result<(Frame, Vec<u8>)> {
         let injected;
         let req = match (&req.trace, stz_telemetry::trace::current_context()) {
             (None, Some(ctx)) => {
@@ -211,7 +226,7 @@ impl<S: Read + Write> Client<S> {
             _ => req,
         };
         let payload = req.encode_reusing(std::mem::take(&mut self.scratch));
-        let result = self.roundtrip(req.frame_type(), &payload);
+        let result = self.roundtrip_split(req.frame_type(), &payload, head_len);
         self.scratch = payload;
         result
     }

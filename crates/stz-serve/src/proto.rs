@@ -217,6 +217,16 @@ pub fn write_frame(w: &mut impl Write, kind: FrameType, payload: &[u8]) -> Resul
 /// — is a protocol error, as are a bad magic, an unsupported version, a
 /// length prefix above [`MAX_FRAME_PAYLOAD`], and a payload CRC mismatch.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>> {
+    Ok(read_frame_split(r, usize::MAX)?.map(|(frame, _)| frame))
+}
+
+/// [`read_frame`] with the payload read in two parts, each into a buffer of
+/// its own: the frame carries the first `head_len` bytes (all of them, if
+/// the payload is shorter), and the rest comes beside it — so a receiver
+/// that keeps the rest whole never cuts it out of one buffer. The CRC is
+/// folded across both parts as they arrive; the checks are
+/// [`read_frame`]'s.
+pub fn read_frame_split(r: &mut impl Read, head_len: usize) -> Result<Option<(Frame, Vec<u8>)>> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     // First byte decides "clean close" vs. "torn frame".
     match r.read(&mut header[..1])? {
@@ -242,40 +252,54 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>> {
         )));
     }
     let want_crc = u32::from_le_bytes(header[12..16].try_into().expect("fixed slice"));
-    // Fill the payload in bounded chunks rather than reserving `len` up
-    // front: a 16-byte header alone must not commit 256 MiB. Memory grows
-    // only as declared bytes actually arrive on the wire — each step
-    // reserves at most twice what has arrived (1 MiB to begin with), and the
-    // last one lands on exactly `len`. Each chunk is read into spare
-    // capacity (no zero-fill) and folded into the CRC while it is still in
-    // cache, so the payload is passed over once.
-    const READ_CHUNK: usize = 1 << 20;
     let len = len as usize;
-    let mut payload = Vec::new();
     let mut crc = Crc32::new();
-    while payload.len() < len {
-        let start = payload.len();
-        let take = (len - start).min(READ_CHUNK);
-        if payload.capacity() - start < take {
-            payload.reserve_exact((len - start).min((2 * start).max(READ_CHUNK)));
+    let head = read_part(r, head_len.min(len), (0, len), &mut crc)?;
+    let rest = read_part(r, len - head.len(), (head.len(), len), &mut crc)?;
+    if crc.finish() != want_crc {
+        return Err(ServeError::protocol("frame payload CRC mismatch"));
+    }
+    Ok(Some((Frame { kind, payload: head }, rest)))
+}
+
+/// Read the next `n` bytes of a payload of `len`, `at` of which are read
+/// already, into a buffer of their own, folding them into `crc`.
+///
+/// The bytes are read in bounded chunks rather than by reserving `n` up
+/// front: a 16-byte header alone must not commit 256 MiB. Memory grows only
+/// as declared bytes actually arrive on the wire — each step reserves at
+/// most twice what has arrived (1 MiB to begin with), and the last one lands
+/// on exactly `n`. Each chunk is read into spare capacity (no zero-fill) and
+/// folded into the CRC while it is still in cache, so the payload is passed
+/// over once.
+fn read_part(
+    r: &mut impl Read,
+    n: usize,
+    (at, len): (usize, usize),
+    crc: &mut Crc32,
+) -> Result<Vec<u8>> {
+    const READ_CHUNK: usize = 1 << 20;
+    let mut part = Vec::new();
+    while part.len() < n {
+        let start = part.len();
+        let take = (n - start).min(READ_CHUNK);
+        if part.capacity() - start < take {
+            part.reserve_exact((n - start).min((2 * start).max(READ_CHUNK)));
         }
         let got = r
             .by_ref()
             .take(take as u64)
-            .read_to_end(&mut payload)
+            .read_to_end(&mut part)
             .map_err(|e| ServeError::protocol(format!("truncated frame payload: {e}")))?;
         if got < take {
             return Err(ServeError::protocol(format!(
                 "truncated frame payload: stream ended {} bytes into a {len} byte payload",
-                start + got
+                at + start + got
             )));
         }
-        crc.update(&payload[start..]);
+        crc.update(&part[start..]);
     }
-    if crc.finish() != want_crc {
-        return Err(ServeError::protocol("frame payload CRC mismatch"));
-    }
-    Ok(Some(Frame { kind, payload }))
+    Ok(part)
 }
 
 // ---------------------------------------------------------------------------
@@ -315,9 +339,19 @@ impl Enc {
         Enc { buf, framed: Some(kind) }
     }
 
-    /// Payload bytes appended so far.
-    pub fn payload_len(&self) -> usize {
-        self.buf.len() - if self.framed.is_some() { FRAME_HEADER_LEN } else { 0 }
+    /// [`Enc::framed`] with a payload of `payload_len` zero bytes already in
+    /// place, for the caller to fill through [`Enc::payload_mut`]: a
+    /// response whose bytes are made where they are sent from. The buffer
+    /// comes zeroed from the allocator, so a large one is not written
+    /// before it is filled.
+    pub fn framed_zeroed(kind: FrameType, payload_len: usize) -> Self {
+        Enc { buf: vec![0; FRAME_HEADER_LEN + payload_len], framed: Some(kind) }
+    }
+
+    /// The payload bytes so far, to be written in place.
+    pub fn payload_mut(&mut self) -> &mut [u8] {
+        let header = if self.framed.is_some() { FRAME_HEADER_LEN } else { 0 };
+        &mut self.buf[header..]
     }
 
     /// Finish, yielding the payload bytes.
@@ -685,31 +719,31 @@ pub struct FetchedField {
 pub const FETCH_HEAD_LEN: usize = 28;
 
 impl FetchedField {
-    /// Append the head of a `FETCH_OK` payload ([`FETCH_HEAD_LEN`] bytes);
-    /// the little-endian scalars follow it.
-    pub fn encode_head(e: &mut Enc, kind_tag: u8, type_tag: u8, dims: Dims) {
-        e.u8(kind_tag);
-        e.u8(type_tag);
-        e.u8(dims.ndim());
-        e.u8(0); // reserved
-        for extent in dims.as_array() {
-            e.u64(extent as u64);
+    /// The head of a `FETCH_OK` payload; the little-endian scalars follow
+    /// it.
+    pub fn head(kind_tag: u8, type_tag: u8, dims: Dims) -> [u8; FETCH_HEAD_LEN] {
+        let mut head = [0u8; FETCH_HEAD_LEN];
+        head[..4].copy_from_slice(&[kind_tag, type_tag, dims.ndim(), 0]); // 0: reserved
+        for (at, extent) in head[4..].chunks_exact_mut(8).zip(dims.as_array()) {
+            at.copy_from_slice(&(extent as u64).to_le_bytes());
         }
+        head
     }
 
     /// Encode the `FETCH_OK` payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
-        FetchedField::encode_head(&mut e, self.kind_tag, self.type_tag, self.dims);
+        e.raw(&FetchedField::head(self.kind_tag, self.type_tag, self.dims));
         e.raw(&self.data);
         e.finish()
     }
 
-    /// Validate a `FETCH_OK` payload — dims, element type, and that the
-    /// scalars after the head are exactly `dims × width` bytes — yielding
-    /// the head fields. The one parser behind both decode forms.
-    fn parse_head(payload: &[u8]) -> Result<(u8, u8, Dims)> {
-        let mut d = Dec::new(payload);
+    /// Validate the head of a `FETCH_OK` payload — dims, element type, and
+    /// that the `data_len` bytes of scalars after it are exactly
+    /// `dims × width` — yielding its fields. The one parser behind both
+    /// decode forms.
+    fn parse_head(head: &[u8], data_len: usize) -> Result<(u8, u8, Dims)> {
+        let mut d = Dec::new(head);
         let kind_tag = d.u8()?;
         let type_tag = d.u8()?;
         let ndim = d.u8()?;
@@ -729,10 +763,9 @@ impl FetchedField {
             .len()
             .checked_mul(bytes_per)
             .ok_or_else(|| ServeError::protocol("dims overflow"))?;
-        if d.remaining() != want {
+        if data_len != want {
             return Err(ServeError::protocol(format!(
-                "FETCH_OK carries {} data bytes, dims {dims} require {want}",
-                d.remaining()
+                "FETCH_OK carries {data_len} data bytes, dims {dims} require {want}"
             )));
         }
         Ok((kind_tag, type_tag, dims))
@@ -740,17 +773,17 @@ impl FetchedField {
 
     /// Decode and validate a `FETCH_OK` payload.
     pub fn decode(payload: &[u8]) -> Result<FetchedField> {
-        let (kind_tag, type_tag, dims) = FetchedField::parse_head(payload)?;
-        Ok(FetchedField { kind_tag, type_tag, dims, data: payload[FETCH_HEAD_LEN..].to_vec() })
+        let (head, data) = payload.split_at(payload.len().min(FETCH_HEAD_LEN));
+        let (kind_tag, type_tag, dims) = FetchedField::parse_head(head, data.len())?;
+        Ok(FetchedField { kind_tag, type_tag, dims, data: data.to_vec() })
     }
 
-    /// [`FetchedField::decode`] of a payload the caller owns: the same
-    /// validation, then the head is stripped in place and the buffer the
-    /// frame was read into becomes `data` — no second copy of the scalars.
-    pub fn decode_owned(mut payload: Vec<u8>) -> Result<FetchedField> {
-        let (kind_tag, type_tag, dims) = FetchedField::parse_head(&payload)?;
-        payload.drain(..FETCH_HEAD_LEN);
-        Ok(FetchedField { kind_tag, type_tag, dims, data: payload })
+    /// [`FetchedField::decode`] of a payload read in two parts
+    /// ([`read_frame_split`]): its first [`FETCH_HEAD_LEN`] bytes, and the
+    /// scalars, which become `data` as they are — no second copy of them.
+    pub fn from_parts(head: &[u8], data: Vec<u8>) -> Result<FetchedField> {
+        let (kind_tag, type_tag, dims) = FetchedField::parse_head(head, data.len())?;
+        Ok(FetchedField { kind_tag, type_tag, dims, data })
     }
 
     /// Reinterpret the payload as a typed field; fails on a type mismatch.
@@ -1252,7 +1285,6 @@ mod tests {
         assert_eq!(wire, pinned);
         let mut framed = Enc::framed(FrameType::FetchOk, 9);
         framed.raw(b"123456789");
-        assert_eq!(framed.payload_len(), 9);
         assert_eq!(framed.finish_frame().unwrap(), pinned);
 
         let frame = read_frame(&mut &pinned[..]).unwrap().unwrap();
@@ -1300,6 +1332,38 @@ mod tests {
                 assert!(msg.contains("truncated frame payload"), "{msg}")
             }
             other => panic!("expected a truncated payload, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_split_read_is_the_frame_in_two_parts_with_every_check() {
+        let payload: Vec<u8> = (0..(1usize << 20) + 40).map(|i| ((i * 131) >> 5) as u8).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, FrameType::FetchOk, &payload).unwrap();
+        let error = |r: Result<Option<(Frame, Vec<u8>)>>| match r {
+            Err(ServeError::Protocol(msg)) => msg,
+            other => panic!("expected a protocol error, got {other:?}"),
+        };
+        for head_len in [0, 1, FETCH_HEAD_LEN, (1 << 20) + 39, usize::MAX] {
+            let (frame, rest) = read_frame_split(&mut Trickle(&wire), head_len).unwrap().unwrap();
+            assert_eq!(frame.kind, FrameType::FetchOk as u8);
+            let cut = head_len.min(payload.len());
+            assert!(frame.payload == payload[..cut] && rest == payload[cut..], "split at {cut}");
+            assert_eq!(rest.capacity(), rest.len(), "the rest is read to its exact length");
+
+            // The CRC spans both parts, and a short stream counts from the
+            // start of the payload, whichever part it ends in.
+            let mut bad = wire.clone();
+            bad[FRAME_HEADER_LEN + 3] ^= 0x10;
+            assert!(error(read_frame_split(&mut &bad[..], head_len)).contains("CRC mismatch"));
+            for cut in [FRAME_HEADER_LEN + 10, wire.len() - 1] {
+                let want = format!(
+                    "truncated frame payload: stream ended {} bytes into a {} byte payload",
+                    cut - FRAME_HEADER_LEN,
+                    payload.len()
+                );
+                assert_eq!(error(read_frame_split(&mut &wire[..cut], head_len)), want);
+            }
         }
     }
 
@@ -1535,7 +1599,9 @@ mod tests {
         };
         let back = FetchedField::decode(&f.encode()).unwrap();
         assert_eq!(back, f);
-        assert_eq!(FetchedField::decode_owned(f.encode()).unwrap(), f);
+        let bytes = f.encode();
+        let (head, data) = bytes.split_at(FETCH_HEAD_LEN);
+        assert_eq!(FetchedField::from_parts(head, data.to_vec()).unwrap(), f);
         let field: stz_field::Field<f32> = back.into_field().unwrap();
         assert_eq!(field.dims(), Dims::d3(2, 3, 4));
 
@@ -1543,7 +1609,10 @@ mod tests {
         let mut bad = f.encode();
         bad.pop();
         assert!(FetchedField::decode(&bad).is_err());
-        assert!(FetchedField::decode_owned(bad).is_err());
+        assert!(FetchedField::from_parts(&bad[..FETCH_HEAD_LEN], bad[FETCH_HEAD_LEN..].to_vec())
+            .is_err());
+        // A payload shorter than its head.
+        assert!(FetchedField::decode(&bad[..FETCH_HEAD_LEN - 1]).is_err());
 
         // Wrong requested type.
         let again = FetchedField::decode(&f.encode()).unwrap();

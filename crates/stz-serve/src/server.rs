@@ -9,19 +9,26 @@
 //! width, and every fetch response passes through the [`DecodedCache`] so
 //! repeated requests skip decompression entirely.
 //!
-//! A fetch response is produced exactly once: the miss path writes the
-//! `FETCH_OK` head and the little-endian scalars straight into one buffer
-//! that already has room for the frame header, the CRC makes its single
-//! pass when that header is patched in, and the finished frame is what the
-//! cache stores. A hit therefore computes nothing and copies nothing — the
-//! cached frame goes to the socket in one write.
+//! A fetch response is produced exactly once, in one buffer sized from the
+//! entry's plan: when the decode reaches its last level
+//! ([`ProgressiveDecoder::decode_to_le`]), the miss path allocates the frame
+//! and writes the `FETCH_OK` head after room for the frame header, the
+//! decode stores the last level's rows as little-endian scalars straight
+//! into the rest, the CRC makes its single pass when the header is patched
+//! in, and the finished frame is what the cache stores. No field is decoded
+//! and then copied. A hit therefore computes
+//! nothing and copies nothing — the cached frame goes to the socket in one
+//! write.
+//!
+//! [`ProgressiveDecoder::decode_to_le`]: stz_core::ProgressiveDecoder::decode_to_le
 
 use crate::cache::{CacheKey, DecodedCache};
 use crate::error::{Result, ServeError};
 use crate::proto::{
     encode_err, encode_inspect, encode_list, encode_metrics_ok, encode_trace_ok, err_code,
     read_frame, write_frame, ContainerInfo, Enc, EntryInfo, EntrySel, FetchReq, FetchedField,
-    Frame, FrameType, RequestKind, ServerStats, FETCH_HEAD_LEN, FRAME_HEADER_LEN, PROTO_VERSION,
+    Frame, FrameType, RequestKind, ServerStats, FETCH_HEAD_LEN, FRAME_HEADER_LEN,
+    MAX_FRAME_PAYLOAD, PROTO_VERSION,
 };
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -32,6 +39,9 @@ use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant, SystemTime};
 use stz_backend::BackendScalar;
 use stz_codec::CodecError;
+use stz_core::level::LevelPlan;
+use stz_core::pool;
+use stz_field::Dims;
 use stz_stream::{ByteSource, ContainerReader, FileSource};
 use stz_telemetry::{log_debug, log_warn, trace, Counter, Gauge, Histogram, LogLimiter, Registry};
 
@@ -714,17 +724,6 @@ fn handle_fetch(
 
     // Validate request-specific parameters *before* touching the cache so
     // malformed requests are cheap and never occupy a slot.
-    let bytes_per: u64 = if meta.type_tag() == 0 { 4 } else { 8 };
-    let too_big = |decoded: u64| {
-        (
-            err_code::UNSUPPORTED,
-            format!(
-                "response of {decoded} bytes exceeds the {} byte frame cap; \
-                 fetch an ROI or a preview level instead",
-                crate::proto::MAX_FRAME_PAYLOAD
-            ),
-        )
-    };
     match req.kind {
         RequestKind::Roi(_) => {
             let region = req
@@ -737,29 +736,17 @@ fn handle_fetch(
                     format!("ROI {region:?} outside entry dims {}", meta.dims()),
                 ));
             }
-            if region.len() as u64 * bytes_per >= crate::proto::MAX_FRAME_PAYLOAD as u64 {
-                return Err(too_big(region.len() as u64 * bytes_per));
-            }
         }
         RequestKind::Level(0) => {
             return Err((err_code::BAD_REQUEST, "preview level must be ≥ 1".into()));
         }
-        // Full decodes and raw payloads have statically known sizes:
-        // refuse ones the frame cap cannot carry *before* decoding
-        // anything (level previews are checked post-decode below — their
-        // size needs the level plan, and they are the small requests).
-        RequestKind::Full => {
-            if meta.dims().len() as u64 * bytes_per >= crate::proto::MAX_FRAME_PAYLOAD as u64 {
-                return Err(too_big(meta.dims().len() as u64 * bytes_per));
-            }
-        }
-        RequestKind::Raw => {
-            if meta.compressed_len() >= crate::proto::MAX_FRAME_PAYLOAD as u64 {
-                return Err(too_big(meta.compressed_len()));
-            }
-        }
-        RequestKind::Level(_) => {}
+        _ => {}
     }
+    // Every kind's size is known from the index: refuse a response the
+    // frame cap cannot carry before decoding anything.
+    let bytes_per = if meta.type_tag() == 0 { 4 } else { 8 };
+    let levels = meta.header().map(|h| h.levels);
+    fits_frame(&req.kind, meta.dims(), levels, bytes_per, meta.compressed_len())?;
 
     let key = CacheKey {
         container: req.container.clone(),
@@ -780,50 +767,107 @@ fn handle_fetch(
     let response = {
         let _decode = state.metrics.decode_ns.span();
         let _decode_span = trace::span("decode");
-        stz_core::pool::with_threads(state.threads, || match meta.type_tag() {
+        pool::with_threads(state.threads, || match meta.type_tag() {
             0 => decode_block::<f32>(reader, index, &req.kind),
             _ => decode_block::<f64>(reader, index, &req.kind),
         })
     }
     .map_err(|e| stream_err(&e))?;
-    // Backstop for the one kind whose size is only known post-decode
-    // (level previews): a payload the frame cap cannot carry is answered
-    // with `ERR`, never handed to the socket.
-    let payload_len = response.payload_len() as u64;
-    let frame = Arc::new(response.finish_frame().map_err(|_| too_big(payload_len))?);
+    let frame = response.finish_frame().map_err(|e| (err_code::INTERNAL, e.to_string()))?;
+    let frame = Arc::new(frame);
     state.cache.insert(key, Arc::clone(&frame));
     Ok(frame)
 }
 
-/// Decode one block into its response, encoded straight into the frame
-/// buffer: the `FETCH_OK` head and little-endian scalars, or the raw
-/// compressed payload for [`RequestKind::Raw`].
+/// Refuse a `kind` fetch whose response payload the frame cap cannot carry,
+/// from the entry's index alone: its `dims`, its `levels` (`None` for a
+/// foreign codec), its scalars' width and its compressed length. A preview's
+/// dims are its level's in the plan; a level the entry does not have has no
+/// size here, and its decode says why.
+fn fits_frame(
+    kind: &RequestKind,
+    dims: Dims,
+    levels: Option<u8>,
+    bytes_per: u64,
+    compressed_len: u64,
+) -> std::result::Result<(), (u16, String)> {
+    let points = match kind {
+        RequestKind::Raw => None,
+        RequestKind::Full => Some(dims.len()),
+        RequestKind::Roi(_) => kind.region().map(|r| r.len()),
+        RequestKind::Level(k) => levels
+            .filter(|levels| (1..=*levels).contains(k))
+            .map(|levels| LevelPlan::new(dims, levels).preview_dims(*k).len()),
+    };
+    let payload = match (kind, points) {
+        (RequestKind::Raw, _) => compressed_len,
+        (_, Some(points)) => FETCH_HEAD_LEN as u64 + points as u64 * bytes_per,
+        (_, None) => return Ok(()),
+    };
+    if payload > MAX_FRAME_PAYLOAD as u64 {
+        return Err((
+            err_code::UNSUPPORTED,
+            format!(
+                "response of {payload} bytes exceeds the {MAX_FRAME_PAYLOAD} byte frame cap; \
+                 fetch an ROI or a preview level instead"
+            ),
+        ));
+    }
+    Ok(())
+}
+
+/// Decode one block into its response frame: the raw compressed payload
+/// for [`RequestKind::Raw`], or the `FETCH_OK` head followed by the
+/// little-endian scalars, which a native entry's decode stores in place. A
+/// foreign codec's field is decoded whole and then copied in.
 fn decode_block<T: BackendScalar>(
     reader: &ContainerReader<FileSource>,
     index: usize,
     kind: &RequestKind,
 ) -> stz_codec::Result<Enc> {
     let entry = reader.entry::<T>(index)?;
-    let field = match kind {
-        RequestKind::Raw => {
-            let payload = entry.read_payload()?;
-            let mut response = Enc::framed(fetch_reply(kind), payload.len());
-            response.raw(&payload);
-            return Ok(response);
-        }
-        RequestKind::Full => entry.decompress_parallel()?,
-        RequestKind::Level(k) => entry.decompress_level(*k)?,
-        RequestKind::Roi(_) => {
-            let region = kind.region().expect("validated by handle_fetch");
-            entry.decompress_region(&region)?
-        }
+    let region = || kind.region().expect("validated by handle_fetch");
+    if *kind == RequestKind::Raw {
+        let payload = entry.read_payload()?;
+        let mut response = Enc::framed(fetch_reply(kind), payload.len());
+        response.raw(&payload);
+        return Ok(response);
+    }
+    let Some(levels) = reader.entry_meta(index).and_then(|m| m.header()).map(|h| h.levels) else {
+        let field = match kind {
+            RequestKind::Level(k) => entry.decompress_level(*k)?,
+            RequestKind::Roi(_) => entry.decompress_region(&region())?,
+            _ => entry.decompress_parallel()?,
+        };
+        let mut encode_span = trace::span("encode");
+        let mut response = Enc::framed(fetch_reply(kind), FETCH_HEAD_LEN + field.nbytes());
+        response.raw(&FetchedField::head(kind.tag(), T::TYPE_TAG, field.dims()));
+        response.scalars(field.as_slice());
+        encode_span.attr("bytes", FETCH_HEAD_LEN + field.nbytes());
+        return Ok(response);
     };
-    let mut encode_span = trace::span("encode");
-    let mut response = Enc::framed(fetch_reply(kind), FETCH_HEAD_LEN + field.nbytes());
-    FetchedField::encode_head(&mut response, kind.tag(), T::TYPE_TAG, field.dims());
-    response.scalars(field.as_slice());
-    encode_span.attr("bytes", field.nbytes());
-    Ok(response)
+    let (walk, k) = match kind {
+        RequestKind::Level(k) => (entry.progressive()?, *k),
+        RequestKind::Roi(_) => (entry.progressive_region(&region())?, levels),
+        _ => (entry.progressive()?, levels),
+    };
+    // A full decode runs at the pool's width, a preview or region at 1. The
+    // frame is made when the walk reaches its last level, which is decoded
+    // into it.
+    let width = if *kind == RequestKind::Full { pool::threads() } else { 1 };
+    let mut response = None;
+    pool::with_threads(width, || {
+        walk.decode_to_le(k, |dims| {
+            let mut encode_span = trace::span("encode");
+            encode_span.attr("bytes", FETCH_HEAD_LEN);
+            let len = FETCH_HEAD_LEN + dims.len() * T::BYTES;
+            let response = response.insert(Enc::framed_zeroed(fetch_reply(kind), len));
+            let (head, scalars) = response.payload_mut().split_at_mut(FETCH_HEAD_LEN);
+            head.copy_from_slice(&FetchedField::head(kind.tag(), T::TYPE_TAG, dims));
+            scalars
+        })
+    })?;
+    Ok(response.expect("a decoded walk asked for its frame"))
 }
 
 /// Map a hosted container's failure to an `ERR` code, by its class, and a
@@ -840,6 +884,49 @@ fn stream_err(e: &CodecError) -> (u16, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stz_field::Region;
+
+    #[test]
+    fn every_kind_meets_the_frame_cap_before_it_decodes() {
+        let cap = MAX_FRAME_PAYLOAD as u64;
+        let head = FETCH_HEAD_LEN as u64;
+        // The f32 answer whose FETCH_OK payload is the cap exactly; a point
+        // fewer and a point more sit a scalar either side of it.
+        let at_cap = ((cap - head) / 4) as usize;
+        assert_eq!(head + 4 * at_cap as u64, cap);
+        let refused = |payload: u64| {
+            let message = format!(
+                "response of {payload} bytes exceeds the {cap} byte frame cap; \
+                 fetch an ROI or a preview level instead"
+            );
+            Err((err_code::UNSUPPORTED, message))
+        };
+        for (n, payload) in [(at_cap - 1, cap - 4), (at_cap, cap), (at_cap + 1, cap + 4)] {
+            let want = if payload <= cap { Ok(()) } else { refused(payload) };
+            let full = fits_frame(&RequestKind::Full, Dims::d1(n), Some(3), 4, 0);
+            assert_eq!(full, want, "full of {n} points");
+            let roi = RequestKind::roi(&Region::d1(7..7 + n));
+            assert_eq!(fits_frame(&roi, Dims::d1(n + 9), Some(3), 4, 0), want, "roi of {n}");
+            // Level 2 of 3 keeps every other point of a line.
+            let level = fits_frame(&RequestKind::Level(2), Dims::d1(2 * n - 1), Some(3), 4, 0);
+            assert_eq!(level, want, "level 2 of {n} points");
+            // f64 scalars never land on the cap: a point either side of it.
+            let n64 = n / 2;
+            let want =
+                if head + 8 * n64 as u64 <= cap { Ok(()) } else { refused(head + 8 * n64 as u64) };
+            assert_eq!(fits_frame(&RequestKind::Full, Dims::d1(n64), Some(3), 8, 0), want);
+        }
+        for (len, want) in [(cap - 1, Ok(())), (cap, Ok(())), (cap + 1, refused(cap + 1))] {
+            let raw = fits_frame(&RequestKind::Raw, Dims::d1(4), Some(3), 4, len);
+            assert_eq!(raw, want, "raw payload of {len} bytes");
+        }
+        // Without a size in the index — a level the entry lacks, a preview of
+        // a foreign entry — the decode answers, not the cap.
+        let huge = Dims::d1(4 * at_cap);
+        for (k, levels) in [(4, Some(3)), (1, None)] {
+            assert_eq!(fits_frame(&RequestKind::Level(k), huge, levels, 4, 0), Ok(()));
+        }
+    }
 
     #[test]
     fn stream_err_codes_follow_the_codec_error_class() {

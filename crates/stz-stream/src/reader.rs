@@ -547,6 +547,15 @@ impl<T: BackendScalar, S: ByteSource> EntryReader<'_, T, S> {
         Ok(ProgressiveDecoder::new(self.stz("progressive refinement")?))
     }
 
+    /// A [`ProgressiveDecoder::region`] walk over this entry, which ends in
+    /// `region` at full resolution (STZ entries only).
+    pub fn progressive_region(
+        &self,
+        region: &Region,
+    ) -> Result<ProgressiveDecoder<'_, T, StzSections<'_, S>>> {
+        ProgressiveDecoder::region(self.stz("random access")?, region)
+    }
+
     /// Fetch the whole payload and rebuild the resident [`StzArchive`]
     /// (verified against the entry's whole-payload checksum; STZ entries
     /// only — for foreign codecs use

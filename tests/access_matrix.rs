@@ -15,26 +15,30 @@ use stz::serve::{ServeOptions, Server};
 use stz::stream::{ByteSource, ContainerWriter, ForeignArchive, MemorySource};
 
 /// The test fixture: one f32 stz entry, one f64 stz entry, one foreign
-/// (zfp) f32 entry, and one foreign zfp entry from a future zfp format
-/// version — resident archives plus the container file packing the exact
-/// same payloads.
+/// (zfp) f32 entry, one foreign zfp entry from a future zfp format version,
+/// and an f64 stz entry of odd extents — resident archives plus the
+/// container file packing the exact same payloads.
 struct Fixture {
     dir: std::path::PathBuf,
     container: std::path::PathBuf,
     mem: MemStore,
-    archives: (StzArchive<f32>, StzArchive<f64>, ForeignArchive, ForeignArchive),
+    archives: (StzArchive<f32>, StzArchive<f64>, ForeignArchive, ForeignArchive, StzArchive<f64>),
 }
+
+/// The fixture's entries, in store order.
+const ENTRIES: [&str; 5] = ["t32", "t64", "zfp", "zfp99", "odd64"];
 
 impl Fixture {
     /// A resident store over clones of the archives, which keep no decoded
     /// level-1 grid: every first fetch of an entry decodes it afresh.
     fn fresh_mem(&self) -> MemStore {
-        let (a32, a64, foreign, future) = self.archives.clone();
+        let (a32, a64, foreign, future, odd64) = self.archives.clone();
         let mut mem = MemStore::new();
         mem.add("t32", a32);
         mem.add("t64", a64);
         mem.add("zfp", foreign);
         mem.add("zfp99", future);
+        mem.add("odd64", odd64);
         mem
     }
 }
@@ -47,6 +51,10 @@ fn fixture(tag: &str) -> Fixture {
 
     let a32 = StzCompressor::new(StzConfig::three_level(1e-3)).compress(&f32_field).unwrap();
     let a64 = StzCompressor::new(StzConfig::three_level(1e-4)).compress(&f64_field).unwrap();
+    // Odd along every axis: the f64 scalars of its answers start at odd
+    // byte offsets of a response frame and cover partial blocks.
+    let odd: Field<f64> = stz::data::synth::warpx_like(Dims::d3(17, 15, 13), 44);
+    let odd64 = StzCompressor::new(StzConfig::three_level(1e-4)).compress(&odd).unwrap();
     let zfp = registry().by_name("zfp").unwrap();
     let zfp_bytes =
         stz::backend::compress(zfp, &zfp_field, &stz::backend::ErrorBound::Absolute(1e-2)).unwrap();
@@ -64,10 +72,11 @@ fn fixture(tag: &str) -> Fixture {
     writer.add_archive("t64", &a64).unwrap();
     writer.add_foreign("zfp", &foreign).unwrap();
     writer.add_foreign("zfp99", &future).unwrap();
+    writer.add_archive("odd64", &odd64).unwrap();
     writer.finish().unwrap();
 
-    let mut fx =
-        Fixture { dir, container, mem: MemStore::new(), archives: (a32, a64, foreign, future) };
+    let archives = (a32, a64, foreign, future, odd64);
+    let mut fx = Fixture { dir, container, mem: MemStore::new(), archives };
     fx.mem = fx.fresh_mem();
     fx
 }
@@ -83,6 +92,8 @@ fn fetch_matrix() -> Vec<Fetch> {
         Fetch::Progressive(3),
         Fetch::Region(Region::d3(3..9, 0..24, 10..14)),
         Fetch::Region(Region::d3(0..24, 0..24, 0..24)),
+        // At odd offsets, and inside every entry.
+        Fetch::Region(Region::d3(1..16, 3..14, 5..12)),
         Fetch::RawSection(0),
     ]
 }
@@ -128,7 +139,7 @@ fn fetch_matrix_is_byte_identical_across_all_three_stores() {
 
     // Listings agree on everything a fetch plan needs.
     let mem_list = fx.mem.list().unwrap();
-    assert_eq!(mem_list.len(), 4);
+    assert_eq!(mem_list.len(), ENTRIES.len());
     for (name, store) in &stores {
         let list = store.list().unwrap();
         assert_eq!(list.len(), mem_list.len(), "{name} entry count");
@@ -151,7 +162,7 @@ fn fetch_matrix_is_byte_identical_across_all_three_stores() {
     // store that has decoded nothing yet. The fixture's own store is one of
     // the three, and keeps each entry's level-1 grid from its first fetch.
     let mut decoded_fetches = 0;
-    for entry_name in ["t32", "t64", "zfp", "zfp99"] {
+    for entry_name in ENTRIES {
         let sel = EntrySel::Name(entry_name.into());
         for fetch in fetch_matrix() {
             let expect = run_fetch(&fx.fresh_mem(), &sel, &fetch);
@@ -173,13 +184,14 @@ fn fetch_matrix_is_byte_identical_across_all_three_stores() {
         }
     }
     // Sanity: the matrix actually exercised successes of every shape —
-    // stz entries serve all 9 fetches, the foreign entry serves
-    // full/region×2/raw, the future-version one only raw.
-    assert_eq!(decoded_fetches, 9 + 9 + 4 + 1, "unexpected matrix coverage");
+    // the cubic stz entries serve all 10 fetches, the foreign entry serves
+    // full/region×3/raw, the future-version one only raw, and the odd one
+    // all but the two regions outside it.
+    assert_eq!(decoded_fetches, 10 + 10 + 5 + 1 + 8, "unexpected matrix coverage");
 
     // The MemStore pass again, now that every entry is warm: it still
     // answers byte for byte as the file and remote stores do.
-    for entry_name in ["t32", "t64", "zfp", "zfp99"] {
+    for entry_name in ENTRIES {
         let sel = EntrySel::Name(entry_name.into());
         for fetch in fetch_matrix() {
             let warm = run_fetch(&fx.mem, &sel, &fetch);
@@ -187,6 +199,23 @@ fn fetch_matrix_is_byte_identical_across_all_three_stores() {
                 let got = run_fetch(*store, &sel, &fetch);
                 assert_eq!(warm, got, "warm mem vs {store_name}: {entry_name} {fetch:?}");
             }
+        }
+    }
+
+    // And those bytes are the typed decode's, stored little-endian.
+    let odd64 = &fx.archives.4;
+    let region = Region::d3(1..16, 3..14, 5..12);
+    let typed = [
+        (Fetch::Full, odd64.decompress().unwrap()),
+        (Fetch::Level(2), odd64.decompress_level(2).unwrap()),
+        (Fetch::Region(region.clone()), odd64.decompress_region(&region).unwrap()),
+    ];
+    for (fetch, field) in typed {
+        let mut want = Vec::new();
+        f64::write_slice_exact(field.as_slice(), &mut want);
+        for (store_name, store) in &stores {
+            let got = run_fetch(*store, &EntrySel::Name("odd64".into()), &fetch).unwrap();
+            assert!(got.3 == want, "[{store_name}] odd64 {fetch:?}: not the typed decode's bytes");
         }
     }
 
@@ -219,7 +248,7 @@ fn fetch_matrix_is_byte_identical_across_all_three_stores() {
 fn raw_fetch_matches_packed_payload_and_crc() {
     let fx = fixture("raw");
     let file_store = open_store(&fx.container.display().to_string()).unwrap();
-    for name in ["t32", "t64", "zfp"] {
+    for name in ["t32", "t64", "zfp", "odd64"] {
         let sel = EntrySel::Name(name.into());
         let mem_raw = fx.mem.open(&sel).unwrap().fetch(&Fetch::RawSection(0)).unwrap();
         let file_raw = file_store.open(&sel).unwrap().fetch(&Fetch::RawSection(0)).unwrap();

@@ -9,13 +9,16 @@
 //! it predicts from and a window of two Huffman chunks per block. A region or
 //! a preview holds a small multiple of what it returns. Beyond its answer, a
 //! handle's first decode of any kind keeps exactly one thing, its level-1
-//! grid, and a warm ROI predicts from it without copying it.
+//! grid, and a warm ROI predicts from it without copying it. A store's fetch
+//! decodes into the buffer it returns: the answer is allocated once, and no
+//! field is decoded to be copied into it.
 //!
 //! One `#[test]` in a binary of its own: the high-water marks are global to
 //! the process, and a neighbouring test would allocate under them.
 
 use stz::core::pool::with_threads;
 use stz::prelude::*;
+use stz::stream::{ContainerWriter, MemorySource};
 use stz_fuzz::alloc_guard;
 
 #[global_allocator]
@@ -129,4 +132,31 @@ fn compress_allocates_no_finest_grid_and_decompress_only_its_output() {
         assert!(peak < l1, "a warm ROI made an allocation of {peak} B, the grid is {l1} B");
         assert_eq!(roi, archive.decompress_region(&small).unwrap());
     }
+
+    // A file store's full fetch decodes straight into the bytes it returns:
+    // its largest allocation is the answer, and beside the answer it holds,
+    // while the finest level decodes, the level-2 grid, a window on each of
+    // the seven level-3 blocks (48^3 points: chunks of 55,296 symbols) and
+    // the streams it read — not a decoded field and then a copy of it, which
+    // is twice the answer.
+    let dims = Dims::d3(96, 96, 96);
+    let archive = StzCompressor::new(StzConfig::three_level(1e-3)).compress(&wavy(dims)).unwrap();
+    let mut image = Vec::new();
+    let mut writer = ContainerWriter::new(&mut image).unwrap();
+    writer.add_archive("e", &archive).unwrap();
+    writer.finish().unwrap();
+    let store = FileStore::open_source(MemorySource::new(image), "image").unwrap();
+    let entry = store.open(&EntrySel::Index(0)).unwrap();
+    let payload = dims.len() * std::mem::size_of::<f32>();
+    let (fetched, peak, held) = peaks_of(|| entry.fetch(&Fetch::Full).unwrap());
+    assert_eq!(peak, payload, "a full fetch's largest allocation, for {payload} B of answer");
+    let windows = 7 * 55_296 * 4;
+    let bound = payload + payload / 8 + windows + archive.compressed_len() + slack;
+    assert!(
+        held <= bound,
+        "a full fetch held {held} B: answer + level-2 grid + windows = {bound} B"
+    );
+    let mut want = Vec::new();
+    f32::write_slice_exact(archive.decompress().unwrap().as_slice(), &mut want);
+    assert!(fetched.data == want, "the fetch's bytes are the decoded field's");
 }

@@ -9,6 +9,7 @@
 
 use stz::core::pool::with_threads;
 use stz::core::random_access::decompress_region;
+use stz::core::ProgressiveDecoder;
 use stz::prelude::*;
 use stz::stream::pack_pipelined;
 
@@ -660,6 +661,33 @@ fn error_texts(archive: &StzArchive<f32>) -> Vec<String> {
     ]
 }
 
+/// [`error_texts`] through the into-bytes finish, path for path (the
+/// stepped walks, which hand out fields, are each the full decode at their
+/// width).
+fn le_error_texts(archive: &StzArchive<f32>) -> Vec<String> {
+    let levels = archive.num_levels();
+    let text = |walk: Result<ProgressiveDecoder<'_, f32>, _>, k| {
+        let mut out = Vec::new();
+        let done = walk.unwrap().decode_to_le(k, |dims| {
+            out = vec![0; dims.len() * 4];
+            &mut out[..]
+        });
+        done.unwrap_err().to_string()
+    };
+    let full = |threads| with_threads(threads, || text(Ok(archive.progressive()), levels));
+    let region = |r: Region| with_threads(1, || text(archive.progressive_region(&r), levels));
+    vec![
+        full(1),
+        full(2),
+        full(1),
+        full(1),
+        full(2),
+        region(Region::full(archive.dims())),
+        region(Region::d3(33..128, 61..128, 3..128)),
+        region(Region::d3(1..40, 0..9, 17..120)),
+    ]
+}
+
 #[test]
 fn a_level_broken_in_two_blocks_fails_with_the_first_block_error_on_every_path() {
     let archive =
@@ -683,9 +711,11 @@ fn a_level_broken_in_two_blocks_fails_with_the_first_block_error_on_every_path()
     // last region wants no chunk of block 2 but the first of block 5.
     let want = [escape, escape, escape, escape, escape, escape, escape, kraft];
     assert_eq!(error_texts(&two_chunks), want, "escape count in block 2, flip in block 5");
+    assert_eq!(le_error_texts(&two_chunks), want, "the same, into bytes");
     // The second region wants none of block 1's first chunk.
     let want = [kraft, kraft, kraft, kraft, kraft, kraft, eof, kraft];
     assert_eq!(error_texts(&truncated), want, "flip in block 1, block 4 truncated");
+    assert_eq!(le_error_texts(&truncated), want, "the same, into bytes");
 }
 
 #[test]
