@@ -1,9 +1,10 @@
 //! [`FileStore`] — the out-of-core store over an on-disk (or any
 //! [`ByteSource`]-backed) container.
 
-use crate::desc::EntryDesc;
 use crate::error::Result;
-use crate::{resolve_sel, validate_fetch, Entry, EntrySel, Fetch, FetchedField, Provenance, Store};
+use crate::{
+    resolve_sel, validate_fetch, Entry, EntryDesc, EntrySel, Fetch, FetchedField, Provenance, Store,
+};
 use std::path::Path;
 use std::sync::Arc;
 use stz_backend::BackendScalar;

@@ -61,7 +61,6 @@
 
 #![warn(missing_docs)]
 
-pub mod desc;
 pub mod error;
 pub mod file;
 pub mod mem;
@@ -69,11 +68,10 @@ pub mod remote;
 pub mod uri;
 pub mod write;
 
-pub use desc::EntryDesc;
 pub use error::{AccessError, Result};
 pub use file::FileStore;
 pub use mem::MemStore;
-pub use remote::{list_containers, ContainerDesc, RemoteStore};
+pub use remote::{list_containers, RemoteStore};
 pub use uri::{is_container_path, list_location, open_store, Location};
 pub use write::{
     open_store_mut, CompactReport, EntryMut, EntryPayload, FileStoreMut, MutStatus, StoreMut,
@@ -82,6 +80,9 @@ pub use write::{
 // One selector type across the whole stack: the access layer and the wire
 // protocol address entries identically.
 pub use stz_serve::EntrySel;
+// One entry and one container description from the footer to the wire:
+// every store lists the rows the server's `INSPECT_OK` / `LIST_OK` carry.
+pub use stz_stream::{ContainerDesc, EntryDesc};
 
 use stz_core::{ProgressiveDecoder, SectionSource};
 use stz_field::{Dims, Field, Region, Scalar};

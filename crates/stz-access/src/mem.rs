@@ -1,8 +1,9 @@
 //! [`MemStore`] — the in-process store over resident archives.
 
-use crate::desc::EntryDesc;
 use crate::error::{AccessError, Result};
-use crate::{resolve_sel, validate_fetch, Entry, EntrySel, Fetch, FetchedField, Provenance, Store};
+use crate::{
+    resolve_sel, validate_fetch, Entry, EntryDesc, EntrySel, Fetch, FetchedField, Provenance, Store,
+};
 use std::sync::Arc;
 use stz_backend::BackendScalar;
 use stz_core::archive::type_tag;

@@ -1,8 +1,10 @@
 //! [`RemoteStore`] — the network store over an STZP server.
 
-use crate::desc::EntryDesc;
-use crate::error::{AccessError, Result};
-use crate::{resolve_sel, validate_fetch, Entry, EntrySel, Fetch, FetchedField, Provenance, Store};
+use crate::error::Result;
+use crate::{
+    resolve_sel, validate_fetch, ContainerDesc, Entry, EntryDesc, EntrySel, Fetch, FetchedField,
+    Provenance, Store,
+};
 use std::net::ToSocketAddrs;
 use std::sync::{Arc, Mutex};
 use stz_serve::{Client, FetchReq, RequestKind};
@@ -30,7 +32,7 @@ pub struct RemoteStore {
 impl RemoteStore {
     /// Connect to `addr` and bind this store to one hosted `container`.
     /// The single connect-time `INSPECT` round-trip both verifies the
-    /// container exists (a missing name is [`AccessError::NotFound`]) and
+    /// container exists (a missing name is [`crate::AccessError::NotFound`]) and
     /// caches its entry descriptors, so `list`/`open` are free of network
     /// traffic.
     pub fn connect(addr: impl ToSocketAddrs + std::fmt::Display, container: &str) -> Result<Self> {
@@ -56,10 +58,9 @@ impl RemoteStore {
     }
 }
 
-/// One `INSPECT` round-trip, decoded into validated descriptors.
+/// One `INSPECT` round-trip; its rows are validated as they are decoded.
 fn fetch_descs(client: &mut Client, container: &str) -> Result<Vec<EntryDesc>> {
-    let infos = client.inspect(container).map_err(AccessError::from)?;
-    infos.iter().enumerate().map(|(i, info)| EntryDesc::from_wire(i as u32, info)).collect()
+    Ok(client.inspect(container)?)
 }
 
 /// Run one request against a shared client connection.
@@ -159,24 +160,7 @@ impl RemoteEntry {
     }
 }
 
-/// One hosted container, as reported by a server (or a local directory
-/// scan — see [`crate::list_location`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ContainerDesc {
-    /// Container name (what fetch URIs address).
-    pub name: String,
-    /// Number of entries in its index.
-    pub entries: u32,
-    /// Total size in bytes.
-    pub bytes: u64,
-}
-
 /// List the containers hosted by an STZP server.
 pub fn list_containers(addr: impl ToSocketAddrs) -> Result<Vec<ContainerDesc>> {
-    let mut client = Client::connect(addr)?;
-    Ok(client
-        .list()?
-        .into_iter()
-        .map(|c| ContainerDesc { name: c.name, entries: c.entries, bytes: c.file_len })
-        .collect())
+    Ok(Client::connect(addr)?.list()?)
 }

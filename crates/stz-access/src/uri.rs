@@ -2,8 +2,8 @@
 //! front door that turns either into a `Box<dyn Store>`.
 
 use crate::error::{AccessError, Result};
-use crate::remote::{list_containers, ContainerDesc, RemoteStore};
-use crate::{FileStore, MemStore, Store};
+use crate::remote::{list_containers, RemoteStore};
+use crate::{ContainerDesc, FileStore, MemStore, Store};
 use std::path::{Path, PathBuf};
 
 /// A parsed archive location.

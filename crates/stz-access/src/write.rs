@@ -18,9 +18,8 @@
 //! mutation happens where the bytes live — [`open_store_mut`] says so
 //! rather than pretending.
 
-use crate::desc::EntryDesc;
 use crate::error::{AccessError, Result};
-use crate::{resolve_sel, EntrySel};
+use crate::{resolve_sel, EntryDesc, EntrySel};
 use std::path::Path;
 use stz_core::StzArchive;
 use stz_mutate::{FileBacking, MutableContainer};

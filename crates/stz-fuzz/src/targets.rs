@@ -15,11 +15,13 @@ use stz_core::{StzArchive, StzCompressor, StzConfig};
 use stz_field::{Dims, Field, Region, Scalar};
 use stz_mutate::{upgrade_image, MemBacking, MutableContainer};
 use stz_serve::proto::{
-    self, write_frame, ContainerInfo, Enc, EntryInfo, EntrySel, FetchReq, FetchedField, FrameType,
-    RequestKind, ServerStats, TraceContextExt,
+    self, write_frame, Enc, EntrySel, FetchReq, FetchedField, FrameType, RequestKind, ServerStats,
+    TraceContextExt,
 };
 use stz_serve::{Client, ServeError};
-use stz_stream::{ContainerWriter, ForeignArchive, MemorySource, PackEntry};
+use stz_stream::{
+    ContainerDesc, ContainerWriter, EntryDesc, ForeignArchive, MemorySource, PackEntry,
+};
 
 /// Classification of one execution: the error-taxonomy class the input
 /// landed in and the failure site (error text; empty for success).
@@ -470,15 +472,15 @@ impl FuzzTarget for ProtoTarget {
         };
 
         let list = proto::encode_list(&[
-            ContainerInfo { name: "steps".into(), entries: 3, file_len: 4096 },
-            ContainerInfo { name: "aux".into(), entries: 1, file_len: 512 },
+            ContainerDesc { name: "steps".into(), entries: 3, bytes: 4096 },
+            ContainerDesc { name: "aux".into(), entries: 1, bytes: 512 },
         ]);
-        let inspect = proto::encode_inspect(&[EntryInfo {
+        let inspect = proto::encode_inspect(&[EntryDesc {
+            index: 0,
             name: "t0".into(),
             codec_id: 0,
             type_tag: 0,
-            ndim: 3,
-            dims: [8, 6, 10],
+            dims: Dims::d3(8, 6, 10),
             eb: 1e-3,
             compressed_len: 1234,
             payload_crc: 0xDEAD_BEEF,

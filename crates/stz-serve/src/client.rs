@@ -18,14 +18,15 @@
 
 use crate::error::{Result, ServeError};
 use crate::proto::{
-    decode_err, decode_inspect, decode_list, decode_trace_ok, read_frame_split, write_frame,
-    ContainerInfo, Enc, EntryInfo, EntrySel, FetchReq, FetchedField, Frame, FrameType, RequestKind,
-    ServerStats, TraceContextExt, FETCH_HEAD_LEN, PROTO_VERSION,
+    decode_err, decode_inspect, decode_list, decode_trace_ok, read_frame_split, write_frame, Enc,
+    EntrySel, FetchReq, FetchedField, Frame, FrameType, RequestKind, ServerStats, TraceContextExt,
+    FETCH_HEAD_LEN, PROTO_VERSION,
 };
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use stz_field::Region;
+use stz_stream::{ContainerDesc, EntryDesc};
 
 /// Default socket timeout for reads and writes.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
@@ -108,13 +109,13 @@ impl<S: Read + Write> Client<S> {
     }
 
     /// The hosted containers.
-    pub fn list(&mut self) -> Result<Vec<ContainerInfo>> {
+    pub fn list(&mut self) -> Result<Vec<ContainerDesc>> {
         let reply = self.roundtrip(FrameType::List, &[])?;
         decode_list(&expect(reply, FrameType::ListOk)?)
     }
 
     /// The entry table of one hosted container.
-    pub fn inspect(&mut self, container: &str) -> Result<Vec<EntryInfo>> {
+    pub fn inspect(&mut self, container: &str) -> Result<Vec<EntryDesc>> {
         let mut e = Enc::new();
         e.string(container);
         let reply = self.roundtrip(FrameType::Inspect, &e.finish())?;

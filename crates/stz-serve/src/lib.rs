@@ -60,10 +60,9 @@ pub mod server;
 pub use cache::{CacheCounters, CacheKey, DecodedCache};
 pub use client::Client;
 pub use error::{Result, ServeError};
-pub use proto::{
-    ContainerInfo, EntryInfo, EntrySel, FetchReq, FetchedField, RequestKind, ServerStats,
-};
+pub use proto::{EntrySel, FetchReq, FetchedField, RequestKind, ServerStats};
 pub use server::{ServeOptions, Server, ServerHandle};
+pub use stz_stream::{ContainerDesc, EntryDesc};
 
 // Resolves the crate-docs link; also a downstream convenience.
 #[doc(hidden)]

@@ -60,6 +60,7 @@ use crate::error::{Result, ServeError};
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use stz_field::{Dims, Region, Scalar};
 use stz_stream::crc::{crc32, Crc32};
+use stz_stream::{ContainerDesc, EntryDesc};
 
 /// Frame magic, first on the wire in both directions.
 pub const PROTO_MAGIC: [u8; 4] = *b"STZP";
@@ -477,6 +478,25 @@ impl<'a> Dec<'a> {
             .map_err(|_| ServeError::protocol("payload string is not UTF-8"))
     }
 
+    /// Read the three `u64` extents `[z, y, x]` of an `ndim`-axis grid from
+    /// an untrusted peer, checking `usize` range, extent/`ndim` consistency
+    /// and no zero axes *before* [`Dims::from_parts`] can assert on them.
+    /// The one gate every wire consumer (`FETCH_OK` heads, `INSPECT_OK`
+    /// rows) shares, so the hostile-dims rules cannot drift.
+    pub fn dims(&mut self, ndim: u8) -> Result<Dims> {
+        let (z, y, x) = (self.u64()?, self.u64()?, self.u64()?);
+        let bad = || ServeError::protocol(format!("bad dims [{z}, {y}, {x}] for ndim {ndim}"));
+        let c = |v: u64| usize::try_from(v).ok().filter(|&v| v > 0).ok_or_else(bad);
+        let (nz, ny, nx) = (c(z)?, c(y)?, c(x)?);
+        match ndim {
+            1 if nz == 1 && ny == 1 => {}
+            2 if nz == 1 => {}
+            3 => {}
+            _ => return Err(bad()),
+        }
+        Ok(Dims::from_parts(ndim, nz, ny, nx))
+    }
+
     /// The unread remainder (trailing blob).
     pub fn rest(self) -> &'a [u8] {
         &self.buf[self.pos..]
@@ -748,12 +768,7 @@ impl FetchedField {
         let type_tag = d.u8()?;
         let ndim = d.u8()?;
         let _reserved = d.u8()?;
-        let z = d.u64()?;
-        let y = d.u64()?;
-        let x = d.u64()?;
-        let dims = wire_dims(ndim, z, y, x).ok_or_else(|| {
-            ServeError::protocol(format!("bad dims [{z}, {y}, {x}] for ndim {ndim}"))
-        })?;
+        let dims = d.dims(ndim)?;
         let bytes_per: usize = match type_tag {
             0 => 4,
             1 => 8,
@@ -799,183 +814,74 @@ impl FetchedField {
     }
 }
 
-/// One hosted container, as listed by `LIST_OK`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ContainerInfo {
-    /// Container name (file stem; what fetches address).
-    pub name: String,
-    /// Number of entries in its index.
-    pub entries: u32,
-    /// On-disk size in bytes.
-    pub file_len: u64,
-}
-
 /// Encode a `LIST_OK` payload.
-pub fn encode_list(containers: &[ContainerInfo]) -> Vec<u8> {
+pub fn encode_list(containers: &[ContainerDesc]) -> Vec<u8> {
     let mut e = Enc::new();
     e.u32(containers.len() as u32);
     for c in containers {
         e.string(&c.name);
         e.u32(c.entries);
-        e.u64(c.file_len);
+        e.u64(c.bytes);
     }
     e.finish()
 }
 
 /// Decode a `LIST_OK` payload.
-pub fn decode_list(payload: &[u8]) -> Result<Vec<ContainerInfo>> {
+pub fn decode_list(payload: &[u8]) -> Result<Vec<ContainerDesc>> {
     let mut d = Dec::new(payload);
     let n = d.u32()?;
     let mut out = Vec::with_capacity(bounded_count(n)?);
     for _ in 0..n {
-        out.push(ContainerInfo { name: d.string()?, entries: d.u32()?, file_len: d.u64()? });
+        out.push(ContainerDesc { name: d.string()?, entries: d.u32()?, bytes: d.u64()? });
     }
     d.expect_end()?;
     Ok(out)
 }
 
-/// One entry of a container's index, as carried by `INSPECT_OK` — the
-/// machine-readable entry table local `inspect --json` and remote
-/// `inspect` both render through one formatter.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EntryInfo {
-    /// Entry name.
-    pub name: String,
-    /// Codec wire id of the payload.
-    pub codec_id: u8,
-    /// Element type tag (0 = `f32`, 1 = `f64`).
-    pub type_tag: u8,
-    /// Number of grid axes (1–3).
-    pub ndim: u8,
-    /// Grid extents, `[z, y, x]`.
-    pub dims: [u64; 3],
-    /// Absolute error bound.
-    pub eb: f64,
-    /// Compressed payload size in bytes.
-    pub compressed_len: u64,
-    /// CRC-32 of the whole compressed payload.
-    pub payload_crc: u32,
-    /// Independently fetchable sections in the index.
-    pub sections: u32,
-    /// Hierarchy depth (0 for foreign codecs).
-    pub levels: u8,
-    /// Interpolation kind of the stz hierarchy (0 = none/foreign,
-    /// 1 = linear, 2 = cubic).
-    pub interp: u8,
-    /// Cumulative compressed bytes through level `k` (`levels` values;
-    /// empty for foreign codecs).
-    pub level_bytes: Vec<u64>,
-}
-
-impl EntryInfo {
-    /// Build the wire row for one container entry — the single source of
-    /// the entry table that local `inspect --json` and the server's
-    /// `INSPECT_OK` both use.
-    pub fn from_meta(meta: &stz_stream::EntryMeta<'_>) -> EntryInfo {
-        let levels = meta.header().map(|h| h.levels).unwrap_or(0);
-        let interp = match meta.header().map(|h| h.interp) {
-            Some(stz_core::InterpKind::Linear) => 1,
-            Some(stz_core::InterpKind::Cubic) => 2,
-            None => 0,
-        };
-        let [z, y, x] = meta.dims().as_array();
-        EntryInfo {
-            name: meta.name().to_string(),
-            codec_id: meta.codec_id(),
-            type_tag: meta.type_tag(),
-            ndim: meta.dims().ndim(),
-            dims: [z as u64, y as u64, x as u64],
-            eb: meta.error_bound(),
-            compressed_len: meta.compressed_len(),
-            payload_crc: meta.payload_crc(),
-            sections: meta.section_count() as u32,
-            levels,
-            interp,
-            level_bytes: (1..=levels).map(|k| meta.bytes_through_level(k)).collect(),
-        }
-    }
-
-    /// Registry name of the entry's codec, or `None` when this build
-    /// does not know the id.
-    pub fn codec_name(&self) -> Option<&'static str> {
-        stz_backend::registry().by_id(self.codec_id).map(|c| c.name())
-    }
-
-    /// `"f32"` / `"f64"`.
-    pub fn type_name(&self) -> &'static str {
-        if self.type_tag == 0 {
-            "f32"
-        } else {
-            "f64"
-        }
-    }
-
-    /// Interpolation-kind label of the stz hierarchy (`None` for foreign
-    /// codecs or an interp code this build does not know).
-    pub fn interp_name(&self) -> Option<&'static str> {
-        match self.interp {
-            1 => Some("linear"),
-            2 => Some("cubic"),
-            _ => None,
-        }
-    }
-}
-
-/// Encode an `INSPECT_OK` payload.
-pub fn encode_inspect(entries: &[EntryInfo]) -> Vec<u8> {
+/// Encode an `INSPECT_OK` payload: each row is an [`EntryDesc`] in wire
+/// order (its `index` is its position, not sent).
+pub fn encode_inspect(entries: &[EntryDesc]) -> Vec<u8> {
     let mut e = Enc::new();
     e.u32(entries.len() as u32);
-    for i in entries {
-        e.string(&i.name);
-        e.u8(i.codec_id);
-        e.u8(i.type_tag);
-        e.u8(i.ndim);
-        e.u8(i.levels);
-        e.u8(i.interp);
-        for v in i.dims {
-            e.u64(v);
+    for row in entries {
+        e.string(&row.name);
+        e.u8(row.codec_id);
+        e.u8(row.type_tag);
+        e.u8(row.dims.ndim());
+        e.u8(row.levels);
+        e.u8(row.interp);
+        for v in row.dims.as_array() {
+            e.u64(v as u64);
         }
-        e.f64(i.eb);
-        e.u64(i.compressed_len);
-        e.u32(i.payload_crc);
-        e.u32(i.sections);
-        debug_assert_eq!(i.level_bytes.len(), i.levels as usize);
-        for &b in &i.level_bytes {
+        e.f64(row.eb);
+        e.u64(row.compressed_len);
+        e.u32(row.payload_crc);
+        e.u32(row.sections);
+        debug_assert_eq!(row.level_bytes.len(), row.levels as usize);
+        for &b in &row.level_bytes {
             e.u64(b);
         }
     }
     e.finish()
 }
 
-/// Decode an `INSPECT_OK` payload.
-pub fn decode_inspect(payload: &[u8]) -> Result<Vec<EntryInfo>> {
+/// Decode an `INSPECT_OK` payload. A row's dims pass the same checks as a
+/// `FETCH_OK` head's, so a hostile row is a protocol error here.
+pub fn decode_inspect(payload: &[u8]) -> Result<Vec<EntryDesc>> {
     let mut d = Dec::new(payload);
     let n = d.u32()?;
     let mut out = Vec::with_capacity(bounded_count(n)?);
-    for _ in 0..n {
-        let name = d.string()?;
-        let codec_id = d.u8()?;
-        let type_tag = d.u8()?;
-        let ndim = d.u8()?;
-        let levels = d.u8()?;
-        let interp = d.u8()?;
-        let mut dims = [0u64; 3];
-        for v in &mut dims {
-            *v = d.u64()?;
-        }
-        let eb = d.f64()?;
-        let compressed_len = d.u64()?;
-        let payload_crc = d.u32()?;
-        let sections = d.u32()?;
-        let mut level_bytes = Vec::with_capacity(levels as usize);
-        for _ in 0..levels {
-            level_bytes.push(d.u64()?);
-        }
-        out.push(EntryInfo {
+    for index in 0..n {
+        let (name, codec_id, type_tag) = (d.string()?, d.u8()?, d.u8()?);
+        let (ndim, levels, interp) = (d.u8()?, d.u8()?, d.u8()?);
+        let dims = d.dims(ndim)?;
+        let (eb, compressed_len, payload_crc, sections) = (d.f64()?, d.u64()?, d.u32()?, d.u32()?);
+        let level_bytes = (0..levels).map(|_| d.u64()).collect::<Result<_>>()?;
+        out.push(EntryDesc {
+            index,
             name,
             codec_id,
             type_tag,
-            ndim,
             dims,
             eb,
             compressed_len,
@@ -1129,41 +1035,18 @@ pub fn decode_trace_ok(payload: &[u8]) -> Result<Vec<stz_telemetry::trace::Trace
     let n = d.u32()?;
     let mut out = Vec::with_capacity(bounded_count(n)?);
     for _ in 0..n {
-        let trace_id = d.u64()?;
-        let kind = d.string()?;
-        let flags = d.u8()?;
-        let duration_ns = d.u64()?;
-        let dropped_spans = d.u32()?;
-        let span_count = d.u32()?;
+        let (trace_id, kind, flags) = (d.u64()?, d.string()?, d.u8()?);
+        let (duration_ns, dropped_spans, span_count) = (d.u64()?, d.u32()?, d.u32()?);
         let mut spans = Vec::with_capacity(bounded_count(span_count)?);
         for _ in 0..span_count {
-            let id = d.u64()?;
-            let parent = d.u64()?;
-            let name = d.string()?;
-            let start_ns = d.u64()?;
-            let span_duration_ns = d.u64()?;
-            let attr_count = d.u8()?;
-            let mut attrs = Vec::with_capacity(attr_count as usize);
-            for _ in 0..attr_count {
-                attrs.push((d.string()?, d.string()?));
-            }
-            spans.push(SpanRecord {
-                id,
-                parent,
-                name,
-                start_ns,
-                duration_ns: span_duration_ns,
-                attrs,
-            });
+            let (id, parent, name) = (d.u64()?, d.u64()?, d.string()?);
+            let (start_ns, duration_ns, attr_count) = (d.u64()?, d.u64()?, d.u8()?);
+            let attrs =
+                (0..attr_count).map(|_| Ok((d.string()?, d.string()?))).collect::<Result<_>>()?;
+            spans.push(SpanRecord { id, parent, name, start_ns, duration_ns, attrs });
         }
-        out.push(TraceRecord {
-            trace_id,
-            kind,
-            error: flags & 1 != 0,
-            duration_ns,
-            dropped_spans,
-            spans,
-        });
+        let error = flags & 1 != 0;
+        out.push(TraceRecord { trace_id, kind, error, duration_ns, dropped_spans, spans });
     }
     d.expect_end()?;
     Ok(out)
@@ -1184,26 +1067,6 @@ pub fn decode_err(payload: &[u8]) -> ServeError {
         (Ok(code), Ok(message)) => ServeError::Remote { code, message },
         _ => ServeError::protocol("malformed ERR payload"),
     }
-}
-
-/// Validate untrusted wire dims — `usize` range, extent/`ndim`
-/// consistency, no zero axes — *before* [`Dims::from_parts`] can assert
-/// on them. `None` means the peer lied. The one checked constructor every
-/// wire consumer (`FETCH_OK` decoding here, `INSPECT_OK` rows in the
-/// access layer) shares, so the hostile-dims rules cannot drift.
-pub fn wire_dims(ndim: u8, z: u64, y: u64, x: u64) -> Option<Dims> {
-    let c = |v: u64| usize::try_from(v).ok();
-    let (z, y, x) = (c(z)?, c(y)?, c(x)?);
-    let consistent = match ndim {
-        1 => z == 1 && y == 1,
-        2 => z == 1,
-        3 => true,
-        _ => false,
-    };
-    if !consistent || x == 0 || y == 0 || z == 0 {
-        return None;
-    }
-    Some(Dims::from_parts(ndim, z, y, x))
 }
 
 /// Guard collection preallocation against hostile count prefixes: the
@@ -1619,28 +1482,72 @@ mod tests {
         assert!(again.into_field::<f64>().is_err());
     }
 
+    /// One `INSPECT_OK` table: an stz entry with three levels, then a
+    /// foreign one.
+    fn inspect_rows() -> Vec<EntryDesc> {
+        vec![
+            EntryDesc {
+                index: 0,
+                name: "t0".into(),
+                codec_id: 0,
+                type_tag: 1,
+                dims: Dims::d3(16, 16, 16),
+                eb: 1e-3,
+                compressed_len: 4096,
+                payload_crc: 0xDEAD_BEEF,
+                sections: 15,
+                levels: 3,
+                interp: 2,
+                level_bytes: vec![64, 512, 4096],
+            },
+            EntryDesc {
+                index: 1,
+                name: "aux".into(),
+                codec_id: 2,
+                type_tag: 0,
+                dims: Dims::d2(4, 9),
+                eb: 0.5,
+                compressed_len: 99,
+                payload_crc: 7,
+                sections: 1,
+                levels: 0,
+                interp: 0,
+                level_bytes: vec![],
+            },
+        ]
+    }
+
+    fn list_rows() -> Vec<ContainerDesc> {
+        vec![
+            ContainerDesc { name: "a".into(), entries: 2, bytes: 1234 },
+            ContainerDesc { name: "b".into(), entries: 1, bytes: 99 },
+        ]
+    }
+
+    #[test]
+    fn inspect_and_list_bytes_are_pinned() {
+        // The `INSPECT_OK` and `LIST_OK` layouts, byte for byte: a change
+        // here is a change to STZP v1.
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        assert_eq!(
+            hex(&encode_inspect(&inspect_rows())),
+            "020000000200000074300001030302100000000000000010000000000000001000000000\
+             000000fca9f1d24d62503f0010000000000000efbeadde0f000000400000000000000000\
+             020000000000000010000000000000030000006175780200020000010000000000000004\
+             000000000000000900000000000000000000000000e03f63000000000000000700000001\
+             000000"
+        );
+        assert_eq!(
+            hex(&encode_list(&list_rows())),
+            "02000000010000006102000000d2040000000000000100000062010000006300000000000000"
+        );
+    }
+
     #[test]
     fn list_inspect_stats_err_roundtrip() {
-        let list = vec![
-            ContainerInfo { name: "a".into(), entries: 2, file_len: 1234 },
-            ContainerInfo { name: "b".into(), entries: 1, file_len: 99 },
-        ];
+        let list = list_rows();
         assert_eq!(decode_list(&encode_list(&list)).unwrap(), list);
-
-        let entries = vec![EntryInfo {
-            name: "t0".into(),
-            codec_id: 0,
-            type_tag: 1,
-            ndim: 3,
-            dims: [16, 16, 16],
-            eb: 1e-3,
-            compressed_len: 4096,
-            payload_crc: 0xDEAD_BEEF,
-            sections: 15,
-            levels: 3,
-            interp: 2,
-            level_bytes: vec![64, 512, 4096],
-        }];
+        let entries = inspect_rows();
         assert_eq!(decode_inspect(&encode_inspect(&entries)).unwrap(), entries);
 
         let stats = ServerStats {

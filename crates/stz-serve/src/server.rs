@@ -26,9 +26,8 @@ use crate::cache::{CacheKey, DecodedCache};
 use crate::error::{Result, ServeError};
 use crate::proto::{
     encode_err, encode_inspect, encode_list, encode_metrics_ok, encode_trace_ok, err_code,
-    read_frame, write_frame, ContainerInfo, Enc, EntryInfo, EntrySel, FetchReq, FetchedField,
-    Frame, FrameType, RequestKind, ServerStats, FETCH_HEAD_LEN, FRAME_HEADER_LEN,
-    MAX_FRAME_PAYLOAD, PROTO_VERSION,
+    read_frame, write_frame, Enc, EntrySel, FetchReq, FetchedField, Frame, FrameType, RequestKind,
+    ServerStats, FETCH_HEAD_LEN, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD, PROTO_VERSION,
 };
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -42,7 +41,7 @@ use stz_codec::CodecError;
 use stz_core::level::LevelPlan;
 use stz_core::pool;
 use stz_field::Dims;
-use stz_stream::{ByteSource, ContainerReader, FileSource};
+use stz_stream::{ByteSource, ContainerDesc, ContainerReader, EntryDesc, FileSource};
 use stz_telemetry::{log_debug, log_warn, trace, Counter, Gauge, Histogram, LogLimiter, Registry};
 
 /// Server configuration.
@@ -606,15 +605,15 @@ fn respond(
     let err = |code: u16, msg: &str| Ok((FrameType::Err, Body::Owned(encode_err(code, msg))));
     match frame.frame_type() {
         Some(FrameType::List) => {
-            let list: Vec<ContainerInfo> = state
+            let list: Vec<ContainerDesc> = state
                 .containers
                 .iter()
                 .map(|(name, hosted)| {
                     let snapshot = hosted.pin();
-                    ContainerInfo {
+                    ContainerDesc {
                         name: name.clone(),
                         entries: snapshot.reader.entry_count() as u32,
-                        file_len: snapshot.file_len,
+                        bytes: snapshot.file_len,
                     }
                 })
                 .collect();
@@ -627,8 +626,12 @@ fn respond(
             match state.containers.get(&name) {
                 Some(hosted) => {
                     let snapshot = hosted.pin();
-                    let entries: Vec<EntryInfo> =
-                        snapshot.reader.entries().map(|m| EntryInfo::from_meta(&m)).collect();
+                    let entries: Vec<EntryDesc> = snapshot
+                        .reader
+                        .entries()
+                        .enumerate()
+                        .map(|(i, m)| EntryDesc::from_meta(i as u32, &m))
+                        .collect();
                     Ok((FrameType::InspectOk, Body::Owned(encode_inspect(&entries))))
                 }
                 None => err(err_code::NOT_FOUND, &format!("no hosted container named {name:?}")),
@@ -724,6 +727,7 @@ fn handle_fetch(
 
     // Validate request-specific parameters *before* touching the cache so
     // malformed requests are cheap and never occupy a slot.
+    let levels = meta.header().map(|h| h.levels);
     match req.kind {
         RequestKind::Roi(_) => {
             let region = req
@@ -740,12 +744,19 @@ fn handle_fetch(
         RequestKind::Level(0) => {
             return Err((err_code::BAD_REQUEST, "preview level must be ≥ 1".into()));
         }
+        RequestKind::Level(k) => {
+            if let Some(levels) = levels.filter(|&levels| k > levels) {
+                return Err((
+                    err_code::BAD_REQUEST,
+                    format!("preview level {k} exceeds the entry's {levels} levels"),
+                ));
+            }
+        }
         _ => {}
     }
     // Every kind's size is known from the index: refuse a response the
     // frame cap cannot carry before decoding anything.
     let bytes_per = if meta.type_tag() == 0 { 4 } else { 8 };
-    let levels = meta.header().map(|h| h.levels);
     fits_frame(&req.kind, meta.dims(), levels, bytes_per, meta.compressed_len())?;
 
     let key = CacheKey {
@@ -920,8 +931,9 @@ mod tests {
             let raw = fits_frame(&RequestKind::Raw, Dims::d1(4), Some(3), 4, len);
             assert_eq!(raw, want, "raw payload of {len} bytes");
         }
-        // Without a size in the index — a level the entry lacks, a preview of
-        // a foreign entry — the decode answers, not the cap.
+        // Without a size in the index — a level the entry lacks (refused as a
+        // bad request before this check), a preview of a foreign entry (the
+        // decode's answer) — the cap refuses nothing.
         let huge = Dims::d1(4 * at_cap);
         for (k, levels) in [(4, Some(3)), (1, None)] {
             assert_eq!(fits_frame(&RequestKind::Level(k), huge, levels, 4, 0), Ok(()));

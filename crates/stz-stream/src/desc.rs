@@ -1,20 +1,20 @@
-//! [`EntryDesc`] — the transport-independent entry descriptor.
+//! [`EntryDesc`] and [`ContainerDesc`] — the one description of an entry
+//! and of a container, from the footer to the wire.
+//!
+//! A reader plans a fetch from these alone: dims, element type, codec,
+//! hierarchy depth and the cumulative bytes of each level, with no payload
+//! byte read. Every store of the access layer lists them, the server's
+//! `INSPECT_OK` and `LIST_OK` frames carry them field for field, and the
+//! CLI renders them — so every transport describes an entry with the same
+//! value.
 
-use crate::error::{AccessError, Result};
-use stz_core::archive::ArchiveHeader;
+use crate::crc::crc32;
+use crate::{EntryMeta, ForeignArchive};
 use stz_core::{InterpKind, StzArchive};
 use stz_field::{Dims, Scalar};
-use stz_serve::EntryInfo;
-use stz_stream::crc::crc32;
-use stz_stream::{EntryMeta, ForeignArchive};
 
-/// What every [`Store`](crate::Store) reports about one entry, regardless
-/// of where the bytes live.
-///
-/// The fields mirror the container footer (and its wire twin, the STZP
-/// `INSPECT_OK` row): enough to plan a fetch — dims, element type, codec,
-/// hierarchy depth, per-level byte costs — without touching any payload
-/// bytes.
+/// What every store reports about one entry, regardless of where the
+/// bytes live: one container footer row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EntryDesc {
     /// Position of the entry in the store's listing order.
@@ -45,7 +45,7 @@ pub struct EntryDesc {
     pub level_bytes: Vec<u64>,
 }
 
-/// Map an [`InterpKind`] to the wire byte used across the stack.
+/// Map an [`InterpKind`] to the byte [`EntryDesc::interp`] holds.
 fn interp_tag(interp: Option<InterpKind>) -> u8 {
     match interp {
         Some(InterpKind::Linear) => 1,
@@ -55,8 +55,8 @@ fn interp_tag(interp: Option<InterpKind>) -> u8 {
 }
 
 impl EntryDesc {
-    /// Describe one container entry (used by `FileStore`; no payload
-    /// bytes are touched).
+    /// Describe one container entry from its footer row; no payload bytes
+    /// are touched.
     pub fn from_meta(index: u32, meta: &EntryMeta<'_>) -> EntryDesc {
         let levels = meta.header().map(|h| h.levels).unwrap_or(0);
         EntryDesc {
@@ -75,11 +75,10 @@ impl EntryDesc {
         }
     }
 
-    /// Describe a resident [`StzArchive`] (used by `MemStore`). The
-    /// payload CRC is computed over the archive bytes — the same value the
-    /// container writer would record.
+    /// Describe a resident [`StzArchive`]. The payload CRC is computed over
+    /// the archive bytes — the same value the container writer records.
     pub fn from_archive<T: Scalar>(index: u32, name: &str, archive: &StzArchive<T>) -> EntryDesc {
-        let h: &ArchiveHeader = archive.header();
+        let h = archive.header();
         let sections = 1 + (2..=h.levels).map(|k| archive.num_blocks(k)).sum::<usize>();
         EntryDesc {
             index,
@@ -97,7 +96,7 @@ impl EntryDesc {
         }
     }
 
-    /// Describe a resident [`ForeignArchive`] (used by `MemStore`).
+    /// Describe a resident [`ForeignArchive`].
     pub fn from_foreign(index: u32, name: &str, foreign: &ForeignArchive) -> EntryDesc {
         EntryDesc {
             index,
@@ -113,31 +112,6 @@ impl EntryDesc {
             interp: 0,
             level_bytes: Vec::new(),
         }
-    }
-
-    /// Describe an entry from an `INSPECT_OK` wire row (used by
-    /// `RemoteStore`). The row arrives from an untrusted peer, so the dims
-    /// go through the wire protocol's shared checked constructor before
-    /// [`Dims`]'s own constructor can assert on them.
-    pub fn from_wire(index: u32, info: &EntryInfo) -> Result<EntryDesc> {
-        let [z, y, x] = info.dims;
-        let dims = stz_serve::proto::wire_dims(info.ndim, z, y, x).ok_or_else(|| {
-            AccessError::Protocol(format!("bad entry dims [{z}, {y}, {x}] for ndim {}", info.ndim))
-        })?;
-        Ok(EntryDesc {
-            index,
-            name: info.name.clone(),
-            codec_id: info.codec_id,
-            type_tag: info.type_tag,
-            dims,
-            eb: info.eb,
-            compressed_len: info.compressed_len,
-            payload_crc: info.payload_crc,
-            sections: info.sections,
-            levels: info.levels,
-            interp: info.interp,
-            level_bytes: info.level_bytes.clone(),
-        })
     }
 
     /// Registry name of the entry's codec, or `None` when this build does
@@ -164,13 +138,15 @@ impl EntryDesc {
             _ => None,
         }
     }
+}
 
-    /// Bytes per element of the entry's scalar type.
-    pub fn bytes_per(&self) -> usize {
-        if self.type_tag == 0 {
-            4
-        } else {
-            8
-        }
-    }
+/// One container, as a server's `LIST_OK` or a directory scan reports it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ContainerDesc {
+    /// Container name (file stem; what fetch URIs address).
+    pub name: String,
+    /// Number of entries in its index.
+    pub entries: u32,
+    /// Size of the container file in bytes.
+    pub bytes: u64,
 }

@@ -21,6 +21,9 @@
 //!   on worker threads while the writer appends them in order, producing
 //!   bytes identical to a sequential pack with memory bounded by a sliding
 //!   window.
+//! * [`EntryDesc`] and [`ContainerDesc`] describe an entry and a container
+//!   from the footer alone — the one descriptor every store, the server's
+//!   `INSPECT_OK` / `LIST_OK` frames and the CLI share.
 //!
 //! The heavy lifting is shared with the in-memory path: `stz-core`'s decode
 //! drivers are generic over [`stz_core::SectionSource`], implemented with
@@ -65,12 +68,14 @@
 
 pub mod byte_source;
 pub mod crc;
+pub mod desc;
 pub mod format;
 pub mod pipeline;
 pub mod reader;
 pub mod writer;
 
 pub use byte_source::{ByteSource, CountingSource, FileSource, MemorySource};
+pub use desc::{ContainerDesc, EntryDesc};
 pub use pipeline::{pack_pipelined, run_pipelined};
 pub use reader::{ContainerReader, EntryMeta, EntryReader, StzSections};
 pub use writer::{

@@ -11,8 +11,8 @@
 //!   length prefixes, mid-stream disconnects and CRC-corrupted responses
 //!   error cleanly — no panics, no hangs (every socket carries a timeout);
 //! * request-level failures (unknown container/entry, out-of-bounds ROI,
-//!   progressive on a foreign-codec entry) answer `ERR` and leave the
-//!   connection usable;
+//!   progressive on a foreign-codec entry or past the entry's depth)
+//!   answer `ERR` and leave the connection usable;
 //! * the `METRICS`/`METRICS_OK` pair round-trips the server's telemetry
 //!   registry (per-frame-kind request counters and latency histograms),
 //!   and hostile `METRICS_OK` replies (wrong exposition version,
@@ -33,7 +33,7 @@ use stz::backend::ErrorBound;
 use stz::data::synth;
 use stz::prelude::*;
 use stz::serve::{
-    proto, Client, EntrySel, FetchReq, RequestKind, ServeError, ServeOptions, Server,
+    proto, Client, ContainerDesc, EntrySel, FetchReq, RequestKind, ServeError, ServeOptions, Server,
 };
 use stz::stream::{ContainerReader, ContainerWriter, ForeignArchive};
 
@@ -200,15 +200,13 @@ fn list_inspect_and_raw_match_local_metadata() {
     let mut client = Client::connect(addr).unwrap();
 
     let list = client.list().unwrap();
-    assert_eq!(list.len(), 1);
-    assert_eq!(list[0].name, "steps");
-    assert_eq!(list[0].entries, 3);
-    assert_eq!(list[0].file_len, std::fs::metadata(rig.dir.join("steps.stzc")).unwrap().len());
+    let bytes = std::fs::metadata(rig.dir.join("steps.stzc")).unwrap().len();
+    assert_eq!(list, [ContainerDesc { name: "steps".into(), entries: 3, bytes }]);
 
     let entries = client.inspect("steps").unwrap();
     let reader = rig.reader();
-    let local: Vec<proto::EntryInfo> =
-        reader.entries().map(|m| proto::EntryInfo::from_meta(&m)).collect();
+    let local: Vec<EntryDesc> =
+        reader.entries().enumerate().map(|(i, m)| EntryDesc::from_meta(i as u32, &m)).collect();
     assert_eq!(entries, local, "remote entry table must equal the local one");
     assert_eq!(entries[2].codec_name(), Some("zfp"));
     assert_eq!(entries[2].levels, 0);
@@ -397,6 +395,33 @@ fn request_errors_answer_err_and_connection_survives() {
 
     // After all of that, the same connection still serves real requests.
     let ok = client.fetch_full("steps", EntrySel::Index(0)).unwrap();
+    assert_eq!(ok.dims, dims());
+    handle.stop();
+}
+
+#[test]
+fn preview_past_the_entry_depth_is_a_bad_request_that_misses_no_cache() {
+    // A raw client skips the access layer's checks: the server itself must
+    // refuse a level the entry lacks as the same BAD_REQUEST, before the
+    // cache lookup, so the refusal counts no miss.
+    let rig = Rig::new("depth");
+    let (handle, addr) = rig.serve();
+    let mut client = Client::connect(addr).unwrap();
+    let levels = client.inspect("steps").unwrap()[0].levels;
+    assert_eq!(levels, 3);
+
+    let misses = client.stats().unwrap().cache_misses;
+    match client.fetch_level("steps", EntrySel::Name("t0".into()), levels + 1) {
+        Err(ServeError::Remote { code, message }) => {
+            assert_eq!(code, proto::err_code::BAD_REQUEST, "{message}");
+            assert!(message.contains("exceeds the entry's 3 levels"), "{message}");
+        }
+        other => panic!("expected a BAD_REQUEST reply, got {other:?}"),
+    }
+    assert_eq!(client.stats().unwrap().cache_misses, misses, "a refused level took a slot");
+
+    // The connection still serves the deepest real level.
+    let ok = client.fetch_level("steps", EntrySel::Name("t0".into()), levels).unwrap();
     assert_eq!(ok.dims, dims());
     handle.stop();
 }

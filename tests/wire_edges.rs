@@ -6,13 +6,12 @@
 //!   as raw 16-byte headers, proving exactly where the gate sits: at-cap
 //!   lengths pass the header check and fail only as truncated payloads,
 //!   one-past-cap is refused before any payload byte is read;
-//! * [`EntryDesc::from_wire`] — `INSPECT_OK` rows from an untrusted peer
-//!   must reject ndim/extent combinations that [`Dims`]' own constructor
+//! * [`proto::decode_inspect`] — `INSPECT_OK` rows from an untrusted peer
+//!   must reject ndim/extent combinations that `Dims`' own constructor
 //!   would assert on, and accept every consistent 1-D/2-D/3-D shape.
 
-use stz::access::{AccessError, EntryDesc};
 use stz::serve::proto::{self, FrameType, MAX_FRAME_PAYLOAD};
-use stz::serve::{EntryInfo, ServeError};
+use stz::serve::ServeError;
 
 /// A valid empty LIST frame whose length bytes we patch per edge case.
 fn empty_frame() -> Vec<u8> {
@@ -75,35 +74,42 @@ fn frame_len_gate_holds_even_with_trailing_bytes() {
     assert!(matches!(proto::read_frame(&mut &frame[..]), Err(ServeError::Protocol(_))));
 }
 
-fn info(ndim: u8, dims: [u64; 3]) -> EntryInfo {
-    EntryInfo {
-        name: "t".into(),
-        codec_id: stz::backend::id::STZ,
-        type_tag: 0,
-        ndim,
-        dims,
-        eb: 1e-3,
-        compressed_len: 128,
-        payload_crc: 0,
-        sections: 1,
-        levels: 1,
-        interp: 1,
-        level_bytes: vec![128],
+/// A one-row `INSPECT_OK` payload for an stz entry of `ndim` axes and
+/// extents `dims`, crafted field by field so any shape can be declared.
+fn inspect_ok(ndim: u8, dims: [u64; 3]) -> Vec<u8> {
+    let mut e = proto::Enc::new();
+    e.u32(1); // rows
+    e.string("t");
+    e.u8(stz::backend::id::STZ);
+    e.u8(0); // f32
+    e.u8(ndim);
+    e.u8(1); // levels
+    e.u8(1); // linear
+    for v in dims {
+        e.u64(v);
     }
+    e.f64(1e-3);
+    e.u64(128); // compressed_len
+    e.u32(0); // payload_crc
+    e.u32(1); // sections
+    e.u64(128); // level_bytes[0]
+    e.finish()
 }
 
 #[test]
-fn from_wire_accepts_consistent_shapes() {
+fn decode_inspect_accepts_consistent_shapes() {
     for (ndim, dims) in [(1u8, [1u64, 1, 9]), (2, [1, 4, 9]), (3, [2, 4, 9])] {
-        let desc = EntryDesc::from_wire(0, &info(ndim, dims))
+        let rows = proto::decode_inspect(&inspect_ok(ndim, dims))
             .unwrap_or_else(|e| panic!("ndim {ndim} dims {dims:?}: {e}"));
+        let desc = &rows[0];
+        assert_eq!(desc.index, 0);
         assert_eq!(desc.dims.ndim(), ndim);
         assert_eq!([desc.dims.nz() as u64, desc.dims.ny() as u64, desc.dims.nx() as u64], dims);
     }
 }
 
 #[test]
-fn from_wire_rejects_inconsistent_ndim() {
+fn decode_inspect_rejects_inconsistent_ndim() {
     // Shapes that Dims::from_parts would assert on must come back as
     // protocol errors instead of panics: that exact panic was reachable
     // from hostile codec headers before the fuzzer pinned it.
@@ -115,8 +121,8 @@ fn from_wire_rejects_inconsistent_ndim() {
         (4, [2, 2, 2]),      // too many axes
     ];
     for (ndim, dims) in hostile {
-        match EntryDesc::from_wire(0, &info(ndim, dims)) {
-            Err(AccessError::Protocol(msg)) => {
+        match proto::decode_inspect(&inspect_ok(ndim, dims)) {
+            Err(ServeError::Protocol(msg)) => {
                 assert!(msg.contains("dims"), "ndim {ndim}: {msg}")
             }
             other => panic!("ndim {ndim} dims {dims:?}: expected Protocol error, got {other:?}"),
@@ -125,10 +131,10 @@ fn from_wire_rejects_inconsistent_ndim() {
 }
 
 #[test]
-fn from_wire_rejects_zero_extents() {
+fn decode_inspect_rejects_zero_extents() {
     for dims in [[0u64, 4, 9], [2, 0, 9], [2, 4, 0]] {
         assert!(
-            EntryDesc::from_wire(0, &info(3, dims)).is_err(),
+            matches!(proto::decode_inspect(&inspect_ok(3, dims)), Err(ServeError::Protocol(_))),
             "zero extent {dims:?} must be refused"
         );
     }
