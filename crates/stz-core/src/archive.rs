@@ -316,7 +316,9 @@ impl<T: Scalar> StzArchive<T> {
         &self,
         region: &Region,
     ) -> Result<(Field<T>, AccessBreakdown)> {
-        pool::with_threads(1, || self.progressive_region(region)?.finish(self.num_levels()))
+        pool::with_threads(1, || {
+            self.progressive_region(region)?.decode_to_with_breakdown(self.num_levels())
+        })
     }
 }
 

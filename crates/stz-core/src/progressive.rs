@@ -10,11 +10,13 @@
 //! fetch's buffer — so an answer on the wire is made once, not decoded and
 //! then copied.
 //!
-//! Level 1 is the one grid every walk decodes whole. An [`StzArchive`]
-//! decodes it once and keeps it, and its walks resume from that memo: level
-//! 2 predicts straight from it rather than from a fresh decode of the SZ3
-//! stream (the jxl-oxide `LfGroup` model: decode the coarse image once,
-//! refine each region against it). A level-1 preview is a copy of it.
+//! Level 1 is the one grid every walk decodes whole. Whoever holds an entry
+//! decodes it once and keeps it — an [`StzArchive`] in its handle, a
+//! container reader one slot per entry — and their walks
+//! [resume](ProgressiveDecoder::resume) from that memo: level 2 predicts
+//! straight from it rather than from a fresh decode of the SZ3 stream (the
+//! jxl-oxide `LfGroup` model: decode the coarse image once, refine each
+//! region against it). A level-1 preview is a copy of it.
 
 use crate::archive::StzArchive;
 use crate::compressor::{decode_box, decode_level1, LeBytes, Points};
@@ -81,7 +83,11 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
     /// level-1 step borrows the grid `memo` holds, or decodes and stores it
     /// there if it holds none (a failed decode leaves it empty), and level 2
     /// predicts straight from the memo.
-    pub(crate) fn resume(mut self, memo: &'a OnceLock<Vec<T>>) -> Self {
+    ///
+    /// # Panics
+    /// On a walk that takes a grid from `memo` that is not level 1's size:
+    /// a memo belongs to one source, and is trusted to hold its level 1.
+    pub fn resume(mut self, memo: &'a OnceLock<Vec<T>>) -> Self {
         self.memo = Some(memo);
         self
     }
@@ -143,12 +149,13 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
     /// Decode through level `k`, a level not decoded yet, and hand out that
     /// preview itself: the walk ends here.
     pub fn decode_to(self, k: u8) -> Result<Field<T>> {
-        self.finish(k).map(|(field, _)| field)
+        self.decode_to_with_breakdown(k).map(|(field, _)| field)
     }
 
     /// [`ProgressiveDecoder::decode_to`], with the stage timings of every
-    /// level decoded and, as `total`, the seconds this call took.
-    pub(crate) fn finish(mut self, k: u8) -> Result<(Field<T>, AccessBreakdown)> {
+    /// level decoded (the paper's Table 4 breakdown on a region walk) and,
+    /// as `total`, the seconds this call took.
+    pub fn decode_to_with_breakdown(mut self, k: u8) -> Result<(Field<T>, AccessBreakdown)> {
         let start = Instant::now();
         self.dims_to(k)?;
         while self.decoded < k {
@@ -210,7 +217,9 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
                         // the memo keeps one of them.
                         let _ = memo.set(decode()?);
                     }
-                    (Cow::Borrowed(memo.get().expect("the memo is filled").as_slice()), fill)
+                    let grid = memo.get().expect("the memo is filled").as_slice();
+                    assert_eq!(grid.len(), self.boxes[0].len(), "the memo holds another level 1");
+                    (Cow::Borrowed(grid), fill)
                 }
             };
             self.grid = grid;

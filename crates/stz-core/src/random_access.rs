@@ -4,9 +4,11 @@
 //!
 //! 1. **Level 1** — needed in full (the SZ3 stream is monolithic), but it
 //!    is only ~1.6% of the data in the 3-level 3-D scheme. An
-//!    [`crate::StzArchive`] decodes it once and keeps it: its later ROIs
-//!    predict level 2 straight from that grid and report `l1_sz3` as 0.
-//!    A generic [`SectionSource`] walk decodes it on every call.
+//!    [`crate::StzArchive`] decodes it once and keeps it, and so does a
+//!    container reader for each entry: their later ROIs
+//!    [resume](crate::ProgressiveDecoder::resume) from that grid, predict level 2
+//!    straight from it and report `l1_sz3` as 0. A walk over any other
+//!    [`crate::SectionSource`] decodes it on every call.
 //! 2. **Decode** — for every finer level, only the sub-blocks whose lattice
 //!    intersects the (stencil-dilated) ROI are visited, and within them only
 //!    the Huffman chunks that hold a row of the ROI are entropy-decoded. A
@@ -16,7 +18,7 @@
 //!    of 1/64 of a 256³ volume decodes 30% of them.
 //! 3. **Predict** — each level's working grid is only the box of the
 //!    dilated ROI, assembled by the full decode's walk
-//!    ([`ProgressiveDecoder`] over boxes) from the box before it: cost and
+//!    ([`crate::ProgressiveDecoder`] over boxes) from the box before it: cost and
 //!    memory proportional to the ROI, not the dataset (the paper's ≈98.4%
 //!    prediction saving), the last box is the answer, and the ROI is a crop
 //!    of the full decode by construction.
@@ -25,17 +27,14 @@
 //! Table 4's breakdown, and opens the trace spans of the full decode.
 
 use crate::level::LevelPlan;
-use crate::progressive::ProgressiveDecoder;
-use crate::source::SectionSource;
-use stz_codec::Result;
-use stz_field::{Field, Region, Scalar};
+use stz_field::Region;
 
 /// Per-stage wall-clock breakdown of one random-access decompression,
 /// mirroring the columns of the paper's Table 4.
 #[derive(Debug, Clone, Default)]
 pub struct AccessBreakdown {
     /// Seconds decompressing the level-1 SZ3 stream ("L1 SZ3"); 0 on a walk
-    /// that resumed from an archive's decoded level-1 grid.
+    /// that resumed from a kept level-1 grid.
     pub l1_sz3: f64,
     /// Per finer level (index 0 = level 2): stage timings.
     pub levels: Vec<LevelTimes>,
@@ -110,23 +109,11 @@ pub(crate) fn needed_regions(plan: &LevelPlan, region: &Region) -> Vec<Region> {
     needed
 }
 
-/// Random-access decoding of `region` with stage timings, at the pool's width.
-///
-/// Generic over [`SectionSource`]: only the level-1 stream and the
-/// sub-blocks whose lattice intersects the stencil-dilated region are
-/// fetched, so an out-of-core source reads a fraction of the archive.
-pub fn decompress_region<T: Scalar, S: SectionSource + ?Sized>(
-    source: &S,
-    region: &Region,
-) -> Result<(Field<T>, AccessBreakdown)> {
-    ProgressiveDecoder::region(source, region)?.finish(source.num_levels())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{StzArchive, StzCompressor, StzConfig};
-    use stz_field::Dims;
+    use stz_field::{Dims, Field};
 
     fn field(dims: Dims) -> Field<f32> {
         Field::from_fn(dims, |z, y, x| {

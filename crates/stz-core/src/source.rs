@@ -75,7 +75,6 @@ impl<T: Scalar> SectionSource for StzArchive<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::random_access::decompress_region;
     use crate::{ProgressiveDecoder, StzCompressor, StzConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use stz_field::{Dims, Field, Region};
@@ -123,7 +122,7 @@ mod tests {
         assert_eq!(decode_to(&src, 3), a.decompress().unwrap());
         assert_eq!(decode_to(&src, 1), a.decompress_level(1).unwrap());
         let region = Region::d3(2..8, 3..9, 4..10);
-        let (roi, _) = decompress_region::<f32, _>(&src, &region).unwrap();
+        let roi = ProgressiveDecoder::region(&src, &region).unwrap().decode_to(3).unwrap();
         assert_eq!(roi, a.decompress_region(&region).unwrap());
         assert!(src.fetches.load(Ordering::Relaxed) > 0);
     }

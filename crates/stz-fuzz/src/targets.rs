@@ -143,19 +143,64 @@ fn container_script<S: stz_stream::ByteSource + 'static>(
     Ok(format!("open-ok/{}/{}", "e".repeat(descs.len().min(8)), "f".repeat(fetched.min(8))))
 }
 
-fn fetch_entry(entry: &dyn Entry) -> Result<(), AccessError> {
-    entry.fetch(&Fetch::Full)?;
-    if entry.desc().levels > 0 {
-        entry.fetch(&Fetch::Level(1))?;
+/// The fetches the script makes of an entry, in order.
+fn entry_fetches(desc: &EntryDesc) -> Vec<Fetch> {
+    let mut fetches = vec![Fetch::Full];
+    if desc.levels > 0 {
+        fetches.push(Fetch::Level(1));
     }
-    let d = entry.desc().dims;
-    let region = Region::d3(
-        0..d.as_array()[0].clamp(1, 2),
-        0..d.as_array()[1].clamp(1, 2),
-        0..d.as_array()[2].clamp(1, 2),
-    );
-    entry.fetch(&Fetch::Region(region))?;
-    entry.fetch(&Fetch::RawSection(0))?;
+    let [nz, ny, nx] = desc.dims.as_array();
+    let region = Region::d3(0..nz.clamp(1, 2), 0..ny.clamp(1, 2), 0..nx.clamp(1, 2));
+    fetches.extend([Fetch::Region(region), Fetch::RawSection(0)]);
+    fetches
+}
+
+fn fetch_entry(entry: &dyn Entry) -> Result<(), AccessError> {
+    for fetch in entry_fetches(entry.desc()) {
+        entry.fetch(&fetch)?;
+    }
+    Ok(())
+}
+
+/// Each fetch of the script, on every entry it reaches and past any error:
+/// on a store that has decoded nothing, then twice on one store that keeps
+/// each entry's level-1 grid between fetches and resumes from whichever
+/// fetch made it. All three must give the same bytes, or fail with the same
+/// class and text. Input that opens no store passes.
+fn cold_equals_warm_fetches(input: &[u8]) -> Result<(), String> {
+    let open = || FileStore::open_source(MemorySource::new(input.to_vec()), "fuzz-mem");
+    let Ok(warm) = open() else { return Ok(()) };
+    let descs = warm.list().unwrap_or_default();
+    for desc in descs.iter().take(4) {
+        for fetch in entry_fetches(desc) {
+            let once = |store: &FileStore<MemorySource>| {
+                let entry = store.open(&AccessSel::Index(desc.index));
+                let fetched = entry.and_then(|entry| entry.fetch(&fetch));
+                fetched.map(|f| f.data).map_err(|e| classify_access(&e))
+            };
+            let cold = once(&open().map_err(|e| format!("a second open failed: {e}"))?);
+            for pass in ["first", "second"] {
+                let warm = once(&warm);
+                if warm != cold {
+                    let brief = |r: &Result<Vec<u8>, (&str, String)>| match r {
+                        Ok(bytes) => format!("{} bytes", bytes.len()),
+                        Err((class, site)) => format!("{class}: {site}"),
+                    };
+                    let diff = match (&warm, &cold) {
+                        (Ok(w), Ok(c)) if w.len() == c.len() => {
+                            let at = w.iter().zip(c).position(|(w, c)| w != c).unwrap_or(0);
+                            format!("byte {at} differs")
+                        }
+                        _ => format!("{} against {}", brief(&warm), brief(&cold)),
+                    };
+                    return Err(format!(
+                        "entry {} {fetch:?}, {pass} fetch on a warm store vs a cold one: {diff}",
+                        desc.index
+                    ));
+                }
+            }
+        }
+    }
     Ok(())
 }
 
@@ -224,7 +269,8 @@ impl FuzzTarget for ContainerTarget {
     }
 
     /// Classification stability: the same bytes through the on-disk
-    /// transport must land in the same error class as through memory.
+    /// transport must land in the same error class as through memory; and
+    /// every fetch must answer alike on a cold store and a warm one.
     fn deep_check(&self, input: &[u8]) -> Result<(), String> {
         use std::sync::atomic::{AtomicU64, Ordering};
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -255,7 +301,7 @@ impl FuzzTarget for ContainerTarget {
                 mem.class, file.class
             ));
         }
-        Ok(())
+        cold_equals_warm_fetches(input)
     }
 }
 
@@ -799,6 +845,15 @@ mod tests {
         let mut corrupt = seed.clone();
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0xFF;
+        t.deep_check(&corrupt).unwrap();
+        // A corrupt finest sub-block fails every full fetch after its first
+        // has kept level 1, and the warm ones fail as the cold one does.
+        let reader = stz_stream::ContainerReader::open(MemorySource::new(seed.clone())).unwrap();
+        let detail = reader.records()[0].stz_detail().unwrap();
+        let block = detail.blocks.last().unwrap()[0];
+        let mut corrupt = seed.clone();
+        corrupt[block.off as usize] ^= 0xFF;
+        assert_eq!(t.exec(&corrupt).class, "corrupt");
         t.deep_check(&corrupt).unwrap();
     }
 }

@@ -741,6 +741,19 @@ fn handle_fetch(
                 ));
             }
         }
+        RequestKind::Level(_) if levels.is_none() => {
+            let codec = match meta.codec_name() {
+                Some(name) => name.to_string(),
+                None => format!("id {}", meta.codec_id()),
+            };
+            return Err((
+                err_code::UNSUPPORTED,
+                format!(
+                    "level previews require a native stz entry; entry {:?} uses codec {codec}",
+                    meta.name()
+                ),
+            ));
+        }
         RequestKind::Level(0) => {
             return Err((err_code::BAD_REQUEST, "preview level must be ≥ 1".into()));
         }
@@ -794,7 +807,7 @@ fn handle_fetch(
 /// from the entry's index alone: its `dims`, its `levels` (`None` for a
 /// foreign codec), its scalars' width and its compressed length. A preview's
 /// dims are its level's in the plan; a level the entry does not have has no
-/// size here, and its decode says why.
+/// size here, and the request's validation refuses it first.
 fn fits_frame(
     kind: &RequestKind,
     dims: Dims,
@@ -845,8 +858,8 @@ fn decode_block<T: BackendScalar>(
         return Ok(response);
     }
     let Some(levels) = reader.entry_meta(index).and_then(|m| m.header()).map(|h| h.levels) else {
+        // `handle_fetch` refuses a foreign entry's preview.
         let field = match kind {
-            RequestKind::Level(k) => entry.decompress_level(*k)?,
             RequestKind::Roi(_) => entry.decompress_region(&region())?,
             _ => entry.decompress_parallel()?,
         };
@@ -931,9 +944,9 @@ mod tests {
             let raw = fits_frame(&RequestKind::Raw, Dims::d1(4), Some(3), 4, len);
             assert_eq!(raw, want, "raw payload of {len} bytes");
         }
-        // Without a size in the index — a level the entry lacks (refused as a
-        // bad request before this check), a preview of a foreign entry (the
-        // decode's answer) — the cap refuses nothing.
+        // Without a size in the index — a level the entry lacks (a bad
+        // request), a preview of a foreign entry (unsupported), both refused
+        // before this check — the cap refuses nothing.
         let huge = Dims::d1(4 * at_cap);
         for (k, levels) in [(4, Some(3)), (1, None)] {
             assert_eq!(fits_frame(&RequestKind::Level(k), huge, levels, 4, 0), Ok(()));

@@ -7,13 +7,16 @@ use crate::format::{
     StzDetail, CONTAINER_MAGIC, CONTAINER_VERSION, GEN_SLOT_LEN, GEN_SLOT_OFFSETS, HEADER_LEN,
     MIN_CONTAINER_VERSION, MUTABLE_CONTAINER_VERSION, MUTABLE_DATA_START, TRAILER_LEN,
 };
+use std::any::Any;
 use std::borrow::Cow;
+use std::fmt;
 use std::marker::PhantomData;
 use std::path::Path;
+use std::sync::OnceLock;
 use stz_backend::BackendScalar;
 use stz_codec::{CodecError, Result};
 use stz_core::archive::ArchiveHeader;
-use stz_core::random_access::{self, AccessBreakdown};
+use stz_core::random_access::AccessBreakdown;
 use stz_core::{pool, ProgressiveDecoder, SectionSource, StzArchive};
 use stz_field::{Dims, Field, Region, Scalar};
 
@@ -23,10 +26,21 @@ use stz_field::{Dims, Field, Region, Scalar};
 /// — and *nothing else*: payload bytes are fetched lazily, per section, by
 /// the queries served through [`EntryReader`]. Every fetched section is
 /// CRC-verified before it is decoded.
+///
+/// The reader keeps the decoded level-1 grid of each native entry, made by
+/// the first walk over that entry that reaches it, and every later walk
+/// [resumes](ProgressiveDecoder::resume) from it: no second read, CRC or
+/// SZ3 decode of the level-1 stream. A reader pins one generation, so a
+/// kept grid can never outlive the bytes it was decoded from: a reader
+/// opened after a commit starts with none. What it keeps is bounded by the
+/// footer — one level-1 grid per native entry, `1/2^(d·(levels-1))` of the
+/// entry's points in `d` dimensions (1/64 of a 3-level 3-D entry).
 #[derive(Debug)]
 pub struct ContainerReader<S: ByteSource> {
     source: S,
     entries: Vec<EntryRecord>,
+    /// One decoded level-1 grid per entry, filled by its first walk.
+    level1: Vec<Level1>,
     /// Container format version from the file header.
     version: u8,
     /// Committed generation number (always 1 for write-once v1/v2 files).
@@ -84,6 +98,7 @@ impl<S: ByteSource> ContainerReader<S> {
         let entries = parse_footer_bounded(&footer, HEADER_LEN, file_len - TRAILER_LEN, version)?;
         Ok(ContainerReader {
             source,
+            level1: entries.iter().map(|_| Level1::default()).collect(),
             entries,
             version,
             generation: 1,
@@ -115,6 +130,7 @@ impl<S: ByteSource> ContainerReader<S> {
         )?;
         Ok(ContainerReader {
             source,
+            level1: entries.iter().map(|_| Level1::default()).collect(),
             entries,
             version: MUTABLE_CONTAINER_VERSION,
             generation: slot.generation,
@@ -230,6 +246,7 @@ impl<S: ByteSource> ContainerReader<S> {
             source: &self.source,
             record,
             stz: record.stz_detail().map(|detail| StzSections { source: &self.source, detail }),
+            level1: &self.level1[index],
             _marker: PhantomData,
         })
     }
@@ -251,6 +268,31 @@ impl<S: ByteSource> ContainerReader<S> {
     /// Consume the reader, returning the source.
     pub fn into_source(self) -> S {
         self.source
+    }
+}
+
+/// The decoded level-1 grid one entry's walks share: a slot per scalar
+/// type, of which only the entry's own is ever filled ([`ContainerReader::entry`]
+/// checks the type tag before it hands out a walk).
+#[derive(Default)]
+struct Level1 {
+    f32: OnceLock<Vec<f32>>,
+    f64: OnceLock<Vec<f64>>,
+}
+
+impl Level1 {
+    /// The slot of scalar type `T`, if it is `f32` or `f64`.
+    fn slot<T: Scalar>(&self) -> Option<&OnceLock<Vec<T>>> {
+        let (f32, f64): (&dyn Any, &dyn Any) = (&self.f32, &self.f64);
+        f32.downcast_ref().or_else(|| f64.downcast_ref())
+    }
+}
+
+/// Whether the slot is filled, not the grid.
+impl fmt::Debug for Level1 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let filled = self.f32.get().is_some() || self.f64.get().is_some();
+        f.write_str(if filled { "Level1(filled)" } else { "Level1(empty)" })
     }
 }
 
@@ -396,6 +438,8 @@ impl<S: ByteSource> SectionSource for StzSections<'_, S> {
 /// Native STZ entries serve the full streaming surface by walking a
 /// [`ProgressiveDecoder`] over [`StzSections`], fetching only the byte
 /// ranges a query needs, at the pool's width (the serial methods pin 1).
+/// Every walk resumes from the entry's level-1 grid that the
+/// [`ContainerReader`] keeps, and the first to reach level 1 makes it.
 /// Foreign codec entries (format v2) decode through the
 /// [`stz_backend`] registry: [`EntryReader::decompress`] fetches the whole
 /// payload, and [`EntryReader::decompress_region`] falls back to a full
@@ -409,6 +453,8 @@ pub struct EntryReader<'a, T: Scalar, S: ByteSource> {
     record: &'a EntryRecord,
     /// Present iff the entry is a native STZ archive.
     stz: Option<StzSections<'a, S>>,
+    /// The entry's decoded level 1, kept by the reader.
+    level1: &'a Level1,
     _marker: PhantomData<fn() -> T>,
 }
 
@@ -423,6 +469,17 @@ impl<'a, T: Scalar, S: ByteSource> EntryReader<'a, T, S> {
                 self.codec_label()
             ))
         })
+    }
+
+    /// `walk` over this entry's sections, resuming from its kept level 1.
+    fn resume<'w>(
+        &'w self,
+        walk: ProgressiveDecoder<'w, T, StzSections<'a, S>>,
+    ) -> ProgressiveDecoder<'w, T, StzSections<'a, S>> {
+        match self.level1.slot() {
+            Some(memo) => walk.resume(memo),
+            None => walk,
+        }
     }
 
     /// Human-readable codec label (`"sz3"`, or `"id 9"` when unknown).
@@ -499,23 +556,27 @@ impl<T: BackendScalar, S: ByteSource> EntryReader<'_, T, S> {
     /// serially — their archives are monolithic).
     pub fn decompress_parallel(&self) -> Result<Field<T>> {
         match &self.stz {
-            Some(sections) => ProgressiveDecoder::new(sections).decode_to(sections.num_levels()),
+            Some(sections) => {
+                self.resume(ProgressiveDecoder::new(sections)).decode_to(sections.num_levels())
+            }
             None => self.decompress_foreign(),
         }
     }
 
     /// Progressive preview through level `k` at width 1, reading only levels
-    /// `1..=k` (STZ entries only).
+    /// `1..=k`, and level 1 only if no walk has kept it yet (STZ entries
+    /// only).
     pub fn decompress_level(&self, k: u8) -> Result<Field<T>> {
-        let steps = ProgressiveDecoder::new(self.stz("level preview")?);
+        let steps = self.resume(ProgressiveDecoder::new(self.stz("level preview")?));
         pool::with_threads(1, || steps.decode_to(k))
     }
 
     /// Random-access decompression of `region` at width 1.
     ///
-    /// STZ entries read only the level-1 stream plus intersecting
-    /// sub-blocks. Foreign entries have no sub-block index, so the whole
-    /// payload is fetched, decoded, and cropped.
+    /// STZ entries read only the intersecting sub-blocks, and the level-1
+    /// stream if no walk has kept its grid yet. Foreign entries have no
+    /// sub-block index, so the whole payload is fetched, decoded, and
+    /// cropped.
     pub fn decompress_region(&self, region: &Region) -> Result<Field<T>> {
         match &self.stz {
             Some(_) => self.decompress_region_with_breakdown(region).map(|(f, _)| f),
@@ -538,13 +599,14 @@ impl<T: BackendScalar, S: ByteSource> EntryReader<'_, T, S> {
         region: &Region,
     ) -> Result<(Field<T>, AccessBreakdown)> {
         let sections = self.stz("random access breakdown")?;
-        pool::with_threads(1, || random_access::decompress_region(sections, region))
+        let walk = self.resume(ProgressiveDecoder::region(sections, region)?);
+        pool::with_threads(1, || walk.decode_to_with_breakdown(sections.num_levels()))
     }
 
     /// Incremental coarse-to-fine decoder over this entry, stepping at the
     /// pool's width (STZ entries only).
     pub fn progressive(&self) -> Result<ProgressiveDecoder<'_, T, StzSections<'_, S>>> {
-        Ok(ProgressiveDecoder::new(self.stz("progressive refinement")?))
+        Ok(self.resume(ProgressiveDecoder::new(self.stz("progressive refinement")?)))
     }
 
     /// A [`ProgressiveDecoder::region`] walk over this entry, which ends in
@@ -553,7 +615,7 @@ impl<T: BackendScalar, S: ByteSource> EntryReader<'_, T, S> {
         &self,
         region: &Region,
     ) -> Result<ProgressiveDecoder<'_, T, StzSections<'_, S>>> {
-        ProgressiveDecoder::region(self.stz("random access")?, region)
+        Ok(self.resume(ProgressiveDecoder::region(self.stz("random access")?, region)?))
     }
 
     /// Fetch the whole payload and rebuild the resident [`StzArchive`]
@@ -564,5 +626,87 @@ impl<T: BackendScalar, S: ByteSource> EntryReader<'_, T, S> {
         self.stz("rebuilding a resident archive")?;
         let bytes = self.read_payload()?;
         StzArchive::from_bytes(bytes)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{pack_to_vec, MemorySource};
+    use stz_core::{StzCompressor, StzConfig};
+    use stz_telemetry::trace;
+
+    fn archive(seed: f32) -> StzArchive<f32> {
+        let f = Field::from_fn(Dims::d3(16, 20, 24), |z, y, x| {
+            ((z as f32) * 0.2 + seed).sin() + ((y as f32) * 0.1).cos() + x as f32 * 0.01
+        });
+        StzCompressor::new(StzConfig::three_level(1e-3)).compress(&f).unwrap()
+    }
+
+    #[test]
+    fn a_reader_keeps_each_entry_level1_for_every_walk_over_it() {
+        let collector = Box::leak(Box::new(trace::TraceCollector::new(true)));
+        let (a, b) = (archive(0.0), archive(1.0));
+        let image = pack_to_vec(&[("a", &a), ("b", &b)]).unwrap();
+        let reader = ContainerReader::open(MemorySource::new(image.clone())).unwrap();
+        let region = Region::d3(3..11, 2..17, 5..19);
+        // The `memo` attr of the one `level1` span `walk` opens.
+        let memo = |walk: &dyn Fn()| {
+            let id = {
+                let root = collector.start("test", "request", None);
+                walk();
+                root.trace_id().unwrap()
+            };
+            let trace = collector.snapshot().into_iter().find(|t| t.trace_id == id).unwrap();
+            let level1: Vec<_> = trace.spans.iter().filter(|s| s.name == "level1").collect();
+            assert_eq!(level1.len(), 1, "one level-1 step per walk");
+            let attr = level1[0].attrs.iter().find(|(k, _)| k == "memo");
+            attr.map(|(_, v)| v.clone()).unwrap()
+        };
+        let roi = |i: usize| {
+            let (reader, region) = (&reader, &region);
+            let want = [&a, &b][i].decompress_region(region).unwrap();
+            move || {
+                assert_eq!(reader.entry::<f32>(i).unwrap().decompress_region(region).unwrap(), want)
+            }
+        };
+        assert_eq!(memo(&roi(0)), "fill");
+        assert_eq!(memo(&roi(0)), "hit");
+        let entry = reader.entry::<f32>(0).unwrap();
+        let (level1, full) = (a.decompress_level(1).unwrap(), a.decompress().unwrap());
+        assert_eq!(memo(&|| assert_eq!(entry.decompress_level(1).unwrap(), level1)), "hit");
+        assert_eq!(memo(&|| assert_eq!(entry.decompress().unwrap(), full)), "hit");
+        let (cropped, breakdown) = entry.decompress_region_with_breakdown(&region).unwrap();
+        assert_eq!((cropped, breakdown.l1_sz3), (a.decompress_region(&region).unwrap(), 0.0));
+        // Each entry keeps its own grid; a reader opened anew keeps none.
+        assert_eq!(memo(&roi(1)), "fill");
+        let reopened = ContainerReader::open(MemorySource::new(image)).unwrap();
+        let fresh = || drop(reopened.entry::<f32>(0).unwrap().decompress_level(2).unwrap());
+        assert_eq!(memo(&fresh), "fill");
+        // `Debug` shows whether a slot is filled, not the grid.
+        assert!(format!("{reader:?}").contains("level1: [Level1(filled), Level1(filled)]"));
+    }
+
+    #[test]
+    fn a_corrupt_level1_section_fails_alike_on_every_walk_and_keeps_nothing() {
+        let a = archive(0.0);
+        let mut image = pack_to_vec(&[("a", &a)]).unwrap();
+        let reader = ContainerReader::open(MemorySource::new(image.clone())).unwrap();
+        let l1 = reader.records()[0].stz_detail().unwrap().l1;
+        image[l1.off as usize] ^= 0xFF;
+        let reader = ContainerReader::open(MemorySource::new(image)).unwrap();
+        let entry = reader.entry::<f32>(0).unwrap();
+        let region = Region::d3(3..11, 2..17, 5..19);
+        for _ in 0..2 {
+            let errors = [
+                entry.decompress().unwrap_err(),
+                entry.decompress_level(1).unwrap_err(),
+                entry.decompress_region(&region).unwrap_err(),
+            ];
+            for err in errors {
+                assert!(err.to_string().contains("level-1 checksum mismatch"), "{err}");
+            }
+        }
+        assert_eq!(format!("{reader:?}").matches("Level1(empty)").count(), 1);
     }
 }

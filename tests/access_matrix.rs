@@ -9,7 +9,9 @@
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use stz::access::{open_store, AccessError, EntrySel, Fetch, FileStore, MemStore, Store};
+use stz::access::{
+    open_store, AccessError, EntrySel, Fetch, FileStore, FileStoreMut, MemStore, Store, StoreMut,
+};
 use stz::prelude::*;
 use stz::serve::{ServeOptions, Server};
 use stz::stream::{ByteSource, ContainerWriter, ForeignArchive, MemorySource};
@@ -244,6 +246,119 @@ fn raw_fetch_matches_packed_payload_and_crc() {
         let desc = fx.mem.open(&sel).unwrap().desc().clone();
         assert_eq!(stz::stream::crc::crc32(&mem_raw.data), desc.payload_crc, "{name}: crc");
         assert_eq!(mem_raw.data.len() as u64, desc.compressed_len, "{name}: length");
+    }
+    let _ = std::fs::remove_dir_all(&fx.dir);
+}
+
+/// The little-endian bytes of `fetches` decoded on a fresh handle of
+/// `archive`, which keeps no level-1 grid yet.
+fn fresh_answers<T: Scalar>(archive: &StzArchive<T>, fetches: &[Fetch]) -> Vec<Vec<u8>> {
+    let le = |field: Field<T>| {
+        let mut out = Vec::new();
+        T::write_slice_exact(field.as_slice(), &mut out);
+        out
+    };
+    let levels = archive.num_levels();
+    let fetches = fetches.iter().map(|fetch| {
+        let fresh = archive.clone();
+        match fetch {
+            Fetch::Region(region) => fresh.decompress_region(region),
+            Fetch::Level(k) => fresh.decompress_level(*k),
+            _ => fresh.decompress_level(levels),
+        }
+    });
+    fetches.map(|field| le(field.unwrap())).collect()
+}
+
+#[test]
+fn a_replaced_entry_is_served_from_its_new_generation_on_every_store() {
+    // Each store fetches an ROI and level 1 of two entries, which keeps their
+    // level-1 grids wherever a store keeps them. Then both are replaced by
+    // other fields and committed, on a memory store and on the container
+    // file, and every store that reads the new generation — the memory
+    // store, a file store opened after the commit, and two servers (one
+    // caching responses, one not) through the connections that fetched
+    // before — answers with a fresh decode of the new fields. A file store
+    // opened before the commit keeps answering with the old ones. A
+    // compaction that carries a third field is a new generation too.
+    let fx = fixture("replace");
+    let mut file_mut = FileStoreMut::open_path(&fx.container).unwrap();
+    let mut mem = fx.fresh_mem();
+    let mut handles = Vec::new();
+    let mut remotes = Vec::new();
+    for cache_bytes in [0, 32 << 20] {
+        let opts = ServeOptions {
+            root: fx.dir.clone(),
+            addr: "127.0.0.1:0".into(),
+            cache_bytes,
+            ..ServeOptions::default()
+        };
+        let server = Server::bind(opts).unwrap();
+        let addr = server.local_addr().unwrap();
+        handles.push(server.spawn().unwrap());
+        remotes.push(open_store(&format!("stz://{addr}/steps")).unwrap());
+    }
+    let old_file = FileStore::open_path(&fx.container).unwrap();
+    let fetches = [
+        Fetch::Region(Region::d3(1..16, 3..14, 5..12)),
+        Fetch::Level(1),
+        Fetch::Level(2),
+        Fetch::Full,
+    ];
+    let answers = |store: &dyn Store, name: &str| -> Vec<Vec<u8>> {
+        let entry = store.open(&EntrySel::Name(name.into())).unwrap();
+        fetches.iter().map(|fetch| entry.fetch(fetch).unwrap().data).collect()
+    };
+    let (old32, old64) = (&fx.archives.0, &fx.archives.1);
+    let old = [("t32", fresh_answers(old32, &fetches)), ("t64", fresh_answers(old64, &fetches))];
+    let dims = old32.dims();
+    let compress32 = |seed| {
+        let field: Field<f32> = stz::data::synth::nyx_like(dims, seed);
+        StzCompressor::new(StzConfig::three_level(1e-3)).compress(&field).unwrap()
+    };
+    let new64_field: Field<f64> = stz::data::synth::warpx_like(dims, 46);
+    let new32 = compress32(45);
+    let new64 = StzCompressor::new(StzConfig::three_level(1e-4)).compress(&new64_field).unwrap();
+    let new = [("t32", fresh_answers(&new32, &fetches)), ("t64", fresh_answers(&new64, &fetches))];
+    for (name, want) in &old {
+        assert!(new.iter().find(|(n, _)| n == name).unwrap().1 != *want, "{name} must change");
+        assert!(answers(&mem, name) == *want, "[mem] {name} before the replace");
+        assert!(answers(&old_file, name) == *want, "[file] {name} before the replace");
+        for (i, remote) in remotes.iter().enumerate() {
+            assert!(answers(&**remote, name) == *want, "[remote {i}] {name} before the replace");
+        }
+    }
+
+    for store in [&mut mem as &mut dyn StoreMut, &mut file_mut] {
+        store.replace("t32", new32.clone().into()).unwrap();
+        store.replace("t64", new64.clone().into()).unwrap();
+        store.commit().unwrap();
+    }
+    let check = |new: &[(&str, Vec<Vec<u8>>)], old_file: &FileStore<_>, mem: &MemStore, when| {
+        let new_file = FileStore::open_path(&fx.container).unwrap();
+        for (name, want) in new {
+            assert!(answers(mem, name) == *want, "[mem] {name} after {when}");
+            assert!(answers(&new_file, name) == *want, "[new file] {name} after {when}");
+            for (i, remote) in remotes.iter().enumerate() {
+                assert!(answers(&**remote, name) == *want, "[remote {i}] {name} after {when}");
+            }
+        }
+        for (name, want) in &old {
+            assert!(answers(old_file, name) == *want, "[old file] {name} after {when}");
+        }
+    };
+    check(&new, &old_file, &mem, "the replace");
+
+    let third = compress32(47);
+    for store in [&mut mem as &mut dyn StoreMut, &mut file_mut] {
+        store.replace("t32", third.clone().into()).unwrap();
+        store.compact().unwrap();
+    }
+    let newer = [("t32", fresh_answers(&third, &fetches)), new[1].clone()];
+    check(&newer, &old_file, &mem, "the compaction");
+
+    for handle in handles {
+        handle.stop();
     }
     let _ = std::fs::remove_dir_all(&fx.dir);
 }

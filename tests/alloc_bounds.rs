@@ -9,7 +9,8 @@
 //! it predicts from and a window of two Huffman chunks per block. A region or
 //! a preview holds a small multiple of what it returns. Beyond its answer, a
 //! handle's first decode of any kind keeps exactly one thing, its level-1
-//! grid, and a warm ROI predicts from it without copying it. A store's fetch
+//! grid, and a warm ROI predicts from it without copying it; a container
+//! reader keeps the same grid for each entry it serves. A store's fetch
 //! decodes into the buffer it returns: the answer is allocated once, and no
 //! field is decoded to be copied into it.
 //!
@@ -41,6 +42,15 @@ fn wavy(dims: Dims) -> Field<f32> {
         let (zf, yf, xf) = (z as f32 * 0.21, y as f32 * 0.13, x as f32 * 0.17);
         zf.sin() * yf.cos() + (xf + yf).sin() + 0.3 * zf
     })
+}
+
+/// A container image holding `archive` as its one entry.
+fn container(archive: &StzArchive<f32>) -> Vec<u8> {
+    let mut image = Vec::new();
+    let mut writer = ContainerWriter::new(&mut image).unwrap();
+    writer.add_archive("e", archive).unwrap();
+    writer.finish().unwrap();
+    image
 }
 
 #[test]
@@ -133,6 +143,29 @@ fn compress_allocates_no_finest_grid_and_decompress_only_its_output() {
         assert_eq!(roi, archive.decompress_region(&small).unwrap());
     }
 
+    // So does an out-of-core reader, for each entry: a file store's first
+    // fetch keeps the entry's level-1 grid in the reader, and a warm ROI
+    // reads, checks and decodes no level-1 stream, and copies no grid.
+    let image = container(&archive);
+    let mut want = Vec::new();
+    f32::write_slice_exact(archive.decompress_region(&small).unwrap().as_slice(), &mut want);
+    let region = Fetch::Region(small);
+    for (first, fetch) in [("a full fetch", &Fetch::Full), ("a cold ROI", &region)] {
+        let store = FileStore::open_source(MemorySource::new(image.clone()), "image").unwrap();
+        let entry = store.open(&EntrySel::Index(0)).unwrap();
+        let before = alloc_guard::net_bytes();
+        let (_, peak, _) = peaks_of(|| drop(entry.fetch(fetch).unwrap()));
+        assert!(peak >= l1, "{first} decodes level 1: one allocation of {peak} B, grid {l1} B");
+        let kept = (alloc_guard::net_bytes() - before) as usize;
+        assert!(
+            (l1..=l1 + slack).contains(&kept),
+            "after {first} the reader holds {kept} B more, the entry's level-1 grid is {l1} B"
+        );
+        let (roi, peak, _) = peaks_of(|| entry.fetch(&region).unwrap());
+        assert!(peak < l1, "a warm ROI made an allocation of {peak} B, the grid is {l1} B");
+        assert!(roi.data == want, "after {first}, a warm ROI's bytes are the cold answer's");
+    }
+
     // A file store's full fetch decodes straight into the bytes it returns:
     // its largest allocation is the answer, and beside the answer it holds,
     // while the finest level decodes, the level-2 grid, a window on each of
@@ -141,11 +174,7 @@ fn compress_allocates_no_finest_grid_and_decompress_only_its_output() {
     // is twice the answer.
     let dims = Dims::d3(96, 96, 96);
     let archive = StzCompressor::new(StzConfig::three_level(1e-3)).compress(&wavy(dims)).unwrap();
-    let mut image = Vec::new();
-    let mut writer = ContainerWriter::new(&mut image).unwrap();
-    writer.add_archive("e", &archive).unwrap();
-    writer.finish().unwrap();
-    let store = FileStore::open_source(MemorySource::new(image), "image").unwrap();
+    let store = FileStore::open_source(MemorySource::new(container(&archive)), "image").unwrap();
     let entry = store.open(&EntrySel::Index(0)).unwrap();
     let payload = dims.len() * std::mem::size_of::<f32>();
     let (fetched, peak, held) = peaks_of(|| entry.fetch(&Fetch::Full).unwrap());

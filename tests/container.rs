@@ -129,16 +129,35 @@ fn roi_reads_strictly_fewer_bytes_than_archive() {
         reader.source().bytes_read()
     );
 
-    // Progressive previews cost ~bytes_through_level, far below the archive.
-    reader.source().reset();
-    let p1 = entry.decompress_level(1).unwrap();
-    let preview_bytes = reader.source().bytes_read();
+    // Progressive previews cost ~bytes_through_level, far below the archive,
+    // on a reader that has decoded nothing yet.
+    let cold =
+        ContainerReader::open(CountingSource::new(FileSource::open(&path).unwrap())).unwrap();
+    cold.source().reset();
+    let p1 = cold.entry::<f32>(0).unwrap().decompress_level(1).unwrap();
+    let preview_bytes = cold.source().bytes_read();
     assert_eq!(p1, a.decompress_level(1).unwrap());
     assert!(
         preview_bytes < archive_len / 8,
         "level-1 preview read {preview_bytes} of {archive_len} bytes"
     );
     assert!(preview_bytes >= a.bytes_through_level(1) as u64);
+
+    // The reader that served the ROIs keeps the entry's level 1: its preview
+    // reads nothing, and an ROI reads strictly less than on a cold reader.
+    reader.source().reset();
+    assert_eq!(entry.decompress_level(1).unwrap(), p1);
+    assert_eq!(reader.source().bytes_read(), 0, "a warm level-1 preview read bytes");
+    let region = Region::d3(10..22, 10..22, 10..22);
+    let cold =
+        ContainerReader::open(CountingSource::new(FileSource::open(&path).unwrap())).unwrap();
+    cold.source().reset();
+    let roi = cold.entry::<f32>(0).unwrap().decompress_region(&region).unwrap();
+    let cold_bytes = cold.source().bytes_read();
+    reader.source().reset();
+    assert_eq!(entry.decompress_region(&region).unwrap(), roi);
+    let warm_bytes = reader.source().bytes_read();
+    assert!(warm_bytes < cold_bytes, "a warm ROI read {warm_bytes} B, a cold one {cold_bytes} B");
 
     let _ = std::fs::remove_file(&path);
 }

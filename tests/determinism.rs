@@ -8,7 +8,6 @@
 //! types.
 
 use stz::core::pool::with_threads;
-use stz::core::random_access::decompress_region;
 use stz::core::ProgressiveDecoder;
 use stz::prelude::*;
 use stz::stream::pack_pipelined;
@@ -450,7 +449,8 @@ fn assert_identities<T: Scalar>(field: &Field<T>, config: StzConfig, region: &Re
             }
             let call = |a: &StzArchive<T>| a.decompress_region_with_breakdown(region).unwrap().0;
             cold_and_warm(&call, &roi, format!("ROI {at}"));
-            let (got, _) = decompress_region::<T, _>(&archive, region).unwrap();
+            let walk = ProgressiveDecoder::<T>::region(&archive, region).unwrap();
+            let got = walk.decode_to(archive.num_levels()).unwrap();
             assert_eq!(got, roi, "{dims} section-source ROI {at}");
         });
     }

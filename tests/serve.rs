@@ -426,6 +426,34 @@ fn preview_past_the_entry_depth_is_a_bad_request_that_misses_no_cache() {
     handle.stop();
 }
 
+#[test]
+fn preview_of_a_foreign_entry_is_unsupported_and_misses_no_cache() {
+    // A foreign codec has no levels: the server refuses any preview of it,
+    // level 0 included, as UNSUPPORTED with the access layer's words, before
+    // the cache lookup.
+    let rig = Rig::new("foreign_preview");
+    let (handle, addr) = rig.serve();
+    let mut client = Client::connect(addr).unwrap();
+    let misses = client.stats().unwrap().cache_misses;
+    for k in [0, 1, 3] {
+        match client.fetch_level("steps", EntrySel::Name("zfp0".into()), k) {
+            Err(ServeError::Remote { code, message }) => {
+                assert_eq!(code, proto::err_code::UNSUPPORTED, "level {k}: {message}");
+                let want = "level previews require a native stz entry; \
+                            entry \"zfp0\" uses codec zfp";
+                assert_eq!(message, want, "level {k}");
+            }
+            other => panic!("level {k}: expected an UNSUPPORTED reply, got {other:?}"),
+        }
+    }
+    assert_eq!(client.stats().unwrap().cache_misses, misses, "a refused preview took a slot");
+
+    // The foreign entry still serves what it can.
+    let ok = client.fetch_full("steps", EntrySel::Name("zfp0".into())).unwrap();
+    assert_eq!(ok.dims, dims());
+    handle.stop();
+}
+
 // ---------------------------------------------------------------------------
 // Hostile bytes at the server.
 // ---------------------------------------------------------------------------
