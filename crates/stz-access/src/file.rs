@@ -8,7 +8,6 @@ use crate::{
 use std::path::Path;
 use std::sync::Arc;
 use stz_backend::BackendScalar;
-use stz_core::pool;
 use stz_stream::{ByteSource, ContainerReader, FileSource};
 
 /// The out-of-core [`Store`]: wraps a [`ContainerReader`] over any
@@ -84,7 +83,7 @@ struct FileEntry<S: ByteSource + 'static> {
 }
 
 impl<S: ByteSource + 'static> FileEntry<S> {
-    /// Serve `fetch` at width 1: a native entry's decode ends in the
+    /// Serve `fetch` at the pool's width: a native entry's decode ends in the
     /// fetch's bytes ([`FetchedField::from_walk`]); a foreign codec's field
     /// is decoded whole and copied.
     fn fetch_typed<T: BackendScalar>(&self, fetch: &Fetch) -> Result<FetchedField> {
@@ -114,9 +113,7 @@ impl<S: ByteSource + 'static> FileEntry<S> {
             Fetch::Level(k) | Fetch::Progressive(k) => (entry.progressive()?, *k),
             Fetch::Region(region) => (entry.progressive_region(region)?, levels),
         };
-        pool::with_threads(1, || {
-            FetchedField::from_walk(fetch.clone(), codec_id, walk, k, provenance)
-        })
+        FetchedField::from_walk(fetch.clone(), codec_id, walk, k, provenance)
     }
 }
 

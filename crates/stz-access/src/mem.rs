@@ -7,7 +7,7 @@ use crate::{
 use std::sync::Arc;
 use stz_backend::BackendScalar;
 use stz_core::archive::type_tag;
-use stz_core::{pool, StzArchive};
+use stz_core::StzArchive;
 use stz_field::Scalar;
 use stz_stream::ForeignArchive;
 
@@ -239,7 +239,7 @@ struct MemEntry {
 }
 
 impl MemEntry {
-    /// Serve `fetch` at width 1, a decode ending in the fetch's bytes
+    /// Serve `fetch` at the pool's width, a decode ending in the fetch's bytes
     /// ([`FetchedField::from_walk`]) and resuming from the archive's level 1.
     fn fetch_stz<T: Scalar>(&self, archive: &StzArchive<T>, fetch: &Fetch) -> Result<FetchedField> {
         let (walk, k) = match fetch {
@@ -258,9 +258,7 @@ impl MemEntry {
             }
         };
         let codec_id = self.desc.codec_id;
-        pool::with_threads(1, || {
-            FetchedField::from_walk(fetch.clone(), codec_id, walk, k, Provenance::Memory)
-        })
+        FetchedField::from_walk(fetch.clone(), codec_id, walk, k, Provenance::Memory)
     }
 
     fn fetch_foreign(&self, foreign: &ForeignArchive, fetch: &Fetch) -> Result<FetchedField> {

@@ -20,17 +20,20 @@
 //! reconstruction is rounded through `T`, every escape is the stored `T` —
 //! so widening the taps at load gives the kernels the operands an `f64` grid
 //! would. On decode the finest level's grid *is* the decoded answer, stored
-//! straight into the memory the caller hands the last step ([`Points`]: a
+//! straight into the memory the caller hands the last step (`Points`: a
 //! typed grid, or little-endian bytes); on encode it does not exist, because
 //! nothing predicts from it.
 //!
 //! Because finer-level points never depend on one another, both the blocks
-//! of a level and the points within a block are embarrassingly parallel:
-//! every walk runs over slabs on [`crate::pool`] — planes of the next grid,
-//! or rows or spans where it is thin — each slab assembling its share in
-//! place (an encoder's slabs stitch the chunks they share afterwards, in slab
-//! order). The pool's width decides how many; at width 1 the box is one slab,
-//! which is what the serial entry points pin. Archives and fields are
+//! of a level and the points within a block are embarrassingly parallel, and
+//! every walk runs on [`crate::pool`], each worker assembling its share in
+//! place. A decode splits the box into *pieces* of whole row-parity classes:
+//! a row reads only the blocks of its parity, so a piece owns its blocks'
+//! streams and every Huffman chunk is decoded once, by one piece. An encode
+//! cuts the box into slabs — planes of the next grid, or rows or spans where
+//! it is thin — and stitches the chunks they share afterwards, in slab order.
+//! The pool's width decides how many; at width 1 the box is one piece or
+//! slab, which is what the serial entry points pin. Archives and fields are
 //! **bit-identical** at every width.
 
 use crate::archive::{build_bytes, ArchiveHeader, StzArchive};
@@ -615,25 +618,23 @@ impl<'a> LevelRows<'a> {
         LevelRows { level, blocks, cbox: cbox.clone() }
     }
 
-    /// Assemble `obox`, a box of the level's grid, plane by plane from `prev`
-    /// — the previous grid's box — and block rows, into `out` where there is
-    /// one: `row(rows, (z, y), xs, out)` makes the span `xs` of row `(z, y)`
-    /// of the block `rows` into `out`. Each row is built in L1 from two
-    /// sources and stored once, at unit stride: its even-x points are the
-    /// previous grid's row where z and y are even and block `(z&1, y&1, 0)`'s
-    /// row elsewhere, its odd-x points block `(z&1, y&1, 1)`'s. Which blocks
-    /// exist is the plan's business, so axes of extent 1 or 2 and odd
-    /// x-extents take no case of their own.
-    fn assemble<T: Scalar>(
+    /// Assemble `units`, boxes of the level's grid in turn, plane by plane
+    /// from `prev` — the previous grid's box — and block rows, each into its
+    /// memory unless that is empty: `row(rows, (z, y), xs, out)` makes the
+    /// span `xs` of row `(z, y)` of the block `rows` into `out`. Only the rows
+    /// of y-parity `ys` are assembled, where there is one. Each row is built
+    /// in L1 from two sources and stored once, at unit stride: its even-x
+    /// points are the previous grid's row where z and y are even and block
+    /// `(z&1, y&1, 0)`'s row elsewhere, its odd-x points block
+    /// `(z&1, y&1, 1)`'s. Which blocks exist is the plan's business, so axes
+    /// of extent 1 or 2 and odd x-extents take no case of their own.
+    fn assemble<T: Scalar, O: Points<T>>(
         &self,
         prev: &[T],
-        obox: &Region,
-        mut out: Option<impl Points<T>>,
+        units: &mut [(Region, O)],
+        ys: Option<usize>,
         mut row: impl FnMut(&BlockRows<'a>, (usize, usize), Range<usize>, &mut [T]) -> Result<()>,
     ) -> Result<()> {
-        let (ny, nx) = (obox.y1 - obox.y0, obox.x1 - obox.x0);
-        let (evens, odds) = (obox.x0.div_ceil(2)..obox.x1.div_ceil(2), obox.x0 / 2..obox.x1 / 2);
-        let (mut even, mut odd) = (vec![T::default(); evens.len()], vec![T::default(); odds.len()]);
         let (c, cdims) = (&self.cbox, extents(&self.cbox));
         let mut block_row = |s: usize, zy, xs: Range<usize>, out: &mut [T]| {
             if xs.is_empty() {
@@ -642,20 +643,28 @@ impl<'a> LevelRows<'a> {
             let rows = self.blocks[s].as_ref().expect("the plan has a block for every row parity");
             row(rows, zy, xs, out)
         };
-        for gz in obox.z0..obox.z1 {
-            for gy in obox.y0..obox.y1 {
-                let (s, z, y) = (((gz & 1) << 2) | ((gy & 1) << 1), gz >> 1, gy >> 1);
-                let even = if s == 0 {
-                    let at = cdims.index(z - c.z0, y - c.y0, evens.start - c.x0);
-                    &prev[at..at + evens.len()]
-                } else {
-                    block_row(s, (z, y), evens.clone(), &mut even)?;
-                    &even[..]
-                };
-                block_row(s | 1, (z, y), odds.clone(), &mut odd)?;
-                if let Some(out) = out.as_mut() {
-                    let at = ((gz - obox.z0) * ny + gy - obox.y0) * nx;
-                    out.interleave(at..at + nx, even, &odd, obox.x0 % 2 == 1);
+        let (mut even, mut odd) = (Vec::new(), Vec::new());
+        for (obox, out) in units {
+            let (ny, nx, stores) = (obox.y1 - obox.y0, obox.x1 - obox.x0, out.points() > 0);
+            let (evens, odds) =
+                (obox.x0.div_ceil(2)..obox.x1.div_ceil(2), obox.x0 / 2..obox.x1 / 2);
+            even.resize(evens.len(), T::default());
+            odd.resize(odds.len(), T::default());
+            for gz in obox.z0..obox.z1 {
+                for gy in (obox.y0..obox.y1).filter(|gy| ys.map_or(true, |p| gy & 1 == p)) {
+                    let (s, z, y) = (((gz & 1) << 2) | ((gy & 1) << 1), gz >> 1, gy >> 1);
+                    let even = if s == 0 {
+                        let at = cdims.index(z - c.z0, y - c.y0, evens.start - c.x0);
+                        &prev[at..at + evens.len()]
+                    } else {
+                        block_row(s, (z, y), evens.clone(), &mut even)?;
+                        &even[..]
+                    };
+                    block_row(s | 1, (z, y), odds.clone(), &mut odd)?;
+                    if stores {
+                        let at = ((gz - obox.z0) * ny + gy - obox.y0) * nx;
+                        out.interleave(at..at + nx, even, &odd, obox.x0 % 2 == 1);
+                    }
                 }
             }
         }
@@ -682,7 +691,7 @@ impl<'a> LevelRows<'a> {
                 Some(ChunkSink::new(self.blocks[k].as_ref()?.block.lattice.len(), encode_ns))
             });
             let mut orig = vec![T::default(); slab.x1.div_ceil(2) - slab.x0 / 2];
-            self.assemble(prev, &slab, keeps.then_some(out), |rows, zy, xs, recon| {
+            self.assemble(prev, &mut [(slab, out)], None, |rows, zy, xs, recon| {
                 let sink = sinks[slot(rows.block)].as_mut().expect("a sink on every block");
                 let recon = keeps.then_some(recon);
                 rows.quantize_row(field.as_slice(), prev, zy, xs, &mut orig, sink, recon);
@@ -735,6 +744,45 @@ impl<'a> LevelRows<'a> {
             parts.push((s, b, mine));
         }
         pool::map(parts, |(s, b, out)| slab(s, b, out))
+    }
+
+    /// Run `piece(p, units, passes)` on each piece a decode of `obox` splits
+    /// into — the `p`-th, its units (boxes of `obox`, each with its share of
+    /// `out`) and the y-parities it walks them for, one pass after the other
+    /// — and return what each returns, in piece order. A row `(z, y)` reads
+    /// block `(z&1, y&1, 1)` and either block `(z&1, y&1, 0)` or, where both
+    /// are even, the previous grid, so a piece of whole row-parity classes
+    /// owns its blocks' streams. On the pool there are two: the planes of
+    /// each z-parity, walked for their even rows and then their odd rows, so
+    /// that a pass reads two blocks; or, where `obox` is a plane thick, the
+    /// rows of each y-parity. Four pieces of one class each would hold every
+    /// block's window and four decoders' tables at once. Where `obox` is a
+    /// row thick, or at width 1, the pieces are the [`LevelRows::slabs`] of
+    /// `obox`, whose boundaries may share a chunk.
+    fn pieces<T, O: Points<T>, R: Send>(
+        &self,
+        obox: &Region,
+        out: O,
+        piece: impl Fn(usize, Vec<(Region, O)>, &[Option<usize>]) -> R + Sync,
+    ) -> Vec<R> {
+        let (planes, rows) = (obox.z1 - obox.z0, obox.y1 - obox.y0);
+        if pool::threads() == 1 || planes == 1 && rows == 1 {
+            return self.slabs(obox, out, |s, b, out| piece(s, vec![(b, out)], &[None]));
+        }
+        // A unit is a plane, or a row where the pieces split a plane.
+        let by_z = planes > 1;
+        let rows = if by_z { rows } else { 1 };
+        let (mut pieces, mut rest) = ([Vec::new(), Vec::new()], out);
+        for z0 in obox.z0..obox.z1 {
+            for y0 in (obox.y0..obox.y1).step_by(rows) {
+                let unit = Region { z0, z1: z0 + 1, y0, y1: y0 + rows, ..obox.clone() };
+                let (mine, tail) = rest.split_at(unit.len());
+                rest = tail;
+                pieces[if by_z { z0 & 1 } else { y0 & 1 }].push((unit, mine));
+            }
+        }
+        let passes: &[Option<usize>] = if by_z { &[Some(0), Some(1)] } else { &[None] };
+        pool::map(pieces.into_iter().enumerate().collect(), |(p, units)| piece(p, units, passes))
     }
 
     /// How the pool cuts `obox`: grid units per slab along each axis; one
@@ -856,7 +904,7 @@ impl<T: Scalar> Points<T> for LeBytes<'_> {
 /// astride two chunks is copied out whole. A chunk no row touches is never
 /// decoded. The escapes in what the walk passes over are counted from the
 /// declared counts where it passes a whole chunk and from the symbols where
-/// it passes part of one, so a box's rows — a region's, a z-slab's — find
+/// it passes part of one, so a box's rows — a region's, a piece's — find
 /// their outliers as a whole-grid walk's do.
 struct ChunkWindow<'a, T> {
     stream: &'a BlockStream<'a, T>,
@@ -971,8 +1019,9 @@ pub(crate) fn decode_level1<T: Scalar, S: SectionSource + ?Sized>(
 /// — from `prev`, the box `cbox` of the previous level's grid, into `out`,
 /// which has room for the box's points. The blocks a row of the box falls in
 /// are fetched and parsed, then the box is assembled with a [`ChunkWindow`]
-/// on each, one walk per slab of the pool's cut, side by side, straight into
-/// place. Returns the level's stage timings.
+/// on each, one walk per piece of [`LevelRows::pieces`], side by side,
+/// straight into place. Returns the level's stage timings, each the sum of
+/// its seconds over the pieces.
 ///
 /// A walk meets the blocks' errors plane by plane. On any failure the level
 /// is read again block by block ([`first_error`]), and the error returned is
@@ -996,37 +1045,50 @@ pub(crate) fn decode_box<T: Scalar, S: SectionSource + ?Sized>(
         .map(|b| obox.project_to_sublattice(b.grid_lattice.offset(), 2))
         .collect();
     assert_eq!(out.points(), obox.len(), "the output holds the box");
-    let mut times = LevelTimes { level: level.index, ..LevelTimes::default() };
-    let t = Instant::now();
     let fill = |streams: &Slots<BlockStream<'_, T>>| {
-        let done = rows.slabs::<T, _, _>(obox, out, |s, slab, out| -> Result<(usize, f64)> {
+        let done = rows.pieces::<T, _, _>(obox, out, |p, mut units, passes| {
+            let t = Instant::now();
             let mut span = stz_telemetry::trace::span("reconstruct");
-            span.attr("slab", s);
-            let mut windows: Slots<ChunkWindow<'_, T>> =
-                std::array::from_fn(|k| streams[k].as_ref().map(ChunkWindow::new));
-            rows.assemble(prev, &slab, Some(out), |rows, (z, y), xs, out| {
-                let window = windows[slot(rows.block)].as_mut();
-                let window = window.expect("a window is open on every block a box reads");
-                let (symbols, outliers, cursor) =
-                    window.row((z * rows.by + y) * rows.bx + xs.start, xs.len())?;
-                rows.reconstruct_row(prev, z, y, xs, symbols, outliers, cursor, out);
-                Ok(())
-            })?;
-            Ok(windows.iter().flatten().fold((0, 0.0), |(n, s), w| (n + w.tally.0, s + w.tally.1)))
+            span.attr("slab", p);
+            let (mut chunks, mut entropy) = (0, 0.0);
+            for &ys in passes {
+                // A pass's windows are dropped before the next pass loads
+                // any: a piece holds two blocks' chunks at a time.
+                let mut windows: Slots<ChunkWindow<'_, T>> =
+                    std::array::from_fn(|k| streams[k].as_ref().map(ChunkWindow::new));
+                rows.assemble(prev, &mut units, ys, |rows, (z, y), xs, out| {
+                    let window = windows[slot(rows.block)].as_mut();
+                    let window = window.expect("a window is open on every block a box reads");
+                    let (symbols, outliers, cursor) =
+                        window.row((z * rows.by + y) * rows.bx + xs.start, xs.len())?;
+                    rows.reconstruct_row(prev, z, y, xs, symbols, outliers, cursor, out);
+                    Ok(())
+                })?;
+                for w in windows.iter().flatten() {
+                    (chunks, entropy) = (chunks + w.tally.0, entropy + w.tally.1);
+                }
+            }
+            // The piece's own seconds hold its entropy seconds.
+            Ok::<_, CodecError>((chunks, entropy, (t.elapsed().as_secs_f64() - entropy).max(0.0)))
         });
-        done.into_iter().try_fold((0, 0.0), |(n, s), d| d.map(|(dn, ds)| (n + dn, s + ds)))
+        let sum = |(n, e, p), (dn, de, dp)| (n + dn, e + de, p + dp);
+        done.into_iter().try_fold((0, 0.0, 0.0), |acc, d| d.map(|d| sum(acc, d)))
     };
-    let ((decoded, entropy), chunks, opened) = match walk(source, level, &targets, fill) {
+    let ((decoded, entropy, predict), chunks, opened) = match walk(source, level, &targets, fill) {
         Ok(walked) => walked,
         Err(e) => return Err(first_error::<T, S>(source, level, &targets).err().unwrap_or(e)),
     };
-    times.decode = opened + entropy;
-    times.predict = t.elapsed().as_secs_f64() - times.decode;
-    times.decoded_blocks = targets.iter().flatten().count();
-    times.skipped_blocks = targets.len() - times.decoded_blocks;
-    times.decoded_chunks = decoded;
-    times.skipped_chunks = chunks.saturating_sub(decoded);
-    Ok(times)
+    let decoded_blocks = targets.iter().flatten().count();
+    Ok(LevelTimes {
+        level: level.index,
+        decode: opened + entropy,
+        predict,
+        decoded_blocks,
+        skipped_blocks: targets.len() - decoded_blocks,
+        decoded_chunks: decoded,
+        skipped_chunks: chunks.saturating_sub(decoded),
+        ..LevelTimes::default()
+    })
 }
 
 /// Fetch and parse the stream of every block with a target, in block order,

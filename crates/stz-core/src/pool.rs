@@ -1,11 +1,11 @@
-//! The thread pool both codec directions run their slabs on.
+//! The thread pool both codec directions run a level's share-out on.
 //!
-//! [`map`] runs a function over a short list of items — a level's slabs,
-//! already cut a few per thread — on scoped threads, the calling thread
-//! being the last worker. Each worker claims the next item index from one
-//! atomic counter, and the results come back in item order, so what a `map`
-//! returns does not depend on the width or on timing. A `map` called from
-//! inside a worker runs inline: the outer one already uses every thread.
+//! [`map`] runs a function over a short list of items — a level's decode
+//! pieces or encode slabs, a few per thread — on scoped threads, the calling
+//! thread being the last worker. Each worker claims the next item index from
+//! one atomic counter, and the results come back in item order, so what a
+//! `map` returns does not depend on the width or on timing. A `map` called
+//! from inside a worker runs inline: the outer one already uses every thread.
 //!
 //! The width is [`threads`]: the innermost [`with_threads`] scope, else
 //! `STZ_THREADS` if it is a positive integer, else the machine's available
@@ -334,8 +334,9 @@ mod tests {
     fn pooled_decode_spans_join_the_callers_trace() {
         use crate::{StzCompressor, StzConfig};
         use stz_field::{Dims, Field};
-        // Level-3 blocks of 64^3 points span several Huffman chunks, so the
-        // finest level is cut into several slabs at a width of 2.
+        // At a width of 2 a decode splits each level into two pieces, its
+        // even and its odd planes; a `reconstruct` span's `slab` is the
+        // piece's index.
         let field = Field::from_fn(Dims::d3(128, 128, 128), |z, y, x| {
             ((z * 3 + y * 5 + x * 7) as f32 * 0.01).sin()
         });

@@ -29,8 +29,12 @@
 use crate::level::LevelPlan;
 use stz_field::Region;
 
-/// Per-stage wall-clock breakdown of one random-access decompression,
-/// mirroring the columns of the paper's Table 4.
+/// Per-stage breakdown of one random-access decompression, mirroring the
+/// columns of the paper's Table 4.
+///
+/// A level's stages are on one clock: thread-seconds, each summed over the
+/// pieces the level's decode ran on. At width 1 that is wall time; on the
+/// pool the stages add up to more than it. `total` is always wall time.
 #[derive(Debug, Clone, Default)]
 pub struct AccessBreakdown {
     /// Seconds decompressing the level-1 SZ3 stream ("L1 SZ3"); 0 on a walk
@@ -38,7 +42,7 @@ pub struct AccessBreakdown {
     pub l1_sz3: f64,
     /// Per finer level (index 0 = level 2): stage timings.
     pub levels: Vec<LevelTimes>,
-    /// Total seconds of the walk.
+    /// Wall-clock seconds of the walk.
     pub total: f64,
 }
 
@@ -47,11 +51,11 @@ pub struct AccessBreakdown {
 pub struct LevelTimes {
     /// 2-based level index.
     pub level: u8,
-    /// Seconds fetching, parsing and entropy-decoding sub-block streams
-    /// ("L* dec.").
+    /// Seconds fetching and parsing sub-block streams, and the pieces'
+    /// seconds entropy-decoding them ("L* dec.").
     pub decode: f64,
-    /// Seconds assembling the level's box row by row — predicting and
-    /// applying residuals for its points ("L* pre.").
+    /// The pieces' other seconds, assembling the level's box row by row —
+    /// predicting and applying residuals for its points ("L* pre.").
     pub predict: f64,
     /// Seconds allocating the level's box, and on the last level handing it
     /// out as the answer ("L* rec.").

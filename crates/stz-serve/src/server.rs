@@ -875,21 +875,17 @@ fn decode_block<T: BackendScalar>(
         RequestKind::Roi(_) => (entry.progressive_region(&region())?, levels),
         _ => (entry.progressive()?, levels),
     };
-    // A full decode runs at the pool's width, a preview or region at 1. The
-    // frame is made when the walk reaches its last level, which is decoded
-    // into it.
-    let width = if *kind == RequestKind::Full { pool::threads() } else { 1 };
+    // Every kind decodes at the pool's width. The frame is made when the walk
+    // reaches its last level, which is decoded into it.
     let mut response = None;
-    pool::with_threads(width, || {
-        walk.decode_to_le(k, |dims| {
-            let mut encode_span = trace::span("encode");
-            encode_span.attr("bytes", FETCH_HEAD_LEN);
-            let len = FETCH_HEAD_LEN + dims.len() * T::BYTES;
-            let response = response.insert(Enc::framed_zeroed(fetch_reply(kind), len));
-            let (head, scalars) = response.payload_mut().split_at_mut(FETCH_HEAD_LEN);
-            head.copy_from_slice(&FetchedField::head(kind.tag(), T::TYPE_TAG, dims));
-            scalars
-        })
+    walk.decode_to_le(k, |dims| {
+        let mut encode_span = trace::span("encode");
+        encode_span.attr("bytes", FETCH_HEAD_LEN);
+        let len = FETCH_HEAD_LEN + dims.len() * T::BYTES;
+        let response = response.insert(Enc::framed_zeroed(fetch_reply(kind), len));
+        let (head, scalars) = response.payload_mut().split_at_mut(FETCH_HEAD_LEN);
+        head.copy_from_slice(&FetchedField::head(kind.tag(), T::TYPE_TAG, dims));
+        scalars
     })?;
     Ok(response.expect("a decoded walk asked for its frame"))
 }

@@ -8,11 +8,11 @@
 //! types.
 
 use stz::core::pool::with_threads;
-use stz::core::ProgressiveDecoder;
+use stz::core::{AccessBreakdown, ProgressiveDecoder};
 use stz::prelude::*;
 use stz::stream::pack_pipelined;
 
-const WIDTHS: [usize; 4] = [1, 2, 4, 8];
+const WIDTHS: [usize; 5] = [1, 2, 3, 4, 8];
 
 fn f32_field(dims: Dims) -> Field<f32> {
     Field::from_fn(dims, |z, y, x| {
@@ -466,6 +466,87 @@ fn f32_identities_hold_at_128_cubed() {
 fn f64_identities_hold_at_128_cubed() {
     let region = Region::d3(37..70, 5..38, 90..128);
     assert_identities(&f64_field(big()), StzConfig::three_level(EB_F64), &region);
+}
+
+// ---------------------------------------------------------------------------
+// A decode's pieces own their blocks' streams, so every Huffman chunk is
+// decoded once at every width, by one piece, wherever the chunks end.
+// ---------------------------------------------------------------------------
+
+/// 112^3: the level-3 blocks are 56^3 symbols in three chunks of 58,539,
+/// which end mid-plane.
+fn chunky() -> Dims {
+    Dims::d3(112, 112, 112)
+}
+
+/// Every walk a reader makes of `archive` — each preview level, the last of
+/// which is the full decode, and `region` — as its name, its little-endian
+/// bytes and its stage breakdown.
+fn walks<T: Scalar>(
+    archive: &StzArchive<T>,
+    region: &Region,
+) -> Vec<(String, Vec<u8>, AccessBreakdown)> {
+    let le = |field: Field<T>| {
+        let mut bytes = Vec::new();
+        T::write_slice_exact(field.as_slice(), &mut bytes);
+        bytes
+    };
+    let last = archive.num_levels();
+    let mut walks: Vec<_> = (1..=last)
+        .map(|k| {
+            let (field, breakdown) = archive.progressive().decode_to_with_breakdown(k).unwrap();
+            (format!("level {k}"), le(field), breakdown)
+        })
+        .collect();
+    let walk = ProgressiveDecoder::region(archive, region).unwrap();
+    let (field, breakdown) = walk.decode_to_with_breakdown(last).unwrap();
+    walks.push(("region".to_string(), le(field), breakdown));
+    walks
+}
+
+fn assert_each_chunk_decoded_once<T: Scalar>(field: &Field<T>, eb: f64) {
+    let archive = StzCompressor::new(StzConfig::three_level(eb)).compress(field).unwrap();
+    let region = Region::d3(13..67, 41..100, 5..111);
+    let chunks = |b: &AccessBreakdown| -> Vec<(u8, usize, usize)> {
+        b.levels.iter().map(|l| (l.level, l.decoded_chunks, l.skipped_chunks)).collect()
+    };
+    let serial = with_threads(1, || walks(&archive, &region));
+    assert_eq!(chunks(&serial[2].2)[1], (3, 21, 0), "a full decode reads each level-3 chunk");
+    for threads in WIDTHS {
+        let pooled = with_threads(threads, || walks(&archive, &region));
+        for ((what, bytes, breakdown), (_, want, serial)) in pooled.iter().zip(&serial) {
+            assert!(bytes == want, "{what} at {threads} thread(s): other bytes");
+            assert_eq!(chunks(breakdown), chunks(serial), "{what} at {threads} thread(s)");
+        }
+    }
+}
+
+#[test]
+fn each_chunk_is_decoded_once_at_every_width() {
+    assert_each_chunk_decoded_once(&f32_field(chunky()), EB_F32);
+    assert_each_chunk_decoded_once(&f64_field(chunky()), EB_F64);
+}
+
+#[test]
+fn every_stage_of_a_pooled_walk_reads_non_negative_seconds() {
+    // Stages are seconds summed over a level's pieces; on the pool they add
+    // up to more than the walk's wall time, never to less than nothing.
+    let archive =
+        StzCompressor::new(StzConfig::three_level(EB_F32)).compress(&f32_field(chunky())).unwrap();
+    let region = Region::d3(13..67, 41..100, 5..111);
+    for threads in [2, 4] {
+        for (what, _, breakdown) in with_threads(threads, || walks(&archive, &region)) {
+            for l in &breakdown.levels {
+                let stages = [l.decode, l.predict, l.reconstruct];
+                assert!(
+                    stages.iter().all(|&s| s >= 0.0),
+                    "{what} level {} at {threads} thread(s): decode, predict, reconstruct \
+                     {stages:?}",
+                    l.level
+                );
+            }
+        }
+    }
 }
 
 #[test]

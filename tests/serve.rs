@@ -22,6 +22,9 @@
 //!   *client's* trace id, rooted at the client's parent span, with the
 //!   full `parse`/`cache`/`decode`/`write` span chain — and a
 //!   `RemoteStore` fetch links transparently without any explicit ids;
+//! * a served miss decodes on the pool: with the cache off, every level a
+//!   cold ROI or a preview decodes runs as pieces on the server's workers,
+//!   and the bytes are a `FileStore` fetch's;
 //! * hostile `TRACE_OK` replies (wrong wire version, truncated span
 //!   table, trailing bytes) fail cleanly at the client.
 
@@ -776,6 +779,67 @@ fn trace_context_round_trips_byte_exact_ids() {
             "span {:?} escapes the trace window",
             s.name
         );
+    }
+    handle.stop();
+}
+
+#[test]
+fn a_served_miss_decodes_each_level_on_the_pool() {
+    // Cache off: every fetch is a miss, and each decodes at the server's
+    // width. A cold ROI and a level-2 preview each split every level they
+    // decode into pieces, one of them on a spawned worker.
+    let rig = Rig::new("pooled_miss");
+    let server = Server::bind(ServeOptions {
+        root: rig.dir.clone(),
+        addr: "127.0.0.1:0".into(),
+        cache_bytes: 0,
+        threads: 2,
+        read_timeout: Some(Duration::from_secs(5)),
+        ..ServeOptions::default()
+    })
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = server.spawn().unwrap();
+    use stz::access::Store as _;
+    let store = stz::access::FileStore::open_path(rig.dir.join("steps.stzc")).unwrap();
+    let local = store.open(&stz::access::EntrySel::Index(1)).unwrap();
+    let roi = Region::d3(3..17, 1..16, 5..22);
+    let fetches = [
+        (RequestKind::roi(&roi), stz::access::Fetch::Region(roi.clone())),
+        (RequestKind::Level(2), stz::access::Fetch::Level(2)),
+    ];
+    let mut client = Client::connect(addr).unwrap();
+    for (n, (kind, fetch)) in fetches.into_iter().enumerate() {
+        // Sibling tests flood the same retention rings: retry until the
+        // trace survives sampling.
+        let trace_id = 0x9001_0000 + n as u64;
+        let mut found = None;
+        for _ in 0..20 {
+            let fetched = client
+                .fetch(&FetchReq {
+                    container: "steps".into(),
+                    entry: EntrySel::Index(1),
+                    kind,
+                    trace: Some(proto::TraceContextExt { trace_id, parent_span: 7 }),
+                })
+                .unwrap();
+            assert!(fetched.data == local.fetch(&fetch).unwrap().data, "{kind:?}: other bytes");
+            found = client.trace().unwrap().into_iter().find(|t| t.trace_id == trace_id);
+            if found.is_some() {
+                break;
+            }
+        }
+        let t = found.expect("server retained the trace");
+        let children = |level: u64, name: &str| {
+            t.spans.iter().filter(|s| s.parent == level && s.name == name).count()
+        };
+        let levels: Vec<u64> =
+            t.spans.iter().filter(|s| s.name == "level_decode").map(|s| s.id).collect();
+        assert!(!levels.is_empty(), "{kind:?} decoded no level past the first");
+        for level in levels {
+            assert!(children(level, "reconstruct") >= 2, "{kind:?}: a level ran as one piece");
+            assert_eq!(children(level, "queue_wait"), 1, "{kind:?}: one spawned worker a level");
+        }
     }
     handle.stop();
 }
