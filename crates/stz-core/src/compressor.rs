@@ -27,14 +27,14 @@
 //! Because finer-level points never depend on one another, both the blocks
 //! of a level and the points within a block are embarrassingly parallel, and
 //! every walk runs on [`crate::pool`], each worker assembling its share in
-//! place. A decode splits the box into *pieces* of whole row-parity classes:
-//! a row reads only the blocks of its parity, so a piece owns its blocks'
-//! streams and every Huffman chunk is decoded once, by one piece. An encode
-//! cuts the box into slabs — planes of the next grid, or rows or spans where
-//! it is thin — and stitches the chunks they share afterwards, in slab order.
-//! The pool's width decides how many; at width 1 the box is one piece or
-//! slab, which is what the serial entry points pin. Archives and fields are
-//! **bit-identical** at every width.
+//! place. A decode splits the box into *pieces*, one per row parity — four
+//! in 3-D, two in 2-D: a row reads only the blocks of its parity, so a piece
+//! owns its blocks' streams and every Huffman chunk is decoded once, by one
+//! piece. An encode cuts the box into slabs — planes of the next grid, or
+//! rows or spans where it is thin — as many as the pool's width calls for,
+//! and stitches the chunks they share afterwards, in slab order. At width 1
+//! the box is one piece or slab, which is what the serial entry points pin.
+//! Archives and fields are **bit-identical** at every width.
 
 use crate::archive::{build_bytes, ArchiveHeader, StzArchive};
 use crate::config::StzConfig;
@@ -46,7 +46,7 @@ use crate::source::SectionSource;
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use stz_codec::{
     huffman, ByteReader, ByteWriter, CodecError, LinearQuantizer, Result, ESCAPE_SYMBOL,
 };
@@ -621,18 +621,16 @@ impl<'a> LevelRows<'a> {
     /// Assemble `units`, boxes of the level's grid in turn, plane by plane
     /// from `prev` — the previous grid's box — and block rows, each into its
     /// memory unless that is empty: `row(rows, (z, y), xs, out)` makes the
-    /// span `xs` of row `(z, y)` of the block `rows` into `out`. Only the rows
-    /// of y-parity `ys` are assembled, where there is one. Each row is built
-    /// in L1 from two sources and stored once, at unit stride: its even-x
-    /// points are the previous grid's row where z and y are even and block
-    /// `(z&1, y&1, 0)`'s row elsewhere, its odd-x points block
+    /// span `xs` of row `(z, y)` of the block `rows` into `out`. Each row is
+    /// built in L1 from two sources and stored once, at unit stride: its
+    /// even-x points are the previous grid's row where z and y are even and
+    /// block `(z&1, y&1, 0)`'s row elsewhere, its odd-x points block
     /// `(z&1, y&1, 1)`'s. Which blocks exist is the plan's business, so axes
     /// of extent 1 or 2 and odd x-extents take no case of their own.
     fn assemble<T: Scalar, O: Points<T>>(
         &self,
         prev: &[T],
-        units: &mut [(Region, O)],
-        ys: Option<usize>,
+        units: impl IntoIterator<Item = (Region, O)>,
         mut row: impl FnMut(&BlockRows<'a>, (usize, usize), Range<usize>, &mut [T]) -> Result<()>,
     ) -> Result<()> {
         let (c, cdims) = (&self.cbox, extents(&self.cbox));
@@ -644,14 +642,14 @@ impl<'a> LevelRows<'a> {
             row(rows, zy, xs, out)
         };
         let (mut even, mut odd) = (Vec::new(), Vec::new());
-        for (obox, out) in units {
+        for (obox, mut out) in units {
             let (ny, nx, stores) = (obox.y1 - obox.y0, obox.x1 - obox.x0, out.points() > 0);
             let (evens, odds) =
                 (obox.x0.div_ceil(2)..obox.x1.div_ceil(2), obox.x0 / 2..obox.x1 / 2);
             even.resize(evens.len(), T::default());
             odd.resize(odds.len(), T::default());
             for gz in obox.z0..obox.z1 {
-                for gy in (obox.y0..obox.y1).filter(|gy| ys.map_or(true, |p| gy & 1 == p)) {
+                for gy in obox.y0..obox.y1 {
                     let (s, z, y) = (((gz & 1) << 2) | ((gy & 1) << 1), gz >> 1, gy >> 1);
                     let even = if s == 0 {
                         let at = cdims.index(z - c.z0, y - c.y0, evens.start - c.x0);
@@ -691,7 +689,7 @@ impl<'a> LevelRows<'a> {
                 Some(ChunkSink::new(self.blocks[k].as_ref()?.block.lattice.len(), encode_ns))
             });
             let mut orig = vec![T::default(); slab.x1.div_ceil(2) - slab.x0 / 2];
-            self.assemble(prev, &mut [(slab, out)], None, |rows, zy, xs, recon| {
+            self.assemble(prev, [(slab, out)], |rows, zy, xs, recon| {
                 let sink = sinks[slot(rows.block)].as_mut().expect("a sink on every block");
                 let recon = keeps.then_some(recon);
                 rows.quantize_row(field.as_slice(), prev, zy, xs, &mut orig, sink, recon);
@@ -746,43 +744,49 @@ impl<'a> LevelRows<'a> {
         pool::map(parts, |(s, b, out)| slab(s, b, out))
     }
 
-    /// Run `piece(p, units, passes)` on each piece a decode of `obox` splits
-    /// into — the `p`-th, its units (boxes of `obox`, each with its share of
-    /// `out`) and the y-parities it walks them for, one pass after the other
+    /// Run `piece(p, units)` on each piece a decode of `obox` splits into —
+    /// the `p`-th and its units, boxes of `obox` each with its share of `out`
     /// — and return what each returns, in piece order. A row `(z, y)` reads
     /// block `(z&1, y&1, 1)` and either block `(z&1, y&1, 0)` or, where both
-    /// are even, the previous grid, so a piece of whole row-parity classes
-    /// owns its blocks' streams. On the pool there are two: the planes of
-    /// each z-parity, walked for their even rows and then their odd rows, so
-    /// that a pass reads two blocks; or, where `obox` is a plane thick, the
-    /// rows of each y-parity. Four pieces of one class each would hold every
-    /// block's window and four decoders' tables at once. Where `obox` is a
-    /// row thick, or at width 1, the pieces are the [`LevelRows::slabs`] of
-    /// `obox`, whose boundaries may share a chunk.
+    /// are even, the previous grid. So on the pool a piece is the rows of one
+    /// row parity, a unit each: it owns its blocks' streams, no chunk is
+    /// decoded by two pieces, and the four pieces of a 3-D box hold one
+    /// window on each block between them. That is four pieces in 3-D and two
+    /// in 2-D at every width; a piece keeps just its rows' shares of `out`
+    /// and makes their boxes as it walks. Where `obox` is a row thick, or at
+    /// width 1, the pieces are the [`LevelRows::slabs`] of `obox`, whose
+    /// boundaries may share a chunk.
     fn pieces<T, O: Points<T>, R: Send>(
         &self,
         obox: &Region,
         out: O,
-        piece: impl Fn(usize, Vec<(Region, O)>, &[Option<usize>]) -> R + Sync,
+        piece: impl Fn(usize, &mut dyn Iterator<Item = (Region, O)>) -> R + Sync,
     ) -> Vec<R> {
-        let (planes, rows) = (obox.z1 - obox.z0, obox.y1 - obox.y0);
-        if pool::threads() == 1 || planes == 1 && rows == 1 {
-            return self.slabs(obox, out, |s, b, out| piece(s, vec![(b, out)], &[None]));
+        let (zs, ys) = (obox.z0..obox.z1, obox.y0..obox.y1);
+        if pool::threads() == 1 || zs.len() * ys.len() == 1 {
+            return self.slabs(obox, out, |s, b, out| piece(s, &mut std::iter::once((b, out))));
         }
-        // A unit is a plane, or a row where the pieces split a plane.
-        let by_z = planes > 1;
-        let rows = if by_z { rows } else { 1 };
-        let (mut pieces, mut rest) = ([Vec::new(), Vec::new()], out);
-        for z0 in obox.z0..obox.z1 {
-            for y0 in (obox.y0..obox.y1).step_by(rows) {
-                let unit = Region { z0, z1: z0 + 1, y0, y1: y0 + rows, ..obox.clone() };
-                let (mine, tail) = rest.split_at(unit.len());
+        let of_parity = |r: &Range<usize>, p: usize| r.clone().filter(move |i| i & 1 == p);
+        let mut classes: [Vec<O>; 4] = std::array::from_fn(|c| {
+            Vec::with_capacity(of_parity(&zs, c >> 1).count() * of_parity(&ys, c & 1).count())
+        });
+        let (mut rest, nx) = (out, obox.x1 - obox.x0);
+        for z in zs.clone() {
+            for y in ys.clone() {
+                let (mine, tail) = rest.split_at(nx);
                 rest = tail;
-                pieces[if by_z { z0 & 1 } else { y0 & 1 }].push((unit, mine));
+                classes[((z & 1) << 1) | (y & 1)].push(mine);
             }
         }
-        let passes: &[Option<usize>] = if by_z { &[Some(0), Some(1)] } else { &[None] };
-        pool::map(pieces.into_iter().enumerate().collect(), |(p, units)| piece(p, units, passes))
+        let pieces = classes.into_iter().enumerate().filter(|(_, outs)| !outs.is_empty());
+        let pieces: Vec<_> = pieces.enumerate().collect();
+        pool::map(pieces, |(p, (c, outs))| {
+            let boxes = of_parity(&zs, c >> 1).flat_map(|z0| {
+                let row = move |y0| Region { z0, z1: z0 + 1, y0, y1: y0 + 1, ..obox.clone() };
+                of_parity(&ys, c & 1).map(row)
+            });
+            piece(p, &mut boxes.zip(outs))
+        })
     }
 
     /// How the pool cuts `obox`: grid units per slab along each axis; one
@@ -916,8 +920,8 @@ struct ChunkWindow<'a, T> {
     /// How far into the stream the walk has read, and the escapes before.
     at: usize,
     rank: usize,
-    /// Chunks decoded, and the seconds they took.
-    tally: (usize, f64),
+    /// Chunks decoded, and the time they took.
+    tally: (usize, Duration),
 }
 
 impl<'a, T: Scalar> ChunkWindow<'a, T> {
@@ -929,7 +933,7 @@ impl<'a, T: Scalar> ChunkWindow<'a, T> {
             row: Vec::new(),
             at: 0,
             rank: 0,
-            tally: (0, 0.0),
+            tally: (0, Duration::ZERO),
         }
     }
 
@@ -943,7 +947,7 @@ impl<'a, T: Scalar> ChunkWindow<'a, T> {
             self.chunk.resize(self.stream.len_of(c), 0);
             self.stream.decode_chunk(c, &mut self.chunk)?;
             self.current = Some(c);
-            self.tally = (self.tally.0 + 1, self.tally.1 + t.elapsed().as_secs_f64());
+            self.tally = (self.tally.0 + 1, self.tally.1 + t.elapsed());
         }
         Ok(())
     }
@@ -1046,30 +1050,25 @@ pub(crate) fn decode_box<T: Scalar, S: SectionSource + ?Sized>(
         .collect();
     assert_eq!(out.points(), obox.len(), "the output holds the box");
     let fill = |streams: &Slots<BlockStream<'_, T>>| {
-        let done = rows.pieces::<T, _, _>(obox, out, |p, mut units, passes| {
+        let done = rows.pieces::<T, _, _>(obox, out, |p, units| {
             let t = Instant::now();
             let mut span = stz_telemetry::trace::span("reconstruct");
             span.attr("slab", p);
-            let (mut chunks, mut entropy) = (0, 0.0);
-            for &ys in passes {
-                // A pass's windows are dropped before the next pass loads
-                // any: a piece holds two blocks' chunks at a time.
-                let mut windows: Slots<ChunkWindow<'_, T>> =
-                    std::array::from_fn(|k| streams[k].as_ref().map(ChunkWindow::new));
-                rows.assemble(prev, &mut units, ys, |rows, (z, y), xs, out| {
-                    let window = windows[slot(rows.block)].as_mut();
-                    let window = window.expect("a window is open on every block a box reads");
-                    let (symbols, outliers, cursor) =
-                        window.row((z * rows.by + y) * rows.bx + xs.start, xs.len())?;
-                    rows.reconstruct_row(prev, z, y, xs, symbols, outliers, cursor, out);
-                    Ok(())
-                })?;
-                for w in windows.iter().flatten() {
-                    (chunks, entropy) = (chunks + w.tally.0, entropy + w.tally.1);
-                }
-            }
-            // The piece's own seconds hold its entropy seconds.
-            Ok::<_, CodecError>((chunks, entropy, (t.elapsed().as_secs_f64() - entropy).max(0.0)))
+            let mut windows: Slots<ChunkWindow<'_, T>> =
+                std::array::from_fn(|k| streams[k].as_ref().map(ChunkWindow::new));
+            rows.assemble(prev, units, |rows, (z, y), xs, out| {
+                let window = windows[slot(rows.block)].as_mut();
+                let window = window.expect("a window is open on every block a box reads");
+                let (symbols, outliers, cursor) =
+                    window.row((z * rows.by + y) * rows.bx + xs.start, xs.len())?;
+                rows.reconstruct_row(prev, z, y, xs, symbols, outliers, cursor, out);
+                Ok(())
+            })?;
+            let tally = |(n, e), w: &ChunkWindow<'_, T>| (n + w.tally.0, e + w.tally.1);
+            let (chunks, entropy) = windows.iter().flatten().fold((0, Duration::ZERO), tally);
+            // The piece's own time holds its windows' entropy time.
+            let predict = t.elapsed() - entropy;
+            Ok::<_, CodecError>((chunks, entropy.as_secs_f64(), predict.as_secs_f64()))
         });
         let sum = |(n, e, p), (dn, de, dp)| (n + dn, e + de, p + dp);
         done.into_iter().try_fold((0, 0.0, 0.0), |acc, d| d.map(|d| sum(acc, d)))

@@ -334,9 +334,9 @@ mod tests {
     fn pooled_decode_spans_join_the_callers_trace() {
         use crate::{StzCompressor, StzConfig};
         use stz_field::{Dims, Field};
-        // At a width of 2 a decode splits each level into two pieces, its
-        // even and its odd planes; a `reconstruct` span's `slab` is the
-        // piece's index.
+        // On the pool a decode splits each level into four pieces, one per
+        // row parity, two at a time at a width of 2; a `reconstruct` span's
+        // `slab` is the piece's index.
         let field = Field::from_fn(Dims::d3(128, 128, 128), |z, y, x| {
             ((z * 3 + y * 5 + x * 7) as f32 * 0.01).sin()
         });

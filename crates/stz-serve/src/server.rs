@@ -5,9 +5,10 @@
 //! [`ContainerReader`]s, which is sound because every read is a
 //! positioned (`pread`-style) [`ByteSource`] access with no seek
 //! state. Each accepted connection runs on its own thread; decode work
-//! inside a connection runs on `stz_core::pool` threads at the configured
-//! width, and every fetch response passes through the [`DecodedCache`] so
-//! repeated requests skip decompression entirely.
+//! inside a connection runs on `stz_core::pool` threads, the configured
+//! width shared among the misses decoding at once, and every fetch response
+//! passes through the [`DecodedCache`] so repeated requests skip
+//! decompression entirely.
 //!
 //! A fetch response is produced exactly once, in one buffer sized from the
 //! entry's plan: when the decode reaches its last level
@@ -226,6 +227,8 @@ struct ServerState {
     cache: DecodedCache,
     /// Width of the pool a fetch decodes on (`0`: the default width).
     threads: usize,
+    /// Misses decoding now, which share the pool's width.
+    decoding: AtomicUsize,
     requests: AtomicU64,
     active: AtomicUsize,
     max_conns: usize,
@@ -263,6 +266,7 @@ impl Server {
                 containers,
                 cache,
                 threads: opts.threads,
+                decoding: AtomicUsize::new(0),
                 requests: AtomicU64::new(0),
                 active: AtomicUsize::new(0),
                 max_conns: opts.max_conns.max(1),
@@ -422,6 +426,28 @@ impl Drop for ActiveGuard<'_> {
     fn drop(&mut self) {
         self.0.active.fetch_sub(1, Ordering::SeqCst);
         self.0.metrics.connections_active.dec();
+    }
+}
+
+/// Count a miss among those decoding until it drops.
+struct DecodingGuard<'a>(&'a ServerState);
+
+impl<'a> DecodingGuard<'a> {
+    /// Count the miss in, and return the width it decodes at: the pool's
+    /// threads shared among the misses decoding now, this one among them,
+    /// and never less than one. One miss alone runs on every thread; two
+    /// clients' misses at once run on half each, where the pool's whole
+    /// width for both would put twice the threads on the cores.
+    fn enter(state: &'a ServerState) -> (Self, usize) {
+        let decoding = state.decoding.fetch_add(1, Ordering::SeqCst) + 1;
+        let threads = pool::with_threads(state.threads, pool::threads);
+        (DecodingGuard(state), (threads / decoding).max(1))
+    }
+}
+
+impl Drop for DecodingGuard<'_> {
+    fn drop(&mut self) {
+        self.0.decoding.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -790,8 +816,10 @@ fn handle_fetch(
 
     let response = {
         let _decode = state.metrics.decode_ns.span();
-        let _decode_span = trace::span("decode");
-        pool::with_threads(state.threads, || match meta.type_tag() {
+        let mut decode_span = trace::span("decode");
+        let (_decoding, width) = DecodingGuard::enter(state);
+        decode_span.attr("width", width);
+        pool::with_threads(width, || match meta.type_tag() {
             0 => decode_block::<f32>(reader, index, &req.kind),
             _ => decode_block::<f64>(reader, index, &req.kind),
         })
@@ -875,8 +903,8 @@ fn decode_block<T: BackendScalar>(
         RequestKind::Roi(_) => (entry.progressive_region(&region())?, levels),
         _ => (entry.progressive()?, levels),
     };
-    // Every kind decodes at the pool's width. The frame is made when the walk
-    // reaches its last level, which is decoded into it.
+    // Every kind decodes at the width its caller set. The frame is made when
+    // the walk reaches its last level, which is decoded into it.
     let mut response = None;
     walk.decode_to_le(k, |dims| {
         let mut encode_span = trace::span("encode");
@@ -961,5 +989,23 @@ mod tests {
         for (e, want) in table {
             assert_eq!(stream_err(&e), (want, e.to_string()), "{e:?}");
         }
+    }
+
+    #[test]
+    fn misses_decoding_at_once_share_the_width() {
+        let root = std::env::temp_dir().join(format!("stz-serve-width-{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        let server =
+            Server::bind(ServeOptions { root: root.clone(), threads: 4, ..Default::default() });
+        std::fs::remove_dir_all(&root).unwrap();
+        let state = &server.unwrap().state;
+        let (first, width) = DecodingGuard::enter(state);
+        assert_eq!(width, 4, "a miss alone decodes on every thread");
+        let (second, width) = DecodingGuard::enter(state);
+        assert_eq!(width, 2);
+        let more: Vec<usize> = (0..4).map(|_| DecodingGuard::enter(state)).map(|g| g.1).collect();
+        assert_eq!(more, [1, 1, 1, 1], "each dropped as it is made: three decode at a time");
+        drop((first, second));
+        assert_eq!(DecodingGuard::enter(state).1, 4, "a miss that ends leaves the count");
     }
 }

@@ -22,9 +22,9 @@
 //!   *client's* trace id, rooted at the client's parent span, with the
 //!   full `parse`/`cache`/`decode`/`write` span chain — and a
 //!   `RemoteStore` fetch links transparently without any explicit ids;
-//! * a served miss decodes on the pool: with the cache off, every level a
-//!   cold ROI or a preview decodes runs as pieces on the server's workers,
-//!   and the bytes are a `FileStore` fetch's;
+//! * a served miss decodes on the pool: with the cache off, a cold ROI or
+//!   a preview alone decodes at the server's width, every level as pieces
+//!   on the server's workers, and the bytes are a `FileStore` fetch's;
 //! * hostile `TRACE_OK` replies (wrong wire version, truncated span
 //!   table, trailing bytes) fail cleanly at the client.
 
@@ -785,9 +785,9 @@ fn trace_context_round_trips_byte_exact_ids() {
 
 #[test]
 fn a_served_miss_decodes_each_level_on_the_pool() {
-    // Cache off: every fetch is a miss, and each decodes at the server's
-    // width. A cold ROI and a level-2 preview each split every level they
-    // decode into pieces, one of them on a spawned worker.
+    // Cache off: every fetch is a miss, and one miss alone decodes at the
+    // server's width. A cold ROI and a level-2 preview each split every
+    // level they decode into pieces, one of them on a spawned worker.
     let rig = Rig::new("pooled_miss");
     let server = Server::bind(ServeOptions {
         root: rig.dir.clone(),
@@ -830,6 +830,9 @@ fn a_served_miss_decodes_each_level_on_the_pool() {
             }
         }
         let t = found.expect("server retained the trace");
+        let decode = t.spans.iter().find(|s| s.name == "decode").expect("a decode span");
+        let width = decode.attrs.iter().find(|(k, _)| k == "width").map(|(_, v)| v.as_str());
+        assert_eq!(width, Some("2"), "{kind:?}: a miss alone decodes at the server's width");
         let children = |level: u64, name: &str| {
             t.spans.iter().filter(|s| s.parent == level && s.name == name).count()
         };
