@@ -12,6 +12,7 @@ use std::fmt;
 use std::io;
 use stz_codec::CodecError;
 use stz_serve::ServeError;
+use stz_stream::Refusal;
 
 /// Failure while listing, opening, or fetching through the access layer.
 #[derive(Debug)]
@@ -108,6 +109,16 @@ impl From<CodecError> for AccessError {
             CodecError::Corrupt(msg) => AccessError::Corrupt(msg),
             CodecError::Io { kind, message } => AccessError::Io(io::Error::new(kind, message)),
             eof @ CodecError::UnexpectedEof { .. } => AccessError::Corrupt(eof.to_string()),
+        }
+    }
+}
+
+impl From<Refusal> for AccessError {
+    fn from(r: Refusal) -> Self {
+        match r {
+            Refusal::NotFound(msg) => AccessError::NotFound(msg),
+            Refusal::BadRequest(msg) => AccessError::BadRequest(msg),
+            Refusal::Unsupported(msg) => AccessError::Unsupported(msg),
         }
     }
 }

@@ -2,13 +2,10 @@
 //! [`ByteSource`]-backed) container.
 
 use crate::error::Result;
-use crate::{
-    resolve_sel, validate_fetch, Entry, EntryDesc, EntrySel, Fetch, FetchedField, Provenance, Store,
-};
+use crate::{Entry, EntryDesc, EntrySel, Fetch, FetchedField, Provenance, Store};
 use std::path::Path;
 use std::sync::Arc;
-use stz_backend::BackendScalar;
-use stz_stream::{ByteSource, ContainerReader, FileSource};
+use stz_stream::{resolve_sel, validate_fetch, ByteSource, ContainerReader, FileSource};
 
 /// The out-of-core [`Store`]: wraps a [`ContainerReader`] over any
 /// [`ByteSource`], so fetches read **only the byte ranges the request
@@ -21,9 +18,6 @@ use stz_stream::{ByteSource, ContainerReader, FileSource};
 pub struct FileStore<S: ByteSource + 'static> {
     reader: Arc<ContainerReader<S>>,
     label: String,
-    /// Descriptors built once at open — the footer is already parsed and
-    /// the container immutable behind this reader; `list`/`open` clone.
-    descs: Vec<EntryDesc>,
 }
 
 impl FileStore<FileSource> {
@@ -40,12 +34,7 @@ impl<S: ByteSource + 'static> FileStore<S> {
     /// labelled for provenance.
     pub fn open_source(source: S, label: impl Into<String>) -> Result<FileStore<S>> {
         let reader = ContainerReader::open(source)?;
-        let descs = reader
-            .entries()
-            .enumerate()
-            .map(|(i, meta)| EntryDesc::from_meta(i as u32, &meta))
-            .collect();
-        Ok(FileStore { reader: Arc::new(reader), label: label.into(), descs })
+        Ok(FileStore { reader: Arc::new(reader), label: label.into() })
     }
 
     /// The underlying container reader (e.g. to inspect a counting
@@ -61,15 +50,15 @@ impl<S: ByteSource + 'static> Store for FileStore<S> {
     }
 
     fn list(&self) -> Result<Vec<EntryDesc>> {
-        Ok(self.descs.clone())
+        Ok(self.reader.descs().to_vec())
     }
 
     fn open(&self, sel: &EntrySel) -> Result<Box<dyn Entry>> {
-        let desc = resolve_sel(&self.descs, sel, &self.label)?.clone();
+        let index = resolve_sel(self.reader.descs(), sel)?.index as usize;
         Ok(Box::new(FileEntry {
             reader: Arc::clone(&self.reader),
             label: self.label.clone(),
-            desc,
+            index,
         }))
     }
 }
@@ -79,57 +68,31 @@ impl<S: ByteSource + 'static> Store for FileStore<S> {
 struct FileEntry<S: ByteSource + 'static> {
     reader: Arc<ContainerReader<S>>,
     label: String,
-    desc: EntryDesc,
-}
-
-impl<S: ByteSource + 'static> FileEntry<S> {
-    /// Serve `fetch` at the pool's width: a native entry's decode ends in the
-    /// fetch's bytes ([`FetchedField::from_walk`]); a foreign codec's field
-    /// is decoded whole and copied.
-    fn fetch_typed<T: BackendScalar>(&self, fetch: &Fetch) -> Result<FetchedField> {
-        let entry = self.reader.entry::<T>(self.desc.index as usize)?;
-        let provenance = Provenance::File(self.label.clone());
-        let (codec_id, levels) = (self.desc.codec_id, self.desc.levels);
-        let (walk, k) = match fetch {
-            Fetch::RawSection(_) => {
-                return Ok(FetchedField {
-                    fetch: fetch.clone(),
-                    dims: self.desc.dims,
-                    type_tag: self.desc.type_tag,
-                    codec_id,
-                    data: entry.read_payload()?,
-                    provenance,
-                })
-            }
-            _ if codec_id != stz_backend::id::STZ => {
-                let field = match fetch {
-                    Fetch::Region(region) => entry.decompress_region(region)?,
-                    Fetch::Level(k) | Fetch::Progressive(k) => entry.decompress_level(*k)?,
-                    _ => entry.decompress()?,
-                };
-                return Ok(FetchedField::from_field(fetch.clone(), codec_id, &field, provenance));
-            }
-            Fetch::Full => (entry.progressive()?, levels),
-            Fetch::Level(k) | Fetch::Progressive(k) => (entry.progressive()?, *k),
-            Fetch::Region(region) => (entry.progressive_region(region)?, levels),
-        };
-        FetchedField::from_walk(fetch.clone(), codec_id, walk, k, provenance)
-    }
+    index: usize,
 }
 
 impl<S: ByteSource + 'static> Entry for FileEntry<S> {
     fn desc(&self) -> &EntryDesc {
-        &self.desc
+        &self.reader.descs()[self.index]
     }
 
+    /// Serve `fetch` at the pool's width, straight into the bytes returned.
     fn fetch(&self, fetch: &Fetch) -> Result<FetchedField> {
-        validate_fetch(fetch, &self.desc)?;
+        let desc = self.desc();
+        validate_fetch(fetch, desc)?;
         let started = std::time::Instant::now();
-        let fetched = match self.desc.type_tag {
-            0 => self.fetch_typed::<f32>(fetch),
-            _ => self.fetch_typed::<f64>(fetch),
-        }?;
-        crate::record_fetch("file", fetched.data.len(), started);
-        Ok(fetched)
+        let mut answer = None;
+        self.reader
+            .fetch_le(self.index, fetch, |dims, len| &mut answer.insert((dims, vec![0; len])).1)?;
+        let (dims, data) = answer.expect("a fetch asked for its memory");
+        crate::record_fetch("file", data.len(), started);
+        Ok(FetchedField {
+            fetch: fetch.clone(),
+            dims,
+            type_tag: desc.type_tag,
+            codec_id: desc.codec_id,
+            data,
+            provenance: Provenance::File(self.label.clone()),
+        })
     }
 }

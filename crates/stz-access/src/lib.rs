@@ -77,46 +77,11 @@ pub use write::{
     open_store_mut, CompactReport, EntryMut, EntryPayload, FileStoreMut, MutStatus, StoreMut,
 };
 
-// One selector type across the whole stack: the access layer and the wire
-// protocol address entries identically.
-pub use stz_serve::EntrySel;
-// One entry and one container description from the footer to the wire:
-// every store lists the rows the server's `INSPECT_OK` / `LIST_OK` carry.
-pub use stz_stream::{ContainerDesc, EntryDesc};
+// One selector, one request and one descriptor from the footer to the wire:
+// every store and the server resolve, check and describe an entry alike.
+pub use stz_stream::{ContainerDesc, EntryDesc, EntrySel, Fetch};
 
-use stz_core::{ProgressiveDecoder, SectionSource};
-use stz_field::{Dims, Field, Region, Scalar};
-
-/// A typed read request — the one vocabulary every transport serves.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Fetch {
-    /// Full-resolution decode of the whole entry.
-    Full,
-    /// Preview through hierarchy level `k` (1 = coarsest). STZ entries
-    /// only.
-    Level(u8),
-    /// Full-resolution decode of a region (half-open bounds). STZ entries
-    /// read only the intersecting sections; foreign entries decode fully
-    /// and crop.
-    Region(Region),
-    /// Preview through level `k`, produced by the *incremental* refinement
-    /// path (one level at a time) instead of the direct preview decode.
-    /// Byte-identical to [`Fetch::Level`] by construction; on the wire both
-    /// travel as `FETCH_PROGRESSIVE`. STZ entries only.
-    Progressive(u8),
-    /// The compressed payload bytes of raw section `s`, undecoded.
-    /// Section `0` — the whole payload — is the only index every
-    /// transport can address today; other indices are `Unsupported`.
-    RawSection(u32),
-}
-
-impl Fetch {
-    /// Whether the fetched bytes are compressed payload (not decoded
-    /// scalars).
-    pub fn is_raw(&self) -> bool {
-        matches!(self, Fetch::RawSection(_))
-    }
-}
+use stz_field::{Dims, Field, Scalar};
 
 /// Where fetched bytes came from — diagnostic provenance, the one field of
 /// a [`FetchedField`] that legitimately differs across transports.
@@ -164,42 +129,6 @@ pub struct FetchedField {
 }
 
 impl FetchedField {
-    /// Build a decoded result from `walk` through level `k`, its answer
-    /// stored as little-endian scalars straight into `data`: how every
-    /// store answers a decoded fetch of a native entry, as the server
-    /// answers one into its response frame.
-    pub(crate) fn from_walk<T: Scalar, S: SectionSource + ?Sized>(
-        fetch: Fetch,
-        codec_id: u8,
-        walk: ProgressiveDecoder<'_, T, S>,
-        k: u8,
-        provenance: Provenance,
-    ) -> Result<FetchedField> {
-        let mut answer = None;
-        walk.decode_to_le(k, |dims| &mut answer.insert((dims, vec![0; dims.len() * T::BYTES])).1)?;
-        let (dims, data) = answer.expect("a decoded walk asked for its memory");
-        Ok(FetchedField { fetch, dims, type_tag: T::TYPE_TAG, codec_id, data, provenance })
-    }
-
-    /// Build a decoded result from a field a foreign codec decoded.
-    pub(crate) fn from_field<T: Scalar>(
-        fetch: Fetch,
-        codec_id: u8,
-        field: &Field<T>,
-        provenance: Provenance,
-    ) -> FetchedField {
-        let mut data = Vec::with_capacity(field.nbytes());
-        T::write_slice_exact(field.as_slice(), &mut data);
-        FetchedField {
-            fetch,
-            dims: field.dims(),
-            type_tag: T::TYPE_TAG,
-            codec_id,
-            data,
-            provenance,
-        }
-    }
-
     /// Reinterpret a decoded fetch as a typed field. Fails on a type
     /// mismatch or a raw fetch.
     pub fn into_field<T: Scalar>(self) -> Result<Field<T>> {
@@ -254,127 +183,4 @@ pub(crate) fn record_fetch(transport: &'static str, bytes: usize, started: std::
     reg.counter("stz_access_fetch_total", &labels).inc();
     reg.counter("stz_access_fetch_bytes_total", &labels).add(bytes as u64);
     reg.latency("stz_access_fetch_latency_ns", &labels).record_duration(started.elapsed());
-}
-
-/// The request validation shared by every store, so malformed fetches are
-/// classified identically on every transport — before any bytes move.
-pub(crate) fn validate_fetch(fetch: &Fetch, desc: &EntryDesc) -> Result<()> {
-    match fetch {
-        Fetch::Full => Ok(()),
-        Fetch::Region(region) => {
-            if !region.fits_in(desc.dims) {
-                return Err(AccessError::bad_request(format!(
-                    "region {region:?} outside entry dims {}",
-                    desc.dims
-                )));
-            }
-            Ok(())
-        }
-        Fetch::Level(k) | Fetch::Progressive(k) => {
-            if desc.codec_id != stz_backend::id::STZ || desc.levels == 0 {
-                return Err(AccessError::unsupported(format!(
-                    "level previews require a native stz entry; entry {:?} uses codec {}",
-                    desc.name,
-                    desc.codec_name()
-                        .map(str::to_string)
-                        .unwrap_or_else(|| format!("id {}", desc.codec_id)),
-                )));
-            }
-            if *k == 0 {
-                return Err(AccessError::bad_request("preview level must be ≥ 1"));
-            }
-            if *k > desc.levels {
-                return Err(AccessError::bad_request(format!(
-                    "preview level {k} exceeds the entry's {} levels",
-                    desc.levels
-                )));
-            }
-            Ok(())
-        }
-        Fetch::RawSection(0) => Ok(()),
-        Fetch::RawSection(s) => Err(AccessError::unsupported(format!(
-            "raw section {s}: only section 0 (the whole payload) is addressable today"
-        ))),
-    }
-}
-
-/// Resolve an [`EntrySel`] against a descriptor list.
-pub(crate) fn resolve_sel<'a>(
-    descs: &'a [EntryDesc],
-    sel: &EntrySel,
-    locate: &str,
-) -> Result<&'a EntryDesc> {
-    match sel {
-        EntrySel::Index(i) => descs.get(*i as usize).ok_or_else(|| {
-            AccessError::not_found(format!(
-                "entry index {i} out of range ({} entries in {locate})",
-                descs.len()
-            ))
-        }),
-        EntrySel::Name(name) => descs
-            .iter()
-            .find(|d| d.name == *name)
-            .ok_or_else(|| AccessError::not_found(format!("no entry named {name:?} in {locate}"))),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn desc(codec_id: u8, levels: u8) -> EntryDesc {
-        EntryDesc {
-            index: 0,
-            name: "t0".into(),
-            codec_id,
-            type_tag: 0,
-            dims: Dims::d3(16, 16, 16),
-            eb: 1e-3,
-            compressed_len: 100,
-            payload_crc: 0,
-            sections: 1,
-            levels,
-            interp: if levels > 0 { 2 } else { 0 },
-            level_bytes: (1..=levels as u64).collect(),
-        }
-    }
-
-    #[test]
-    fn validation_classes_are_transport_independent() {
-        let stz = desc(stz_backend::id::STZ, 3);
-        let zfp = desc(stz_backend::id::ZFP, 0);
-        assert!(validate_fetch(&Fetch::Full, &stz).is_ok());
-        assert!(validate_fetch(&Fetch::Full, &zfp).is_ok());
-        assert!(validate_fetch(&Fetch::Level(3), &stz).is_ok());
-        assert!(matches!(validate_fetch(&Fetch::Level(1), &zfp), Err(AccessError::Unsupported(_))));
-        assert!(matches!(validate_fetch(&Fetch::Level(0), &stz), Err(AccessError::BadRequest(_))));
-        assert!(matches!(
-            validate_fetch(&Fetch::Progressive(4), &stz),
-            Err(AccessError::BadRequest(_))
-        ));
-        assert!(matches!(
-            validate_fetch(&Fetch::Region(Region::d3(0..32, 0..1, 0..1)), &stz),
-            Err(AccessError::BadRequest(_))
-        ));
-        assert!(validate_fetch(&Fetch::RawSection(0), &zfp).is_ok());
-        assert!(matches!(
-            validate_fetch(&Fetch::RawSection(1), &stz),
-            Err(AccessError::Unsupported(_))
-        ));
-    }
-
-    #[test]
-    fn selector_resolution() {
-        let descs = vec![desc(0, 3)];
-        assert!(resolve_sel(&descs, &EntrySel::Index(0), "here").is_ok());
-        assert!(matches!(
-            resolve_sel(&descs, &EntrySel::Index(1), "here"),
-            Err(AccessError::NotFound(_))
-        ));
-        assert!(resolve_sel(&descs, &EntrySel::Name("t0".into()), "here").is_ok());
-        assert!(matches!(
-            resolve_sel(&descs, &EntrySel::Name("nope".into()), "here"),
-            Err(AccessError::NotFound(_))
-        ));
-    }
 }

@@ -1,15 +1,14 @@
 //! [`MemStore`] — the in-process store over resident archives.
 
 use crate::error::{AccessError, Result};
-use crate::{
-    resolve_sel, validate_fetch, Entry, EntryDesc, EntrySel, Fetch, FetchedField, Provenance, Store,
-};
+use crate::{Entry, EntryDesc, EntrySel, Fetch, FetchedField, Provenance, Store};
 use std::sync::Arc;
 use stz_backend::BackendScalar;
 use stz_core::archive::type_tag;
 use stz_core::StzArchive;
-use stz_field::Scalar;
-use stz_stream::ForeignArchive;
+use stz_field::{Dims, Scalar};
+use stz_stream::reader::decode_foreign;
+use stz_stream::{resolve_sel, validate_fetch, ForeignArchive};
 
 /// A resident archive a [`MemStore`] can host.
 #[derive(Debug, Clone)]
@@ -226,7 +225,7 @@ impl Store for MemStore {
     }
 
     fn open(&self, sel: &EntrySel) -> Result<Box<dyn Entry>> {
-        let desc = resolve_sel(&self.descs, sel, &self.locate())?.clone();
+        let desc = resolve_sel(&self.descs, sel)?.clone();
         let archive = self.archives[desc.index as usize].clone();
         Ok(Box::new(MemEntry { archive, desc }))
     }
@@ -239,70 +238,47 @@ struct MemEntry {
 }
 
 impl MemEntry {
+    /// The answer to `fetch`: `data`, of `dims`.
+    fn fetched(&self, fetch: &Fetch, dims: Dims, data: Vec<u8>) -> FetchedField {
+        let (type_tag, codec_id) = (self.desc.type_tag, self.desc.codec_id);
+        let provenance = Provenance::Memory;
+        FetchedField { fetch: fetch.clone(), dims, type_tag, codec_id, data, provenance }
+    }
+
     /// Serve `fetch` at the pool's width, a decode ending in the fetch's bytes
-    /// ([`FetchedField::from_walk`]) and resuming from the archive's level 1.
+    /// and resuming from the archive's level 1.
     fn fetch_stz<T: Scalar>(&self, archive: &StzArchive<T>, fetch: &Fetch) -> Result<FetchedField> {
         let (walk, k) = match fetch {
             Fetch::Full => (archive.progressive(), archive.num_levels()),
             Fetch::Level(k) | Fetch::Progressive(k) => (archive.progressive(), *k),
             Fetch::Region(region) => (archive.progressive_region(region)?, archive.num_levels()),
             Fetch::RawSection(_) => {
-                return Ok(FetchedField {
-                    fetch: fetch.clone(),
-                    dims: self.desc.dims,
-                    type_tag: self.desc.type_tag,
-                    codec_id: self.desc.codec_id,
-                    data: archive.as_bytes().to_vec(),
-                    provenance: Provenance::Memory,
-                })
+                return Ok(self.fetched(fetch, self.desc.dims, archive.as_bytes().to_vec()))
             }
         };
-        let codec_id = self.desc.codec_id;
-        FetchedField::from_walk(fetch.clone(), codec_id, walk, k, Provenance::Memory)
+        let mut answer = None;
+        walk.decode_to_le(k, |dims| &mut answer.insert((dims, vec![0; dims.len() * T::BYTES])).1)?;
+        let (dims, data) = answer.expect("a decoded walk asked for its memory");
+        Ok(self.fetched(fetch, dims, data))
     }
 
-    fn fetch_foreign(&self, foreign: &ForeignArchive, fetch: &Fetch) -> Result<FetchedField> {
-        if let Fetch::RawSection(_) = fetch {
-            return Ok(FetchedField {
-                fetch: fetch.clone(),
-                dims: self.desc.dims,
-                type_tag: self.desc.type_tag,
-                codec_id: self.desc.codec_id,
-                data: foreign.bytes.clone(),
-                provenance: Provenance::Memory,
-            });
-        }
-        match self.desc.type_tag {
-            0 => self.fetch_foreign_typed::<f32>(foreign, fetch),
-            _ => self.fetch_foreign_typed::<f64>(foreign, fetch),
-        }
-    }
-
-    fn fetch_foreign_typed<T: BackendScalar>(
+    fn fetch_foreign<T: BackendScalar>(
         &self,
         foreign: &ForeignArchive,
         fetch: &Fetch,
     ) -> Result<FetchedField> {
-        let codec = stz_backend::registry().by_id(foreign.codec).ok_or_else(|| {
-            AccessError::unsupported(format!(
-                "entry {:?} uses codec id {}, which this build does not know",
-                self.desc.name, foreign.codec
-            ))
-        })?;
-        let field = stz_backend::decompress::<T>(codec, &foreign.bytes)?;
-        if field.dims() != self.desc.dims {
-            return Err(AccessError::corrupt(format!(
-                "entry {:?} payload decodes to {}, descriptor says {}",
-                self.desc.name,
-                field.dims(),
-                self.desc.dims
-            )));
+        let (name, dims) = (&self.desc.name, self.desc.dims);
+        if fetch.is_raw() {
+            return Ok(self.fetched(fetch, dims, foreign.bytes.clone()));
         }
+        let field = decode_foreign::<T>(name, foreign.codec, dims, &foreign.bytes)?;
         let field = match fetch {
             Fetch::Region(region) => field.extract_region(region),
             _ => field,
         };
-        Ok(FetchedField::from_field(fetch.clone(), self.desc.codec_id, &field, Provenance::Memory))
+        let mut data = Vec::with_capacity(field.nbytes());
+        T::write_slice_exact(field.as_slice(), &mut data);
+        Ok(self.fetched(fetch, field.dims(), data))
     }
 }
 
@@ -314,10 +290,11 @@ impl Entry for MemEntry {
     fn fetch(&self, fetch: &Fetch) -> Result<FetchedField> {
         validate_fetch(fetch, &self.desc)?;
         let started = std::time::Instant::now();
-        let fetched = match &self.archive {
-            MemArchive::F32(a) => self.fetch_stz(a, fetch),
-            MemArchive::F64(a) => self.fetch_stz(a, fetch),
-            MemArchive::Foreign(f) => self.fetch_foreign(f, fetch),
+        let fetched = match (&self.archive, self.desc.type_tag) {
+            (MemArchive::F32(a), _) => self.fetch_stz(a, fetch),
+            (MemArchive::F64(a), _) => self.fetch_stz(a, fetch),
+            (MemArchive::Foreign(f), 0) => self.fetch_foreign::<f32>(f, fetch),
+            (MemArchive::Foreign(f), _) => self.fetch_foreign::<f64>(f, fetch),
         }?;
         crate::record_fetch("memory", fetched.data.len(), started);
         Ok(fetched)

@@ -1,13 +1,11 @@
 //! [`RemoteStore`] — the network store over an STZP server.
 
 use crate::error::Result;
-use crate::{
-    resolve_sel, validate_fetch, ContainerDesc, Entry, EntryDesc, EntrySel, Fetch, FetchedField,
-    Provenance, Store,
-};
+use crate::{ContainerDesc, Entry, EntryDesc, EntrySel, Fetch, FetchedField, Provenance, Store};
 use std::net::ToSocketAddrs;
 use std::sync::{Arc, Mutex};
 use stz_serve::{Client, FetchReq, RequestKind};
+use stz_stream::{resolve_sel, validate_fetch};
 
 /// The network [`Store`]: one hosted container on an STZP server,
 /// addressed as `stz://host:port/container`.
@@ -79,7 +77,7 @@ impl Store for RemoteStore {
     }
 
     fn open(&self, sel: &EntrySel) -> Result<Box<dyn Entry>> {
-        let desc = resolve_sel(&self.descs, sel, &self.locate())?.clone();
+        let desc = resolve_sel(&self.descs, sel)?.clone();
         Ok(Box::new(RemoteEntry {
             client: Arc::clone(&self.client),
             addr: self.addr.clone(),
@@ -126,37 +124,26 @@ impl Entry for RemoteEntry {
 
 impl RemoteEntry {
     fn fetch_remote(&self, fetch: &Fetch) -> Result<FetchedField> {
-        let provenance = Provenance::Remote(format!("{}/{}", self.addr, self.container));
         // Address by resolved index: the descriptor was pinned at open
         // time, so later renames cannot redirect the fetch.
         let entry = EntrySel::Index(self.desc.index);
-        if let Fetch::RawSection(_) = fetch {
-            let data = with_client(&self.client, |c| c.fetch_raw(&self.container, entry))?;
-            return Ok(FetchedField {
-                fetch: fetch.clone(),
-                dims: self.desc.dims,
-                type_tag: self.desc.type_tag,
-                codec_id: self.desc.codec_id,
-                data,
-                provenance,
-            });
-        }
         let kind = match fetch {
             Fetch::Full => RequestKind::Full,
             Fetch::Level(k) | Fetch::Progressive(k) => RequestKind::Level(*k),
             Fetch::Region(region) => RequestKind::roi(region),
-            Fetch::RawSection(_) => unreachable!("handled above"),
+            Fetch::RawSection(_) => RequestKind::Raw,
         };
-        let req = FetchReq { container: self.container.clone(), entry, kind, trace: None };
-        let fetched = with_client(&self.client, |c| c.fetch(&req))?;
-        Ok(FetchedField {
-            fetch: fetch.clone(),
-            dims: fetched.dims,
-            type_tag: fetched.type_tag,
-            codec_id: self.desc.codec_id,
-            data: fetched.data,
-            provenance,
-        })
+        let (dims, type_tag, data) = if kind == RequestKind::Raw {
+            let data = with_client(&self.client, |c| c.fetch_raw(&self.container, entry))?;
+            (self.desc.dims, self.desc.type_tag, data)
+        } else {
+            let req = FetchReq { container: self.container.clone(), entry, kind, trace: None };
+            let fetched = with_client(&self.client, |c| c.fetch(&req))?;
+            (fetched.dims, fetched.type_tag, fetched.data)
+        };
+        let provenance = Provenance::Remote(format!("{}/{}", self.addr, self.container));
+        let codec_id = self.desc.codec_id;
+        Ok(FetchedField { fetch: fetch.clone(), dims, type_tag, codec_id, data, provenance })
     }
 }
 

@@ -19,11 +19,11 @@
 //! rather than pretending.
 
 use crate::error::{AccessError, Result};
-use crate::{resolve_sel, EntryDesc, EntrySel};
+use crate::{EntryDesc, EntrySel};
 use std::path::Path;
 use stz_core::StzArchive;
 use stz_mutate::{FileBacking, MutableContainer};
-use stz_stream::{EntryMeta, ForeignArchive, PackEntry};
+use stz_stream::{resolve_sel, EntryMeta, ForeignArchive, PackEntry};
 
 /// One entry's payload, ready to be appended or replaced — the write-side
 /// counterpart of [`FetchedField`](crate::FetchedField), typed by value so
@@ -257,9 +257,7 @@ impl StoreMut for FileStoreMut {
     }
 
     fn open_mut<'s>(&'s mut self, sel: &EntrySel) -> Result<Box<dyn EntryMut + 's>> {
-        let descs = self.list_staged()?;
-        let desc = resolve_sel(&descs, sel, &self.label)?.clone();
-        Ok(Box::new(StoreEntryMut { store: self, desc }))
+        open_entry_mut(self, sel)
     }
 
     fn commit(&mut self) -> Result<u64> {
@@ -319,7 +317,7 @@ pub(crate) fn open_entry_mut<'s, S: StoreMut>(
     sel: &EntrySel,
 ) -> Result<Box<dyn EntryMut + 's>> {
     let descs = store.list_staged()?;
-    let desc = resolve_sel(&descs, sel, &store.locate())?.clone();
+    let desc = resolve_sel(&descs, sel)?.clone();
     Ok(Box::new(StoreEntryMut { store, desc }))
 }
 

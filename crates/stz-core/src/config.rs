@@ -18,7 +18,9 @@ pub enum ConfigError {
     /// The level count is outside the supported `2..=4` range (0 and 1
     /// included — a hierarchy needs at least two levels).
     BadLevels(u8),
-    /// The adaptive ratio is non-finite or not strictly positive.
+    /// The adaptive ratio is non-finite or below 1. The archive header
+    /// stores it whether or not `adaptive` is set, and a reader refuses
+    /// such a header.
     BadAdaptiveRatio(f64),
     /// The quantizer radius is outside `1..=`[`LinearQuantizer::MAX_RADIUS`]:
     /// beyond it a symbol no longer fits the stream and the bound would
@@ -36,7 +38,7 @@ impl fmt::Display for ConfigError {
                 write!(f, "{levels} levels requested; STZ supports 2–4")
             }
             ConfigError::BadAdaptiveRatio(r) => {
-                write!(f, "adaptive ratio {r} must be positive and finite")
+                write!(f, "adaptive ratio {r} must be finite and at least 1")
             }
             ConfigError::BadRadius(r) => {
                 write!(f, "quantizer radius {r} must be in 1..={}", LinearQuantizer::MAX_RADIUS)
@@ -138,7 +140,7 @@ impl StzConfig {
         if !(2..=4).contains(&self.levels) {
             return Err(ConfigError::BadLevels(self.levels));
         }
-        if self.adaptive && !(self.adaptive_ratio > 0.0 && self.adaptive_ratio.is_finite()) {
+        if !(self.adaptive_ratio >= 1.0 && self.adaptive_ratio.is_finite()) {
             return Err(ConfigError::BadAdaptiveRatio(self.adaptive_ratio));
         }
         if !LinearQuantizer::radius_in_range(self.radius) {
@@ -254,12 +256,33 @@ mod tests {
             let cfg = StzConfig { levels, ..StzConfig::three_level(1e-3) };
             assert_eq!(cfg.validate(), Err(ConfigError::BadLevels(levels)));
         }
-        for ratio in [0.0, -2.5, f64::NAN, f64::INFINITY] {
-            let cfg = StzConfig { adaptive_ratio: ratio, ..StzConfig::three_level(1e-3) };
-            assert!(matches!(cfg.validate(), Err(ConfigError::BadAdaptiveRatio(_))), "{ratio}");
-            // A degenerate ratio is harmless when adaptive bounds are off.
-            let cfg = StzConfig { adaptive: false, ..cfg };
-            assert_eq!(cfg.validate(), Ok(()), "{ratio} non-adaptive");
+        // The header stores the ratio whether or not adaptive bounds are on,
+        // and a reader refuses one that is not finite and at least 1.
+        for ratio in [0.0, 0.5, -2.5, f64::NAN, f64::INFINITY] {
+            for adaptive in [true, false] {
+                let cfg =
+                    StzConfig { adaptive, adaptive_ratio: ratio, ..StzConfig::three_level(1e-3) };
+                assert!(
+                    matches!(cfg.validate(), Err(ConfigError::BadAdaptiveRatio(_))),
+                    "{ratio} adaptive={adaptive}"
+                );
+            }
+        }
+        // Every ratio the config accepts, the reader accepts: each of these
+        // compresses and round-trips.
+        let field = Field::from_fn(Dims::d3(12, 10, 9), |z, y, x| (z * y) as f32 * 0.1 + x as f32);
+        for cfg in [
+            StzConfig::three_level(1e-3),
+            StzConfig { adaptive: false, adaptive_ratio: 1.0, ..StzConfig::three_level(1e-3) },
+            StzConfig { adaptive: true, adaptive_ratio: 1.0, ..StzConfig::three_level(1e-3) },
+        ] {
+            assert_eq!(cfg.validate(), Ok(()), "{cfg:?}");
+            let archive = crate::StzCompressor::new(cfg).compress(&field).unwrap();
+            let back = crate::StzArchive::<f32>::from_bytes(archive.as_bytes().to_vec()).unwrap();
+            let back = back.decompress().unwrap();
+            let worst = field.as_slice().iter().zip(back.as_slice());
+            let worst = worst.map(|(&a, &b)| (a as f64 - b as f64).abs()).fold(0.0, f64::max);
+            assert!(worst <= 1e-3, "{cfg:?}: {worst}");
         }
         let cap = LinearQuantizer::MAX_RADIUS;
         for radius in [0i64, -1, i64::MIN, cap + 1, 1 << 31, 1 << 40, i64::MAX] {

@@ -60,7 +60,7 @@ use crate::error::{Result, ServeError};
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use stz_field::{Dims, Region, Scalar};
 use stz_stream::crc::{crc32, Crc32};
-use stz_stream::{ContainerDesc, EntryDesc};
+use stz_stream::{ContainerDesc, EntryDesc, Fetch};
 
 /// Frame magic, first on the wire in both directions.
 pub const PROTO_MAGIC: [u8; 4] = *b"STZP";
@@ -524,35 +524,29 @@ impl<'a> Dec<'a> {
 // Message bodies.
 // ---------------------------------------------------------------------------
 
-/// Which entry of a container a fetch addresses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EntrySel {
-    /// By position in the container index.
-    Index(u32),
-    /// By entry name.
-    Name(String),
-}
+/// Which entry of a container a fetch addresses: the access layer and the
+/// wire address entries identically.
+pub use stz_stream::EntrySel;
 
-impl EntrySel {
-    fn encode(&self, e: &mut Enc) {
-        match self {
-            EntrySel::Index(i) => {
-                e.u8(0);
-                e.u32(*i);
-            }
-            EntrySel::Name(n) => {
-                e.u8(1);
-                e.string(n);
-            }
+/// Encode an entry selector: a tag byte, then the index or the name.
+fn encode_sel(sel: &EntrySel, e: &mut Enc) {
+    match sel {
+        EntrySel::Index(i) => {
+            e.u8(0);
+            e.u32(*i);
+        }
+        EntrySel::Name(n) => {
+            e.u8(1);
+            e.string(n);
         }
     }
+}
 
-    fn decode(d: &mut Dec<'_>) -> Result<EntrySel> {
-        match d.u8()? {
-            0 => Ok(EntrySel::Index(d.u32()?)),
-            1 => Ok(EntrySel::Name(d.string()?)),
-            t => Err(ServeError::protocol(format!("unknown entry selector tag {t}"))),
-        }
+fn decode_sel(d: &mut Dec<'_>) -> Result<EntrySel> {
+    match d.u8()? {
+        0 => Ok(EntrySel::Index(d.u32()?)),
+        1 => Ok(EntrySel::Name(d.string()?)),
+        t => Err(ServeError::protocol(format!("unknown entry selector tag {t}"))),
     }
 }
 
@@ -593,11 +587,14 @@ impl RequestKind {
         ])
     }
 
-    /// The [`Region`] of an ROI kind. `None` for other kinds and for
-    /// hostile bounds (`Region` construction requires non-empty ranges,
-    /// so empty or inverted wire bounds must be caught here, not panic).
-    pub fn region(&self) -> Option<Region> {
-        match self {
+    /// The [`Fetch`] this kind asks for. `None` for hostile ROI bounds
+    /// (`Region` construction requires non-empty ranges, so empty or
+    /// inverted wire bounds must be caught here, not panic).
+    pub fn fetch(&self) -> Option<Fetch> {
+        match *self {
+            RequestKind::Full => Some(Fetch::Full),
+            RequestKind::Level(k) => Some(Fetch::Level(k)),
+            RequestKind::Raw => Some(Fetch::RawSection(0)),
             RequestKind::Roi(b) => {
                 let c = |v: u64| usize::try_from(v).ok();
                 let [z0, z1, y0, y1, x0, x1] =
@@ -605,9 +602,8 @@ impl RequestKind {
                 if z0 >= z1 || y0 >= y1 || x0 >= x1 {
                     return None;
                 }
-                Some(Region::d3(z0..z1, y0..y1, x0..x1))
+                Some(Fetch::Region(Region::d3(z0..z1, y0..y1, x0..x1)))
             }
-            _ => None,
         }
     }
 }
@@ -662,7 +658,7 @@ impl FetchReq {
     pub fn encode_reusing(&self, buf: Vec<u8>) -> Vec<u8> {
         let mut e = Enc::reuse(buf);
         e.string(&self.container);
-        self.entry.encode(&mut e);
+        encode_sel(&self.entry, &mut e);
         match self.kind {
             RequestKind::Full | RequestKind::Raw => {}
             RequestKind::Level(k) => e.u8(k),
@@ -684,7 +680,7 @@ impl FetchReq {
     pub fn decode(ft: FrameType, payload: &[u8]) -> Result<FetchReq> {
         let mut d = Dec::new(payload);
         let container = d.string()?;
-        let entry = EntrySel::decode(&mut d)?;
+        let entry = decode_sel(&mut d)?;
         let kind = match ft {
             FrameType::FetchFull => RequestKind::Full,
             FrameType::FetchRawSection => RequestKind::Raw,
@@ -1583,7 +1579,8 @@ mod tests {
     fn roi_kind_region_conversion() {
         let region = Region::d3(1..4, 0..16, 2..8);
         let kind = RequestKind::roi(&region);
-        assert_eq!(kind.region().unwrap(), region);
-        assert_eq!(RequestKind::Full.region(), None);
+        assert_eq!(kind.fetch(), Some(Fetch::Region(region)));
+        assert_eq!(RequestKind::Full.fetch(), Some(Fetch::Full));
+        assert_eq!(RequestKind::Roi([4, 2, 0, 1, 0, 1]).fetch(), None, "inverted bounds");
     }
 }

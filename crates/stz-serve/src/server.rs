@@ -27,7 +27,7 @@ use crate::cache::{CacheKey, DecodedCache};
 use crate::error::{Result, ServeError};
 use crate::proto::{
     encode_err, encode_inspect, encode_list, encode_metrics_ok, encode_trace_ok, err_code,
-    read_frame, write_frame, Enc, EntrySel, FetchReq, FetchedField, Frame, FrameType, RequestKind,
+    read_frame, write_frame, Enc, FetchReq, FetchedField, Frame, FrameType, RequestKind,
     ServerStats, FETCH_HEAD_LEN, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD, PROTO_VERSION,
 };
 use std::collections::BTreeMap;
@@ -37,12 +37,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant, SystemTime};
-use stz_backend::BackendScalar;
 use stz_codec::CodecError;
 use stz_core::level::LevelPlan;
 use stz_core::pool;
-use stz_field::Dims;
-use stz_stream::{ByteSource, ContainerDesc, ContainerReader, EntryDesc, FileSource};
+use stz_stream::{
+    resolve_sel, validate_fetch, ByteSource, ContainerDesc, ContainerReader, EntryDesc, Fetch,
+    FileSource, Refusal,
+};
 use stz_telemetry::{log_debug, log_warn, trace, Counter, Gauge, Histogram, LogLimiter, Registry};
 
 /// Server configuration.
@@ -651,14 +652,8 @@ fn respond(
             d.expect_end()?;
             match state.containers.get(&name) {
                 Some(hosted) => {
-                    let snapshot = hosted.pin();
-                    let entries: Vec<EntryDesc> = snapshot
-                        .reader
-                        .entries()
-                        .enumerate()
-                        .map(|(i, m)| EntryDesc::from_meta(i as u32, &m))
-                        .collect();
-                    Ok((FrameType::InspectOk, Body::Owned(encode_inspect(&entries))))
+                    let entries = encode_inspect(hosted.pin().reader.descs());
+                    Ok((FrameType::InspectOk, Body::Owned(entries)))
                 }
                 None => err(err_code::NOT_FOUND, &format!("no hosted container named {name:?}")),
             }
@@ -716,8 +711,8 @@ fn fetch_reply(kind: &RequestKind) -> FrameType {
     }
 }
 
-/// Serve one fetch: resolve, consult the cache, decode on a miss. The
-/// answer is the whole response frame, header included.
+/// Serve one fetch: resolve and check it, consult the cache, decode on a
+/// miss. The answer is the whole response frame, header included.
 fn handle_fetch(
     state: &ServerState,
     req: &FetchReq,
@@ -730,78 +725,21 @@ fn handle_fetch(
     // compacts concurrently.
     let snapshot = hosted.pin();
     let reader = &snapshot.reader;
-    let index = match &req.entry {
-        EntrySel::Index(i) => {
-            let i = *i as usize;
-            if i >= reader.entry_count() {
-                return Err((
-                    err_code::NOT_FOUND,
-                    format!(
-                        "entry index {i} out of range ({} entries in {:?})",
-                        reader.entry_count(),
-                        req.container
-                    ),
-                ));
-            }
-            i
-        }
-        EntrySel::Name(name) => reader.find(name).ok_or_else(|| {
-            (err_code::NOT_FOUND, format!("no entry named {name:?} in {:?}", req.container))
-        })?,
+    let desc = resolve_sel(reader.descs(), &req.entry).map_err(refused)?;
+    let Some(fetch) = req.kind.fetch() else {
+        return Err((err_code::BAD_REQUEST, "empty or inverted ROI bounds".into()));
     };
-    let meta = reader.entry_meta(index).expect("index validated above");
-
-    // Validate request-specific parameters *before* touching the cache so
-    // malformed requests are cheap and never occupy a slot.
-    let levels = meta.header().map(|h| h.levels);
-    match req.kind {
-        RequestKind::Roi(_) => {
-            let region = req
-                .kind
-                .region()
-                .ok_or_else(|| (err_code::BAD_REQUEST, "empty or inverted ROI bounds".into()))?;
-            if !region.fits_in(meta.dims()) {
-                return Err((
-                    err_code::BAD_REQUEST,
-                    format!("ROI {region:?} outside entry dims {}", meta.dims()),
-                ));
-            }
-        }
-        RequestKind::Level(_) if levels.is_none() => {
-            let codec = match meta.codec_name() {
-                Some(name) => name.to_string(),
-                None => format!("id {}", meta.codec_id()),
-            };
-            return Err((
-                err_code::UNSUPPORTED,
-                format!(
-                    "level previews require a native stz entry; entry {:?} uses codec {codec}",
-                    meta.name()
-                ),
-            ));
-        }
-        RequestKind::Level(0) => {
-            return Err((err_code::BAD_REQUEST, "preview level must be ≥ 1".into()));
-        }
-        RequestKind::Level(k) => {
-            if let Some(levels) = levels.filter(|&levels| k > levels) {
-                return Err((
-                    err_code::BAD_REQUEST,
-                    format!("preview level {k} exceeds the entry's {levels} levels"),
-                ));
-            }
-        }
-        _ => {}
-    }
+    // Check the request *before* touching the cache so malformed requests
+    // are cheap and never occupy a slot.
+    validate_fetch(&fetch, desc).map_err(refused)?;
     // Every kind's size is known from the index: refuse a response the
     // frame cap cannot carry before decoding anything.
-    let bytes_per = if meta.type_tag() == 0 { 4 } else { 8 };
-    fits_frame(&req.kind, meta.dims(), levels, bytes_per, meta.compressed_len())?;
+    fits_frame(&fetch, desc)?;
 
     let key = CacheKey {
         container: req.container.clone(),
         generation: snapshot.generation,
-        entry: index as u32,
+        entry: desc.index,
         kind: req.kind,
     };
     let cached = {
@@ -814,47 +752,62 @@ fn handle_fetch(
         return Ok(cached);
     }
 
-    let response = {
+    // The frame is made when the fetch knows its answer's size, and the
+    // answer is decoded (or a raw payload read) into it.
+    let mut response = None;
+    {
         let _decode = state.metrics.decode_ns.span();
         let mut decode_span = trace::span("decode");
         let (_decoding, width) = DecodingGuard::enter(state);
         decode_span.attr("width", width);
-        pool::with_threads(width, || match meta.type_tag() {
-            0 => decode_block::<f32>(reader, index, &req.kind),
-            _ => decode_block::<f64>(reader, index, &req.kind),
+        pool::with_threads(width, || {
+            reader.fetch_le(desc.index as usize, &fetch, |dims, len| {
+                let mut encode_span = trace::span("encode");
+                let reply = fetch_reply(&req.kind);
+                if req.kind == RequestKind::Raw {
+                    encode_span.attr("bytes", len);
+                    return response.insert(Enc::framed_zeroed(reply, len)).payload_mut();
+                }
+                encode_span.attr("bytes", FETCH_HEAD_LEN);
+                let response = response.insert(Enc::framed_zeroed(reply, FETCH_HEAD_LEN + len));
+                let (head, scalars) = response.payload_mut().split_at_mut(FETCH_HEAD_LEN);
+                head.copy_from_slice(&FetchedField::head(req.kind.tag(), desc.type_tag, dims));
+                scalars
+            })
         })
     }
     .map_err(|e| stream_err(&e))?;
+    let response = response.expect("a fetch asked for its frame");
     let frame = response.finish_frame().map_err(|e| (err_code::INTERNAL, e.to_string()))?;
     let frame = Arc::new(frame);
     state.cache.insert(key, Arc::clone(&frame));
     Ok(frame)
 }
 
-/// Refuse a `kind` fetch whose response payload the frame cap cannot carry,
-/// from the entry's index alone: its `dims`, its `levels` (`None` for a
-/// foreign codec), its scalars' width and its compressed length. A preview's
-/// dims are its level's in the plan; a level the entry does not have has no
-/// size here, and the request's validation refuses it first.
-fn fits_frame(
-    kind: &RequestKind,
-    dims: Dims,
-    levels: Option<u8>,
-    bytes_per: u64,
-    compressed_len: u64,
-) -> std::result::Result<(), (u16, String)> {
-    let points = match kind {
-        RequestKind::Raw => None,
-        RequestKind::Full => Some(dims.len()),
-        RequestKind::Roi(_) => kind.region().map(|r| r.len()),
-        RequestKind::Level(k) => levels
-            .filter(|levels| (1..=*levels).contains(k))
-            .map(|levels| LevelPlan::new(dims, levels).preview_dims(*k).len()),
-    };
-    let payload = match (kind, points) {
-        (RequestKind::Raw, _) => compressed_len,
-        (_, Some(points)) => FETCH_HEAD_LEN as u64 + points as u64 * bytes_per,
-        (_, None) => return Ok(()),
+/// Map a refused fetch to the `ERR` code of its class.
+fn refused(r: Refusal) -> (u16, String) {
+    match r {
+        Refusal::NotFound(msg) => (err_code::NOT_FOUND, msg),
+        Refusal::BadRequest(msg) => (err_code::BAD_REQUEST, msg),
+        Refusal::Unsupported(msg) => (err_code::UNSUPPORTED, msg),
+    }
+}
+
+/// Refuse a fetch of `desc` whose response payload the frame cap cannot
+/// carry, from the entry's index alone. A preview's dims are its level's in
+/// the plan; a level the entry does not have has no size here, and
+/// [`validate_fetch`] refuses it first.
+fn fits_frame(fetch: &Fetch, desc: &EntryDesc) -> std::result::Result<(), (u16, String)> {
+    let bytes_per = if desc.type_tag == 0 { 4 } else { 8 };
+    let scalars = |points: usize| FETCH_HEAD_LEN as u64 + points as u64 * bytes_per;
+    let payload = match fetch {
+        Fetch::RawSection(_) => desc.compressed_len,
+        Fetch::Full => scalars(desc.dims.len()),
+        Fetch::Region(region) => scalars(region.len()),
+        Fetch::Level(k) | Fetch::Progressive(k) if (1..=desc.levels).contains(k) => {
+            scalars(LevelPlan::new(desc.dims, desc.levels).preview_dims(*k).len())
+        }
+        Fetch::Level(_) | Fetch::Progressive(_) => return Ok(()),
     };
     if payload > MAX_FRAME_PAYLOAD as u64 {
         return Err((
@@ -866,56 +819,6 @@ fn fits_frame(
         ));
     }
     Ok(())
-}
-
-/// Decode one block into its response frame: the raw compressed payload
-/// for [`RequestKind::Raw`], or the `FETCH_OK` head followed by the
-/// little-endian scalars, which a native entry's decode stores in place. A
-/// foreign codec's field is decoded whole and then copied in.
-fn decode_block<T: BackendScalar>(
-    reader: &ContainerReader<FileSource>,
-    index: usize,
-    kind: &RequestKind,
-) -> stz_codec::Result<Enc> {
-    let entry = reader.entry::<T>(index)?;
-    let region = || kind.region().expect("validated by handle_fetch");
-    if *kind == RequestKind::Raw {
-        let payload = entry.read_payload()?;
-        let mut response = Enc::framed(fetch_reply(kind), payload.len());
-        response.raw(&payload);
-        return Ok(response);
-    }
-    let Some(levels) = reader.entry_meta(index).and_then(|m| m.header()).map(|h| h.levels) else {
-        // `handle_fetch` refuses a foreign entry's preview.
-        let field = match kind {
-            RequestKind::Roi(_) => entry.decompress_region(&region())?,
-            _ => entry.decompress_parallel()?,
-        };
-        let mut encode_span = trace::span("encode");
-        let mut response = Enc::framed(fetch_reply(kind), FETCH_HEAD_LEN + field.nbytes());
-        response.raw(&FetchedField::head(kind.tag(), T::TYPE_TAG, field.dims()));
-        response.scalars(field.as_slice());
-        encode_span.attr("bytes", FETCH_HEAD_LEN + field.nbytes());
-        return Ok(response);
-    };
-    let (walk, k) = match kind {
-        RequestKind::Level(k) => (entry.progressive()?, *k),
-        RequestKind::Roi(_) => (entry.progressive_region(&region())?, levels),
-        _ => (entry.progressive()?, levels),
-    };
-    // Every kind decodes at the width its caller set. The frame is made when
-    // the walk reaches its last level, which is decoded into it.
-    let mut response = None;
-    walk.decode_to_le(k, |dims| {
-        let mut encode_span = trace::span("encode");
-        encode_span.attr("bytes", FETCH_HEAD_LEN);
-        let len = FETCH_HEAD_LEN + dims.len() * T::BYTES;
-        let response = response.insert(Enc::framed_zeroed(fetch_reply(kind), len));
-        let (head, scalars) = response.payload_mut().split_at_mut(FETCH_HEAD_LEN);
-        head.copy_from_slice(&FetchedField::head(kind.tag(), T::TYPE_TAG, dims));
-        scalars
-    })?;
-    Ok(response.expect("a decoded walk asked for its frame"))
 }
 
 /// Map a hosted container's failure to an `ERR` code, by its class, and a
@@ -932,12 +835,28 @@ fn stream_err(e: &CodecError) -> (u16, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stz_field::Region;
+    use stz_field::{Dims, Region};
 
     #[test]
     fn every_kind_meets_the_frame_cap_before_it_decodes() {
         let cap = MAX_FRAME_PAYLOAD as u64;
         let head = FETCH_HEAD_LEN as u64;
+        // An f32 entry of `dims` in `levels` levels (0: a foreign codec's),
+        // whose payload is `compressed_len` bytes.
+        let desc = |dims, type_tag, levels, compressed_len| EntryDesc {
+            index: 0,
+            name: "e".into(),
+            codec_id: if levels > 0 { stz_backend::id::STZ } else { stz_backend::id::ZFP },
+            type_tag,
+            dims,
+            eb: 1e-3,
+            compressed_len,
+            payload_crc: 0,
+            sections: 1,
+            levels,
+            interp: 0,
+            level_bytes: Vec::new(),
+        };
         // The f32 answer whose FETCH_OK payload is the cap exactly; a point
         // fewer and a point more sit a scalar either side of it.
         let at_cap = ((cap - head) / 4) as usize;
@@ -951,29 +870,29 @@ mod tests {
         };
         for (n, payload) in [(at_cap - 1, cap - 4), (at_cap, cap), (at_cap + 1, cap + 4)] {
             let want = if payload <= cap { Ok(()) } else { refused(payload) };
-            let full = fits_frame(&RequestKind::Full, Dims::d1(n), Some(3), 4, 0);
+            let full = fits_frame(&Fetch::Full, &desc(Dims::d1(n), 0, 3, 0));
             assert_eq!(full, want, "full of {n} points");
-            let roi = RequestKind::roi(&Region::d1(7..7 + n));
-            assert_eq!(fits_frame(&roi, Dims::d1(n + 9), Some(3), 4, 0), want, "roi of {n}");
+            let roi = Fetch::Region(Region::d1(7..7 + n));
+            assert_eq!(fits_frame(&roi, &desc(Dims::d1(n + 9), 0, 3, 0)), want, "roi of {n}");
             // Level 2 of 3 keeps every other point of a line.
-            let level = fits_frame(&RequestKind::Level(2), Dims::d1(2 * n - 1), Some(3), 4, 0);
+            let level = fits_frame(&Fetch::Level(2), &desc(Dims::d1(2 * n - 1), 0, 3, 0));
             assert_eq!(level, want, "level 2 of {n} points");
             // f64 scalars never land on the cap: a point either side of it.
             let n64 = n / 2;
             let want =
                 if head + 8 * n64 as u64 <= cap { Ok(()) } else { refused(head + 8 * n64 as u64) };
-            assert_eq!(fits_frame(&RequestKind::Full, Dims::d1(n64), Some(3), 8, 0), want);
+            assert_eq!(fits_frame(&Fetch::Full, &desc(Dims::d1(n64), 1, 3, 0)), want);
         }
         for (len, want) in [(cap - 1, Ok(())), (cap, Ok(())), (cap + 1, refused(cap + 1))] {
-            let raw = fits_frame(&RequestKind::Raw, Dims::d1(4), Some(3), 4, len);
+            let raw = fits_frame(&Fetch::RawSection(0), &desc(Dims::d1(4), 0, 3, len));
             assert_eq!(raw, want, "raw payload of {len} bytes");
         }
         // Without a size in the index — a level the entry lacks (a bad
         // request), a preview of a foreign entry (unsupported), both refused
         // before this check — the cap refuses nothing.
         let huge = Dims::d1(4 * at_cap);
-        for (k, levels) in [(4, Some(3)), (1, None)] {
-            assert_eq!(fits_frame(&RequestKind::Level(k), huge, levels, 4, 0), Ok(()));
+        for (k, levels) in [(4, 3), (1, 0)] {
+            assert_eq!(fits_frame(&Fetch::Level(k), &desc(huge, 0, levels, 0)), Ok(()));
         }
     }
 

@@ -24,6 +24,11 @@
 //! * [`EntryDesc`] and [`ContainerDesc`] describe an entry and a container
 //!   from the footer alone — the one descriptor every store, the server's
 //!   `INSPECT_OK` / `LIST_OK` frames and the CLI share.
+//! * [`Fetch`] is the one read request of every transport: [`resolve_sel`]
+//!   finds its entry, [`validate_fetch`] refuses what the entry cannot
+//!   answer as a [`Refusal`], and [`EntryReader::fetch_le`] decodes the
+//!   answer into the caller's memory — the steps every store of the access
+//!   layer and the server's miss path call.
 //!
 //! The heavy lifting is shared with the in-memory path: `stz-core`'s decode
 //! drivers are generic over [`stz_core::SectionSource`], implemented with
@@ -69,6 +74,7 @@
 pub mod byte_source;
 pub mod crc;
 pub mod desc;
+pub mod fetch;
 pub mod format;
 pub mod pipeline;
 pub mod reader;
@@ -76,6 +82,7 @@ pub mod writer;
 
 pub use byte_source::{ByteSource, CountingSource, FileSource, MemorySource};
 pub use desc::{ContainerDesc, EntryDesc};
+pub use fetch::{resolve_sel, validate_fetch, EntrySel, Fetch, Refusal};
 pub use pipeline::{pack_pipelined, run_pipelined};
 pub use reader::{ContainerReader, EntryMeta, EntryReader, StzSections};
 pub use writer::{
@@ -96,7 +103,7 @@ pub fn is_container_prefix(bytes: &[u8]) -> bool {
 mod tests {
     use super::*;
     use stz_core::{StzArchive, StzCompressor, StzConfig};
-    use stz_field::{Dims, Field};
+    use stz_field::{Dims, Field, Region};
 
     fn archive(seed: f32) -> StzArchive<f32> {
         let f = Field::from_fn(Dims::d3(16, 16, 16), |z, y, x| {
@@ -135,5 +142,60 @@ mod tests {
         assert!(reader.entry::<f32>(1).is_err());
         assert!(reader.entry_by_name::<f32>("y").is_err());
         assert!(reader.entry_by_name::<f32>("x").is_ok());
+    }
+
+    fn desc(codec_id: u8, levels: u8) -> EntryDesc {
+        EntryDesc {
+            index: 0,
+            name: "t0".into(),
+            codec_id,
+            type_tag: 0,
+            dims: Dims::d3(16, 16, 16),
+            eb: 1e-3,
+            compressed_len: 100,
+            payload_crc: 0,
+            sections: 1,
+            levels,
+            interp: if levels > 0 { 2 } else { 0 },
+            level_bytes: (1..=levels as u64).collect(),
+        }
+    }
+
+    #[test]
+    fn validation_classes_are_transport_independent() {
+        let stz = desc(stz_backend::id::STZ, 3);
+        let zfp = desc(stz_backend::id::ZFP, 0);
+        assert!(validate_fetch(&Fetch::Full, &stz).is_ok());
+        assert!(validate_fetch(&Fetch::Full, &zfp).is_ok());
+        assert!(validate_fetch(&Fetch::Level(3), &stz).is_ok());
+        assert!(matches!(validate_fetch(&Fetch::Level(1), &zfp), Err(Refusal::Unsupported(_))));
+        assert!(matches!(validate_fetch(&Fetch::Level(0), &zfp), Err(Refusal::Unsupported(_))));
+        assert!(matches!(validate_fetch(&Fetch::Level(0), &stz), Err(Refusal::BadRequest(_))));
+        assert!(matches!(
+            validate_fetch(&Fetch::Progressive(4), &stz),
+            Err(Refusal::BadRequest(_))
+        ));
+        assert!(matches!(
+            validate_fetch(&Fetch::Region(Region::d3(0..32, 0..1, 0..1)), &stz),
+            Err(Refusal::BadRequest(_))
+        ));
+        assert!(validate_fetch(&Fetch::Region(Region::d3(0..16, 0..1, 0..1)), &zfp).is_ok());
+        assert!(validate_fetch(&Fetch::RawSection(0), &zfp).is_ok());
+        assert!(matches!(
+            validate_fetch(&Fetch::RawSection(1), &stz),
+            Err(Refusal::Unsupported(_))
+        ));
+    }
+
+    #[test]
+    fn selector_resolution() {
+        let descs = vec![desc(0, 3)];
+        assert!(resolve_sel(&descs, &EntrySel::Index(0)).is_ok());
+        assert!(matches!(resolve_sel(&descs, &EntrySel::Index(1)), Err(Refusal::NotFound(_))));
+        assert!(resolve_sel(&descs, &EntrySel::Name("t0".into())).is_ok());
+        assert!(matches!(
+            resolve_sel(&descs, &EntrySel::Name("nope".into())),
+            Err(Refusal::NotFound(_))
+        ));
     }
 }

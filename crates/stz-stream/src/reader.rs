@@ -7,6 +7,7 @@ use crate::format::{
     StzDetail, CONTAINER_MAGIC, CONTAINER_VERSION, GEN_SLOT_LEN, GEN_SLOT_OFFSETS, HEADER_LEN,
     MIN_CONTAINER_VERSION, MUTABLE_CONTAINER_VERSION, MUTABLE_DATA_START, TRAILER_LEN,
 };
+use crate::{EntryDesc, Fetch};
 use std::any::Any;
 use std::borrow::Cow;
 use std::fmt;
@@ -39,6 +40,8 @@ use stz_field::{Dims, Field, Region, Scalar};
 pub struct ContainerReader<S: ByteSource> {
     source: S,
     entries: Vec<EntryRecord>,
+    /// One descriptor per entry, built at open from its footer row.
+    descs: Vec<EntryDesc>,
     /// One decoded level-1 grid per entry, filled by its first walk.
     level1: Vec<Level1>,
     /// Container format version from the file header.
@@ -99,6 +102,7 @@ impl<S: ByteSource> ContainerReader<S> {
         Ok(ContainerReader {
             source,
             level1: entries.iter().map(|_| Level1::default()).collect(),
+            descs: describe(&entries),
             entries,
             version,
             generation: 1,
@@ -131,6 +135,7 @@ impl<S: ByteSource> ContainerReader<S> {
         Ok(ContainerReader {
             source,
             level1: entries.iter().map(|_| Level1::default()).collect(),
+            descs: describe(&entries),
             entries,
             version: MUTABLE_CONTAINER_VERSION,
             generation: slot.generation,
@@ -211,6 +216,13 @@ impl<S: ByteSource> ContainerReader<S> {
         self.footer_off
     }
 
+    /// The descriptor of every entry, in container order: what a fetch is
+    /// resolved ([`resolve_sel`](crate::resolve_sel)) and checked
+    /// ([`validate_fetch`](crate::validate_fetch)) against.
+    pub fn descs(&self) -> &[EntryDesc] {
+        &self.descs
+    }
+
     /// Metadata of every entry, in container order.
     pub fn entries(&self) -> impl Iterator<Item = EntryMeta<'_>> {
         self.entries.iter().map(EntryMeta::new)
@@ -251,6 +263,19 @@ impl<S: ByteSource> ContainerReader<S> {
         })
     }
 
+    /// [`EntryReader::fetch_le`] on entry `index`, at its own scalar type.
+    pub fn fetch_le<'o>(
+        &self,
+        index: usize,
+        fetch: &Fetch,
+        out: impl FnOnce(Dims, usize) -> &'o mut [u8],
+    ) -> Result<()> {
+        match self.entries.get(index).map(EntryRecord::type_tag) {
+            Some(f64::TYPE_TAG) => self.entry::<f64>(index)?.fetch_le(fetch, out),
+            _ => self.entry::<f32>(index)?.fetch_le(fetch, out),
+        }
+    }
+
     /// A typed reader over the entry named `name`.
     pub fn entry_by_name<T: Scalar>(&self, name: &str) -> Result<EntryReader<'_, T, S>> {
         let index = self
@@ -269,6 +294,12 @@ impl<S: ByteSource> ContainerReader<S> {
     pub fn into_source(self) -> S {
         self.source
     }
+}
+
+/// Describe each footer row.
+fn describe(entries: &[EntryRecord]) -> Vec<EntryDesc> {
+    let meta = entries.iter().map(EntryMeta::new);
+    meta.enumerate().map(|(i, meta)| EntryDesc::from_meta(i as u32, &meta)).collect()
 }
 
 /// The decoded level-1 grid one entry's walks share: a slot per scalar
@@ -381,20 +412,38 @@ impl<'a> EntryMeta<'a> {
     }
 }
 
+/// The length of one indexed section in memory.
+fn section_len(loc: &SectionLoc, what: &str) -> Result<usize> {
+    usize::try_from(loc.len).map_err(|_| CodecError::corrupt(format!("{what} section too large")))
+}
+
 /// Fetch and CRC-verify one indexed section.
 fn fetch_section<S: ByteSource>(source: &S, loc: &SectionLoc, what: &str) -> Result<Vec<u8>> {
-    let len = usize::try_from(loc.len)
-        .map_err(|_| CodecError::corrupt(format!("{what} section too large")))?;
-    let mut buf = vec![0u8; len];
-    source.read_exact_at(loc.off, &mut buf)?;
-    if crc32(&buf) != loc.crc {
+    let mut buf = vec![0u8; section_len(loc, what)?];
+    read_section(source, loc, what, &mut buf)?;
+    Ok(buf)
+}
+
+/// Read one indexed section into `buf` and CRC-verify it.
+///
+/// # Panics
+/// If `buf` is not the section's length.
+fn read_section<S: ByteSource>(
+    source: &S,
+    loc: &SectionLoc,
+    what: &str,
+    buf: &mut [u8],
+) -> Result<()> {
+    assert_eq!(buf.len() as u64, loc.len, "the output holds the {what} section");
+    source.read_exact_at(loc.off, buf)?;
+    if crc32(buf) != loc.crc {
         return Err(CodecError::corrupt(format!(
             "{what} checksum mismatch at {}..{}",
             loc.off,
             loc.off + loc.len
         )));
     }
-    Ok(buf)
+    Ok(())
 }
 
 /// [`SectionSource`] view of a native STZ entry: each
@@ -466,7 +515,7 @@ impl<'a, T: Scalar, S: ByteSource> EntryReader<'a, T, S> {
             CodecError::unsupported(format!(
                 "{what} requires a native stz entry; entry {:?} uses codec {}",
                 self.record.name,
-                self.codec_label()
+                crate::fetch::codec_label(self.record.codec)
             ))
         })
     }
@@ -479,14 +528,6 @@ impl<'a, T: Scalar, S: ByteSource> EntryReader<'a, T, S> {
         match self.level1.slot() {
             Some(memo) => walk.resume(memo),
             None => walk,
-        }
-    }
-
-    /// Human-readable codec label (`"sz3"`, or `"id 9"` when unknown).
-    fn codec_label(&self) -> String {
-        match stz_backend::registry().by_id(self.record.codec) {
-            Some(c) => c.name().to_string(),
-            None => format!("id {}", self.record.codec),
         }
     }
 
@@ -527,23 +568,8 @@ impl<'a, T: Scalar, S: ByteSource> EntryReader<'a, T, S> {
 impl<T: BackendScalar, S: ByteSource> EntryReader<'_, T, S> {
     /// Decode the whole payload of a foreign entry via the codec registry.
     fn decompress_foreign(&self) -> Result<Field<T>> {
-        let codec = stz_backend::registry().by_id(self.record.codec).ok_or_else(|| {
-            CodecError::unsupported(format!(
-                "entry {:?} uses codec id {}, which this build does not know",
-                self.record.name, self.record.codec
-            ))
-        })?;
-        let bytes = self.read_payload()?;
-        let field = stz_backend::decompress::<T>(codec, &bytes)?;
-        if field.dims() != self.record.dims() {
-            return Err(CodecError::corrupt(format!(
-                "entry {:?} payload decodes to {:?}, index says {:?}",
-                self.record.name,
-                field.dims(),
-                self.record.dims()
-            )));
-        }
-        Ok(field)
+        let r = self.record;
+        decode_foreign(&r.name, r.codec, r.dims(), &self.read_payload()?)
     }
 
     /// Full decompression at width 1 (reads the whole payload, section by
@@ -618,6 +644,41 @@ impl<T: BackendScalar, S: ByteSource> EntryReader<'_, T, S> {
         Ok(self.resume(ProgressiveDecoder::region(self.stz("random access")?, region)?))
     }
 
+    /// Serve `fetch` at the pool's width into the memory `out` returns, when
+    /// handed the answer's dims and its length in bytes: a raw fetch reads
+    /// the whole payload into it, CRC-verified; a native entry's decode
+    /// stores its last level there as little-endian scalars
+    /// ([`ProgressiveDecoder::decode_to_le`]); a foreign codec's field is
+    /// decoded whole (and cropped to a region) and then stored. So the answer
+    /// is made once, where the caller keeps it. Check the request with
+    /// [`validate_fetch`](crate::validate_fetch) first: what this entry cannot
+    /// serve fails here as a [`CodecError`].
+    ///
+    /// # Panics
+    /// If the memory `out` returns is not the length it was handed.
+    pub fn fetch_le<'o>(
+        &self,
+        fetch: &Fetch,
+        out: impl FnOnce(Dims, usize) -> &'o mut [u8],
+    ) -> Result<()> {
+        let levels = self.stz.as_ref().map(|s| s.header().levels);
+        let (walk, k) = match (fetch, levels) {
+            (Fetch::RawSection(_), _) => {
+                let loc = &self.record.payload;
+                let buf = out(self.dims(), section_len(loc, "payload")?);
+                return read_section(self.source, loc, "payload", buf);
+            }
+            (Fetch::Level(k) | Fetch::Progressive(k), _) => (self.progressive()?, *k),
+            (Fetch::Full, Some(levels)) => (self.progressive()?, levels),
+            (Fetch::Region(region), Some(levels)) => (self.progressive_region(region)?, levels),
+            (Fetch::Full, None) => return store_le(&self.decompress_foreign()?, out),
+            (Fetch::Region(region), None) => {
+                return store_le(&self.decompress_region(region)?, out)
+            }
+        };
+        walk.decode_to_le(k, |dims| out(dims, dims.len() * T::BYTES))
+    }
+
     /// Fetch the whole payload and rebuild the resident [`StzArchive`]
     /// (verified against the entry's whole-payload checksum; STZ entries
     /// only — for foreign codecs use
@@ -627,6 +688,43 @@ impl<T: BackendScalar, S: ByteSource> EntryReader<'_, T, S> {
         let bytes = self.read_payload()?;
         StzArchive::from_bytes(bytes)
     }
+}
+
+/// Decode the payload `bytes` of entry `name`, which codec `codec_id`
+/// wrote, through the registry, checking the field has the `dims` its index
+/// records.
+pub fn decode_foreign<T: BackendScalar>(
+    name: &str,
+    codec_id: u8,
+    dims: Dims,
+    bytes: &[u8],
+) -> Result<Field<T>> {
+    let codec = stz_backend::registry().by_id(codec_id).ok_or_else(|| {
+        CodecError::unsupported(format!(
+            "entry {name:?} uses codec id {codec_id}, which this build does not know"
+        ))
+    })?;
+    let field = stz_backend::decompress::<T>(codec, bytes)?;
+    if field.dims() != dims {
+        return Err(CodecError::corrupt(format!(
+            "entry {name:?} payload decodes to {}, index says {dims}",
+            field.dims()
+        )));
+    }
+    Ok(field)
+}
+
+/// Store `field` as little-endian scalars into the memory `out` returns.
+fn store_le<'o, T: Scalar>(
+    field: &Field<T>,
+    out: impl FnOnce(Dims, usize) -> &'o mut [u8],
+) -> Result<()> {
+    let out = out(field.dims(), field.nbytes());
+    assert_eq!(out.len(), field.nbytes(), "the output holds {} points", field.len());
+    for (v, cell) in field.as_slice().iter().zip(out.chunks_exact_mut(T::BYTES)) {
+        v.store_le(cell);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

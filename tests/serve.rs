@@ -12,7 +12,8 @@
 //!   error cleanly — no panics, no hangs (every socket carries a timeout);
 //! * request-level failures (unknown container/entry, out-of-bounds ROI,
 //!   progressive on a foreign-codec entry or past the entry's depth)
-//!   answer `ERR` and leave the connection usable;
+//!   answer `ERR` in the class and words a `FileStore` refuses them with,
+//!   and leave the connection usable;
 //! * the `METRICS`/`METRICS_OK` pair round-trips the server's telemetry
 //!   registry (per-frame-kind request counters and latency histograms),
 //!   and hostile `METRICS_OK` replies (wrong exposition version,
@@ -395,6 +396,28 @@ fn request_errors_answer_err_and_connection_survives() {
     // Progressive preview of a foreign entry is unsupported, not fatal.
     let e = client.fetch_level("steps", EntrySel::Name("zfp0".into()), 1).unwrap_err();
     assert_eq!(remote_code(e), proto::err_code::UNSUPPORTED);
+
+    // The server and the stores run one check: each refusal's code maps to
+    // the class a `FileStore` refuses the same fetch with, in the same words.
+    let store = FileStore::open_path(rig.dir.join("steps.stzc")).unwrap();
+    let deeper = client.inspect("steps").unwrap()[0].levels + 1;
+    let outside = Region::d3(0..64, 0..64, 0..64);
+    let cases = [
+        (EntrySel::Index(0), RequestKind::roi(&outside), Fetch::Region(outside)),
+        (EntrySel::Index(0), RequestKind::Level(0), Fetch::Level(0)),
+        (EntrySel::Index(0), RequestKind::Level(deeper), Fetch::Level(deeper)),
+        (EntrySel::Name("zfp0".into()), RequestKind::Level(1), Fetch::Level(1)),
+        (EntrySel::Index(99), RequestKind::Full, Fetch::Full),
+        (EntrySel::Name("ghost".into()), RequestKind::Full, Fetch::Full),
+    ];
+    for (entry, kind, fetch) in cases {
+        let local = store.open(&entry).and_then(|e| e.fetch(&fetch)).unwrap_err();
+        let req = FetchReq { container: "steps".into(), entry, kind, trace: None };
+        let served = stz::access::AccessError::from(client.fetch(&req).unwrap_err());
+        let class = std::mem::discriminant;
+        assert!(class(&served) == class(&local), "{fetch:?}: served {served:?}, file {local:?}");
+        assert_eq!(served.to_string(), local.to_string(), "{fetch:?}");
+    }
 
     // After all of that, the same connection still serves real requests.
     let ok = client.fetch_full("steps", EntrySel::Index(0)).unwrap();
