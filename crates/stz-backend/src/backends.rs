@@ -78,11 +78,11 @@ impl Codec for Sz3 {
     }
     fn compress_f32(&self, field: &Field<f32>, eb: f64) -> Result<Vec<u8>> {
         check_eb(eb)?;
-        Ok(stz_sz3::compress(field, &stz_sz3::Sz3Config::absolute(eb)))
+        stz_sz3::compress(field, &stz_sz3::Sz3Config::absolute(eb))
     }
     fn compress_f64(&self, field: &Field<f64>, eb: f64) -> Result<Vec<u8>> {
         check_eb(eb)?;
-        Ok(stz_sz3::compress(field, &stz_sz3::Sz3Config::absolute(eb)))
+        stz_sz3::compress(field, &stz_sz3::Sz3Config::absolute(eb))
     }
     fn decompress_f32(&self, bytes: &[u8]) -> Result<Field<f32>> {
         stz_sz3::decompress(bytes)
@@ -168,11 +168,11 @@ impl Codec for Mgard {
     }
     fn compress_f32(&self, field: &Field<f32>, eb: f64) -> Result<Vec<u8>> {
         check_eb(eb)?;
-        Ok(stz_mgard::compress(field, &stz_mgard::MgardConfig::new(eb)))
+        stz_mgard::compress(field, &stz_mgard::MgardConfig::new(eb))
     }
     fn compress_f64(&self, field: &Field<f64>, eb: f64) -> Result<Vec<u8>> {
         check_eb(eb)?;
-        Ok(stz_mgard::compress(field, &stz_mgard::MgardConfig::new(eb)))
+        stz_mgard::compress(field, &stz_mgard::MgardConfig::new(eb))
     }
     fn decompress_f32(&self, bytes: &[u8]) -> Result<Field<f32>> {
         stz_mgard::decompress(bytes)

@@ -7,6 +7,7 @@
 
 use stz_bench::{calibrate, cli, Codec};
 use stz_data::{metrics, Dataset, DatasetField};
+use stz_sz3::Sz3Config;
 
 fn main() {
     let opts = cli::from_env();
@@ -20,12 +21,12 @@ fn main() {
         let target_cr = match &field {
             DatasetField::F32(f) => {
                 let (lo, hi) = f.value_range();
-                let b = stz_sz3::compress(f, &stz_sz3::Sz3Config::absolute(2e-3 * (hi - lo)));
+                let b = stz_sz3::compress(f, &Sz3Config::absolute(2e-3 * (hi - lo))).unwrap();
                 f.nbytes() as f64 / b.len() as f64
             }
             DatasetField::F64(f) => {
                 let (lo, hi) = f.value_range();
-                let b = stz_sz3::compress(f, &stz_sz3::Sz3Config::absolute(2e-3 * (hi - lo)));
+                let b = stz_sz3::compress(f, &Sz3Config::absolute(2e-3 * (hi - lo))).unwrap();
                 f.nbytes() as f64 / b.len() as f64
             }
         };

@@ -23,7 +23,8 @@ fn main() {
     // comparison stays matched-CR, which is what Fig. 3 is about. Running
     // with --scale 1 approaches the paper's regime.
     let (lo, hi) = field.value_range();
-    let ref_bytes = stz_sz3::compress(&field, &stz_sz3::Sz3Config::absolute(2e-4 * (hi - lo)));
+    let ref_bytes = stz_sz3::compress(&field, &stz_sz3::Sz3Config::absolute(2e-4 * (hi - lo)))
+        .expect("compress");
     let target_cr = field.nbytes() as f64 / ref_bytes.len() as f64;
 
     println!("# Figure 3: Partition vs SZ3 vs STZ on Nyx at matched CR (~{target_cr:.0})");
@@ -53,7 +54,7 @@ fn main() {
 
     // SZ3 on the unpartitioned data (Fig. 3c).
     let (_, bytes) = calibrate::eb_for_target_cr(&field, target_cr, 0.05, |f, eb| {
-        stz_sz3::compress(f, &stz_sz3::Sz3Config::absolute(eb))
+        stz_sz3::compress(f, &stz_sz3::Sz3Config::absolute(eb)).expect("compress")
     });
     let recon: Field<f32> = stz_sz3::decompress(&bytes).expect("decompress");
     report("SZ3", &bytes, &recon);

@@ -36,7 +36,7 @@ fn main() {
     // SZ3 reference curve (compressing the unpartitioned data).
     for rel in REL_EBS {
         let eb = rel * range;
-        let bytes = stz_sz3::compress(&field, &stz_sz3::Sz3Config::absolute(eb));
+        let bytes = stz_sz3::compress(&field, &stz_sz3::Sz3Config::absolute(eb)).expect("compress");
         let recon: stz_field::Field<f32> = stz_sz3::decompress(&bytes).expect("decompress");
         let cr = field.nbytes() as f64 / bytes.len() as f64;
         let psnr = metrics::psnr(&field, &recon);

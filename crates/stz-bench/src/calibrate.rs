@@ -53,7 +53,7 @@ mod tests {
         let f = stz_data::synth::miranda_like(Dims::d3(24, 24, 24), 7);
         let target = 30.0;
         let (eb, bytes) = eb_for_target_cr(&f, target, 0.10, |fld, e| {
-            stz_sz3::compress(fld, &stz_sz3::Sz3Config::absolute(e))
+            stz_sz3::compress(fld, &stz_sz3::Sz3Config::absolute(e)).unwrap()
         });
         let cr = f.nbytes() as f64 / bytes.len() as f64;
         assert!(eb > 0.0);

@@ -93,10 +93,10 @@ impl Codec {
                 .compress(field)
                 .expect("STZ compression cannot fail on a valid field")
                 .into_bytes(),
-            Codec::Sz3 => stz_sz3::compress(field, &stz_sz3::Sz3Config::absolute(eb)),
+            Codec::Sz3 => stz_sz3::compress(field, &stz_sz3::Sz3Config::absolute(eb)).unwrap(),
             Codec::Sperr => stz_sperr::compress(field, &stz_sperr::SperrConfig::new(eb)),
             Codec::Zfp => stz_zfp::compress(field, &stz_zfp::ZfpConfig::new(eb)),
-            Codec::MgardX => stz_mgard::compress(field, &stz_mgard::MgardConfig::new(eb)),
+            Codec::MgardX => stz_mgard::compress(field, &stz_mgard::MgardConfig::new(eb)).unwrap(),
         }
     }
 
@@ -129,7 +129,7 @@ impl Codec {
                 .expect("STZ compression cannot fail on a valid field")
                 .into_bytes(),
             Codec::Sz3 => slab::compress_slabs(field, threads, |slab| {
-                stz_sz3::compress(slab, &stz_sz3::Sz3Config::absolute(eb))
+                stz_sz3::compress(slab, &stz_sz3::Sz3Config::absolute(eb)).unwrap()
             }),
             Codec::Sperr => slab::compress_slabs(field, threads, |slab| {
                 stz_sperr::compress(slab, &stz_sperr::SperrConfig::new(eb))
@@ -138,7 +138,7 @@ impl Codec {
                 stz_zfp::compress(slab, &stz_zfp::ZfpConfig::new(eb))
             }),
             Codec::MgardX => slab::compress_slabs(field, threads, |slab| {
-                stz_mgard::compress(slab, &stz_mgard::MgardConfig::new(eb))
+                stz_mgard::compress(slab, &stz_mgard::MgardConfig::new(eb)).unwrap()
             }),
         })
     }

@@ -168,8 +168,9 @@ mod tests {
     fn roundtrip_with_sz3() {
         let f = field();
         let eb = 1e-3;
-        let bytes =
-            compress_slabs(&f, 4, |s| stz_sz3::compress(s, &stz_sz3::Sz3Config::absolute(eb)));
+        let bytes = compress_slabs(&f, 4, |s| {
+            stz_sz3::compress(s, &stz_sz3::Sz3Config::absolute(eb)).unwrap()
+        });
         let back: Field<f32> = decompress_slabs(&bytes, true, stz_sz3::decompress).unwrap();
         assert_eq!(back.dims(), f.dims());
         let err = stz_data::metrics::max_abs_error(&f, &back);
@@ -181,9 +182,10 @@ mod tests {
         // The paper's Table 3 asterisk: chunked SZ3 compresses worse.
         let f = stz_data::synth::miranda_like(Dims::d3(32, 32, 32), 5);
         let eb = 1e-3;
-        let whole = stz_sz3::compress(&f, &stz_sz3::Sz3Config::absolute(eb));
-        let slabbed =
-            compress_slabs(&f, 8, |s| stz_sz3::compress(s, &stz_sz3::Sz3Config::absolute(eb)));
+        let whole = stz_sz3::compress(&f, &stz_sz3::Sz3Config::absolute(eb)).unwrap();
+        let slabbed = compress_slabs(&f, 8, |s| {
+            stz_sz3::compress(s, &stz_sz3::Sz3Config::absolute(eb)).unwrap()
+        });
         assert!(slabbed.len() > whole.len(), "slabbed {} vs whole {}", slabbed.len(), whole.len());
     }
 

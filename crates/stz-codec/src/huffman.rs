@@ -389,9 +389,7 @@ impl HuffmanDecoder {
         // one, then whatever it left, one symbol at a time.
         let (mut done, hot) = match Self::packed_bits(out.len(), r.bits_remaining()) {
             0 => self.decode_hot::<false>(r, out, &[], 0),
-            pbits => {
-                self.decode_hot::<true>(r, out, &self.packed_table(pbits)[1 << pbits..], pbits)
-            }
+            pbits => self.decode_hot::<true>(r, out, &self.packed_table(pbits), pbits),
         };
         if hot.is_err() {
             return (done, hot);
@@ -429,13 +427,13 @@ impl HuffmanDecoder {
         }
     }
 
-    /// The packed tables of every width up to `pbits`, the entry of `window`
-    /// among the windows of `w` bits at `(1 << w) + window`: every symbol
-    /// whose code lies wholly inside the window — up to [`PACK_SYMBOLS`] of
-    /// them, one byte each from the low byte up — with their number in bits
-    /// 56..59 and their total code length in bits 59..64. The hot loop uses
-    /// the widest, the upper half; the narrower ones are what it is built
-    /// from, since a window is its first code and then a narrower window.
+    /// The packed table of `pbits` bits, the entry of each window of that many
+    /// bits at the window's value: every symbol whose code lies wholly inside
+    /// the window — up to [`PACK_SYMBOLS`] of them, one byte each from the low
+    /// byte up — with their number in bits 56..59 and their total code length
+    /// in bits 59..64. It is built after the tables of every narrower width
+    /// `w`, each at `1 << w` of a scratch table the hot loop does not hold,
+    /// since a window is its first code and then a narrower window.
     /// Built from the canonical arrays the single-symbol table comes from —
     /// a test holds it to a greedy walk of that table — so there is no
     /// second source of truth.
@@ -491,7 +489,7 @@ impl HuffmanDecoder {
         if self.count[1] > 0 {
             tables[1 << pbits] = PACK_RUN;
         }
-        tables
+        tables.split_off(1 << pbits)
     }
 
     /// The hot loop of [`HuffmanDecoder::decode_into_slice`]: symbols through
@@ -1231,7 +1229,7 @@ mod tests {
             for entries in tables.iter().filter(|t| !t.is_empty()) {
                 let dec = HuffmanDecoder::from_entries(entries).unwrap();
                 for pbits in 0..=TABLE_BITS {
-                    let packed = &dec.packed_table(pbits)[1 << pbits..];
+                    let packed = dec.packed_table(pbits);
                     assert_eq!(packed.len(), 1 << pbits);
                     for (window, &entry) in packed.iter().enumerate() {
                         if entry == PACK_RUN {

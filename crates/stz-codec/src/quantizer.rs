@@ -42,10 +42,10 @@ impl LinearQuantizer {
     /// symbol, `zigzag(q) + 1`, no longer fits the stream's `u32` and the
     /// decoder would reconstruct from a truncated code. Encoders reject a
     /// larger radius before they quantize anything — as a configuration
-    /// error where they have one ([`LinearQuantizer::radius_in_range`]), by
-    /// building their quantizer with [`LinearQuantizer::encoder`] where they
-    /// do not; a decoder never consults the radius, so
-    /// [`LinearQuantizer::new`] takes whatever a header says.
+    /// error where they have one ([`LinearQuantizer::radius_in_range`]),
+    /// through [`LinearQuantizer::encoder`]'s error where they do not; a
+    /// decoder never consults the radius, so [`LinearQuantizer::new`] takes
+    /// whatever a header says.
     pub const MAX_RADIUS: i64 = stz_simd::Bound::MAX_RADIUS;
 
     /// Whether an encoder can keep its error bound with `radius`.
@@ -53,13 +53,13 @@ impl LinearQuantizer {
         (1..=Self::MAX_RADIUS).contains(&radius)
     }
 
-    /// [`LinearQuantizer::new`] for an encoder.
-    ///
-    /// # Panics
-    /// If `radius` is not in `1..=`[`LinearQuantizer::MAX_RADIUS`].
-    pub fn encoder(eb: f64, radius: i64) -> Self {
-        assert!(Self::radius_in_range(radius), "quantizer radius {radius} out of range");
-        LinearQuantizer::new(eb, radius)
+    /// [`LinearQuantizer::new`] for an encoder, which refuses as
+    /// [`crate::CodecError::Unsupported`] a bound that is not positive and
+    /// finite and a radius outside `1..=`[`LinearQuantizer::MAX_RADIUS`].
+    pub fn encoder(eb: f64, radius: i64) -> crate::Result<Self> {
+        let usable = eb > 0.0 && eb.is_finite() && Self::radius_in_range(radius);
+        let refused = crate::CodecError::unsupported(format!("eb {eb}, radius {radius} unusable"));
+        usable.then(|| LinearQuantizer::new(eb, radius)).ok_or(refused)
     }
 
     /// Create a quantizer for absolute error bound `eb > 0`.

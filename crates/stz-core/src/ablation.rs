@@ -136,7 +136,7 @@ pub fn compress_variant<T: Scalar>(
             for level in &plan.levels {
                 for block in &level.blocks {
                     let sub: Field<T> = block.lattice.gather(field);
-                    blocks.push(stz_sz3::compress(&sub, &sz3_cfg));
+                    blocks.push(stz_sz3::compress(&sub, &sz3_cfg)?);
                 }
             }
             w.put_uvarint(blocks.len() as u64);
@@ -148,7 +148,7 @@ pub fn compress_variant<T: Scalar>(
             // Level 1 via SZ3; finer blocks: predict, then re-compress the
             // residual field with SZ3 (the paper's optimization-3 strawman).
             let a_field: Field<T> = plan.level1().gather(field);
-            let (l1_bytes, _, a_recon) = stz_sz3::compress_full(&a_field, &sz3_cfg);
+            let (l1_bytes, _, a_recon) = stz_sz3::compress_full(&a_field, &sz3_cfg)?;
             w.put_block(&l1_bytes);
 
             let level = &plan.levels[1];
@@ -167,7 +167,7 @@ pub fn compress_variant<T: Scalar>(
                     }
                 }
                 let res_field = Field::from_vec(bdims, residual);
-                w.put_block(&stz_sz3::compress(&res_field, &sz3_cfg));
+                w.put_block(&stz_sz3::compress(&res_field, &sz3_cfg)?);
             }
         }
         _ => unreachable!("configuration variants handled above"),

@@ -27,14 +27,13 @@
 //! Because finer-level points never depend on one another, both the blocks
 //! of a level and the points within a block are embarrassingly parallel, and
 //! every walk runs on [`crate::pool`], each worker assembling its share in
-//! place. A decode splits the box into *pieces*, one per row parity — four
-//! in 3-D, two in 2-D: a row reads only the blocks of its parity, so a piece
-//! owns its blocks' streams and every Huffman chunk is decoded once, by one
-//! piece. An encode cuts the box into slabs — planes of the next grid, or
-//! rows or spans where it is thin — as many as the pool's width calls for,
-//! and stitches the chunks they share afterwards, in slab order. At width 1
-//! the box is one piece or slab, which is what the serial entry points pin.
-//! Archives and fields are **bit-identical** at every width.
+//! place. One function, `LevelRows::units`, cuts a level into units for both
+//! directions: the box in box order at width 1, which the serial entry points
+//! pin; on the pool, runs of rows by row parity `(z&1, y&1)` — a row reads
+//! only the blocks of its parity — or spans of a one-row box. Where a cut
+//! falls inside a Huffman chunk, the later unit does the chunk's work and
+//! hands the earlier its share, so every chunk is coded or decoded once, and
+//! archives and fields are **bit-identical** at every width.
 
 use crate::archive::{build_bytes, ArchiveHeader, StzArchive};
 use crate::config::StzConfig;
@@ -43,8 +42,8 @@ use crate::level::{BlockSpec, LevelPlan, LevelSpec};
 use crate::pool;
 use crate::random_access::LevelTimes;
 use crate::source::SectionSource;
-use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stz_codec::{
@@ -97,7 +96,7 @@ impl StzCompressor {
             )));
         };
 
-        // Per-stage wall-clock histograms (resolved once; the slab closures
+        // Per-stage wall-clock histograms (resolved once; the units
         // record through the lock-free handles).
         let reg = stz_telemetry::global();
         let level1_ns = reg.latency("stz_core_stage_ns", &[("stage", "level1")]);
@@ -111,7 +110,7 @@ impl StzCompressor {
             Sz3Config { eb: ErrorBound::Absolute(ebs[0]), radius: cfg.radius, interp: cfg.interp };
         let (l1_bytes, _stats, a_recon) = {
             let _stage = level1_ns.span();
-            stz_sz3::compress_full(&a_field, &sz3_cfg)
+            stz_sz3::compress_full(&a_field, &sz3_cfg)?
         };
         let mut grid: Vec<T> = a_recon.into_iter().map(T::from_f64).collect();
 
@@ -119,7 +118,7 @@ impl StzCompressor {
         // grid: the finest level's reconstruction is nobody's operand.
         let mut level_blocks: Vec<Vec<Vec<u8>>> = Vec::with_capacity(cfg.levels as usize - 1);
         for level in &plan.levels[1..] {
-            let quant = LinearQuantizer::encoder(ebs[level.index as usize - 1], cfg.radius);
+            let quant = LinearQuantizer::encoder(ebs[level.index as usize - 1], cfg.radius)?;
             let rows =
                 LevelRows::new(level, &Region::full(level.prev_grid_dims), &quant, cfg.interp);
             let keeps = level.index < cfg.levels;
@@ -397,11 +396,10 @@ fn chunk_size(n: usize) -> usize {
 /// A walk's sink for one block's symbols, the encode twin of
 /// [`ChunkWindow`]: rows are quantised into the chunk being filled, which is
 /// Huffman-coded as soon as it is full, so a block holds one chunk of
-/// symbols, never the whole block. A slab's sink starts where its first row
-/// does in the block's stream and codes only the chunks it fills from their
-/// start; the piece of a chunk it starts inside (`head`) and of the one it
-/// ends inside wait as symbols for [`ChunkSink::append`], which stitches the
-/// slabs' sinks together in slab order.
+/// symbols, never the whole block. A unit's sink starts where its first row
+/// does in the block's stream and codes the chunks it fills from their
+/// start; the piece of a chunk it starts inside it gives to the unit before,
+/// and the chunk it ends inside it completes in [`ChunkSink::finish`].
 struct ChunkSink<'a, T> {
     /// Symbols per chunk (the final chunk may hold fewer), and in the block.
     size: usize,
@@ -409,8 +407,7 @@ struct ChunkSink<'a, T> {
     /// Stream index of `open`'s first symbol, and the symbols from there on.
     from: usize,
     open: Vec<u32>,
-    /// The piece of the chunk the sink started inside, up to its end.
-    head: Vec<u32>,
+    give: Option<Giver>,
     /// The chunks coded, each with its escape count, and the outliers.
     coded: Vec<(Vec<u8>, usize)>,
     outliers: Vec<T>,
@@ -419,13 +416,13 @@ struct ChunkSink<'a, T> {
 
 impl<'a, T: Scalar> ChunkSink<'a, T> {
     /// A sink for a block of `total` symbols.
-    fn new(total: usize, encode_ns: &'a Arc<Histogram>) -> Self {
+    fn new(total: usize, give: Option<Giver>, encode_ns: &'a Arc<Histogram>) -> Self {
         ChunkSink {
             size: chunk_size(total),
             total,
             from: 0,
             open: Vec::new(),
-            head: Vec::new(),
+            give,
             coded: Vec::new(),
             outliers: Vec::new(),
             encode_ns,
@@ -449,8 +446,8 @@ impl<'a, T: Scalar> ChunkSink<'a, T> {
         (&mut self.open[n..], &mut self.outliers)
     }
 
-    /// Code every chunk `open` holds whole, and set aside as `head` the
-    /// piece it holds of a chunk it did not start.
+    /// Code every chunk `open` holds whole, and give away the piece it holds
+    /// of a chunk it did not start.
     fn flush(&mut self) {
         let mut done = 0;
         while done < self.open.len() {
@@ -464,31 +461,23 @@ impl<'a, T: Scalar> ChunkSink<'a, T> {
                 let _stage = self.encode_ns.span();
                 self.coded.push(huffman::encode_block_counting(piece));
             } else {
-                self.head = piece.to_vec();
+                self.give.take().expect("a hand-off").send(piece.to_vec()).ok();
             }
             (done, self.from) = (done + end - self.from, end);
         }
         self.open.drain(..done);
     }
 
-    /// Stitch on `next`, the sink of the following slab: its head
-    /// completes the chunk this one ends inside, its chunks follow, and the
-    /// chunk it ends inside is the one this sink holds next.
-    fn append(&mut self, next: ChunkSink<'_, T>) {
-        self.open.extend_from_slice(&next.head);
+    /// The sink, every chunk coded once `take` has handed back the last one's rest.
+    fn finish(mut self, take: Option<(usize, Taker)>) -> Result<Self> {
+        self.open.extend(take.map(|(_, take)| receive(take)).transpose()?.unwrap_or_default());
         self.flush();
-        debug_assert!(next.coded.is_empty() || self.open.is_empty());
-        self.from = (self.from + next.coded.len() * self.size).min(self.total);
-        self.coded.extend(next.coded);
-        self.open.extend_from_slice(&next.open);
-        self.outliers.extend(next.outliers);
+        Ok(self)
     }
 
     /// The block's stream: Huffman-coded symbol chunks, each chunk's escape
     /// count ahead of them all, and the outliers bit-exact.
-    fn into_stream(mut self) -> Vec<u8> {
-        self.flush();
-        debug_assert_eq!((self.from, self.head.len()), (self.total, 0));
+    fn into_stream(self) -> Vec<u8> {
         let chunks: usize = self.coded.iter().map(|(bytes, _)| bytes.len() + 20).sum();
         let mut w = ByteWriter::with_capacity(chunks + 30 + self.outliers.len() * T::BYTES);
         w.put_uvarint(self.coded.len() as u64);
@@ -505,6 +494,19 @@ impl<'a, T: Scalar> ChunkSink<'a, T> {
         stz_sz3::stream::write_outliers(&mut w, &self.outliers);
         w.finish()
     }
+}
+
+/// A hand-off's one-shot slot, which closes when its giver is dropped unsent.
+type Giver = mpsc::Sender<Vec<u32>>;
+type Taker = mpsc::Receiver<Vec<u32>>;
+
+/// What the giver sent, waited for in a `handoff_wait` span; an error if it failed.
+fn receive(take: Taker) -> Result<Vec<u32>> {
+    let got = take.try_recv().or_else(|_| {
+        let _span = stz_telemetry::trace::span("handoff_wait");
+        take.recv()
+    });
+    got.map_err(|_| CodecError::corrupt("the unit after a cut failed to hand back"))
 }
 
 /// A sub-block stream, parsed: its Huffman chunks, what the stream declares
@@ -672,8 +674,7 @@ impl<'a> LevelRows<'a> {
     /// Encode the level from `prev`, the whole previous grid: quantise every
     /// block's rows of the originals in `field` as the walk reaches them, and
     /// return the blocks' streams in block order and — where the next level
-    /// predicts from it (`keeps`) — the level's grid. The chunks slabs share
-    /// are stitched together afterwards, in slab order.
+    /// predicts from it (`keeps`) — the level's grid.
     fn encode<T: Scalar>(
         &self,
         field: &Field<T>,
@@ -683,30 +684,31 @@ impl<'a> LevelRows<'a> {
     ) -> Result<(Vec<Vec<u8>>, Vec<T>)> {
         let obox = Region::full(self.level.grid_dims);
         let mut grid = vec![T::default(); if keeps { obox.len() } else { 0 }];
-        let parts = self.slabs(&obox, &mut grid[..], |_, slab, out| {
+        let len = |k: usize| self.blocks[k].as_ref().map(|r| r.block.lattice.len());
+        let units = self.units(&obox, &mut grid[..], |k| len(k).map_or(1, chunk_size));
+        let parts = pool::map(units, |(_, mut runs)| {
             let _stage = quantize_ns.span();
-            let mut sinks: Slots<ChunkSink<'_, T>> = std::array::from_fn(|k| {
-                Some(ChunkSink::new(self.blocks[k].as_ref()?.block.lattice.len(), encode_ns))
-            });
-            let mut orig = vec![T::default(); slab.x1.div_ceil(2) - slab.x0 / 2];
-            self.assemble(prev, [(slab, out)], |rows, zy, xs, recon| {
+            let mut give = std::mem::take(&mut runs[0].ends.0);
+            let take = std::mem::take(&mut runs.last_mut().expect("a run").ends.1);
+            let mut sinks: Slots<ChunkSink<'_, T>> =
+                std::array::from_fn(|k| Some(ChunkSink::new(len(k)?, give[k].take(), encode_ns)));
+            let mut orig = vec![T::default(); obox.x1.div_ceil(2)];
+            self.assemble(prev, runs.into_iter().flat_map(Run::rows), |rows, zy, xs, recon| {
                 let sink = sinks[slot(rows.block)].as_mut().expect("a sink on every block");
                 let recon = keeps.then_some(recon);
                 rows.quantize_row(field.as_slice(), prev, zy, xs, &mut orig, sink, recon);
                 Ok(())
             })?;
-            // What waits for the stitch is at most two pieces of a chunk.
-            for sink in sinks.iter_mut().flatten() {
-                sink.flush();
-                sink.open.shrink_to_fit();
-            }
-            Ok::<_, CodecError>(sinks)
+            let done = sinks.into_iter().zip(take).map(|(sink, take)| sink.map(|s| s.finish(take)));
+            done.map(Option::transpose).collect::<Result<Vec<_>>>()
         });
-        let mut parts = parts.into_iter();
-        let mut blocks = parts.next().expect("a grid is one slab or more")?;
+        // In stream order, the reverse of the claim order.
+        let mut parts = parts.into_iter().rev();
+        let mut blocks = parts.next().expect("a grid is one unit or more")?;
         for part in parts {
             for (block, part) in blocks.iter_mut().flatten().zip(part?.into_iter().flatten()) {
-                block.append(part);
+                block.coded.extend(part.coded);
+                block.outliers.extend(part.outliers);
             }
         }
         let streams = self.level.blocks.iter().map(|b| blocks[slot(b)].take());
@@ -714,111 +716,93 @@ impl<'a> LevelRows<'a> {
         Ok((streams.collect(), grid))
     }
 
-    /// Run `slab(s, box, out)` on each slab of `obox` — the `s`-th, its box,
-    /// and its share of `out` (nothing, where `out` is empty) — and return
-    /// what each returns, in slab order. The box is cut as [`LevelRows::cut`]
-    /// says and the slabs run side by side on the pool. Every slab is
-    /// contiguous in `obox`'s order.
-    fn slabs<T, O: Points<T>, R: Send>(
+    /// The units of a walk of `obox` (each its index and runs), claimed in list
+    /// order. On the pool the rows by parity, z and y (or a one-row box's spans)
+    /// are cut nearest half their weight: two units hold no more chunk windows
+    /// than a serial 3-D walk; where the width runs all four classes, they are
+    /// the units. The later unit, listed first, hands the earlier a chunk it cuts.
+    fn units<T, O: Points<T>>(
         &self,
         obox: &Region,
         out: O,
-        slab: impl Fn(usize, Region, O) -> R + Sync,
-    ) -> Vec<R> {
-        let (lo, hi) = ([obox.z0, obox.y0, obox.x0], [obox.z1, obox.y1, obox.x1]);
-        let steps = self.cut(obox);
-        let span =
-            |a: usize| (lo[a]..hi[a]).step_by(steps[a]).map(move |i| (i, hi[a].min(i + steps[a])));
-        let boxes = span(0).flat_map(|(z0, z1)| {
-            span(1).flat_map(move |(y0, y1)| {
-                span(2).map(move |(x0, x1)| Region { z0, z1, y0, y1, x0, x1 })
-            })
-        });
-        let (mut parts, mut rest) = (Vec::new(), out);
-        for (s, b) in boxes.enumerate() {
-            let n = if rest.points() == 0 { 0 } else { b.len() };
-            let (mine, tail) = rest.split_at(n);
+        size: impl Fn(usize) -> usize,
+    ) -> Vec<(usize, Vec<Run<O>>)> {
+        let (width, nx) = (pool::threads(), obox.x1 - obox.x0);
+        if width == 1 || obox.len() < 4 {
+            return vec![(0, vec![Run::new(obox.clone(), 1, vec![out])])];
+        }
+        let parity = |r: &Region| ((r.z0 & 1) << 1) | (r.y0 & 1);
+        let (mut classes, mut rest): ([Option<Run<O>>; 4], _) = (Default::default(), out);
+        for (z, y) in (obox.z0..obox.z1).flat_map(|z| (obox.y0..obox.y1).map(move |y| (z, y))) {
+            let row = Region { z0: z, z1: z + 1, y0: y, y1: y + 1, ..obox.clone() };
+            let (mine, tail) = rest.split_at(nx);
+            let (per_plane, planes) = ((obox.y1 - y).div_ceil(2), (obox.z1 - z).div_ceil(2));
+            let new = || Run::new(row.clone(), per_plane, Vec::with_capacity(per_plane * planes));
+            classes[parity(&row)].get_or_insert_with(new).outs.push(mine);
             rest = tail;
-            parts.push((s, b, mine));
         }
-        pool::map(parts, |(s, b, out)| slab(s, b, out))
-    }
-
-    /// Run `piece(p, units)` on each piece a decode of `obox` splits into —
-    /// the `p`-th and its units, boxes of `obox` each with its share of `out`
-    /// — and return what each returns, in piece order. A row `(z, y)` reads
-    /// block `(z&1, y&1, 1)` and either block `(z&1, y&1, 0)` or, where both
-    /// are even, the previous grid. So on the pool a piece is the rows of one
-    /// row parity, a unit each: it owns its blocks' streams, no chunk is
-    /// decoded by two pieces, and the four pieces of a 3-D box hold one
-    /// window on each block between them. That is four pieces in 3-D and two
-    /// in 2-D at every width; a piece keeps just its rows' shares of `out`
-    /// and makes their boxes as it walks. Where `obox` is a row thick, or at
-    /// width 1, the pieces are the [`LevelRows::slabs`] of `obox`, whose
-    /// boundaries may share a chunk.
-    fn pieces<T, O: Points<T>, R: Send>(
-        &self,
-        obox: &Region,
-        out: O,
-        piece: impl Fn(usize, &mut dyn Iterator<Item = (Region, O)>) -> R + Sync,
-    ) -> Vec<R> {
-        let (zs, ys) = (obox.z0..obox.z1, obox.y0..obox.y1);
-        if pool::threads() == 1 || zs.len() * ys.len() == 1 {
-            return self.slabs(obox, out, |s, b, out| piece(s, &mut std::iter::once((b, out))));
+        let mut seq: Vec<Run<O>> = classes.into_iter().flatten().collect();
+        if seq.len() > 2 && width > 3 {
+            return seq.into_iter().enumerate().rev().map(|(i, run)| (i, vec![run])).collect();
         }
-        let of_parity = |r: &Range<usize>, p: usize| r.clone().filter(move |i| i & 1 == p);
-        let mut classes: [Vec<O>; 4] = std::array::from_fn(|c| {
-            Vec::with_capacity(of_parity(&zs, c >> 1).count() * of_parity(&ys, c & 1).count())
-        });
-        let (mut rest, nx) = (out, obox.x1 - obox.x0);
-        for z in zs.clone() {
-            for y in ys.clone() {
-                let (mine, tail) = rest.split_at(nx);
-                rest = tail;
-                classes[((z & 1) << 1) | (y & 1)].push(mine);
+        if seq.len() == 1 && seq[0].outs.len() == 1 {
+            let (row, out) = (seq[0].origin.clone(), seq.remove(0).outs.remove(0));
+            let (x, (head, tail)) = (row.x0 + nx / 4 * 2, out.split_at(nx / 4 * 2));
+            let head = Run::new(Region { x1: x, ..row.clone() }, 1, vec![head]);
+            seq = vec![head, Run::new(Region { x0: x, ..row }, 1, vec![tail])];
+        }
+        // The piece boundary nearest half the weight: `k` pieces into run `s`.
+        let weight = |r: &Run<O>| r.outs.len() * r.origin.len() * (1 + parity(&r.origin).min(1));
+        let total: usize = seq.iter().map(weight).sum();
+        let (mut s, mut before) = (0, 0);
+        while 2 * (before + weight(&seq[s])) < total {
+            (s, before) = (s + 1, before + weight(&seq[s]));
+        }
+        let k = ((total - 2 * before) * seq[s].outs.len() / weight(&seq[s])).div_ceil(2);
+        let (origin, per_plane, from) = (seq[s].origin.clone(), seq[s].per_plane, seq[s].from + k);
+        let mut later = vec![Run { from, ..Run::new(origin, per_plane, seq[s].outs.split_off(k)) }];
+        later.extend(seq.drain(s + 1..));
+        seq.retain(|run| !run.outs.is_empty());
+        later.retain(|run| !run.outs.is_empty());
+        let (head, tail) = (&mut later[0], seq.last_mut().expect("two pieces or more"));
+        let (after, before) = (head.row(0), tail.row(tail.outs.len() - 1));
+        for k in (2 * parity(&after)..).take(2).filter(|_| parity(&before) == parity(&after)) {
+            let Some(b) = &self.blocks[k] else { continue };
+            let at = |r: &Region, x| (r.z0 / 2 * b.by + r.y0 / 2) * b.bx + (x + 1 - k % 2) / 2;
+            let chunk = at(&after, after.x0) / size(k);
+            if at(&before, before.x1).saturating_sub(1) / size(k) == chunk {
+                let (give, take) = mpsc::channel();
+                (head.ends.0[k], tail.ends.1[k]) = (Some(give), Some((chunk, take)));
             }
         }
-        let pieces = classes.into_iter().enumerate().filter(|(_, outs)| !outs.is_empty());
-        let pieces: Vec<_> = pieces.enumerate().collect();
-        pool::map(pieces, |(p, (c, outs))| {
-            let boxes = of_parity(&zs, c >> 1).flat_map(|z0| {
-                let row = move |y0| Region { z0, z1: z0 + 1, y0, y1: y0 + 1, ..obox.clone() };
-                of_parity(&ys, c & 1).map(row)
-            });
-            piece(p, &mut boxes.zip(outs))
-        })
+        vec![(1, later), (0, seq)]
+    }
+}
+
+/// Rows of one parity (translates of `origin` two apart, `per_plane` to a plane,
+/// from the `from`-th; at width 1 the box), their outputs, and their hand-offs.
+struct Run<O> {
+    origin: Region,
+    per_plane: usize,
+    from: usize,
+    outs: Vec<O>,
+    ends: (Slots<Giver>, Slots<(usize, Taker)>),
+}
+
+impl<O> Run<O> {
+    fn new(origin: Region, per_plane: usize, outs: Vec<O>) -> Self {
+        Run { origin, per_plane, from: 0, outs, ends: Default::default() }
     }
 
-    /// How the pool cuts `obox`: grid units per slab along each axis; one
-    /// slab at width 1. Else the cut axis is the outermost of planes, rows
-    /// and points that gives a slab per thread, or past which slabs would be
-    /// smaller than a chunk; along it a slab is a few per thread and no fewer
-    /// units than a Huffman chunk of any block spans, so that where chunks
-    /// are whole units each is coded or decoded by one slab. Across the axes
-    /// outside it a slab is one unit, along those inside it all of `obox`.
-    fn cut(&self, obox: &Region) -> [usize; 3] {
-        let (threads, ext) = (pool::threads(), extents(obox).as_array());
-        if threads == 1 {
-            return ext;
-        }
-        let c = extents(&self.cbox).as_array();
-        let mut axis = 0;
-        let step = loop {
-            let chunk = (self.blocks.iter().flatten())
-                .map(|r| chunk_size(r.block.lattice.len()).div_ceil([r.by * r.bx, r.bx, 1][axis]))
-                .fold(1, usize::max);
-            let step = 2 * chunk.max(c[..=axis].iter().product::<usize>() / (threads * 4));
-            let slabs = ext[..axis].iter().product::<usize>() * ext[axis].div_ceil(step);
-            if slabs >= threads || chunk > 1 || axis == 2 {
-                break step;
-            }
-            axis += 1;
-        };
-        std::array::from_fn(|a| match a.cmp(&axis) {
-            Ordering::Less => 1,
-            Ordering::Equal => step,
-            Ordering::Greater => ext[a],
-        })
+    fn row(&self, k: usize) -> Region {
+        let (b, i) = (&self.origin, self.from + k);
+        let (z0, y0) = (b.z0 + 2 * (i / self.per_plane), b.y0 + 2 * (i % self.per_plane));
+        Region { z0, z1: z0 + b.z1 - b.z0, y0, y1: y0 + b.y1 - b.y0, ..b.clone() }
+    }
+
+    fn rows(mut self) -> impl Iterator<Item = (Region, O)> {
+        let outs = std::mem::take(&mut self.outs);
+        outs.into_iter().enumerate().map(move |(k, out)| (self.row(k), out))
     }
 }
 
@@ -829,7 +813,7 @@ pub(crate) trait Points<T>: Sized + Send {
     /// Points it has room for.
     fn points(&self) -> usize;
 
-    /// Its first `n` points, and the rest.
+    /// Its first `n` points (all, where it has fewer), and the rest.
     fn split_at(self, n: usize) -> (Self, Self);
 
     /// Store the row of points `at` from its even-x and odd-x sources in
@@ -843,7 +827,7 @@ impl<T: Copy + Send> Points<T> for &mut [T] {
     }
 
     fn split_at(self, n: usize) -> (Self, Self) {
-        self.split_at_mut(n)
+        self.split_at_mut(n.min(self.len()))
     }
 
     #[inline]
@@ -874,7 +858,7 @@ impl<T: Scalar> Points<T> for LeBytes<'_> {
     }
 
     fn split_at(self, n: usize) -> (Self, Self) {
-        let (head, tail) = self.0.split_at_mut(n * T::BYTES);
+        let (head, tail) = self.0.split_at_mut((n * T::BYTES).min(self.0.len()));
         (LeBytes(head), LeBytes(tail))
     }
 
@@ -908,11 +892,11 @@ impl<T: Scalar> Points<T> for LeBytes<'_> {
 /// astride two chunks is copied out whole. A chunk no row touches is never
 /// decoded. The escapes in what the walk passes over are counted from the
 /// declared counts where it passes a whole chunk and from the symbols where
-/// it passes part of one, so a box's rows — a region's, a piece's — find
-/// their outliers as a whole-grid walk's do.
+/// it passes part of one, so a box's rows — a region's, a unit's — find
+/// their outliers as a whole-grid walk's do. `ends` are its unit's hand-offs.
 struct ChunkWindow<'a, T> {
     stream: &'a BlockStream<'a, T>,
-    /// The decoded chunk, and which one it is.
+    /// The decoded chunk (or its head), and which one it is.
     chunk: Vec<u32>,
     current: Option<usize>,
     /// A row astride chunks.
@@ -920,6 +904,7 @@ struct ChunkWindow<'a, T> {
     /// How far into the stream the walk has read, and the escapes before.
     at: usize,
     rank: usize,
+    ends: (Option<Giver>, Option<(usize, Taker)>),
     /// Chunks decoded, and the time they took.
     tally: (usize, Duration),
 }
@@ -933,21 +918,27 @@ impl<'a, T: Scalar> ChunkWindow<'a, T> {
             row: Vec::new(),
             at: 0,
             rank: 0,
+            ends: (None, None),
             tally: (0, Duration::ZERO),
         }
     }
 
-    /// Make chunk `c` the window.
+    /// Make chunk `c` the window: decoded, or taken as the unit after decoded it.
     fn load(&mut self, c: usize) -> Result<()> {
         if self.current != Some(c) {
             let t = Instant::now();
-            let mut span = stz_telemetry::trace::span("entropy");
-            span.attr("block", self.stream.index);
-            span.attr("chunk", c);
-            self.chunk.resize(self.stream.len_of(c), 0);
-            self.stream.decode_chunk(c, &mut self.chunk)?;
+            if self.ends.1.as_ref().is_some_and(|(chunk, _)| *chunk == c) {
+                self.chunk = receive(self.ends.1.take().expect("a slot").1)?;
+            } else {
+                let mut span = stz_telemetry::trace::span("entropy");
+                span.attr("block", self.stream.index);
+                span.attr("chunk", c);
+                self.chunk.resize(self.stream.len_of(c), 0);
+                self.stream.decode_chunk(c, &mut self.chunk)?;
+                self.tally.0 += 1;
+            }
             self.current = Some(c);
-            self.tally = (self.tally.0 + 1, self.tally.1 + t.elapsed());
+            self.tally.1 += t.elapsed();
         }
         Ok(())
     }
@@ -975,6 +966,9 @@ impl<'a, T: Scalar> ChunkWindow<'a, T> {
         self.at = first + len;
         let (mut c, start) = (first / size, first / size * size);
         self.load(c)?;
+        if let Some(give) = self.ends.0.take() {
+            give.send(self.chunk[..first - start].to_vec()).ok();
+        }
         let within = first + len <= start + self.chunk.len();
         if !within {
             self.row.clear();
@@ -1023,9 +1017,9 @@ pub(crate) fn decode_level1<T: Scalar, S: SectionSource + ?Sized>(
 /// — from `prev`, the box `cbox` of the previous level's grid, into `out`,
 /// which has room for the box's points. The blocks a row of the box falls in
 /// are fetched and parsed, then the box is assembled with a [`ChunkWindow`]
-/// on each, one walk per piece of [`LevelRows::pieces`], side by side,
+/// on each, one walk per unit of [`LevelRows::units`], side by side,
 /// straight into place. Returns the level's stage timings, each the sum of
-/// its seconds over the pieces.
+/// its seconds over the units.
 ///
 /// A walk meets the blocks' errors plane by plane. On any failure the level
 /// is read again block by block ([`first_error`]), and the error returned is
@@ -1050,25 +1044,30 @@ pub(crate) fn decode_box<T: Scalar, S: SectionSource + ?Sized>(
         .collect();
     assert_eq!(out.points(), obox.len(), "the output holds the box");
     let fill = |streams: &Slots<BlockStream<'_, T>>| {
-        let done = rows.pieces::<T, _, _>(obox, out, |p, units| {
-            let t = Instant::now();
+        let size = |k: usize| streams[k].as_ref().map_or(1, |s| s.chunk_size);
+        let done = pool::map(rows.units(obox, out, size), |(unit, runs)| {
+            let (t, mut tally) = (Instant::now(), (0, Duration::ZERO));
             let mut span = stz_telemetry::trace::span("reconstruct");
-            span.attr("slab", p);
-            let mut windows: Slots<ChunkWindow<'_, T>> =
-                std::array::from_fn(|k| streams[k].as_ref().map(ChunkWindow::new));
-            rows.assemble(prev, units, |rows, (z, y), xs, out| {
-                let window = windows[slot(rows.block)].as_mut();
-                let window = window.expect("a window is open on every block a box reads");
-                let (symbols, outliers, cursor) =
-                    window.row((z * rows.by + y) * rows.bx + xs.start, xs.len())?;
-                rows.reconstruct_row(prev, z, y, xs, symbols, outliers, cursor, out);
-                Ok(())
-            })?;
-            let tally = |(n, e), w: &ChunkWindow<'_, T>| (n + w.tally.0, e + w.tally.1);
-            let (chunks, entropy) = windows.iter().flatten().fold((0, Duration::ZERO), tally);
-            // The piece's own time holds its windows' entropy time.
-            let predict = t.elapsed() - entropy;
-            Ok::<_, CodecError>((chunks, entropy.as_secs_f64(), predict.as_secs_f64()))
+            span.attr("unit", unit);
+            for mut run in runs {
+                let mut windows: Slots<ChunkWindow<'_, T>> = std::array::from_fn(|k| {
+                    let ends = (run.ends.0[k].take(), run.ends.1[k].take());
+                    Some(ChunkWindow { ends, ..ChunkWindow::new(streams[k].as_ref()?) })
+                });
+                rows.assemble(prev, run.rows(), |rows, (z, y), xs, out| {
+                    let window = windows[slot(rows.block)].as_mut();
+                    let window = window.expect("a window is open on every block a box reads");
+                    let (symbols, outliers, cursor) =
+                        window.row((z * rows.by + y) * rows.bx + xs.start, xs.len())?;
+                    rows.reconstruct_row(prev, z, y, xs, symbols, outliers, cursor, out);
+                    Ok(())
+                })?;
+                let add = |(n, e), w: &ChunkWindow<'_, T>| (n + w.tally.0, e + w.tally.1);
+                tally = windows.iter().flatten().fold(tally, add);
+            }
+            // The unit's own time holds its windows' entropy time.
+            let predict = t.elapsed() - tally.1;
+            Ok::<_, CodecError>((tally.0, tally.1.as_secs_f64(), predict.as_secs_f64()))
         });
         let sum = |(n, e, p), (dn, de, dp)| (n + dn, e + de, p + dp);
         done.into_iter().try_fold((0, 0.0, 0.0), |acc, d| d.map(|d| sum(acc, d)))
@@ -1240,8 +1239,8 @@ mod tests {
 
     #[test]
     fn width_one_is_one_slab() {
-        // Level-3 blocks of 64^3 points span four Huffman chunks, so any
-        // wider cut gives the finest level several slabs.
+        // Level-3 blocks of 64^3 points span four Huffman chunks; at any
+        // wider width the finest level runs as several units.
         let f = wavy(Dims::d3(128, 128, 128));
         let c = StzCompressor::new(StzConfig::three_level(1e-3));
         let archive = c.compress(&f).unwrap();
@@ -1263,39 +1262,82 @@ mod tests {
     }
 
     #[test]
-    fn slab_sinks_stitched_in_order_code_the_stream_one_sink_does() {
+    fn sinks_handing_back_at_cuts_code_the_stream_one_sink_does() {
         // Symbol 0 is the escape: each one brings an outlier along.
         let encode_ns =
             stz_telemetry::global().latency("stz_core_stage_ns", &[("stage", "encode")]);
         let total = 3 * HUFFMAN_CHUNK + 1234;
         let symbols: Vec<u32> = (0..total as u32).map(|i| (i * 7919 % 61) / 9).collect();
+        let size = chunk_size(total);
+        assert_eq!(size, total.div_ceil(4));
         let stream = |cuts: &[usize]| {
-            let mut merged = ChunkSink::new(total, &encode_ns);
-            for slab in cuts.windows(2) {
-                let mut sink = ChunkSink::new(total, &encode_ns);
-                for x0 in (slab[0]..slab[1]).step_by(1000) {
-                    let xs = x0..(x0 + 1000).min(slab[1]);
+            // A cut inside a chunk is a hand-off between the sinks it parts.
+            let mut ends: Vec<_> = cuts.windows(2).map(|_| (None, None)).collect();
+            for (j, &cut) in cuts[1..cuts.len() - 1].iter().enumerate() {
+                if cut % size != 0 {
+                    let (give, take) = mpsc::channel();
+                    (ends[j + 1].0, ends[j].1) = (Some(give), Some((cut / size, take)));
+                }
+            }
+            // Last first, as the pool claims the units.
+            let mut parts = Vec::new();
+            for (piece, (give, take)) in cuts.windows(2).zip(ends).rev() {
+                let mut sink = ChunkSink::new(total, give, &encode_ns);
+                for x0 in (piece[0]..piece[1]).step_by(1000) {
+                    let xs = x0..(x0 + 1000).min(piece[1]);
                     let (slots, outliers) = sink.row(x0, xs.len());
                     slots.copy_from_slice(&symbols[xs.clone()]);
                     outliers.extend(xs.filter(|&x| symbols[x] == 0).map(|x| x as f32));
                 }
-                sink.flush();
-                merged.append(sink);
+                parts.push(sink.finish(take).unwrap());
             }
-            merged.into_stream()
+            let mut parts = parts.into_iter().rev();
+            let mut sink = parts.next().unwrap();
+            for part in parts {
+                sink.coded.extend(part.coded);
+                sink.outliers.extend(part.outliers);
+            }
+            sink.into_stream()
         };
         let whole = stream(&[0, total]);
-        let size = chunk_size(total);
-        assert_eq!(size, total.div_ceil(4));
         for cuts in [
             vec![0, 5, total],
             vec![0, size, 2 * size, total],
-            vec![0, size - 1, size + 1, 2 * size + 7, 2 * size + 7, total],
-            (0..total).step_by(size / 3).chain([total]).collect(),
-            vec![0, 10, 20, 30, 3 * size + 1, total, total],
+            vec![0, size - 1, size + 1, 2 * size + 7, total],
+            vec![0, 10, size + 20, 2 * size, 3 * size + 1, total],
         ] {
             assert_eq!(stream(&cuts), whole, "cuts {cuts:?}");
         }
+    }
+
+    #[test]
+    fn a_giver_that_fails_before_it_hands_back_releases_its_taker() {
+        // The giver listed first, as the units are: at every width, inline
+        // or on workers, and in a map nested in a worker (which runs inline),
+        // its failure closes the slot and the taker returns.
+        let pair = || {
+            let (give, take) = mpsc::channel::<Vec<u32>>();
+            let items: Vec<std::result::Result<Giver, Taker>> = vec![Ok(give), Err(take)];
+            pool::map(items, |item| match item {
+                Ok(_give) => Err(CodecError::corrupt("a chunk before the hand-off")),
+                Err(take) => receive(take).map(drop),
+            })
+        };
+        for width in 1..=8 {
+            let done = pool::with_threads(width, pair);
+            assert!(done.iter().all(Result::is_err), "width {width}: {done:?}");
+            let nested = pool::with_threads(width, || pool::map(vec![(); 3], |()| pair()));
+            assert!(nested.iter().flatten().all(Result::is_err), "nested at width {width}");
+        }
+        // A giver that panics drops its end too.
+        let (give, take) = mpsc::channel::<Vec<u32>>();
+        let giver = std::thread::spawn(move || {
+            let _give = give;
+            std::thread::sleep(Duration::from_millis(20));
+            panic!("the giver's walk panicked");
+        });
+        assert!(receive(take).is_err());
+        assert!(giver.join().is_err());
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The thread pool both codec directions run a level's share-out on.
 //!
-//! [`map`] runs a function over a short list of items — a level's decode
-//! pieces or encode slabs, a few per thread — on scoped threads, the calling
-//! thread being the last worker. Each worker claims the next item index from
-//! one atomic counter, and the results come back in item order, so what a
-//! `map` returns does not depend on the width or on timing. A `map` called
-//! from inside a worker runs inline: the outer one already uses every thread.
+//! [`map`] runs a function over a short list of items — a level's units, in
+//! either codec direction — on scoped threads, the calling thread being the
+//! last worker. Workers claim item indices in list order from one atomic
+//! counter and the results come back in item order, so what a `map` returns
+//! does not depend on the width or timing. A `map` called from inside a
+//! worker runs inline, in order: the outer one already uses every thread.
 //!
 //! The width is [`threads`]: the innermost [`with_threads`] scope, else
 //! `STZ_THREADS` if it is a positive integer, else the machine's available
@@ -334,9 +334,8 @@ mod tests {
     fn pooled_decode_spans_join_the_callers_trace() {
         use crate::{StzCompressor, StzConfig};
         use stz_field::{Dims, Field};
-        // On the pool a decode splits each level into four pieces, one per
-        // row parity, two at a time at a width of 2; a `reconstruct` span's
-        // `slab` is the piece's index.
+        // On the pool a decode splits each level into units, two at a width
+        // of 2; a `reconstruct` span's `unit` is the unit's index.
         let field = Field::from_fn(Dims::d3(128, 128, 128), |z, y, x| {
             ((z * 3 + y * 5 + x * 7) as f32 * 0.01).sin()
         });
@@ -351,14 +350,14 @@ mod tests {
         let named = |name: &'static str| t.spans.iter().filter(move |s| s.name == name);
         let mut pooled = 0;
         for level in named("level_decode") {
-            let mut slabs: Vec<usize> = named("reconstruct")
+            let mut units: Vec<usize> = named("reconstruct")
                 .filter(|s| s.parent == level.id)
-                .map(|s| s.attrs.iter().find(|(k, _)| k == "slab").unwrap().1.parse().unwrap())
+                .map(|s| s.attrs.iter().find(|(k, _)| k == "unit").unwrap().1.parse().unwrap())
                 .collect();
-            slabs.sort_unstable();
-            assert_eq!(slabs, (0..slabs.len()).collect::<Vec<_>>(), "a slab's span is missing");
+            units.sort_unstable();
+            assert_eq!(units, (0..units.len()).collect::<Vec<_>>(), "a unit's span is missing");
             let waits = named("queue_wait").filter(|s| s.parent == level.id).count();
-            assert_eq!(waits, usize::from(slabs.len() > 1), "one queue_wait per spawned worker");
+            assert_eq!(waits, usize::from(units.len() > 1), "one queue_wait per spawned worker");
             pooled += waits;
         }
         assert!(pooled >= 1, "no level of a 128^3 field ran on two threads");

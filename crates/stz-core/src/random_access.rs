@@ -33,7 +33,7 @@ use stz_field::Region;
 /// columns of the paper's Table 4.
 ///
 /// A level's stages are on one clock: thread-seconds, each summed over the
-/// pieces the level's decode ran on. At width 1 that is wall time; on the
+/// units the level's decode ran on. At width 1 that is wall time; on the
 /// pool the stages add up to more than it. `total` is always wall time.
 #[derive(Debug, Clone, Default)]
 pub struct AccessBreakdown {
@@ -51,10 +51,10 @@ pub struct AccessBreakdown {
 pub struct LevelTimes {
     /// 2-based level index.
     pub level: u8,
-    /// Seconds fetching and parsing sub-block streams, and the pieces'
+    /// Seconds fetching and parsing sub-block streams, and the units'
     /// seconds entropy-decoding them ("L* dec.").
     pub decode: f64,
-    /// The pieces' other seconds, assembling the level's box row by row —
+    /// The units' other seconds, assembling the level's box row by row —
     /// predicting and applying residuals for its points ("L* pre.").
     pub predict: f64,
     /// Seconds allocating the level's box, and on the last level handing it

@@ -17,23 +17,22 @@ pub const VERSION: u8 = 1;
 #[derive(Debug, Clone, Copy)]
 pub struct MgardConfig {
     pub eb: f64,
-    /// Quantizer radius, in `1..=`[`LinearQuantizer::MAX_RADIUS`]: `compress`
-    /// panics on any other.
+    /// Quantizer radius, in `1..=`[`LinearQuantizer::MAX_RADIUS`].
     pub radius: i64,
 }
 
 impl MgardConfig {
     pub fn new(eb: f64) -> Self {
-        assert!(eb > 0.0 && eb.is_finite());
         MgardConfig { eb, radius: 1 << 15 }
     }
 }
 
-/// Compress a field.
-pub fn compress<T: Scalar>(field: &Field<T>, config: &MgardConfig) -> Vec<u8> {
+/// Compress a field, or refuse an unusable bound or radius
+/// ([`LinearQuantizer::encoder`]).
+pub fn compress<T: Scalar>(field: &Field<T>, config: &MgardConfig) -> Result<Vec<u8>> {
     let dims = field.dims();
     let levels = num_levels(dims);
-    let quant = LinearQuantizer::encoder(config.eb, config.radius);
+    let quant = LinearQuantizer::encoder(config.eb, config.radius)?;
 
     let mut symbols: Vec<u32> = Vec::with_capacity(dims.len());
     let mut outliers: Vec<T> = Vec::new();
@@ -120,7 +119,7 @@ pub fn compress<T: Scalar>(field: &Field<T>, config: &MgardConfig) -> Vec<u8> {
         v.write_exact(&mut raw);
     }
     w.put_raw(&raw);
-    w.finish()
+    Ok(w.finish())
 }
 
 #[inline]
@@ -290,7 +289,7 @@ mod tests {
     fn roundtrip_error_bounded() {
         let f = smooth(Dims::d3(20, 24, 28));
         for eb in [1e-1, 1e-2, 1e-3] {
-            let bytes = compress(&f, &MgardConfig::new(eb));
+            let bytes = compress(&f, &MgardConfig::new(eb)).unwrap();
             let back: Field<f32> = decompress(&bytes).unwrap();
             assert_eq!(back.dims(), f.dims());
             assert!(max_err(&f, &back) <= eb, "eb {eb}");
@@ -302,7 +301,7 @@ mod tests {
         let f = Field::from_fn(Dims::d3(13, 9, 11), |z, y, x| {
             ((z + y * 2 + x * 3) as f64 * 0.05).sin() * 100.0
         });
-        let bytes = compress(&f, &MgardConfig::new(0.01));
+        let bytes = compress(&f, &MgardConfig::new(0.01)).unwrap();
         let back: Field<f64> = decompress(&bytes).unwrap();
         let err = f
             .as_slice()
@@ -313,7 +312,7 @@ mod tests {
         assert!(err <= 0.01);
         for dims in [Dims::d2(17, 23), Dims::d1(100)] {
             let f = smooth(dims);
-            let bytes = compress(&f, &MgardConfig::new(1e-2));
+            let bytes = compress(&f, &MgardConfig::new(1e-2)).unwrap();
             let back: Field<f32> = decompress(&bytes).unwrap();
             assert!(max_err(&f, &back) <= 1e-2, "dims {dims}");
         }
@@ -322,7 +321,7 @@ mod tests {
     #[test]
     fn compresses_smooth_data() {
         let f = smooth(Dims::d3(32, 32, 32));
-        let bytes = compress(&f, &MgardConfig::new(1e-3));
+        let bytes = compress(&f, &MgardConfig::new(1e-3)).unwrap();
         let cr = f.nbytes() as f64 / bytes.len() as f64;
         assert!(cr > 4.0, "CR {cr}");
     }
@@ -330,7 +329,7 @@ mod tests {
     #[test]
     fn progressive_levels_shrink() {
         let f = smooth(Dims::d3(33, 33, 33));
-        let bytes = compress(&f, &MgardConfig::new(1e-3));
+        let bytes = compress(&f, &MgardConfig::new(1e-3)).unwrap();
         let full: Field<f32> = decompress(&bytes).unwrap();
         let levels = num_levels(f.dims());
         let mut prev_len = 0usize;
@@ -349,7 +348,7 @@ mod tests {
         let mut f = smooth(Dims::d3(12, 12, 12));
         f.set(3, 3, 3, 1e30);
         f.set(11, 0, 7, f32::NAN);
-        let bytes = compress(&f, &MgardConfig::new(1e-3));
+        let bytes = compress(&f, &MgardConfig::new(1e-3)).unwrap();
         let back: Field<f32> = decompress(&bytes).unwrap();
         assert_eq!(back.get(3, 3, 3), 1e30);
         assert!(back.get(11, 0, 7).is_nan());
@@ -358,7 +357,7 @@ mod tests {
     #[test]
     fn truncation_never_panics() {
         let f = smooth(Dims::d3(10, 10, 10));
-        let bytes = compress(&f, &MgardConfig::new(1e-3));
+        let bytes = compress(&f, &MgardConfig::new(1e-3)).unwrap();
         for cut in (0..bytes.len()).step_by(7) {
             let _ = decompress::<f32>(&bytes[..cut]);
         }
@@ -367,8 +366,17 @@ mod tests {
     #[test]
     fn wrong_type_rejected() {
         let f = smooth(Dims::d3(8, 8, 8));
-        let bytes = compress(&f, &MgardConfig::new(1e-3));
+        let bytes = compress(&f, &MgardConfig::new(1e-3)).unwrap();
         assert!(decompress::<f64>(&bytes).is_err());
+        // A configuration the quantizer cannot keep is refused, not a panic.
+        let max = LinearQuantizer::MAX_RADIUS;
+        let radius = |radius| MgardConfig { radius, ..MgardConfig::new(1e-3) };
+        for config in
+            [MgardConfig::new(0.0), MgardConfig::new(f64::NAN), radius(0), radius(max + 1)]
+        {
+            let refused = compress(&f, &config).unwrap_err();
+            assert!(matches!(refused, CodecError::Unsupported(_)), "{config:?}: {refused}");
+        }
     }
 
     #[test]
@@ -378,7 +386,7 @@ mod tests {
         // assert the former here (the cross-compressor comparison lives in
         // the benchmark harness).
         let f = smooth(Dims::d3(24, 24, 24));
-        let bytes = compress(&f, &MgardConfig::new(1e-3));
+        let bytes = compress(&f, &MgardConfig::new(1e-3)).unwrap();
         assert!(bytes.len() < f.nbytes() / 3);
     }
 }

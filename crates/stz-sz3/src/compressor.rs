@@ -24,18 +24,18 @@ pub struct CompressStats {
     pub outlier_bytes: usize,
 }
 
-/// Compress a field; returns the self-contained archive bytes.
-pub fn compress<T: Scalar>(field: &Field<T>, config: &Sz3Config) -> Vec<u8> {
-    compress_with_stats(field, config).0
+/// Compress a field; returns the self-contained archive bytes, or the quantizer's refusal.
+pub fn compress<T: Scalar>(field: &Field<T>, config: &Sz3Config) -> Result<Vec<u8>> {
+    Ok(compress_with_stats(field, config)?.0)
 }
 
 /// Compress a field and report statistics.
 pub fn compress_with_stats<T: Scalar>(
     field: &Field<T>,
     config: &Sz3Config,
-) -> (Vec<u8>, CompressStats) {
-    let (bytes, stats, _recon) = compress_full(field, config);
-    (bytes, stats)
+) -> Result<(Vec<u8>, CompressStats)> {
+    let (bytes, stats, _recon) = compress_full(field, config)?;
+    Ok((bytes, stats))
 }
 
 /// Compress a field, additionally returning the reconstructed values the
@@ -46,10 +46,10 @@ pub fn compress_with_stats<T: Scalar>(
 pub fn compress_full<T: Scalar>(
     field: &Field<T>,
     config: &Sz3Config,
-) -> (Vec<u8>, CompressStats, Vec<f64>) {
+) -> Result<(Vec<u8>, CompressStats, Vec<f64>)> {
     let dims = field.dims();
     let eb = config.eb.absolute_for(field);
-    let quant = LinearQuantizer::encoder(eb, config.radius);
+    let quant = LinearQuantizer::encoder(eb, config.radius)?;
 
     // Working buffer holds the evolving *reconstructed* values.
     let mut buf: Vec<f64> = field.as_slice().iter().map(|v| v.to_f64()).collect();
@@ -90,7 +90,7 @@ pub fn compress_full<T: Scalar>(
         code_bytes,
         outlier_bytes,
     };
-    (w.finish(), stats, buf)
+    Ok((w.finish(), stats, buf))
 }
 
 #[inline]
@@ -261,21 +261,32 @@ mod tests {
         let mut f = Field::<f64>::zeros(Dims::d3(8, 8, 8));
         f.set(3, 4, 5, 1e7);
         let config = Sz3Config::absolute(1e-3).with_radius(LinearQuantizer::MAX_RADIUS);
-        let back: Field<f64> = decompress(&compress(&f, &config)).unwrap();
+        let back: Field<f64> = decompress(&compress(&f, &config).unwrap()).unwrap();
         assert!(f.as_slice().iter().zip(back.as_slice()).all(|(a, b)| (a - b).abs() <= 1e-3));
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
     fn a_radius_the_symbols_cannot_hold_is_refused() {
-        compress(&smooth_3d(4), &Sz3Config::absolute(1e-3).with_radius(1 << 31));
+        // So are a radius of 0 and a bound of 0 or NaN: refused, not a panic.
+        let (f, max) = (smooth_3d(4), LinearQuantizer::MAX_RADIUS);
+        for config in [
+            Sz3Config::absolute(1e-3).with_radius(1 << 31),
+            Sz3Config::absolute(1e-3).with_radius(max + 1),
+            Sz3Config::absolute(1e-3).with_radius(0),
+            Sz3Config::absolute(0.0),
+            Sz3Config::absolute(f64::NAN),
+        ] {
+            let refused = compress(&f, &config).unwrap_err();
+            assert!(matches!(refused, CodecError::Unsupported(_)), "{config:?}: {refused}");
+            assert!(matches!(compress_full(&f, &config), Err(CodecError::Unsupported(_))));
+        }
     }
 
     #[test]
     fn roundtrip_error_bounded() {
         let f = smooth_3d(20);
         for eb in [1e-1, 1e-2, 1e-3, 1e-4] {
-            let bytes = compress(&f, &Sz3Config::absolute(eb));
+            let bytes = compress(&f, &Sz3Config::absolute(eb)).unwrap();
             let back: Field<f32> = decompress(&bytes).unwrap();
             assert_eq!(back.dims(), f.dims());
             assert!(max_err(&f, &back) <= eb, "eb {eb}");
@@ -285,7 +296,7 @@ mod tests {
     #[test]
     fn compresses_smooth_data_well() {
         let f = smooth_3d(32);
-        let (bytes, stats) = compress_with_stats(&f, &Sz3Config::absolute(1e-3));
+        let (bytes, stats) = compress_with_stats(&f, &Sz3Config::absolute(1e-3)).unwrap();
         let cr = f.nbytes() as f64 / bytes.len() as f64;
         assert!(cr > 4.0, "compression ratio {cr} too low for smooth data");
         assert_eq!(stats.total_points, f.len());
@@ -295,8 +306,9 @@ mod tests {
     #[test]
     fn cubic_beats_linear_on_smooth_data() {
         let f = smooth_3d(32);
-        let cubic = compress(&f, &Sz3Config::absolute(1e-3));
-        let linear = compress(&f, &Sz3Config::absolute(1e-3).with_interp(InterpKind::Linear));
+        let cubic = compress(&f, &Sz3Config::absolute(1e-3)).unwrap();
+        let linear =
+            compress(&f, &Sz3Config::absolute(1e-3).with_interp(InterpKind::Linear)).unwrap();
         assert!(cubic.len() < linear.len(), "cubic {} vs linear {}", cubic.len(), linear.len());
     }
 
@@ -305,7 +317,7 @@ mod tests {
         let f = Field::from_fn(Dims::d3(9, 9, 9), |z, y, x| {
             ((z + 2 * y + 3 * x) as f64 * 0.01).sin() * 1e6
         });
-        let bytes = compress(&f, &Sz3Config::absolute(1.0));
+        let bytes = compress(&f, &Sz3Config::absolute(1.0)).unwrap();
         let back: Field<f64> = decompress(&bytes).unwrap();
         let err = f
             .as_slice()
@@ -320,7 +332,7 @@ mod tests {
     fn roundtrip_1d_2d_and_tiny() {
         for dims in [Dims::d1(1), Dims::d1(2), Dims::d1(100), Dims::d2(17, 9), Dims::d3(2, 2, 2)] {
             let f = Field::from_fn(dims, |z, y, x| ((z * 31 + y * 7 + x) as f32).sqrt());
-            let bytes = compress(&f, &Sz3Config::absolute(1e-2));
+            let bytes = compress(&f, &Sz3Config::absolute(1e-2)).unwrap();
             let back: Field<f32> = decompress(&bytes).unwrap();
             assert!(max_err(&f, &back) <= 1e-2, "dims {dims}");
         }
@@ -333,7 +345,8 @@ mod tests {
         let bytes = compress(
             &f,
             &Sz3Config { eb: ErrorBound::Relative(rel), ..Sz3Config::absolute(0.0_f64.max(1.0)) },
-        );
+        )
+        .unwrap();
         let back: Field<f32> = decompress(&bytes).unwrap();
         let (lo, hi) = f.value_range();
         assert!(max_err(&f, &back) <= rel * (hi - lo) * (1.0 + 1e-9));
@@ -344,7 +357,7 @@ mod tests {
         let mut f = smooth_3d(8);
         f.set(3, 3, 3, 1e30);
         f.set(0, 0, 0, -1e30);
-        let bytes = compress(&f, &Sz3Config::absolute(1e-3));
+        let bytes = compress(&f, &Sz3Config::absolute(1e-3)).unwrap();
         let back: Field<f32> = decompress(&bytes).unwrap();
         assert_eq!(back.get(3, 3, 3), 1e30);
         assert_eq!(back.get(0, 0, 0), -1e30);
@@ -355,7 +368,7 @@ mod tests {
     fn nan_values_roundtrip_exactly() {
         let mut f = smooth_3d(8);
         f.set(1, 2, 3, f32::NAN);
-        let bytes = compress(&f, &Sz3Config::absolute(1e-3));
+        let bytes = compress(&f, &Sz3Config::absolute(1e-3)).unwrap();
         let back: Field<f32> = decompress(&bytes).unwrap();
         assert!(back.get(1, 2, 3).is_nan());
     }
@@ -363,14 +376,14 @@ mod tests {
     #[test]
     fn wrong_type_rejected() {
         let f = smooth_3d(8);
-        let bytes = compress(&f, &Sz3Config::absolute(1e-3));
+        let bytes = compress(&f, &Sz3Config::absolute(1e-3)).unwrap();
         assert!(decompress::<f64>(&bytes).is_err());
     }
 
     #[test]
     fn truncation_never_panics() {
         let f = smooth_3d(8);
-        let bytes = compress(&f, &Sz3Config::absolute(1e-3));
+        let bytes = compress(&f, &Sz3Config::absolute(1e-3)).unwrap();
         for cut in 0..bytes.len().min(200) {
             let _ = decompress::<f32>(&bytes[..cut]);
         }
@@ -387,7 +400,7 @@ mod tests {
         // to what decompression produces — this is the contract STZ's
         // hierarchical prediction relies on.
         let f = smooth_3d(16);
-        let (bytes, _, recon) = compress_full(&f, &Sz3Config::absolute(1e-3));
+        let (bytes, _, recon) = compress_full(&f, &Sz3Config::absolute(1e-3)).unwrap();
         let back: Field<f32> = decompress(&bytes).unwrap();
         for (i, (&r, &d)) in recon.iter().zip(back.as_slice()).enumerate() {
             assert_eq!((r as f32).to_bits(), d.to_bits(), "mismatch at {i}");
@@ -397,7 +410,7 @@ mod tests {
     #[test]
     fn decompression_is_deterministic() {
         let f = smooth_3d(12);
-        let bytes = compress(&f, &Sz3Config::absolute(1e-3));
+        let bytes = compress(&f, &Sz3Config::absolute(1e-3)).unwrap();
         let a: Field<f32> = decompress(&bytes).unwrap();
         let b: Field<f32> = decompress(&bytes).unwrap();
         assert_eq!(a, b);

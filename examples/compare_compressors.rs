@@ -39,7 +39,7 @@ fn main() {
         "SZ3",
         &field,
         eb,
-        |f, e| stz::sz3::compress(f, &stz::sz3::Sz3Config::absolute(e)),
+        |f, e| stz::sz3::compress(f, &stz::sz3::Sz3Config::absolute(e)).expect("compress"),
         stz::sz3::decompress,
     );
 
@@ -66,7 +66,7 @@ fn main() {
         "MGARD",
         &field,
         eb,
-        |f, e| stz::mgard::compress(f, &stz::mgard::MgardConfig::new(e)),
+        |f, e| stz::mgard::compress(f, &stz::mgard::MgardConfig::new(e)).expect("compress"),
         stz::mgard::decompress,
     );
 }

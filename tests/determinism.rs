@@ -504,27 +504,40 @@ fn walks<T: Scalar>(
     walks
 }
 
-fn assert_each_chunk_decoded_once<T: Scalar>(field: &Field<T>, eb: f64) {
+/// Every walk of `region` and of the whole field decodes each chunk at every
+/// width as often as the serial walk does, into the same bytes. Returns the
+/// serial full decode's `(level, decoded, skipped)` chunk counts.
+fn assert_each_chunk_decoded_once<T: Scalar>(
+    field: &Field<T>,
+    eb: f64,
+    region: &Region,
+) -> Vec<(u8, usize, usize)> {
     let archive = StzCompressor::new(StzConfig::three_level(eb)).compress(field).unwrap();
-    let region = Region::d3(13..67, 41..100, 5..111);
     let chunks = |b: &AccessBreakdown| -> Vec<(u8, usize, usize)> {
         b.levels.iter().map(|l| (l.level, l.decoded_chunks, l.skipped_chunks)).collect()
     };
-    let serial = with_threads(1, || walks(&archive, &region));
-    assert_eq!(chunks(&serial[2].2)[1], (3, 21, 0), "a full decode reads each level-3 chunk");
+    let serial = with_threads(1, || walks(&archive, region));
     for threads in WIDTHS {
-        let pooled = with_threads(threads, || walks(&archive, &region));
+        let pooled = with_threads(threads, || walks(&archive, region));
         for ((what, bytes, breakdown), (_, want, serial)) in pooled.iter().zip(&serial) {
             assert!(bytes == want, "{what} at {threads} thread(s): other bytes");
             assert_eq!(chunks(breakdown), chunks(serial), "{what} at {threads} thread(s)");
         }
     }
+    chunks(&serial[serial.len() - 2].2)
 }
 
 #[test]
 fn each_chunk_is_decoded_once_at_every_width() {
-    assert_each_chunk_decoded_once(&f32_field(chunky()), EB_F32);
-    assert_each_chunk_decoded_once(&f64_field(chunky()), EB_F64);
+    let region = Region::d3(13..67, 41..100, 5..111);
+    let full = assert_each_chunk_decoded_once(&f32_field(chunky()), EB_F32, &region);
+    assert_eq!(full[1], (3, 21, 0), "a full decode reads each level-3 chunk");
+    assert_each_chunk_decoded_once(&f64_field(chunky()), EB_F64, &region);
+    // Boxes one row thick, whose units are spans of the row.
+    let row = Region::d3(57..58, 31..32, 0..112);
+    assert_each_chunk_decoded_once(&f32_field(chunky()), EB_F32, &row);
+    let line = Dims::d1(1_200_001);
+    assert_each_chunk_decoded_once(&f32_field(line), EB_F32, &Region::d1(99_999..1_200_001));
 }
 
 #[test]
@@ -650,7 +663,10 @@ fn identities_hold_on_degenerate_axes() {
 // block-by-block decoder.
 // ---------------------------------------------------------------------------
 
-use stz::codec::{ByteReader, ByteWriter};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
+use std::time::Duration;
+use stz::codec::{ByteReader, ByteWriter, CodecError};
 
 /// A sub-block stream taken apart (FORMAT.md §5.1).
 struct BlockStream {
@@ -720,83 +736,152 @@ fn bad_last_escape_count(bytes: &[u8]) -> Vec<u8> {
     stream.build()
 }
 
-/// The error text of every decode path that reaches level 3 of `archive`.
-fn error_texts(archive: &StzArchive<f32>) -> Vec<String> {
-    let text = |r: Result<Field<f32>, stz::codec::CodecError>| r.unwrap_err().to_string();
-    let progressive = |threads| {
-        let mut steps = archive.progressive();
+/// The error text `call` returns on `archive` at `threads`, on a thread of
+/// its own: a call that does not return within two minutes — a hand-off
+/// left waiting — fails the test instead of stalling it.
+fn text_by_deadline(
+    archive: &Arc<StzArchive<f32>>,
+    threads: usize,
+    call: impl FnOnce(&StzArchive<f32>) -> String + Send + 'static,
+) -> String {
+    let (archive, (tx, rx)) = (archive.clone(), mpsc::channel());
+    std::thread::spawn(move || tx.send(with_threads(threads, || call(&archive))));
+    match rx.recv_timeout(Duration::from_secs(120)) {
+        Ok(text) => text,
+        Err(RecvTimeoutError::Timeout) => panic!("a decode at {threads} thread(s) hung"),
+        Err(RecvTimeoutError::Disconnected) => panic!("a decode at {threads} thread(s) panicked"),
+    }
+}
+
+fn text(r: Result<Field<f32>, CodecError>) -> String {
+    r.unwrap_err().to_string()
+}
+
+/// The error text of a walk into little-endian bytes to level `k`.
+fn le_text(walk: Result<ProgressiveDecoder<'_, f32>, CodecError>, k: u8) -> String {
+    let mut out = Vec::new();
+    let done = walk.unwrap().decode_to_le(k, |dims| {
+        out = vec![0; dims.len() * 4];
+        &mut out[..]
+    });
+    done.unwrap_err().to_string()
+}
+
+/// The error text of every decode path that reaches level 3 of `archive`,
+/// those on the pool at `threads`; the last three walk `regions`.
+fn error_texts(archive: &Arc<StzArchive<f32>>, threads: usize, regions: &[Region]) -> Vec<String> {
+    let stepped = |a: &StzArchive<f32>| {
+        let mut steps = a.progressive();
         steps.next_level().unwrap();
         steps.next_level().unwrap();
-        with_threads(threads, || steps.next_level()).unwrap_err().to_string()
+        steps.next_level().unwrap_err().to_string()
     };
-    let dims = archive.dims();
-    vec![
-        text(archive.decompress()),
-        text(with_threads(2, || archive.decompress_parallel())),
-        text(archive.decompress_level(3)),
-        progressive(1),
-        progressive(2),
-        text(archive.decompress_region(&Region::full(dims))),
-        text(archive.decompress_region(&Region::d3(33..128, 61..128, 3..128))),
-        text(archive.decompress_region(&Region::d3(1..40, 0..9, 17..120))),
-    ]
+    let mut texts = vec![
+        text_by_deadline(archive, 1, |a| text(a.decompress())),
+        text_by_deadline(archive, threads, |a| text(a.decompress_parallel())),
+        text_by_deadline(archive, 1, |a| text(a.decompress_level(3))),
+        text_by_deadline(archive, 1, stepped),
+        text_by_deadline(archive, threads, stepped),
+    ];
+    for r in regions {
+        let r = r.clone();
+        let walk =
+            move |a: &StzArchive<f32>| text(a.progressive_region(&r).and_then(|w| w.decode_to(3)));
+        texts.push(text_by_deadline(archive, threads, walk));
+    }
+    texts
 }
 
 /// [`error_texts`] through the into-bytes finish, path for path (the
 /// stepped walks, which hand out fields, are each the full decode at their
 /// width).
-fn le_error_texts(archive: &StzArchive<f32>) -> Vec<String> {
-    let levels = archive.num_levels();
-    let text = |walk: Result<ProgressiveDecoder<'_, f32>, _>, k| {
-        let mut out = Vec::new();
-        let done = walk.unwrap().decode_to_le(k, |dims| {
-            out = vec![0; dims.len() * 4];
-            &mut out[..]
-        });
-        done.unwrap_err().to_string()
-    };
-    let full = |threads| with_threads(threads, || text(Ok(archive.progressive()), levels));
-    let region = |r: Region| with_threads(1, || text(archive.progressive_region(&r), levels));
-    vec![
-        full(1),
-        full(2),
-        full(1),
-        full(1),
-        full(2),
-        region(Region::full(archive.dims())),
-        region(Region::d3(33..128, 61..128, 3..128)),
-        region(Region::d3(1..40, 0..9, 17..120)),
-    ]
+fn le_error_texts(
+    archive: &Arc<StzArchive<f32>>,
+    threads: usize,
+    regions: &[Region],
+) -> Vec<String> {
+    let full = |a: &StzArchive<f32>| le_text(Ok(a.progressive()), a.num_levels());
+    let mut texts = vec![
+        text_by_deadline(archive, 1, full),
+        text_by_deadline(archive, threads, full),
+        text_by_deadline(archive, 1, full),
+        text_by_deadline(archive, 1, full),
+        text_by_deadline(archive, threads, full),
+    ];
+    for r in regions {
+        let r = r.clone();
+        let walk = move |a: &StzArchive<f32>| le_text(a.progressive_region(&r), a.num_levels());
+        texts.push(text_by_deadline(archive, threads, walk));
+    }
+    texts
 }
 
 #[test]
 fn a_level_broken_in_two_blocks_fails_with_the_first_block_error_on_every_path() {
     let archive =
         StzCompressor::new(StzConfig::three_level(EB_F32)).compress(&f32_field(big())).unwrap();
-    let two_chunks = edit_level(&archive, 3, |i, b| match i {
+    let two_chunks = Arc::new(edit_level(&archive, 3, |i, b| match i {
         5 => flip_first_chunk(b),
         2 => bad_last_escape_count(b),
         _ => b.to_vec(),
-    });
-    let truncated = edit_level(&archive, 3, |i, b| match i {
+    }));
+    let truncated = Arc::new(edit_level(&archive, 3, |i, b| match i {
         1 => flip_first_chunk(b),
         4 => b[..b.len() / 2].to_vec(),
         _ => b.to_vec(),
-    });
-    let (escape, kraft, eof) = (
+    }));
+    // 112^3 at width 2: the cut between the level-3 units falls inside the
+    // first chunk of the blocks of row parity (1, 0), 4 and 5, so the later
+    // unit decodes it — and here fails — before handing it back.
+    let archive =
+        StzCompressor::new(StzConfig::three_level(EB_F32)).compress(&f32_field(chunky())).unwrap();
+    let straddled = Arc::new(edit_level(&archive, 3, |i, b| match i {
+        3 => flip_first_chunk(b),
+        _ => b.to_vec(),
+    }));
+    let (escape, kraft, eof, length) = (
         "corrupt stream: chunk escape count mismatch",
         "corrupt stream: huffman table violates Kraft inequality",
         "unexpected end of input while reading length-prefixed block",
+        "corrupt stream: invalid code length 171",
     );
-    // Block 2's last chunk comes before block 5's first in block order; the
-    // last region wants no chunk of block 2 but the first of block 5.
-    let want = [escape, escape, escape, escape, escape, escape, escape, kraft];
-    assert_eq!(error_texts(&two_chunks), want, "escape count in block 2, flip in block 5");
-    assert_eq!(le_error_texts(&two_chunks), want, "the same, into bytes");
-    // The second region wants none of block 1's first chunk.
-    let want = [kraft, kraft, kraft, kraft, kraft, kraft, eof, kraft];
-    assert_eq!(error_texts(&truncated), want, "flip in block 1, block 4 truncated");
-    assert_eq!(le_error_texts(&truncated), want, "the same, into bytes");
+    let regions = [
+        Region::full(big()),
+        Region::d3(33..128, 61..128, 3..128),
+        Region::d3(1..40, 0..9, 17..120),
+    ];
+    let chunky_regions = [
+        Region::full(chunky()),
+        Region::d3(29..112, 0..112, 1..111),
+        Region::d3(1..40, 0..9, 17..100),
+    ];
+    for threads in WIDTHS {
+        let at = format!("at {threads} thread(s)");
+        // Block 2's last chunk comes before block 5's first in block order;
+        // the last region wants no chunk of block 2 but the first of block 5.
+        let want = [escape, escape, escape, escape, escape, escape, escape, kraft];
+        let texts = error_texts(&two_chunks, threads, &regions);
+        assert_eq!(texts, want, "escape count in block 2, flip in block 5, {at}");
+        let texts = le_error_texts(&two_chunks, threads, &regions);
+        assert_eq!(texts, want, "the same, into bytes, {at}");
+        // The second region wants none of block 1's first chunk.
+        let want = [kraft, kraft, kraft, kraft, kraft, kraft, eof, kraft];
+        assert_eq!(
+            error_texts(&truncated, threads, &regions),
+            want,
+            "block 1 flipped, 4 cut, {at}"
+        );
+        assert_eq!(
+            le_error_texts(&truncated, threads, &regions),
+            want,
+            "the same, into bytes, {at}"
+        );
+        let want = [length; 8];
+        let texts = error_texts(&straddled, threads, &chunky_regions);
+        assert_eq!(texts, want, "a flip in a chunk a cut straddles, {at}");
+        let texts = le_error_texts(&straddled, threads, &chunky_regions);
+        assert_eq!(texts, want, "the same, into bytes, {at}");
+    }
 }
 
 #[test]

@@ -11,10 +11,10 @@ fn sample_archives() -> Vec<(&'static str, Vec<u8>)> {
             "stz",
             StzCompressor::new(StzConfig::three_level(1e-3)).compress(&f).unwrap().into_bytes(),
         ),
-        ("sz3", stz::sz3::compress(&f, &stz::sz3::Sz3Config::absolute(1e-3))),
+        ("sz3", stz::sz3::compress(&f, &stz::sz3::Sz3Config::absolute(1e-3)).unwrap()),
         ("sperr", stz::sperr::compress(&f, &stz::sperr::SperrConfig::new(1e-3))),
         ("zfp", stz::zfp::compress(&f, &stz::zfp::ZfpConfig::new(1e-3))),
-        ("mgard", stz::mgard::compress(&f, &stz::mgard::MgardConfig::new(1e-3))),
+        ("mgard", stz::mgard::compress(&f, &stz::mgard::MgardConfig::new(1e-3)).unwrap()),
     ]
 }
 

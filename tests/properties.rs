@@ -50,7 +50,7 @@ proptest! {
     fn sz3_error_bounded(dims in dims_strategy(), seed in any::<u64>(), eb_exp in -4i32..-1) {
         let eb = 10f64.powi(eb_exp);
         let f = field_from_seed(dims, seed, 1.0);
-        let bytes = stz::sz3::compress(&f, &stz::sz3::Sz3Config::absolute(eb));
+        let bytes = stz::sz3::compress(&f, &stz::sz3::Sz3Config::absolute(eb)).unwrap();
         let r: Field<f32> = stz::sz3::decompress(&bytes).unwrap();
         prop_assert!(metrics::max_abs_error(&f, &r) <= eb);
     }
@@ -77,7 +77,7 @@ proptest! {
     fn mgard_error_bounded(dims in dims_strategy(), seed in any::<u64>(), eb_exp in -4i32..-1) {
         let eb = 10f64.powi(eb_exp);
         let f = field_from_seed(dims, seed, 1.0);
-        let bytes = stz::mgard::compress(&f, &stz::mgard::MgardConfig::new(eb));
+        let bytes = stz::mgard::compress(&f, &stz::mgard::MgardConfig::new(eb)).unwrap();
         let r: Field<f32> = stz::mgard::decompress(&bytes).unwrap();
         prop_assert!(metrics::max_abs_error(&f, &r) <= eb);
     }

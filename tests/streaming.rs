@@ -121,7 +121,7 @@ fn sperr_preview_and_mgard_levels_also_stream() {
     let coarse: Field<f32> = stz::sperr::decompress_preview(&sperr_bytes, 8).unwrap();
     assert_eq!(coarse.dims(), f.dims());
     // MGARD: resolution-progressive levels.
-    let mgard_bytes = stz::mgard::compress(&f, &stz::mgard::MgardConfig::new(1e-3));
+    let mgard_bytes = stz::mgard::compress(&f, &stz::mgard::MgardConfig::new(1e-3)).unwrap();
     let full: Field<f32> = stz::mgard::decompress(&mgard_bytes).unwrap();
     let lvl: Field<f32> = stz::mgard::decompress_level(&mgard_bytes, 2).unwrap();
     assert!(lvl.len() < full.len());
