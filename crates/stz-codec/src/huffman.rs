@@ -184,9 +184,12 @@ impl HuffmanEncoder {
 /// Canonical Huffman decoder.
 #[derive(Debug, Clone)]
 pub struct HuffmanDecoder {
-    /// Fast path: `table[prefix] = (symbol, len)` for codes of length
-    /// `<= table_bits`; `len == 0` marks a long code.
-    table: Vec<(u32, u8)>,
+    /// Fast path: `table[prefix] = index << 4 | len` for codes of length
+    /// `<= table_bits`, `index` into `symbols`; `len == 0` marks a long code.
+    /// By the Kraft inequality at most `1 << TABLE_BITS` codes are that
+    /// short, so every such index is below it and an entry fits 16 bits
+    /// (2 B against the 8 B a `(u32, u8)` pads to: 8 KiB a table, not 32).
+    table: Vec<u16>,
     /// `min(max_len, TABLE_BITS)` — sizing the fast table to the actual
     /// longest code keeps the per-table build cost proportional to the
     /// alphabet, which matters when many small blocks each carry their own
@@ -282,17 +285,15 @@ impl HuffmanDecoder {
         // Fast table for short codes.
         let table_bits = TABLE_BITS.min(max_len);
         let table_len = 1usize << table_bits;
-        let mut table = vec![(0u32, 0u8); table_len];
+        let mut table = vec![0u16; table_len];
         for len in 1..=table_bits {
             let len_us = len as usize;
             for k in 0..count[len_us] {
                 let code = first_code[len_us] + k as u64;
-                let sym = symbols[(offset[len_us] + k) as usize];
+                let index = offset[len_us] + k;
                 let shift = table_bits - len;
                 let base = (code << shift) as usize;
-                for fill in 0..(1usize << shift) {
-                    table[base + fill] = (sym, len as u8);
-                }
+                table[base..base + (1 << shift)].fill((index << 4 | len) as u16);
             }
         }
 
@@ -302,8 +303,7 @@ impl HuffmanDecoder {
     /// Decode a single symbol.
     #[inline]
     pub fn decode_symbol(&self, r: &mut BitReader<'_>) -> Result<u32> {
-        let prefix = r.peek(self.table_bits) as usize;
-        let (sym, len) = self.table[prefix];
+        let (sym, len) = self.short(r.peek(self.table_bits) as usize);
         if len > 0 {
             // peek() buffered >= len bits (or hit true EOF), so the cheap
             // consume path is exact.
@@ -311,6 +311,16 @@ impl HuffmanDecoder {
             return Ok(sym);
         }
         self.decode_long(r)
+    }
+
+    /// The single-symbol table's answer for a `table_bits`-bit window: the
+    /// symbol and its code length, or length 0 for a long code.
+    #[inline(always)]
+    fn short(&self, window: usize) -> (u32, u8) {
+        match self.table[window] {
+            0 => (0, 0),
+            entry => (self.symbols[(entry >> 4) as usize], (entry & 15) as u8),
+        }
     }
 
     #[cold]
@@ -335,19 +345,27 @@ impl HuffmanDecoder {
 
     /// Decode exactly `n` symbols.
     pub fn decode_n(&self, r: &mut BitReader<'_>, n: usize) -> Result<Vec<u32>> {
-        // A fresh buffer comes zeroed from the allocator: no fill pass.
-        let mut out = vec![0u32; Self::slots_for(r, n)];
-        self.decode_sized(r, n, 0, &mut out)?;
-        Ok(out)
+        let (out, result) = self.decode_prefix(r, n);
+        result.map(|()| out)
     }
 
-    /// Decode exactly `n` symbols onto the end of `out`, so a caller that
-    /// decodes block after block can keep one buffer. On an error `out`
-    /// keeps whatever was decoded before it.
-    pub fn decode_n_into(&self, r: &mut BitReader<'_>, n: usize, out: &mut Vec<u32>) -> Result<()> {
-        let start = out.len();
-        out.resize(start + Self::slots_for(r, n), 0);
-        self.decode_sized(r, n, start, out)
+    /// Decode up to `n` symbols: those decoded, and the error that stopped
+    /// the decode short of `n`, if one did.
+    fn decode_prefix(&self, r: &mut BitReader<'_>, n: usize) -> (Vec<u32>, Result<()>) {
+        // A fresh buffer comes zeroed from the allocator: no fill pass. A
+        // count beyond the slots can only run into the end of the input, one
+        // symbol at a time.
+        let mut out = vec![0u32; Self::slots_for(r, n)];
+        let slots = out.len();
+        let (done, mut result) = self.decode_into_slice(r, &mut out);
+        out.truncate(done);
+        for _ in slots..n {
+            if result.is_err() {
+                break;
+            }
+            result = self.decode_symbol(r).map(|symbol| out.push(symbol));
+        }
+        (out, result)
     }
 
     /// Output slots to commit for `n` declared symbols. `n` is
@@ -357,26 +375,6 @@ impl HuffmanDecoder {
     /// size up front.
     fn slots_for(r: &BitReader<'_>, n: usize) -> usize {
         n.min(r.bits_remaining() as usize)
-    }
-
-    /// Decode `n` symbols into `out[start..]`, which [`Self::slots_for`]
-    /// sized; a count beyond the slots can only run into the end of the
-    /// input, one symbol at a time.
-    fn decode_sized(
-        &self,
-        r: &mut BitReader<'_>,
-        n: usize,
-        start: usize,
-        out: &mut Vec<u32>,
-    ) -> Result<()> {
-        let slots = out.len() - start;
-        let (done, result) = self.decode_into_slice(r, &mut out[start..]);
-        out.truncate(start + done);
-        result?;
-        for _ in slots..n {
-            out.push(self.decode_symbol(r)?);
-        }
-        Ok(())
     }
 
     /// Decode `out.len()` symbols into `out`: how many were stored, and the
@@ -433,7 +431,9 @@ impl HuffmanDecoder {
     /// byte up — with their number in bits 56..59 and their total code length
     /// in bits 59..64. It is built after the tables of every narrower width
     /// `w`, each at `1 << w` of a scratch table the hot loop does not hold,
-    /// since a window is its first code and then a narrower window.
+    /// since a window is its first code and then a narrower window: the
+    /// scratch and the table are each `1 << pbits` entries, and only the
+    /// table outlives the build.
     /// Built from the canonical arrays the single-symbol table comes from —
     /// a test holds it to a greedy walk of that table — so there is no
     /// second source of truth.
@@ -444,7 +444,7 @@ impl HuffmanDecoder {
     /// first code is the one bit `0` is [`PACK_RUN`] instead: a run of that
     /// symbol as long as the zero bits last.
     fn packed_table(&self, pbits: u32) -> Vec<u64> {
-        let mut tables = vec![0u64; 2 << pbits];
+        let (mut tables, mut table) = (vec![0u64; 1 << pbits], vec![0u64; 1 << pbits]);
         // One symbol of `len` bits in byte `slot` of an entry, counted.
         let one = |symbol: u32, len: u32, slot: u64| {
             (symbol as u64) << (8 * slot) | 1 << 56 | (len as u64) << 59
@@ -461,7 +461,11 @@ impl HuffmanDecoder {
             }
         }
         for width in 1..=pbits {
-            let (narrower, wider) = tables.split_at_mut(1 << width);
+            let (narrower, wider) = if width < pbits {
+                tables.split_at_mut(1 << width)
+            } else {
+                (&mut tables[..], &mut table[..])
+            };
             let mut at = 0;
             for len in 1..=self.max_len.min(width) {
                 // Canonical codes ascend with (length, symbol), so the codes
@@ -487,9 +491,9 @@ impl HuffmanDecoder {
             }
         }
         if self.count[1] > 0 {
-            tables[1 << pbits] = PACK_RUN;
+            table[0] = PACK_RUN;
         }
-        tables.split_off(1 << pbits)
+        table
     }
 
     /// The hot loop of [`HuffmanDecoder::decode_into_slice`]: symbols through
@@ -505,7 +509,7 @@ impl HuffmanDecoder {
         packed: &[u64],
         pbits: u32,
     ) -> (usize, Result<()>) {
-        let (table, tb) = (&self.table[..], self.table_bits);
+        let (table, symbols, tb) = (&self.table[..], &self.symbols[..], self.table_bits);
         if tb == 0 || table.len() != 1 << tb || (PACKED && packed.len() != 1 << pbits) {
             return (0, Ok(()));
         }
@@ -557,10 +561,10 @@ impl HuffmanDecoder {
                     continue;
                 }
             }
-            let (symbol, len) = table[(acc >> (nbits - tb)) as usize & (table.len() - 1)];
-            if len > 0 {
-                out[o] = symbol;
-                nbits -= len as u32;
+            let entry = table[(acc >> (nbits - tb)) as usize & (table.len() - 1)];
+            if entry & 15 > 0 {
+                out[o] = symbols[(entry >> 4) as usize];
+                nbits -= (entry & 15) as u32;
             } else {
                 // Long code: hand the reader back and take the cold path.
                 (r.pos, r.acc, r.nbits) = (pos, acc, nbits);
@@ -744,12 +748,6 @@ pub fn decode_block(data: &[u8]) -> Result<Vec<u32>> {
     with_block(data, |dec, r, n| dec.decode_n(r, n))
 }
 
-/// [`decode_block`] onto the end of a caller's buffer, so one buffer can take
-/// block after block. On an error `out` keeps whatever was decoded before it.
-pub fn decode_block_into(data: &[u8], out: &mut Vec<u32>) -> Result<()> {
-    with_block(data, |dec, r, n| dec.decode_n_into(r, n, out))
-}
-
 /// [`decode_block`] into a caller's slice — no allocation, no fill: returns
 /// the number of symbols the block holds, of which the first `out.len()` are
 /// stored. A caller that expects a count sizes `out` to it and compares. The
@@ -914,17 +912,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_into_appends_to_the_buffer() {
-        let (a, b): (Vec<u32>, Vec<u32>) = ((0..300).map(|i| i % 5).collect(), vec![9; 70]);
-        let mut out = vec![42u32];
-        decode_block_into(&encode_block(&a), &mut out).unwrap();
-        decode_block_into(&encode_block(&b), &mut out).unwrap();
-        assert_eq!(out, [&[42][..], &a, &b].concat());
-        let block = encode_block(&a);
-        assert!(decode_block_into(&block[..block.len() - 1], &mut out).is_err());
-    }
-
-    #[test]
     fn truncated_block_is_error() {
         let syms: Vec<u32> = (0..100).map(|i| (i % 7) as u32).collect();
         let block = encode_block(&syms);
@@ -992,17 +979,15 @@ mod tests {
     /// The fast decoder through each of its fronts, which must all agree.
     fn fast_decode(dec: &HuffmanDecoder, data: &[u8], n: usize) -> Decoded {
         let mut r = BitReader::new(data);
-        let mut appended = vec![7u32, 7];
-        let result = dec.decode_n_into(&mut r, n, &mut appended);
-        assert_eq!(appended[..2], [7, 7], "decode_n_into appends");
-        let appended = (appended[2..].to_vec(), result, r.bits_consumed());
+        let (symbols, result) = dec.decode_prefix(&mut r, n);
+        let prefix = (symbols, result, r.bits_consumed());
 
         let mut r = BitReader::new(data);
         let fresh = dec.decode_n(&mut r, n);
-        assert_eq!(fresh.clone().err(), appended.1.clone().err());
-        assert_eq!(r.bits_consumed(), appended.2);
+        assert_eq!(fresh.clone().err(), prefix.1.clone().err());
+        assert_eq!(r.bits_consumed(), prefix.2);
         if let Ok(fresh) = fresh {
-            assert!(fresh == appended.0, "decode_n and decode_n_into differ");
+            assert!(fresh == prefix.0, "decode_n and its prefix differ");
         }
 
         // The slice front cannot hold more than the input has bits for.
@@ -1012,10 +997,10 @@ mod tests {
         if slots.len() == n {
             assert_eq!(
                 (&slots[..done], &result, r.bits_consumed()),
-                (&appended.0[..], &appended.1, appended.2)
+                (&prefix.0[..], &prefix.1, prefix.2)
             );
         }
-        appended
+        prefix
     }
 
     fn assert_decodes_alike(dec: &HuffmanDecoder, data: &[u8], n: usize, what: &str) {
@@ -1239,7 +1224,7 @@ mod tests {
                         let (mut bits, mut expect, mut used) = (window << (32 - pbits), 0u64, 0);
                         for held in 0..PACK_SYMBOLS as u32 {
                             let (symbol, len) =
-                                dec.table[(bits >> (32 - dec.table_bits)) & (dec.table.len() - 1)];
+                                dec.short((bits >> (32 - dec.table_bits)) & (dec.table.len() - 1));
                             if len == 0 || used + len as u32 > pbits || symbol > 0xFF {
                                 break;
                             }

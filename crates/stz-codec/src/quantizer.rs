@@ -72,11 +72,6 @@ impl LinearQuantizer {
         LinearQuantizer { eb, radius }
     }
 
-    /// Quantizer with the SZ3 default radius of 2^15.
-    pub fn with_default_radius(eb: f64) -> Self {
-        LinearQuantizer::new(eb, 1 << 15)
-    }
-
     #[inline]
     pub fn error_bound(&self) -> f64 {
         self.eb

@@ -22,8 +22,8 @@
 use crate::archive::StzArchive;
 use crate::compressor::StzCompressor;
 use crate::config::StzConfig;
-use crate::kernels::{dense_taps, predict_direct, predict_point};
-use crate::level::{BlockSpec, LevelPlan};
+use crate::level::LevelPlan;
+use crate::reference::{refine, Predictor};
 use stz_codec::{ByteReader, ByteWriter, CodecError, Result};
 use stz_field::{Dims, Field, Scalar};
 use stz_sz3::{InterpKind, Sz3Config};
@@ -86,6 +86,14 @@ impl AblationVariant {
             2 => AblationVariant::MultiDimInterp,
             t => return Err(CodecError::corrupt(format!("unknown ablation tag {t}"))),
         })
+    }
+
+    /// How the residual strawmen predict a finer point.
+    fn predictor(&self) -> Predictor {
+        match self {
+            AblationVariant::DirectPred => Predictor::Direct,
+            _ => Predictor::Interp(InterpKind::Linear),
+        }
     }
 
     /// The STZ configuration for the variants that are plain configurations
@@ -154,42 +162,19 @@ pub fn compress_variant<T: Scalar>(
             let level = &plan.levels[1];
             let coarse = Field::from_vec(plan.levels[0].grid_dims, a_recon);
             w.put_uvarint(level.blocks.len() as u64);
-            for block in &level.blocks {
+            // The walk's grid is nobody's operand here: each block gives
+            // back its predictions as its values.
+            refine(level, &coarse, variant.predictor(), |_, block, predictions| {
                 let orig: Field<T> = block.lattice.gather(field);
-                let mut residual = Vec::with_capacity(orig.len());
-                let bdims = orig.dims();
-                for z in 0..bdims.nz() {
-                    for y in 0..bdims.ny() {
-                        for x in 0..bdims.nx() {
-                            let pred = predict(variant, &coarse, level.grid_dims, block, [z, y, x]);
-                            residual.push(orig.get(z, y, x).to_f64() - pred);
-                        }
-                    }
-                }
-                let res_field = Field::from_vec(bdims, residual);
-                w.put_block(&stz_sz3::compress(&res_field, &sz3_cfg)?);
-            }
+                let residual = orig.as_slice().iter().zip(&predictions);
+                let residual = residual.map(|(v, p)| v.to_f64() - p).collect();
+                w.put_block(&stz_sz3::compress(&Field::from_vec(orig.dims(), residual), &sz3_cfg)?);
+                Ok(predictions)
+            })?;
         }
         _ => unreachable!("configuration variants handled above"),
     }
     Ok(w.finish())
-}
-
-/// The prediction of point `p` of `block` — in block coordinates — by the
-/// direct or multilinear strawman, from the level-1 grid `coarse` as it is.
-fn predict(
-    variant: AblationVariant,
-    coarse: &Field<f64>,
-    gdims: Dims,
-    block: &BlockSpec,
-    [z, y, x]: [usize; 3],
-) -> f64 {
-    let (gz, gy, gx) = block.grid_lattice.to_parent(z, y, x);
-    let taps = dense_taps(coarse.as_slice(), coarse.dims(), [0; 3]);
-    match variant {
-        AblationVariant::DirectPred => predict_direct(taps, [gz, gy, gx], &block.active_axes, 1),
-        _ => predict_point(taps, gdims, [gz, gy, gx], &block.active_axes, 1, InterpKind::Linear),
-    }
 }
 
 /// Decompress bytes produced by [`compress_variant`].
@@ -251,33 +236,19 @@ pub fn decompress_variant<T: Scalar>(bytes: &[u8]) -> Result<Field<T>> {
                 return Err(CodecError::corrupt("level-1 dims mismatch"));
             }
             let level = &plan.levels[1];
-            let coarse = Field::from_vec(
-                plan.levels[0].grid_dims,
-                a.as_slice().iter().map(|&v| v.to_f64()).collect(),
-            );
-            let mut grid = Field::<f64>::zeros(level.grid_dims);
-            plan.level1().scatter(&coarse, &mut grid);
             let n = r.get_uvarint()? as usize;
             if n != level.blocks.len() {
                 return Err(CodecError::corrupt("block count mismatch"));
             }
-            for block in &level.blocks {
+            let coarse =
+                Field::from_vec(a.dims(), a.as_slice().iter().map(|v| v.to_f64()).collect());
+            let grid = refine(level, &coarse, variant.predictor(), |_, block, predictions| {
                 let residual: Field<f64> = stz_sz3::decompress(r.get_block()?)?;
                 if residual.dims().as_array() != block.lattice.dims().as_array() {
                     return Err(CodecError::corrupt("residual dims mismatch"));
                 }
-                let bdims = residual.dims();
-                let mut vals = Vec::with_capacity(bdims.len());
-                for z in 0..bdims.nz() {
-                    for y in 0..bdims.ny() {
-                        for x in 0..bdims.nx() {
-                            let pred = predict(variant, &coarse, level.grid_dims, block, [z, y, x]);
-                            vals.push(pred + residual.get(z, y, x));
-                        }
-                    }
-                }
-                block.grid_lattice.scatter(&Field::from_vec(bdims, vals), &mut grid);
-            }
+                Ok(predictions.iter().zip(residual.as_slice()).map(|(p, e)| p + e).collect())
+            })?;
             Ok(Field::from_vec(dims, grid.as_slice().iter().map(|&v| T::from_f64(v)).collect()))
         }
         _ => unreachable!("configuration variants use the STZ container"),

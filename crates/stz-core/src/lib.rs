@@ -53,6 +53,8 @@ pub mod level;
 pub mod pool;
 pub mod progressive;
 pub mod random_access;
+#[doc(hidden)]
+pub mod reference;
 pub mod roi;
 pub mod source;
 pub mod stats;

@@ -272,21 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn stepwise_matches_direct_levels() {
-        let f = field();
-        let archive = StzCompressor::new(StzConfig::three_level(1e-3)).compress(&f).unwrap();
-        let mut dec = archive.progressive();
-        for k in 1..=3u8 {
-            assert_eq!(dec.next_dims(), Some(archive.plan().preview_dims(k)));
-            let step = dec.next_level().unwrap().unwrap();
-            let direct = archive.decompress_level(k).unwrap();
-            assert_eq!(step, direct, "level {k}");
-        }
-        assert!(dec.is_complete());
-        assert_eq!(dec.next_level().unwrap(), None);
-    }
-
-    #[test]
     fn decode_to_skips_intermediates() {
         let f = field();
         let archive = StzCompressor::new(StzConfig::three_level(1e-3)).compress(&f).unwrap();
@@ -455,19 +440,5 @@ mod tests {
             out = vec![0; dims.len() * 4 + 1];
             &mut out
         });
-    }
-
-    #[test]
-    fn parallel_stepping_matches_serial() {
-        let f = field();
-        let archive = StzCompressor::new(StzConfig::three_level(1e-3)).compress(&f).unwrap();
-        for threads in [1, 2, 8] {
-            let (mut a, mut b) = (archive.progressive(), archive.progressive());
-            while let Some(pa) = with_threads(1, || a.next_level()).unwrap() {
-                let pb = with_threads(threads, || b.next_level()).unwrap().unwrap();
-                assert_eq!(pa, pb, "{threads} thread(s)");
-            }
-            assert!(b.is_complete());
-        }
     }
 }

@@ -87,11 +87,6 @@ impl Dataset {
             Dataset::Miranda => DatasetField::F32(synth::miranda_like(dims, seed)),
         }
     }
-
-    /// A default laptop-scale instance (1/8 of each paper axis).
-    pub fn generate_default(&self, seed: u64) -> DatasetField {
-        self.generate(self.scaled_dims(8), seed)
-    }
 }
 
 #[cfg(test)]

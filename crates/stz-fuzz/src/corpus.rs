@@ -185,12 +185,6 @@ impl Reproducer {
         std::fs::write(&path, self.to_text())?;
         Ok(path)
     }
-
-    /// Read and parse one reproducer file.
-    pub fn read_from(path: &Path) -> Result<Reproducer, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        Reproducer::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
 }
 
 #[cfg(test)]

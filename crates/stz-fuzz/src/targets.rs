@@ -11,7 +11,7 @@ use crate::corpus::signature;
 use std::io::{Cursor, Read, Write};
 use stz_access::{AccessError, Entry, EntrySel as AccessSel, Fetch, FileStore, Store};
 use stz_backend::{registry, ErrorBound};
-use stz_core::{StzArchive, StzCompressor, StzConfig};
+use stz_core::{reference, StzArchive, StzCompressor, StzConfig};
 use stz_field::{Dims, Field, Region, Scalar};
 use stz_mutate::{upgrade_image, MemBacking, MutableContainer};
 use stz_serve::proto::{
@@ -671,9 +671,10 @@ impl FuzzTarget for CodecTarget {
         }
     }
 
-    /// The level-1 memo oracle: on an input that parses as an
-    /// [`StzArchive`], a handle that resumes from the level-1 grid it kept
-    /// must answer every call as a fresh handle does.
+    /// The decode oracles: on an input that parses as an [`StzArchive`],
+    /// every call a fresh handle answers must be the reference decoder's
+    /// answer, and a handle that resumes from the level-1 grid it kept must
+    /// answer every call as a fresh handle does.
     fn deep_check(&self, input: &[u8]) -> Result<(), String> {
         if stz_core::archive::type_tag(input) == Some(f64::TYPE_TAG) {
             cold_equals_warm::<f64>(input)
@@ -688,7 +689,8 @@ impl FuzzTarget for CodecTarget {
 }
 
 /// A region, every level, then the full decode, each on a handle of its
-/// own, which decodes level 1 from the stream, and twice over on one handle,
+/// own, which decodes level 1 from the stream — whose every answer must be
+/// `stz_core::reference`'s, bit for bit — and twice over on one handle,
 /// which resumes from the grid it kept after its first call: each answer's
 /// exact bytes or error text must be the same all three times. Each call
 /// then ends its walk in little-endian bytes instead of a field, on a fresh
@@ -701,16 +703,16 @@ fn cold_equals_warm<T: Scalar>(input: &[u8]) -> Result<(), String> {
     let middle = |n: usize| n / 4..n / 4 + n.div_ceil(2);
     let region = Region::d3(middle(nz), middle(ny), middle(nx));
     let levels = archive.num_levels();
+    let bytes = |f: Field<T>| {
+        let mut out = Vec::new();
+        T::write_slice_exact(f.as_slice(), &mut out);
+        out
+    };
     let call = |a: &StzArchive<T>, i: u8| {
         let decoded = match i {
             0 => a.decompress_region(&region),
             i if i <= levels => a.decompress_level(i),
             _ => a.decompress(),
-        };
-        let bytes = |f: Field<T>| {
-            let mut out = Vec::new();
-            T::write_slice_exact(f.as_slice(), &mut out);
-            out
         };
         decoded.map(bytes).map_err(|e| e.to_string())
     };
@@ -732,8 +734,23 @@ fn cold_equals_warm<T: Scalar>(input: &[u8]) -> Result<(), String> {
         done.map(|()| out).map_err(|e| e.to_string())
     };
     let calls = 0..=levels + 1;
+    let what = |i: u8| match i {
+        0 => format!("region {region:?}"),
+        i if i <= levels => format!("level {i}"),
+        _ => "full decode".to_string(),
+    };
     let cold: Vec<Result<Vec<u8>, String>> =
         calls.clone().map(|i| call(&handle().expect("parsed above"), i)).collect();
+    for (i, cold) in calls.clone().zip(&cold) {
+        let Ok(cold) = cold else { continue };
+        let want = match i {
+            0 => reference::region(&archive, &region),
+            i => reference::decode(&archive, i.min(levels)),
+        };
+        if want.map(bytes).as_ref() != Ok(cold) {
+            return Err(format!("{} on a fresh handle is not the reference's", what(i)));
+        }
+    }
     let warm = |pass: &str, i: u8| match pass {
         "into bytes, fresh" => into_bytes(&handle().expect("parsed above"), i),
         "into bytes, resumed" => into_bytes(&archive, i),
@@ -743,11 +760,6 @@ fn cold_equals_warm<T: Scalar>(input: &[u8]) -> Result<(), String> {
         for (i, cold) in calls.clone().zip(&cold) {
             let warm = warm(pass, i);
             if &warm != cold {
-                let what = match i {
-                    0 => format!("region {region:?}"),
-                    i if i <= levels => format!("level {i}"),
-                    _ => "full decode".to_string(),
-                };
                 let brief = |r: &Result<Vec<u8>, String>| match r {
                     Ok(bytes) => format!("{} values", bytes.len() / T::BYTES),
                     Err(e) => e.clone(),
@@ -759,7 +771,7 @@ fn cold_equals_warm<T: Scalar>(input: &[u8]) -> Result<(), String> {
                     }
                     _ => format!("{} against {}", brief(&warm), brief(cold)),
                 };
-                return Err(format!("{what}, {pass} pass vs a fresh handle's field: {diff}"));
+                return Err(format!("{}, {pass} pass vs a fresh handle's field: {diff}", what(i)));
             }
         }
     }

@@ -35,8 +35,6 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
 #[derive(Debug)]
 pub struct Client<S: Read + Write = TcpStream> {
     stream: S,
-    /// Server software identifier from the handshake.
-    server: String,
     /// Recycled request-encoding buffer: fetches on a steady connection
     /// reuse one allocation instead of building a fresh `Vec` per call.
     scratch: Vec<u8>,
@@ -62,7 +60,7 @@ impl Client<TcpStream> {
 impl<S: Read + Write> Client<S> {
     /// Complete the version handshake over an already-connected stream.
     pub fn handshake(stream: S) -> Result<Client<S>> {
-        let mut client = Client { stream, server: String::new(), scratch: Vec::new() };
+        let mut client = Client { stream, scratch: Vec::new() };
         let mut hello = Enc::new();
         hello.u8(PROTO_VERSION);
         let reply = client.roundtrip(FrameType::Hello, &hello.finish())?;
@@ -74,13 +72,7 @@ impl<S: Read + Write> Client<S> {
                 "server speaks STZP v{version}, this client speaks v{PROTO_VERSION}"
             )));
         }
-        client.server = d.string().unwrap_or_default();
         Ok(client)
-    }
-
-    /// Server software identifier (e.g. `stz-serve/0.1.0`).
-    pub fn server_id(&self) -> &str {
-        &self.server
     }
 
     /// Send one frame and read the response, surfacing `ERR` replies as

@@ -289,11 +289,6 @@ impl<S: ByteSource> ContainerReader<S> {
     pub fn source(&self) -> &S {
         &self.source
     }
-
-    /// Consume the reader, returning the source.
-    pub fn into_source(self) -> S {
-        self.source
-    }
 }
 
 /// Describe each footer row.
