@@ -4,9 +4,8 @@
 //! failures onto the same small set of classes, so a consumer can match on
 //! *what went wrong* without knowing *where the bytes live*: a missing
 //! entry is [`AccessError::NotFound`] whether the lookup failed in a
-//! `Vec`, a footer index, or an `INSPECT` round-trip; a progressive
-//! preview of a foreign-codec entry is [`AccessError::Unsupported`] on
-//! every transport.
+//! footer index or an `INSPECT` round-trip; a progressive preview of a
+//! foreign-codec entry is [`AccessError::Unsupported`] on every transport.
 
 use std::fmt;
 use std::io;

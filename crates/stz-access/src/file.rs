@@ -1,5 +1,5 @@
 //! [`FileStore`] — the out-of-core store over an on-disk (or any
-//! [`ByteSource`]-backed) container.
+//! [`ByteSource`]-backed) container, and the read side of every local store.
 
 use crate::error::Result;
 use crate::{Entry, EntryDesc, EntrySel, Fetch, FetchedField, Provenance, Store};
@@ -13,11 +13,13 @@ use stz_stream::{resolve_sel, validate_fetch, ByteSource, ContainerReader, FileS
 /// level-1 stream plus intersecting sub-blocks).
 ///
 /// The reader is shared behind an [`Arc`]; all container I/O is positioned
-/// reads, so opened entries can fetch concurrently.
+/// reads, so opened entries can fetch concurrently. A
+/// [`MemStore`](crate::MemStore) reads its committed image through one, so
+/// its answers carry [`Provenance::Memory`].
 #[derive(Debug)]
 pub struct FileStore<S: ByteSource + 'static> {
     reader: Arc<ContainerReader<S>>,
-    label: String,
+    provenance: Provenance,
 }
 
 impl FileStore<FileSource> {
@@ -33,8 +35,12 @@ impl<S: ByteSource + 'static> FileStore<S> {
     /// [`CountingSource`](stz_stream::CountingSource) wrapper, …),
     /// labelled for provenance.
     pub fn open_source(source: S, label: impl Into<String>) -> Result<FileStore<S>> {
-        let reader = ContainerReader::open(source)?;
-        Ok(FileStore { reader: Arc::new(reader), label: label.into() })
+        FileStore::open_as(source, Provenance::File(label.into()))
+    }
+
+    /// Open a container over `source`, its answers coming from `provenance`.
+    pub(crate) fn open_as(source: S, provenance: Provenance) -> Result<FileStore<S>> {
+        Ok(FileStore { reader: Arc::new(ContainerReader::open(source)?), provenance })
     }
 
     /// The underlying container reader (e.g. to inspect a counting
@@ -46,7 +52,10 @@ impl<S: ByteSource + 'static> FileStore<S> {
 
 impl<S: ByteSource + 'static> Store for FileStore<S> {
     fn locate(&self) -> String {
-        self.label.clone()
+        match &self.provenance {
+            Provenance::File(label) => label.clone(),
+            other => other.to_string(),
+        }
     }
 
     fn list(&self) -> Result<Vec<EntryDesc>> {
@@ -57,17 +66,18 @@ impl<S: ByteSource + 'static> Store for FileStore<S> {
         let index = resolve_sel(self.reader.descs(), sel)?.index as usize;
         Ok(Box::new(FileEntry {
             reader: Arc::clone(&self.reader),
-            label: self.label.clone(),
+            provenance: self.provenance.clone(),
             index,
         }))
     }
 }
 
 /// One opened [`FileStore`] entry. Holds its own handle on the shared
-/// reader, so it outlives the store that opened it.
+/// reader, so it outlives the store that opened it and keeps answering from
+/// the generation that reader pinned.
 struct FileEntry<S: ByteSource + 'static> {
     reader: Arc<ContainerReader<S>>,
-    label: String,
+    provenance: Provenance,
     index: usize,
 }
 
@@ -85,14 +95,11 @@ impl<S: ByteSource + 'static> Entry for FileEntry<S> {
         self.reader
             .fetch_le(self.index, fetch, |dims, len| &mut answer.insert((dims, vec![0; len])).1)?;
         let (dims, data) = answer.expect("a fetch asked for its memory");
-        crate::record_fetch("file", data.len(), started);
-        Ok(FetchedField {
-            fetch: fetch.clone(),
-            dims,
-            type_tag: desc.type_tag,
-            codec_id: desc.codec_id,
-            data,
-            provenance: Provenance::File(self.label.clone()),
-        })
+        let (type_tag, codec_id, provenance) =
+            (desc.type_tag, desc.codec_id, self.provenance.clone());
+        let fetched =
+            FetchedField { fetch: fetch.clone(), dims, type_tag, codec_id, data, provenance };
+        crate::record_fetch(&fetched, started);
+        Ok(fetched)
     }
 }

@@ -1,26 +1,23 @@
 //! # stz-access — one read surface for in-memory, on-disk, and remote archives
 //!
-//! The workspace grew three incompatible ways to read compressed fields:
-//! resident [`StzArchive`](stz_core::StzArchive)s, on-disk containers via
-//! [`stz_stream::ContainerReader`], and the STZP network client
-//! ([`stz_serve::Client`]). Every consumer — CLI, benches, examples — had to
-//! pick a transport up front and re-implement its fetch logic per transport.
-//!
-//! This crate collapses them behind two object-safe traits:
+//! Containers in memory, on disk ([`stz_stream::ContainerReader`]) and behind
+//! an STZP server ([`stz_serve::Client`]) are read through two object-safe
+//! traits, so no consumer picks a transport up front:
 //!
 //! * [`Store`] — a collection of entries somewhere: [`list`](Store::list)
 //!   the [`EntryDesc`]s, [`open`](Store::open) one by [`EntrySel`].
 //! * [`Entry`] — one opened entry: serve any [`Fetch`] request, returning a
-//!   [`FetchedField`] whose bytes are **identical across transports** — the
-//!   core decode drivers are shared, so a `MemStore`, `FileStore`, and
-//!   `RemoteStore` answering the same `Fetch` produce the same bytes, and
-//!   the access-matrix integration test pins that.
+//!   [`FetchedField`] whose bytes are **identical across transports** — a
+//!   local store's fetch is the container reader's, and a server's miss is
+//!   the same call, so a `MemStore`, `FileStore`, and `RemoteStore`
+//!   answering the same `Fetch` produce the same bytes, and the
+//!   access-matrix integration test pins that.
 //!
 //! Three stores ship:
 //!
 //! | store | wraps | bytes live |
 //! |---|---|---|
-//! | [`MemStore`] | `StzArchive` / `ForeignArchive` | in this process |
+//! | [`MemStore`] | a v3 container image ([`FileStoreMut`] over a `MemBacking`, read by a [`FileStore`]) | in this process |
 //! | [`FileStore`] | `ContainerReader` over any [`ByteSource`](stz_stream::ByteSource) | on disk (or wherever the source reads) |
 //! | [`RemoteStore`] | `stz_serve::Client` | behind an STZP server |
 //!
@@ -30,9 +27,8 @@
 //! single `--from` flag with one code path per verb.
 //!
 //! Errors fold onto one taxonomy ([`AccessError`]) on every transport: a
-//! missing entry is `NotFound` whether the lookup failed in a `Vec`, a
-//! footer index, or an `INSPECT` round-trip. See `docs/ACCESS.md` for the
-//! normative contract.
+//! missing entry is `NotFound` whether the lookup failed in a footer index
+//! or an `INSPECT` round-trip. See `docs/ACCESS.md` for the contract.
 //!
 //! ## Quick start
 //!
@@ -87,7 +83,7 @@ use stz_field::{Dims, Field, Scalar};
 /// a [`FetchedField`] that legitimately differs across transports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Provenance {
-    /// A resident archive in this process.
+    /// An in-memory container in this process ([`MemStore`]).
     Memory,
     /// A container file (label is the path or source description).
     File(String),
@@ -174,13 +170,19 @@ pub trait Entry: Send + Sync {
 
 /// Record one completed fetch into the process-wide telemetry registry:
 /// `stz_access_fetch_total`, `stz_access_fetch_bytes_total`, and the
-/// `stz_access_fetch_latency_ns` histogram, all labeled by `transport`
-/// (`"memory"`, `"file"`, or `"remote"`). Called by every store's
-/// [`Entry::fetch`] on success, so the three transports stay comparable.
-pub(crate) fn record_fetch(transport: &'static str, bytes: usize, started: std::time::Instant) {
+/// `stz_access_fetch_latency_ns` histogram, all labeled by the `transport`
+/// of its provenance (`"memory"`, `"file"`, or `"remote"`). Called by every
+/// store's [`Entry::fetch`] on success, so the three transports stay
+/// comparable.
+pub(crate) fn record_fetch(fetched: &FetchedField, started: std::time::Instant) {
+    let transport = match fetched.provenance {
+        Provenance::Memory => "memory",
+        Provenance::File(_) => "file",
+        Provenance::Remote(_) => "remote",
+    };
     let reg = stz_telemetry::global();
     let labels = [("transport", transport)];
     reg.counter("stz_access_fetch_total", &labels).inc();
-    reg.counter("stz_access_fetch_bytes_total", &labels).add(bytes as u64);
+    reg.counter("stz_access_fetch_bytes_total", &labels).add(fetched.data.len() as u64);
     reg.latency("stz_access_fetch_latency_ns", &labels).record_duration(started.elapsed());
 }

@@ -36,7 +36,7 @@ impl RemoteStore {
     pub fn connect(addr: impl ToSocketAddrs + std::fmt::Display, container: &str) -> Result<Self> {
         let addr_label = addr.to_string();
         let mut client = Client::connect(addr)?;
-        let descs = fetch_descs(&mut client, container)?;
+        let descs = client.inspect(container)?;
         Ok(RemoteStore {
             client: Arc::new(Mutex::new(client)),
             addr: addr_label,
@@ -47,18 +47,13 @@ impl RemoteStore {
 
     /// Re-fetch the descriptor cache from the server (one `INSPECT`).
     pub fn refresh(&mut self) -> Result<()> {
-        self.descs = with_client(&self.client, |c| fetch_descs(c, &self.container))?;
+        self.descs = with_client(&self.client, |c| c.inspect(&self.container))?;
         Ok(())
     }
 
     fn label(&self) -> String {
         format!("{}/{}", self.addr, self.container)
     }
-}
-
-/// One `INSPECT` round-trip; its rows are validated as they are decoded.
-fn fetch_descs(client: &mut Client, container: &str) -> Result<Vec<EntryDesc>> {
-    Ok(client.inspect(container)?)
 }
 
 /// Run one request against a shared client connection.
@@ -115,7 +110,7 @@ impl Entry for RemoteEntry {
             self.fetch_remote(fetch)
         };
         match &result {
-            Ok(fetched) => crate::record_fetch("remote", fetched.data.len(), started),
+            Ok(fetched) => crate::record_fetch(fetched, started),
             Err(_) => trace.set_error(),
         }
         result

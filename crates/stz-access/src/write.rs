@@ -7,12 +7,12 @@
 //! backend), and object safety so the CLI's `append`/`delete`/`compact`
 //! verbs hold a `Box<dyn StoreMut>` without caring where the bytes land.
 //!
-//! Two backends implement it:
+//! Both stores that implement it write a v3 container the same way:
 //!
 //! | store | wraps | commit means |
 //! |---|---|---|
-//! | [`FileStoreMut`] | [`stz_mutate::MutableContainer`] over a file | atomic generation flip (v3 shadow slots) |
-//! | [`MemStore`](crate::MemStore) | resident archives | bump the in-process generation counter |
+//! | [`FileStoreMut`] | [`stz_mutate::MutableContainer`] over a file (or any [`MutBacking`]) | atomic generation flip (v3 shadow slots) |
+//! | [`MemStore`](crate::MemStore) | a `FileStoreMut` over a [`MemBacking`](stz_mutate::MemBacking) image | the same flip, then its read side reopens on the new generation |
 //!
 //! Remote stores are deliberately absent: STZP is a read protocol, and
 //! mutation happens where the bytes live — [`open_store_mut`] says so
@@ -22,7 +22,7 @@ use crate::error::{AccessError, Result};
 use crate::{EntryDesc, EntrySel};
 use std::path::Path;
 use stz_core::StzArchive;
-use stz_mutate::{FileBacking, MutableContainer};
+use stz_mutate::{FileBacking, MutBacking, MutableContainer};
 use stz_stream::{resolve_sel, EntryMeta, ForeignArchive, PackEntry};
 
 /// One entry's payload, ready to be appended or replaced — the write-side
@@ -58,7 +58,8 @@ impl From<ForeignArchive> for EntryPayload {
 
 /// Mutation-side accounting of a store (see
 /// [`StoreMut::status`]). Byte fields are compressed payload bytes; a
-/// memory store has no dead bytes by construction.
+/// memory store counts them as a file store does (a replaced or deleted
+/// payload is dead until [`StoreMut::compact`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MutStatus {
     /// Committed generation number.
@@ -74,18 +75,8 @@ pub struct MutStatus {
     pub dead_bytes: u64,
 }
 
-/// Outcome of one [`StoreMut::compact`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactReport {
-    /// Generation number of the compacted store.
-    pub generation: u64,
-    /// Committed bytes before compaction.
-    pub before_bytes: u64,
-    /// Committed bytes after compaction.
-    pub after_bytes: u64,
-    /// Dead bytes reclaimed.
-    pub reclaimed_bytes: u64,
-}
+/// Outcome of one [`StoreMut::compact`] run: the container's own report.
+pub use stz_mutate::CompactStats as CompactReport;
 
 /// A mutable collection of entries. Mutations *stage*; readers see them
 /// only after [`commit`](StoreMut::commit) — which is atomic on every
@@ -113,8 +104,11 @@ pub trait StoreMut: Send {
     /// Stage removal of the entry named `name` (`NotFound` if absent).
     fn delete(&mut self, name: &str) -> Result<()>;
 
-    /// Open one entry as a mutation handle.
-    fn open_mut<'s>(&'s mut self, sel: &EntrySel) -> Result<Box<dyn EntryMut + 's>>;
+    /// Open one entry of the current index as a mutation handle.
+    fn open_mut<'s>(&'s mut self, sel: &EntrySel) -> Result<Box<dyn EntryMut + 's>> {
+        let desc = resolve_sel(&self.list_staged()?, sel)?.clone();
+        Ok(Box::new(StoreEntryMut { store: self, desc }))
+    }
 
     /// Atomically publish all staged mutations as the next generation and
     /// return its number (a no-op returning the current generation when
@@ -143,43 +137,14 @@ pub trait EntryMut: Send {
     fn delete(self: Box<Self>) -> Result<()>;
 }
 
-/// The shared duplicate-name check, so every backend classifies it
-/// identically.
-pub(crate) fn ensure_absent(
-    names: impl Iterator<Item = impl AsRef<str>>,
-    name: &str,
-) -> Result<()> {
-    for n in names {
-        if n.as_ref() == name {
-            return Err(AccessError::bad_request(format!(
-                "entry {name:?} already exists; replace or delete it first"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// The shared presence check for replace/delete.
-pub(crate) fn ensure_present(
-    mut names: impl Iterator<Item = impl AsRef<str>>,
-    name: &str,
-    locate: &str,
-) -> Result<()> {
-    if names.any(|n| n.as_ref() == name) {
-        Ok(())
-    } else {
-        Err(AccessError::not_found(format!("no entry named {name:?} in {locate}")))
-    }
-}
-
-/// The mutable on-disk store: a [`MutableContainer`] over a container
-/// file, committing through the v3 shadow-generation-slot protocol.
-/// Opening a missing path creates an empty container; opening a
-/// write-once (v1/v2) container upgrades it in place first (atomic
-/// rename; same payload bytes).
+/// The mutable container store: a [`MutableContainer`] over a container
+/// file (or any [`MutBacking`]), committing through the v3
+/// shadow-generation-slot protocol. Opening a missing path creates an empty
+/// container; opening a write-once (v1/v2) container upgrades it in place
+/// first (atomic rename; same payload bytes).
 #[derive(Debug)]
-pub struct FileStoreMut {
-    container: MutableContainer<FileBacking>,
+pub struct FileStoreMut<B: MutBacking = FileBacking> {
+    container: MutableContainer<B>,
     label: String,
 }
 
@@ -188,52 +153,53 @@ impl FileStoreMut {
     /// mutation.
     pub fn open_path(path: impl AsRef<Path>) -> Result<FileStoreMut> {
         let path = path.as_ref();
-        let container = MutableContainer::open_path(path)?;
-        Ok(FileStoreMut { container, label: path.display().to_string() })
-    }
-
-    /// The underlying mutable container.
-    pub fn container(&self) -> &MutableContainer<FileBacking> {
-        &self.container
-    }
-
-    fn put(&mut self, name: &str, payload: EntryPayload, replacing: bool) -> Result<()> {
-        fn go<T: stz_field::Scalar>(
-            c: &mut MutableContainer<FileBacking>,
-            name: &str,
-            entry: PackEntry<T>,
-            replacing: bool,
-        ) -> Result<()> {
-            if replacing {
-                c.replace(name, &entry)?;
-            } else {
-                c.append(name, &entry)?;
-            }
-            Ok(())
-        }
-        match payload {
-            EntryPayload::F32(a) => go(&mut self.container, name, a.into(), replacing),
-            EntryPayload::F64(a) => go(&mut self.container, name, a.into(), replacing),
-            EntryPayload::Foreign(f) => {
-                go(&mut self.container, name, PackEntry::<f32>::Foreign(f), replacing)
-            }
-        }
+        Ok(FileStoreMut::new(MutableContainer::open_path(path)?, path.display().to_string()))
     }
 }
 
-impl StoreMut for FileStoreMut {
+impl<B: MutBacking> FileStoreMut<B> {
+    /// Mutate an opened container, labelled for diagnostics.
+    pub(crate) fn new(container: MutableContainer<B>, label: impl Into<String>) -> FileStoreMut<B> {
+        FileStoreMut { container, label: label.into() }
+    }
+
+    /// The underlying mutable container.
+    pub fn container(&self) -> &MutableContainer<B> {
+        &self.container
+    }
+
+    /// `NotFound` unless the current index holds an entry named `name`.
+    fn ensure_present(&self, name: &str) -> Result<()> {
+        match self.container.find(name) {
+            Some(_) => Ok(()),
+            None => {
+                Err(AccessError::not_found(format!("no entry named {name:?} in {}", self.label)))
+            }
+        }
+    }
+
+    /// Stage `payload` as the entry `name`, replacing it or appending it.
+    fn put(&mut self, name: &str, payload: EntryPayload, replacing: bool) -> Result<()> {
+        let c = &mut self.container;
+        Ok(match (payload, replacing) {
+            (EntryPayload::F32(a), false) => c.append(name, &PackEntry::from(a)),
+            (EntryPayload::F32(a), true) => c.replace(name, &PackEntry::from(a)),
+            (EntryPayload::F64(a), false) => c.append(name, &PackEntry::from(a)),
+            (EntryPayload::F64(a), true) => c.replace(name, &PackEntry::from(a)),
+            (EntryPayload::Foreign(f), false) => c.append(name, &PackEntry::<f32>::Foreign(f)),
+            (EntryPayload::Foreign(f), true) => c.replace(name, &PackEntry::<f32>::Foreign(f)),
+        }?)
+    }
+}
+
+impl<B: MutBacking> StoreMut for FileStoreMut<B> {
     fn locate(&self) -> String {
         self.label.clone()
     }
 
     fn list_staged(&self) -> Result<Vec<EntryDesc>> {
-        Ok(self
-            .container
-            .records()
-            .iter()
-            .enumerate()
-            .map(|(i, r)| EntryDesc::from_meta(i as u32, &EntryMeta::from_record(r)))
-            .collect())
+        let meta = self.container.records().iter().map(EntryMeta::from_record);
+        Ok(meta.enumerate().map(|(i, meta)| EntryDesc::from_meta(i as u32, &meta)).collect())
     }
 
     fn generation(&self) -> u64 {
@@ -241,23 +207,22 @@ impl StoreMut for FileStoreMut {
     }
 
     fn append(&mut self, name: &str, payload: EntryPayload) -> Result<()> {
-        ensure_absent(self.container.names(), name)?;
+        if self.container.find(name).is_some() {
+            return Err(AccessError::bad_request(format!(
+                "entry {name:?} already exists; replace or delete it first"
+            )));
+        }
         self.put(name, payload, false)
     }
 
     fn replace(&mut self, name: &str, payload: EntryPayload) -> Result<()> {
-        ensure_present(self.container.names(), name, &self.label)?;
+        self.ensure_present(name)?;
         self.put(name, payload, true)
     }
 
     fn delete(&mut self, name: &str) -> Result<()> {
-        ensure_present(self.container.names(), name, &self.label)?;
-        self.container.delete(name)?;
-        Ok(())
-    }
-
-    fn open_mut<'s>(&'s mut self, sel: &EntrySel) -> Result<Box<dyn EntryMut + 's>> {
-        open_entry_mut(self, sel)
+        self.ensure_present(name)?;
+        Ok(self.container.delete(name)?)
     }
 
     fn commit(&mut self) -> Result<u64> {
@@ -265,13 +230,7 @@ impl StoreMut for FileStoreMut {
     }
 
     fn compact(&mut self) -> Result<CompactReport> {
-        let stats = self.container.compact()?;
-        Ok(CompactReport {
-            generation: stats.generation,
-            before_bytes: stats.before_bytes,
-            after_bytes: stats.after_bytes,
-            reclaimed_bytes: stats.reclaimed_bytes,
-        })
+        Ok(self.container.compact()?)
     }
 
     fn status(&self) -> MutStatus {
@@ -309,18 +268,6 @@ impl<S: StoreMut + ?Sized> EntryMut for StoreEntryMut<'_, S> {
     }
 }
 
-/// Open one entry of `store` as a mutation handle — the shared
-/// implementation behind every backend's
-/// [`open_mut`](StoreMut::open_mut).
-pub(crate) fn open_entry_mut<'s, S: StoreMut>(
-    store: &'s mut S,
-    sel: &EntrySel,
-) -> Result<Box<dyn EntryMut + 's>> {
-    let descs = store.list_staged()?;
-    let desc = resolve_sel(&descs, sel)?.clone();
-    Ok(Box::new(StoreEntryMut { store, desc }))
-}
-
 /// Open the [`StoreMut`] a location names. Only local containers are
 /// writable: a remote URI is rejected with `Unsupported` (STZP is a read
 /// protocol — mutate on the serving host, the server picks up the new
@@ -345,9 +292,9 @@ pub fn open_store_mut(location: &str) -> Result<Box<dyn StoreMut>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Fetch, MemStore};
-    use stz_core::{StzCompressor, StzConfig};
-    use stz_field::{Dims, Field};
+    use crate::{Entry, Fetch, MemStore, Store};
+    use stz_core::{reference, StzCompressor, StzConfig};
+    use stz_field::{Dims, Field, Scalar};
 
     fn archive(seed: f32) -> StzArchive<f32> {
         let f = Field::from_fn(Dims::d3(12, 12, 12), |z, y, x| {
@@ -356,10 +303,36 @@ mod tests {
         StzCompressor::new(StzConfig::three_level(1e-3)).compress(&f).unwrap()
     }
 
-    fn drive(store: &mut dyn StoreMut) {
+    /// The reference decoder's full answer for `archive(seed)`, as fetched.
+    fn reference_full(seed: f32) -> Vec<u8> {
+        let field = reference::decode(&archive(seed), 3).unwrap();
+        let mut out = Vec::new();
+        f32::write_slice_exact(field.as_slice(), &mut out);
+        out
+    }
+
+    /// Hands a store's read side to its callback: the store itself for a
+    /// memory store, a store opened anew over the container for a file.
+    type ReadSide<'a, S> = dyn Fn(&S, &mut dyn FnMut(&dyn Store)) + 'a;
+
+    /// Runs the store contract on `store`, reading it through `read`.
+    fn drive<S: StoreMut>(store: &mut S, read: &ReadSide<'_, S>) {
+        let listed = |store: &S| {
+            let mut names = Vec::new();
+            read(store, &mut |r| names = r.list().unwrap().into_iter().map(|d| d.name).collect());
+            names
+        };
+        let open = |store: &S, name: &str| {
+            let mut entry = None;
+            read(store, &mut |r| entry = Some(r.open(&EntrySel::Name(name.into())).unwrap()));
+            entry.unwrap()
+        };
+        let full = |entry: &dyn Entry| entry.fetch(&Fetch::Full).unwrap().data;
+
         assert_eq!(store.list_staged().unwrap().len(), 0);
         store.append("a", archive(0.0).into()).unwrap();
         store.append("b", archive(1.0).into()).unwrap();
+        assert!(listed(store).is_empty(), "an uncommitted append is not read");
         assert!(matches!(store.append("a", archive(9.0).into()), Err(AccessError::BadRequest(_))));
         assert!(matches!(
             store.replace("nope", archive(9.0).into()),
@@ -370,6 +343,9 @@ mod tests {
         let g1 = store.commit().unwrap();
         assert!(g1 > g0);
         assert_eq!(store.commit().unwrap(), g1, "clean commit is a no-op");
+        assert_eq!(listed(store), ["a", "b"]);
+        let before = open(store, "b");
+        assert_eq!(full(&*before), reference_full(1.0));
 
         // Entry-handle mutation.
         let mut handle = store.open_mut(&EntrySel::Name("b".into())).unwrap();
@@ -385,30 +361,32 @@ mod tests {
         assert_eq!(report.before_bytes - report.reclaimed_bytes, report.after_bytes);
         assert!(!store.status().staged);
         assert_eq!(store.status().dead_bytes, 0);
+        assert_eq!(listed(store), ["b"]);
+        assert_eq!(full(&*open(store, "b")), reference_full(2.0));
+        assert_eq!(full(&*before), reference_full(1.0), "an entry opened before keeps its answer");
     }
 
     #[test]
     fn mem_store_mutation_contract() {
         let mut store = MemStore::new();
-        drive(&mut store);
+        drive(&mut store, &|store, show| show(store));
+    }
+
+    #[test]
+    #[should_panic(expected = "bad request: entry \"a\" already exists")]
+    fn mem_store_add_panics_on_a_duplicate_name() {
+        let mut store = MemStore::new();
+        store.add("a", archive(0.0));
+        store.add("a", archive(1.0));
     }
 
     #[test]
     fn file_store_mutation_contract_and_read_parity() {
         let path = std::env::temp_dir().join(format!("stz_access_mut_{}.stzc", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        {
-            let mut store = FileStoreMut::open_path(&path).unwrap();
-            drive(&mut store);
-        }
-        // What the write surface committed, the read surface serves.
-        let store = crate::open_store(&path.display().to_string()).unwrap();
-        let descs = store.list().unwrap();
-        assert_eq!(descs.len(), 1);
-        assert_eq!(descs[0].name, "b");
-        let entry = store.open(&EntrySel::Name("b".into())).unwrap();
-        let got = entry.fetch(&Fetch::Full).unwrap().into_field::<f32>().unwrap();
-        assert_eq!(got, archive(2.0).decompress().unwrap());
+        let location = path.display().to_string();
+        let mut store = FileStoreMut::open_path(&path).unwrap();
+        drive(&mut store, &|_, show| show(&*crate::open_store(&location).unwrap()));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -112,11 +112,20 @@ pub fn map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R>
         }
     };
     std::thread::scope(|s| {
-        for w in 0..width.min(n) - 1 {
-            let spawn = std::thread::Builder::new().name(format!("stz-pool-{w}"));
-            spawn.spawn_scoped(s, move || work(Some(w))).expect("spawning a pool worker");
-        }
+        let workers: Vec<_> = (0..width.min(n) - 1)
+            .map(|w| {
+                let spawn = std::thread::Builder::new().name(format!("stz-pool-{w}"));
+                spawn.spawn_scoped(s, move || work(Some(w))).expect("spawning a pool worker")
+            })
+            .collect();
         work(None);
+        // The scope alone waits only for each worker's closure; a join waits
+        // for its thread to exit, so what the thread frees as it ends (its
+        // handle, its name) is freed before `map` returns, not during the
+        // caller's next call.
+        for worker in workers {
+            worker.join().expect("a worker catches every panic in `f`");
+        }
     });
     if let Some(payload) = lock(&panicked).take() {
         resume_unwind(payload);

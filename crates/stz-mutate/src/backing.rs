@@ -7,7 +7,8 @@
 //!
 //! * [`FileBacking`] — a real container file (positioned writes, `fsync`,
 //!   rename-based replacement);
-//! * [`MemBacking`] — an in-memory image for tests and staging;
+//! * [`MemBacking`] — an in-memory image, whose clones are copy-on-write
+//!   snapshots (the memory store's committed generation);
 //! * [`RecordingBacking`] — wraps a [`MemBacking`] and journals every
 //!   mutation, so crash-safety tests can replay an *arbitrary byte prefix*
 //!   of the write stream and open the result — simulating power loss at
@@ -25,6 +26,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use stz_codec::{CodecError, Result};
 use stz_stream::ByteSource;
 
@@ -234,20 +236,25 @@ impl ByteSource for SliceSource<'_> {
 }
 
 /// An in-memory mutable container image.
+///
+/// The bytes sit behind an [`Arc`], copied on write: a clone is a snapshot
+/// that costs a pointer copy, and keeps answering reads from the image as it
+/// was when taken while the original is written on (the first write after
+/// a clone copies the image once).
 #[derive(Debug, Clone, Default)]
 pub struct MemBacking {
-    bytes: Vec<u8>,
+    bytes: Arc<Vec<u8>>,
 }
 
 impl MemBacking {
     /// An empty backing.
     pub fn empty() -> Self {
-        MemBacking { bytes: Vec::new() }
+        MemBacking::default()
     }
 
     /// Wrap an existing image.
     pub fn new(bytes: Vec<u8>) -> Self {
-        MemBacking { bytes }
+        MemBacking { bytes: Arc::new(bytes) }
     }
 
     /// The current image bytes.
@@ -255,9 +262,9 @@ impl MemBacking {
         &self.bytes
     }
 
-    /// Unwrap into the image bytes.
+    /// Unwrap into the image bytes (a copy if a snapshot still shares them).
     pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
+        Arc::try_unwrap(self.bytes).unwrap_or_else(|shared| (*shared).clone())
     }
 }
 
@@ -278,17 +285,18 @@ impl MutBacking for MemBacking {
         let end = start
             .checked_add(buf.len())
             .ok_or_else(|| CodecError::corrupt("write range overflow"))?;
-        if end > self.bytes.len() {
-            self.bytes.resize(end, 0);
+        let bytes = Arc::make_mut(&mut self.bytes);
+        if end > bytes.len() {
+            bytes.resize(end, 0);
         }
-        self.bytes[start..end].copy_from_slice(buf);
+        bytes[start..end].copy_from_slice(buf);
         Ok(())
     }
 
     fn set_len(&mut self, len: u64) -> Result<()> {
         let len = usize::try_from(len)
             .map_err(|_| CodecError::corrupt("length beyond addressable memory"))?;
-        self.bytes.resize(len, 0);
+        Arc::make_mut(&mut self.bytes).resize(len, 0);
         Ok(())
     }
 
@@ -302,7 +310,7 @@ impl MutBacking for MemBacking {
     ) -> Result<()> {
         let mut new = Vec::with_capacity(self.bytes.len());
         build(&SliceSource(&self.bytes), &mut new)?;
-        self.bytes = new;
+        self.bytes = Arc::new(new);
         Ok(())
     }
 }
@@ -465,6 +473,16 @@ mod tests {
         assert_eq!(b.as_bytes(), &[0, 0, 0, 0, 7, 8]);
         b.set_len(3).unwrap();
         assert_eq!(b.as_bytes(), &[0, 0, 0]);
+    }
+
+    #[test]
+    fn a_mem_backing_clone_is_a_snapshot() {
+        let mut b = MemBacking::new(vec![1, 2, 3]);
+        let snapshot = b.clone();
+        assert!(std::ptr::eq(snapshot.as_bytes(), b.as_bytes()), "a clone shares the image");
+        b.write_all_at(1, &[9, 9, 9]).unwrap();
+        b.replace_with(&mut |_, out| Ok(out.write_all(&[4])?)).unwrap();
+        assert_eq!((snapshot.as_bytes(), b.as_bytes()), (&[1, 2, 3][..], &[4][..]));
     }
 
     #[test]

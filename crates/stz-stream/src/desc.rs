@@ -8,10 +8,9 @@
 //! CLI renders them — so every transport describes an entry with the same
 //! value.
 
-use crate::crc::crc32;
-use crate::{EntryMeta, ForeignArchive};
-use stz_core::{InterpKind, StzArchive};
-use stz_field::{Dims, Scalar};
+use crate::EntryMeta;
+use stz_core::InterpKind;
+use stz_field::Dims;
 
 /// What every store reports about one entry, regardless of where the
 /// bytes live: one container footer row.
@@ -56,7 +55,8 @@ fn interp_tag(interp: Option<InterpKind>) -> u8 {
 
 impl EntryDesc {
     /// Describe one container entry from its footer row; no payload bytes
-    /// are touched.
+    /// are touched. The one constructor: every store, a memory store
+    /// included, lists footer rows.
     pub fn from_meta(index: u32, meta: &EntryMeta<'_>) -> EntryDesc {
         let levels = meta.header().map(|h| h.levels).unwrap_or(0);
         EntryDesc {
@@ -72,45 +72,6 @@ impl EntryDesc {
             levels,
             interp: interp_tag(meta.header().map(|h| h.interp)),
             level_bytes: (1..=levels).map(|k| meta.bytes_through_level(k)).collect(),
-        }
-    }
-
-    /// Describe a resident [`StzArchive`]. The payload CRC is computed over
-    /// the archive bytes — the same value the container writer records.
-    pub fn from_archive<T: Scalar>(index: u32, name: &str, archive: &StzArchive<T>) -> EntryDesc {
-        let h = archive.header();
-        let sections = 1 + (2..=h.levels).map(|k| archive.num_blocks(k)).sum::<usize>();
-        EntryDesc {
-            index,
-            name: name.to_string(),
-            codec_id: stz_backend::id::STZ,
-            type_tag: h.type_tag,
-            dims: h.dims,
-            eb: h.eb_finest,
-            compressed_len: archive.compressed_len() as u64,
-            payload_crc: crc32(archive.as_bytes()),
-            sections: sections as u32,
-            levels: h.levels,
-            interp: interp_tag(Some(h.interp)),
-            level_bytes: (1..=h.levels).map(|k| archive.bytes_through_level(k) as u64).collect(),
-        }
-    }
-
-    /// Describe a resident [`ForeignArchive`].
-    pub fn from_foreign(index: u32, name: &str, foreign: &ForeignArchive) -> EntryDesc {
-        EntryDesc {
-            index,
-            name: name.to_string(),
-            codec_id: foreign.codec,
-            type_tag: foreign.type_tag,
-            dims: foreign.dims,
-            eb: foreign.eb,
-            compressed_len: foreign.bytes.len() as u64,
-            payload_crc: crc32(&foreign.bytes),
-            sections: 1,
-            levels: 0,
-            interp: 0,
-            level_bytes: Vec::new(),
         }
     }
 

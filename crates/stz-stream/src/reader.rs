@@ -688,7 +688,7 @@ impl<T: BackendScalar, S: ByteSource> EntryReader<'_, T, S> {
 /// Decode the payload `bytes` of entry `name`, which codec `codec_id`
 /// wrote, through the registry, checking the field has the `dims` its index
 /// records.
-pub fn decode_foreign<T: BackendScalar>(
+fn decode_foreign<T: BackendScalar>(
     name: &str,
     codec_id: u8,
     dims: Dims,
