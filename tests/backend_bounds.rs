@@ -4,14 +4,23 @@
 //! slabs (white noise, isolated spikes, sign-alternating checkerboards)
 //! where prediction-based engines get no help from smoothness.
 
-use proptest::prelude::*;
 use stz::backend::{registry, BackendScalar, Codec, ErrorBound};
 use stz::data::metrics;
 use stz::prelude::*;
+use stz_fuzz::rng::{property, FuzzRng};
 
-/// Small random dims (kept tiny: each case runs five full compressions).
-fn dims_strategy() -> impl Strategy<Value = Dims> {
-    (1usize..=10, 1usize..=10, 1usize..=10).prop_map(|(z, y, x)| Dims::d3(z, y, x))
+/// Cases per property (kept few: each case runs five full compressions).
+const CASES: usize = 12;
+
+/// Small random dims, 1..=10 per axis.
+fn dims(rng: &mut FuzzRng) -> Dims {
+    let mut axis = || rng.range(1, 10) as usize;
+    Dims::d3(axis(), axis(), axis())
+}
+
+/// Dims, a field seed and a bound's exponent in -4..-1.
+fn field_case(rng: &mut FuzzRng) -> (Dims, u64, i32) {
+    (dims(rng), rng.next_u64(), rng.range(-4, -2) as i32)
 }
 
 /// Uniform pseudo-random value in `[-1, 1)` from a hash of the coordinates.
@@ -37,15 +46,9 @@ fn assert_bound<T: BackendScalar>(codec: &dyn Codec, field: &Field<T>, eb: f64, 
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn every_backend_error_bounded_f32(
-        dims in dims_strategy(),
-        seed in any::<u64>(),
-        eb_exp in -4i32..-1,
-    ) {
+#[test]
+fn every_backend_error_bounded_f32() {
+    property("every_backend_error_bounded_f32", CASES, field_case, |&(dims, seed, eb_exp)| {
         let eb = 10f64.powi(eb_exp);
         let f = Field::from_fn(dims, |z, y, x| {
             noise(seed, z, y, x) as f32 + ((z + y + x) as f32 * 0.1).sin()
@@ -53,14 +56,12 @@ proptest! {
         for codec in registry().all() {
             assert_bound(codec, &f, eb, "random-f32");
         }
-    }
+    });
+}
 
-    #[test]
-    fn every_backend_error_bounded_f64(
-        dims in dims_strategy(),
-        seed in any::<u64>(),
-        eb_exp in -4i32..-1,
-    ) {
+#[test]
+fn every_backend_error_bounded_f64() {
+    property("every_backend_error_bounded_f64", CASES, field_case, |&(dims, seed, eb_exp)| {
         let eb = 10f64.powi(eb_exp);
         // Large offset + small signal: stresses absolute-bound handling in
         // double precision (the WarpX regime, where fields sit at ~1e7).
@@ -70,14 +71,15 @@ proptest! {
         for codec in registry().all() {
             assert_bound(codec, &f, eb, "random-f64");
         }
-    }
+    });
+}
 
-    #[test]
-    fn every_backend_handles_constant_fields(
-        dims in dims_strategy(),
-        value in -100.0f64..100.0,
-        eb_exp in -6i32..-1,
-    ) {
+#[test]
+fn every_backend_handles_constant_fields() {
+    // A constant in -100..100 and a bound's exponent in -6..-1.
+    let draw =
+        |rng: &mut FuzzRng| (dims(rng), rng.uniform(-100.0, 100.0), rng.range(-6, -2) as i32);
+    property("every_backend_handles_constant_fields", CASES, draw, |&(dims, value, eb_exp)| {
         let eb = 10f64.powi(eb_exp);
         let f32_field = Field::from_fn(dims, |_, _, _| value as f32);
         let f64_field = Field::from_fn(dims, |_, _, _| value);
@@ -85,7 +87,7 @@ proptest! {
             assert_bound(codec, &f32_field, eb, "constant-f32");
             assert_bound(codec, &f64_field, eb, "constant-f64");
         }
-    }
+    });
 }
 
 /// Adversarial NaN-free slabs: structures chosen to defeat each engine's

@@ -10,6 +10,7 @@
 use std::sync::{Arc, Mutex, PoisonError};
 use stz::core::pool::with_threads;
 use stz::core::{reference, AccessBreakdown, ProgressiveDecoder};
+use stz::data::synth;
 use stz::prelude::*;
 use stz::simd::Lane;
 use stz::stream::pack_pipelined;
@@ -317,7 +318,8 @@ enum Via {
     Serial,
     /// `decompress_parallel` and walks to a field, at the pool's width.
     Pool,
-    /// Walks finished into little-endian bytes (`decode_to_le`).
+    /// Walks finished into little-endian bytes (`decode_to_le`), from the
+    /// start or, for a stepped fetch, after one step.
     Bytes,
     /// `next_level`, one level at a time.
     Steps,
@@ -347,6 +349,10 @@ fn decode<T: Scalar>(
         (Via::Bytes, Fetch::Region(r)) => into_le(a.progressive_region(r), last),
         (Via::NoMemo, Fetch::Region(r)) => {
             ProgressiveDecoder::<T>::region(a, r).and_then(|w| w.decode_to(last)).map(le)
+        }
+        (Via::Bytes, Fetch::Progressive(k)) if *k > 1 => {
+            let mut walk = a.progressive();
+            walk.next_level().and_then(|_| into_le(Ok(walk), *k))
         }
         (Via::Steps, Fetch::Progressive(k)) => stepped(a, *k),
         _ => return None,
@@ -397,15 +403,27 @@ impl Group {
         let compressor = StzCompressor::new(config);
         let archive = with_lane(Lane::Scalar, || compressor.compress(field)).unwrap();
         let last = archive.num_levels();
+        let row = format!("{} L{last} {:?} {}", field.dims(), config.interp, T::BYTES * 8);
+        // Each preview is the full field's downsample (paper §3.3).
+        let full = reference::decode(&archive, last).unwrap();
+        let mut levels = Vec::new();
+        for k in 1..last {
+            levels.push(le(reference::decode(&archive, k).unwrap()));
+            let want = le(full.downsample(1 << (last - k)));
+            assert!(
+                levels[k as usize - 1] == want,
+                "{row}: level {k} is no downsample of the full"
+            );
+        }
+        levels.push(le(full));
+        let level = |k: u8| levels[k as usize - 1].clone();
         // Level `last` is the full field: the stores alone are asked for it.
-        let level = |k| le(reference::decode(&archive, k).unwrap());
         let mut answers: Answers = (1..last).map(|k| (Fetch::Level(k), level(k))).collect();
         answers.extend([(Fetch::Full, level(last)), (Fetch::Progressive(1), level(1))]);
         answers.push((Fetch::Progressive(last), level(last)));
         for r in regions {
             answers.push((Fetch::Region(r.clone()), le(reference::region(&archive, r).unwrap())));
         }
-        let row = format!("{} L{last} {:?} {}", field.dims(), config.interp, T::BYTES * 8);
         let widest = *stz::simd::available_lanes().last().unwrap();
         // The widest lane at every width; the scalar lane serially and cut.
         let scalar = [(Lane::Scalar, 1), (Lane::Scalar, 3)];
@@ -503,27 +521,36 @@ fn every_level_count_and_interpolation(tag: &'static str, rows: &[(Dims, Region)
 
 #[test]
 fn f32_archives_byte_identical_across_thread_counts() {
-    // Odd dims exercise ragged block geometry.
+    // Odd dims exercise ragged block geometry; a Nyx-like field, clustered
+    // peaks on a smooth background, a realistic one.
     let cfg = StzConfig::three_level;
+    let nyx = synth::nyx_like(Dims::d3(40, 36, 44), 3);
     Group::new("f32")
         .row(&f32_field(Dims::d3(32, 28, 36)), cfg(1e-3), &[Region::d3(3..29, 1..28, 5..36)])
         .row(&f32_field(Dims::d3(17, 23, 19)), cfg(1e-2), &[Region::d3(0..17, 9..22, 1..18)])
+        .row(&nyx, cfg(1e-2), &[Region::d3(8..33, 0..35, 13..44)])
         .check();
 }
 
 #[test]
 fn f64_archives_byte_identical_across_thread_counts() {
+    // A WarpX-like field, long in x, under a bound relative to its range.
+    let warpx = synth::warpx_like(Dims::d3(16, 16, 128), 2);
     Group::new("f64")
         .row(&f64_field(Dims::d3(24, 24, 24)), three::<f64>(), &[Region::d3(5..19, 0..24, 3..8)])
         .row(&f64_field(Dims::d2(40, 36)), three::<f64>(), &[Region::d2(1..40, 7..30)])
+        .row(&warpx, StzConfig::three_level_relative(1e-4), &[Region::d3(3..16, 0..11, 37..128)])
         .check();
 }
 
 #[test]
 fn four_level_archives_byte_identical_across_thread_counts() {
-    let cfg = StzConfig::three_level(1e-2).with_levels(4);
-    let region = [Region::d3(3..30, 0..31, 7..35)];
-    Group::new("four").row(&f32_field(Dims::d3(33, 31, 35)), cfg, &region).check();
+    let cfg = |eb| StzConfig::three_level(eb).with_levels(4);
+    let miranda = synth::miranda_like(Dims::d3(36, 36, 36), 4);
+    Group::new("four")
+        .row(&f32_field(Dims::d3(33, 31, 35)), cfg(1e-2), &[Region::d3(3..30, 0..31, 7..35)])
+        .row(&miranda, cfg(1e-3), &[Region::d3(5..20, 10..30, 0..36)])
+        .check();
 }
 
 #[test]
@@ -628,15 +655,20 @@ fn identities_hold_at_every_level_count_up_to_64_cubed() {
 
 #[test]
 fn progressive_refinement_matches_serial_at_every_width() {
-    // A small field's every region kind: slices at an even and an odd z, the
-    // whole field, one corner point, and a level-1 point that needs no block;
-    // and a region of a two-level archive.
+    // A small field's every region kind: slices at an even and an odd z, an
+    // odd y and an odd x, the whole field, both corner points, a 2^3 box at a
+    // corner, and a level-1 point that needs no block; and a region of a
+    // two-level archive.
     let regions = [
         Region::d3(3..9, 5..12, 7..20),
         Region::d3(0..1, 0..24, 0..24),
         Region::d3(11..12, 0..24, 0..24),
+        Region::d3(0..24, 7..8, 0..24),
+        Region::d3(0..24, 0..24, 9..10),
         Region::d3(0..24, 0..24, 0..24),
+        Region::d3(0..1, 0..1, 0..1),
         Region::d3(23..24, 23..24, 23..24),
+        Region::d3(0..2, 22..24, 0..2),
         Region::d3(4..5, 8..9, 16..17),
     ];
     let two = [Region::d3(5..10, 0..18, 2..9)];

@@ -11,7 +11,7 @@
 //!   in the decoded data.
 
 use stz::data::synth;
-use stz::mutate::{upgrade_path, FileBacking, MutableContainer};
+use stz::mutate::{upgrade_image, upgrade_path, FileBacking, MutableContainer};
 use stz::prelude::*;
 use stz::stream::{ContainerReader, ContainerWriter, FileSource, PackEntry};
 
@@ -82,8 +82,11 @@ fn v2_upgrade_in_place_preserves_entries_and_is_idempotent() {
     w.add_archive("s1", &a1).unwrap();
     w.finish().unwrap();
     let before = decode_all(&ContainerReader::open_path(&path).unwrap());
+    let v2 = std::fs::read(&path).unwrap();
 
     assert!(upgrade_path(&path).unwrap(), "a v2 container upgrades");
+    let upgraded = std::fs::read(&path).unwrap();
+    assert!(upgraded == upgrade_image(&v2).unwrap(), "in place, the image upgrade_image makes");
     let reader = ContainerReader::open_path(&path).unwrap();
     assert_eq!(reader.version(), 3);
     assert_eq!(reader.generation(), 1);

@@ -1,4 +1,5 @@
-//! Property-based tests (proptest) for the core invariants:
+//! Property tests for the core invariants, each a seeded loop of cases
+//! (`stz_fuzz::rng::property`: the generator is seeded with the test's name):
 //!
 //! * every compressor is error-bounded for arbitrary fields and bounds;
 //! * partition/reassembly is the identity for arbitrary dims;
@@ -6,14 +7,24 @@
 //! * ROI decompression equals the extracted region of full decompression;
 //! * Huffman blocks round-trip arbitrary symbol streams.
 
-use proptest::prelude::*;
 use stz::data::metrics;
 use stz::prelude::*;
 use stz_field::partition::{partition_stride2, reassemble_stride2};
+use stz_fuzz::rng::{property, FuzzRng};
 
-/// Small random dims (kept tiny: each case runs a full compression).
-fn dims_strategy() -> impl Strategy<Value = Dims> {
-    (1usize..=12, 1usize..=12, 1usize..=12).prop_map(|(z, y, x)| Dims::d3(z, y, x))
+/// Cases per property.
+const CASES: usize = 24;
+
+/// Small random dims, each axis in `lo..=hi` (kept tiny: each case runs a
+/// full compression).
+fn dims_in(rng: &mut FuzzRng, lo: i64, hi: i64) -> Dims {
+    let mut axis = || rng.range(lo, hi) as usize;
+    Dims::d3(axis(), axis(), axis())
+}
+
+/// Dims of 1..=12 per axis, a field seed and a bound's exponent in -4..-1.
+fn field_case(rng: &mut FuzzRng) -> (Dims, u64, i32) {
+    (dims_in(rng, 1, 12), rng.next_u64(), rng.range(-4, -2) as i32)
 }
 
 /// A deterministic pseudo-random field from a seed.
@@ -27,134 +38,152 @@ fn field_from_seed(dims: Dims, seed: u64, amplitude: f64) -> Field<f32> {
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn stz_error_bounded(
-        dims in dims_strategy(),
-        seed in any::<u64>(),
-        eb_exp in -4i32..-1,
-        levels in 2u8..=3,
-    ) {
+#[test]
+fn stz_error_bounded() {
+    let draw = |rng: &mut FuzzRng| (field_case(rng), rng.range(2, 3) as u8);
+    property("stz_error_bounded", CASES, draw, |&((dims, seed, eb_exp), levels)| {
         let eb = 10f64.powi(eb_exp);
         let f = field_from_seed(dims, seed, 1.0);
         let a = StzCompressor::new(StzConfig::three_level(eb).with_levels(levels))
             .compress(&f)
             .unwrap();
         let r = a.decompress().unwrap();
-        prop_assert!(metrics::max_abs_error(&f, &r) <= eb);
-    }
+        assert!(metrics::max_abs_error(&f, &r) <= eb);
+    });
+}
 
-    #[test]
-    fn sz3_error_bounded(dims in dims_strategy(), seed in any::<u64>(), eb_exp in -4i32..-1) {
+/// `roundtrip` of a field at a bound keeps every point within `eb * slack`.
+fn bounded(name: &str, slack: f64, roundtrip: impl Fn(&Field<f32>, f64) -> Field<f32>) {
+    property(name, CASES, field_case, |&(dims, seed, eb_exp)| {
         let eb = 10f64.powi(eb_exp);
         let f = field_from_seed(dims, seed, 1.0);
-        let bytes = stz::sz3::compress(&f, &stz::sz3::Sz3Config::absolute(eb)).unwrap();
-        let r: Field<f32> = stz::sz3::decompress(&bytes).unwrap();
-        prop_assert!(metrics::max_abs_error(&f, &r) <= eb);
-    }
+        assert!(metrics::max_abs_error(&f, &roundtrip(&f, eb)) <= eb * slack);
+    });
+}
 
-    #[test]
-    fn zfp_error_bounded(dims in dims_strategy(), seed in any::<u64>(), eb_exp in -4i32..-1) {
-        let eb = 10f64.powi(eb_exp);
-        let f = field_from_seed(dims, seed, 1.0);
-        let bytes = stz::zfp::compress(&f, &stz::zfp::ZfpConfig::new(eb));
-        let r: Field<f32> = stz::zfp::decompress(&bytes).unwrap();
-        prop_assert!(metrics::max_abs_error(&f, &r) <= eb);
-    }
+#[test]
+fn sz3_error_bounded() {
+    bounded("sz3_error_bounded", 1.0, |f, eb| {
+        let bytes = stz::sz3::compress(f, &stz::sz3::Sz3Config::absolute(eb)).unwrap();
+        stz::sz3::decompress(&bytes).unwrap()
+    });
+}
 
-    #[test]
-    fn sperr_error_bounded(dims in dims_strategy(), seed in any::<u64>(), eb_exp in -4i32..-1) {
-        let eb = 10f64.powi(eb_exp);
-        let f = field_from_seed(dims, seed, 1.0);
-        let bytes = stz::sperr::compress(&f, &stz::sperr::SperrConfig::new(eb));
-        let r: Field<f32> = stz::sperr::decompress(&bytes).unwrap();
-        prop_assert!(metrics::max_abs_error(&f, &r) <= eb * (1.0 + 1e-6));
-    }
+#[test]
+fn zfp_error_bounded() {
+    bounded("zfp_error_bounded", 1.0, |f, eb| {
+        stz::zfp::decompress(&stz::zfp::compress(f, &stz::zfp::ZfpConfig::new(eb))).unwrap()
+    });
+}
 
-    #[test]
-    fn mgard_error_bounded(dims in dims_strategy(), seed in any::<u64>(), eb_exp in -4i32..-1) {
-        let eb = 10f64.powi(eb_exp);
-        let f = field_from_seed(dims, seed, 1.0);
-        let bytes = stz::mgard::compress(&f, &stz::mgard::MgardConfig::new(eb)).unwrap();
-        let r: Field<f32> = stz::mgard::decompress(&bytes).unwrap();
-        prop_assert!(metrics::max_abs_error(&f, &r) <= eb);
-    }
+#[test]
+fn sperr_error_bounded() {
+    bounded("sperr_error_bounded", 1.0 + 1e-6, |f, eb| {
+        stz::sperr::decompress(&stz::sperr::compress(f, &stz::sperr::SperrConfig::new(eb))).unwrap()
+    });
+}
 
-    #[test]
-    fn partition_reassemble_identity(dims in dims_strategy(), seed in any::<u64>()) {
+#[test]
+fn mgard_error_bounded() {
+    bounded("mgard_error_bounded", 1.0, |f, eb| {
+        let bytes = stz::mgard::compress(f, &stz::mgard::MgardConfig::new(eb)).unwrap();
+        stz::mgard::decompress(&bytes).unwrap()
+    });
+}
+
+#[test]
+fn partition_reassemble_identity() {
+    let draw = |rng: &mut FuzzRng| (dims_in(rng, 1, 12), rng.next_u64());
+    property("partition_reassemble_identity", CASES, draw, |&(dims, seed)| {
         let f = field_from_seed(dims, seed, 100.0);
         let parts = partition_stride2(&f);
         let back = reassemble_stride2(dims, &parts);
-        prop_assert_eq!(f, back);
-    }
+        assert_eq!(f, back);
+    });
+}
 
-    #[test]
-    fn progressive_equals_downsample(dims in dims_strategy(), seed in any::<u64>()) {
+#[test]
+fn progressive_equals_downsample() {
+    let draw = |rng: &mut FuzzRng| (dims_in(rng, 1, 12), rng.next_u64(), rng.range(2, 4) as u8);
+    property("progressive_equals_downsample", CASES, draw, |&(dims, seed, levels)| {
         let f = field_from_seed(dims, seed, 1.0);
-        let a = StzCompressor::new(StzConfig::three_level(1e-2)).compress(&f).unwrap();
+        let a = StzCompressor::new(StzConfig::three_level(1e-2).with_levels(levels))
+            .compress(&f)
+            .unwrap();
         let full = a.decompress().unwrap();
-        for k in 1..=3u8 {
+        for k in 1..=levels {
             let p = a.decompress_level(k).unwrap();
-            prop_assert_eq!(p, full.downsample(1usize << (3 - k)));
+            assert_eq!(p, full.downsample(1usize << (levels - k)), "level {k}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn roi_equals_extracted_full(
-        dims in (4usize..=12, 4usize..=12, 4usize..=12).prop_map(|(z, y, x)| Dims::d3(z, y, x)),
-        seed in any::<u64>(),
-        frac in (0u8..8, 0u8..8, 0u8..8),
-    ) {
+#[test]
+fn roi_equals_extracted_full() {
+    let draw = |rng: &mut FuzzRng| {
+        let mut frac = || rng.below(8) as usize;
+        let frac = (frac(), frac(), frac());
+        (dims_in(rng, 4, 12), rng.next_u64(), frac)
+    };
+    property("roi_equals_extracted_full", CASES, draw, |&(dims, seed, frac)| {
         let f = field_from_seed(dims, seed, 1.0);
         let a = StzCompressor::new(StzConfig::three_level(1e-2)).compress(&f).unwrap();
         let full = a.decompress().unwrap();
         // Region derived from fractions of the grid extents.
-        let pick = |n: usize, k: u8| {
-            let start = (n - 1) * (k as usize) / 8;
+        let pick = |n: usize, k: usize| {
+            let start = (n - 1) * k / 8;
             start..(start + n.div_ceil(2)).min(n)
         };
-        let region = Region::d3(
-            pick(dims.nz(), frac.0),
-            pick(dims.ny(), frac.1),
-            pick(dims.nx(), frac.2),
-        );
-        prop_assert_eq!(a.decompress_region(&region).unwrap(), full.extract_region(&region));
-    }
+        let region =
+            Region::d3(pick(dims.nz(), frac.0), pick(dims.ny(), frac.1), pick(dims.nx(), frac.2));
+        assert_eq!(a.decompress_region(&region).unwrap(), full.extract_region(&region));
+    });
+}
 
-    #[test]
-    fn huffman_roundtrip(symbols in proptest::collection::vec(0u32..5000, 0..4000)) {
-        let block = stz::codec::huffman::encode_block(&symbols);
-        prop_assert_eq!(stz::codec::huffman::decode_block(&block).unwrap(), symbols);
-    }
+#[test]
+fn huffman_roundtrip() {
+    let draw = |rng: &mut FuzzRng| {
+        let len = rng.below(4000);
+        (0..len).map(|_| rng.below(5000) as u32).collect::<Vec<_>>()
+    };
+    property("huffman_roundtrip", CASES, draw, |symbols| {
+        let block = stz::codec::huffman::encode_block(symbols);
+        assert_eq!(&stz::codec::huffman::decode_block(&block).unwrap(), symbols);
+    });
+}
 
-    #[test]
-    fn quantizer_bound_holds(
-        actual in -1e6f64..1e6,
-        pred in -1e6f64..1e6,
-        eb_exp in -6i32..2,
-    ) {
+#[test]
+fn quantizer_bound_holds() {
+    let draw = |rng: &mut FuzzRng| {
+        (rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6), rng.range(-6, 1) as i32)
+    };
+    property("quantizer_bound_holds", CASES, draw, |&(actual, pred, eb_exp)| {
         let eb = 10f64.powi(eb_exp);
         let q = stz::codec::LinearQuantizer::new(eb, 1 << 15);
         if let stz::codec::QuantOutcome::Code { symbol, reconstructed } = q.quantize(actual, pred) {
-            prop_assert!((reconstructed - actual).abs() <= eb);
-            prop_assert_eq!(q.reconstruct(symbol, pred).to_bits(), reconstructed.to_bits());
+            assert!((reconstructed - actual).abs() <= eb);
+            assert_eq!(q.reconstruct(symbol, pred).to_bits(), reconstructed.to_bits());
         }
-    }
+    });
+}
 
-    #[test]
-    fn bitstream_roundtrip(fields in proptest::collection::vec((any::<u64>(), 1u32..=57), 0..200)) {
+#[test]
+fn bitstream_roundtrip() {
+    let draw = |rng: &mut FuzzRng| {
+        let len = rng.below(200);
+        (0..len).map(|_| (rng.next_u64(), rng.range(1, 57) as u32)).collect::<Vec<_>>()
+    };
+    property("bitstream_roundtrip", CASES, draw, |fields| {
         let mut w = stz::codec::BitWriter::new();
-        for &(v, n) in &fields {
+        for &(v, n) in fields {
             let masked = if n == 64 { v } else { v & ((1u64 << n) - 1) };
             w.put(masked, n);
         }
         let bytes = w.finish();
         let mut r = stz::codec::BitReader::new(&bytes);
-        for &(v, n) in &fields {
+        for &(v, n) in fields {
             let masked = if n == 64 { v } else { v & ((1u64 << n) - 1) };
-            prop_assert_eq!(r.get(n).unwrap(), masked);
+            assert_eq!(r.get(n).unwrap(), masked);
         }
-    }
+    });
 }

@@ -13,48 +13,6 @@ fn archive(dims: Dims, eb: f64, seed: u64) -> (Field<f32>, StzArchive<f32>) {
 }
 
 #[test]
-fn progressive_previews_are_downsamples_of_full() {
-    let (_, a) = archive(Dims::d3(40, 36, 44), 1e-2, 3);
-    let full = a.decompress().unwrap();
-    for k in 1..=3u8 {
-        let p = a.decompress_level(k).unwrap();
-        let stride = 1usize << (3 - k);
-        assert_eq!(p, full.downsample(stride), "level {k}");
-    }
-}
-
-#[test]
-fn random_access_agrees_with_full_on_many_regions() {
-    let dims = Dims::d3(32, 32, 32);
-    let (_, a) = archive(dims, 1e-2, 5);
-    let full = a.decompress().unwrap();
-    let regions = [
-        Region::d3(0..32, 0..32, 0..32),
-        Region::d3(0..1, 0..1, 0..1),
-        Region::d3(31..32, 31..32, 31..32),
-        Region::d3(5..6, 0..32, 0..32),
-        Region::d3(0..32, 7..8, 0..32),
-        Region::d3(0..32, 0..32, 9..10),
-        Region::d3(3..29, 1..31, 2..30),
-        Region::d3(8..16, 8..16, 8..16),
-        Region::d3(0..2, 30..32, 0..2),
-    ];
-    for r in regions {
-        assert_eq!(a.decompress_region(&r).unwrap(), full.extract_region(&r), "{r:?}");
-    }
-}
-
-#[test]
-fn parallel_paths_bit_identical_on_warpx() {
-    let f = synth::warpx_like(Dims::d3(16, 16, 128), 2);
-    let c = StzCompressor::new(StzConfig::three_level_relative(1e-4));
-    let serial = c.compress(&f).unwrap();
-    let parallel = c.compress_parallel(&f).unwrap();
-    assert_eq!(serial.as_bytes(), parallel.as_bytes());
-    assert_eq!(serial.decompress().unwrap(), parallel.decompress_parallel().unwrap());
-}
-
-#[test]
 fn preview_then_fetch_workflow() {
     // The paper's workflow: preview coarse -> select ROI -> fetch at full
     // resolution; the fetched data must exactly match a full decompression.
@@ -68,23 +26,6 @@ fn preview_then_fetch_workflow() {
     for tile in tiles {
         let region = roi::upscale_region(&tile, 2, dims);
         assert_eq!(a.decompress_region(&region).unwrap(), full.extract_region(&region));
-    }
-}
-
-#[test]
-fn two_and_four_level_streaming() {
-    let f = synth::miranda_like(Dims::d3(36, 36, 36), 4);
-    for levels in [2u8, 4] {
-        let a = StzCompressor::new(StzConfig::three_level(1e-3).with_levels(levels))
-            .compress(&f)
-            .unwrap();
-        let full = a.decompress().unwrap();
-        for k in 1..=levels {
-            let p = a.decompress_level(k).unwrap();
-            assert_eq!(p, full.downsample(1usize << (levels - k)), "L{levels} level {k}");
-        }
-        let r = Region::d3(5..20, 10..30, 0..36);
-        assert_eq!(a.decompress_region(&r).unwrap(), full.extract_region(&r));
     }
 }
 
