@@ -17,7 +17,7 @@ use stz_core::{pool, InterpKind, StzArchive, StzCompressor, StzConfig};
 use stz_data::io::{read_raw, write_raw};
 use stz_field::{Field, Scalar};
 use stz_serve::{Client, ServeOptions, Server};
-use stz_stream::{pack_pipelined, ForeignArchive};
+use stz_stream::{pack_pipelined, ForeignArchive, PackEntry};
 
 /// Resolve `--backend` (default: the native stz engine).
 fn backend_choice(p: &Parsed) -> Result<&'static dyn Codec, String> {
@@ -426,60 +426,63 @@ fn pack(p: &Parsed) -> Result<(), String> {
         return Err("--name applies to a single input; multiple inputs are named by stem".into());
     }
     let output = Path::new(p.required("-o")?);
-    if backend.id() != stz_backend::id::STZ {
-        reject_stz_flags(p, backend)?;
-        let eb = error_bound(p)?;
-        return match p.required("-t")? {
-            "f32" => pack_foreign::<f32>(backend, &inputs, output, dims, &eb, p, threads),
-            "f64" => pack_foreign::<f64>(backend, &inputs, output, dims, &eb, p, threads),
-            t => Err(format!("unknown element type {t:?} (want f32 or f64)")),
-        };
-    }
-    let cfg = build_config(p)?;
+    let engine = Engine::of(p, backend)?;
     match p.required("-t")? {
-        "f32" => pack_typed::<f32>(&inputs, output, dims, cfg, p.optional("--name"), threads),
-        "f64" => pack_typed::<f64>(&inputs, output, dims, cfg, p.optional("--name"), threads),
+        "f32" => pack_typed::<f32>(&inputs, output, dims, &engine, p.optional("--name"), threads),
+        "f64" => pack_typed::<f64>(&inputs, output, dims, &engine, p.optional("--name"), threads),
         t => Err(format!("unknown element type {t:?} (want f32 or f64)")),
     }
 }
 
-/// Pack entries compressed by a foreign backend: each input becomes a
-/// foreign-codec section, compressed on pipeline workers like the stz path.
-fn pack_foreign<T: BackendScalar>(
-    backend: &'static dyn Codec,
-    inputs: &[&str],
-    output: &Path,
-    dims: stz_field::Dims,
-    eb: &ErrorBound,
-    p: &Parsed,
-    threads: usize,
-) -> Result<(), String> {
-    let jobs = entry_jobs(inputs, p.optional("--name"))?;
-    // Foreign engines compress serially, so pack parallelism is entry-level.
-    let entry_workers = pool::with_threads(threads, pool::threads);
-    let n = jobs.len();
-    let compress_entry =
-        |(name, input): (String, &Path)| -> stz_codec::Result<(String, stz_stream::PackEntry<T>)> {
-            let field: Field<T> = read_raw(input, dims)?;
-            // Resolve a relative bound once (value_range is a full-field
-            // scan) and reuse the absolute value for both the compression
-            // and the footer metadata.
-            let abs = eb.absolute_for(&field);
-            let bytes = stz_backend::compress(backend, &field, &ErrorBound::Absolute(abs))?;
-            eprintln!(
-                "compressed {} as {name:?} [{}] ({} bytes, CR {:.1}x)",
-                input.display(),
-                backend.name(),
-                bytes.len(),
-                field.nbytes() as f64 / bytes.len() as f64
-            );
-            Ok((name, ForeignArchive::new::<T>(backend.id(), dims, abs, bytes).into()))
+/// How `pack` and `append` compress an entry: with the stz codec, or with a
+/// foreign backend at a bound.
+enum Engine {
+    Stz(StzConfig),
+    Foreign(&'static dyn Codec, ErrorBound),
+}
+
+impl Engine {
+    /// The engine the flags name for `backend`.
+    fn of(p: &Parsed, backend: &'static dyn Codec) -> Result<Engine, String> {
+        if backend.id() == stz_backend::id::STZ {
+            return Ok(Engine::Stz(build_config(p)?));
+        }
+        reject_stz_flags(p, backend)?;
+        Ok(Engine::Foreign(backend, error_bound(p)?))
+    }
+
+    /// Read `input` and compress it as entry `name`, at the pool's width.
+    fn compress<T: BackendScalar>(
+        &self,
+        name: &str,
+        input: &Path,
+        dims: stz_field::Dims,
+    ) -> stz_codec::Result<PackEntry<T>> {
+        // An unreadable input is an I/O failure, not stream corruption.
+        let field: Field<T> = read_raw(input, dims)?;
+        let (len, entry, tag) = match self {
+            Engine::Stz(cfg) => {
+                let archive = StzCompressor::new(*cfg).compress_parallel(&field)?;
+                (archive.compressed_len(), archive.into(), String::new())
+            }
+            Engine::Foreign(backend, eb) => {
+                // Resolve a relative bound once (value_range is a full-field
+                // scan) and reuse the absolute value for both the
+                // compression and the footer metadata.
+                let abs = eb.absolute_for(&field);
+                let bytes = stz_backend::compress(*backend, &field, &ErrorBound::Absolute(abs))?;
+                let (len, tag) = (bytes.len(), format!(" [{}]", backend.name()));
+                (len, ForeignArchive::new::<T>(backend.id(), dims, abs, bytes).into(), tag)
+            }
         };
-    let file = std::fs::File::create(output).map_err(|e| e.to_string())?;
-    pack_pipelined(std::io::BufWriter::new(file), jobs, entry_workers, compress_entry)
-        .map_err(|e| e.to_string())?;
-    eprintln!("wrote {} ({n} entries, {} backend)", output.display(), backend.name());
-    Ok(())
+        // In a pack this runs on a pool thread, so lines may interleave out
+        // of entry order; say "compressed", which is true at this point —
+        // whether every entry reached the container is confirmed by the
+        // final "wrote … (N entries)" line.
+        let ratio = field.nbytes() as f64 / len as f64;
+        eprintln!("compressed {} as {name:?}{tag} ({len} bytes, CR {ratio:.1}x)", input.display());
+        Ok(entry)
+    }
 }
 
 /// Derive every entry name up front, before any compression work, so
@@ -504,44 +507,32 @@ fn entry_jobs<'a>(
         .collect()
 }
 
-fn pack_typed<T: Scalar>(
+/// Pack the inputs as entries `engine` compresses. The pool compresses
+/// them while this thread appends each finished entry in order; a job's own
+/// pool run goes inline on its thread, but a single entry runs on this
+/// thread, so it parallelizes *internally* over the whole width instead.
+fn pack_typed<T: BackendScalar>(
     inputs: &[&str],
     output: &Path,
     dims: stz_field::Dims,
-    cfg: StzConfig,
+    engine: &Engine,
     name_override: Option<&str>,
     threads: usize,
 ) -> Result<(), String> {
     let jobs = entry_jobs(inputs, name_override)?;
-    // Entry-level parallelism: workers compress time steps serially while
-    // the writer thread appends finished entries in order. A single entry
-    // has no sibling entries to overlap with, so it parallelizes
-    // *internally* over the pool instead.
-    let entry_workers = pool::with_threads(threads, pool::threads);
-    let width = if jobs.len() == 1 { entry_workers } else { 1 };
-    let compress_entry =
-        |(name, input): (String, &Path)| -> stz_codec::Result<(String, stz_stream::PackEntry<T>)> {
-            // An unreadable input is an I/O failure, not stream corruption.
-            let field: Field<T> = read_raw(input, dims)?;
-            let compressor = StzCompressor::new(cfg);
-            let archive = pool::with_threads(width, || compressor.compress_parallel(&field))?;
-            // Runs on a worker thread, so lines may interleave out of entry
-            // order; say "compressed", which is true at this point — whether
-            // every entry reached the container is confirmed by the final
-            // "wrote … (N entries)" line.
-            eprintln!(
-                "compressed {} as {name:?} ({} bytes, CR {:.1}x)",
-                input.display(),
-                archive.compressed_len(),
-                archive.compression_ratio()
-            );
-            Ok((name, archive.into()))
-        };
+    let (n, entry_workers) = (jobs.len(), pool::with_threads(threads, pool::threads));
     let file = std::fs::File::create(output).map_err(|e| e.to_string())?;
-    let n = jobs.len();
-    pack_pipelined(std::io::BufWriter::new(file), jobs, entry_workers, compress_entry)
-        .map_err(|e| e.to_string())?;
-    eprintln!("wrote {} ({n} entries)", output.display());
+    pack_pipelined(std::io::BufWriter::new(file), jobs, entry_workers, |(name, input)| {
+        let entry = engine.compress::<T>(&name, input, dims)?;
+        Ok((name, entry))
+    })
+    .map_err(|e| e.to_string())?;
+    match engine {
+        Engine::Stz(_) => eprintln!("wrote {} ({n} entries)", output.display()),
+        Engine::Foreign(backend, _) => {
+            eprintln!("wrote {} ({n} entries, {} backend)", output.display(), backend.name())
+        }
+    }
     Ok(())
 }
 
@@ -569,71 +560,33 @@ fn append(p: &Parsed) -> Result<(), String> {
     }
     let jobs = entry_jobs(&inputs, p.optional("--name"))?;
     let mut store = store_mut_at(p)?;
-    if backend.id() != stz_backend::id::STZ {
-        reject_stz_flags(p, backend)?;
-        let eb = error_bound(p)?;
-        return match p.required("-t")? {
-            "f32" => append_foreign::<f32>(store.as_mut(), backend, &jobs, dims, &eb),
-            "f64" => append_foreign::<f64>(store.as_mut(), backend, &jobs, dims, &eb),
-            t => Err(format!("unknown element type {t:?} (want f32 or f64)")),
-        };
-    }
-    let cfg = build_config(p)?;
+    let engine = Engine::of(p, backend)?;
     let threads = p.threads()?;
     match p.required("-t")? {
-        "f32" => append_typed::<f32>(store.as_mut(), &jobs, dims, cfg, threads),
-        "f64" => append_typed::<f64>(store.as_mut(), &jobs, dims, cfg, threads),
+        "f32" => append_typed::<f32>(store.as_mut(), &jobs, dims, &engine, threads),
+        "f64" => append_typed::<f64>(store.as_mut(), &jobs, dims, &engine, threads),
         t => Err(format!("unknown element type {t:?} (want f32 or f64)")),
     }
 }
 
-fn append_typed<T: Scalar>(
+fn append_typed<T: BackendScalar>(
     store: &mut dyn StoreMut,
     jobs: &[(String, &Path)],
     dims: stz_field::Dims,
-    cfg: StzConfig,
+    engine: &Engine,
     threads: usize,
 ) -> Result<(), String>
 where
     EntryPayload: From<StzArchive<T>>,
 {
-    let compressor = StzCompressor::new(cfg);
     for (name, input) in jobs {
-        let field: Field<T> = read_raw(input, dims).map_err(|e| e.to_string())?;
-        let archive = pool::with_threads(threads, || compressor.compress_parallel(&field))
+        let entry = pool::with_threads(threads, || engine.compress::<T>(name, input, dims))
             .map_err(|e| e.to_string())?;
-        eprintln!(
-            "compressed {} as {name:?} ({} bytes, CR {:.1}x)",
-            input.display(),
-            archive.compressed_len(),
-            archive.compression_ratio()
-        );
-        store.append(name, archive.into()).map_err(|e| e.to_string())?;
-    }
-    commit_and_report(store, jobs.len(), "appended")
-}
-
-fn append_foreign<T: BackendScalar>(
-    store: &mut dyn StoreMut,
-    backend: &'static dyn Codec,
-    jobs: &[(String, &Path)],
-    dims: stz_field::Dims,
-    eb: &ErrorBound,
-) -> Result<(), String> {
-    for (name, input) in jobs {
-        let field: Field<T> = read_raw(input, dims).map_err(|e| e.to_string())?;
-        let abs = eb.absolute_for(&field);
-        let bytes = stz_backend::compress(backend, &field, &ErrorBound::Absolute(abs))
-            .map_err(|e| e.to_string())?;
-        eprintln!(
-            "compressed {} as {name:?} [{}] ({} bytes, CR {:.1}x)",
-            input.display(),
-            backend.name(),
-            bytes.len(),
-            field.nbytes() as f64 / bytes.len() as f64
-        );
-        let foreign = ForeignArchive::new::<T>(backend.id(), dims, abs, bytes);
-        store.append(name, foreign.into()).map_err(|e| e.to_string())?;
+        let payload = match entry {
+            PackEntry::Stz(archive) => archive.into(),
+            PackEntry::Foreign(foreign) => foreign.into(),
+        };
+        store.append(name, payload).map_err(|e| e.to_string())?;
     }
     commit_and_report(store, jobs.len(), "appended")
 }

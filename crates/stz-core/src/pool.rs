@@ -1,28 +1,33 @@
-//! The thread pool both codec directions run a level's share-out on.
+//! The one thread pool: a level's units in either codec direction, and a
+//! container's entries in a pipelined pack or append.
 //!
-//! [`map`] runs a function over a short list of items — a level's units, in
-//! either codec direction — on scoped threads, the calling thread being the
-//! last worker. Workers claim item indices in list order from one atomic
-//! counter and the results come back in item order, so what a `map` returns
-//! does not depend on the width or timing. A `map` called from inside a
-//! worker runs inline, in order: the outer one already uses every thread.
+//! [`map`] runs a function over a list of items on scoped threads, the
+//! calling thread being the last worker, and returns the results in item
+//! order; [`pipeline`] hands each result to a consumer on the calling thread
+//! instead, in item order, as soon as it and every earlier one are done, and
+//! keeps no more than two items per thread started and not yet handed on.
+//! Both are one loop: workers claim item indices in list order, so what a
+//! run returns does not depend on the width or timing. A run started from
+//! inside a worker runs inline, in order: the outer one already uses every
+//! thread.
 //!
 //! The width is [`threads`]: the innermost [`with_threads`] scope, else
 //! `STZ_THREADS` if it is a positive integer, else the machine's available
-//! parallelism. Workers run at their `map`'s width and under its caller's
+//! parallelism. Workers run at their run's width and under its caller's
 //! trace context, so spans opened in an item parent where the caller's do.
 
+use std::any::Any;
 use std::cell::Cell;
+use std::convert::Infallible;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 use stz_telemetry::{trace, Counter};
 
 thread_local! {
     /// The width set by the innermost `with_threads` on this thread.
     static WIDTH: Cell<Option<usize>> = const { Cell::new(None) };
-    /// Whether this thread is running a `map`'s items.
+    /// Whether this thread is running a pool run's items.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -70,73 +75,156 @@ fn tasks() -> &'static Counter {
     TASKS.get_or_init(|| stz_telemetry::global().counter("stz_pool_tasks_total", &[]))
 }
 
-/// Lock one of a `map`'s slots: none is held where `f` runs.
-fn lock<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
-    slot.lock().expect("a panic in `f` never holds a slot's lock")
-}
-
 /// Run `f` on every item and return the results in item order: inline where
 /// the width is 1, there is one item or none, or this is a worker; else on
 /// `min(width, items)` threads. A panic in `f` stops further claims and is
 /// raised again here, with its payload, once every worker has stopped.
 pub fn map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let mut out = Vec::with_capacity(items.len());
+    let collected = run(items, usize::MAX, f, |r| {
+        out.push(r);
+        Ok::<_, Infallible>(())
+    });
+    if let Err(never) = collected {
+        match never {}
+    }
+    out
+}
+
+/// Run `f` on every item as [`map`] does, and hand each result to `emit` on
+/// the calling thread, in item order, as soon as it and every earlier one are
+/// done. No item `i` starts before `i < emitted + 2 × width`, so at most twice
+/// as many results as threads are started and not yet handed on. An error
+/// from `emit`, like a panic in `f` or `emit`, stops further claims and is
+/// returned (a panic raised again) once every worker has stopped.
+pub fn pipeline<T: Send, R: Send, E>(
+    items: Vec<T>,
+    f: impl Fn(T) -> R + Sync,
+    emit: impl FnMut(R) -> Result<(), E>,
+) -> Result<(), E> {
+    run(items, 2, f, emit)
+}
+
+/// The one claim / run / hand-on loop behind [`map`] and [`pipeline`]: a
+/// thread may start up to `ahead` items past the last one handed on.
+fn run<T: Send, R: Send, E>(
+    items: Vec<T>,
+    ahead: usize,
+    f: impl Fn(T) -> R + Sync,
+    mut emit: impl FnMut(R) -> Result<(), E>,
+) -> Result<(), E> {
     let width = threads();
     tasks().add(items.len() as u64);
     if width == 1 || items.len() <= 1 || IN_WORKER.with(Cell::get) {
-        return items.into_iter().map(f).collect();
+        return items.into_iter().try_for_each(|item| emit(f(item)));
     }
-    let n = items.len();
-    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let (next, panicked) = (AtomicUsize::new(0), Mutex::new(None));
-    let (context, start) = (trace::current_context(), Instant::now());
-    let work = |spawned: Option<usize>| {
-        let _scope = Scope::enter(width, true);
-        let _trace = trace::install_context(context.clone());
-        if let Some(w) = spawned {
-            // From the call to this worker's first claim: its start-up.
-            trace::record_span("queue_wait", start, Instant::now(), &[("worker", w.to_string())]);
-        }
-        // Relaxed: an index publishes nothing; each slot has its own lock.
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = items.get(i) else { break };
-            let item = lock(item).take().expect("each index is claimed once");
-            match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                Ok(r) => *lock(&results[i]) = Some(r),
-                Err(payload) => {
-                    next.store(n, Ordering::Relaxed);
-                    lock(&panicked).get_or_insert(payload);
+    let (n, window) = (items.len(), width.saturating_mul(ahead));
+    let (items, done) = (items.into_iter().map(Some).collect(), (0..n).map(|_| None).collect());
+    let progress =
+        Mutex::new(Progress { items, done, next: 0, emitted: 0, stopped: false, panic: None });
+    // Signalled when a result is done or handed on, or the run stops.
+    let changed = Condvar::new();
+    let stop = |p: &mut Progress<T, R>, payload| {
+        p.stopped = true;
+        p.panic.get_or_insert(payload);
+    };
+    // Claim items in index order and run them until none is left or the run
+    // stops. The calling thread brings the consumer: it hands on the next
+    // result as soon as it is done and returns once every one is handed on.
+    // A thread with nothing to run or hand on sleeps.
+    let work = |mut consume: Option<&mut dyn FnMut(R) -> bool>| {
+        let mut p = lock(&progress);
+        while !p.stopped {
+            let (next, emitted) = (p.next, p.emitted);
+            let ready = |p: &Progress<T, R>| p.done.get(emitted).is_some_and(Option::is_some);
+            if let Some(consume) = consume.as_mut().filter(|_| ready(&p)) {
+                let r = p.done[emitted].take().expect("a result is ready");
+                drop(p);
+                let handed = catch_unwind(AssertUnwindSafe(|| consume(r)));
+                p = lock(&progress);
+                match handed {
+                    Ok(true) => p.emitted += 1,
+                    Ok(false) => p.stopped = true,
+                    Err(payload) => stop(&mut p, payload),
                 }
+            } else if next < n && next < emitted.saturating_add(window) {
+                p.next += 1;
+                let item = p.items[next].take().expect("each index is claimed once");
+                drop(p);
+                let r = catch_unwind(AssertUnwindSafe(|| f(item)));
+                p = lock(&progress);
+                match r {
+                    Ok(r) => p.done[next] = Some(r),
+                    Err(payload) => stop(&mut p, payload),
+                }
+            } else if next == n && (consume.is_none() || emitted == n) {
+                return;
+            } else {
+                p = changed.wait(p).expect("a panic never holds a run's lock");
+                continue;
             }
+            changed.notify_all();
         }
     };
+    let (context, start) = (trace::current_context(), Instant::now());
+    let spawned = |w: usize| {
+        let _scope = Scope::enter(width, true);
+        let _trace = trace::install_context(context.clone());
+        // From the call to this worker's first claim: its start-up.
+        trace::record_span("queue_wait", start, Instant::now(), &[("worker", w.to_string())]);
+        work(None);
+    };
+    let mut failed = None;
+    let mut consume = |r| emit(r).map_err(|e| failed = Some(e)).is_ok();
     std::thread::scope(|s| {
         let workers: Vec<_> = (0..width.min(n) - 1)
             .map(|w| {
                 let spawn = std::thread::Builder::new().name(format!("stz-pool-{w}"));
-                spawn.spawn_scoped(s, move || work(Some(w))).expect("spawning a pool worker")
+                spawn.spawn_scoped(s, move || spawned(w)).expect("spawning a pool worker")
             })
             .collect();
-        work(None);
+        let _scope = Scope::enter(width, true);
+        work(Some(&mut consume));
         // The scope alone waits only for each worker's closure; a join waits
         // for its thread to exit, so what the thread frees as it ends (its
-        // handle, its name) is freed before `map` returns, not during the
+        // handle, its name) is freed before the run returns, not during the
         // caller's next call.
         for worker in workers {
             worker.join().expect("a worker catches every panic in `f`");
         }
     });
-    if let Some(payload) = lock(&panicked).take() {
+    if let Some(payload) = lock(&progress).panic.take() {
         resume_unwind(payload);
     }
-    results.iter().map(|r| lock(r).take().expect("every item ran")).collect()
+    failed.map_or(Ok(()), Err)
+}
+
+/// A run's items and results, shared by its threads under one lock.
+struct Progress<T, R> {
+    /// Items not yet claimed.
+    items: Vec<Option<T>>,
+    /// Results done and not yet handed on.
+    done: Vec<Option<R>>,
+    /// The next index to claim.
+    next: usize,
+    /// How many results have been handed on, all in index order.
+    emitted: usize,
+    /// Set by a panic or a consumer's error: no more claims.
+    stopped: bool,
+    /// The first panic's payload, raised again on the caller.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+/// Lock a run's progress: none of `f` or the consumer runs under it.
+fn lock<T>(progress: &Mutex<T>) -> MutexGuard<'_, T> {
+    progress.lock().expect("a panic never holds a run's lock")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
     use std::time::Duration;
 

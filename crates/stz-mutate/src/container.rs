@@ -39,6 +39,7 @@ use crate::metrics::metrics;
 use std::io::Write;
 use std::path::Path;
 use stz_codec::{CodecError, Result};
+use stz_core::pool;
 use stz_field::Scalar;
 use stz_stream::crc::{crc32, Crc32};
 use stz_stream::format::{
@@ -46,7 +47,7 @@ use stz_stream::format::{
     GenSlot, SectionLoc, StzDetail, CONTAINER_MAGIC, GEN_SLOT_LEN, GEN_SLOT_OFFSETS, HEADER_LEN,
     MUTABLE_CONTAINER_VERSION, MUTABLE_DATA_START,
 };
-use stz_stream::{index_pack_entry, run_pipelined, ByteSource, ContainerReader, PackEntry};
+use stz_stream::{index_pack_entry, ByteSource, ContainerReader, PackEntry};
 
 /// Chunk size for payload copies during compaction and upgrade.
 const COPY_CHUNK: usize = 1 << 20;
@@ -313,10 +314,11 @@ impl<B: MutBacking> MutableContainer<B> {
     }
 
     /// Append many entries with pipelined ingestion: `run` compresses jobs
-    /// on `threads` worker threads while this thread stages each finished
-    /// entry **in job order** (same engine as
+    /// on `threads` pool threads while this thread stages each finished
+    /// entry **in job order** (the same [`stz_core::pool::pipeline`] as
     /// [`pack_pipelined`](stz_stream::pack_pipelined), so the staged bytes
-    /// are identical to a serial append loop). Returns the number of
+    /// are identical to a serial append loop and at most `2 × threads`
+    /// entries are compressed and not yet staged). Returns the number of
     /// entries appended. Nothing becomes visible until
     /// [`commit`](MutableContainer::commit).
     pub fn append_pipelined<T, J, F>(
@@ -331,10 +333,13 @@ impl<B: MutBacking> MutableContainer<B> {
         F: Fn(J) -> Result<(String, PackEntry<T>)> + Sync,
     {
         let mut appended = 0usize;
-        run_pipelined(jobs, threads, run, |name, entry| {
-            self.append(&name, &entry)?;
-            appended += 1;
-            Ok(())
+        pool::with_threads(threads.max(1), || {
+            pool::pipeline(jobs, run, |job| -> Result<()> {
+                let (name, entry) = job?;
+                self.append(&name, &entry)?;
+                appended += 1;
+                Ok(())
+            })
         })?;
         Ok(appended)
     }
@@ -539,6 +544,8 @@ pub fn upgrade_path(path: impl AsRef<Path>) -> Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+    use std::sync::Arc;
     use stz_core::{StzArchive, StzCompressor, StzConfig};
     use stz_field::{Dims, Field};
     use stz_stream::MemorySource;
@@ -659,6 +666,70 @@ mod tests {
             piped.into_backing().into_bytes(),
             "pipelined ingestion must stage byte-identical containers"
         );
+    }
+
+    /// A backing that counts its writes and lags on each, so staging trails
+    /// the jobs: an append stages its entry in one write.
+    struct Lagging {
+        inner: MemBacking,
+        writes: Arc<AtomicUsize>,
+    }
+
+    impl ByteSource for Lagging {
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+
+        fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+            self.inner.read_exact_at(offset, buf)
+        }
+    }
+
+    impl MutBacking for Lagging {
+        fn write_all_at(&mut self, offset: u64, buf: &[u8]) -> Result<()> {
+            std::thread::sleep(std::time::Duration::from_micros(500));
+            self.writes.fetch_add(1, SeqCst);
+            self.inner.write_all_at(offset, buf)
+        }
+
+        fn set_len(&mut self, len: u64) -> Result<()> {
+            self.inner.set_len(len)
+        }
+
+        fn sync(&mut self) -> Result<()> {
+            self.inner.sync()
+        }
+
+        fn replace_with(
+            &mut self,
+            build: &mut dyn FnMut(&dyn ByteSource, &mut dyn Write) -> Result<()>,
+        ) -> Result<()> {
+            self.inner.replace_with(build)
+        }
+    }
+
+    #[test]
+    fn at_most_two_entries_per_thread_are_compressed_and_not_staged() {
+        let entry = entry(0.0);
+        for threads in [2, 4, 8] {
+            let window = 2 * threads;
+            let writes = Arc::new(AtomicUsize::new(0));
+            let backing = Lagging { inner: MemBacking::empty(), writes: Arc::clone(&writes) };
+            let mut mc = MutableContainer::create(backing).unwrap();
+            writes.store(0, SeqCst);
+            let (started, most) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let jobs: Vec<usize> = (0..3 * window + 1).collect();
+            let n = mc
+                .append_pipelined(jobs, threads, |i| {
+                    let started = started.fetch_add(1, SeqCst) + 1;
+                    most.fetch_max(started.saturating_sub(writes.load(SeqCst)), SeqCst);
+                    Ok((format!("t{i}"), entry.clone()))
+                })
+                .unwrap();
+            assert_eq!(n, 3 * window + 1);
+            let most = most.load(SeqCst);
+            assert!(most <= window, "{most} entries started and not staged on {threads} threads");
+        }
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   slot* (write the inactive slot, never the active one). A crash at any
 //!   byte offset leaves the previous generation intact or the flip-slot
 //!   torn-and-ignored — readers always see a complete generation.
-//! * [`MutableContainer::append_pipelined`] — parallel ingestion through
-//!   the same pipelined engine as `pack_pipelined`, staging byte-identical
-//!   to a serial append loop.
+//! * [`MutableContainer::append_pipelined`] — parallel ingestion on
+//!   `stz_core::pool::pipeline`, as `pack_pipelined` packs, staging
+//!   byte-identical to a serial append loop.
 //! * [`MutableContainer::compact`] — rewrite live payloads into a fresh
 //!   image and atomically swap it in (sibling file + `rename(2)`),
 //!   reclaiming dead bytes while concurrent readers finish on the old

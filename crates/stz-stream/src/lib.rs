@@ -18,9 +18,9 @@
 //!   progressive refinement through typed [`EntryReader`]s that fetch *only*
 //!   the byte ranges a query needs.
 //! * [`pack_pipelined`] overlaps compression and writing: entries compress
-//!   on worker threads while the writer appends them in order, producing
-//!   bytes identical to a sequential pack with memory bounded by a sliding
-//!   window.
+//!   on `stz_core::pool`'s threads while the calling thread appends them in
+//!   order, producing bytes identical to a sequential pack with memory
+//!   bounded by the pool's window of two entries per thread.
 //! * [`EntryDesc`] and [`ContainerDesc`] describe an entry and a container
 //!   from the footer alone — the one descriptor every store, the server's
 //!   `INSPECT_OK` / `LIST_OK` frames and the CLI share.
@@ -83,7 +83,7 @@ pub mod writer;
 pub use byte_source::{ByteSource, CountingSource, FileSource, MemorySource};
 pub use desc::{ContainerDesc, EntryDesc};
 pub use fetch::{resolve_sel, validate_fetch, EntrySel, Fetch, Refusal};
-pub use pipeline::{pack_pipelined, run_pipelined};
+pub use pipeline::pack_pipelined;
 pub use reader::{ContainerReader, EntryMeta, EntryReader, StzSections};
 pub use writer::{
     index_foreign_archive, index_pack_entry, index_stz_archive, pack_to_file, pack_to_vec,

@@ -1,72 +1,45 @@
-//! Pipelined container packing: compress on workers, write in order.
+//! Pipelined container packing: compress on the pool, write in order.
 //!
 //! [`ContainerWriter::add_archive`](crate::ContainerWriter::add_archive) is
 //! strictly sequential — sections must land in the file in order. But the
 //! *production* of archives (reading a time step, compressing it) is
 //! embarrassingly parallel across entries. [`pack_pipelined`] overlaps the
-//! two: worker threads run the compression jobs while the calling thread
-//! appends each finished archive as soon as it — and all of its
-//! predecessors — are done, preserving the exact entry order (and therefore
-//! the exact container bytes) of a sequential pack.
+//! two on [`stz_core::pool::pipeline`]: the pool's threads run the
+//! compression jobs while the calling thread, one of them, appends each
+//! finished archive as soon as it — and all of its predecessors — are done,
+//! preserving the exact entry order (and therefore the exact container
+//! bytes) of a sequential pack.
 //!
-//! Memory stays bounded by a sliding window: a worker may not *start* job
-//! `i` until `i` is within `window` entries of the write cursor, so at most
-//! `window` started-but-unwritten entries (in flight or buffered) exist at
-//! any moment — independent of how many entries the container will hold.
+//! Memory stays bounded by the pool's window: no job `i` starts before
+//! `i < written + 2 × threads`, so at most `2 × threads` started-but-unwritten
+//! entries (in flight or buffered) exist at any moment — independent of how
+//! many entries the container will hold.
 
 use crate::writer::{ContainerWriter, PackEntry};
-use std::collections::BTreeMap;
 use std::io::Write;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, MutexGuard};
-use stz_codec::{CodecError, Result};
+use stz_codec::Result;
+use stz_core::pool;
 use stz_field::Scalar;
 
-/// Outcome of one compression job, keyed by its entry index: a named
-/// [`PackEntry`] — a native STZ archive or a foreign codec's bytes
-/// (`StzArchive` converts via `.into()`). A job's [`CodecError`] keeps its
-/// class, so an I/O problem (an unreadable input, say) surfaces as
-/// [`CodecError::Io`], not payload corruption; `std::io::Error` converts
-/// via `?`.
+/// Outcome of one compression job: a named [`PackEntry`] — a native STZ
+/// archive or a foreign codec's bytes (`StzArchive` converts via `.into()`).
+/// A job's [`CodecError`](stz_codec::CodecError) keeps its class, so an I/O
+/// problem (an unreadable input, say) surfaces as `CodecError::Io`, not
+/// payload corruption; `std::io::Error` converts via `?`.
 type JobResult<T> = Result<(String, PackEntry<T>)>;
 
-/// Shared pipeline state: finished jobs waiting for the writer, the write
-/// cursor governing the window, and abort/panic bookkeeping.
-struct State<T: Scalar> {
-    /// Finished jobs not yet written, keyed by entry index.
-    done: BTreeMap<usize, JobResult<T>>,
-    /// Next entry index the writer will append.
-    cursor: usize,
-    /// Set when the writer hit an error or a worker panicked; workers stop
-    /// picking up new jobs.
-    abort: bool,
-    /// First worker panic payload, re-raised on the calling thread.
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-struct Shared<T: Scalar> {
-    state: Mutex<State<T>>,
-    changed: Condvar,
-}
-
-impl<T: Scalar> Shared<T> {
-    fn lock(&self) -> MutexGuard<'_, State<T>> {
-        self.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-/// Pack `jobs` into a container on `out`, compressing on `threads` worker
+/// Pack `jobs` into a container on `out`, compressing on `threads` pool
 /// threads while the calling thread appends finished entries **in job
 /// order** — the resulting bytes are identical to running every job
 /// sequentially through [`ContainerWriter`].
 ///
-/// `run` maps one job to a named archive; it executes on a worker thread
-/// (`Sync`, called once per job). Jobs run with entry-level parallelism
-/// only — `run` should use the plain serial
-/// [`StzCompressor::compress`](stz_core::StzCompressor::compress), since
-/// entries already saturate the workers. A failed job aborts the pipeline
-/// and returns its error; a panicking job is re-raised on the calling
-/// thread after all workers have stopped.
+/// `run` maps one job to a named archive; it runs on a pool thread (`Sync`,
+/// called once per job) at a width of `threads`, where a nested pool run —
+/// [`StzCompressor::compress_parallel`](stz_core::StzCompressor::compress_parallel),
+/// say — runs inline: entries already occupy every thread. A single job
+/// runs on the calling thread, so its nested runs get the whole width. A
+/// failed job or write stops the pipeline and returns its error; a panicking
+/// job is raised again on the calling thread after every thread has stopped.
 ///
 /// With `threads <= 1` (or fewer than two jobs) no threads are spawned and
 /// jobs run inline, preserving the bounded-memory compress → add → drop
@@ -79,157 +52,26 @@ where
     F: Fn(J) -> JobResult<T> + Sync,
 {
     let mut writer = ContainerWriter::new(out)?;
-    run_pipelined(jobs, threads, run, |name, entry| writer.add_entry(&name, &entry))?;
+    pool::with_threads(threads.max(1), || {
+        pool::pipeline(jobs, run, |job| {
+            let (name, entry) = job?;
+            writer.add_entry(&name, &entry)
+        })
+    })?;
     writer.finish()
-}
-
-/// The pipeline engine behind [`pack_pipelined`], decoupled from the
-/// container writer: compress `jobs` on `threads` workers, hand each
-/// finished entry to `emit` **in job order** on the calling thread. The
-/// mutable-archive append path reuses this to stage parallel ingestion
-/// into an existing container, with the same window backpressure and the
-/// same ordering guarantee (`emit` sees the exact sequence a serial run
-/// would produce).
-pub fn run_pipelined<T, J, F, E>(jobs: Vec<J>, threads: usize, run: F, mut emit: E) -> Result<()>
-where
-    T: Scalar,
-    J: Send,
-    F: Fn(J) -> JobResult<T> + Sync,
-    E: FnMut(String, PackEntry<T>) -> Result<()>,
-{
-    let total = jobs.len();
-    if threads <= 1 || total < 2 {
-        for job in jobs {
-            let (name, entry) = run(job)?;
-            emit(name, entry)?;
-        }
-        return Ok(());
-    }
-
-    let workers = threads.min(total);
-    // Started-but-unwritten entries allowed before workers stall (the
-    // backpressure condition below is `i < cursor + window`). Two per
-    // worker keeps everyone busy across entry-size imbalance while
-    // bounding live archives — in flight or awaiting the writer — at
-    // `window`.
-    let window = workers * 2;
-
-    let jobs: Vec<Mutex<Option<J>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let next_job = std::sync::atomic::AtomicUsize::new(0);
-    let shared: Shared<T> = Shared {
-        state: Mutex::new(State { done: BTreeMap::new(), cursor: 0, abort: false, panic: None }),
-        changed: Condvar::new(),
-    };
-
-    let mut write_error: Option<CodecError> = None;
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let jobs = &jobs;
-            let next_job = &next_job;
-            let shared = &shared;
-            let run = &run;
-            std::thread::Builder::new()
-                .name(format!("stz-pack-{w}"))
-                .spawn_scoped(scope, move || loop {
-                    let i = next_job.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= total {
-                        return;
-                    }
-                    // Window backpressure: wait until entry i is within
-                    // `window` of the write cursor.
-                    {
-                        let mut st = shared.lock();
-                        while !st.abort && i >= st.cursor + window {
-                            st = shared
-                                .changed
-                                .wait(st)
-                                .unwrap_or_else(|poisoned| poisoned.into_inner());
-                        }
-                        if st.abort {
-                            return;
-                        }
-                    }
-                    let job = jobs[i]
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .take()
-                        .expect("each job index is claimed exactly once");
-                    match catch_unwind(AssertUnwindSafe(|| run(job))) {
-                        Ok(result) => {
-                            let mut st = shared.lock();
-                            st.done.insert(i, result);
-                            shared.changed.notify_all();
-                        }
-                        Err(payload) => {
-                            let mut st = shared.lock();
-                            if st.panic.is_none() {
-                                st.panic = Some(payload);
-                            }
-                            st.abort = true;
-                            shared.changed.notify_all();
-                            return;
-                        }
-                    }
-                })
-                .expect("spawning a pack worker cannot fail");
-        }
-
-        // The calling thread is the writer: consume entries in order.
-        for i in 0..total {
-            let result = {
-                let mut st = shared.lock();
-                loop {
-                    if st.abort {
-                        break None;
-                    }
-                    if let Some(r) = st.done.remove(&i) {
-                        break Some(r);
-                    }
-                    st = shared.changed.wait(st).unwrap_or_else(|poisoned| poisoned.into_inner());
-                }
-            };
-            let outcome = match result {
-                None => break, // aborted by a worker panic
-                Some(Ok((name, entry))) => emit(name, entry),
-                Some(Err(e)) => Err(e),
-            };
-            match outcome {
-                Ok(()) => {
-                    let mut st = shared.lock();
-                    st.cursor = i + 1;
-                    shared.changed.notify_all();
-                }
-                Err(e) => {
-                    write_error = Some(e);
-                    let mut st = shared.lock();
-                    st.abort = true;
-                    shared.changed.notify_all();
-                    break;
-                }
-            }
-        }
-        // Unblock any worker still waiting on the window.
-        let mut st = shared.lock();
-        st.abort = st.abort || st.cursor < total;
-        shared.changed.notify_all();
-    });
-
-    if let Some(payload) = shared.lock().panic.take() {
-        resume_unwind(payload);
-    }
-    if let Some(e) = write_error {
-        return Err(e);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pack_to_vec;
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+    use std::sync::{mpsc, Mutex};
+    use std::time::Duration;
+    use stz_codec::CodecError;
     use stz_core::{StzArchive, StzCompressor, StzConfig};
     use stz_field::{Dims, Field};
+    use stz_telemetry::trace;
 
     fn field(seed: f32) -> Field<f32> {
         Field::from_fn(Dims::d3(16, 16, 16), |z, y, x| {
@@ -297,5 +139,119 @@ mod tests {
     fn single_job_and_single_thread_run_inline() {
         assert_eq!(pipelined_image(8, 1), pipelined_image(1, 1));
         assert_eq!(pipelined_image(1, 3), pipelined_image(4, 3));
+    }
+
+    /// A sink that counts what it takes, lags on every write so the writer
+    /// trails the jobs, and fails a write that would pass `limit` bytes.
+    #[derive(Debug)]
+    struct Lagging<'a> {
+        written: &'a AtomicUsize,
+        limit: usize,
+    }
+
+    impl Write for Lagging<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            std::thread::sleep(Duration::from_micros(500));
+            if self.written.load(SeqCst) + buf.len() > self.limit {
+                return Err(std::io::Error::other("the sink is full"));
+            }
+            self.written.fetch_add(buf.len(), SeqCst);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Entries a sink holds, where each is `entry` bytes written in one piece.
+    fn entries_in(written: &AtomicUsize, entry: usize) -> usize {
+        written.load(SeqCst).saturating_sub(crate::format::HEADER_LEN as usize) / entry
+    }
+
+    #[test]
+    fn at_most_two_entries_per_thread_are_started_and_not_written() {
+        let archive = compress(0.0);
+        let entry = archive.as_bytes().len();
+        for threads in [2, 4, 8] {
+            let window = 2 * threads;
+            let (written, started, most) =
+                (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
+            let sink = Lagging { written: &written, limit: usize::MAX };
+            let jobs: Vec<usize> = (0..3 * window + 1).collect();
+            pack_pipelined(sink, jobs, threads, |i| {
+                let started = started.fetch_add(1, SeqCst) + 1;
+                most.fetch_max(started.saturating_sub(entries_in(&written, entry)), SeqCst);
+                Ok((format!("t{i}"), archive.clone().into()))
+            })
+            .unwrap();
+            let most = most.load(SeqCst);
+            assert!(most <= window, "{most} entries started and not written on {threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_failed_write_stops_every_thread_with_its_io_error() {
+        for threads in [2, 8] {
+            // A hang here is a failure: the pack runs on a thread of its own.
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let archive = compress(0.0);
+                let (entry, header) = (archive.as_bytes().len(), crate::format::HEADER_LEN);
+                let (written, running, started) =
+                    (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
+                // Three entries fit; the fourth's write fails.
+                let sink = Lagging { written: &written, limit: header as usize + 3 * entry };
+                let err = pack_pipelined(sink, (0..64).collect(), threads, |i: usize| {
+                    running.fetch_add(1, SeqCst);
+                    started.fetch_add(1, SeqCst);
+                    let job = Ok((format!("t{i}"), archive.clone().into()));
+                    running.fetch_sub(1, SeqCst);
+                    job
+                })
+                .unwrap_err();
+                let _ = tx.send((err, running.load(SeqCst), started.load(SeqCst)));
+            });
+            let (err, running, started) = rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|e| panic!("a failed write on {threads} threads: {e}"));
+            assert!(matches!(err, CodecError::Io { .. }), "got: {err}");
+            assert!(err.to_string().contains("the sink is full"), "got: {err}");
+            assert_eq!(running, 0, "a job ran on after the pack returned");
+            let window = 2 * threads;
+            assert!(started <= 3 + window, "{started} jobs started after entry 3 failed");
+        }
+    }
+
+    #[test]
+    fn a_job_runs_at_the_runs_width_with_nested_runs_inline_in_the_callers_trace() {
+        let collector = Box::leak(Box::new(trace::TraceCollector::new(true)));
+        let seen = Mutex::new(Vec::new());
+        let (trace_id, caller) = {
+            let root = collector.start("test", "request", None);
+            let span = trace::span("pack");
+            let caller = trace::current_context().unwrap().span_id();
+            let image = pool::with_threads(4, || {
+                pack_pipelined(Vec::new(), (0..4).collect(), 2, |i: usize| {
+                    let _job = trace::span("job");
+                    let here = std::thread::current().id();
+                    let nested =
+                        pool::map((0..8).collect(), |_: usize| std::thread::current().id());
+                    let inline = nested.iter().all(|&id| id == here);
+                    seen.lock().unwrap().push((pool::threads(), inline));
+                    Ok((format!("t{i}"), compress(i as f32).into()))
+                })
+            });
+            assert_eq!(image.unwrap(), pipelined_image(1, 4));
+            drop(span);
+            (root.trace_id().unwrap(), caller)
+        };
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen, [(2, true); 4], "each job's (width, whether its nested map ran inline)");
+        let t = collector.snapshot().into_iter().find(|t| t.trace_id == trace_id).unwrap();
+        let named = |name: &'static str| t.spans.iter().filter(move |s| s.name == name);
+        assert_eq!(named("job").filter(|s| s.parent == caller).count(), 4, "a job left the trace");
+        let waits = named("queue_wait").filter(|s| s.parent == caller).count();
+        assert_eq!(waits, 1, "one queue_wait per spawned worker");
     }
 }

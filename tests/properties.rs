@@ -154,17 +154,30 @@ fn huffman_roundtrip() {
 
 #[test]
 fn quantizer_bound_holds() {
+    use stz::codec::{LinearQuantizer, QuantOutcome};
+    const RADIUS: i64 = 1 << 15;
+    const CASES: usize = 1024;
+    // `pred` lies within 1.2 radii of steps of `actual`: about five cases in
+    // six are coded, and the rest lie beyond the radius and must escape.
     let draw = |rng: &mut FuzzRng| {
-        (rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6), rng.range(-6, 1) as i32)
+        let (actual, eb_exp) = (rng.uniform(-1e6, 1e6), rng.range(-6, 1) as i32);
+        let reach = 1.2 * RADIUS as f64 * 2.0 * 10f64.powi(eb_exp);
+        (actual, actual + rng.uniform(-reach, reach), eb_exp)
     };
+    let coded = std::cell::Cell::new(0);
     property("quantizer_bound_holds", CASES, draw, |&(actual, pred, eb_exp)| {
         let eb = 10f64.powi(eb_exp);
-        let q = stz::codec::LinearQuantizer::new(eb, 1 << 15);
-        if let stz::codec::QuantOutcome::Code { symbol, reconstructed } = q.quantize(actual, pred) {
+        let q = LinearQuantizer::new(eb, RADIUS);
+        let beyond = (actual - pred).abs() > (RADIUS as f64 + 0.5) * 2.0 * eb;
+        if let QuantOutcome::Code { symbol, reconstructed } = q.quantize(actual, pred) {
+            assert!(!beyond, "a difference beyond the radius was coded");
             assert!((reconstructed - actual).abs() <= eb);
             assert_eq!(q.reconstruct(symbol, pred).to_bits(), reconstructed.to_bits());
+            coded.set(coded.get() + 1);
         }
     });
+    let coded = coded.get();
+    assert!(coded * 5 >= CASES * 4, "only {coded} of {CASES} cases were coded");
 }
 
 #[test]
