@@ -69,13 +69,13 @@ pub use file::FileStore;
 pub use mem::MemStore;
 pub use remote::{list_containers, RemoteStore};
 pub use uri::{is_container_path, list_location, open_store, Location};
-pub use write::{
-    open_store_mut, CompactReport, EntryMut, EntryPayload, FileStoreMut, MutStatus, StoreMut,
-};
+pub use write::{open_store_mut, EntryMut, FileStoreMut, MutStatus, StoreMut};
 
 // One selector, one request and one descriptor from the footer to the wire:
-// every store and the server resolve, check and describe an entry alike.
-pub use stz_stream::{ContainerDesc, EntryDesc, EntrySel, Fetch};
+// every store and the server resolve, check and describe an entry alike;
+// one payload type and one compaction report for every writer.
+pub use stz_mutate::CompactStats;
+pub use stz_stream::{ContainerDesc, EntryDesc, EntrySel, Fetch, PackEntry};
 
 use stz_field::{Dims, Field, Scalar};
 

@@ -1,12 +1,9 @@
 //! [`MemStore`] — the in-process store: a v3 container image in memory.
 
 use crate::error::{AccessError, Result};
-use crate::write::{CompactReport, EntryPayload, MutStatus, StoreMut};
-use crate::{Entry, EntryDesc, EntrySel, FileStore, FileStoreMut, Provenance, Store};
-use stz_core::archive::type_tag;
-use stz_core::StzArchive;
-use stz_field::Scalar;
-use stz_mutate::{MemBacking, MutableContainer};
+use crate::write::{MutStatus, StoreMut};
+use crate::{Entry, EntryDesc, EntrySel, FileStore, FileStoreMut, PackEntry, Provenance, Store};
+use stz_mutate::{CompactStats, MemBacking, MutableContainer};
 
 /// The in-process [`Store`]: a mutable (v3) container image held in memory,
 /// written by a [`FileStoreMut`] as a container file is, and read by a
@@ -50,7 +47,7 @@ impl MemStore {
     /// # Panics
     /// If the store already holds an entry named `name`, with the
     /// `BadRequest` text of [`StoreMut::append`].
-    pub fn add(&mut self, name: &str, archive: impl Into<EntryPayload>) {
+    pub fn add(&mut self, name: &str, archive: impl Into<PackEntry>) {
         let added = self.append(name, archive.into()).and_then(|()| self.commit());
         if let Err(e) = added {
             panic!("{e}");
@@ -67,14 +64,7 @@ impl MemStore {
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "archive".to_string());
-        // Dispatch on the header's type tag, not parse-and-retry on a copy;
-        // a wrong tag still ends in `from_bytes`'s own validation error.
-        let parsed = if type_tag(&bytes) == Some(f64::TYPE_TAG) {
-            StzArchive::<f64>::from_bytes(bytes).map(EntryPayload::from)
-        } else {
-            StzArchive::<f32>::from_bytes(bytes).map(EntryPayload::from)
-        };
-        let archive = parsed.map_err(|e| {
+        let archive = PackEntry::from_stz_bytes(bytes).map_err(|e| {
             AccessError::corrupt(format!("{} is not an stz archive: {e}", path.display()))
         })?;
         let mut store = MemStore::new();
@@ -114,11 +104,11 @@ impl StoreMut for MemStore {
         self.writer.generation()
     }
 
-    fn append(&mut self, name: &str, payload: EntryPayload) -> Result<()> {
+    fn append(&mut self, name: &str, payload: PackEntry) -> Result<()> {
         self.writer.append(name, payload)
     }
 
-    fn replace(&mut self, name: &str, payload: EntryPayload) -> Result<()> {
+    fn replace(&mut self, name: &str, payload: PackEntry) -> Result<()> {
         self.writer.replace(name, payload)
     }
 
@@ -132,7 +122,7 @@ impl StoreMut for MemStore {
         Ok(generation)
     }
 
-    fn compact(&mut self) -> Result<CompactReport> {
+    fn compact(&mut self) -> Result<CompactStats> {
         let report = self.writer.compact()?;
         self.publish()?;
         Ok(report)

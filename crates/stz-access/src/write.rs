@@ -1,11 +1,13 @@
 //! Object-safe mutation surface: [`StoreMut`] / [`EntryMut`], the write
 //! twins of [`Store`](crate::Store) / [`Entry`](crate::Entry).
 //!
-//! The same contract philosophy as the read side: one vocabulary
-//! ([`EntryPayload`]), one error taxonomy (appending an existing name is
-//! `BadRequest`, replacing a missing one is `NotFound` — on every
-//! backend), and object safety so the CLI's `append`/`delete`/`compact`
-//! verbs hold a `Box<dyn StoreMut>` without caring where the bytes land.
+//! The same contract philosophy as the read side: one vocabulary, one
+//! error taxonomy and object safety. A payload is a [`PackEntry`], the one
+//! type every container writer takes, so an `f32`, `f64` or foreign entry
+//! reaches the container unconverted. Appending an existing name is
+//! `BadRequest` and replacing a missing one is `NotFound`, on every
+//! backend. Object safety lets the CLI's `append`/`delete`/`compact` verbs
+//! hold a `Box<dyn StoreMut>` without caring where the bytes land.
 //!
 //! Both stores that implement it write a v3 container the same way:
 //!
@@ -21,40 +23,8 @@
 use crate::error::{AccessError, Result};
 use crate::{EntryDesc, EntrySel};
 use std::path::Path;
-use stz_core::StzArchive;
-use stz_mutate::{FileBacking, MutBacking, MutableContainer};
-use stz_stream::{resolve_sel, EntryMeta, ForeignArchive, PackEntry};
-
-/// One entry's payload, ready to be appended or replaced — the write-side
-/// counterpart of [`FetchedField`](crate::FetchedField), typed by value so
-/// the trait stays object-safe.
-#[derive(Debug, Clone)]
-pub enum EntryPayload {
-    /// A native STZ archive over `f32`.
-    F32(StzArchive<f32>),
-    /// A native STZ archive over `f64`.
-    F64(StzArchive<f64>),
-    /// A foreign codec's archive.
-    Foreign(ForeignArchive),
-}
-
-impl From<StzArchive<f32>> for EntryPayload {
-    fn from(a: StzArchive<f32>) -> Self {
-        EntryPayload::F32(a)
-    }
-}
-
-impl From<StzArchive<f64>> for EntryPayload {
-    fn from(a: StzArchive<f64>) -> Self {
-        EntryPayload::F64(a)
-    }
-}
-
-impl From<ForeignArchive> for EntryPayload {
-    fn from(a: ForeignArchive) -> Self {
-        EntryPayload::Foreign(a)
-    }
-}
+use stz_mutate::{CompactStats, FileBacking, MutBacking, MutableContainer};
+use stz_stream::{resolve_sel, EntryMeta, PackEntry};
 
 /// Mutation-side accounting of a store (see
 /// [`StoreMut::status`]). Byte fields are compressed payload bytes; a
@@ -75,9 +45,6 @@ pub struct MutStatus {
     pub dead_bytes: u64,
 }
 
-/// Outcome of one [`StoreMut::compact`] run: the container's own report.
-pub use stz_mutate::CompactStats as CompactReport;
-
 /// A mutable collection of entries. Mutations *stage*; readers see them
 /// only after [`commit`](StoreMut::commit) — which is atomic on every
 /// backend that can crash (the file store's shadow-slot flip).
@@ -95,11 +62,11 @@ pub trait StoreMut: Send {
 
     /// Stage a new entry. Appending a name that already exists is a
     /// `BadRequest` (use [`replace`](StoreMut::replace)).
-    fn append(&mut self, name: &str, payload: EntryPayload) -> Result<()>;
+    fn append(&mut self, name: &str, payload: PackEntry) -> Result<()>;
 
     /// Stage a replacement payload for the entry named `name`
     /// (`NotFound` if absent).
-    fn replace(&mut self, name: &str, payload: EntryPayload) -> Result<()>;
+    fn replace(&mut self, name: &str, payload: PackEntry) -> Result<()>;
 
     /// Stage removal of the entry named `name` (`NotFound` if absent).
     fn delete(&mut self, name: &str) -> Result<()>;
@@ -117,8 +84,8 @@ pub trait StoreMut: Send {
 
     /// Commit, then reclaim dead bytes (rewrite live payloads; atomic
     /// swap). Concurrent readers pinned to older generations are
-    /// unaffected.
-    fn compact(&mut self) -> Result<CompactReport>;
+    /// unaffected. Returns the container's own report.
+    fn compact(&mut self) -> Result<CompactStats>;
 
     /// Point-in-time accounting.
     fn status(&self) -> MutStatus;
@@ -131,7 +98,7 @@ pub trait EntryMut: Send {
     fn desc(&self) -> &EntryDesc;
 
     /// Stage a replacement payload for this entry.
-    fn replace(&mut self, payload: EntryPayload) -> Result<()>;
+    fn replace(&mut self, payload: PackEntry) -> Result<()>;
 
     /// Stage removal of this entry, consuming the handle.
     fn delete(self: Box<Self>) -> Result<()>;
@@ -177,19 +144,6 @@ impl<B: MutBacking> FileStoreMut<B> {
             }
         }
     }
-
-    /// Stage `payload` as the entry `name`, replacing it or appending it.
-    fn put(&mut self, name: &str, payload: EntryPayload, replacing: bool) -> Result<()> {
-        let c = &mut self.container;
-        Ok(match (payload, replacing) {
-            (EntryPayload::F32(a), false) => c.append(name, &PackEntry::from(a)),
-            (EntryPayload::F32(a), true) => c.replace(name, &PackEntry::from(a)),
-            (EntryPayload::F64(a), false) => c.append(name, &PackEntry::from(a)),
-            (EntryPayload::F64(a), true) => c.replace(name, &PackEntry::from(a)),
-            (EntryPayload::Foreign(f), false) => c.append(name, &PackEntry::<f32>::Foreign(f)),
-            (EntryPayload::Foreign(f), true) => c.replace(name, &PackEntry::<f32>::Foreign(f)),
-        }?)
-    }
 }
 
 impl<B: MutBacking> StoreMut for FileStoreMut<B> {
@@ -206,18 +160,18 @@ impl<B: MutBacking> StoreMut for FileStoreMut<B> {
         self.container.generation()
     }
 
-    fn append(&mut self, name: &str, payload: EntryPayload) -> Result<()> {
+    fn append(&mut self, name: &str, payload: PackEntry) -> Result<()> {
         if self.container.find(name).is_some() {
             return Err(AccessError::bad_request(format!(
                 "entry {name:?} already exists; replace or delete it first"
             )));
         }
-        self.put(name, payload, false)
+        Ok(self.container.append(name, &payload)?)
     }
 
-    fn replace(&mut self, name: &str, payload: EntryPayload) -> Result<()> {
+    fn replace(&mut self, name: &str, payload: PackEntry) -> Result<()> {
         self.ensure_present(name)?;
-        self.put(name, payload, true)
+        Ok(self.container.replace(name, &payload)?)
     }
 
     fn delete(&mut self, name: &str) -> Result<()> {
@@ -229,7 +183,7 @@ impl<B: MutBacking> StoreMut for FileStoreMut<B> {
         Ok(self.container.commit()?)
     }
 
-    fn compact(&mut self) -> Result<CompactReport> {
+    fn compact(&mut self) -> Result<CompactStats> {
         Ok(self.container.compact()?)
     }
 
@@ -257,7 +211,7 @@ impl<S: StoreMut + ?Sized> EntryMut for StoreEntryMut<'_, S> {
         &self.desc
     }
 
-    fn replace(&mut self, payload: EntryPayload) -> Result<()> {
+    fn replace(&mut self, payload: PackEntry) -> Result<()> {
         let name = self.desc.name.clone();
         self.store.replace(&name, payload)
     }
@@ -293,7 +247,7 @@ pub fn open_store_mut(location: &str) -> Result<Box<dyn StoreMut>> {
 mod tests {
     use super::*;
     use crate::{Entry, Fetch, MemStore, Store};
-    use stz_core::{reference, StzCompressor, StzConfig};
+    use stz_core::{reference, StzArchive, StzCompressor, StzConfig};
     use stz_field::{Dims, Field, Scalar};
 
     fn archive(seed: f32) -> StzArchive<f32> {

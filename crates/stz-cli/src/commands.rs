@@ -10,14 +10,15 @@ use crate::args::{self, Parsed};
 use crate::fmt;
 use std::path::Path;
 use stz_access::{
-    open_store, open_store_mut, Entry, EntryPayload, EntrySel, Fetch, Location, Store, StoreMut,
+    open_store, open_store_mut, Entry, EntrySel, Fetch, Location, MemStore, PackEntry, Store,
+    StoreMut,
 };
 use stz_backend::{registry, BackendScalar, Codec, ErrorBound};
 use stz_core::{pool, InterpKind, StzArchive, StzCompressor, StzConfig};
 use stz_data::io::{read_raw, write_raw};
-use stz_field::{Field, Scalar};
+use stz_field::{Dims, Field, Scalar};
 use stz_serve::{Client, ServeOptions, Server};
-use stz_stream::{pack_pipelined, ForeignArchive, PackEntry};
+use stz_stream::{pack_pipelined, ForeignArchive};
 
 /// Resolve `--backend` (default: the native stz engine).
 fn backend_choice(p: &Parsed) -> Result<&'static dyn Codec, String> {
@@ -107,15 +108,9 @@ fn is_container(path: &Path) -> bool {
 }
 
 fn build_config(p: &Parsed) -> Result<StzConfig, String> {
-    let eb: f64 =
-        p.required("-e")?.parse().map_err(|_| "error bound -e must be a number".to_string())?;
-    if !(eb > 0.0 && eb.is_finite()) {
-        return Err("error bound must be positive and finite".into());
-    }
-    let mut cfg = if p.switch("--rel") {
-        StzConfig::three_level_relative(eb)
-    } else {
-        StzConfig::three_level(eb)
+    let mut cfg = match error_bound(p)? {
+        ErrorBound::Absolute(eb) => StzConfig::three_level(eb),
+        ErrorBound::Relative(eb) => StzConfig::three_level_relative(eb),
     };
     if let Some(l) = p.optional("--levels") {
         let levels: u8 = l.parse().map_err(|_| "--levels must be 2..=4".to_string())?;
@@ -134,81 +129,22 @@ fn build_config(p: &Parsed) -> Result<StzConfig, String> {
 }
 
 fn compress(p: &Parsed) -> Result<(), String> {
-    let dims = args::parse_dims(p.required("-d")?)?;
-    let backend = backend_choice(p)?;
+    let engine = Engine::of(p)?;
     let input = Path::new(p.required("-i")?);
     let output = Path::new(p.required("-o")?);
-    if backend.id() != stz_backend::id::STZ {
-        // Foreign engines compress through the registry (whole-field,
-        // serial); the stz path below keeps its tuned parallel pipeline.
-        reject_stz_flags(p, backend)?;
-        let eb = error_bound(p)?;
-        return match p.required("-t")? {
-            "f32" => compress_foreign::<f32>(backend, input, output, dims, &eb),
-            "f64" => compress_foreign::<f64>(backend, input, output, dims, &eb),
-            t => Err(format!("unknown element type {t:?} (want f32 or f64)")),
-        };
-    }
-    let cfg = build_config(p)?;
     let threads = p.threads()?;
-    match p.required("-t")? {
-        "f32" => compress_typed::<f32>(input, output, dims, cfg, threads),
-        "f64" => compress_typed::<f64>(input, output, dims, cfg, threads),
-        t => Err(format!("unknown element type {t:?} (want f32 or f64)")),
-    }
-}
-
-fn compress_foreign<T: BackendScalar>(
-    backend: &dyn Codec,
-    input: &Path,
-    output: &Path,
-    dims: stz_field::Dims,
-    eb: &ErrorBound,
-) -> Result<(), String> {
-    let field: Field<T> = read_raw(input, dims).map_err(|e| e.to_string())?;
-    let bytes = stz_backend::compress(backend, &field, eb).map_err(|e| e.to_string())?;
-    let cr = field.nbytes() as f64 / bytes.len() as f64;
-    let len = bytes.len();
+    let (entry, ratio) =
+        pool::with_threads(threads, || engine.compress(input)).map_err(|e| e.to_string())?;
+    let bytes = entry.as_bytes();
     std::fs::write(output, bytes).map_err(|e| e.to_string())?;
     eprintln!(
-        "{} -> {} [{}] ({len} bytes, CR {cr:.1}x)",
+        "{} -> {}{} ({} bytes, CR {ratio:.1}x)",
         input.display(),
         output.display(),
-        backend.name()
+        engine.tag(),
+        bytes.len()
     );
     Ok(())
-}
-
-fn compress_typed<T: Scalar>(
-    input: &Path,
-    output: &Path,
-    dims: stz_field::Dims,
-    cfg: StzConfig,
-    threads: usize,
-) -> Result<(), String> {
-    let field: Field<T> = read_raw(input, dims).map_err(|e| e.to_string())?;
-    let compressor = StzCompressor::new(cfg);
-    let archive = pool::with_threads(threads, || compressor.compress_parallel(&field))
-        .map_err(|e| e.to_string())?;
-    let cr = archive.compression_ratio();
-    let len = archive.compressed_len();
-    std::fs::write(output, archive.into_bytes()).map_err(|e| e.to_string())?;
-    eprintln!("{} -> {} ({len} bytes, CR {cr:.1}x)", input.display(), output.display());
-    Ok(())
-}
-
-/// Load an archive and dispatch on the element type its header names.
-fn with_archive<R>(
-    path: &Path,
-    f32_case: impl FnOnce(StzArchive<f32>) -> Result<R, String>,
-    f64_case: impl FnOnce(StzArchive<f64>) -> Result<R, String>,
-) -> Result<R, String> {
-    let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
-    if stz_core::archive::type_tag(&bytes) == Some(f64::TYPE_TAG) {
-        f64_case(StzArchive::from_bytes(bytes).map_err(|e| e.to_string())?)
-    } else {
-        f32_case(StzArchive::from_bytes(bytes).map_err(|e| e.to_string())?)
-    }
 }
 
 fn decompress(p: &Parsed) -> Result<(), String> {
@@ -234,24 +170,22 @@ fn decompress(p: &Parsed) -> Result<(), String> {
     if backend.id() != stz_backend::id::STZ {
         return decompress_foreign(backend, input, &output);
     }
+    // A bare stz archive decodes as `extract` decodes it: one fetch of a
+    // single-entry store, at the pool's width.
     let threads = p.threads()?;
-    with_archive(
-        input,
-        |a| {
-            let f = pool::with_threads(threads, || a.decompress_parallel())
-                .map_err(|e| e.to_string())?;
-            write_raw(&output, &f).map_err(|e| e.to_string())?;
-            eprintln!("wrote {} ({} f32 values)", output.display(), f.len());
-            Ok(())
-        },
-        |a| {
-            let f = pool::with_threads(threads, || a.decompress_parallel())
-                .map_err(|e| e.to_string())?;
-            write_raw(&output, &f).map_err(|e| e.to_string())?;
-            eprintln!("wrote {} ({} f64 values)", output.display(), f.len());
-            Ok(())
-        },
-    )
+    let entry = MemStore::open_path(input)
+        .and_then(|store| store.open(&EntrySel::Index(0)))
+        .map_err(|e| e.to_string())?;
+    let fetched =
+        pool::with_threads(threads, || entry.fetch(&Fetch::Full)).map_err(|e| e.to_string())?;
+    std::fs::write(&output, &fetched.data).map_err(|e| e.to_string())?;
+    eprintln!(
+        "wrote {} ({} {} values)",
+        output.display(),
+        fetched.dims.len(),
+        entry.desc().type_name()
+    );
+    Ok(())
 }
 
 /// Decode a foreign backend's archive, dispatching on the element type the
@@ -381,20 +315,16 @@ fn info(p: &Parsed) -> Result<(), String> {
     let Location::Path(input) = Location::parse(&from).map_err(|e| e.to_string())? else {
         return Err(format!("info requires a local archive path, got {from:?}"));
     };
-    with_archive(
-        &input,
-        |a| {
-            print_info("f32", 4, &a);
-            Ok(())
-        },
-        |a| {
-            print_info("f64", 8, &a);
-            Ok(())
-        },
-    )
+    let bytes = std::fs::read(&input).map_err(|e| e.to_string())?;
+    match PackEntry::from_stz_bytes(bytes).map_err(|e| e.to_string())? {
+        PackEntry::F32(a) => print_info("f32", &a),
+        PackEntry::F64(a) => print_info("f64", &a),
+        PackEntry::Foreign(_) => unreachable!("bare stz bytes parse as an stz archive"),
+    }
+    Ok(())
 }
 
-fn print_info<T: Scalar>(type_name: &str, bytes_per: usize, a: &StzArchive<T>) {
+fn print_info<T: Scalar>(type_name: &str, a: &StzArchive<T>) {
     let h = a.header();
     println!("dims:            {}", h.dims);
     println!("element type:    {type_name}");
@@ -403,7 +333,7 @@ fn print_info<T: Scalar>(type_name: &str, bytes_per: usize, a: &StzArchive<T>) {
     println!("adaptive bounds: {} (ratio {})", h.adaptive, h.adaptive_ratio);
     println!("error bound:     {:.3e} (absolute, finest level)", h.eb_finest);
     println!("compressed:      {} bytes", a.compressed_len());
-    println!("uncompressed:    {} bytes", h.dims.len() * bytes_per);
+    println!("uncompressed:    {} bytes", h.dims.len() * T::BYTES);
     println!("ratio:           {:.1}x", a.compression_ratio());
     for k in 1..=h.levels {
         println!(
@@ -414,87 +344,133 @@ fn print_info<T: Scalar>(type_name: &str, bytes_per: usize, a: &StzArchive<T>) {
     }
 }
 
+/// Pack the inputs as entries of a new container. The pool compresses them
+/// while this thread appends each finished entry in order; a job's own pool
+/// run goes inline on its thread, but a single entry runs on this thread,
+/// so it parallelizes *internally* over the whole width instead.
 fn pack(p: &Parsed) -> Result<(), String> {
-    let dims = args::parse_dims(p.required("-d")?)?;
-    let backend = backend_choice(p)?;
+    let engine = Engine::of(p)?;
     let threads = p.threads()?;
-    let inputs: Vec<&str> = p.required("-i")?.split(',').filter(|s| !s.is_empty()).collect();
-    if inputs.is_empty() {
-        return Err("pack needs at least one input file".into());
-    }
-    if p.optional("--name").is_some() && inputs.len() > 1 {
-        return Err("--name applies to a single input; multiple inputs are named by stem".into());
-    }
+    let jobs = entry_jobs(p, "pack")?;
     let output = Path::new(p.required("-o")?);
-    let engine = Engine::of(p, backend)?;
-    match p.required("-t")? {
-        "f32" => pack_typed::<f32>(&inputs, output, dims, &engine, p.optional("--name"), threads),
-        "f64" => pack_typed::<f64>(&inputs, output, dims, &engine, p.optional("--name"), threads),
-        t => Err(format!("unknown element type {t:?} (want f32 or f64)")),
+    let (n, entry_workers) = (jobs.len(), pool::with_threads(threads, pool::threads));
+    let file = std::fs::File::create(output).map_err(|e| e.to_string())?;
+    pack_pipelined(std::io::BufWriter::new(file), jobs, entry_workers, |(name, input)| {
+        let entry = engine.entry(&name, input)?;
+        Ok((name, entry))
+    })
+    .map_err(|e| e.to_string())?;
+    match &engine.coding {
+        Coding::Stz(_) => eprintln!("wrote {} ({n} entries)", output.display()),
+        Coding::Foreign(backend, _) => {
+            eprintln!("wrote {} ({n} entries, {} backend)", output.display(), backend.name())
+        }
     }
+    Ok(())
 }
 
-/// How `pack` and `append` compress an entry: with the stz codec, or with a
-/// foreign backend at a bound.
-enum Engine {
+/// How `compress`, `pack` and `append` turn a raw input into an entry: read
+/// it over the grid and element type the flags name, then compress it.
+struct Engine {
+    dims: Dims,
+    /// Whether `-t` names `f64` (else `f32`).
+    is_f64: bool,
+    coding: Coding,
+}
+
+/// An [`Engine`]'s codec: stz at a config, or a foreign backend at a bound.
+enum Coding {
     Stz(StzConfig),
     Foreign(&'static dyn Codec, ErrorBound),
 }
 
 impl Engine {
-    /// The engine the flags name for `backend`.
-    fn of(p: &Parsed, backend: &'static dyn Codec) -> Result<Engine, String> {
-        if backend.id() == stz_backend::id::STZ {
-            return Ok(Engine::Stz(build_config(p)?));
-        }
-        reject_stz_flags(p, backend)?;
-        Ok(Engine::Foreign(backend, error_bound(p)?))
+    /// The engine the flags name; the one reading of `-t`.
+    fn of(p: &Parsed) -> Result<Engine, String> {
+        let dims = args::parse_dims(p.required("-d")?)?;
+        let backend = backend_choice(p)?;
+        let coding = if backend.id() == stz_backend::id::STZ {
+            Coding::Stz(build_config(p)?)
+        } else {
+            reject_stz_flags(p, backend)?;
+            Coding::Foreign(backend, error_bound(p)?)
+        };
+        let is_f64 = match p.required("-t")? {
+            "f32" => false,
+            "f64" => true,
+            t => return Err(format!("unknown element type {t:?} (want f32 or f64)")),
+        };
+        Ok(Engine { dims, is_f64, coding })
     }
 
-    /// Read `input` and compress it as entry `name`, at the pool's width.
-    fn compress<T: BackendScalar>(
-        &self,
-        name: &str,
-        input: &Path,
-        dims: stz_field::Dims,
-    ) -> stz_codec::Result<PackEntry<T>> {
+    /// Read `input` and compress it, at the pool's width: the entry and its
+    /// compression ratio.
+    fn compress(&self, input: &Path) -> stz_codec::Result<(PackEntry, f64)> {
+        if self.is_f64 {
+            self.compress_as::<f64>(input)
+        } else {
+            self.compress_as::<f32>(input)
+        }
+    }
+
+    fn compress_as<T: BackendScalar>(&self, input: &Path) -> stz_codec::Result<(PackEntry, f64)>
+    where
+        PackEntry: From<StzArchive<T>>,
+    {
         // An unreadable input is an I/O failure, not stream corruption.
-        let field: Field<T> = read_raw(input, dims)?;
-        let (len, entry, tag) = match self {
-            Engine::Stz(cfg) => {
-                let archive = StzCompressor::new(*cfg).compress_parallel(&field)?;
-                (archive.compressed_len(), archive.into(), String::new())
-            }
-            Engine::Foreign(backend, eb) => {
+        let field: Field<T> = read_raw(input, self.dims)?;
+        let entry: PackEntry = match &self.coding {
+            Coding::Stz(cfg) => StzCompressor::new(*cfg).compress_parallel(&field)?.into(),
+            Coding::Foreign(backend, eb) => {
                 // Resolve a relative bound once (value_range is a full-field
                 // scan) and reuse the absolute value for both the
                 // compression and the footer metadata.
                 let abs = eb.absolute_for(&field);
                 let bytes = stz_backend::compress(*backend, &field, &ErrorBound::Absolute(abs))?;
-                let (len, tag) = (bytes.len(), format!(" [{}]", backend.name()));
-                (len, ForeignArchive::new::<T>(backend.id(), dims, abs, bytes).into(), tag)
+                ForeignArchive::new::<T>(backend.id(), self.dims, abs, bytes).into()
             }
         };
+        let ratio = field.nbytes() as f64 / entry.as_bytes().len() as f64;
+        Ok((entry, ratio))
+    }
+
+    /// Compress `input` as entry `name` of a pack or an append, and say so.
+    fn entry(&self, name: &str, input: &Path) -> stz_codec::Result<PackEntry> {
+        let (entry, ratio) = self.compress(input)?;
         // In a pack this runs on a pool thread, so lines may interleave out
         // of entry order; say "compressed", which is true at this point —
         // whether every entry reached the container is confirmed by the
         // final "wrote … (N entries)" line.
-        let ratio = field.nbytes() as f64 / len as f64;
+        let (len, tag) = (entry.as_bytes().len(), self.tag());
         eprintln!("compressed {} as {name:?}{tag} ({len} bytes, CR {ratio:.1}x)", input.display());
         Ok(entry)
     }
+
+    /// How a report line tags a foreign backend's output (` [zfp]`).
+    fn tag(&self) -> String {
+        match &self.coding {
+            Coding::Stz(_) => String::new(),
+            Coding::Foreign(backend, _) => format!(" [{}]", backend.name()),
+        }
+    }
 }
 
-/// Derive every entry name up front, before any compression work, so
-/// naming problems surface as plain CLI errors.
-fn entry_jobs<'a>(
-    inputs: &[&'a str],
-    name_override: Option<&str>,
-) -> Result<Vec<(String, &'a Path)>, String> {
+/// The `-i` inputs of `pack` and `append`, each with its entry name. Every
+/// name is derived up front, before any compression work, so naming
+/// problems surface as plain CLI errors.
+fn entry_jobs<'p>(p: &'p Parsed, verb: &str) -> Result<Vec<(String, &'p Path)>, String> {
+    let inputs: Vec<&str> = p.required("-i")?.split(',').filter(|s| !s.is_empty()).collect();
+    if inputs.is_empty() {
+        return Err(format!("{verb} needs at least one input file"));
+    }
+    let name_override = p.optional("--name");
+    if name_override.is_some() && inputs.len() > 1 {
+        return Err("--name applies to a single input; multiple inputs are named by stem".into());
+    }
     inputs
-        .iter()
+        .into_iter()
         .map(|input| {
-            let input = Path::new(*input);
+            let input = Path::new(input);
             let name = match name_override {
                 Some(n) => n.to_string(),
                 None => input
@@ -505,35 +481,6 @@ fn entry_jobs<'a>(
             Ok((name, input))
         })
         .collect()
-}
-
-/// Pack the inputs as entries `engine` compresses. The pool compresses
-/// them while this thread appends each finished entry in order; a job's own
-/// pool run goes inline on its thread, but a single entry runs on this
-/// thread, so it parallelizes *internally* over the whole width instead.
-fn pack_typed<T: BackendScalar>(
-    inputs: &[&str],
-    output: &Path,
-    dims: stz_field::Dims,
-    engine: &Engine,
-    name_override: Option<&str>,
-    threads: usize,
-) -> Result<(), String> {
-    let jobs = entry_jobs(inputs, name_override)?;
-    let (n, entry_workers) = (jobs.len(), pool::with_threads(threads, pool::threads));
-    let file = std::fs::File::create(output).map_err(|e| e.to_string())?;
-    pack_pipelined(std::io::BufWriter::new(file), jobs, entry_workers, |(name, input)| {
-        let entry = engine.compress::<T>(&name, input, dims)?;
-        Ok((name, entry))
-    })
-    .map_err(|e| e.to_string())?;
-    match engine {
-        Engine::Stz(_) => eprintln!("wrote {} ({n} entries)", output.display()),
-        Engine::Foreign(backend, _) => {
-            eprintln!("wrote {} ({n} entries, {} backend)", output.display(), backend.name())
-        }
-    }
-    Ok(())
 }
 
 /// Open the mutable store a mutation verb targets (`--to <container>`),
@@ -549,46 +496,16 @@ fn store_mut_at(p: &Parsed) -> Result<Box<dyn StoreMut>, String> {
 /// upgraded to v3 in place on open; a crash mid-append leaves the previous
 /// generation intact.
 fn append(p: &Parsed) -> Result<(), String> {
-    let dims = args::parse_dims(p.required("-d")?)?;
-    let backend = backend_choice(p)?;
-    let inputs: Vec<&str> = p.required("-i")?.split(',').filter(|s| !s.is_empty()).collect();
-    if inputs.is_empty() {
-        return Err("append needs at least one input file".into());
-    }
-    if p.optional("--name").is_some() && inputs.len() > 1 {
-        return Err("--name applies to a single input; multiple inputs are named by stem".into());
-    }
-    let jobs = entry_jobs(&inputs, p.optional("--name"))?;
-    let mut store = store_mut_at(p)?;
-    let engine = Engine::of(p, backend)?;
+    let engine = Engine::of(p)?;
+    let jobs = entry_jobs(p, "append")?;
     let threads = p.threads()?;
-    match p.required("-t")? {
-        "f32" => append_typed::<f32>(store.as_mut(), &jobs, dims, &engine, threads),
-        "f64" => append_typed::<f64>(store.as_mut(), &jobs, dims, &engine, threads),
-        t => Err(format!("unknown element type {t:?} (want f32 or f64)")),
+    let mut store = store_mut_at(p)?;
+    for (name, input) in &jobs {
+        let entry =
+            pool::with_threads(threads, || engine.entry(name, input)).map_err(|e| e.to_string())?;
+        store.append(name, entry).map_err(|e| e.to_string())?;
     }
-}
-
-fn append_typed<T: BackendScalar>(
-    store: &mut dyn StoreMut,
-    jobs: &[(String, &Path)],
-    dims: stz_field::Dims,
-    engine: &Engine,
-    threads: usize,
-) -> Result<(), String>
-where
-    EntryPayload: From<StzArchive<T>>,
-{
-    for (name, input) in jobs {
-        let entry = pool::with_threads(threads, || engine.compress::<T>(name, input, dims))
-            .map_err(|e| e.to_string())?;
-        let payload = match entry {
-            PackEntry::Stz(archive) => archive.into(),
-            PackEntry::Foreign(foreign) => foreign.into(),
-        };
-        store.append(name, payload).map_err(|e| e.to_string())?;
-    }
-    commit_and_report(store, jobs.len(), "appended")
+    commit_and_report(store.as_mut(), jobs.len(), "appended")
 }
 
 /// Commit staged mutations as one generation and report it.
@@ -788,7 +705,6 @@ fn serve(p: &Parsed) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stz_field::Dims;
 
     /// A scratch directory owned by one test: tests run concurrently, and
     /// each removes its directory when done, so no two may share one.
@@ -1146,45 +1062,87 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
     }
 
+    /// Run the CLI on `words`, which must succeed.
+    fn cli(words: &[&str]) {
+        let words: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+        run(&argv(&words)).unwrap_or_else(|e| panic!("{words:?}: {e}"));
+    }
+
+    /// Write one synthetic field to `path` as raw `t` values (`f32`/`f64`).
+    fn write_input(path: &Path, dims: Dims, t: &str, seed: u64) {
+        let field = stz_data::synth::miranda_like(dims, seed);
+        match t {
+            "f32" => write_raw(path, &field).unwrap(),
+            _ => {
+                let wide: Vec<f64> = field.as_slice().iter().map(|&v| f64::from(v)).collect();
+                write_raw(path, &Field::from_vec(dims, wide)).unwrap()
+            }
+        }
+    }
+
+    /// The raw `t` values in `path`, widened to `f64`.
+    fn read_values(path: &Path, t: &str) -> Vec<f64> {
+        let bytes = std::fs::read(path).unwrap();
+        match t {
+            "f32" => bytes.chunks_exact(4).map(|c| f64::from(f32::read_exact(c))).collect(),
+            _ => bytes.chunks_exact(8).map(f64::read_exact).collect(),
+        }
+    }
+
     #[test]
     fn backend_flag_roundtrips_every_engine() {
         let d = dir("backend");
-        let raw = d.join("b.f32");
         let dims = Dims::d3(16, 16, 16);
-        let field = stz_data::synth::miranda_like(dims, 9);
-        write_raw(&raw, &field).unwrap();
+        for t in ["f32", "f64"] {
+            let raw = d.join(format!("b.{t}"));
+            write_input(&raw, dims, t, 9);
+            let raw_s = raw.display().to_string();
+            for backend in ["stz", "sz3", "zfp", "sperr", "mgard"] {
+                let arc = d.join(format!("b.{t}.{backend}")).display().to_string();
+                let out = d.join(format!("b.{t}.{backend}.out"));
+                let flags = ["-d", "16x16x16", "-t", t, "-e", "1e-3", "--backend", backend];
+                cli(&[&["compress", "-i", &raw_s, "-o", &arc][..], &flags].concat());
+                // No --backend on decompress: the engine is sniffed from magic.
+                cli(&["decompress", "-i", &arc, "-o", &out.display().to_string()]);
+                let (want, got) = (read_values(&raw, t), read_values(&out, t));
+                assert_eq!(got.len(), dims.len(), "{t} {backend}");
+                let err = want.iter().zip(&got).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
+                assert!(err <= 1e-3 * (1.0 + 1e-6), "{t} {backend}: err {err}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&d);
+    }
 
-        for backend in ["stz", "sz3", "zfp", "sperr", "mgard"] {
-            let arc = d.join(format!("b.{backend}"));
-            let out = d.join(format!("b.{backend}.out"));
-            run(&argv(&[
-                "compress".into(),
-                "-i".into(),
-                raw.display().to_string(),
-                "-o".into(),
-                arc.display().to_string(),
-                "-d".into(),
-                "16x16x16".into(),
-                "-t".into(),
-                "f32".into(),
-                "-e".into(),
-                "1e-3".into(),
-                "--backend".into(),
-                backend.into(),
-            ]))
-            .unwrap();
-            // No --backend on decompress: the engine is sniffed from magic.
-            run(&argv(&[
-                "decompress".into(),
-                "-i".into(),
-                arc.display().to_string(),
-                "-o".into(),
-                out.display().to_string(),
-            ]))
-            .unwrap();
-            let restored: Field<f32> = read_raw(&out, dims).unwrap();
-            let err = stz_data::metrics::max_abs_error(&field, &restored);
-            assert!(err <= 1e-3 * (1.0 + 1e-6), "{backend}: err {err}");
+    /// `compress` and `pack` share one compress call: the bare archive is
+    /// the payload the container stores. `decompress` and `extract` share
+    /// one fetch: their full-field outputs are the same bytes.
+    #[test]
+    fn compress_writes_the_payload_pack_stores_and_decompress_matches_extract() {
+        let d = dir("one_compress");
+        let dims = Dims::d3(17, 15, 16);
+        for t in ["f32", "f64"] {
+            let raw = d.join(format!("in.{t}"));
+            write_input(&raw, dims, t, 23);
+            let raw = raw.display().to_string();
+            for backend in ["stz", "sz3"] {
+                let path = |ext: &str| d.join(format!("{t}.{backend}.{ext}")).display().to_string();
+                let (arc, stzc, dec, ext) = (path("arc"), path("stzc"), path("dec"), path("ext"));
+                let flags = ["-d", "17x15x16", "-t", t, "-e", "1e-3", "--backend", backend];
+                cli(&[&["compress", "-i", &raw, "-o", &arc, "--threads", "2"][..], &flags].concat());
+                cli(&[&["pack", "-i", &raw, "-o", &stzc][..], &flags].concat());
+                let reader = stz_stream::ContainerReader::open_path(Path::new(&stzc)).unwrap();
+                let payload = match t {
+                    "f32" => reader.entry::<f32>(0).and_then(|e| e.read_payload()),
+                    _ => reader.entry::<f64>(0).and_then(|e| e.read_payload()),
+                };
+                let what = format!("{t} {backend}");
+                assert_eq!(std::fs::read(&arc).unwrap(), payload.unwrap(), "{what}: payload");
+                cli(&["decompress", "-i", &arc, "-o", &dec, "--threads", "2"]);
+                cli(&["extract", "--from", &stzc, "-o", &ext]);
+                let full = std::fs::read(&ext).unwrap();
+                assert_eq!(full.len(), dims.len() * if t == "f32" { 4 } else { 8 }, "{what}");
+                assert_eq!(std::fs::read(&dec).unwrap(), full, "{what}: decompress != extract");
+            }
         }
         let _ = std::fs::remove_dir_all(&d);
     }

@@ -40,7 +40,6 @@ use std::io::Write;
 use std::path::Path;
 use stz_codec::{CodecError, Result};
 use stz_core::pool;
-use stz_field::Scalar;
 use stz_stream::crc::{crc32, Crc32};
 use stz_stream::format::{
     encode_footer, encode_gen_slot, parse_footer_bounded, parse_gen_slot, EntryDetail, EntryRecord,
@@ -289,7 +288,7 @@ impl<B: MutBacking> MutableContainer<B> {
     }
 
     /// Stage one entry's payload at the tail and add it to the index.
-    fn stage<T: Scalar>(&mut self, name: &str, entry: &PackEntry<T>) -> Result<EntryRecord> {
+    fn stage(&mut self, name: &str, entry: &PackEntry) -> Result<EntryRecord> {
         let (record, bytes) = index_pack_entry(name, entry, self.staged_len)?;
         self.backing.write_all_at(self.staged_len, bytes)?;
         self.staged_len += bytes.len() as u64;
@@ -301,7 +300,7 @@ impl<B: MutBacking> MutableContainer<B> {
     /// and invisible to readers until [`commit`](MutableContainer::commit).
     /// Names are unique in a mutable container: appending an existing name
     /// is an error (use [`replace`](MutableContainer::replace)).
-    pub fn append<T: Scalar>(&mut self, name: &str, entry: &PackEntry<T>) -> Result<()> {
+    pub fn append(&mut self, name: &str, entry: &PackEntry) -> Result<()> {
         if self.find(name).is_some() {
             return Err(CodecError::unsupported(format!(
                 "entry {name:?} already exists; replace or delete it first"
@@ -321,16 +320,10 @@ impl<B: MutBacking> MutableContainer<B> {
     /// entries are compressed and not yet staged). Returns the number of
     /// entries appended. Nothing becomes visible until
     /// [`commit`](MutableContainer::commit).
-    pub fn append_pipelined<T, J, F>(
-        &mut self,
-        jobs: Vec<J>,
-        threads: usize,
-        run: F,
-    ) -> Result<usize>
+    pub fn append_pipelined<J, F>(&mut self, jobs: Vec<J>, threads: usize, run: F) -> Result<usize>
     where
-        T: Scalar,
         J: Send,
-        F: Fn(J) -> Result<(String, PackEntry<T>)> + Sync,
+        F: Fn(J) -> Result<(String, PackEntry)> + Sync,
     {
         let mut appended = 0usize;
         pool::with_threads(threads.max(1), || {
@@ -347,7 +340,7 @@ impl<B: MutBacking> MutableContainer<B> {
     /// Replace the entry named `name` with a new payload. The old payload
     /// bytes stay where they are (dead after the next commit, reclaimable
     /// by compaction); readers of the committed generation are unaffected.
-    pub fn replace<T: Scalar>(&mut self, name: &str, entry: &PackEntry<T>) -> Result<()> {
+    pub fn replace(&mut self, name: &str, entry: &PackEntry) -> Result<()> {
         let index = self
             .find(name)
             .ok_or_else(|| CodecError::corrupt(format!("no entry named {name:?}")))?;
@@ -557,7 +550,7 @@ mod tests {
         StzCompressor::new(StzConfig::three_level(1e-3)).compress(&f).unwrap()
     }
 
-    fn entry(seed: f32) -> PackEntry<f32> {
+    fn entry(seed: f32) -> PackEntry {
         archive(seed).into()
     }
 

@@ -19,14 +19,14 @@ use crate::writer::{ContainerWriter, PackEntry};
 use std::io::Write;
 use stz_codec::Result;
 use stz_core::pool;
-use stz_field::Scalar;
 
-/// Outcome of one compression job: a named [`PackEntry`] — a native STZ
-/// archive or a foreign codec's bytes (`StzArchive` converts via `.into()`).
+/// Outcome of one compression job: a named [`PackEntry`] — an `f32` or `f64`
+/// STZ archive or a foreign codec's bytes, mixed freely within one run (each
+/// converts via `.into()`).
 /// A job's [`CodecError`](stz_codec::CodecError) keeps its class, so an I/O
 /// problem (an unreadable input, say) surfaces as `CodecError::Io`, not
 /// payload corruption; `std::io::Error` converts via `?`.
-type JobResult<T> = Result<(String, PackEntry<T>)>;
+type JobResult = Result<(String, PackEntry)>;
 
 /// Pack `jobs` into a container on `out`, compressing on `threads` pool
 /// threads while the calling thread appends finished entries **in job
@@ -44,12 +44,11 @@ type JobResult<T> = Result<(String, PackEntry<T>)>;
 /// With `threads <= 1` (or fewer than two jobs) no threads are spawned and
 /// jobs run inline, preserving the bounded-memory compress → add → drop
 /// loop of a sequential pack.
-pub fn pack_pipelined<T, W, J, F>(out: W, jobs: Vec<J>, threads: usize, run: F) -> Result<W>
+pub fn pack_pipelined<W, J, F>(out: W, jobs: Vec<J>, threads: usize, run: F) -> Result<W>
 where
-    T: Scalar,
     W: Write,
     J: Send,
-    F: Fn(J) -> JobResult<T> + Sync,
+    F: Fn(J) -> JobResult + Sync,
 {
     let mut writer = ContainerWriter::new(out)?;
     pool::with_threads(threads.max(1), || {
@@ -105,15 +104,14 @@ mod tests {
 
     #[test]
     fn failed_job_aborts_with_its_error() {
-        let err =
-            pack_pipelined::<f32, _, _, _>(Vec::new(), (0..8).collect::<Vec<usize>>(), 4, |i| {
-                if i == 3 {
-                    Err(std::io::Error::other("job 3 exploded").into())
-                } else {
-                    Ok((format!("t{i}"), compress(i as f32).into()))
-                }
-            })
-            .unwrap_err();
+        let err = pack_pipelined(Vec::new(), (0..8).collect::<Vec<usize>>(), 4, |i| {
+            if i == 3 {
+                Err(std::io::Error::other("job 3 exploded").into())
+            } else {
+                Ok((format!("t{i}"), compress(i as f32).into()))
+            }
+        })
+        .unwrap_err();
         // The job's own error kind must survive — an I/O failure must not
         // be re-labelled as payload corruption.
         assert!(matches!(err, CodecError::Io { .. }), "got: {err}");
@@ -123,7 +121,7 @@ mod tests {
     #[test]
     fn panicking_job_propagates_with_payload() {
         let result = std::panic::catch_unwind(|| {
-            pack_pipelined::<f32, _, _, _>(Vec::new(), (0..8).collect::<Vec<usize>>(), 4, |i| {
+            pack_pipelined(Vec::new(), (0..8).collect::<Vec<usize>>(), 4, |i| {
                 if i == 5 {
                     panic!("pack worker boom");
                 }

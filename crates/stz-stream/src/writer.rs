@@ -1,4 +1,7 @@
-//! Incremental container writer.
+//! Incremental container writer, and [`PackEntry`], the one payload type
+//! every writer takes: [`ContainerWriter::add_entry`],
+//! [`pack_pipelined`](crate::pack_pipelined), and the mutable container's
+//! and the access layer's append and replace.
 
 use crate::crc::crc32;
 use crate::format::{
@@ -44,43 +47,58 @@ impl ForeignArchive {
     }
 }
 
-/// One entry ready for packing: a native STZ archive (indexed per section,
-/// so streamed queries fetch only what they need) or a foreign codec's
-/// archive (indexed as one opaque payload).
+/// One entry's payload, ready to be packed, appended or replaced: a native
+/// STZ archive over either element type (indexed per section, so streamed
+/// queries fetch only what they need) or a foreign codec's archive
+/// (indexed as one opaque payload). Every writer takes this one type, so a
+/// single run may mix element types and codecs.
 #[derive(Debug, Clone)]
-pub enum PackEntry<T: Scalar> {
-    /// A native STZ archive.
-    Stz(StzArchive<T>),
+pub enum PackEntry {
+    /// A native STZ archive over `f32`.
+    F32(StzArchive<f32>),
+    /// A native STZ archive over `f64`.
+    F64(StzArchive<f64>),
     /// A foreign codec's archive.
     Foreign(ForeignArchive),
 }
 
-impl<T: Scalar> From<StzArchive<T>> for PackEntry<T> {
-    fn from(archive: StzArchive<T>) -> Self {
-        PackEntry::Stz(archive)
+impl From<StzArchive<f32>> for PackEntry {
+    fn from(archive: StzArchive<f32>) -> Self {
+        PackEntry::F32(archive)
     }
 }
 
-impl<T: Scalar> From<ForeignArchive> for PackEntry<T> {
+impl From<StzArchive<f64>> for PackEntry {
+    fn from(archive: StzArchive<f64>) -> Self {
+        PackEntry::F64(archive)
+    }
+}
+
+impl From<ForeignArchive> for PackEntry {
     fn from(foreign: ForeignArchive) -> Self {
         PackEntry::Foreign(foreign)
     }
 }
 
-impl<T: Scalar> PackEntry<T> {
-    /// Compressed payload size in bytes.
-    pub fn compressed_len(&self) -> usize {
-        match self {
-            PackEntry::Stz(a) => a.compressed_len(),
-            PackEntry::Foreign(f) => f.bytes.len(),
+impl PackEntry {
+    /// Parse a bare STZ archive, as the element type its header names.
+    /// Dispatches on the header's type tag rather than parse-and-retry on a
+    /// copy; a wrong tag still ends in `StzArchive::from_bytes`'s own
+    /// validation error.
+    pub fn from_stz_bytes(bytes: Vec<u8>) -> Result<PackEntry> {
+        if stz_core::archive::type_tag(&bytes) == Some(f64::TYPE_TAG) {
+            StzArchive::from_bytes(bytes).map(PackEntry::F64)
+        } else {
+            StzArchive::from_bytes(bytes).map(PackEntry::F32)
         }
     }
 
-    /// Codec wire id of the payload.
-    pub fn codec_id(&self) -> u8 {
+    /// The payload bytes: the archive exactly as a bare file holds it.
+    pub fn as_bytes(&self) -> &[u8] {
         match self {
-            PackEntry::Stz(_) => stz_backend::id::STZ,
-            PackEntry::Foreign(f) => f.codec,
+            PackEntry::F32(a) => a.as_bytes(),
+            PackEntry::F64(a) => a.as_bytes(),
+            PackEntry::Foreign(f) => &f.bytes,
         }
     }
 }
@@ -96,13 +114,14 @@ impl<T: Scalar> PackEntry<T> {
 /// the STZ layout, type tags ≤ 1, finite positive error bounds, the
 /// point cap), so a writer can never emit an entry its own reader
 /// rejects.
-pub fn index_pack_entry<'e, T: Scalar>(
+pub fn index_pack_entry<'e>(
     name: &str,
-    entry: &'e PackEntry<T>,
+    entry: &'e PackEntry,
     base: u64,
 ) -> Result<(EntryRecord, &'e [u8])> {
     match entry {
-        PackEntry::Stz(archive) => Ok(index_stz_archive(name, archive, base)),
+        PackEntry::F32(archive) => Ok(index_stz_archive(name, archive, base)),
+        PackEntry::F64(archive) => Ok(index_stz_archive(name, archive, base)),
         PackEntry::Foreign(foreign) => index_foreign_archive(name, foreign, base),
     }
 }
@@ -235,6 +254,13 @@ impl<W: Write> ContainerWriter<W> {
         Ok(())
     }
 
+    /// Write one indexed entry's payload and keep its record.
+    fn push(&mut self, (record, bytes): (EntryRecord, &[u8])) -> Result<()> {
+        self.write_payload(bytes)?;
+        self.entries.push(record);
+        Ok(())
+    }
+
     /// Append one native STZ archive as entry `name`.
     ///
     /// The archive's section layout (level-1 stream, per-level sub-block
@@ -243,10 +269,7 @@ impl<W: Write> ContainerWriter<W> {
     /// through verbatim, so a container entry decompresses bit-identically
     /// to the archive it came from.
     pub fn add_archive<T: Scalar>(&mut self, name: &str, archive: &StzArchive<T>) -> Result<()> {
-        let (record, bytes) = index_stz_archive(name, archive, self.pos);
-        self.write_payload(bytes)?;
-        self.entries.push(record);
-        Ok(())
+        self.push(index_stz_archive(name, archive, self.pos))
     }
 
     /// Append one foreign-codec archive as entry `name`.
@@ -258,18 +281,12 @@ impl<W: Write> ContainerWriter<W> {
     /// [`add_archive`](ContainerWriter::add_archive) instead, which indexes
     /// their sections for streamed queries.
     pub fn add_foreign(&mut self, name: &str, foreign: &ForeignArchive) -> Result<()> {
-        let (record, bytes) = index_foreign_archive(name, foreign, self.pos)?;
-        self.write_payload(bytes)?;
-        self.entries.push(record);
-        Ok(())
+        self.push(index_foreign_archive(name, foreign, self.pos)?)
     }
 
     /// Append one [`PackEntry`] (native or foreign) as entry `name`.
-    pub fn add_entry<T: Scalar>(&mut self, name: &str, entry: &PackEntry<T>) -> Result<()> {
-        match entry {
-            PackEntry::Stz(archive) => self.add_archive(name, archive),
-            PackEntry::Foreign(foreign) => self.add_foreign(name, foreign),
-        }
+    pub fn add_entry(&mut self, name: &str, entry: &PackEntry) -> Result<()> {
+        self.push(index_pack_entry(name, entry, self.pos)?)
     }
 
     /// Write the footer and trailer, returning the sink.

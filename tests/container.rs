@@ -352,7 +352,7 @@ fn mixed_backend_pipelined_pack_matches_sequential() {
             threads,
             |(i, name)| {
                 let field = synth::miranda_like(dims, 40 + i as u64);
-                let entry: PackEntry<f32> = if *name == "stz" {
+                let entry: PackEntry = if *name == "stz" {
                     StzCompressor::new(StzConfig::three_level(eb)).compress(&field)?.into()
                 } else {
                     foreign(&field, name, eb).into()
@@ -374,6 +374,84 @@ fn mixed_backend_pipelined_pack_matches_sequential() {
         let field = synth::miranda_like(dims, 40 + i as u64);
         let err = stz::data::metrics::max_abs_error(&field, &entry.decompress().unwrap());
         assert!(err <= eb * (1.0 + 1e-9), "entry {i}: err {err}");
+    }
+}
+
+/// A field's values as little-endian bytes, as a fetch returns them.
+fn le<T: Scalar>(field: Field<T>) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    T::write_slice_exact(field.as_slice(), &mut bytes);
+    bytes
+}
+
+/// The entry a mixed run's job `i` yields: an f32 STZ archive, an f64 STZ
+/// archive, and an sz3 archive of the f64 field.
+fn mixed_entry(i: usize) -> (String, PackEntry) {
+    let dims = Dims::d3(16, 16, 16);
+    let eb = 1e-3;
+    let wide: Field<f64> = Field::from_fn(dims, |z, y, x| {
+        (z as f64 * 0.21).sin() * (y as f64 * 0.13).cos() + x as f64 * 1e-3
+    });
+    let stz = StzCompressor::new(StzConfig::three_level(eb));
+    let entry = match i {
+        0 => stz.compress(&synth::miranda_like(dims, 61)).unwrap().into(),
+        1 => stz.compress(&wide).unwrap().into(),
+        _ => {
+            let sz3 = registry().by_name("sz3").unwrap();
+            let bytes = stz::backend::compress(sz3, &wide, &ErrorBound::Absolute(eb)).unwrap();
+            ForeignArchive::new::<f64>(sz3.id(), dims, eb, bytes).into()
+        }
+    };
+    (format!("e{i}"), entry)
+}
+
+/// One pipelined run holds both element types and a foreign codec:
+/// `pack_pipelined` writes the bytes a sequential `ContainerWriter` does,
+/// `append_pipelined` stages the bytes serial appends do, and every entry
+/// of either reads back through a `FileStore` as its source.
+#[test]
+fn mixed_scalar_types_share_one_pipelined_run() {
+    use stz::access::FileStore;
+    use stz::mutate::{MemBacking, MutableContainer};
+
+    let entries: Vec<(String, PackEntry)> = (0..3).map(mixed_entry).collect();
+    let mut writer = ContainerWriter::new(Vec::new()).unwrap();
+    let mut serial = MutableContainer::create(MemBacking::empty()).unwrap();
+    for (name, entry) in &entries {
+        writer.add_entry(name, entry).unwrap();
+        serial.append(name, entry).unwrap();
+    }
+    let sequential = writer.finish().unwrap();
+    serial.commit().unwrap();
+    let serial = serial.into_backing().into_bytes();
+
+    for threads in [1, 2, 4] {
+        let jobs = || (0..entries.len()).collect::<Vec<usize>>();
+        let packed = pack_pipelined(Vec::new(), jobs(), threads, |i| Ok(mixed_entry(i))).unwrap();
+        assert_eq!(packed, sequential, "pack at {threads} thread(s)");
+        let mut piped = MutableContainer::create(MemBacking::empty()).unwrap();
+        let n = piped.append_pipelined(jobs(), threads, |i| Ok(mixed_entry(i))).unwrap();
+        assert_eq!(n, entries.len());
+        piped.commit().unwrap();
+        assert_eq!(piped.into_backing().into_bytes(), serial, "append at {threads} thread(s)");
+    }
+
+    for image in [sequential, serial] {
+        let store = FileStore::open_source(MemorySource::new(image), "mixed").unwrap();
+        for (name, source) in &entries {
+            let entry = store.open(&EntrySel::Name(name.clone())).unwrap();
+            let raw = entry.fetch(&Fetch::RawSection(0)).unwrap().data;
+            assert_eq!(raw, source.as_bytes(), "{name}: stored payload");
+            let want = match source {
+                PackEntry::F32(a) => le(a.decompress().unwrap()),
+                PackEntry::F64(a) => le(a.decompress().unwrap()),
+                PackEntry::Foreign(f) => {
+                    let codec = registry().by_id(f.codec).unwrap();
+                    le(stz::backend::decompress::<f64>(codec, &f.bytes).unwrap())
+                }
+            };
+            assert_eq!(entry.fetch(&Fetch::Full).unwrap().data, want, "{name}: full decode");
+        }
     }
 }
 

@@ -291,7 +291,7 @@ fn signalling_nan_escapes_come_back_bit_exact() {
 // entries of one container, fetched through each store.
 // ---------------------------------------------------------------------------
 
-use stz::access::{EntryPayload, FileStoreMut};
+use stz::access::{FileStoreMut, PackEntry};
 use stz::codec::Result as CodecResult;
 use stz::serve::{ServeOptions, Server};
 
@@ -380,7 +380,7 @@ type Answers = Vec<(Fetch, Vec<u8>)>;
 struct Group {
     tag: &'static str,
     /// Each row's name, its archive and its answers.
-    rows: Vec<(String, EntryPayload, Answers)>,
+    rows: Vec<(String, PackEntry, Answers)>,
 }
 
 impl Group {
@@ -397,7 +397,7 @@ impl Group {
         regions: &[Region],
     ) -> &mut Self
     where
-        StzArchive<T>: Into<EntryPayload>,
+        StzArchive<T>: Into<PackEntry>,
     {
         let _guard = LANE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let compressor = StzCompressor::new(config);

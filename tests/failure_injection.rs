@@ -200,7 +200,7 @@ mod crash_safety {
     use stz::prelude::*;
     use stz::stream::{ContainerReader, MemorySource, PackEntry};
 
-    fn small_entry(seed: u64) -> PackEntry<f32> {
+    fn small_entry(seed: u64) -> PackEntry {
         let f = synth::miranda_like(Dims::d3(8, 8, 8), seed);
         StzCompressor::new(StzConfig::three_level(1e-2)).compress(&f).unwrap().into()
     }

@@ -1067,7 +1067,7 @@ fn connection_cap_answers_busy_and_recovers() {
 /// all over one long-lived client connection, with no server restart.
 #[test]
 fn server_follows_generation_flips_of_a_mutable_container() {
-    use stz::access::{open_store_mut, EntryPayload};
+    use stz::access::{open_store_mut, PackEntry};
 
     let rig = Rig::new("mutate");
     let path = rig.dir.join("steps.stzc");
@@ -1086,7 +1086,7 @@ fn server_follows_generation_flips_of_a_mutable_container() {
     let a3 = compressor.compress(&f3).unwrap();
     {
         let mut store = open_store_mut(path.to_str().unwrap()).unwrap();
-        store.append("t3", EntryPayload::F32(a3.clone())).unwrap();
+        store.append("t3", PackEntry::F32(a3.clone())).unwrap();
         store.delete("t0").unwrap();
         let generation = store.commit().unwrap();
         assert_eq!(generation, 2, "upgrade pins gen 1, the batch commits gen 2");
