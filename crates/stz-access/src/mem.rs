@@ -54,8 +54,9 @@ impl MemStore {
         }
     }
 
-    /// Load a bare `.stz` archive file as a single-entry store named by
-    /// file stem — how the CLI serves `--from <bare archive>` through the
+    /// Load a bare archive file — STZ's, or any backend's that its magic
+    /// names ([`PackEntry::from_bytes`]) — as a single-entry store named by
+    /// file stem: how the CLI serves `--from <bare archive>` through the
     /// same code path as containers and servers.
     pub fn open_path(path: impl AsRef<std::path::Path>) -> Result<MemStore> {
         let path = path.as_ref();
@@ -64,7 +65,7 @@ impl MemStore {
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "archive".to_string());
-        let archive = PackEntry::from_stz_bytes(bytes).map_err(|e| {
+        let archive = PackEntry::from_bytes(bytes).map_err(|e| {
             AccessError::corrupt(format!("{} is not an stz archive: {e}", path.display()))
         })?;
         let mut store = MemStore::new();

@@ -316,6 +316,12 @@ fn info(p: &Parsed) -> Result<(), String> {
         return Err(format!("info requires a local archive path, got {from:?}"));
     };
     let bytes = std::fs::read(&input).map_err(|e| e.to_string())?;
+    if registry().detect(&bytes).is_some_and(|codec| codec.id() != stz_backend::id::STZ) {
+        // A foreign archive has no STZ header: its row of the entry table.
+        let entries = store_at(&from)?.list().map_err(|e| e.to_string())?;
+        print_inspect(&from, &entries, None, false);
+        return Ok(());
+    }
     match PackEntry::from_stz_bytes(bytes).map_err(|e| e.to_string())? {
         PackEntry::F32(a) => print_info("f32", &a),
         PackEntry::F64(a) => print_info("f64", &a),
@@ -1142,6 +1148,40 @@ mod tests {
                 let full = std::fs::read(&ext).unwrap();
                 assert_eq!(full.len(), dims.len() * if t == "f32" { 4 } else { 8 }, "{what}");
                 assert_eq!(std::fs::read(&dec).unwrap(), full, "{what}: decompress != extract");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    /// A bare foreign archive opens in every read verb as a one-entry store
+    /// of the type one decode finds: `extract` writes `decompress`'s bytes,
+    /// `info` and `inspect` show its row with the bound unknown, and
+    /// `preview` refuses it as it refuses a foreign entry of a container.
+    #[test]
+    fn bare_foreign_archives_open_in_every_read_verb() {
+        let d = dir("bare_foreign");
+        for t in ["f32", "f64"] {
+            let raw = d.join(format!("in.{t}"));
+            write_input(&raw, Dims::d3(17, 15, 16), t, 29);
+            let raw = raw.display().to_string();
+            for backend in ["sz3", "zfp"] {
+                let path = |ext: &str| d.join(format!("{t}.{backend}.{ext}")).display().to_string();
+                let (arc, dec, ext) = (path("arc"), path("dec"), path("ext"));
+                let flags = ["-d", "17x15x16", "-t", t, "-e", "1e-3", "--backend", backend];
+                cli(&[&["compress", "-i", &raw, "-o", &arc][..], &flags].concat());
+                cli(&["decompress", "-i", &arc, "-o", &dec]);
+                cli(&["extract", "--from", &arc, "-o", &ext]);
+                let what = format!("{t} {backend}");
+                assert_eq!(std::fs::read(&ext).unwrap(), std::fs::read(&dec).unwrap(), "{what}");
+                cli(&["info", "-i", &arc]);
+                cli(&["inspect", "--from", &arc]);
+                let store = MemStore::open_path(&arc).unwrap();
+                let row = &store.list().unwrap()[0];
+                assert_eq!((row.type_name(), row.codec_name()), (t, Some(backend)), "{what}");
+                assert!(row.eb.is_nan(), "{what}: the bound is unknown, not invented");
+                let words = ["preview", "--from", &arc, "-o", &path("l1"), "-l", "1"];
+                let refused = run(&argv(&words.map(String::from))).unwrap_err();
+                assert!(refused.starts_with("unsupported:"), "{what}: {refused}");
             }
         }
         let _ = std::fs::remove_dir_all(&d);

@@ -65,6 +65,16 @@ impl ByteWriter {
         self.buf.is_empty()
     }
 
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forget the bytes written, keeping the buffer.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }

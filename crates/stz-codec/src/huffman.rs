@@ -20,13 +20,24 @@
 //! every input, valid or hostile, the batch decoders return its symbols, its
 //! error and its final bit position.
 //!
-//! Encoding counts in interleaved sub-histograms, so a stream that is nearly
-//! all one symbol does not serialize on one counter, and emits through a
-//! packed `(code, length)` table into an accumulator flushed a word at a
-//! time; the bytes are those of one [`BitWriter::put`] per symbol.
+//! Encoding keeps pace. A [`BlockEncoder`] counts a stream in one pass: where
+//! a window of it opens with eight copies of one symbol, every aligned group
+//! of eight of that symbol is counted in one step, and all else goes to
+//! interleaved sub-histograms, so a stream that is nearly all one symbol
+//! neither takes a step per symbol nor serializes on one counter. It packs
+//! through a `(code, length)` table into an accumulator flushed a word at a
+//! time into a buffer sized once from the histogram; where the symbol whose
+//! code is the one bit `0` makes up at least 7/8 of the stream, each aligned
+//! group of eight of it is eight zero bits in one step, the encode twin of
+//! the decoder's run entry. The payload is run-length coded only where its
+//! run count leaves RLE a chance to be smaller, and the encoder's buffers
+//! serve block after block. The bytes are those of one [`BitWriter::put`]
+//! per symbol and an RLE pass always tried: `tests/encoder.rs` holds the
+//! encoder to that reference.
 
 use crate::bits::{BitReader, BitWriter};
 use crate::byteio::{ByteReader, ByteWriter};
+use crate::varint::uvarint_len;
 use crate::{CodecError, Result};
 use std::collections::BinaryHeap;
 
@@ -53,11 +64,46 @@ pub const PACKED_TABLE_FULL: usize = PACK_RATIO << TABLE_BITS;
 const PACK_BYTES: u64 = (1 << 56) - 1;
 
 /// Canonical Huffman encoder over a dense `u32` symbol alphabet.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HuffmanEncoder {
     /// Per-symbol `code << 8 | length`, one load per symbol in the encode
     /// loop; 0 means the symbol never occurs.
     codes: Vec<u64>,
+    /// The symbol whose code is the one bit `0`, where it is common enough
+    /// that the packer appends its aligned groups of [`RUN_GROUP`] in bulk.
+    run: Option<u32>,
+    /// Whether no code is longer than 16 bits, so that two codes fit one
+    /// step of the packer: half the steps on its dependency chain.
+    pairs: bool,
+}
+
+/// The encode loop's state, which stays in registers: pending bits in the
+/// low `nbits` of `acc`, and the next byte of `out` to write. Fewer than 32
+/// pending bits plus at most [`MAX_CODE_LEN`] more (a code, two of at most
+/// 16 bits, or a group of one-bit codes) fit the accumulator, which leaves
+/// 32 bits at a time; whatever is shifted out above the pending bits has
+/// already been written.
+struct Packer<'a> {
+    out: &'a mut [u8],
+    pos: usize,
+    acc: u64,
+    nbits: u32,
+}
+
+impl Packer<'_> {
+    /// Append one code, given as its `code << 8 | length`.
+    #[inline(always)]
+    fn put(&mut self, entry: u64) {
+        let len = (entry & 0xFF) as u32;
+        self.acc = (self.acc << len) | (entry >> 8);
+        self.nbits += len;
+        if self.nbits >= 32 {
+            self.nbits -= 32;
+            let word = (self.acc >> self.nbits) as u32;
+            self.out[self.pos..self.pos + 4].copy_from_slice(&word.to_be_bytes());
+            self.pos += 4;
+        }
+    }
 }
 
 /// Largest alphabet counted in [`HIST_LANES`] interleaved sub-histograms:
@@ -66,51 +112,152 @@ pub struct HuffmanEncoder {
 const HIST_ALPHABET: usize = 1 << 10;
 const HIST_LANES: usize = 4;
 
+/// Symbols the run paths compare at once: counting and packing take an
+/// aligned group of this many equal symbols — groups start at multiples of
+/// it from the stream's start — as one step.
+const RUN_GROUP: usize = 8;
+
+/// Symbols per counting window, a multiple of [`RUN_GROUP`]: a window whose
+/// first group is one symbol repeated is counted group by group, that
+/// symbol's groups in bulk, and any other window symbol by symbol, so a
+/// stream without runs pays one comparison per window for the run path.
+const COUNT_WINDOW: usize = 256;
+
+/// Share of a stream, in 64ths, that the symbol with the one-bit code `0`
+/// must make up before the packer looks for its groups: below it too few
+/// groups are whole runs to repay the comparison every group costs.
+const RUN_SHARE_64THS: u64 = 56;
+
+/// The counters a stream is counted with, kept from stream to stream.
+#[derive(Debug, Clone, Default)]
+struct Counts {
+    /// [`HIST_LANES`] sub-histograms of [`HIST_ALPHABET`] counters each, all
+    /// zero between counts: a stream that is 99 % one symbol would make
+    /// every increment of a single histogram wait on the store of the
+    /// previous one to the same counter, so consecutive symbols go to
+    /// different sub-histograms, summed at the end.
+    lanes: Vec<[u32; HIST_ALPHABET]>,
+    /// `freqs[s]` = occurrences of `s`, for `s` up to the largest symbol
+    /// present; symbols past [`HIST_ALPHABET`] are counted here directly.
+    freqs: Vec<u64>,
+}
+
+impl Counts {
+    /// Count `symbols` in one pass: `freqs[s]` = occurrences of `s`, for `s`
+    /// up to the largest symbol present.
+    fn count(&mut self, symbols: &[u32]) -> &[u64] {
+        let Counts { lanes, freqs } = self;
+        freqs.clear();
+        // A lane counter holds any count of a stream of up to `u32::MAX`.
+        if symbols.len() > u32::MAX as usize {
+            for &s in symbols {
+                add(freqs, s, 1);
+            }
+            return freqs;
+        }
+        lanes.resize(HIST_LANES, [0; HIST_ALPHABET]);
+        // Every symbol the lanes counted, or'ed; the symbol counted in bulk,
+        // and its count not yet added.
+        let (mut seen, mut bulk, mut run) = (0, 0, 0);
+        for window in symbols.chunks(COUNT_WINDOW) {
+            let head = &window[..RUN_GROUP.min(window.len())];
+            if head.len() < RUN_GROUP || !is_run(head, head[0]) {
+                seen |= count_lanes(lanes, freqs, window);
+                continue;
+            }
+            if head[0] != bulk {
+                add(freqs, bulk, run);
+                (bulk, run) = (head[0], 0);
+            }
+            let mut groups = window.chunks_exact(RUN_GROUP);
+            for group in &mut groups {
+                if is_run(group, bulk) {
+                    run += RUN_GROUP as u64;
+                } else {
+                    seen |= count_lanes(lanes, freqs, group);
+                }
+            }
+            seen |= count_lanes(lanes, freqs, groups.remainder());
+        }
+        add(freqs, bulk, run);
+        // Fold the lanes in, leaving them zero for the next stream: no
+        // symbol they counted exceeds `seen`.
+        let top = (seen as usize).saturating_add(1).min(HIST_ALPHABET);
+        if freqs.len() < top {
+            freqs.resize(top, 0);
+        }
+        for lane in lanes.iter_mut() {
+            for (f, c) in freqs.iter_mut().zip(&mut lane[..top]) {
+                *f += std::mem::take(c) as u64;
+            }
+        }
+        while freqs.last() == Some(&0) {
+            freqs.pop();
+        }
+        freqs
+    }
+}
+
+/// Whether every symbol of `group` is `symbol`, without a branch per symbol.
+#[inline(always)]
+fn is_run(group: &[u32], symbol: u32) -> bool {
+    group.iter().fold(0, |diff, &s| diff | (s ^ symbol)) == 0
+}
+
+/// `freqs[symbol] += n`, growing `freqs` to hold `symbol` unless `n` is 0.
+fn add(freqs: &mut Vec<u64>, symbol: u32, n: u64) {
+    if n > 0 {
+        let s = symbol as usize;
+        if s >= freqs.len() {
+            freqs.resize(s + 1, 0);
+        }
+        freqs[s] += n;
+    }
+}
+
+/// Count `symbols` into the lanes in turn, and any past [`HIST_ALPHABET`]
+/// into `freqs`; returns the symbols or'ed.
+#[inline(always)]
+fn count_lanes(lanes: &mut [[u32; HIST_ALPHABET]], freqs: &mut Vec<u64>, symbols: &[u32]) -> u32 {
+    let mut seen = 0;
+    for group in symbols.chunks(HIST_LANES) {
+        for (lane, &s) in lanes.iter_mut().zip(group) {
+            match lane.get_mut(s as usize) {
+                Some(count) => *count += 1,
+                None => add(freqs, s, 1),
+            }
+            seen |= s;
+        }
+    }
+    seen
+}
+
 /// `freqs[s]` = occurrences of `s` in `symbols`, for `s` up to the largest
 /// symbol present.
-///
-/// A stream that is 99 % one symbol makes every increment of a single
-/// histogram wait on the store of the previous one to the same counter, so
-/// consecutive symbols go to different sub-histograms, summed at the end.
 fn histogram(symbols: &[u32]) -> Vec<u64> {
-    let Some(max) = symbols.iter().copied().max() else {
-        return Vec::new();
-    };
-    let alphabet = max as usize + 1;
-    let mut freqs = vec![0u64; alphabet];
-    // Neither worth it when summing the lanes would outweigh the counting.
-    let lanes = HIST_LANES * alphabet;
-    if alphabet > HIST_ALPHABET || symbols.len() < lanes || symbols.len() > u32::MAX as usize {
-        for &s in symbols {
-            freqs[s as usize] += 1;
-        }
-        return freqs;
-    }
-    let mut lanes = vec![0u32; lanes];
-    let groups = symbols.chunks_exact(HIST_LANES);
-    for &s in groups.remainder() {
-        lanes[s as usize] += 1;
-    }
-    for group in groups {
-        for (lane, &s) in group.iter().enumerate() {
-            lanes[lane * alphabet + s as usize] += 1;
-        }
-    }
-    for lane in lanes.chunks_exact(alphabet) {
-        for (f, &c) in freqs.iter_mut().zip(lane) {
-            *f += c as u64;
-        }
-    }
-    freqs
+    let mut counts = Counts::default();
+    counts.count(symbols);
+    counts.freqs
 }
 
 impl HuffmanEncoder {
     /// Build an encoder from per-symbol frequencies (`freqs[s]` is the count
     /// of symbol `s`). Symbols with zero frequency get no code.
     pub fn from_frequencies(freqs: &[u64]) -> Self {
-        let lengths = code_lengths(freqs, MAX_CODE_LEN);
-        let codes = assign_canonical(&lengths);
-        HuffmanEncoder { codes }
+        let mut enc = HuffmanEncoder::default();
+        enc.set_frequencies(freqs);
+        enc
+    }
+
+    /// Rebuild this encoder for `freqs`, reusing its code table.
+    fn set_frequencies(&mut self, freqs: &[u64]) {
+        assign_canonical(&code_lengths(freqs, MAX_CODE_LEN), &mut self.codes);
+        // Canonical codes start at 0, so the first one-bit code is `0`.
+        let zero = self.codes.iter().position(|&entry| entry == 1);
+        let total: u64 = freqs.iter().sum();
+        let pays = |s: &usize| freqs[*s] as u128 * 64 >= total as u128 * RUN_SHARE_64THS as u128;
+        self.run = zero.filter(pays).map(|s| s as u32);
+        self.pairs = self.codes.iter().all(|&entry| entry & 0xFF <= 16);
     }
 
     /// Build an encoder directly from a symbol stream.
@@ -129,29 +276,57 @@ impl HuffmanEncoder {
     /// Append codes for a whole stream: the bytes [`HuffmanEncoder::encode_symbol`]
     /// would append one symbol at a time.
     pub fn encode_into(&self, symbols: &[u32], w: &mut BitWriter) {
-        // The accumulator lives in registers and leaves 32 bits at a time:
-        // fewer than 32 pending bits plus a code of at most `MAX_CODE_LEN`
-        // fit the 64-bit accumulator, and whatever is shifted out above them
-        // has already been written.
+        let lens = symbols.iter().map(|&s| self.codes[s as usize] & 0xFF);
+        let bits = w.nbits as u64 + lens.sum::<u64>();
+        let start = w.buf.len();
+        w.buf.resize(start + (bits / 8) as usize, 0);
+        (w.acc, w.nbits) = self.pack(symbols, &mut w.buf[start..], (w.acc, w.nbits));
+    }
+
+    /// Pack the codes of `symbols` after the `nbits` bits pending in `acc`
+    /// into `out`, which has room for exactly the whole bytes they make, and
+    /// return the accumulator with the fewer than 8 bits left over.
+    fn pack(&self, symbols: &[u32], out: &mut [u8], (acc, nbits): (u64, u32)) -> (u64, u32) {
         let codes = &self.codes[..];
-        let (mut acc, mut nbits) = (w.acc, w.nbits);
-        for &s in symbols {
+        let code = |s: u32| {
             let entry = codes[s as usize];
             debug_assert!(entry != 0, "symbol {s} has no code (zero frequency)");
-            let len = (entry & 0xFF) as u32;
-            acc = (acc << len) | (entry >> 8);
-            nbits += len;
-            if nbits >= 32 {
-                nbits -= 32;
-                w.buf.extend_from_slice(&((acc >> nbits) as u32).to_be_bytes());
+            entry
+        };
+        let mut p = Packer { out, pos: 0, acc, nbits };
+        match self.run {
+            Some(zero) => {
+                let mut groups = symbols.chunks_exact(RUN_GROUP);
+                for group in &mut groups {
+                    if is_run(group, zero) {
+                        // That many zero bits: the encode twin of the
+                        // decoder's `PACK_RUN`.
+                        p.put(RUN_GROUP as u64);
+                    } else {
+                        group.iter().for_each(|&s| p.put(code(s)));
+                    }
+                }
+                groups.remainder().iter().for_each(|&s| p.put(code(s)));
             }
+            None if self.pairs => {
+                let mut pairs = symbols.chunks_exact(2);
+                for pair in &mut pairs {
+                    // The two codes as one: `a`'s, then `b`'s.
+                    let (a, b) = (code(pair[0]), code(pair[1]));
+                    let b_len = b & 0xFF;
+                    p.put(((a >> 8) << b_len | (b >> 8)) << 8 | ((a & 0xFF) + b_len));
+                }
+                pairs.remainder().iter().for_each(|&s| p.put(code(s)));
+            }
+            None => symbols.iter().for_each(|&s| p.put(code(s))),
         }
-        // Hand the writer back as `put` leaves it: fewer than 8 bits pending.
-        while nbits >= 8 {
-            nbits -= 8;
-            w.buf.push((acc >> nbits) as u8);
+        while p.nbits >= 8 {
+            p.nbits -= 8;
+            p.out[p.pos] = (p.acc >> p.nbits) as u8;
+            p.pos += 1;
         }
-        (w.acc, w.nbits) = (acc, nbits);
+        debug_assert_eq!(p.pos, p.out.len(), "the output is sized to the codes");
+        (p.acc, p.nbits)
     }
 
     /// Exact encoded size in bits for a frequency histogram.
@@ -685,8 +860,8 @@ fn limit_lengths(depths: &mut [u32], nonzero: &[usize], freqs: &[u64], limit: u3
     }
 }
 
-/// Assign canonical codes from lengths, packed `code << 8 | length`.
-fn assign_canonical(lengths: &[u8]) -> Vec<u64> {
+/// Assign canonical codes from lengths into `out`, packed `code << 8 | length`.
+fn assign_canonical(lengths: &[u8], out: &mut Vec<u64>) {
     let mut count = [0u32; MAX_CODE_LEN as usize + 1];
     for &l in lengths {
         count[l as usize] += 1;
@@ -698,14 +873,14 @@ fn assign_canonical(lengths: &[u8]) -> Vec<u64> {
         code = (code + count[len - 1] as u64) << 1;
         next_code[len] = code;
     }
-    let mut out = vec![0u64; lengths.len()];
-    for (sym, &len) in lengths.iter().enumerate() {
+    out.clear();
+    out.resize(lengths.len(), 0);
+    for (entry, &len) in out.iter_mut().zip(lengths) {
         if len > 0 {
-            out[sym] = next_code[len as usize] << 8 | len as u64;
+            *entry = next_code[len as usize] << 8 | len as u64;
             next_code[len as usize] += 1;
         }
     }
-    out
 }
 
 /// One-shot helper: encode a symbol stream into a self-contained block
@@ -724,23 +899,70 @@ pub fn encode_block(symbols: &[u32]) -> Vec<u8> {
 /// escape — occurs in the stream: the histogram the codes are built from has
 /// counted it already.
 pub fn encode_block_counting(symbols: &[u32]) -> (Vec<u8>, usize) {
-    let freqs = histogram(symbols);
-    let enc = HuffmanEncoder::from_frequencies(&freqs);
-    let mut w = ByteWriter::new();
-    enc.serialize_table(&mut w);
-    w.put_uvarint(symbols.len() as u64);
-    let mut bw = BitWriter::with_capacity(enc.encoded_bits(&freqs).div_ceil(8) as usize);
-    enc.encode_into(symbols, &mut bw);
-    let payload = bw.finish();
-    let rle = crate::rle::encode(&payload);
-    if rle.len() < payload.len() {
-        w.put_u8(1);
-        w.put_block(&rle);
-    } else {
-        w.put_u8(0);
-        w.put_block(&payload);
+    BlockEncoder::default().block(symbols, false)
+}
+
+/// The buffers blocks are coded with — counters, code table, payload and
+/// its run-length coding — kept from block to block, so a caller that codes
+/// many blocks (a walk unit its chunks) allocates only the bytes it keeps.
+#[derive(Debug, Clone, Default)]
+pub struct BlockEncoder {
+    counts: Counts,
+    enc: HuffmanEncoder,
+    table: ByteWriter,
+    payload: Vec<u8>,
+    rle: Vec<u8>,
+}
+
+impl BlockEncoder {
+    /// [`encode_block_counting`] with these buffers, the block prefixed by
+    /// its length as [`ByteWriter::put_block`] writes it, in an allocation
+    /// of exactly its size.
+    pub fn put_block(&mut self, symbols: &[u32]) -> (Vec<u8>, usize) {
+        self.block(symbols, true)
     }
-    (w.finish(), freqs.first().map_or(0, |&zeros| zeros as usize))
+
+    fn block(&mut self, symbols: &[u32], prefixed: bool) -> (Vec<u8>, usize) {
+        let freqs = self.counts.count(symbols);
+        self.enc.set_frequencies(freqs);
+        let bits = self.enc.encoded_bits(freqs);
+        let escapes = freqs.first().map_or(0, |&zeros| zeros as usize);
+        self.table.clear();
+        self.enc.serialize_table(&mut self.table);
+
+        // Sized once: the whole bytes the codes fill, and the padded last.
+        let whole = (bits / 8) as usize;
+        self.payload.clear();
+        self.payload.resize(bits.div_ceil(8) as usize, 0);
+        let (acc, nbits) = self.enc.pack(symbols, &mut self.payload[..whole], (0, 0));
+        if nbits > 0 {
+            self.payload[whole] = (acc << (8 - nbits)) as u8;
+        }
+        // Every run costs a byte and a varint of at least one: where that
+        // floor is no smaller than the payload, RLE cannot win.
+        let payload = &self.payload[..];
+        let floor = uvarint_len(payload.len() as u64) + 2 * crate::rle::runs(payload);
+        let rle = floor < payload.len() && {
+            self.rle.clear();
+            crate::rle::encode_into(payload, &mut self.rle);
+            self.rle.len() < payload.len()
+        };
+        let body = if rle { &self.rle[..] } else { payload };
+
+        let n = symbols.len() as u64;
+        let len =
+            self.table.len() + uvarint_len(n) + 1 + uvarint_len(body.len() as u64) + body.len();
+        let prefix = if prefixed { uvarint_len(len as u64) } else { 0 };
+        let mut w = ByteWriter::with_capacity(prefix + len);
+        if prefixed {
+            w.put_uvarint(len as u64);
+        }
+        w.put_raw(self.table.as_bytes());
+        w.put_uvarint(n);
+        w.put_u8(rle as u8);
+        w.put_block(body);
+        (w.finish(), escapes)
+    }
 }
 
 /// Inverse of [`encode_block`].

@@ -15,6 +15,11 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Bytes [`put_uvarint`] appends for `v`.
+pub fn uvarint_len(v: u64) -> usize {
+    (u64::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
+}
+
 /// Read an unsigned LEB128 integer, returning `(value, bytes_consumed)`.
 pub fn get_uvarint(data: &[u8]) -> Result<(u64, usize)> {
     let mut v: u64 = 0;

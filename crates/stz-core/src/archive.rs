@@ -119,14 +119,19 @@ impl<T: Scalar> fmt::Debug for StzArchive<T> {
     }
 }
 
-/// Assemble archive bytes from the parts produced by the compressor.
+/// One sub-block stream as the pieces it is written from, in order.
+pub(crate) type StreamPieces = Vec<Vec<u8>>;
+
+/// Assemble archive bytes from the parts produced by the compressor: each
+/// level's sub-block streams.
 pub(crate) fn build_bytes(
     header: &ArchiveHeader,
     l1_bytes: &[u8],
-    level_blocks: &[Vec<Vec<u8>>],
+    level_blocks: &[Vec<StreamPieces>],
 ) -> Vec<u8> {
+    let stream_len = |pieces: &StreamPieces| pieces.iter().map(Vec::len).sum::<usize>();
     let payload: usize =
-        l1_bytes.len() + level_blocks.iter().flatten().map(|b| b.len() + 8).sum::<usize>();
+        l1_bytes.len() + level_blocks.iter().flatten().map(|b| stream_len(b) + 8).sum::<usize>();
     let mut w = ByteWriter::with_capacity(payload + 64);
     w.put_raw(&MAGIC);
     w.put_u8(VERSION);
@@ -148,8 +153,9 @@ pub(crate) fn build_bytes(
     w.put_block(l1_bytes);
     for blocks in level_blocks {
         w.put_uvarint(blocks.len() as u64);
-        for b in blocks {
-            w.put_block(b);
+        for pieces in blocks {
+            w.put_uvarint(stream_len(pieces) as u64);
+            pieces.iter().for_each(|piece| w.put_raw(piece));
         }
     }
     w.finish()
@@ -440,12 +446,14 @@ mod tests {
         }
     }
 
-    fn sample_blocks(header: &ArchiveHeader) -> (Vec<u8>, Vec<Vec<Vec<u8>>>) {
+    /// Level-1 bytes, and each block's stream in two pieces.
+    fn sample_blocks(header: &ArchiveHeader) -> (Vec<u8>, Vec<Vec<StreamPieces>>) {
         let plan = LevelPlan::new(header.dims, header.levels);
         let l1 = vec![1u8, 2, 3];
-        let blocks: Vec<Vec<Vec<u8>>> = plan.levels[1..]
+        let blocks = plan.levels[1..]
             .iter()
-            .map(|lv| lv.blocks.iter().map(|b| vec![b.bits as u8; 4]).collect())
+            .map(|lv| lv.blocks.iter().map(|b| vec![vec![b.bits as u8], vec![!b.bits as u8; 3]]))
+            .map(|level| level.collect())
             .collect();
         (l1, blocks)
     }
@@ -461,7 +469,7 @@ mod tests {
         assert_eq!(archive.num_blocks(2), blocks[0].len());
         assert_eq!(archive.num_blocks(3), blocks[1].len());
         for (i, b) in blocks[0].iter().enumerate() {
-            assert_eq!(archive.block_bytes(2, i), &b[..]);
+            assert_eq!(archive.block_bytes(2, i), &b.concat()[..]);
         }
     }
 

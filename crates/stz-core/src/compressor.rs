@@ -35,7 +35,7 @@
 //! hands the earlier its share, so every chunk is coded or decoded once, and
 //! archives and fields are **bit-identical** at every width.
 
-use crate::archive::{build_bytes, ArchiveHeader, StzArchive};
+use crate::archive::{build_bytes, ArchiveHeader, StreamPieces, StzArchive};
 use crate::config::StzConfig;
 use crate::kernels::{dense_taps, predict_point, RowStencils, StencilOffsets};
 use crate::level::{BlockSpec, LevelPlan, LevelSpec};
@@ -47,9 +47,8 @@ use std::ops::Range;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use stz_codec::{
-    huffman, ByteReader, ByteWriter, CodecError, LinearQuantizer, Result, ESCAPE_SYMBOL,
-};
+use stz_codec::huffman::{self, BlockEncoder};
+use stz_codec::{ByteReader, ByteWriter, CodecError, LinearQuantizer, Result, ESCAPE_SYMBOL};
 use stz_field::{Dims, Field, Region, Scalar};
 use stz_simd::Lane;
 use stz_sz3::quant::{quantize_scalar, reconstruct_scalar, ScalarQuant};
@@ -117,7 +116,7 @@ impl StzCompressor {
 
         // Finer levels. Only a level the next one predicts from keeps its
         // grid: the finest level's reconstruction is nobody's operand.
-        let mut level_blocks: Vec<Vec<Vec<u8>>> = Vec::with_capacity(cfg.levels as usize - 1);
+        let mut level_blocks: Vec<Vec<StreamPieces>> = Vec::with_capacity(cfg.levels as usize - 1);
         for level in &plan.levels[1..] {
             let quant = LinearQuantizer::encoder(ebs[level.index as usize - 1], cfg.radius)?;
             let rows =
@@ -400,7 +399,8 @@ fn chunk_size(n: usize) -> usize {
 /// symbols, never the whole block. A unit's sink starts where its first row
 /// does in the block's stream and codes the chunks it fills from their
 /// start; the piece of a chunk it starts inside it gives to the unit before,
-/// and the chunk it ends inside it completes in [`ChunkSink::finish`].
+/// and the chunk it ends inside it completes in [`ChunkSink::finish`]. The
+/// unit's sinks code with its one [`BlockEncoder`].
 struct ChunkSink<'a, T> {
     /// Symbols per chunk (the final chunk may hold fewer), and in the block.
     size: usize,
@@ -409,15 +409,18 @@ struct ChunkSink<'a, T> {
     from: usize,
     open: Vec<u32>,
     give: Option<Giver>,
-    /// The chunks coded, each with its escape count, and the outliers.
+    /// The chunks coded, each length-prefixed as the stream holds it and
+    /// with its escape count, and the outliers.
     coded: Vec<(Vec<u8>, usize)>,
     outliers: Vec<T>,
+    /// The block's index in its level, for the trace.
+    index: usize,
     encode_ns: &'a Arc<Histogram>,
 }
 
 impl<'a, T: Scalar> ChunkSink<'a, T> {
-    /// A sink for a block of `total` symbols.
-    fn new(total: usize, give: Option<Giver>, encode_ns: &'a Arc<Histogram>) -> Self {
+    /// A sink for the `index`-th block of a level, of `total` symbols.
+    fn new(total: usize, index: usize, give: Option<Giver>, encode_ns: &'a Arc<Histogram>) -> Self {
         ChunkSink {
             size: chunk_size(total),
             total,
@@ -426,15 +429,16 @@ impl<'a, T: Scalar> ChunkSink<'a, T> {
             give,
             coded: Vec::new(),
             outliers: Vec::new(),
+            index,
             encode_ns,
         }
     }
 
     /// `len` slots for the symbols of a row from stream index `first` on —
     /// where the sink's last row ended, or anywhere for its first — and the
-    /// outliers the row's escapes go to.
+    /// outliers the row's escapes go to. The walk flushes the sink after
+    /// each row.
     fn row(&mut self, first: usize, len: usize) -> (&mut [u32], &mut Vec<T>) {
-        self.flush();
         if self.open.is_empty() {
             self.from = first;
         }
@@ -447,9 +451,9 @@ impl<'a, T: Scalar> ChunkSink<'a, T> {
         (&mut self.open[n..], &mut self.outliers)
     }
 
-    /// Code every chunk `open` holds whole, and give away the piece it holds
-    /// of a chunk it did not start.
-    fn flush(&mut self) {
+    /// Code every chunk `open` holds whole with `enc`, and give away the
+    /// piece it holds of a chunk it did not start.
+    fn flush(&mut self, enc: &mut BlockEncoder) {
         let mut done = 0;
         while done < self.open.len() {
             let start = self.from / self.size * self.size;
@@ -460,7 +464,13 @@ impl<'a, T: Scalar> ChunkSink<'a, T> {
             let piece = &self.open[done..done + end - self.from];
             if self.from == start {
                 let _stage = self.encode_ns.span();
-                self.coded.push(huffman::encode_block_counting(piece));
+                let mut span = stz_telemetry::trace::span("entropy");
+                let coded = enc.put_block(piece);
+                span.attr("block", self.index);
+                span.attr("chunk", start / self.size);
+                span.attr("symbols", piece.len());
+                span.attr("bytes", coded.0.len());
+                self.coded.push(coded);
             } else {
                 self.give.take().expect("a hand-off").send(piece.to_vec()).ok();
             }
@@ -470,30 +480,35 @@ impl<'a, T: Scalar> ChunkSink<'a, T> {
     }
 
     /// The sink, every chunk coded once `take` has handed back the last one's rest.
-    fn finish(mut self, take: Option<(usize, Taker)>) -> Result<Self> {
+    fn finish(mut self, take: Option<(usize, Taker)>, enc: &mut BlockEncoder) -> Result<Self> {
         self.open.extend(take.map(|(_, take)| receive(take)).transpose()?.unwrap_or_default());
-        self.flush();
+        self.flush(enc);
         Ok(self)
     }
 
-    /// The block's stream: Huffman-coded symbol chunks, each chunk's escape
-    /// count ahead of them all, and the outliers bit-exact.
-    fn into_stream(self) -> Vec<u8> {
-        let chunks: usize = self.coded.iter().map(|(bytes, _)| bytes.len() + 20).sum();
-        let mut w = ByteWriter::with_capacity(chunks + 30 + self.outliers.len() * T::BYTES);
-        w.put_uvarint(self.coded.len() as u64);
-        w.put_uvarint(self.size as u64);
+    /// Take on the chunks and outliers of the sink of the unit after this one.
+    fn append(&mut self, later: Self) {
+        self.coded.extend(later.coded);
+        self.outliers.extend(later.outliers);
+    }
+
+    /// The block's stream as the pieces it is written from, in order: the
+    /// chunk count and size and each chunk's escape count, the
+    /// Huffman-coded chunks, and the outliers bit-exact.
+    fn into_pieces(self) -> StreamPieces {
+        let mut head = ByteWriter::with_capacity(20 + 10 * self.coded.len());
+        head.put_uvarint(self.coded.len() as u64);
+        head.put_uvarint(self.size as u64);
         // Per-chunk escape counts: a random-access reader can align its outlier
         // cursor without entropy-decoding skipped chunks (the paper's
         // "random-access Huffman decoding" future-work item).
         for (_, escapes) in &self.coded {
-            w.put_uvarint(*escapes as u64);
+            head.put_uvarint(*escapes as u64);
         }
-        for (bytes, _) in &self.coded {
-            w.put_block(bytes);
-        }
-        stz_sz3::stream::write_outliers(&mut w, &self.outliers);
-        w.finish()
+        let mut tail = ByteWriter::with_capacity(10 + self.outliers.len() * T::BYTES);
+        stz_sz3::stream::write_outliers(&mut tail, &self.outliers);
+        let chunks = self.coded.into_iter().map(|(bytes, _)| bytes);
+        std::iter::once(head.finish()).chain(chunks).chain([tail.finish()]).collect()
     }
 }
 
@@ -682,25 +697,30 @@ impl<'a> LevelRows<'a> {
         prev: &[T],
         keeps: bool,
         (quantize_ns, encode_ns): (&Arc<Histogram>, &Arc<Histogram>),
-    ) -> Result<(Vec<Vec<u8>>, Vec<T>)> {
+    ) -> Result<(Vec<StreamPieces>, Vec<T>)> {
         let obox = Region::full(self.level.grid_dims);
         let mut grid = vec![T::default(); if keeps { obox.len() } else { 0 }];
         let len = |k: usize| self.blocks[k].as_ref().map(|r| r.block.lattice.len());
+        let index = |k: usize| self.level.blocks.iter().position(|b| slot(b) == k);
         let units = self.units(&obox, &mut grid[..], |k| len(k).map_or(1, chunk_size));
         let parts = pool::map(units, |(_, mut runs)| {
             let _stage = quantize_ns.span();
             let mut give = std::mem::take(&mut runs[0].ends.0);
             let take = std::mem::take(&mut runs.last_mut().expect("a run").ends.1);
-            let mut sinks: Slots<ChunkSink<'_, T>> =
-                std::array::from_fn(|k| Some(ChunkSink::new(len(k)?, give[k].take(), encode_ns)));
+            let mut sinks: Slots<ChunkSink<'_, T>> = std::array::from_fn(|k| {
+                Some(ChunkSink::new(len(k)?, index(k)?, give[k].take(), encode_ns))
+            });
+            let mut enc = BlockEncoder::default();
             let mut orig = vec![T::default(); obox.x1.div_ceil(2)];
             self.assemble(prev, runs.into_iter().flat_map(Run::rows), |rows, zy, xs, recon| {
                 let sink = sinks[slot(rows.block)].as_mut().expect("a sink on every block");
                 let recon = keeps.then_some(recon);
                 rows.quantize_row(field.as_slice(), prev, zy, xs, &mut orig, sink, recon);
+                sink.flush(&mut enc);
                 Ok(())
             })?;
-            let done = sinks.into_iter().zip(take).map(|(sink, take)| sink.map(|s| s.finish(take)));
+            let done = sinks.into_iter().zip(take);
+            let done = done.map(|(sink, take)| sink.map(|s| s.finish(take, &mut enc)));
             done.map(Option::transpose).collect::<Result<Vec<_>>>()
         });
         // In stream order, the reverse of the claim order.
@@ -708,12 +728,11 @@ impl<'a> LevelRows<'a> {
         let mut blocks = parts.next().expect("a grid is one unit or more")?;
         for part in parts {
             for (block, part) in blocks.iter_mut().flatten().zip(part?.into_iter().flatten()) {
-                block.coded.extend(part.coded);
-                block.outliers.extend(part.outliers);
+                block.append(part);
             }
         }
         let streams = self.level.blocks.iter().map(|b| blocks[slot(b)].take());
-        let streams = streams.map(|sink| sink.expect("a sink on every block").into_stream());
+        let streams = streams.map(|sink| sink.expect("a sink on every block").into_pieces());
         Ok((streams.collect(), grid))
     }
 
@@ -1302,6 +1321,39 @@ mod tests {
     }
 
     #[test]
+    fn compress_opens_one_entropy_span_per_chunk() {
+        // Level 2's seven 32^3 blocks are a chunk each, level 3's 64^3 ones
+        // four: 35 chunks of every point but level 1's 32^3. At width 2 the
+        // cut falls inside level 3's chunks, each still coded once.
+        let f = wavy(Dims::d3(128, 128, 128));
+        let c = StzCompressor::new(StzConfig::three_level(1e-3));
+        let collector = Box::leak(Box::new(stz_telemetry::trace::TraceCollector::new(true)));
+        for threads in [1, 2] {
+            let trace_id = {
+                let root = collector.start("test", "request", None);
+                pool::with_threads(threads, || c.compress_parallel(&f)).unwrap();
+                root.trace_id().unwrap()
+            };
+            let t = collector.snapshot().into_iter().find(|t| t.trace_id == trace_id).unwrap();
+            let attr = |s: &stz_telemetry::trace::SpanRecord, key| {
+                let (_, value) = s.attrs.iter().find(|(k, _)| k == key).expect("the attr");
+                value.parse::<usize>().unwrap()
+            };
+            let mut chunks: Vec<_> = t
+                .spans
+                .iter()
+                .filter(|s| s.name == "entropy")
+                .map(|s| (attr(s, "block"), attr(s, "chunk"), attr(s, "symbols")))
+                .collect();
+            chunks.sort_unstable();
+            let mut want: Vec<_> = (0..7).map(|b| (b, 0, 32 * 32 * 32)).collect();
+            want.extend((0..7).flat_map(|b| (0..4).map(move |k| (b, k, HUFFMAN_CHUNK))));
+            want.sort_unstable();
+            assert_eq!(chunks, want, "at {threads} thread(s)");
+        }
+    }
+
+    #[test]
     fn sinks_handing_back_at_cuts_code_the_stream_one_sink_does() {
         // Symbol 0 is the escape: each one brings an outlier along.
         let encode_ns =
@@ -1320,24 +1372,24 @@ mod tests {
                 }
             }
             // Last first, as the pool claims the units.
-            let mut parts = Vec::new();
+            let (mut parts, mut enc) = (Vec::new(), BlockEncoder::default());
             for (piece, (give, take)) in cuts.windows(2).zip(ends).rev() {
-                let mut sink = ChunkSink::new(total, give, &encode_ns);
+                let mut sink = ChunkSink::new(total, 0, give, &encode_ns);
                 for x0 in (piece[0]..piece[1]).step_by(1000) {
                     let xs = x0..(x0 + 1000).min(piece[1]);
                     let (slots, outliers) = sink.row(x0, xs.len());
                     slots.copy_from_slice(&symbols[xs.clone()]);
                     outliers.extend(xs.filter(|&x| symbols[x] == 0).map(|x| x as f32));
+                    sink.flush(&mut enc);
                 }
-                parts.push(sink.finish(take).unwrap());
+                parts.push(sink.finish(take, &mut enc).unwrap());
             }
             let mut parts = parts.into_iter().rev();
             let mut sink = parts.next().unwrap();
             for part in parts {
-                sink.coded.extend(part.coded);
-                sink.outliers.extend(part.outliers);
+                sink.append(part);
             }
-            sink.into_stream()
+            sink.into_pieces().concat()
         };
         let whole = stream(&[0, total]);
         for cuts in [

@@ -34,7 +34,8 @@ pub struct ForeignArchive {
     pub type_tag: u8,
     /// Grid extents of the encoded field.
     pub dims: Dims,
-    /// Absolute point-wise error bound used at compression.
+    /// Absolute point-wise error bound used at compression; NaN where it
+    /// is unknown (a bare archive opened by [`PackEntry::from_bytes`]).
     pub eb: f64,
     /// The codec's archive bytes.
     pub bytes: Vec<u8>,
@@ -91,6 +92,30 @@ impl PackEntry {
         } else {
             StzArchive::from_bytes(bytes).map(PackEntry::F32)
         }
+    }
+
+    /// Parse a bare archive of any backend, as the magic of `bytes` names
+    /// it: an STZ archive as [`PackEntry::from_stz_bytes`] does, a foreign
+    /// one as one [`PackEntry::Foreign`] entry whose dims and element type
+    /// come from one decode, `f32` first, and whose error bound is unknown.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<PackEntry> {
+        let codec = match stz_backend::registry().detect(&bytes) {
+            Some(codec) if codec.id() != stz_backend::id::STZ => codec,
+            _ => return PackEntry::from_stz_bytes(bytes),
+        };
+        let foreign = match stz_backend::decompress::<f32>(codec, &bytes) {
+            Ok(field) => ForeignArchive::new::<f32>(codec.id(), field.dims(), f64::NAN, bytes),
+            Err(f32_err) => {
+                let field = stz_backend::decompress::<f64>(codec, &bytes).map_err(|f64_err| {
+                    let name = codec.name();
+                    CodecError::corrupt(format!(
+                        "{name} archive: as f32: {f32_err}; as f64: {f64_err}"
+                    ))
+                })?;
+                ForeignArchive::new::<f64>(codec.id(), field.dims(), f64::NAN, bytes)
+            }
+        };
+        Ok(foreign.into())
     }
 
     /// The payload bytes: the archive exactly as a bare file holds it.
@@ -177,7 +202,7 @@ pub fn index_foreign_archive<'e>(
     if foreign.type_tag > 1 {
         return Err(CodecError::unsupported(format!("element type tag {}", foreign.type_tag)));
     }
-    if !(foreign.eb > 0.0 && foreign.eb.is_finite()) {
+    if !(foreign.eb > 0.0 && foreign.eb.is_finite() || foreign.eb.is_nan()) {
         return Err(CodecError::corrupt(format!("invalid error bound {}", foreign.eb)));
     }
     // Mirror the reader's dims cap so the writer can never emit a
