@@ -60,14 +60,19 @@ impl MemStore {
     /// same code path as containers and servers.
     pub fn open_path(path: impl AsRef<std::path::Path>) -> Result<MemStore> {
         let path = path.as_ref();
-        let bytes = std::fs::read(path)?;
+        let archive = PackEntry::from_bytes(std::fs::read(path)?).map_err(|e| {
+            AccessError::corrupt(format!("{} is not an stz archive: {e}", path.display()))
+        })?;
+        MemStore::of_file(path, archive)
+    }
+
+    /// A single-entry store of `archive`, the bare archive file at `path`,
+    /// named by its stem as [`MemStore::open_path`] names it.
+    pub fn of_file(path: &std::path::Path, archive: PackEntry) -> Result<MemStore> {
         let name = path
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "archive".to_string());
-        let archive = PackEntry::from_bytes(bytes).map_err(|e| {
-            AccessError::corrupt(format!("{} is not an stz archive: {e}", path.display()))
-        })?;
         let mut store = MemStore::new();
         store.append(&name, archive).and_then(|()| store.commit())?;
         Ok(store)

@@ -6,10 +6,10 @@
 //! interpolation with radius 2^15, and so on). Callers who need the full
 //! engine-specific surface use the engine crates directly.
 
-use crate::{Codec, Result};
-use stz_codec::CodecError;
+use crate::{ArchiveInfo, Codec, Result};
+use stz_codec::{ByteReader, CodecError};
 use stz_core::{StzArchive, StzCompressor, StzConfig};
-use stz_field::{Field, Scalar};
+use stz_field::{Dims, Field, Scalar};
 
 /// Reject a non-positive or non-finite bound before it reaches an engine
 /// constructor (several of which assert) — typed compress entry points
@@ -20,6 +20,42 @@ fn check_eb(eb: f64) -> Result<()> {
     } else {
         Err(CodecError::unsupported(format!("error bound must be positive and finite, got {eb}")))
     }
+}
+
+/// Read the fields every foreign engine's header opens with — magic,
+/// version, element type tag, ndim, extents and bound — and check them as
+/// the engine's decoder does: dims nonzero, consistent with ndim and within
+/// 2^40 points, the bound positive and finite.
+fn describe_foreign(bytes: &[u8], name: &str, magic: [u8; 4], version: u8) -> Result<ArchiveInfo> {
+    let mut r = ByteReader::new(bytes);
+    if r.get_raw(4)? != magic {
+        return Err(CodecError::corrupt(format!("bad {name} magic")));
+    }
+    let v = r.get_u8()?;
+    if v != version {
+        return Err(CodecError::unsupported(format!("{name} format version {v}")));
+    }
+    let type_tag = r.get_u8()?;
+    if type_tag > 1 {
+        return Err(CodecError::unsupported(format!("element type tag {type_tag}")));
+    }
+    let ndim = r.get_u8()?;
+    if !(1..=3).contains(&ndim) {
+        return Err(CodecError::corrupt(format!("invalid ndim {ndim}")));
+    }
+    let (nz, ny, nx) = (r.get_uvarint()?, r.get_uvarint()?, r.get_uvarint()?);
+    if nz == 0 || ny == 0 || nx == 0 || nz.saturating_mul(ny).saturating_mul(nx) > 1 << 40 {
+        return Err(CodecError::corrupt(format!("invalid dims {nz}x{ny}x{nx}")));
+    }
+    if (ndim < 3 && nz != 1) || (ndim < 2 && ny != 1) {
+        return Err(CodecError::corrupt("dims inconsistent with ndim"));
+    }
+    let eb = r.get_f64()?;
+    if !(eb > 0.0 && eb.is_finite()) {
+        return Err(CodecError::corrupt(format!("invalid error bound {eb}")));
+    }
+    let dims = Dims::from_parts(ndim, nz as usize, ny as usize, nx as usize);
+    Ok(ArchiveInfo { type_tag, dims, eb })
 }
 
 /// The native STZ streaming compressor (3-level adaptive configuration).
@@ -60,6 +96,10 @@ impl Codec for Stz {
     fn decompress_f64(&self, bytes: &[u8]) -> Result<Field<f64>> {
         Stz::decompress(bytes)
     }
+    fn describe(&self, bytes: &[u8]) -> Result<ArchiveInfo> {
+        let h = stz_core::archive::read_header(bytes)?;
+        Ok(ArchiveInfo { type_tag: h.type_tag, dims: h.dims, eb: h.eb_finest })
+    }
 }
 
 /// The SZ3-style interpolation compressor (cubic, radius 2^15).
@@ -89,6 +129,10 @@ impl Codec for Sz3 {
     }
     fn decompress_f64(&self, bytes: &[u8]) -> Result<Field<f64>> {
         stz_sz3::decompress(bytes)
+    }
+    fn describe(&self, bytes: &[u8]) -> Result<ArchiveInfo> {
+        use stz_sz3::stream::{MAGIC, VERSION};
+        describe_foreign(bytes, "SZ3", MAGIC, VERSION)
     }
 }
 
@@ -120,6 +164,10 @@ impl Codec for Zfp {
     fn decompress_f64(&self, bytes: &[u8]) -> Result<Field<f64>> {
         stz_zfp::decompress(bytes)
     }
+    fn describe(&self, bytes: &[u8]) -> Result<ArchiveInfo> {
+        use stz_zfp::compressor::{MAGIC, VERSION};
+        describe_foreign(bytes, "ZFP", MAGIC, VERSION)
+    }
 }
 
 /// The SPERR-style wavelet compressor (outlier-corrected).
@@ -150,6 +198,10 @@ impl Codec for Sperr {
     fn decompress_f64(&self, bytes: &[u8]) -> Result<Field<f64>> {
         stz_sperr::decompress(bytes)
     }
+    fn describe(&self, bytes: &[u8]) -> Result<ArchiveInfo> {
+        use stz_sperr::compressor::{MAGIC, VERSION};
+        describe_foreign(bytes, "SPERR", MAGIC, VERSION)
+    }
 }
 
 /// The MGARD-style multigrid compressor.
@@ -179,5 +231,9 @@ impl Codec for Mgard {
     }
     fn decompress_f64(&self, bytes: &[u8]) -> Result<Field<f64>> {
         stz_mgard::decompress(bytes)
+    }
+    fn describe(&self, bytes: &[u8]) -> Result<ArchiveInfo> {
+        use stz_mgard::compressor::{MAGIC, VERSION};
+        describe_foreign(bytes, "MGARD", MAGIC, VERSION)
     }
 }

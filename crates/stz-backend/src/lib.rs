@@ -39,7 +39,7 @@ pub use registry::{registry, Registry};
 pub use stz_codec::{CodecError, Result};
 pub use stz_sz3::ErrorBound;
 
-use stz_field::{Field, Scalar};
+use stz_field::{Dims, Field, Scalar};
 
 /// Stable wire identifiers for the built-in codecs.
 ///
@@ -97,6 +97,25 @@ pub trait Codec: Send + Sync + std::fmt::Debug {
 
     /// Decompress an archive produced by [`Codec::compress_f64`].
     fn decompress_f64(&self, bytes: &[u8]) -> Result<Field<f64>>;
+
+    /// The element type, dims and bound that the header of archive `bytes`
+    /// records, read without decoding the field: an error, never a panic,
+    /// for another codec's archive or a header that is cut short or out of
+    /// range.
+    fn describe(&self, bytes: &[u8]) -> Result<ArchiveInfo>;
+}
+
+/// What an archive's header records about the field it encodes
+/// ([`Codec::describe`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ArchiveInfo {
+    /// Element type tag (0 = `f32`, 1 = `f64`).
+    pub type_tag: u8,
+    /// Grid extents of the encoded field.
+    pub dims: Dims,
+    /// Absolute point-wise error bound of the compression (the finest
+    /// level's, for STZ).
+    pub eb: f64,
 }
 
 /// Scalar types a [`Codec`] can process; routes a generic call to the
@@ -173,6 +192,32 @@ mod tests {
         let rel = compress(codec, &f, &ErrorBound::Relative(1e-3)).unwrap();
         let abs = compress(codec, &f, &ErrorBound::Absolute(1e-3 * (hi - lo))).unwrap();
         assert_eq!(rel, abs);
+    }
+
+    #[test]
+    fn describe_reads_what_compress_recorded() {
+        let f = field();
+        let f64_field =
+            Field::from_fn(Dims::d2(9, 14), |_, y, x| (y as f64 * 0.4).sin() + x as f64);
+        for codec in registry().all() {
+            let name = codec.name();
+            let archives = [
+                (codec.compress_f32(&f, 2.5e-3).unwrap(), 0, f.dims(), 2.5e-3),
+                (codec.compress_f64(&f64_field, 0.125).unwrap(), 1, f64_field.dims(), 0.125),
+            ];
+            for (bytes, type_tag, dims, eb) in archives {
+                let info = codec.describe(&bytes).unwrap();
+                assert_eq!(info, ArchiveInfo { type_tag, dims, eb }, "{name}");
+                // Every cut of the header (magic, three bytes, three one-byte
+                // extents, the bound) is refused, as is another codec's archive.
+                for cut in 0..18 {
+                    assert!(codec.describe(&bytes[..cut]).is_err(), "{name} cut at {cut}");
+                }
+                for other in registry().all().filter(|other| other.id() != codec.id()) {
+                    assert!(other.describe(&bytes).is_err(), "{} read {name}'s", other.name());
+                }
+            }
+        }
     }
 
     #[test]

@@ -316,16 +316,14 @@ fn info(p: &Parsed) -> Result<(), String> {
         return Err(format!("info requires a local archive path, got {from:?}"));
     };
     let bytes = std::fs::read(&input).map_err(|e| e.to_string())?;
-    if registry().detect(&bytes).is_some_and(|codec| codec.id() != stz_backend::id::STZ) {
-        // A foreign archive has no STZ header: its row of the entry table.
-        let entries = store_at(&from)?.list().map_err(|e| e.to_string())?;
-        print_inspect(&from, &entries, None, false);
-        return Ok(());
-    }
-    match PackEntry::from_stz_bytes(bytes).map_err(|e| e.to_string())? {
+    match PackEntry::from_bytes(bytes).map_err(|e| e.to_string())? {
         PackEntry::F32(a) => print_info("f32", &a),
         PackEntry::F64(a) => print_info("f64", &a),
-        PackEntry::Foreign(_) => unreachable!("bare stz bytes parse as an stz archive"),
+        // A foreign archive has no STZ header: its row of the entry table.
+        foreign => {
+            let entries = MemStore::of_file(&input, foreign).and_then(|store| store.list());
+            print_inspect(&from, &entries.map_err(|e| e.to_string())?, None, false);
+        }
     }
     Ok(())
 }
@@ -1154,8 +1152,8 @@ mod tests {
     }
 
     /// A bare foreign archive opens in every read verb as a one-entry store
-    /// of the type one decode finds: `extract` writes `decompress`'s bytes,
-    /// `info` and `inspect` show its row with the bound unknown, and
+    /// of the type, dims and bound its header records: `extract` writes
+    /// `decompress`'s bytes, `info` and `inspect` show its row, and
     /// `preview` refuses it as it refuses a foreign entry of a container.
     #[test]
     fn bare_foreign_archives_open_in_every_read_verb() {
@@ -1178,7 +1176,7 @@ mod tests {
                 let store = MemStore::open_path(&arc).unwrap();
                 let row = &store.list().unwrap()[0];
                 assert_eq!((row.type_name(), row.codec_name()), (t, Some(backend)), "{what}");
-                assert!(row.eb.is_nan(), "{what}: the bound is unknown, not invented");
+                assert_eq!((row.dims, row.eb), (Dims::d3(17, 15, 16), 1e-3), "{what}");
                 let words = ["preview", "--from", &arc, "-o", &path("l1"), "-l", "1"];
                 let refused = run(&argv(&words.map(String::from))).unwrap_err();
                 assert!(refused.starts_with("unsupported:"), "{what}: {refused}");

@@ -46,11 +46,7 @@ pub fn render_text(source: &str, entries: &[EntryDesc], mutable: Option<&MutInfo
         }
         out.push_str(&format!("    dims:        {}\n", dims_text(e)));
         out.push_str(&format!("    type:        {}\n", e.type_name()));
-        if e.eb.is_nan() {
-            out.push_str("    error bound: unknown\n");
-        } else {
-            out.push_str(&format!("    error bound: {:.3e} (absolute)\n", e.eb));
-        }
+        out.push_str(&format!("    error bound: {:.3e} (absolute)\n", e.eb));
         out.push_str(&format!(
             "    compressed:  {} bytes ({} sections, payload crc 0x{:08x})\n",
             e.compressed_len, e.sections, e.payload_crc
@@ -300,13 +296,10 @@ fn json_str(s: impl AsRef<str>) -> String {
     out
 }
 
-/// A finite `f64` as a JSON number (shortest round-trip form); an unknown
-/// bound (NaN) as `null`.
+/// A finite `f64` as a JSON number (shortest round-trip form).
 fn json_f64(v: f64) -> String {
-    debug_assert!(!v.is_infinite(), "error bounds are finite or unknown (NaN) by construction");
-    if v.is_nan() {
-        "null".to_string()
-    } else if v.fract() == 0.0 && v.abs() < 9.0e15 {
+    debug_assert!(v.is_finite(), "error bounds are finite by construction");
+    if v.fract() == 0.0 && v.abs() < 9.0e15 {
         format!("{}", v as i64)
     } else {
         format!("{v:?}")

@@ -72,17 +72,13 @@ pub struct HuffmanEncoder {
     /// The symbol whose code is the one bit `0`, where it is common enough
     /// that the packer appends its aligned groups of [`RUN_GROUP`] in bulk.
     run: Option<u32>,
-    /// Whether no code is longer than 16 bits, so that two codes fit one
-    /// step of the packer: half the steps on its dependency chain.
-    pairs: bool,
 }
 
 /// The encode loop's state, which stays in registers: pending bits in the
 /// low `nbits` of `acc`, and the next byte of `out` to write. Fewer than 32
-/// pending bits plus at most [`MAX_CODE_LEN`] more (a code, two of at most
-/// 16 bits, or a group of one-bit codes) fit the accumulator, which leaves
-/// 32 bits at a time; whatever is shifted out above the pending bits has
-/// already been written.
+/// pending bits plus at most [`MAX_CODE_LEN`] more (a code, or a group of
+/// one-bit codes) fit the accumulator, which leaves 32 bits at a time;
+/// whatever is shifted out above the pending bits has already been written.
 struct Packer<'a> {
     out: &'a mut [u8],
     pos: usize,
@@ -107,8 +103,9 @@ impl Packer<'_> {
 }
 
 /// Largest alphabet counted in [`HIST_LANES`] interleaved sub-histograms:
-/// 4 × 1024 `u32` counters are 16 KB, half of a 32 KB L1d. Quantization
-/// symbols are `zigzag(code) + 1`, so real streams sit far below it.
+/// at most 4 × 1024 `u32` counters, 16 KB, half of a 32 KB L1d.
+/// Quantization symbols are `zigzag(code) + 1`, so real streams sit far
+/// below it.
 const HIST_ALPHABET: usize = 1 << 10;
 const HIST_LANES: usize = 4;
 
@@ -131,12 +128,14 @@ const RUN_SHARE_64THS: u64 = 56;
 /// The counters a stream is counted with, kept from stream to stream.
 #[derive(Debug, Clone, Default)]
 struct Counts {
-    /// [`HIST_LANES`] sub-histograms of [`HIST_ALPHABET`] counters each, all
-    /// zero between counts: a stream that is 99 % one symbol would make
-    /// every increment of a single histogram wait on the store of the
-    /// previous one to the same counter, so consecutive symbols go to
-    /// different sub-histograms, summed at the end.
-    lanes: Vec<[u32; HIST_ALPHABET]>,
+    /// [`HIST_LANES`] interleaved sub-histograms, `lanes[s * HIST_LANES + j]`
+    /// counting symbol `s` in lane `j`, all zero between counts: a stream
+    /// that is 99 % one symbol would make every increment of a single
+    /// histogram wait on the store of the previous one to the same counter,
+    /// so consecutive symbols go to different lanes, summed at the end. They
+    /// grow to the largest symbol counted so far, rounded up to a power of
+    /// two, and no further than [`HIST_ALPHABET`].
+    lanes: Vec<u32>,
     /// `freqs[s]` = occurrences of `s`, for `s` up to the largest symbol
     /// present; symbols past [`HIST_ALPHABET`] are counted here directly.
     freqs: Vec<u64>,
@@ -155,7 +154,6 @@ impl Counts {
             }
             return freqs;
         }
-        lanes.resize(HIST_LANES, [0; HIST_ALPHABET]);
         // Every symbol the lanes counted, or'ed; the symbol counted in bulk,
         // and its count not yet added.
         let (mut seen, mut bulk, mut run) = (0, 0, 0);
@@ -182,14 +180,15 @@ impl Counts {
         add(freqs, bulk, run);
         // Fold the lanes in, leaving them zero for the next stream: no
         // symbol they counted exceeds `seen`.
-        let top = (seen as usize).saturating_add(1).min(HIST_ALPHABET);
+        let top = (seen as usize).saturating_add(1).min(lanes.len() / HIST_LANES);
         if freqs.len() < top {
             freqs.resize(top, 0);
         }
-        for lane in lanes.iter_mut() {
-            for (f, c) in freqs.iter_mut().zip(&mut lane[..top]) {
-                *f += std::mem::take(c) as u64;
-            }
+        for (f, counts) in
+            freqs.iter_mut().zip(lanes[..top * HIST_LANES].chunks_exact_mut(HIST_LANES))
+        {
+            *f += counts.iter().map(|&c| c as u64).sum::<u64>();
+            counts.fill(0);
         }
         while freqs.last() == Some(&0) {
             freqs.pop();
@@ -218,18 +217,30 @@ fn add(freqs: &mut Vec<u64>, symbol: u32, n: u64) {
 /// Count `symbols` into the lanes in turn, and any past [`HIST_ALPHABET`]
 /// into `freqs`; returns the symbols or'ed.
 #[inline(always)]
-fn count_lanes(lanes: &mut [[u32; HIST_ALPHABET]], freqs: &mut Vec<u64>, symbols: &[u32]) -> u32 {
+fn count_lanes(lanes: &mut Vec<u32>, freqs: &mut Vec<u64>, symbols: &[u32]) -> u32 {
     let mut seen = 0;
     for group in symbols.chunks(HIST_LANES) {
-        for (lane, &s) in lanes.iter_mut().zip(group) {
-            match lane.get_mut(s as usize) {
+        for (lane, &s) in group.iter().enumerate() {
+            match lanes.get_mut(s as usize * HIST_LANES + lane) {
                 Some(count) => *count += 1,
-                None => add(freqs, s, 1),
+                None => widen(lanes, freqs, s, lane),
             }
             seen |= s;
         }
     }
     seen
+}
+
+/// Count one `symbol` the lanes are too narrow for: in `lane`, the lanes
+/// grown to hold it, if it is below [`HIST_ALPHABET`], else in `freqs`.
+fn widen(lanes: &mut Vec<u32>, freqs: &mut Vec<u64>, symbol: u32, lane: usize) {
+    let s = symbol as usize;
+    if s < HIST_ALPHABET {
+        lanes.resize((s + 1).next_power_of_two() * HIST_LANES, 0);
+        lanes[s * HIST_LANES + lane] += 1;
+    } else {
+        add(freqs, symbol, 1);
+    }
 }
 
 /// `freqs[s]` = occurrences of `s` in `symbols`, for `s` up to the largest
@@ -257,7 +268,6 @@ impl HuffmanEncoder {
         let total: u64 = freqs.iter().sum();
         let pays = |s: &usize| freqs[*s] as u128 * 64 >= total as u128 * RUN_SHARE_64THS as u128;
         self.run = zero.filter(pays).map(|s| s as u32);
-        self.pairs = self.codes.iter().all(|&entry| entry & 0xFF <= 16);
     }
 
     /// Build an encoder directly from a symbol stream.
@@ -307,16 +317,6 @@ impl HuffmanEncoder {
                     }
                 }
                 groups.remainder().iter().for_each(|&s| p.put(code(s)));
-            }
-            None if self.pairs => {
-                let mut pairs = symbols.chunks_exact(2);
-                for pair in &mut pairs {
-                    // The two codes as one: `a`'s, then `b`'s.
-                    let (a, b) = (code(pair[0]), code(pair[1]));
-                    let b_len = b & 0xFF;
-                    p.put(((a >> 8) << b_len | (b >> 8)) << 8 | ((a & 0xFF) + b_len));
-                }
-                pairs.remainder().iter().for_each(|&s| p.put(code(s)));
             }
             None => symbols.iter().for_each(|&s| p.put(code(s))),
         }
@@ -1489,6 +1489,9 @@ mod tests {
     #[test]
     fn sub_histograms_count_like_one() {
         let mut rng = XorShift(3);
+        // One `Counts` also counts every stream after the ones before it,
+        // whose lanes were wider or narrower.
+        let mut counts = Counts::default();
         for (alphabet, n) in [
             (1, 9),
             (5, 0),
@@ -1497,6 +1500,7 @@ mod tests {
             (HIST_ALPHABET as u64, 5000),
             (HIST_ALPHABET as u64 + 1, 5000),
             (70_000, 300),
+            (3, 700),
         ] {
             let symbols: Vec<u32> = (0..n).map(|_| (rng.next() % alphabet) as u32).collect();
             let mut expect = vec![0u64; symbols.iter().max().map_or(0, |&m| m as usize + 1)];
@@ -1504,6 +1508,7 @@ mod tests {
                 expect[s as usize] += 1;
             }
             assert_eq!(histogram(&symbols), expect, "alphabet {alphabet}, {n} symbols");
+            assert_eq!(counts.count(&symbols), expect, "alphabet {alphabet}, {n} symbols, reused");
         }
     }
 

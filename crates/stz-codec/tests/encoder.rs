@@ -3,9 +3,9 @@
 //! run and the flag chosen by `<`. Every stream shape below reaches a path
 //! of the fast encoder: counting runs in bulk or symbol by symbol, past the
 //! sub-histograms' alphabet, packing a run of the one-bit code `0` a group at
-//! a time at every length and alignment, two codes a step, or one code a
-//! step where some are longer than 16 bits, and the run-length pass skipped,
-//! tried and lost, or won by a single byte.
+//! a time at every length and alignment, or one code a step, codes longer
+//! than 16 bits among them, and the run-length pass skipped, tried and lost,
+//! or won by a single byte.
 
 use std::cell::RefCell;
 use stz_codec::huffman::{encode_block_counting, BlockEncoder, HuffmanEncoder};

@@ -167,6 +167,12 @@ pub fn type_tag(bytes: &[u8]) -> Option<u8> {
     bytes.get(MAGIC.len() + 1).copied()
 }
 
+/// The header of archive `bytes`, with the archive validated as
+/// [`StzArchive::from_bytes`] validates it, of either element type.
+pub fn read_header(bytes: &[u8]) -> Result<ArchiveHeader> {
+    parse(bytes).map(|(header, ..)| header)
+}
+
 impl<T: Scalar> StzArchive<T> {
     /// Parse an archive from bytes, validating the header and cataloguing
     /// every sub-block stream.

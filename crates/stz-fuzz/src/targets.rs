@@ -671,11 +671,13 @@ impl FuzzTarget for CodecTarget {
         }
     }
 
-    /// The decode oracles: on an input that parses as an [`StzArchive`],
-    /// every call a fresh handle answers must be the reference decoder's
-    /// answer, and a handle that resumes from the level-1 grid it kept must
-    /// answer every call as a fresh handle does.
+    /// The decode oracles: an archive that decodes is described by its
+    /// header as the field it decodes to; on an input that parses as an
+    /// [`StzArchive`], every call a fresh handle answers must be the
+    /// reference decoder's answer, and a handle that resumes from the
+    /// level-1 grid it kept must answer every call as a fresh handle does.
     fn deep_check(&self, input: &[u8]) -> Result<(), String> {
+        describe_agrees(input)?;
         if stz_core::archive::type_tag(input) == Some(f64::TYPE_TAG) {
             cold_equals_warm::<f64>(input)
         } else {
@@ -685,6 +687,27 @@ impl FuzzTarget for CodecTarget {
 
     fn max_input_len(&self) -> usize {
         1 << 14
+    }
+}
+
+/// Where the codec `input`'s magic names decodes it, as either element
+/// type, `Codec::describe` must succeed with that type and the field's dims.
+fn describe_agrees(input: &[u8]) -> Result<(), String> {
+    let Some(codec) = registry().detect(input) else {
+        return Ok(());
+    };
+    let decoded = match codec.decompress_f32(input) {
+        Ok(field) => Some((f32::TYPE_TAG, field.dims())),
+        Err(_) => codec.decompress_f64(input).ok().map(|field| (f64::TYPE_TAG, field.dims())),
+    };
+    let Some(decoded) = decoded else {
+        return Ok(());
+    };
+    match codec.describe(input) {
+        Ok(info) if (info.type_tag, info.dims) == decoded => Ok(()),
+        described => {
+            Err(format!("{} decodes as {decoded:?}, describes as {described:?}", codec.name()))
+        }
     }
 }
 

@@ -489,9 +489,8 @@ fn parse_foreign_entry(
 ) -> Result<(SectionLoc, ForeignDetail)> {
     let type_tag = get_type_tag(r)?;
     let dims = get_dims(r)?;
-    // NaN: a bound nobody recorded (a bare foreign archive's).
     let eb = r.get_f64()?;
-    if !(eb > 0.0 && eb.is_finite() || eb.is_nan()) {
+    if !(eb > 0.0 && eb.is_finite()) {
         return Err(CodecError::corrupt(format!("invalid error bound {eb}")));
     }
     let payload = get_section(r)?;

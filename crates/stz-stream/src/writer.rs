@@ -34,8 +34,7 @@ pub struct ForeignArchive {
     pub type_tag: u8,
     /// Grid extents of the encoded field.
     pub dims: Dims,
-    /// Absolute point-wise error bound used at compression; NaN where it
-    /// is unknown (a bare archive opened by [`PackEntry::from_bytes`]).
+    /// Absolute point-wise error bound used at compression.
     pub eb: f64,
     /// The codec's archive bytes.
     pub bytes: Vec<u8>,
@@ -96,26 +95,17 @@ impl PackEntry {
 
     /// Parse a bare archive of any backend, as the magic of `bytes` names
     /// it: an STZ archive as [`PackEntry::from_stz_bytes`] does, a foreign
-    /// one as one [`PackEntry::Foreign`] entry whose dims and element type
-    /// come from one decode, `f32` first, and whose error bound is unknown.
+    /// one as one [`PackEntry::Foreign`] entry of the element type, dims and
+    /// bound its header records (`Codec::describe`). Nothing is decoded: a
+    /// payload cut short after its header fails the fetch that decodes it,
+    /// as a foreign container entry's does.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<PackEntry> {
         let codec = match stz_backend::registry().detect(&bytes) {
             Some(codec) if codec.id() != stz_backend::id::STZ => codec,
             _ => return PackEntry::from_stz_bytes(bytes),
         };
-        let foreign = match stz_backend::decompress::<f32>(codec, &bytes) {
-            Ok(field) => ForeignArchive::new::<f32>(codec.id(), field.dims(), f64::NAN, bytes),
-            Err(f32_err) => {
-                let field = stz_backend::decompress::<f64>(codec, &bytes).map_err(|f64_err| {
-                    let name = codec.name();
-                    CodecError::corrupt(format!(
-                        "{name} archive: as f32: {f32_err}; as f64: {f64_err}"
-                    ))
-                })?;
-                ForeignArchive::new::<f64>(codec.id(), field.dims(), f64::NAN, bytes)
-            }
-        };
-        Ok(foreign.into())
+        let stz_backend::ArchiveInfo { type_tag, dims, eb } = codec.describe(&bytes)?;
+        Ok(PackEntry::Foreign(ForeignArchive { codec: codec.id(), type_tag, dims, eb, bytes }))
     }
 
     /// The payload bytes: the archive exactly as a bare file holds it.
@@ -202,7 +192,7 @@ pub fn index_foreign_archive<'e>(
     if foreign.type_tag > 1 {
         return Err(CodecError::unsupported(format!("element type tag {}", foreign.type_tag)));
     }
-    if !(foreign.eb > 0.0 && foreign.eb.is_finite() || foreign.eb.is_nan()) {
+    if !(foreign.eb > 0.0 && foreign.eb.is_finite()) {
         return Err(CodecError::corrupt(format!("invalid error bound {}", foreign.eb)));
     }
     // Mirror the reader's dims cap so the writer can never emit a
